@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fill between two mismatched brick walls and draw the transition collar.
 
-Picks random wall translates, runs the uniform filler around a small box,
+Picks random wall translates, runs the filler around a small box,
 verifies the stitched word cell by cell, and writes the collar's explicit
 small-tile placements as an SVG drawing.
 """
@@ -9,7 +9,7 @@ small-tile placements as an SVG drawing.
 import argparse
 import random
 
-from dominofill import Box, brick_wall, build_alphabet, expand, uniform_fill, validate_family
+from dominofill import Box, BrickWall, build_alphabet, expand, fill_between, validate_family
 from dominofill.cli.files import write_atomic
 from dominofill.cli.render import render_svg
 from dominofill.cli.verify import verify_word
@@ -26,12 +26,12 @@ def main() -> None:
     alphabet = build_alphabet(family)
     period = alphabet.shape("P")
     rng = random.Random(args.seed)
-    inner = brick_wall(alphabet, tuple(rng.randrange(p) for p in period))
-    outer = brick_wall(alphabet, tuple(rng.randrange(p) for p in period))
+    inner = BrickWall(alphabet, "P", tuple(rng.randrange(p) for p in period))
+    outer = BrickWall(alphabet, "P", tuple(rng.randrange(p) for p in period))
     extents = tuple(int(x) for x in args.box.split())
     box = Box((0,) * len(extents), extents)
 
-    fill = uniform_fill(inner, box, outer, family)
+    fill = fill_between(inner, box, outer, family)
     region = expand(box, family.fill_length + 2)
     word = fill.materialize(region)
     errors = verify_word(word)

@@ -12,11 +12,11 @@ obvious analogue when the periods differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, expand
+from .geometry import Box, expand, interior
 from .numerics import RectFamily, represent
 from .sft import Alphabet, Symbol, SymbolicWord, Tiling
 
@@ -52,11 +52,6 @@ class BrickWall:
         self.tile = tile
         self.period = alphabet.shape(tile)
         self.translate = tuple(int(t) % p for t, p in zip(translate, self.period))
-
-    def shifted(self, v: Sequence[int]) -> "BrickWall":
-        return BrickWall(
-            self.alphabet, self.tile, tuple(t + x for t, x in zip(self.translate, v))
-        )
 
     def aligned_with(self, other: "BrickWall") -> bool:
         return (
@@ -100,18 +95,9 @@ class BrickWall:
             start = self.ceil_align(box.anchor[axis], axis)
             stop = box.end[axis] - self.period[axis]
             anchors_1d.append(np.arange(start, stop + 1, self.period[axis], dtype=np.int64))
-        if any(len(a) == 0 for a in anchors_1d):
-            anchors = np.zeros((0, box.dim), dtype=np.int64)
-        else:
-            mesh = np.meshgrid(*anchors_1d, indexing="ij")
-            anchors = np.stack([m.ravel() for m in mesh], axis=1)
-        codes = np.zeros(len(anchors), dtype=np.int32)
-        shapes = {self.tile: self.period}
-        return Tiling(shapes, codes, anchors, box)
-
-
-def brick_wall(alphabet: Alphabet, translate: Sequence[int], tile: int | str = "P") -> BrickWall:
-    return BrickWall(alphabet, tile, translate)
+        mesh = np.meshgrid(*anchors_1d, indexing="ij")
+        anchors = np.stack([m.ravel() for m in mesh], axis=1)
+        return Tiling.from_parts({self.tile: self.period}, [(self.tile, anchors)], box)
 
 
 def complete_partial_tiles(b: Box, wall: BrickWall, direction: str) -> Box:
@@ -165,13 +151,11 @@ def decompose_collar(inner: Box, outer: Box, threshold: int) -> list[CollarPiece
             if 0 < gap <= threshold:
                 raise GapTooNarrow(axis, side, gap, threshold)
     pieces = []
-    index = 0
     for axis in range(outer.dim):
         for side in (0, 1):
             boxes = _face_slab(inner, outer, axis, side)
             if boxes is not None:
                 pieces.append(CollarPiece(boxes, axis, side))
-            index += 1
     return pieces
 
 
@@ -250,17 +234,12 @@ def strip_runs(b: Box, f: RectFamily, axis: int) -> list[StripRun]:
 
 def strip_tile(b: Box, f: RectFamily, axis: int) -> Tiling:
     """Tile ``b`` exactly by strips of family tiles along ``axis``."""
-    runs = strip_runs(b, f, axis)
+    return _runs_tiling(strip_runs(b, f, axis), f, b)
+
+
+def _runs_tiling(runs: list[StripRun], f: RectFamily, window: Box | None) -> Tiling:
     shapes = {j + 1: s for j, s in enumerate(f.shapes)}
-    codes = []
-    anchors = []
-    for run in runs:
-        a = run.anchors()
-        anchors.append(a)
-        codes.append(np.full(len(a), run.tile - 1, dtype=np.int32))
-    if codes:
-        return Tiling(shapes, np.concatenate(codes), np.concatenate(anchors), b)
-    return Tiling(shapes, np.zeros(0, dtype=np.int32), np.zeros((0, b.dim), dtype=np.int64), b)
+    return Tiling.from_parts(shapes, [(run.tile, run.anchors()) for run in runs], window)
 
 
 def collar_width(inner_wall: BrickWall, outer_wall: BrickWall, base: RectFamily) -> int:
@@ -295,21 +274,6 @@ class FilledWord:
     def pure_wall(cls, wall: BrickWall, base: RectFamily) -> "FilledWord":
         return cls(wall, None, wall, None, [], base, None)
 
-    def symbol_at(self, v: Sequence[int]) -> Symbol:
-        v = tuple(int(x) for x in v)
-        if self.inner_core is not None and self.inner_core.contains_cell(v):
-            return self.inner_wall.symbol_at(v)
-        if self.outer_core is None or not self.outer_core.contains_cell(v):
-            return self.outer_wall.symbol_at(v)
-        for run in self.runs:
-            if run.box.contains_cell(v):
-                tile_shape = self.alphabet.shape(run.tile)
-                offset = tuple(
-                    (x - a) % s for x, a, s in zip(v, run.box.anchor, tile_shape)
-                )
-                return Symbol(run.tile, offset)
-        raise AssertionError(f"cell {v} missed every fill region")
-
     def materialize(self, box: Box) -> SymbolicWord:
         grid = self.outer_wall.pattern_over(box)
         word = SymbolicWord(self.alphabet, box, grid)
@@ -321,24 +285,13 @@ class FilledWord:
             clip = box.intersect(run.box)
             if clip is None:
                 continue
-            tile_shape = self.alphabet.shape(run.tile)
             phase_wall = BrickWall(self.alphabet, run.tile, run.box.anchor)
             word.paste(clip, phase_wall.pattern_over(clip))
         return word
 
     def collar_tiling(self) -> Tiling:
         """The explicit small-tile placements of the filling collar."""
-        shapes = {j + 1: s for j, s in enumerate(self.base.shapes)}
-        codes = []
-        anchors = []
-        for run in self.runs:
-            a = run.anchors()
-            anchors.append(a)
-            codes.append(np.full(len(a), run.tile - 1, dtype=np.int32))
-        if codes:
-            return Tiling(shapes, np.concatenate(codes), np.concatenate(anchors), self.footprint)
-        dim = self.base.dim
-        return Tiling(shapes, np.zeros(0, dtype=np.int32), np.zeros((0, dim), dtype=np.int64), self.footprint)
+        return _runs_tiling(self.runs, self.base, self.footprint)
 
 
 def fill_between(
@@ -349,10 +302,14 @@ def fill_between(
     width: int | None = None,
 ) -> FilledWord:
     """Valid word equal to inner_wall on inner_box and outer_wall outside
-    expand(inner_box, width).
+    expand(inner_box, width); aligned walls return the wall itself.
 
-    Both wall periods must be per-axis multiples of every base tile side so
-    that completed cores have strip-tileable cross sections.
+    The walls may have different periods (a coarser brick subsumes more
+    tiles), but the collar is tiled by base-family tiles only.  Both periods
+    must be per-axis multiples of every base tile side so that completed
+    cores have strip-tileable cross sections.  ``width`` defaults to
+    ``collar_width``, which is the family's ``fill_length`` for two walls of
+    its own brick.
     """
     if inner_wall.aligned_with(outer_wall):
         return FilledWord.pure_wall(outer_wall, base)
@@ -373,29 +330,6 @@ def fill_between(
     return FilledWord(inner_wall, inner_core, outer_wall, outer_core, runs, base, footprint)
 
 
-def uniform_fill(
-    inner_wall: BrickWall, inner_box: Box, outer_wall: BrickWall, f: RectFamily
-) -> FilledWord:
-    """Interpolate between two translates of the family's brick wall.
-
-    The transition happens inside a collar of width ``f.fill_length`` around
-    ``inner_box``; aligned walls return the wall itself.
-    """
-    return fill_between(inner_wall, inner_box, outer_wall, f, f.fill_length)
-
-
-def restricted_fill(
-    inner_wall: BrickWall, inner_box: Box, outer_wall: BrickWall, base: RectFamily
-) -> FilledWord:
-    """Fill between walls of different periods using only base-family tiles.
-
-    The inner wall may have a coarser period (a brick subsuming more tiles);
-    the collar is still tiled exclusively by the base tiles, which is what
-    keeps later redistribution stages honest about which small tiles appear.
-    """
-    return fill_between(inner_wall, inner_box, outer_wall, base)
-
-
 class GluedWord:
     """A finite block overlaid on a fill between its boundary wall and an
     ambient wall."""
@@ -404,14 +338,6 @@ class GluedWord:
         self.block = block
         self.fill = fill
         self.alphabet = block.alphabet
-
-    def symbol_at(self, v: Sequence[int]) -> Symbol:
-        v = tuple(int(x) for x in v)
-        if self.block.box.contains_cell(v):
-            sym = self.block.cell(v)
-            if sym is not None:
-                return sym
-        return self.fill.symbol_at(v)
 
     def materialize(self, box: Box) -> SymbolicWord:
         word = self.fill.materialize(box)
@@ -425,34 +351,27 @@ def infer_wall_translate(block: SymbolicWord) -> BrickWall:
     """Recover the unique brick wall matching the block's outermost ring.
 
     Every ring cell must carry the same large tile with offsets consistent
-    with a single translate; otherwise NoMatchingTranslate is raised.
+    with a single translate; otherwise NoMatchingTranslate is raised, naming
+    the lexicographically first ring cell that breaks the pattern.  The
+    candidate wall is read off the block's corner cell.
     """
-    alphabet = block.alphabet
     box = block.box
-    candidate: BrickWall | None = None
-    for cell in _ring_cells(box):
-        sym = block.cell(cell)
-        if sym is None:
-            raise NoMatchingTranslate(f"ring cell {cell} is unassigned")
-        if isinstance(sym.tile, int):
-            raise NoMatchingTranslate(f"ring cell {cell} carries small tile {sym.tile}")
-        if candidate is None:
-            translate = tuple(c - o for c, o in zip(cell, sym.offset))
-            candidate = BrickWall(alphabet, sym.tile, translate)
-        if candidate.symbol_at(cell) != sym:
-            raise NoMatchingTranslate(
-                f"ring cell {cell} carries {sym}, expected {candidate.symbol_at(cell)}"
-            )
-    if candidate is None:
-        raise NoMatchingTranslate("block has no boundary ring")
+    corner = block.cell(box.anchor)
+    if corner is None or isinstance(corner.tile, int):
+        raise NoMatchingTranslate(f"ring cell {box.anchor} carries no brick: {corner}")
+    translate = tuple(c - o for c, o in zip(box.anchor, corner.offset))
+    candidate = BrickWall(block.alphabet, corner.tile, translate)
+    ring = np.ones(box.shape, dtype=bool)
+    core = interior(box, 1)
+    if core is not None:
+        ring[block.slices_for(core)] = False
+    bad = np.argwhere(ring & (block.grid != candidate.pattern_over(box)))
+    if len(bad):
+        cell = tuple(int(a + r) for a, r in zip(box.anchor, bad[0]))
+        raise NoMatchingTranslate(
+            f"ring cell {cell} carries {block.cell(cell)}, expected {candidate.symbol_at(cell)}"
+        )
     return candidate
-
-
-def _ring_cells(box: Box) -> Iterator[tuple[int, ...]]:
-    from .geometry import inner_collar
-
-    for cell in inner_collar(box, 1):
-        yield cell
 
 
 def glue(block: SymbolicWord, ambient: BrickWall, base: RectFamily) -> GluedWord:

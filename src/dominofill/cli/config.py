@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 
@@ -79,8 +79,6 @@ class RunConfig:
             object.__setattr__(self, "window_anchor", (0,) * self.dim)
 
     def replace(self, **kwargs) -> "RunConfig":
-        from dataclasses import replace
-
         return replace(self, **kwargs)
 
 

@@ -110,27 +110,38 @@ def serialize_tiling(tiling: Tiling, seed: int = 0) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _tiling_from_records(
+    shapes: dict, dim: int, window: Box | None, tiles: list, anchors: list
+) -> Tiling:
+    """Placements from parallel tile and anchor lists, in canonical order.
+
+    Raises ParseError on an unknown tile or an anchor of the wrong length.
+    """
+    index = {tile: i for i, tile in enumerate(shapes)}
+    try:
+        rows_tile = np.array([index[t] for t in tiles], dtype=np.intp)
+    except KeyError as exc:
+        raise ParseError(f"unknown tile {exc.args[0]!r}") from None
+    try:
+        rows = np.array(anchors, dtype=np.int64).reshape(len(tiles), dim)
+    except (OverflowError, ValueError) as exc:
+        raise ParseError(f"every anchor needs {dim} int64 coordinates") from exc
+    parts = [(tile, rows[rows_tile == i]) for tile, i in index.items()]
+    return Tiling.from_parts(shapes, parts, window).sorted_canonical()
+
+
 def parse_tiling(text: str) -> tuple[Tiling, int]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     dim, shapes, window, seed, idx = _read_header(lines, TILING_MAGIC)
-    order = sorted(shapes, key=tile_sort_key)
-    lookup = {t: i for i, t in enumerate(order)}
-    codes = []
+    tiles = []
     anchors = []
     for ln in lines[idx:]:
         parts = ln.split()
         if len(parts) != dim + 1:
             raise ParseError(f"bad placement line {ln!r}")
-        tile = _parse_tile(parts[0])
-        if tile not in lookup:
-            raise ParseError(f"unknown tile {tile!r} in line {ln!r}")
-        codes.append(lookup[tile])
+        tiles.append(_parse_tile(parts[0]))
         anchors.append([int(x) for x in parts[1:]])
-    codes_arr = np.array(codes, dtype=np.int32)
-    anchors_arr = (
-        np.array(anchors, dtype=np.int64) if anchors else np.zeros((0, dim), dtype=np.int64)
-    )
-    return Tiling(shapes, codes_arr, anchors_arr, window), seed
+    return _tiling_from_records(shapes, dim, window, tiles, anchors), seed
 
 
 def serialize_word(word: SymbolicWord, seed: int = 0) -> str:
@@ -148,29 +159,38 @@ def serialize_word(word: SymbolicWord, seed: int = 0) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _word_from_records(shapes: dict, dim: int, window: Box | None, records) -> SymbolicWord:
+    """Word from ``(cell, tile, offset)`` records.
+
+    Raises ParseError on a missing window, an unknown tile, a cell outside
+    the window, or an offset the tile does not have.
+    """
+    if window is None:
+        raise ParseError("word files need an explicit window")
+    word = SymbolicWord(Alphabet(dim, shapes), window)
+    for cell, tile, offset in records:
+        if tile not in shapes:
+            raise ParseError(f"unknown tile {tile!r} at cell {cell}")
+        if len(cell) != dim or not window.contains_cell(cell):
+            raise ParseError(f"cell {cell} outside window")
+        try:
+            word.set_cell(cell, Symbol(tile, offset))
+        except KeyError as exc:
+            raise ParseError(f"offset {offset} invalid for tile {tile!r}") from exc
+    return word
+
+
 def parse_word(text: str) -> tuple[SymbolicWord, int]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     dim, shapes, window, seed, idx = _read_header(lines, WORD_MAGIC)
-    if window is None:
-        raise ParseError("word files need an explicit window")
-    alphabet = Alphabet(dim, shapes)
-    word = SymbolicWord(alphabet, window)
+    records = []
     for ln in lines[idx:]:
         parts = ln.split()
         if len(parts) != 2 * dim + 1:
             raise ParseError(f"bad cell line {ln!r}")
         cell = tuple(int(x) for x in parts[:dim])
-        tile = _parse_tile(parts[dim])
-        offset = tuple(int(x) for x in parts[dim + 1 :])
-        if tile not in alphabet.tile_shapes:
-            raise ParseError(f"unknown tile {tile!r} in line {ln!r}")
-        if not window.contains_cell(cell):
-            raise ParseError(f"cell {cell} outside window in line {ln!r}")
-        try:
-            word.set_cell(cell, Symbol(tile, offset))
-        except KeyError as exc:
-            raise ParseError(f"offset {offset} invalid for tile {tile!r}") from exc
-    return word, seed
+        records.append((cell, _parse_tile(parts[dim]), tuple(int(x) for x in parts[dim + 1 :])))
+    return _word_from_records(shapes, dim, window, records), seed
 
 
 @dataclass(frozen=True)
@@ -242,38 +262,41 @@ def _from_json(text: str) -> LoadedFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
-    fmt = doc.get("format", "")
+    if not isinstance(doc, dict):
+        raise ParseError("JSON file is not an object")
     if doc.get("version") != 1:
         raise VersionMismatch(f"unsupported version {doc.get('version')!r}")
+    try:
+        return _from_json_doc(doc)
+    except ParseError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad JSON field: {exc!r}") from exc
+
+
+def _from_json_doc(doc: dict) -> LoadedFile:
+    fmt = doc.get("format", "")
     dim = int(doc["dim"])
     shapes = {_parse_tile(t): tuple(int(x) for x in s) for t, s in doc["shapes"].items()}
     win = doc.get("window")
     window = None if win is None else Box(tuple(win["anchor"]), tuple(win["shape"]))
     seed = int(doc.get("seed", 0))
     if fmt == "dominofill tiling":
-        order = sorted(shapes, key=tile_sort_key)
-        lookup = {t: i for i, t in enumerate(order)}
-        codes = []
-        anchors = []
-        for rec in doc["placements"]:
-            codes.append(lookup[_parse_tile(str(rec["tile"]))])
-            anchors.append([int(x) for x in rec["anchor"]])
-        codes_arr = np.array(codes, dtype=np.int32)
-        anchors_arr = (
-            np.array(anchors, dtype=np.int64) if anchors else np.zeros((0, dim), dtype=np.int64)
-        )
-        return LoadedFile("tiling", Tiling(shapes, codes_arr, anchors_arr, window), None, seed)
+        placements = doc["placements"]
+        tiles = [_parse_tile(str(rec["tile"])) for rec in placements]
+        anchors = [[int(x) for x in rec["anchor"]] for rec in placements]
+        tiling = _tiling_from_records(shapes, dim, window, tiles, anchors)
+        return LoadedFile("tiling", tiling, None, seed)
     if fmt == "dominofill word":
-        if window is None:
-            raise ParseError("word JSON needs a window")
-        alphabet = Alphabet(dim, shapes)
-        word = SymbolicWord(alphabet, window)
-        for rec in doc["cells"]:
-            word.set_cell(
+        records = (
+            (
                 tuple(int(x) for x in rec["cell"]),
-                Symbol(_parse_tile(str(rec["tile"])), tuple(int(x) for x in rec["offset"])),
+                _parse_tile(str(rec["tile"])),
+                tuple(int(x) for x in rec["offset"]),
             )
-        return LoadedFile("word", None, word, seed)
+            for rec in doc["cells"]
+        )
+        return LoadedFile("word", None, _word_from_records(shapes, dim, window, records), seed)
     raise ParseError(f"unknown JSON format {fmt!r}")
 
 

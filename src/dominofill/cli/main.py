@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 
-from ..brickfill import BrickWall, uniform_fill
+from ..brickfill import BrickWall, fill_between
 from ..geometry import Box, expand
 from ..numerics import FamilyError, validate_family
 from ..sft import build_alphabet
@@ -176,7 +176,7 @@ def cmd_fill(args) -> int:
     inner = BrickWall(alphabet, "P", cfg.fill_inner)
     outer = BrickWall(alphabet, "P", cfg.fill_outer)
     box = Box(*cfg.fill_box)
-    filled = uniform_fill(inner, box, outer, family)
+    filled = fill_between(inner, box, outer, family)
     region = expand(box, family.fill_length)
     word = filled.materialize(region)
     out = cfg.out_dir

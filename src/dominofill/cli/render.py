@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ..geometry import Box
-from ..sft import Tiling, tile_sort_key
+from ..sft import Tiling
 
 MAX_DRAWN_CELLS = 2_000_000
 DENSITY_BINS = 256
@@ -23,11 +23,6 @@ PALETTE = [
     "#f6a600", "#b3446c", "#dcd300", "#882d17", "#8db600", "#654522",
     "#e25822", "#2b3d26",
 ]
-
-
-def tile_color(tiling: Tiling, tile) -> str:
-    order = sorted(tiling.tile_shapes, key=tile_sort_key)
-    return PALETTE[order.index(tile) % len(PALETTE)]
 
 
 def _svg_header(width: float, height: float) -> str:
@@ -50,13 +45,13 @@ def render_svg(tiling: Tiling, cell_px: float = 8.0) -> str:
     h = window.shape[1] * cell_px
     parts = [_svg_header(w, h)]
     parts.append(f'<rect width="{w:g}" height="{h:g}" fill="#1a1a1a"/>\n')
-    order = sorted(tiling.tile_shapes, key=tile_sort_key)
+    order = tiling.tile_order
     for code, anchor in zip(tiling.codes, tiling.anchors):
         tile = order[int(code)]
         sx, sy = tiling.tile_shapes[tile]
         x = (int(anchor[0]) - ax) * cell_px
         y = (int(anchor[1]) - ay) * cell_px
-        color = PALETTE[order.index(tile) % len(PALETTE)]
+        color = PALETTE[int(code) % len(PALETTE)]
         parts.append(
             f'<rect x="{x:g}" y="{y:g}" width="{sx * cell_px:g}" height="{sy * cell_px:g}" '
             f'fill="{color}" stroke="#1a1a1a" stroke-width="{cell_px / 10:g}"/>\n'
@@ -84,7 +79,7 @@ def _render_density(tiling: Tiling, window: Box) -> str:
     cell_w = window.shape[0] / bins[0]
     cell_h = window.shape[1] / bins[1]
     mass = np.zeros(bins, dtype=np.float64)
-    order = sorted(tiling.tile_shapes, key=tile_sort_key)
+    order = tiling.tile_order
     areas = np.array(
         [math.prod(tiling.tile_shapes[order[int(c)]]) for c in tiling.codes], dtype=np.float64
     )
@@ -119,7 +114,7 @@ def render_ascii(tiling: Tiling, width: int = 100) -> str:
         raise ValueError(f"ASCII rendering needs d=1, got d={tiling.dim}")
     window = tiling.window or _bounding_window(tiling)
     cells = np.full(window.shape[0], ".", dtype="<U1")
-    order = sorted(tiling.tile_shapes, key=tile_sort_key)
+    order = tiling.tile_order
     marks = "#%@&*+"
     for code, anchor in zip(tiling.codes, tiling.anchors):
         tile = order[int(code)]
@@ -128,7 +123,7 @@ def render_ascii(tiling: Tiling, width: int = 100) -> str:
         if isinstance(tile, int):
             ch = str(tile % 10)
         else:
-            large_rank = sum(1 for t in order[: order.index(tile)] if not isinstance(t, int))
+            large_rank = sum(1 for t in order[: int(code)] if not isinstance(t, int))
             ch = marks[large_rank % len(marks)]
         lo = max(start, 0)
         hi = min(start + extent, window.shape[0])
@@ -136,10 +131,3 @@ def render_ascii(tiling: Tiling, width: int = 100) -> str:
     text = "".join(cells)
     lines = [text[i : i + width] for i in range(0, len(text), width)]
     return "\n".join(lines) + "\n"
-
-
-def render(tiling: Tiling) -> tuple[str, str]:
-    """Content and file suffix appropriate for the tiling's dimension."""
-    if tiling.dim == 1:
-        return render_ascii(tiling), ".txt"
-    return render_svg(tiling), ".svg"

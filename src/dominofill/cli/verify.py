@@ -136,28 +136,3 @@ def _owners(tiling: Tiling, anchors: np.ndarray, shapes_per: np.ndarray, cell) -
         (tiling.tile_order[int(tiling.codes[i])], tuple(int(x) for x in anchors[i]))
         for i in np.flatnonzero(inside)[:4]
     ]
-
-
-def coverage_counts(tiling: Tiling, window: Box) -> np.ndarray:
-    """Per-cell coverage over ``window`` (cells outside it ignored)."""
-    counts = np.zeros(window.shape, dtype=np.uint8)
-    if len(tiling) == 0:
-        return counts
-    shapes_per = np.array(
-        [tiling.tile_shapes[tiling.tile_order[int(c)]] for c in tiling.codes], dtype=np.int64
-    )
-    base = np.array(window.anchor, dtype=np.int64)
-    strides = np.array(counts.strides, dtype=np.int64) // counts.itemsize
-    flat = counts.ravel()
-    hi = np.array(window.shape, dtype=np.int64)
-    for shape in {tuple(s) for s in map(tuple, shapes_per)}:
-        sel = np.all(shapes_per == np.array(shape, dtype=np.int64), axis=1)
-        rel = tiling.anchors[sel] - base
-        keep = np.all(rel >= 0, axis=1) & np.all(rel + np.array(shape) <= hi, axis=1)
-        rel = rel[keep]
-        if len(rel) == 0:
-            continue
-        start = rel @ strides
-        offs = np.indices(shape).reshape(len(shape), -1).T @ strides
-        np.add.at(flat, (start[:, None] + offs[None, :]).ravel(), 1)
-    return counts

@@ -1,11 +1,11 @@
-"""Integer boxes, expansion and interior operators, and collar regions."""
+"""Integer boxes and the expansion and interior operators."""
 
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -59,34 +59,6 @@ class Box:
         return Box(tuple(a + x for a, x in zip(self.anchor, v)), self.shape)
 
 
-class Region:
-    """Finite cell set with canonical (lexicographic) iteration order."""
-
-    __slots__ = ("cells", "_set")
-
-    def __init__(self, cells: Iterable[tuple[int, ...]]) -> None:
-        self._set = frozenset(tuple(c) for c in cells)
-        self.cells = tuple(sorted(self._set))
-
-    def __contains__(self, v: tuple[int, ...]) -> bool:
-        return tuple(v) in self._set
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.cells)
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Region) and self._set == other._set
-
-    def __hash__(self) -> int:
-        return hash(self._set)
-
-    def __repr__(self) -> str:
-        return f"Region({len(self.cells)} cells)"
-
-
 def expand(b: Box, s: int) -> Box:
     """Grow ``b`` by ``s`` cells on every face."""
     if s < 0:
@@ -102,17 +74,3 @@ def interior(b: Box, s: int) -> Box | None:
     if any(e < 1 for e in shape):
         return None
     return Box(tuple(a + s for a in b.anchor), shape)
-
-
-def outer_collar(b: Box, s: int) -> Region:
-    """Cells of expand(b, s) not in b."""
-    grown = expand(b, s)
-    return Region(v for v in grown.cells() if not b.contains_cell(v))
-
-
-def inner_collar(b: Box, s: int) -> Region:
-    """Cells of b not in interior(b, s)."""
-    core = interior(b, s)
-    if core is None:
-        return Region(b.cells())
-    return Region(v for v in b.cells() if not core.contains_cell(v))

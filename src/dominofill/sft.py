@@ -15,7 +15,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import Box
+from .geometry import Box, interior
 from .numerics import RectFamily
 
 TileId = int | str
@@ -89,9 +89,6 @@ class Alphabet:
     def shape(self, tile: TileId) -> tuple[int, ...]:
         return self.tile_shapes[tile]
 
-    def tile_code(self, tile: TileId) -> int:
-        return self.tiles.index(tile)
-
     def block(self, tile: TileId) -> np.ndarray:
         """Symbol-index grid of one whole tile (offset -> index)."""
         if tile not in self._blocks:
@@ -158,21 +155,6 @@ class SymbolicWord:
         if tuple(grid.shape) != box.shape:
             raise ValueError("grid does not match box shape")
         self.grid = grid
-
-    @classmethod
-    def from_symbols(
-        cls, alphabet: Alphabet, assignment: Mapping[tuple[int, ...], Symbol]
-    ) -> "SymbolicWord":
-        if not assignment:
-            raise ValueError("assignment must be nonempty")
-        cells = list(assignment)
-        lo = tuple(min(c[a] for c in cells) for a in range(alphabet.dim))
-        hi = tuple(max(c[a] for c in cells) for a in range(alphabet.dim))
-        box = Box(lo, tuple(h - l + 1 for l, h in zip(lo, hi)))
-        word = cls(alphabet, box)
-        for cell, sym in assignment.items():
-            word.set_cell(cell, sym)
-        return word
 
     def _rel(self, v: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(x - a for x, a in zip(v, self.box.anchor))
@@ -271,20 +253,38 @@ class Tiling:
         self.window = window
 
     @classmethod
+    def from_parts(
+        cls,
+        tile_shapes: Mapping[TileId, tuple[int, ...]],
+        parts: Sequence[tuple[TileId, np.ndarray]],
+        window: Box | None = None,
+    ) -> "Tiling":
+        """Placements from ``(tile, anchor rows)`` parts, kept in part order.
+
+        Codes index ``tile_order``.  With no parts the tiling is empty; its
+        dimension comes from the tile shapes, else the window, else 1.
+        """
+        code_of = {t: i for i, t in enumerate(sorted(tile_shapes, key=tile_sort_key))}
+        if tile_shapes:
+            dim = len(next(iter(tile_shapes.values())))
+        else:
+            dim = window.dim if window is not None else 1
+        codes = np.repeat(
+            np.array([code_of[t] for t, _ in parts], dtype=np.int32),
+            [len(a) for _, a in parts],
+        )
+        blocks = [np.asarray(a, dtype=np.int64).reshape(-1, dim) for _, a in parts]
+        anchors = np.concatenate(blocks) if blocks else np.zeros((0, dim), dtype=np.int64)
+        return cls(tile_shapes, codes, anchors, window)
+
+    @classmethod
     def from_placements(
         cls,
         tile_shapes: Mapping[TileId, tuple[int, ...]],
         placements: Sequence[Placement],
         window: Box | None = None,
     ) -> "Tiling":
-        order = sorted(tile_shapes, key=tile_sort_key)
-        lookup = {t: i for i, t in enumerate(order)}
-        codes = np.array([lookup[p.tile] for p in placements], dtype=np.int32)
-        dim = len(next(iter(tile_shapes.values()))) if tile_shapes else 0
-        anchors = np.array(
-            [p.anchor for p in placements], dtype=np.int64
-        ).reshape(len(placements), dim)
-        return cls(tile_shapes, codes, anchors, window)
+        return cls.from_parts(tile_shapes, [(p.tile, [p.anchor]) for p in placements], window)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -298,11 +298,7 @@ class Tiling:
             yield Placement(self.tile_order[int(code)], tuple(int(x) for x in anchor))
 
     def covered_cells(self) -> int:
-        total = 0
-        for code in range(len(self.tile_order)):
-            n = int(np.count_nonzero(self.codes == code))
-            total += n * math.prod(self.tile_shapes[self.tile_order[code]])
-        return total
+        return sum(self.tile_cell_counts().values())
 
     def tile_cell_counts(self) -> dict[TileId, int]:
         out = {}
@@ -386,32 +382,18 @@ def _decode_full_box(word: SymbolicWord) -> DecodeResult:
     box = word.box
     grid = word.grid
     dim = alphabet.dim
-    codes_parts = []
-    anchors_parts = []
+    parts = []
     complete_cells = 0
-    code_of = {t: i for i, t in enumerate(sorted(alphabet.tile_shapes, key=tile_sort_key))}
     for tile in alphabet.tiles:
         shape = alphabet.shape(tile)
-        anchor_idx = alphabet.index(Symbol(tile, (0,) * dim))
-        rel = np.argwhere(grid == anchor_idx)
-        if len(rel) == 0:
-            continue
+        rel = np.argwhere(grid == alphabet.index(Symbol(tile, (0,) * dim)))
         fits = np.ones(len(rel), dtype=bool)
         for a in range(dim):
             fits &= rel[:, a] + shape[a] <= box.shape[a]
         whole = rel[fits]
-        if len(whole) == 0:
-            continue
-        anchors_parts.append(whole + np.array(box.anchor, dtype=np.int64))
-        codes_parts.append(np.full(len(whole), code_of[tile], dtype=np.int32))
+        parts.append((tile, whole + np.array(box.anchor, dtype=np.int64)))
         complete_cells += len(whole) * math.prod(shape)
-    if codes_parts:
-        codes = np.concatenate(codes_parts)
-        anchors = np.concatenate(anchors_parts)
-    else:
-        codes = np.zeros(0, dtype=np.int32)
-        anchors = np.zeros((0, dim), dtype=np.int64)
-    tiling = Tiling(alphabet.tile_shapes, codes, anchors, box)
+    tiling = Tiling.from_parts(alphabet.tile_shapes, parts, box)
     partial_cells = box.volume - complete_cells
     partials = _rim_partials(word, tiling) if partial_cells else []
     return DecodeResult(tiling, partials, partial_cells)
@@ -427,8 +409,6 @@ def _rim_partials(word: SymbolicWord, complete: Tiling) -> list[Placement]:
     rim_width = max_side
     core = None
     if all(e > 2 * rim_width for e in box.shape):
-        from .geometry import interior
-
         core = interior(box, rim_width)
     for rel in np.argwhere(word.grid >= 0):
         cell = tuple(int(a + r) for a, r in zip(box.anchor, rel))

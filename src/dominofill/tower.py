@@ -25,7 +25,7 @@ from .brickfill import BrickWall, fill_between
 from .geometry import Box, interior
 from .numerics import RectFamily, SharedAxisDivisor, validate_family
 from .rng import SplitMix64
-from .sft import Alphabet, SymbolicWord, Tiling, build_alphabet, validate_word
+from .sft import Alphabet, InvalidWord, SymbolicWord, Tiling, build_alphabet, validate_word
 
 LARGE_FINITE = "P"
 
@@ -409,11 +409,8 @@ def sample_towers(
         start = window.anchor[a] + offset[a]
         stop = window.end[a] - spec.side
         axes.append(np.arange(start, stop + 1, step, dtype=np.int64))
-    if any(len(ax) == 0 for ax in axes):
-        anchors = np.zeros((0, window.dim), dtype=np.int64)
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        anchors = np.stack([m.ravel() for m in mesh], axis=1)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    anchors = np.stack([m.ravel() for m in mesh], axis=1)
     return StageTowers(stage, spec.side, step, offset, anchors, window)
 
 
@@ -596,17 +593,13 @@ def finalize(
     boundary collars, and tiles cut by domain edges; those are excluded from
     the covered count, never errors.
     """
-    from .sft import InvalidWord, decode
+    from .sft import decode  # looked up per call: the benchmark hooks dominofill.sft.decode
 
     targets = plan.targets if plan is not None else None
     if state is None or not state.blocks or window is None:
-        shapes = {} if state is None else dict(state.word.alphabet.tile_shapes)
-        dim = window.dim if window is not None else 1
-        empty = Tiling(
-            shapes, np.zeros(0, dtype=np.int32), np.zeros((0, dim), dtype=np.int64), window
-        )
+        shapes = {} if state is None else state.word.alphabet.tile_shapes
         cells = 0 if window is None else window.volume
-        return empty, FrequencyReport(cells, 0, {}, targets)
+        return Tiling.from_parts(shapes, [], window), FrequencyReport(cells, 0, {}, targets)
     violations = validate_word(state.word)
     if violations:
         raise InvalidWord(f"stage {state.stage} word is invalid: {violations[0]}")
@@ -741,22 +734,7 @@ def redistribute(
             else:
                 parts.append((label, _subdivide(chosen, period, shapes[label])))
                 deficits[label] = max(deficits[label] - Fraction(cnt * area), Fraction(0))
-    order_lookup = {t: i for i, t in enumerate(sorted(shapes, key=_tile_key))}
-    codes_final = [np.full(len(a), order_lookup[t], dtype=np.int32) for t, a in parts]
-    anchors_final = [a for _, a in parts]
-    if codes_final:
-        codes = np.concatenate(codes_final)
-        anchors = np.concatenate(anchors_final)
-    else:
-        codes = np.zeros(0, dtype=np.int32)
-        anchors = np.zeros((0, tiling.dim), dtype=np.int64)
-    return Tiling(shapes, codes, anchors, tiling.window).sorted_canonical()
-
-
-def _tile_key(tile):
-    from .sft import tile_sort_key
-
-    return tile_sort_key(tile)
+    return Tiling.from_parts(shapes, parts, tiling.window).sorted_canonical()
 
 
 def _divides(small: tuple[int, ...], period: tuple[int, ...]) -> bool:
@@ -860,20 +838,3 @@ def _select_tails(plan: StagePlan, towers: StageTowers, rng: SplitMix64) -> froz
     idx = list(range(towers.count))
     rng.shuffle(idx)
     return frozenset(tuple(int(x) for x in towers.anchors[i]) for i in idx[:count])
-
-
-def countable_build(
-    shapes: Sequence[Sequence[int]],
-    targets: TargetDistribution,
-    plan: StagePlan,
-    window: Box,
-    seed: int,
-) -> tuple[Tiling, FrequencyReport]:
-    """Truncated countable run: coarser brick periods on each stage's tail
-    towers, then one redistribution consuming each pool in period order."""
-    if not plan.countable:
-        raise Infeasible("cutoffs", "countable_build needs a plan with cut points")
-    if tuple(tuple(int(x) for x in s) for s in shapes) != plan.family.shapes:
-        raise Infeasible("cutoffs", "shapes disagree with the plan's family")
-    result = run_pipeline(plan, window, seed)
-    return result.tiling, result.report

@@ -17,20 +17,20 @@ import pytest
 
 from dominofill import (
     Box,
+    BrickWall,
     Infeasible,
     InvalidTargets,
     NonpositiveTarget,
     SharedAxisDivisor,
     TargetDistribution,
     axis_threshold,
-    brick_wall,
     build_alphabet,
     collar_width,
     expand,
+    fill_between,
     glue,
     plan_stages,
     run_pipeline,
-    uniform_fill,
     validate_family,
 )
 from dominofill.cli.files import serialize_tiling
@@ -131,13 +131,13 @@ def test_uniform_fill_bridges_random_walls():
         period = alphabet.shape("P")
         ell = family.fill_length
         for trial in range(1000):
-            inner = brick_wall(alphabet, tuple(rng.randrange(p) for p in period))
-            outer = brick_wall(alphabet, tuple(rng.randrange(p) for p in period))
+            inner = BrickWall(alphabet, "P", tuple(rng.randrange(p) for p in period))
+            outer = BrickWall(alphabet, "P", tuple(rng.randrange(p) for p in period))
             box = Box(
                 tuple(rng.randint(-30, 30) for _ in range(dim)),
                 tuple(rng.randint(1, 40) for _ in range(dim)),
             )
-            fill = uniform_fill(inner, box, outer, family)
+            fill = fill_between(inner, box, outer, family)
             region = expand(box, ell + 5)
             word = fill.materialize(region)
             errs = verify_word(word)
@@ -173,7 +173,7 @@ def test_blocks_reglue_into_shifted_walls(staged_runs):
         state = staged_runs.results[seed].state
         for blk in state.blocks[:40]:
             block = state.word.restrict(blk.domain)
-            ambient = brick_wall(alphabet, tuple(rng.randrange(p) for p in period))
+            ambient = BrickWall(alphabet, "P", tuple(rng.randrange(p) for p in period))
             width = collar_width(blk.wall, ambient, family)
             region = expand(blk.domain, width + 2)
             word = glue(block, ambient, family).materialize(region)

@@ -6,21 +6,20 @@ from hypothesis import strategies as st
 
 from dominofill import (
     Box,
+    BrickWall,
     InwardEmpty,
     NoMatchingTranslate,
     NonMultipleExtent,
     NotRepresentable,
     Symbol,
-    brick_wall,
     build_alphabet,
     collar_width,
     complete_partial_tiles,
     decode,
     expand,
+    fill_between,
     glue,
-    restricted_fill,
     strip_tile,
-    uniform_fill,
     validate_family,
     validate_word,
 )
@@ -30,23 +29,23 @@ translates_2d = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
 
 class TestBrickWall:
     def test_symbol_queries(self, flagship_alphabet):
-        wall = brick_wall(flagship_alphabet, (0, 0))
+        wall = BrickWall(flagship_alphabet, "P", (0, 0))
         assert wall.symbol_at((0, 0)) == Symbol("P", (0, 0))
         assert wall.symbol_at((7, 3)) == Symbol("P", (1, 3))
-        shifted = brick_wall(flagship_alphabet, (2, 0))
+        shifted = BrickWall(flagship_alphabet, "P", (2, 0))
         assert shifted.symbol_at((2, 0)) == Symbol("P", (0, 0))
 
     def test_translate_stored_modulo_period(self, flagship_alphabet):
-        assert brick_wall(flagship_alphabet, (8, -5)).translate == (2, 1)
+        assert BrickWall(flagship_alphabet, "P", (8, -5)).translate == (2, 1)
 
     @given(translates_2d, translates_2d)
     @settings(max_examples=30)
     def test_restrictions_are_valid(self, flagship_alphabet, translate, corner):
-        wall = brick_wall(flagship_alphabet, translate)
+        wall = BrickWall(flagship_alphabet, "P", translate)
         assert validate_word(wall.materialize(Box(corner, (13, 9)))) == []
 
     def test_placements_in(self, flagship_alphabet):
-        wall = brick_wall(flagship_alphabet, (0, 0))
+        wall = BrickWall(flagship_alphabet, "P", (0, 0))
         t = wall.placements_in(Box((0, 0), (12, 12)))
         assert sorted(p.anchor for p in t.placements()) == [
             (0, 0), (0, 6), (6, 0), (6, 6),
@@ -55,7 +54,7 @@ class TestBrickWall:
 
 class TestCompletePartialTiles:
     def test_line_examples(self, line_alphabet):
-        wall = brick_wall(line_alphabet, (0,))
+        wall = BrickWall(line_alphabet, "P", (0,))
         assert complete_partial_tiles(Box((0,), (10,)), wall, "outward") == Box((0,), (12,))
         aligned = Box((0,), (12,))
         assert complete_partial_tiles(aligned, wall, "outward") == aligned
@@ -66,7 +65,7 @@ class TestCompletePartialTiles:
     @given(translates_2d, translates_2d, st.tuples(st.integers(1, 25), st.integers(1, 25)))
     @settings(max_examples=50)
     def test_face_movement_below_period(self, flagship_alphabet, translate, corner, shape):
-        wall = brick_wall(flagship_alphabet, translate)
+        wall = BrickWall(flagship_alphabet, "P", translate)
         box = Box(corner, shape)
         out = complete_partial_tiles(box, wall, "outward")
         assert out.contains_box(box)
@@ -119,17 +118,17 @@ def assert_fill_contract(fill, inner_wall, box, outer_wall, width, probe_margin=
 
 class TestUniformFill:
     def test_aligned_walls_identity(self, flagship_alphabet, flagship):
-        wall = brick_wall(flagship_alphabet, (4, 1))
-        same = brick_wall(flagship_alphabet, (10, 7))  # same translate mod period
-        fill = uniform_fill(wall, Box((3, 3), (10, 10)), same, flagship)
+        wall = BrickWall(flagship_alphabet, "P", (4, 1))
+        same = BrickWall(flagship_alphabet, "P", (10, 7))  # same translate mod period
+        fill = fill_between(wall, Box((3, 3), (10, 10)), same, flagship)
         probe = Box((-20, -20), (50, 50))
         assert fill.materialize(probe).equals_on(wall.materialize(probe), probe)
 
     def test_line_worked_example(self, line_alphabet, line_family):
-        inner = brick_wall(line_alphabet, (0,))
-        outer = brick_wall(line_alphabet, (3,))
+        inner = BrickWall(line_alphabet, "P", (0,))
+        outer = BrickWall(line_alphabet, "P", (3,))
         box = Box((0,), (10,))
-        fill = uniform_fill(inner, box, outer, line_family)
+        fill = fill_between(inner, box, outer, line_family)
         assert fill.inner_core == Box((0,), (12,))
         assert fill.outer_core == Box((-9,), (30,))
         assert fill.footprint == Box((-14,), (38,))
@@ -147,10 +146,10 @@ class TestUniformFill:
     )
     @settings(max_examples=40)
     def test_line_contract(self, line_alphabet, line_family, t_in, t_out, corner, extent):
-        inner = brick_wall(line_alphabet, (t_in,))
-        outer = brick_wall(line_alphabet, (t_out,))
+        inner = BrickWall(line_alphabet, "P", (t_in,))
+        outer = BrickWall(line_alphabet, "P", (t_out,))
         box = Box((corner,), (extent,))
-        fill = uniform_fill(inner, box, outer, line_family)
+        fill = fill_between(inner, box, outer, line_family)
         assert_fill_contract(fill, inner, box, outer, line_family.fill_length)
 
     @given(
@@ -160,16 +159,16 @@ class TestUniformFill:
     )
     @settings(max_examples=25)
     def test_plane_contract(self, flagship_alphabet, flagship, t_in, t_out, corner, shape):
-        inner = brick_wall(flagship_alphabet, t_in)
-        outer = brick_wall(flagship_alphabet, t_out)
+        inner = BrickWall(flagship_alphabet, "P", t_in)
+        outer = BrickWall(flagship_alphabet, "P", t_out)
         box = Box(corner, shape)
-        fill = uniform_fill(inner, box, outer, flagship)
+        fill = fill_between(inner, box, outer, flagship)
         assert_fill_contract(fill, inner, box, outer, flagship.fill_length)
 
     def test_collar_uses_only_small_tiles(self, flagship_alphabet, flagship):
-        inner = brick_wall(flagship_alphabet, (1, 4))
-        outer = brick_wall(flagship_alphabet, (3, 0))
-        fill = uniform_fill(inner, Box((0, 0), (14, 9)), outer, flagship)
+        inner = BrickWall(flagship_alphabet, "P", (1, 4))
+        outer = BrickWall(flagship_alphabet, "P", (3, 0))
+        fill = fill_between(inner, Box((0, 0), (14, 9)), outer, flagship)
         tiles = set(p.tile for p in fill.collar_tiling().placements())
         assert tiles <= {1, 2}
 
@@ -179,11 +178,11 @@ class TestRestrictedFill:
         f = validate_family([(2,), (3,), (5,)])
         base = validate_family([(2,), (3,)])
         alphabet = build_alphabet(f, large={"P1": (6,), "P2": (30,)})
-        inner = brick_wall(alphabet, (4,), tile="P2")
-        outer = brick_wall(alphabet, (1,), tile="P1")
+        inner = BrickWall(alphabet, "P2", (4,))
+        outer = BrickWall(alphabet, "P1", (1,))
         box = Box((-7,), (40,))
         width = collar_width(inner, outer, base)
-        fill = restricted_fill(inner, box, outer, base)
+        fill = fill_between(inner, box, outer, base)
         window = expand(box, width + 4)
         word = fill.materialize(window)
         assert validate_word(word) == []
@@ -192,11 +191,11 @@ class TestRestrictedFill:
         assert collar_tiles <= {1, 2}
 
     def test_single_period_matches_uniform(self, line_alphabet, line_family):
-        inner = brick_wall(line_alphabet, (2,))
-        outer = brick_wall(line_alphabet, (5,))
+        inner = BrickWall(line_alphabet, "P", (2,))
+        outer = BrickWall(line_alphabet, "P", (5,))
         box = Box((0,), (9,))
-        a = restricted_fill(inner, box, outer, line_family)
-        b = uniform_fill(inner, box, outer, line_family)
+        a = fill_between(inner, box, outer, line_family)
+        b = fill_between(inner, box, outer, line_family, line_family.fill_length)
         probe = expand(box, line_family.fill_length + 6)
         assert a.materialize(probe).equals_on(b.materialize(probe), probe)
 
@@ -205,15 +204,15 @@ class TestRestrictedFill:
         alphabet = build_alphabet(f, large={"P1": (6,), "P2": (30,)})
         base = validate_family([(2,), (5,)])  # 3 does not divide 30? it does; use 4
         base = validate_family([(4,), (3,)])
-        inner = brick_wall(alphabet, (0,), tile="P2")
-        outer = brick_wall(alphabet, (1,), tile="P1")
+        inner = BrickWall(alphabet, "P2", (0,))
+        outer = BrickWall(alphabet, "P1", (1,))
         with pytest.raises(NonMultipleExtent):
-            restricted_fill(inner, Box((0,), (12,)), outer, base)
+            fill_between(inner, Box((0,), (12,)), outer, base)
 
 
 class TestGlue:
     def test_wall_restriction_is_fixed_point(self, flagship_alphabet, flagship):
-        wall = brick_wall(flagship_alphabet, (2, 3))
+        wall = BrickWall(flagship_alphabet, "P", (2, 3))
         box = Box((1, 1), (12, 10))
         glued = glue(wall.materialize(box), wall, flagship)
         probe = expand(box, flagship.fill_length + 4)
@@ -222,10 +221,10 @@ class TestGlue:
     @given(translates_2d, translates_2d)
     @settings(max_examples=20)
     def test_block_glues_into_any_wall(self, flagship_alphabet, flagship, t_in, t_out):
-        inner = brick_wall(flagship_alphabet, t_in)
+        inner = BrickWall(flagship_alphabet, "P", t_in)
         block_box = Box((0, 0), (17, 11))
         block = inner.materialize(block_box)
-        ambient = brick_wall(flagship_alphabet, t_out)
+        ambient = BrickWall(flagship_alphabet, "P", t_out)
         glued = glue(block, ambient, flagship)
         window = expand(block_box, flagship.fill_length + 3)
         word = glued.materialize(window)
@@ -238,7 +237,7 @@ class TestGlue:
                 assert word.cell(cell) == sym
 
     def test_corrupted_rim_rejected(self, flagship_alphabet, flagship):
-        wall = brick_wall(flagship_alphabet, (0, 0))
+        wall = BrickWall(flagship_alphabet, "P", (0, 0))
         box = Box((0, 0), (12, 12))
         block = wall.materialize(box)
         block.set_cell((0, 5), Symbol(1, (0, 0)))
@@ -248,14 +247,14 @@ class TestGlue:
 
 class TestCollarWidth:
     def test_matches_family_fill_length(self, flagship_alphabet, flagship):
-        a = brick_wall(flagship_alphabet, (0, 0))
-        b = brick_wall(flagship_alphabet, (3, 3))
+        a = BrickWall(flagship_alphabet, "P", (0, 0))
+        b = BrickWall(flagship_alphabet, "P", (3, 3))
         assert collar_width(a, b, flagship) == flagship.fill_length
 
     def test_grows_with_coarser_periods(self, flagship):
         f = validate_family([(2,), (3,), (5,)])
         base = validate_family([(2,), (3,)])
         alphabet = build_alphabet(f, large={"P1": (6,), "P2": (30,)})
-        inner = brick_wall(alphabet, (0,), tile="P2")
-        outer = brick_wall(alphabet, (0,), tile="P1")
+        inner = BrickWall(alphabet, "P2", (0,))
+        outer = BrickWall(alphabet, "P1", (0,))
         assert collar_width(inner, outer, base) == base.threshold + 30 + 6

@@ -1,5 +1,6 @@
 """Config parsing, file formats, independent verification, and the CLI."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -14,11 +15,11 @@ import pytest
 import dominofill
 from dominofill import (
     Box,
+    BrickWall,
     Placement,
     Symbol,
     SymbolicWord,
     Tiling,
-    brick_wall,
 )
 from dominofill.cli.config import ConfigError, parse_config, serialize_config
 from dominofill.cli.files import (
@@ -35,7 +36,7 @@ from dominofill.cli.files import (
 )
 from dominofill.cli.main import main
 from dominofill.cli.render import render_ascii, render_svg
-from dominofill.cli.verify import coverage_counts, verify_tiling, verify_word
+from dominofill.cli.verify import verify_tiling, verify_word
 
 FLAGSHIP_INI = """\
 [run]
@@ -147,7 +148,7 @@ class TestTilingFiles:
 
 
 def sample_word(flagship_alphabet):
-    wall = brick_wall(flagship_alphabet, (1, 2))
+    wall = BrickWall(flagship_alphabet, "P", (1, 2))
     return wall.materialize(Box((0, 0), (8, 8)))
 
 
@@ -182,6 +183,62 @@ class TestWordFiles:
         text = serialize_word(w) + "50 50 P 0 0\n"
         with pytest.raises(ParseError):
             parse_word(text)
+
+
+def write_json(tmp_path, text, edit):
+    doc = json.loads(text)
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def unknown_tile(doc):
+    doc["placements"].append({"tile": 9, "anchor": [0, 0]})
+
+
+def bad_offset(doc):
+    doc["cells"][0]["offset"] = [9, 9]
+
+
+def cell_outside(doc):
+    doc["cells"].append({"cell": [50, 50], "tile": "P", "offset": [0, 0]})
+
+
+def negative_cell(doc):
+    doc["cells"][0]["cell"] = [-1, -1]
+
+
+class TestJsonLoaderErrors:
+    """Bad JSON input is a ParseError, as it is for the text formats."""
+
+    CASES = [
+        ("tiling", unknown_tile),
+        ("word", bad_offset),
+        ("word", cell_outside),
+        ("word", negative_cell),
+    ]
+
+    def bad_file(self, tmp_path, flagship_alphabet, kind, edit):
+        if kind == "tiling":
+            return write_json(tmp_path, tiling_to_json(sample_tiling()), edit)
+        return write_json(tmp_path, word_to_json(sample_word(flagship_alphabet)), edit)
+
+    @pytest.mark.parametrize("kind, edit", CASES, ids=lambda v: getattr(v, "__name__", v))
+    def test_load_any_raises_parse_error(self, tmp_path, flagship_alphabet, kind, edit):
+        with pytest.raises(ParseError):
+            load_any(self.bad_file(tmp_path, flagship_alphabet, kind, edit))
+
+    @pytest.mark.parametrize("kind, edit", CASES, ids=lambda v: getattr(v, "__name__", v))
+    def test_verify_is_user_error(self, tmp_path, flagship_alphabet, capsys, kind, edit):
+        path = self.bad_file(tmp_path, flagship_alphabet, kind, edit)
+        assert main(["verify", path]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_stats_is_user_error(self, tmp_path, capsys):
+        path = write_json(tmp_path, tiling_to_json(sample_tiling()), unknown_tile)
+        assert main(["stats", path]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestVerifyWord:
@@ -219,10 +276,14 @@ class TestVerifyTiling:
 
     def test_coverage_counts(self):
         t = sample_tiling()
-        counts = coverage_counts(t, Box((0, 0), (6, 6)))
-        assert counts.shape == (6, 6)
-        assert counts.max() == 1
-        assert int(counts.sum()) == 6 + 6 + 6  # the three small tiles
+        window = Box((0, 0), (6, 6))
+        inside = [
+            p for p in t.placements() if window.contains_box(Box(p.anchor, t.tile_shapes[p.tile]))
+        ]
+        sub = Tiling.from_placements(t.tile_shapes, inside, window)
+        assert verify_tiling(sub) == []  # inside the window, no cell covered twice
+        assert sum(sub.tile_cell_counts().values()) == 6 + 6 + 6  # the three small tiles
+        assert sub.covered_cells() == 18
 
 
 class TestRender:
@@ -394,6 +455,74 @@ class TestMain:
         assert main(["render", str(path), "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         assert (tmp_path / "render.txt").exists()
+
+
+TWO_STAGE_INI = (
+    FLAGSHIP_INI.replace("window = 300,300", "window = 1024,1024")
+    .replace("seed = 11", "seed = 1")
+    .replace("sides = 64", "sides = 64,512")
+)
+
+LINE_INI = """\
+[run]
+dim = 1
+window = 100000
+seed = 4
+mode = relaxed
+
+[family]
+shapes = 2 3 5
+
+[targets]
+probs = 2/5 2/5 1/5
+
+[plan]
+sides = 33,200
+cutoffs = 2,3
+"""
+
+# sha256 of the files `dominofill build` writes, run with a relative --out
+# (report.json embeds the out dir).  A change here changes seeded outputs.
+GOLDEN_BUILDS = {
+    "flagship_300": (FLAGSHIP_INI, {
+        "tiling.txt": "03c1e6c172a9210c4ca08d5a69ede18088c7d69543a7d0648490739cf3e6cf55",
+        "tiling_pre.txt": "1bea073244a963ddd7ab7bde9ca42b2666540c918a3c43ec53c9cd0e4b2c1db3",
+        "report.json": "a37486188acac9d43b6ce6402b34982efe085646ddc6090f51716376ad57c46d",
+    }),
+    "two_stage_1024": (TWO_STAGE_INI, {
+        "tiling.txt": "d98bffb5cd4469bd2fd817faf8ec803eaceacfb16ca86e17a006187bb1f05ee9",
+        "tiling_pre.txt": "977bf9199a88f1a3cdd651d67af5e83b3cf53936061eaf2ec635b5a43fe60a84",
+        "report.json": "0eac438cde7d6c2704d143547c33904b3be1c086f0b4abb1eb5ac560acbde5a8",
+    }),
+    "countable_line": (LINE_INI, {
+        "tiling.txt": "3790190a28ab360f44699baab7b45c22e8e57433f6e291d45097c6b6b2406ac3",
+        "tiling_pre.txt": "e019bc1f22daa1d4808da99d89e6065da70f62bcced097f0ef88eab6817656c7",
+        "report.json": "20d4501229ef6671f0811ca0ff4fba8e10ffa4782d60ccbc4dcda9a219ca630b",
+    }),
+}
+GOLDEN_FILL = "90522b56788230bd82846b10810a0e49c1fc3a121736979376b577b983d38213"
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_BUILDS))
+    def test_build_outputs(self, name, tmp_path, monkeypatch, capsys):
+        ini, digests = GOLDEN_BUILDS[name]
+        monkeypatch.chdir(tmp_path)
+        Path("run.ini").write_text(ini, encoding="utf-8")
+        assert main(["build", "--config", "run.ini", "--out", "out"]) == 0
+        capsys.readouterr()
+        assert {f: sha256_of(Path("out") / f) for f in digests} == digests
+
+    def test_fill_output(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("fill.ini").write_text(FILL_INI, encoding="utf-8")
+        assert main(["fill", "--config", "fill.ini", "--out", "out"]) == 0
+        capsys.readouterr()
+        assert sha256_of(Path("out") / "fill.txt") == GOLDEN_FILL
 
 
 class TestConsoleScript:

@@ -1,4 +1,4 @@
-"""Boxes, collars, and the collar decomposition, against cell enumeration."""
+"""Boxes and the collar decomposition, against cell enumeration."""
 
 import math
 
@@ -11,9 +11,7 @@ from dominofill import (
     GapTooNarrow,
     decompose_collar,
     expand,
-    inner_collar,
     interior,
-    outer_collar,
 )
 
 
@@ -74,26 +72,6 @@ class TestExpandInterior:
     @given(boxes(), st.integers(0, 5))
     def test_expand_then_interior(self, b, s):
         assert interior(expand(b, s), s) == b
-
-
-class TestCollars:
-    def test_known_values(self):
-        assert len(inner_collar(Box((0, 0), (6, 6)), 1).cells) == 20
-        assert outer_collar(Box((0, 0), (6, 6)), 0).cells == ()
-        assert outer_collar(Box((0,), (10,)), 2).cells == ((-2,), (-1,), (10,), (11,))
-
-    @given(boxes(), st.integers(0, 5))
-    def test_outer_collar_size(self, b, s):
-        cells = set(outer_collar(b, s).cells)
-        assert len(cells) == math.prod(x + 2 * s for x in b.shape) - b.volume
-        assert cells == enumerate_cells(expand(b, s)) - enumerate_cells(b)
-
-    @given(boxes(), st.integers(0, 5))
-    def test_inner_collar_partitions(self, b, s):
-        rim = set(inner_collar(b, s).cells)
-        core = enumerate_cells(interior(b, s))
-        assert rim | core == enumerate_cells(b)
-        assert not rim & core
 
 
 class TestDecomposeCollar:

@@ -9,13 +9,13 @@ from oracles import WordSample, count_exact_tilings, enumerate_boundary_complete
 
 from dominofill import (
     Box,
+    BrickWall,
     InvalidWord,
     Placement,
     Symbol,
     SymbolicWord,
     Tiling,
     allowed_neighbor,
-    brick_wall,
     build_alphabet,
     decode,
     encode,
@@ -72,7 +72,7 @@ class TestAllowedNeighbor:
 
 class TestValidateWord:
     def test_wall_restriction_passes(self, flagship_alphabet):
-        wall = brick_wall(flagship_alphabet, (2, 5))
+        wall = BrickWall(flagship_alphabet, "P", (2, 5))
         word = wall.materialize(Box((-7, 3), (20, 17)))
         assert validate_word(word) == []
 
@@ -102,7 +102,7 @@ class TestValidateWord:
         st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
     )
     def test_wall_invariance(self, flagship_alphabet, translate, corner):
-        wall = brick_wall(flagship_alphabet, translate)
+        wall = BrickWall(flagship_alphabet, "P", translate)
         assert validate_word(wall.materialize(Box(corner, (9, 8)))) == []
 
 
@@ -146,7 +146,7 @@ class TestCodec:
         assert out.tiling.same_placements(t)
 
     def test_word_round_trip_on_aligned_wall(self, flagship_alphabet):
-        wall = brick_wall(flagship_alphabet, (0, 0))
+        wall = BrickWall(flagship_alphabet, "P", (0, 0))
         box = Box((-6, 6), (18, 12))
         word = wall.materialize(box)
         result = decode(word)
@@ -155,7 +155,7 @@ class TestCodec:
         assert back.equals_on(word, box)
 
     def test_wall_decode_reports_cut_tiles(self, flagship_alphabet):
-        wall = brick_wall(flagship_alphabet, (2, 2))
+        wall = BrickWall(flagship_alphabet, "P", (2, 2))
         result = decode(wall.materialize(Box((0, 0), (9, 9))))
         complete = list(result.tiling.placements())
         assert complete == [Placement("P", (2, 2))]
@@ -173,7 +173,7 @@ class TestCodec:
 class TestTranslateWord:
     @given(st.tuples(st.integers(-40, 40), st.integers(-40, 40)))
     def test_round_trip(self, flagship_alphabet, v):
-        wall = brick_wall(flagship_alphabet, (1, 3))
+        wall = BrickWall(flagship_alphabet, "P", (1, 3))
         word = wall.materialize(Box((0, 0), (8, 8)))
         moved = translate_word(word, v)
         assert moved.box == word.box.translate(v)
@@ -182,7 +182,7 @@ class TestTranslateWord:
         assert back.equals_on(word, word.box)
 
     def test_zero_is_identity(self, flagship_alphabet):
-        wall = brick_wall(flagship_alphabet, (0, 0))
+        wall = BrickWall(flagship_alphabet, "P", (0, 0))
         word = wall.materialize(Box((2, 2), (5, 5)))
         assert translate_word(word, (0, 0)).equals_on(word, word.box)
 

@@ -19,11 +19,8 @@ from dominofill import (
     TargetsInfeasible,
     Tiling,
     WindowTooSmall,
-    brick_wall,
     build_stage,
-    countable_build,
     finalize,
-    inner_collar,
     interior,
     plan_stages,
     redistribute,
@@ -193,7 +190,7 @@ def two_stage_state(flagship, flagship_alphabet):
     """A pinned-offset 600x600 run where every stage-2 tower keeps one block."""
     plan = plan_stages(flagship, FLAGSHIP_TARGETS, mode="relaxed", sides=(57, 200))
     window = Box((0, 0), (600, 600))
-    wall = brick_wall(flagship_alphabet, (0, 0))
+    wall = BrickWall(flagship_alphabet, "P", (0, 0))
     towers1 = sample_towers(plan, window, 1, seed=0, offset=(0, 0))
     state1 = build_stage(None, towers1, wall, flagship, plan)
     towers2 = sample_towers(plan, window, 2, seed=0, offset=(0, 0))
@@ -234,9 +231,10 @@ class TestBuildStage:
     def test_ambient_ring_carries_wall(self, two_stage_state):
         _, _, _, state2 = two_stage_state
         for blk in state2.blocks:
-            ring = inner_collar(blk.domain, 1)
-            for cell in ring:
-                assert state2.word.cell(cell) == blk.wall.symbol_at(cell)
+            ring = np.ones(blk.domain.shape, dtype=bool)
+            ring[(slice(1, -1),) * ring.ndim] = False
+            grid = state2.word.subgrid(blk.domain)
+            assert np.array_equal(grid[ring], blk.wall.pattern_over(blk.domain)[ring])
 
 
 class TestFinalize:
@@ -244,7 +242,7 @@ class TestFinalize:
         plan = plan_stages(flagship, FLAGSHIP_TARGETS, mode="relaxed", sides=(64,))
         window = Box((0, 0), (300, 300))
         towers = sample_towers(plan, window, 1, seed=0, offset=(0, 0))
-        state = build_stage(None, towers, brick_wall(flagship_alphabet, (0, 0)), flagship, plan)
+        state = build_stage(None, towers, BrickWall(flagship_alphabet, "P", (0, 0)), flagship, plan)
         tiling, report = finalize(state, window, plan)
         # each 10x10 block domain holds exactly one whole 6x6 brick
         assert towers.count == 16
@@ -394,9 +392,8 @@ def line_run():
     f3 = validate_family([(2,), (3,), (5,)])
     targets = TargetDistribution.of(["2/5", "2/5", "1/5"])
     plan = plan_stages(f3, targets, mode="relaxed", cutoffs=(2, 3), sides=(33, 200))
-    window = Box((0,), (100_000,))
-    tiling, report = countable_build(f3.shapes, targets, plan, window, seed=4)
-    return f3, plan, tiling, report
+    result = run_pipeline(plan, Box((0,), (100_000,)), seed=4)
+    return f3, plan, result.tiling, result.report
 
 
 class TestCountableBuild:
@@ -410,12 +407,3 @@ class TestCountableBuild:
         _, _, _, report = line_run
         for delta in report.deltas().values():
             assert abs(delta) <= Fraction(2, 100)
-
-    def test_shapes_must_match_plan(self, line_run):
-        _, plan, _, _ = line_run
-        targets = TargetDistribution.of(["2/5", "2/5", "1/5"])
-        with pytest.raises(Infeasible) as info:
-            countable_build(
-                [(2,), (3,), (7,)], targets, plan, Box((0,), (10_000,)), seed=0
-            )
-        assert info.value.constraint == "cutoffs"
