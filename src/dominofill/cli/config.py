@@ -16,11 +16,14 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    items = text.replace(",", " ").split()
-    if not items:
+def parse_ints(text: str) -> tuple[int, ...]:
+    try:
+        values = tuple(int(x) for x in text.replace(",", " ").split())
+    except ValueError:
+        values = ()
+    if not values:
         raise ConfigError(f"expected integers, got {text!r}")
-    return tuple(int(x) for x in items)
+    return values
 
 
 def _parse_shapes(text: str) -> tuple[tuple[int, ...], ...]:
@@ -51,6 +54,10 @@ def _fmt_fractions(values) -> str:
     return " ".join(str(Fraction(v)) for v in values)
 
 
+MODES = ("strict", "relaxed")
+FORMATS = ("text", "json")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one reproducible run needs."""
@@ -77,6 +84,25 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.window_anchor:
             object.__setattr__(self, "window_anchor", (0,) * self.dim)
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.out_format not in FORMATS:
+            raise ConfigError(f"format must be one of {FORMATS}, got {self.out_format!r}")
+        box = self.fill_box or (None, None)
+        vectors = {
+            "window": self.window_shape,
+            "window_anchor": self.window_anchor,
+            "inner_translate": self.fill_inner,
+            "outer_translate": self.fill_outer,
+            "box_anchor": box[0],
+            "box_shape": box[1],
+        }
+        for key, vec in vectors.items():
+            if vec is not None and len(vec) != self.dim:
+                raise ConfigError(f"{key} needs {self.dim} entries, got {len(vec)}")
+        for key in ("window", "box_shape"):
+            if vectors[key] is not None and min(vectors[key]) < 1:
+                raise ConfigError(f"{key} extents must be >= 1, got {vectors[key]}")
 
     def replace(self, **kwargs) -> "RunConfig":
         return replace(self, **kwargs)
@@ -104,26 +130,26 @@ def parse_config(text: str) -> RunConfig:
     if "box_anchor" in fill or "box_shape" in fill:
         if "box_anchor" not in fill or "box_shape" not in fill:
             raise ConfigError("fill box needs both box_anchor and box_shape")
-        fill_box = (_parse_ints(fill["box_anchor"]), _parse_ints(fill["box_shape"]))
+        fill_box = (parse_ints(fill["box_anchor"]), parse_ints(fill["box_shape"]))
     try:
         return RunConfig(
             dim=int(run["dim"]),
             shapes=_parse_shapes(family["shapes"]),
             targets=_parse_fractions(targets["probs"]),
             tail_mass=Fraction(targets.get("tail_mass", "0")),
-            window_shape=_parse_ints(run["window"]),
-            window_anchor=opt(run, "window_anchor", _parse_ints) or (),
+            window_shape=parse_ints(run["window"]),
+            window_anchor=opt(run, "window_anchor", parse_ints) or (),
             seed=int(run.get("seed", "0")),
             mode=run.get("mode", "strict"),
             out_dir=run.get("out", "out"),
             out_format=run.get("format", "text"),
             count=opt(plan, "count", int),
-            sides=opt(plan, "sides", _parse_ints),
-            gaps=opt(plan, "gaps", _parse_ints),
+            sides=opt(plan, "sides", parse_ints),
+            gaps=opt(plan, "gaps", parse_ints),
             error_budgets=opt(plan, "error_budgets", _parse_fractions),
-            cutoffs=opt(plan, "cutoffs", _parse_ints),
-            fill_inner=opt(fill, "inner_translate", _parse_ints),
-            fill_outer=opt(fill, "outer_translate", _parse_ints),
+            cutoffs=opt(plan, "cutoffs", parse_ints),
+            fill_inner=opt(fill, "inner_translate", parse_ints),
+            fill_outer=opt(fill, "outer_translate", parse_ints),
             fill_box=fill_box,
         )
     except KeyError as exc:

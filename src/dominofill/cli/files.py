@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -27,6 +28,17 @@ WORD_MAGIC = "dominofill word v1"
 
 class ParseError(ValueError):
     pass
+
+
+@contextmanager
+def _fields_of(what: str) -> Iterator[None]:
+    """Report a malformed field (a bad int, a bad box, a missing key) as a ParseError."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad {what} field: {exc}") from exc
 
 
 class VersionMismatch(ParseError):
@@ -115,8 +127,11 @@ def _tiling_from_records(
 ) -> Tiling:
     """Placements from parallel tile and anchor lists, in canonical order.
 
-    Raises ParseError on an unknown tile or an anchor of the wrong length.
+    Raises ParseError on a bad tile shape, an unknown tile or an anchor of
+    the wrong length.
     """
+    if any(len(s) != dim or min(s) < 1 for s in shapes.values()):
+        raise ParseError(f"every tile shape needs {dim} positive extents")
     index = {tile: i for i, tile in enumerate(shapes)}
     try:
         rows_tile = np.array([index[t] for t in tiles], dtype=np.intp)
@@ -130,6 +145,7 @@ def _tiling_from_records(
     return Tiling.from_parts(shapes, parts, window).sorted_canonical()
 
 
+@_fields_of("tiling")
 def parse_tiling(text: str) -> tuple[Tiling, int]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     dim, shapes, window, seed, idx = _read_header(lines, TILING_MAGIC)
@@ -180,6 +196,7 @@ def _word_from_records(shapes: dict, dim: int, window: Box | None, records) -> S
     return word
 
 
+@_fields_of("word")
 def parse_word(text: str) -> tuple[SymbolicWord, int]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     dim, shapes, window, seed, idx = _read_header(lines, WORD_MAGIC)
@@ -266,14 +283,10 @@ def _from_json(text: str) -> LoadedFile:
         raise ParseError("JSON file is not an object")
     if doc.get("version") != 1:
         raise VersionMismatch(f"unsupported version {doc.get('version')!r}")
-    try:
-        return _from_json_doc(doc)
-    except ParseError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad JSON field: {exc!r}") from exc
+    return _from_json_doc(doc)
 
 
+@_fields_of("JSON")
 def _from_json_doc(doc: dict) -> LoadedFile:
     fmt = doc.get("format", "")
     dim = int(doc["dim"])

@@ -30,10 +30,17 @@ from ..tower import (
     redistribute,
     run_pipeline,
 )
-from .config import ConfigError, RunConfig, load_config, serialize_config
+from .config import (
+    FORMATS,
+    MODES,
+    ConfigError,
+    RunConfig,
+    load_config,
+    parse_ints,
+    serialize_config,
+)
 from .files import (
     ParseError,
-    VersionMismatch,
     load_any,
     serialize_tiling,
     serialize_word,
@@ -41,7 +48,7 @@ from .files import (
     word_to_json,
     write_atomic,
 )
-from .render import render_ascii, render_svg
+from .render import RenderError, render_ascii, render_svg
 from .verify import verify_tiling, verify_word
 
 log = logging.getLogger("dominofill")
@@ -54,10 +61,9 @@ USER_ERRORS = (
     NonpositiveTarget,
     OSError,
     ParseError,
+    RenderError,
     TargetsInfeasible,
-    VersionMismatch,
     WindowTooSmall,
-    ValueError,
 )
 
 
@@ -75,7 +81,7 @@ def _load_with_overrides(args) -> RunConfig:
     if getattr(args, "mode", None):
         updates["mode"] = args.mode
     if getattr(args, "window", None):
-        updates["window_shape"] = tuple(int(x) for x in args.window.split(","))
+        updates["window_shape"] = parse_ints(args.window)
     if getattr(args, "out", None):
         updates["out_dir"] = args.out
     if getattr(args, "format", None):
@@ -199,6 +205,8 @@ def cmd_redistribute(args) -> int:
     tiling = loaded.tiling
     if tiling.window is None:
         raise ParseError("redistribution needs a tiling with a window")
+    if tiling.dim != cfg.dim:
+        raise ConfigError(f"config has dim {cfg.dim}, the tiling has dim {tiling.dim}")
     targets = TargetDistribution.of(cfg.targets, cfg.tail_mass)
     shapes = dict(tiling.tile_shapes)
     for j, s in enumerate(cfg.shapes, start=1):
@@ -265,11 +273,11 @@ def cmd_render(args) -> int:
 
 def _add_overrides(sub, *, window: bool = True) -> None:
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sub.add_argument("--mode", choices=("strict", "relaxed"), default=None)
+    sub.add_argument("--mode", choices=MODES, default=None)
     if window:
         sub.add_argument("--window", default=None, help="window extents, e.g. 4096,4096")
     sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--format", choices=("text", "json"), default=None)
+    sub.add_argument("--format", choices=FORMATS, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,6 +25,10 @@ PALETTE = [
 ]
 
 
+class RenderError(ValueError):
+    pass
+
+
 def _svg_header(width: float, height: float) -> str:
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -36,7 +40,7 @@ def _svg_header(width: float, height: float) -> str:
 def render_svg(tiling: Tiling, cell_px: float = 8.0) -> str:
     """Placements as colored rectangles; axis 0 is x, axis 1 grows downward."""
     if tiling.dim != 2:
-        raise ValueError(f"SVG rendering needs d=2, got d={tiling.dim}")
+        raise RenderError(f"SVG rendering needs d=2, got d={tiling.dim}")
     window = tiling.window or _bounding_window(tiling)
     if window.volume > MAX_DRAWN_CELLS:
         return _render_density(tiling, window)
@@ -111,7 +115,7 @@ def _render_density(tiling: Tiling, window: Box) -> str:
 def render_ascii(tiling: Tiling, width: int = 100) -> str:
     """One character per cell for d=1: digits for small tiles, marks for bricks."""
     if tiling.dim != 1:
-        raise ValueError(f"ASCII rendering needs d=1, got d={tiling.dim}")
+        raise RenderError(f"ASCII rendering needs d=1, got d={tiling.dim}")
     window = tiling.window or _bounding_window(tiling)
     cells = np.full(window.shape[0], ".", dtype="<U1")
     order = tiling.tile_order

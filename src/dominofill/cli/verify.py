@@ -18,13 +18,6 @@ MAX_REPORTED = 50
 MAX_PAINT_CELLS = 300_000_000
 
 
-class VerifyFailed(Exception):
-    def __init__(self, count: int, problems: list[str]) -> None:
-        super().__init__(f"{count} violations")
-        self.count = count
-        self.problems = problems
-
-
 def verify_word(word: SymbolicWord) -> list[str]:
     """All one-step rule breaches between assigned neighbour cells.
 

@@ -15,7 +15,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import Box, interior
+from .geometry import Box
 from .numerics import RectFamily
 
 TileId = int | str
@@ -189,10 +189,6 @@ class SymbolicWord:
     def assigned_count(self) -> int:
         return int(np.count_nonzero(self.grid >= 0))
 
-    @property
-    def is_full(self) -> bool:
-        return bool(np.all(self.grid >= 0))
-
     def iter_cells(self) -> Iterator[tuple[tuple[int, ...], Symbol]]:
         """Assigned cells in lexicographic order."""
         for rel in np.argwhere(self.grid >= 0):
@@ -342,84 +338,41 @@ class DecodeResult(NamedTuple):
 
 
 def decode(word: SymbolicWord, check: bool = True) -> DecodeResult:
-    """Group word cells into whole placements plus boundary partials.
+    """Group assigned cells by placement into whole tiles and cut partials.
 
-    Tiles cut by the domain boundary are reported as partial placements, not
-    errors.  Requires a valid word; raises InvalidWord otherwise.
+    Each cell names its placement (tile, cell - offset); a placement is whole
+    iff all of its tile's cells are present.  Tiles cut by the domain boundary
+    or by unassigned cells are reported as partials, in (tile order, anchor)
+    order, not as errors.  Requires a valid word; raises InvalidWord otherwise.
     """
     if check:
         violations = validate_word(word)
         if violations:
             raise InvalidWord(f"{len(violations)} adjacency violations, first: {violations[0]}")
     alphabet = word.alphabet
-    if word.is_full:
-        return _decode_full_box(word)
-    placements: list[Placement] = []
-    partials: list[Placement] = []
-    partial_cells = 0
-    groups: dict[Placement, int] = {}
-    for cell, sym in word.iter_cells():
-        anchor = tuple(c - o for c, o in zip(cell, sym.offset))
-        key = Placement(sym.tile, anchor)
-        groups[key] = groups.get(key, 0) + 1
-    for key, count in groups.items():
-        if count == math.prod(alphabet.shape(key.tile)):
-            placements.append(key)
-        else:
-            partials.append(key)
-            partial_cells += count
-    tiling = Tiling.from_placements(alphabet.tile_shapes, placements, word.box)
-    return DecodeResult(tiling, sorted(partials), partial_cells)
-
-
-def _decode_full_box(word: SymbolicWord) -> DecodeResult:
-    """Vectorised decode for fully assigned box domains.
-
-    Validity means a whole tile sits at every anchor-symbol cell whose
-    rectangle stays inside the box; everything else at the rim is partial.
-    """
-    alphabet = word.alphabet
-    box = word.box
-    grid = word.grid
-    dim = alphabet.dim
-    parts = []
-    complete_cells = 0
-    for tile in alphabet.tiles:
-        shape = alphabet.shape(tile)
-        rel = np.argwhere(grid == alphabet.index(Symbol(tile, (0,) * dim)))
-        fits = np.ones(len(rel), dtype=bool)
-        for a in range(dim):
-            fits &= rel[:, a] + shape[a] <= box.shape[a]
-        whole = rel[fits]
-        parts.append((tile, whole + np.array(box.anchor, dtype=np.int64)))
-        complete_cells += len(whole) * math.prod(shape)
-    tiling = Tiling.from_parts(alphabet.tile_shapes, parts, box)
-    partial_cells = box.volume - complete_cells
-    partials = _rim_partials(word, tiling) if partial_cells else []
-    return DecodeResult(tiling, partials, partial_cells)
-
-
-def _rim_partials(word: SymbolicWord, complete: Tiling) -> list[Placement]:
-    """Partial placements of a full box word: anchors of cut tiles at the rim."""
-    alphabet = word.alphabet
-    box = word.box
-    max_side = max(max(s) for s in alphabet.tile_shapes.values())
-    whole = {p for p in complete.placements()}
-    partial: set[Placement] = set()
-    rim_width = max_side
-    core = None
-    if all(e > 2 * rim_width for e in box.shape):
-        core = interior(box, rim_width)
-    for rel in np.argwhere(word.grid >= 0):
-        cell = tuple(int(a + r) for a, r in zip(box.anchor, rel))
-        if core is not None and core.contains_cell(cell):
-            continue
-        sym = alphabet.symbol(int(word.grid[tuple(rel)]))
-        anchor = tuple(c - o for c, o in zip(cell, sym.offset))
-        key = Placement(sym.tile, anchor)
-        if key not in whole:
-            partial.add(key)
-    return sorted(partial)
+    # Pad the low side so every anchor gets a flat index in the padded grid.
+    pad = max(max(s) for s in alphabet.tile_shapes.values())
+    padded = np.full(tuple(e + pad for e in word.box.shape), -1, dtype=np.int32)
+    padded[(slice(pad, None),) * alphabet.dim] = word.grid
+    strides = np.cumprod((padded.shape[1:] + (1,))[::-1])[::-1]
+    cells = np.flatnonzero(padded >= 0)
+    syms = padded.ravel()[cells]
+    anchors = cells - (alphabet.offsets @ strides)[syms]
+    keys, counts = np.unique(
+        alphabet.tile_codes[syms].astype(np.int64) * padded.size + anchors,
+        return_counts=True,
+    )
+    codes, flat = np.divmod(keys, padded.size)
+    volumes = np.array([math.prod(alphabet.shape(t)) for t in alphabet.tiles])
+    whole = counts == volumes[codes]
+    corner = np.array(word.box.anchor, dtype=np.int64) - pad
+    coords = np.stack(np.unravel_index(flat, padded.shape), axis=1) + corner
+    tiling = Tiling(alphabet.tile_shapes, codes[whole], coords[whole], word.box)
+    partials = [
+        Placement(alphabet.tiles[int(c)], tuple(int(x) for x in a))
+        for c, a in zip(codes[~whole], coords[~whole])
+    ]
+    return DecodeResult(tiling, partials, int(counts[~whole].sum()))
 
 
 def encode(tiling: Tiling, alphabet: Alphabet, window: Box | None = None) -> SymbolicWord:

@@ -589,6 +589,8 @@ def finalize(
 ) -> tuple[Tiling, FrequencyReport]:
     """Decode the top-stage interiors into whole placements and account cells.
 
+    The word is validated once; each block domain is decoded once and the
+    whole placements of all blocks are merged in one concatenation.
     Uncovered cells are the sublattice error set, the towers' own unfilled
     boundary collars, and tiles cut by domain edges; those are excluded from
     the covered count, never errors.
@@ -603,14 +605,14 @@ def finalize(
     violations = validate_word(state.word)
     if violations:
         raise InvalidWord(f"stage {state.stage} word is invalid: {violations[0]}")
-    merged: Tiling | None = None
-    partial_cells = 0
-    for blk in state.blocks:
-        result = decode(state.word.restrict(blk.domain), check=False)
-        partial_cells += result.partial_cells
-        merged = result.tiling if merged is None else merged.concat(result.tiling)
-    merged.window = window
-    tiling = merged.sorted_canonical()
+    results = [decode(state.word.restrict(blk.domain), check=False) for blk in state.blocks]
+    partial_cells = sum(r.partial_cells for r in results)
+    tiling = Tiling(
+        state.word.alphabet.tile_shapes,
+        np.concatenate([r.tiling.codes for r in results]),
+        np.concatenate([r.tiling.anchors for r in results]),
+        window,
+    ).sorted_canonical()
     counts = tiling.tile_cell_counts()
     covered = sum(counts.values())
     report = FrequencyReport(window.volume, covered, counts, targets, partial_cells)

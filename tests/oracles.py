@@ -2,10 +2,13 @@
 
 Everything here trades speed for obviousness and stays independent of the
 package internals: representability by bitset closure, tie-breaks by
-exhaustive descent, tiling counts by first-free-cell backtracking.
+exhaustive descent, tiling counts by first-free-cell backtracking, word
+decoding by per-cell grouping.
 """
 
-from dominofill import allowed_neighbor
+import math
+
+from dominofill import Placement, allowed_neighbor
 
 
 def representable_bits(heights, limit):
@@ -153,3 +156,28 @@ class WordSample:
     def __init__(self, rate):
         self.rate = rate
         self.words = []
+
+
+def decode_by_cells(word):
+    """(whole placements, partials, partial cells) of a word, cell by cell.
+
+    Each assigned cell votes for the placement (tile, cell - offset); a
+    placement is whole iff it collected its tile's full volume.  Whole
+    placements come back as a set, partials in (tile order, anchor) order.
+    """
+    alphabet = word.alphabet
+    groups = {}
+    for cell, sym in word.iter_cells():
+        key = Placement(sym.tile, tuple(c - o for c, o in zip(cell, sym.offset)))
+        groups[key] = groups.get(key, 0) + 1
+    whole = set()
+    partials = []
+    partial_cells = 0
+    for key, count in groups.items():
+        if count == math.prod(alphabet.shape(key.tile)):
+            whole.add(key)
+        else:
+            partials.append(key)
+            partial_cells += count
+    partials.sort(key=lambda p: (alphabet.tiles.index(p.tile), p.anchor))
+    return whole, partials, partial_cells

@@ -1,8 +1,9 @@
-"""Every function the benchmark tracer wraps exists in this checkout.
+"""The benchmark tracer's hooks resolve and its counts survive a traced build.
 
-``perfbench/layers.py`` names its hooks as (module, attribute path) strings;
-a rename or deletion in ``src/`` would otherwise surface only as an
-AttributeError in a traced benchmark run.
+``perfbench/layers.py`` names its hooks as (module, attribute path) strings
+and derives counts from each hooked call's arguments and result; a rename in
+``src/``, or a changed result type, would otherwise surface only as an error
+in a traced benchmark run.
 """
 
 import importlib
@@ -11,10 +12,15 @@ from pathlib import Path
 
 import pytest
 
+from test_cli import FLAGSHIP_INI, LINE_INI, TWO_STAGE_INI
+
+from dominofill.cli.main import main
+
 REPO = Path(__file__).resolve().parent.parent
 sys.path.append(str(REPO / "perfbench"))
 try:
-    from layers import HOOKS
+    from layers import FROM_SUMMARY, HOOKS, layer_metrics
+    from spans import Tracer
 finally:
     sys.path.remove(str(REPO / "perfbench"))
 
@@ -28,3 +34,25 @@ def test_hook_resolves(module, attr_path):
     for name in attr_path.split("."):
         target = getattr(target, name)
     assert callable(target)
+
+
+@pytest.mark.parametrize(
+    "ini",
+    [FLAGSHIP_INI, TWO_STAGE_INI, LINE_INI],
+    ids=["one_stage_many_blocks", "two_stage_one_top_block", "line_many_top_blocks"],
+)
+def test_traced_build_yields_every_metric(ini, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("run.ini").write_text(ini, encoding="utf-8")
+    tracer = Tracer()
+    tracer.install(HOOKS)
+    try:
+        assert main(["build", "--config", "run.ini", "--out", "out"]) == 0
+        assert main(["verify", "out/tiling.txt"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    values, _ = layer_metrics(tracer, 0.0)
+    assert {metric for metric, _, _ in FROM_SUMMARY} <= set(values)
+    assert values["sft.decode.calls"] >= 1
+    assert values["cli.verify.verify_tiling.cells_painted"] > 0

@@ -402,7 +402,7 @@ class TestMain:
         assert main(["verify", str(path)]) == 0
         loaded = load_any(str(path))
         assert loaded.kind == "word"
-        assert loaded.word.is_full
+        assert loaded.word.assigned_count == loaded.word.box.volume
 
     def test_redistribute_subcommand(self, flagship_cfg, tmp_path, capsys):
         out = tmp_path / "re"
@@ -455,6 +455,86 @@ class TestMain:
         assert main(["render", str(path), "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         assert (tmp_path / "render.txt").exists()
+
+
+# (name, config text) pairs that parse_config must refuse with a ConfigError.
+BAD_CONFIGS = [
+    ("mode_bogus", FLAGSHIP_INI.replace("mode = relaxed", "mode = bogus")),
+    ("window_extent_zero", FLAGSHIP_INI.replace("window = 300,300", "window = 300,0")),
+    ("window_wrong_length", FLAGSHIP_INI.replace("window = 300,300", "window = 300")),
+    (
+        "window_anchor_wrong_length",
+        FLAGSHIP_INI.replace("window = 300,300", "window = 300,300\nwindow_anchor = 0,0,0"),
+    ),
+    ("format_xml", FLAGSHIP_INI.replace("mode = relaxed", "mode = relaxed\nformat = xml")),
+    (
+        "fill_translate_wrong_length",
+        FILL_INI.replace("inner_translate = 4", "inner_translate = 4,1"),
+    ),
+]
+
+
+class TestUserErrors:
+    """User errors exit 1 with one ``error:`` line; internal faults propagate."""
+
+    @staticmethod
+    def assert_one_error_line(capsys):
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+    @pytest.mark.parametrize("name, text", BAD_CONFIGS, ids=[n for n, _ in BAD_CONFIGS])
+    def test_config_read_raises_config_error(self, name, text):
+        with pytest.raises(ConfigError):
+            parse_config(text)
+
+    @pytest.mark.parametrize("name, text", BAD_CONFIGS, ids=[n for n, _ in BAD_CONFIGS])
+    def test_bad_config_exits_1(self, name, text, tmp_path, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text, encoding="utf-8")
+        command = "fill" if "[fill]" in text else "build"
+        assert main([command, "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+        self.assert_one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("window", ["10,x", "10", "10,0"])
+    def test_bad_window_flag_exits_1(self, window, flagship_cfg, capsys):
+        assert main(["plan", "--config", flagship_cfg, "--window", window]) == 1
+        self.assert_one_error_line(capsys)
+
+    def test_render_3d_exits_1(self, tmp_path, capsys):
+        t = Tiling.from_placements(
+            {1: (2, 1, 1)}, [Placement(1, (0, 0, 0))], Box((0, 0, 0), (2, 1, 1))
+        )
+        path = tmp_path / "cube.txt"
+        write_atomic(str(path), serialize_tiling(t))
+        assert main(["render", str(path), "--out", str(tmp_path)]) == 1
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("dim 2", "dim x"),
+            ("seed 0", "seed x"),
+            ("window -6 -6 12 12", "window -6 -6 12 0"),
+            ("P -6 -6", "P -6 x"),
+            ("P:6x6", "P:6"),
+        ],
+    )
+    def test_malformed_text_field_exits_1(self, field, bad, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        text = serialize_tiling(sample_tiling())
+        assert field in text
+        path.write_text(text.replace(field, bad, 1))
+        assert main(["verify", str(path)]) == 1
+        self.assert_one_error_line(capsys)
+
+    def test_internal_value_error_propagates(self, flagship_cfg, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr("dominofill.cli.main.run_pipeline", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["build", "--config", flagship_cfg])
 
 
 TWO_STAGE_INI = (

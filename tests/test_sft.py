@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import WordSample, count_exact_tilings, enumerate_boundary_complete_words
+from oracles import (
+    WordSample,
+    count_exact_tilings,
+    decode_by_cells,
+    enumerate_boundary_complete_words,
+)
 
 from dominofill import (
+    Alphabet,
     Box,
     BrickWall,
     InvalidWord,
@@ -107,23 +113,32 @@ class TestValidateWord:
 
 
 def random_disjoint_tiling(alphabet, rng, box_side=20, attempts=60):
-    """Scatter non-overlapping placements of random tiles inside a box."""
-    taken = np.zeros((box_side, box_side), dtype=bool)
+    """Scatter non-overlapping placements of random tiles inside a cube."""
+    taken = np.zeros((box_side,) * alphabet.dim, dtype=bool)
     placements = []
     for _ in range(attempts):
         tile = alphabet.tiles[rng.integers(len(alphabet.tiles))]
-        w, h = alphabet.shape(tile)
-        x = int(rng.integers(0, box_side - w + 1))
-        y = int(rng.integers(0, box_side - h + 1))
-        if taken[x : x + w, y : y + h].any():
+        shape = alphabet.shape(tile)
+        anchor = tuple(int(rng.integers(0, box_side - e + 1)) for e in shape)
+        spot = tuple(slice(a, a + e) for a, e in zip(anchor, shape))
+        if taken[spot].any():
             continue
-        taken[x : x + w, y : y + h] = True
-        placements.append(Placement(tile, (x, y)))
+        taken[spot] = True
+        placements.append(Placement(tile, anchor))
     return Tiling.from_placements(
         {t: alphabet.shape(t) for t in alphabet.tiles},
         placements,
-        Box((0, 0), (box_side, box_side)),
+        Box((0,) * alphabet.dim, (box_side,) * alphabet.dim),
     )
+
+
+# (alphabet, cube side) per dimension; the line carries bricks P2 and P10 so
+# that partials must order stage numbers numerically.
+DECODE_CASES = {
+    1: (lambda: Alphabet(1, {1: (2,), 2: (3,), "P": (6,), "P2": (12,), "P10": (18,)}), 60),
+    2: (lambda: build_alphabet(validate_family([(3, 2), (2, 3)])), 20),
+    3: (lambda: build_alphabet(validate_family([(2, 1, 1), (1, 2, 1), (1, 1, 2)])), 8),
+}
 
 
 class TestCodec:
@@ -161,6 +176,35 @@ class TestCodec:
         assert complete == [Placement("P", (2, 2))]
         assert len(result.partials) == 8
         assert result.partial_cells == 81 - 36
+
+    def test_mixed_cut_tiles(self):
+        alphabet = Alphabet(1, {1: (2,), 2: (3,), "P": (6,)})
+        word = SymbolicWord(alphabet, Box((0,), (4,)))
+        word.set_cell((0,), Symbol(1, (1,)))
+        word.set_cell((3,), Symbol("P", (0,)))
+        result = decode(word)
+        assert len(result.tiling) == 0
+        assert result.partial_cells == 2
+        assert result.partials == [Placement(1, (-1,)), Placement("P", (3,))]
+
+    @pytest.mark.parametrize("dim", sorted(DECODE_CASES))
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30)
+    def test_matches_per_cell_grouping(self, dim, seed):
+        make_alphabet, side = DECODE_CASES[dim]
+        alphabet = make_alphabet()
+        rng = np.random.default_rng(seed)
+        word = encode(random_disjoint_tiling(alphabet, rng, side), alphabet)
+        word.grid[rng.random(word.grid.shape) < rng.random() / 4] = -1
+        lo = tuple(int(x) for x in rng.integers(0, side // 2, dim))
+        hi = tuple(int(x) for x in rng.integers(side // 2, side + 1, dim))
+        word = word.restrict(Box(lo, tuple(h - l for l, h in zip(lo, hi))))
+        whole, partials, partial_cells = decode_by_cells(word)
+        result = decode(word)
+        assert set(result.tiling.placements()) == whole
+        assert len(result.tiling) == len(whole)
+        assert result.partials == partials
+        assert result.partial_cells == partial_cells
 
     def test_decode_rejects_invalid(self, flagship_alphabet):
         word = SymbolicWord(flagship_alphabet, Box((0, 0), (2, 1)))
