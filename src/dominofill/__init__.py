@@ -8,134 +8,22 @@ walls, and a staged tower construction that drives tile frequencies to any
 prescribed rational targets.
 """
 
-from .brickfill import (
-    BrickWall,
-    FilledWord,
-    GluedWord,
-    GapTooNarrow,
-    InwardEmpty,
-    NoMatchingTranslate,
-    NonMultipleExtent,
-    collar_width,
-    complete_partial_tiles,
-    decompose_collar,
-    fill_between,
-    glue,
-    strip_tile,
-)
-from .geometry import Box, expand, interior
-from .numerics import (
-    FamilyError,
-    FewerThanTwoShapes,
-    GcdNotOne,
-    NonPositiveEntry,
-    NotRepresentable,
-    RectFamily,
-    SharedAxisDivisor,
-    axis_threshold,
-    represent,
-    validate_family,
-)
-from .rng import SplitMix64
-from .sft import (
-    Alphabet,
-    DecodeResult,
-    InvalidWord,
-    Placement,
-    Symbol,
-    SymbolicWord,
-    Tiling,
-    Violation,
-    allowed_neighbor,
-    build_alphabet,
-    decode,
-    encode,
-    translate_word,
-    validate_word,
-)
-from .tower import (
-    ConstructionState,
-    FrequencyReport,
-    Infeasible,
-    InvalidTargets,
-    NonpositiveTarget,
-    PipelineResult,
-    StagePlan,
-    StageSpec,
-    StageTowers,
-    TargetDistribution,
-    TargetsInfeasible,
-    TowerBlock,
-    WindowTooSmall,
-    build_stage,
-    finalize,
-    plan_stages,
-    redistribute,
-    run_pipeline,
-    sample_towers,
-)
+from .brickfill import BrickWall, fill_between
+from .geometry import Box, expand
+from .numerics import validate_family
+from .sft import build_alphabet
+from .tower import TargetDistribution, plan_stages, run_pipeline
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet",
     "Box",
     "BrickWall",
-    "ConstructionState",
-    "DecodeResult",
-    "FamilyError",
-    "FewerThanTwoShapes",
-    "FilledWord",
-    "FrequencyReport",
-    "GapTooNarrow",
-    "GcdNotOne",
-    "GluedWord",
-    "Infeasible",
-    "InvalidTargets",
-    "InvalidWord",
-    "InwardEmpty",
-    "NoMatchingTranslate",
-    "NonMultipleExtent",
-    "NonPositiveEntry",
-    "NonpositiveTarget",
-    "NotRepresentable",
-    "PipelineResult",
-    "Placement",
-    "RectFamily",
-    "SharedAxisDivisor",
-    "SplitMix64",
-    "StagePlan",
-    "StageSpec",
-    "StageTowers",
-    "Symbol",
-    "SymbolicWord",
     "TargetDistribution",
-    "TargetsInfeasible",
-    "Tiling",
-    "TowerBlock",
-    "Violation",
-    "WindowTooSmall",
-    "allowed_neighbor",
-    "axis_threshold",
     "build_alphabet",
-    "build_stage",
-    "collar_width",
-    "complete_partial_tiles",
-    "decode",
-    "decompose_collar",
-    "encode",
     "expand",
     "fill_between",
-    "finalize",
-    "glue",
-    "interior",
     "plan_stages",
-    "redistribute",
-    "represent",
     "run_pipeline",
-    "sample_towers",
-    "strip_tile",
-    "translate_word",
     "validate_family",
-    "validate_word",
 ]

@@ -179,7 +179,7 @@ def _word_from_records(shapes: dict, dim: int, window: Box | None, records) -> S
     """Word from ``(cell, tile, offset)`` records.
 
     Raises ParseError on a missing window, an unknown tile, a cell outside
-    the window, or an offset the tile does not have.
+    the window or listed twice, or an offset the tile does not have.
     """
     if window is None:
         raise ParseError("word files need an explicit window")
@@ -189,6 +189,8 @@ def _word_from_records(shapes: dict, dim: int, window: Box | None, records) -> S
             raise ParseError(f"unknown tile {tile!r} at cell {cell}")
         if len(cell) != dim or not window.contains_cell(cell):
             raise ParseError(f"cell {cell} outside window")
+        if word.cell(cell) is not None:
+            raise ParseError(f"cell {cell} listed twice")
         try:
             word.set_cell(cell, Symbol(tile, offset))
         except KeyError as exc:

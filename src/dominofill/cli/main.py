@@ -17,7 +17,7 @@ import sys
 from ..brickfill import BrickWall, fill_between
 from ..geometry import Box, expand
 from ..numerics import FamilyError, validate_family
-from ..sft import build_alphabet
+from ..sft import Tiling, build_alphabet
 from ..tower import (
     FrequencyReport,
     Infeasible,
@@ -119,6 +119,13 @@ def _write_tiling(path_stem: str, tiling, seed: int, fmt: str) -> str:
     return path
 
 
+def _load_tiling(path: str) -> Tiling:
+    loaded = load_any(path)
+    if loaded.kind != "tiling":
+        raise ParseError(f"{path} is not a tiling file")
+    return loaded.tiling
+
+
 def cmd_plan(args) -> int:
     cfg = _load_with_overrides(args)
     family, targets, plan = _family_and_plan(cfg)
@@ -199,10 +206,7 @@ def cmd_fill(args) -> int:
 
 def cmd_redistribute(args) -> int:
     cfg = _load_with_overrides(args)
-    loaded = load_any(args.file)
-    if loaded.kind != "tiling":
-        raise ParseError(f"{args.file} is not a tiling file")
-    tiling = loaded.tiling
+    tiling = _load_tiling(args.file)
     if tiling.window is None:
         raise ParseError("redistribution needs a tiling with a window")
     if tiling.dim != cfg.dim:
@@ -211,10 +215,7 @@ def cmd_redistribute(args) -> int:
     shapes = dict(tiling.tile_shapes)
     for j, s in enumerate(cfg.shapes, start=1):
         shapes.setdefault(j, tuple(s))
-    counts = tiling.tile_cell_counts()
-    report = FrequencyReport(
-        tiling.window.volume, sum(counts.values()), counts, targets
-    )
+    report = FrequencyReport.of_tiling(tiling, targets)
     seed = cfg.seed if args.seed is None else args.seed
     result = redistribute(tiling, targets, report, seed, shapes)
     path = _write_tiling(
@@ -240,26 +241,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    loaded = load_any(args.file)
-    if loaded.kind != "tiling":
-        raise ParseError(f"{args.file} is not a tiling file")
-    tiling = loaded.tiling
+    tiling = _load_tiling(args.file)
     targets = None
     if args.config:
         cfg = load_config(args.config)
         targets = TargetDistribution.of(cfg.targets, cfg.tail_mass)
-    counts = tiling.tile_cell_counts()
-    window_cells = tiling.window.volume if tiling.window else sum(counts.values())
-    report = FrequencyReport(window_cells, sum(counts.values()), counts, targets)
+    report = FrequencyReport.of_tiling(tiling, targets)
     print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     return 0
 
 
 def cmd_render(args) -> int:
-    loaded = load_any(args.file)
-    if loaded.kind != "tiling":
-        raise ParseError(f"{args.file} is not a tiling file")
-    tiling = loaded.tiling
+    tiling = _load_tiling(args.file)
     out_dir = args.out or "out"
     if tiling.dim == 1:
         path = os.path.join(out_dir, "render.txt")

@@ -7,8 +7,6 @@ emitted instead so very large runs still produce a picture.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..geometry import Box
@@ -49,10 +47,7 @@ def render_svg(tiling: Tiling, cell_px: float = 8.0) -> str:
     h = window.shape[1] * cell_px
     parts = [_svg_header(w, h)]
     parts.append(f'<rect width="{w:g}" height="{h:g}" fill="#1a1a1a"/>\n')
-    order = tiling.tile_order
-    for code, anchor in zip(tiling.codes, tiling.anchors):
-        tile = order[int(code)]
-        sx, sy = tiling.tile_shapes[tile]
+    for code, anchor, (sx, sy) in zip(tiling.codes, tiling.anchors, tiling.placement_shapes()):
         x = (int(anchor[0]) - ax) * cell_px
         y = (int(anchor[1]) - ay) * cell_px
         color = PALETTE[int(code) % len(PALETTE)]
@@ -67,11 +62,8 @@ def render_svg(tiling: Tiling, cell_px: float = 8.0) -> str:
 def _bounding_window(tiling: Tiling) -> Box:
     if len(tiling) == 0:
         return Box((0,) * max(tiling.dim, 1), (1,) * max(tiling.dim, 1))
-    shapes_per = np.array(
-        [tiling.tile_shapes[tiling.tile_order[int(c)]] for c in tiling.codes], dtype=np.int64
-    )
     lo = np.min(tiling.anchors, axis=0)
-    hi = np.max(tiling.anchors + shapes_per, axis=0)
+    hi = np.max(tiling.anchors + tiling.placement_shapes(), axis=0)
     return Box(tuple(int(x) for x in lo), tuple(int(x) for x in hi - lo))
 
 
@@ -83,10 +75,7 @@ def _render_density(tiling: Tiling, window: Box) -> str:
     cell_w = window.shape[0] / bins[0]
     cell_h = window.shape[1] / bins[1]
     mass = np.zeros(bins, dtype=np.float64)
-    order = tiling.tile_order
-    areas = np.array(
-        [math.prod(tiling.tile_shapes[order[int(c)]]) for c in tiling.codes], dtype=np.float64
-    )
+    areas = np.prod(tiling.placement_shapes(), axis=1).astype(np.float64)
     bx = ((tiling.anchors[:, 0] - window.anchor[0]) / cell_w).astype(np.int64)
     by = ((tiling.anchors[:, 1] - window.anchor[1]) / cell_h).astype(np.int64)
     keep = (bx >= 0) & (bx < bins[0]) & (by >= 0) & (by < bins[1])
@@ -120,9 +109,8 @@ def render_ascii(tiling: Tiling, width: int = 100) -> str:
     cells = np.full(window.shape[0], ".", dtype="<U1")
     order = tiling.tile_order
     marks = "#%@&*+"
-    for code, anchor in zip(tiling.codes, tiling.anchors):
+    for code, anchor, (extent,) in zip(tiling.codes, tiling.anchors, tiling.placement_shapes()):
         tile = order[int(code)]
-        extent = tiling.tile_shapes[tile][0]
         start = int(anchor[0]) - window.anchor[0]
         if isinstance(tile, int):
             ch = str(tile % 10)

@@ -3,11 +3,15 @@
 This module deliberately re-derives the correctness conditions from the tile
 shapes instead of calling the builder's validator or decoder: words are
 checked against the one-step rule recomputed here from raw offsets, and
-tilings are checked by painting per-cell coverage counts.  The acceptance
-suite runs these checks as the oracle on everything the builder emits.
+tilings are checked by painting the cells each placement covers.  The
+acceptance suite runs these checks as the oracle on everything the builder
+emits.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Iterator
 
 import numpy as np
 
@@ -73,14 +77,16 @@ def verify_word(word: SymbolicWord) -> list[str]:
 
 
 def verify_tiling(tiling: Tiling, window: Box | None = None) -> list[str]:
-    """Containment and overlap checks by per-cell coverage counting."""
+    """Containment and overlap checks by painting each placement's cells.
+
+    The placements overlap iff fewer distinct cells get painted than their
+    volumes add up to; only then are the per-cell multiplicities counted.
+    """
     problems: list[str] = []
     if len(tiling) == 0:
         return problems
     window = window if window is not None else tiling.window
-    shapes_per = np.array(
-        [tiling.tile_shapes[tiling.tile_order[int(c)]] for c in tiling.codes], dtype=np.int64
-    )
+    shapes_per = tiling.placement_shapes()
     anchors = tiling.anchors
     ends = anchors + shapes_per
     if window is not None:
@@ -95,31 +101,40 @@ def verify_tiling(tiling: Tiling, window: Box | None = None) -> list[str]:
         if int(outside.sum()) > MAX_REPORTED:
             problems.append(f"... and {int(outside.sum()) - MAX_REPORTED} more outside")
     base = np.min(anchors, axis=0)
-    top = np.max(ends, axis=0)
-    extent = top - base
-    volume = int(np.prod(extent))
+    extent = tuple(int(e) for e in np.max(ends, axis=0) - base)
+    volume = math.prod(extent)
     if volume > MAX_PAINT_CELLS:
         problems.append(f"bounding box of {volume} cells is too large to paint; not checked")
         return problems
-    counts = np.zeros(tuple(int(e) for e in extent), dtype=np.uint8)
-    strides = np.array(counts.strides, dtype=np.int64) // counts.itemsize
-    flat = counts.ravel()
-    for shape in {tuple(s) for s in map(tuple, shapes_per)}:
-        sel = np.all(shapes_per == np.array(shape, dtype=np.int64), axis=1)
-        if not np.any(sel):
-            continue
-        rel = anchors[sel] - base
-        start = rel @ strides
-        offs = np.indices(shape).reshape(len(shape), -1).T @ strides
-        np.add.at(flat, (start[:, None] + offs[None, :]).ravel(), 1)
-    over = np.argwhere(counts > 1)
-    for rel in over[:MAX_REPORTED]:
-        cell = tuple(int(x + y) for x, y in zip(base, rel))
+    painted = np.zeros(volume, dtype=bool)
+    for cells in _painted_cells(anchors - base, shapes_per, extent):
+        painted[cells] = True
+    if np.count_nonzero(painted) == int(np.prod(shapes_per, axis=1).sum()):
+        return problems
+    cells, counts = np.unique(
+        np.concatenate(list(_painted_cells(anchors - base, shapes_per, extent))),
+        return_counts=True,
+    )
+    over = counts > 1
+    for flat, count in zip(cells[over][:MAX_REPORTED], counts[over]):
+        cell = tuple(int(x + y) for x, y in zip(base, np.unravel_index(flat, extent)))
         owners = _owners(tiling, anchors, shapes_per, cell)
-        problems.append(f"cell {cell} covered {int(counts[tuple(rel)])} times by {owners}")
-    if len(over) > MAX_REPORTED:
-        problems.append(f"... and {len(over) - MAX_REPORTED} more overlapping cells")
+        problems.append(f"cell {cell} covered {int(count)} times by {owners}")
+    if int(over.sum()) > MAX_REPORTED:
+        problems.append(f"... and {int(over.sum()) - MAX_REPORTED} more overlapping cells")
     return problems
+
+
+def _painted_cells(
+    rel: np.ndarray, shapes_per: np.ndarray, extent: tuple[int, ...]
+) -> Iterator[np.ndarray]:
+    """Flat indices, in a grid of ``extent``, of the cells each group of
+    equally shaped placements covers (anchors ``rel`` relative to the grid)."""
+    strides = np.cumprod((extent[1:] + (1,))[::-1])[::-1]
+    for shape in np.unique(shapes_per, axis=0):
+        start = rel[np.all(shapes_per == shape, axis=1)] @ strides
+        offs = np.indices(tuple(shape)).reshape(len(shape), -1).T @ strides
+        yield (start[:, None] + offs[None, :]).ravel()
 
 
 def _owners(tiling: Tiling, anchors: np.ndarray, shapes_per: np.ndarray, cell) -> list:

@@ -185,10 +185,6 @@ class SymbolicWord:
     def restrict(self, sub: Box) -> "SymbolicWord":
         return SymbolicWord(self.alphabet, sub, self.subgrid(sub).copy())
 
-    @property
-    def assigned_count(self) -> int:
-        return int(np.count_nonzero(self.grid >= 0))
-
     def iter_cells(self) -> Iterator[tuple[tuple[int, ...], Symbol]]:
         """Assigned cells in lexicographic order."""
         for rel in np.argwhere(self.grid >= 0):
@@ -197,11 +193,6 @@ class SymbolicWord:
 
     def equals_on(self, other: "SymbolicWord", sub: Box) -> bool:
         return bool(np.array_equal(self.subgrid(sub), other.subgrid(sub)))
-
-
-def translate_word(word: SymbolicWord, v: tuple[int, ...]) -> SymbolicWord:
-    """Shift the whole word by ``v`` (content moves with the domain)."""
-    return SymbolicWord(word.alphabet, word.box.translate(v), word.grid)
 
 
 def validate_word(word: SymbolicWord) -> list[Violation]:
@@ -273,15 +264,6 @@ class Tiling:
         anchors = np.concatenate(blocks) if blocks else np.zeros((0, dim), dtype=np.int64)
         return cls(tile_shapes, codes, anchors, window)
 
-    @classmethod
-    def from_placements(
-        cls,
-        tile_shapes: Mapping[TileId, tuple[int, ...]],
-        placements: Sequence[Placement],
-        window: Box | None = None,
-    ) -> "Tiling":
-        return cls.from_parts(tile_shapes, [(p.tile, [p.anchor]) for p in placements], window)
-
     def __len__(self) -> int:
         return len(self.codes)
 
@@ -292,6 +274,11 @@ class Tiling:
     def placements(self) -> Iterator[Placement]:
         for code, anchor in zip(self.codes, self.anchors):
             yield Placement(self.tile_order[int(code)], tuple(int(x) for x in anchor))
+
+    def placement_shapes(self) -> np.ndarray:
+        """Tile shape of each placement, one int64 row per placement."""
+        table = np.array([self.tile_shapes[t] for t in self.tile_order], dtype=np.int64)
+        return table.reshape(len(self.tile_order), self.dim)[self.codes]
 
     def covered_cells(self) -> int:
         return sum(self.tile_cell_counts().values())
@@ -382,12 +369,8 @@ def encode(tiling: Tiling, alphabet: Alphabet, window: Box | None = None) -> Sym
     if window is None:
         if len(tiling) == 0:
             raise ValueError("cannot infer a window from an empty tiling")
-        shapes = np.array(
-            [tiling.tile_shapes[tiling.tile_order[int(c)]] for c in tiling.codes],
-            dtype=np.int64,
-        )
         lo = tuple(int(x) for x in tiling.anchors.min(axis=0))
-        hi = tuple(int(x) for x in (tiling.anchors + shapes).max(axis=0))
+        hi = tuple(int(x) for x in (tiling.anchors + tiling.placement_shapes()).max(axis=0))
         window = Box(lo, tuple(h - l for l, h in zip(lo, hi)))
     word = SymbolicWord(alphabet, window)
     for tile, anchor in tiling.placements():

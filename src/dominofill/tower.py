@@ -164,6 +164,16 @@ class StagePlan:
         """Sum of the per-stage sublattice error budgets."""
         return sum((s.error_budget for s in self.stages), start=Fraction(0))
 
+    def collar_mass_bound(self) -> Fraction:
+        """Sum over stages of 2d * collar / side: the collars' share of the cells."""
+        d = self.family.dim
+        return sum((Fraction(2 * d * s.collar, s.side) for s in self.stages), start=Fraction(0))
+
+    def min_small_target(self) -> Fraction:
+        """Smallest target among the base tiles (all tiles without cut points)."""
+        limit = self.cutoffs[0] if self.cutoffs else len(self.targets.probs)
+        return min(self.targets.probs[:limit])
+
 
 def plan_stages(
     f: RectFamily,
@@ -197,8 +207,6 @@ def plan_stages(
     if cuts is not None and mode == "strict":
         _check_tail_schedule(targets, cuts)
     chosen = _choose_sides(f.dim, mode, sides, collars, n_stages, side_cap)
-    if mode == "strict":
-        _check_small_tile_budget(f, targets, collars, chosen, cuts)
     specs = []
     for i in range(n_stages):
         specs.append(
@@ -211,7 +219,7 @@ def plan_stages(
                 tail_mass=_tail_mass(targets, cuts, i),
             )
         )
-    return StagePlan(
+    plan = StagePlan(
         family=f,
         base=base,
         targets=targets,
@@ -219,6 +227,12 @@ def plan_stages(
         stages=tuple(specs),
         cutoffs=tuple(cuts) if cuts else None,
     )
+    bound = plan.collar_mass_bound()
+    if mode == "strict" and bound >= plan.min_small_target():
+        raise Infeasible(
+            "small_tile_budget", f"collar mass bound {bound} not below the smallest base target"
+        )
+    return plan
 
 
 def _resolve_count(count: int | None, sides: Sequence[int] | None) -> int:
@@ -296,11 +310,6 @@ def _check_tail_schedule(targets, cuts):
             raise Infeasible("tail_order", f"stage {k + 1} block mass too small")
 
 
-def _min_small_target(targets: TargetDistribution, cuts) -> Fraction:
-    limit = cuts[0] if cuts else len(targets.probs)
-    return min(targets.probs[:limit])
-
-
 def _choose_sides(dim, mode, sides, collars, n_stages, side_cap):
     chosen = []
     prev = 0
@@ -332,17 +341,6 @@ def _choose_sides(dim, mode, sides, collars, n_stages, side_cap):
         chosen.append(n)
         prev = n
     return chosen
-
-
-def _check_small_tile_budget(f, targets, collars, sides, cuts):
-    total = sum(
-        (Fraction(2 * f.dim * c, n) for c, n in zip(collars, sides)), start=Fraction(0)
-    )
-    if total >= _min_small_target(targets, cuts):
-        raise Infeasible(
-            "small_tile_budget",
-            f"collar mass bound {total} not below the smallest base target",
-        )
 
 
 def _tail_mass(targets, cuts, stage_index) -> Fraction:
@@ -450,44 +448,41 @@ def build_stage(
 ) -> ConstructionState:
     """Run one construction stage on a fresh word.
 
-    Every tower either becomes a pure wall block (always at stage 1; later,
-    when its anchor is in ``tail_anchors``, with that stage's coarser brick)
-    or a composite: the ambient wall over the whole interior, previous-stage
-    blocks that landed deep enough pasted back verbatim, and a filling band
-    bridging each pasted block to the ambient wall.  Previous blocks not
-    wholly inside a good position are dropped.
+    Every tower lays a wall over its interior.  A pure wall block (always at
+    stage 1; later, when its anchor is in ``tail_anchors``, with that stage's
+    coarser brick) stops there.  A composite lays the ambient wall, pastes
+    back verbatim the previous-stage blocks that landed deep enough, and
+    bridges each to the ambient wall with a filling band.  Previous blocks
+    not wholly inside a good position are dropped.
     """
     alphabet = wall.alphabet
     spec = plan.stages[towers.stage - 1]
     word = SymbolicWord(alphabet, towers.window)
     blocks: list[TowerBlock] = []
     prev = _BlockIndex(state) if state is not None else None
+    # A tower's wall translate moves with its anchor, so the wall reads the
+    # same over every interior of one (tile, collar) kind: draw it once.
+    patterns: dict[tuple[int | str, int], np.ndarray] = {}
     for anchor_row in towers.anchors:
         anchor = tuple(int(x) for x in anchor_row)
         tower_box = Box(anchor, (spec.side,) * towers.window.dim)
-        if towers.stage == 1 or anchor in tail_anchors:
-            block_wall = BrickWall(
-                alphabet, plan.brick_id(towers.stage), _add(wall.translate, anchor)
-            )
-            domain = interior(tower_box, spec.collar + 1)
-            if domain is None:
-                raise Infeasible("stage_side", f"side {spec.side} below 2*(collar+1)+1")
-            word.paste(domain, block_wall.pattern_over(domain))
-            blocks.append(TowerBlock(tower_box, spec.collar, block_wall, domain))
-            continue
-        ambient = BrickWall(alphabet, wall.tile, _add(wall.translate, anchor))
-        domain = interior(tower_box, base.fill_length + 1)
+        pure = towers.stage == 1 or anchor in tail_anchors
+        tile, collar = (
+            (plan.brick_id(towers.stage), spec.collar) if pure else (wall.tile, base.fill_length)
+        )
+        tower_wall = BrickWall(alphabet, tile, _add(wall.translate, anchor))
+        domain = interior(tower_box, collar + 1)
         if domain is None:
-            raise Infeasible("stage_side", f"side {spec.side} below 2*(fill_length+1)+1")
-        good = prev.deep_inside(tower_box) if prev is not None else []
-        saved = [(blk, state.word.subgrid(blk.domain).copy()) for blk in good]
-        word.paste(domain, ambient.pattern_over(domain))
-        for blk, content in saved:
-            fill = fill_between(blk.wall, blk.domain, ambient, base, blk.collar)
+            raise Infeasible("stage_side", f"side {spec.side} below 2*({collar}+1)+1")
+        if (tile, collar) not in patterns:
+            patterns[tile, collar] = tower_wall.pattern_over(domain)
+        word.paste(domain, patterns[tile, collar])
+        for blk in [] if pure or prev is None else prev.deep_inside(tower_box):
+            fill = fill_between(blk.wall, blk.domain, tower_wall, base, blk.collar)
             band = interior(blk.box, 1)
             word.paste(band, fill.materialize(band).grid)
-            word.paste(blk.domain, content)
-        blocks.append(TowerBlock(tower_box, base.fill_length, ambient, domain))
+            word.paste(blk.domain, state.word.subgrid(blk.domain))
+        blocks.append(TowerBlock(tower_box, collar, tower_wall, domain))
     return ConstructionState(towers.stage, word, blocks, spec.side, towers.window)
 
 
@@ -530,6 +525,23 @@ class FrequencyReport:
     targets: TargetDistribution | None = None
     partial_cells: int = 0
     notes: dict = field(default_factory=dict)
+
+    @classmethod
+    def of_tiling(
+        cls,
+        tiling: Tiling,
+        targets: TargetDistribution | None = None,
+        partial_cells: int = 0,
+        notes: Mapping | None = None,
+    ) -> "FrequencyReport":
+        """Cell accounting of ``tiling`` against its own window.
+
+        A tiling without a window is measured against the cells it covers.
+        """
+        counts = tiling.tile_cell_counts()
+        covered = sum(counts.values())
+        window_cells = tiling.window.volume if tiling.window is not None else covered
+        return cls(window_cells, covered, counts, targets, partial_cells, dict(notes or {}))
 
     @property
     def uncovered_fraction(self) -> Fraction:
@@ -613,17 +625,11 @@ def finalize(
         np.concatenate([r.tiling.anchors for r in results]),
         window,
     ).sorted_canonical()
-    counts = tiling.tile_cell_counts()
-    covered = sum(counts.values())
-    report = FrequencyReport(window.volume, covered, counts, targets, partial_cells)
+    report = FrequencyReport.of_tiling(tiling, targets, partial_cells)
     if plan is not None:
-        collar_bound = sum(
-            (Fraction(2 * window.dim * s.collar, s.side) for s in plan.stages),
-            start=Fraction(0),
-        )
-        min_target = _min_small_target(plan.targets, plan.cutoffs)
+        collar_bound = plan.collar_mass_bound()
         report.notes["small_fraction_below_min_target"] = bool(
-            report.small_tile_fraction() < min_target
+            report.small_tile_fraction() < plan.min_small_target()
         )
         report.notes["large_fraction_above_collar_bound"] = bool(
             report.large_fraction() > 1 - collar_bound
@@ -806,14 +812,8 @@ def run_pipeline(plan: StagePlan, window: Box, seed: int) -> PipelineResult:
     final = redistribute(
         pre_tiling, plan.targets, pre_report, root.fork(2000).seed, alphabet.tile_shapes
     )
-    counts = final.tile_cell_counts()
-    report = FrequencyReport(
-        window.volume,
-        sum(counts.values()),
-        counts,
-        plan.targets,
-        pre_report.partial_cells,
-        dict(pre_report.notes),
+    report = FrequencyReport.of_tiling(
+        final, plan.targets, pre_report.partial_cells, pre_report.notes
     )
     return PipelineResult(plan, state, pre_tiling, pre_report, final, report, seed)
 

@@ -8,7 +8,7 @@ decoding by per-cell grouping.
 
 import math
 
-from dominofill import Placement, allowed_neighbor
+from dominofill.sft import Placement, allowed_neighbor
 
 
 def representable_bits(heights, limit):

@@ -18,23 +18,19 @@ import pytest
 from dominofill import (
     Box,
     BrickWall,
-    Infeasible,
-    InvalidTargets,
-    NonpositiveTarget,
-    SharedAxisDivisor,
     TargetDistribution,
-    axis_threshold,
     build_alphabet,
-    collar_width,
     expand,
     fill_between,
-    glue,
     plan_stages,
     run_pipeline,
     validate_family,
 )
+from dominofill.brickfill import collar_width, glue
 from dominofill.cli.files import serialize_tiling
 from dominofill.cli.verify import verify_tiling, verify_word
+from dominofill.numerics import SharedAxisDivisor, axis_threshold
+from dominofill.tower import Infeasible, InvalidTargets, NonpositiveTarget
 from oracles import (
     count_exact_tilings,
     enumerate_boundary_complete_words,

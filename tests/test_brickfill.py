@@ -4,25 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dominofill import (
-    Box,
-    BrickWall,
+from dominofill import Box, BrickWall, build_alphabet, expand, fill_between, validate_family
+from dominofill.brickfill import (
     InwardEmpty,
     NoMatchingTranslate,
     NonMultipleExtent,
-    NotRepresentable,
-    Symbol,
-    build_alphabet,
     collar_width,
     complete_partial_tiles,
-    decode,
-    expand,
-    fill_between,
     glue,
     strip_tile,
-    validate_family,
-    validate_word,
 )
+from dominofill.numerics import NotRepresentable
+from dominofill.sft import Symbol, decode, validate_word
 
 translates_2d = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
 

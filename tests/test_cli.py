@@ -13,14 +13,7 @@ import numpy as np
 import pytest
 
 import dominofill
-from dominofill import (
-    Box,
-    BrickWall,
-    Placement,
-    Symbol,
-    SymbolicWord,
-    Tiling,
-)
+from dominofill import Box, BrickWall
 from dominofill.cli.config import ConfigError, parse_config, serialize_config
 from dominofill.cli.files import (
     ParseError,
@@ -37,6 +30,7 @@ from dominofill.cli.files import (
 from dominofill.cli.main import main
 from dominofill.cli.render import render_ascii, render_svg
 from dominofill.cli.verify import verify_tiling, verify_word
+from dominofill.sft import Symbol, SymbolicWord, Tiling
 
 FLAGSHIP_INI = """\
 [run]
@@ -105,13 +99,8 @@ class TestConfig:
 
 def sample_tiling():
     shapes = {1: (3, 2), 2: (2, 3), "P": (6, 6)}
-    placements = [
-        Placement("P", (-6, -6)),
-        Placement(1, (0, 0)),
-        Placement(1, (3, 0)),
-        Placement(2, (0, 2)),
-    ]
-    return Tiling.from_placements(shapes, placements, Box((-6, -6), (12, 12)))
+    parts = [("P", [(-6, -6)]), (1, [(0, 0), (3, 0)]), (2, [(0, 2)])]
+    return Tiling.from_parts(shapes, parts, Box((-6, -6), (12, 12)))
 
 
 class TestTilingFiles:
@@ -184,6 +173,12 @@ class TestWordFiles:
         with pytest.raises(ParseError):
             parse_word(text)
 
+    def test_cell_listed_twice_rejected(self, flagship_alphabet):
+        w = sample_word(flagship_alphabet)
+        text = serialize_word(w) + "0 0 1 0 0\n"
+        with pytest.raises(ParseError, match=r"cell \(0, 0\) listed twice"):
+            parse_word(text)
+
 
 def write_json(tmp_path, text, edit):
     doc = json.loads(text)
@@ -209,6 +204,10 @@ def negative_cell(doc):
     doc["cells"][0]["cell"] = [-1, -1]
 
 
+def duplicate_cell(doc):
+    doc["cells"].append({"cell": doc["cells"][0]["cell"], "tile": 1, "offset": [0, 0]})
+
+
 class TestJsonLoaderErrors:
     """Bad JSON input is a ParseError, as it is for the text formats."""
 
@@ -217,6 +216,7 @@ class TestJsonLoaderErrors:
         ("word", bad_offset),
         ("word", cell_outside),
         ("word", negative_cell),
+        ("word", duplicate_cell),
     ]
 
     def bad_file(self, tmp_path, flagship_alphabet, kind, edit):
@@ -264,13 +264,20 @@ class TestVerifyTiling:
 
     def test_overlap_reported(self):
         shapes = {1: (3, 2)}
-        t = Tiling.from_placements(shapes, [Placement(1, (0, 0)), Placement(1, (1, 0))])
+        t = Tiling.from_parts(shapes, [(1, [(0, 0), (1, 0)])])
         problems = verify_tiling(t)
         assert problems and "covered 2 times" in problems[0]
 
+    @pytest.mark.parametrize("copies", [2, 255, 256, 257])
+    def test_overlap_of_any_multiplicity(self, copies):
+        t = Tiling.from_parts({1: (3, 2)}, [(1, [(0, 0)] * copies)])
+        problems = verify_tiling(t)
+        assert len(problems) == 6  # every cell of the tile
+        assert problems[0].startswith(f"cell (0, 0) covered {copies} times")
+
     def test_window_containment(self):
         shapes = {1: (3, 2)}
-        t = Tiling.from_placements(shapes, [Placement(1, (2, 3))], Box((0, 0), (4, 4)))
+        t = Tiling.from_parts(shapes, [(1, [(2, 3)])], Box((0, 0), (4, 4)))
         problems = verify_tiling(t)
         assert problems and "leaves the window" in problems[0]
 
@@ -280,7 +287,7 @@ class TestVerifyTiling:
         inside = [
             p for p in t.placements() if window.contains_box(Box(p.anchor, t.tile_shapes[p.tile]))
         ]
-        sub = Tiling.from_placements(t.tile_shapes, inside, window)
+        sub = Tiling.from_parts(t.tile_shapes, [(p.tile, [p.anchor]) for p in inside], window)
         assert verify_tiling(sub) == []  # inside the window, no cell covered twice
         assert sum(sub.tile_cell_counts().values()) == 6 + 6 + 6  # the three small tiles
         assert sub.covered_cells() == 18
@@ -294,11 +301,7 @@ class TestRender:
 
     def test_ascii_for_line(self):
         shapes = {1: (2,), 2: (3,)}
-        t = Tiling.from_placements(
-            shapes,
-            [Placement(1, (0,)), Placement(1, (2,)), Placement(2, (4,))],
-            Box((0,), (7,)),
-        )
+        t = Tiling.from_parts(shapes, [(1, [(0,), (2,)]), (2, [(4,)])], Box((0,), (7,)))
         art = render_ascii(t)
         assert art.strip()
 
@@ -402,7 +405,7 @@ class TestMain:
         assert main(["verify", str(path)]) == 0
         loaded = load_any(str(path))
         assert loaded.kind == "word"
-        assert loaded.word.assigned_count == loaded.word.box.volume
+        assert np.count_nonzero(loaded.word.grid >= 0) == loaded.word.box.volume
 
     def test_redistribute_subcommand(self, flagship_cfg, tmp_path, capsys):
         out = tmp_path / "re"
@@ -420,11 +423,37 @@ class TestMain:
 
     def test_verify_rejects_overlap(self, tmp_path, capsys):
         shapes = {1: (3, 2)}
-        bad = Tiling.from_placements(shapes, [Placement(1, (0, 0)), Placement(1, (1, 0))])
+        bad = Tiling.from_parts(shapes, [(1, [(0, 0), (1, 0)])])
         path = tmp_path / "bad.txt"
         write_atomic(str(path), serialize_tiling(bad))
         assert main(["verify", str(path)]) == 1
         assert "FAIL" in capsys.readouterr().err
+
+    def test_verify_rejects_256_copies(self, tmp_path, capsys):
+        path = tmp_path / "copies.txt"
+        text = serialize_tiling(Tiling.from_parts({1: (1, 1)}, [(1, [(0, 0)] * 256)]))
+        assert text.splitlines()[5:] == ["1 0 0"] * 256
+        path.write_text(text, encoding="utf-8")
+        assert main(["verify", str(path)]) == 1
+        assert "covered 256 times" in capsys.readouterr().err
+
+    def test_verify_rejects_cell_listed_twice(self, tmp_path, capsys):
+        path = tmp_path / "twice.txt"
+        lines = ["dominofill word v1", "dim 1", "shapes 1:2 2:3", "window 0 5", "seed 0"]
+        path.write_text("\n".join(lines + ["0 2 0", "0 1 0"]) + "\n", encoding="utf-8")
+        assert main(["verify", str(path)]) == 1
+        assert "cell (0,) listed twice" in capsys.readouterr().err
+
+    def test_stats_without_window(self, tmp_path, capsys):
+        t = sample_tiling()
+        path = tmp_path / "nowindow.txt"
+        windowless = Tiling(t.tile_shapes, t.codes, t.anchors)
+        path.write_text(serialize_tiling(windowless), encoding="utf-8")
+        assert "window none" in path.read_text(encoding="utf-8")
+        assert main(["stats", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["window_cells"] == report["covered_cells"] == 36 + 18
+        assert report["uncovered_fraction"] == 0
 
     def test_verify_rejects_broken_word(self, tmp_path, flagship_alphabet, capsys):
         w = sample_word(flagship_alphabet)
@@ -447,9 +476,7 @@ class TestMain:
 
     def test_render_ascii_for_line_file(self, tmp_path, capsys):
         shapes = {1: (2,), 2: (3,)}
-        t = Tiling.from_placements(
-            shapes, [Placement(1, (0,)), Placement(2, (2,))], Box((0,), (5,))
-        )
+        t = Tiling.from_parts(shapes, [(1, [(0,)]), (2, [(2,)])], Box((0,), (5,)))
         path = tmp_path / "line.txt"
         write_atomic(str(path), serialize_tiling(t))
         assert main(["render", str(path), "--out", str(tmp_path)]) == 0
@@ -502,9 +529,7 @@ class TestUserErrors:
         self.assert_one_error_line(capsys)
 
     def test_render_3d_exits_1(self, tmp_path, capsys):
-        t = Tiling.from_placements(
-            {1: (2, 1, 1)}, [Placement(1, (0, 0, 0))], Box((0, 0, 0), (2, 1, 1))
-        )
+        t = Tiling.from_parts({1: (2, 1, 1)}, [(1, [(0, 0, 0)])], Box((0, 0, 0), (2, 1, 1)))
         path = tmp_path / "cube.txt"
         write_atomic(str(path), serialize_tiling(t))
         assert main(["render", str(path), "--out", str(tmp_path)]) == 1

@@ -6,13 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dominofill import (
-    Box,
-    GapTooNarrow,
-    decompose_collar,
-    expand,
-    interior,
-)
+from dominofill import Box, expand
+from dominofill.brickfill import GapTooNarrow, decompose_collar
+from dominofill.geometry import interior
 
 
 def enumerate_cells(box):

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from oracles import lex_greatest_by_descent, representable_bits, threshold_by_scan
 
-from dominofill import (
+from dominofill import validate_family
+from dominofill.numerics import (
     FamilyError,
     FewerThanTwoShapes,
     GcdNotOne,
@@ -21,7 +22,6 @@ from dominofill import (
     SharedAxisDivisor,
     axis_threshold,
     represent,
-    validate_family,
 )
 
 

@@ -8,26 +8,26 @@ import pytest
 from dominofill import (
     Box,
     BrickWall,
+    TargetDistribution,
+    plan_stages,
+    run_pipeline,
+    validate_family,
+)
+from dominofill.geometry import interior
+from dominofill.sft import Tiling, validate_word
+from dominofill.tower import (
     FrequencyReport,
     Infeasible,
     InvalidTargets,
     NonpositiveTarget,
-    Placement,
     StagePlan,
     StageSpec,
-    TargetDistribution,
     TargetsInfeasible,
-    Tiling,
     WindowTooSmall,
     build_stage,
     finalize,
-    interior,
-    plan_stages,
     redistribute,
-    run_pipeline,
     sample_towers,
-    validate_family,
-    validate_word,
 )
 
 FLAGSHIP_TARGETS = TargetDistribution.of([Fraction(2, 5), Fraction(3, 5)])
@@ -270,10 +270,7 @@ class TestFinalize:
 
 def measured_report(tiling):
     """Frequency report for a synthetic fully-covered window."""
-    counts = tiling.tile_cell_counts()
-    return FrequencyReport(
-        tiling.window.volume, sum(counts.values()), counts, FLAGSHIP_TARGETS
-    )
+    return FrequencyReport.of_tiling(tiling, FLAGSHIP_TARGETS)
 
 
 def block_grid_tiling(assignments, alphabet):
@@ -282,20 +279,20 @@ def block_grid_tiling(assignments, alphabet):
     ``assignments`` maps grid index -> small tile id; every other block is one
     large brick.  Small tiles subdivide their block exactly.
     """
-    placements = []
+    parts = []
     for gx in range(10):
         for gy in range(10):
             base = (6 * gx, 6 * gy)
             tile = assignments.get((gx, gy), "P")
             if tile == "P":
-                placements.append(Placement("P", base))
+                parts.append(("P", [base]))
                 continue
             w, h = alphabet.shape(tile)
             for dx in range(0, 6, w):
                 for dy in range(0, 6, h):
-                    placements.append(Placement(tile, (base[0] + dx, base[1] + dy)))
-    return Tiling.from_placements(
-        dict(alphabet.tile_shapes), placements, Box((0, 0), (60, 60))
+                    parts.append((tile, [(base[0] + dx, base[1] + dy)]))
+    return Tiling.from_parts(
+        dict(alphabet.tile_shapes), parts, Box((0, 0), (60, 60))
     )
 
 
@@ -333,15 +330,13 @@ class TestRedistribute:
     def test_identity_when_exact(self, flagship_alphabet):
         # 2:3 cell ratio with no bricks at all leaves the tiling untouched
         assignments = {(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 2, (1, 2): 2}
-        placements = []
+        parts = []
         for (gx, gy), tile in assignments.items():
             w, h = flagship_alphabet.shape(tile)
             for dx in range(0, 6, w):
                 for dy in range(0, 6, h):
-                    placements.append(Placement(tile, (6 * gx + dx, 6 * gy + dy)))
-        t = Tiling.from_placements(
-            dict(flagship_alphabet.tile_shapes), placements, Box((0, 0), (60, 60))
-        )
+                    parts.append((tile, [(6 * gx + dx, 6 * gy + dy)]))
+        t = Tiling.from_parts(dict(flagship_alphabet.tile_shapes), parts, Box((0, 0), (60, 60)))
         out = redistribute(t, FLAGSHIP_TARGETS, measured_report(t), seed=3)
         assert out.same_placements(t)
 
