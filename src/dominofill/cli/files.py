@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import string
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -105,48 +106,248 @@ def _read_header(lines: list[str], magic: str) -> tuple[int, dict, Box | None, i
     return dim, shapes, window, seed, idx
 
 
+_CHUNK_ROWS = 1 << 16
+
+
+def _label_table(tiles) -> np.ndarray:
+    """One row of zero-padded UTF-8 label bytes per tile, in the given order."""
+    names = [str(t).encode("utf-8") for t in tiles]
+    width = max((len(b) for b in names), default=1)
+    return np.array(names, dtype=f"S{width}").view(np.uint8).reshape(len(names), width)
+
+
+def _text_lines(fields: list[np.ndarray]) -> str:
+    """Rows of space-separated fields, one ``\\n``-terminated line per row.
+
+    A field is an integer column, written in decimal, or a uint8 matrix of
+    label bytes padded with zero bytes.  Each field fills its own columns of
+    one byte matrix (a decimal right-aligned behind its sign column), and
+    the zero bytes are deleted from the matrix's bytes in one pass.  The
+    rows go ``_CHUNK_ROWS`` at a time, so the matrix stays small.
+    """
+    return "".join(
+        _text_block([field[lo : lo + _CHUNK_ROWS] for field in fields])
+        for lo in range(0, len(fields[0]), _CHUNK_ROWS)
+    )
+
+
+def _text_block(fields: list[np.ndarray]) -> str:
+    n = len(fields[0])
+    columns = []
+    for field in fields:
+        if field.dtype == np.uint8:
+            columns.append((field, None, field.shape[1]))
+            continue
+        neg = field < 0
+        mag = field.astype(np.uint64)
+        np.negative(mag, out=mag, where=neg)
+        top = int(mag.max())
+        columns.append((mag.astype(np.uint32) if top < 2**32 else mag, neg, 1 + len(str(top))))
+    mat = np.zeros((n, sum(width + 1 for *_, width in columns)), dtype=np.uint8)
+    at = 0
+    for data, neg, width in columns:
+        block = mat[:, at : at + width]
+        if neg is None:
+            block[...] = data
+        else:
+            block[:, 0] = np.where(neg, ord("-"), 0)
+            rest, digit = np.divmod(data, 10)
+            block[:, -1] = digit + ord("0")
+            for j in range(width - 2, 0, -1):
+                shown = rest > 0
+                rest, digit = np.divmod(rest, 10)
+                block[:, j] = np.where(shown, digit + ord("0"), 0)
+        at += width
+        mat[:, at] = ord(" ")
+        at += 1
+    mat[:, -1] = ord("\n")
+    return mat.tobytes().translate(None, b"\0").decode("utf-8")
+
+
 def serialize_tiling(tiling: Tiling, seed: int = 0) -> str:
     canon = tiling.sorted_canonical()
     dim = canon.dim if len(canon) else (canon.window.dim if canon.window else 1)
-    lines = [
+    header = [
         TILING_MAGIC,
         f"dim {dim}",
         f"shapes {_fmt_shapes(canon.tile_shapes)}",
         _window_line(canon.window),
         f"seed {seed}",
     ]
-    order = canon.tile_order
-    for code, anchor in zip(canon.codes, canon.anchors):
-        coords = " ".join(str(int(x)) for x in anchor)
-        lines.append(f"{order[int(code)]} {coords}")
-    return "\n".join(lines) + "\n"
+    labels = _label_table(canon.tile_order)[canon.codes]
+    body = _text_lines([labels] + [canon.anchors[:, a] for a in range(canon.dim)])
+    return "\n".join(header) + "\n" + body
 
 
 def _tiling_from_records(
     shapes: dict, dim: int, window: Box | None, tiles: list, anchors: list
 ) -> Tiling:
-    """Placements from parallel tile and anchor lists, in canonical order.
+    """Placements from parallel tile and anchor lists, in canonical order."""
+    index: dict = {}
+    inverse = np.array([index.setdefault(t, len(index)) for t in tiles], dtype=np.intp)
+    return _tiling_from_columns(shapes, dim, window, list(index), inverse, anchors)
+
+
+def _tiling_from_columns(
+    shapes: dict, dim: int, window: Box | None, tiles: list, inverse: np.ndarray, anchors
+) -> Tiling:
+    """Placement k is tile ``tiles[inverse[k]]`` at ``anchors[k]``; canonical order.
 
     Raises ParseError on a bad tile shape, an unknown tile or an anchor of
-    the wrong length.
+    the wrong length, checked in that order; the first unknown tile in
+    placement order is the one named.
     """
     if any(len(s) != dim or min(s) < 1 for s in shapes.values()):
         raise ParseError(f"every tile shape needs {dim} positive extents")
-    index = {tile: i for i, tile in enumerate(shapes)}
+    unknown = np.array([t not in shapes for t in tiles], dtype=bool)
+    if np.any(unknown):
+        first = np.flatnonzero(unknown[inverse])[0]
+        raise ParseError(f"unknown tile {tiles[inverse[first]]!r}")
     try:
-        rows_tile = np.array([index[t] for t in tiles], dtype=np.intp)
-    except KeyError as exc:
-        raise ParseError(f"unknown tile {exc.args[0]!r}") from None
-    try:
-        rows = np.array(anchors, dtype=np.int64).reshape(len(tiles), dim)
+        rows = np.asarray(anchors, dtype=np.int64).reshape(len(inverse), dim)
     except (OverflowError, ValueError) as exc:
         raise ParseError(f"every anchor needs {dim} int64 coordinates") from exc
-    parts = [(tile, rows[rows_tile == i]) for tile, i in index.items()]
-    return Tiling.from_parts(shapes, parts, window).sorted_canonical()
+    if len(inverse) == 0:
+        return Tiling.from_parts(shapes, [], window)
+    code_of = {t: i for i, t in enumerate(sorted(shapes, key=tile_sort_key))}
+    codes = np.array([code_of[t] for t in tiles], dtype=np.int32)[inverse]
+    return Tiling(shapes, codes, rows, window).sorted_canonical()
+
+
+_BODY_BYTES = np.zeros(256, dtype=bool)
+_BODY_BYTES[list((string.ascii_letters + string.digits + "- \n").encode())] = True
+_MAX_TOKEN = 20  # a sign and 19 digits hold every int64; longer tokens go to the line walk
+_CHUNK_BYTES = 1 << 20
+
+
+def _parse_tiling_bulk(text: str) -> tuple[Tiling, int] | None:
+    """Parse a tiling in numpy passes over the bytes of its body.
+
+    Returns None, leaving the file to the line walk, unless the text is
+    ASCII, each header line ends in a bare ``\\n``, the body holds only
+    digits, letters, ``-``, space and ``\\n``, every body line has dim + 1
+    tokens of at most ``_MAX_TOKEN`` bytes, every anchor is an optional
+    ``-`` and digits that fit in int64, and every tile token reads as a
+    tile id.  On such files the line walk reaches the same tiling.  The body
+    goes in chunks of whole lines, so the scratch arrays stay small.
+    """
+    if not text.isascii():
+        return None
+    lines: list[str] = []
+    pos = 0
+    while len(lines) < 5:
+        end = text.find("\n", pos)
+        if end < 0:
+            return None
+        line = text[pos:end]
+        pos = end + 1
+        if line.strip():
+            if line.splitlines() != [line]:
+                return None
+            lines.append(line)
+    dim, shapes, window, seed, _ = _read_header(lines, TILING_MAGIC)
+    if not 1 <= dim < 2**62:  # (0, dim) arrays need dim to fit in intp
+        return None
+    raw = text.encode("ascii")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    tokens: dict[bytes, int] = {}
+    inverse = [np.zeros(0, dtype=np.intp)]
+    rows = [np.zeros((0, dim), dtype=np.int64)]
+    while pos < len(raw):
+        cut = raw.find(b"\n", pos + _CHUNK_BYTES)
+        end = len(raw) if cut < 0 else cut + 1
+        parsed = _parse_lines(buf[pos:end], dim)
+        if parsed is None:
+            return None
+        distinct, local, values = parsed
+        ids = np.array([tokens.setdefault(tok, len(tokens)) for tok in distinct], dtype=np.intp)
+        inverse.append(ids[local])
+        rows.append(values)
+        pos = end
+    try:
+        tiles = [_parse_tile(tok.decode("ascii")) for tok in tokens]
+    except ValueError:
+        return None
+    return (
+        _tiling_from_columns(
+            shapes, dim, window, tiles, np.concatenate(inverse), np.concatenate(rows)
+        ),
+        seed,
+    )
+
+
+def _parse_lines(chunk: np.ndarray, dim: int) -> tuple | None:
+    """(distinct tile tokens, index of each line's token among them, anchor
+    rows) of a run of whole body lines, or None where the line walk decides."""
+    if not _BODY_BYTES[chunk].all():
+        return None
+    line_ends = np.flatnonzero(chunk == ord("\n"))
+    if chunk[-1] != ord("\n"):
+        line_ends = np.append(line_ends, len(chunk))
+    n, width = len(line_ends), dim + 1
+    # Token k spans [edges[2k], edges[2k + 1]).
+    words = (chunk != ord(" ")) & (chunk != ord("\n"))
+    edges = np.flatnonzero(np.diff(words, prepend=False, append=False))
+    if len(edges) != 2 * n * width:
+        return None
+    starts = edges[0::2].reshape(n, width)
+    stops = edges[1::2].reshape(n, width)
+    # With n * width tokens in all, line k holds exactly tokens
+    # k*width .. k*width + dim iff the first starts after the previous line
+    # ends and the last starts before this line ends.
+    if np.any(starts[1:, 0] < line_ends[:-1]) or np.any(starts[:, -1] > line_ends):
+        return None
+    if int((stops - starts).max()) > _MAX_TOKEN:
+        return None
+    rows = _int64_tokens(chunk, starts[:, 1:], stops[:, 1:])
+    if rows is None:
+        return None
+    tokens = _token_matrix(chunk, starts[:, 0], stops[:, 0])
+    distinct, inverse = np.unique(tokens.view(f"S{tokens.shape[1]}").ravel(), return_inverse=True)
+    return distinct, inverse, rows
+
+
+def _token_matrix(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The tokens as rows of a uint8 matrix, left-aligned and zero-padded."""
+    lengths = stops - starts
+    out = np.zeros((len(starts), int(lengths.max())), dtype=np.uint8)
+    for j in range(out.shape[1]):
+        out[:, j] = np.where(lengths > j, buf.take(starts + j, mode="clip"), 0)
+    return out
+
+
+def _int64_tokens(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray | None:
+    """Values of the decimal tokens ``buf[starts:stops]``, or None if one is
+    not an optional ``-`` followed by at most 19 digits, or leaves int64."""
+    neg = buf[starts] == ord("-")
+    digits = stops - starts - neg
+    if digits.size and (digits.min() < 1 or digits.max() > 19):
+        return None
+    wide = int(digits.max(initial=0))
+    dtype = np.uint64 if wide > 9 else np.uint32
+    mag = np.zeros(starts.shape, dtype=dtype)
+    bad = np.zeros(starts.shape, dtype=bool)
+    pos = stops - 1
+    for j in range(wide):
+        value = buf.take(pos, mode="clip") - np.uint8(ord("0"))
+        value *= digits > j
+        bad |= value > 9
+        # Widen first: on numpy 1.x a uint8 array times a numpy scalar stays uint8.
+        mag += value.astype(dtype) * dtype(10**j)
+        pos -= 1
+    mag = mag.astype(np.uint64)
+    if np.any(bad) or np.any(mag > np.uint64(2**63 - 1) + neg):
+        return None
+    values = mag.view(np.int64)
+    np.negative(values, out=values, where=neg)
+    return values
 
 
 @_fields_of("tiling")
 def parse_tiling(text: str) -> tuple[Tiling, int]:
+    parsed = _parse_tiling_bulk(text)
+    if parsed is not None:
+        return parsed
     lines = [ln for ln in text.splitlines() if ln.strip()]
     dim, shapes, window, seed, idx = _read_header(lines, TILING_MAGIC)
     tiles = []
@@ -161,18 +362,25 @@ def parse_tiling(text: str) -> tuple[Tiling, int]:
 
 
 def serialize_word(word: SymbolicWord, seed: int = 0) -> str:
-    lines = [
+    alphabet = word.alphabet
+    header = [
         WORD_MAGIC,
-        f"dim {word.alphabet.dim}",
-        f"shapes {_fmt_shapes(word.alphabet.tile_shapes)}",
+        f"dim {alphabet.dim}",
+        f"shapes {_fmt_shapes(alphabet.tile_shapes)}",
         _window_line(word.box),
         f"seed {seed}",
     ]
-    for cell, sym in word.iter_cells():
-        coords = " ".join(str(x) for x in cell)
-        offs = " ".join(str(x) for x in sym.offset)
-        lines.append(f"{coords} {sym.tile} {offs}")
-    return "\n".join(lines) + "\n"
+    assigned = word.grid >= 0
+    syms = word.grid[assigned]
+    cells = np.argwhere(assigned) + np.array(word.box.anchor, dtype=np.int64)
+    offsets = alphabet.offsets[syms]
+    labels = _label_table(alphabet.tiles)[alphabet.tile_codes[syms]]
+    body = _text_lines(
+        [cells[:, a] for a in range(alphabet.dim)]
+        + [labels]
+        + [offsets[:, a] for a in range(alphabet.dim)]
+    )
+    return "\n".join(header) + "\n" + body
 
 
 def _word_from_records(shapes: dict, dim: int, window: Box | None, records) -> SymbolicWord:
@@ -228,7 +436,7 @@ def load_any(path: str) -> LoadedFile:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _from_json(stripped)
-    first = stripped.splitlines()[0] if stripped else ""
+    first = next(iter(stripped.partition("\n")[0].splitlines()), "")
     if first == TILING_MAGIC:
         tiling, seed = parse_tiling(text)
         return LoadedFile("tiling", tiling, None, seed)

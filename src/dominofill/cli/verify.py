@@ -20,6 +20,7 @@ from ..sft import SymbolicWord, Tiling
 
 MAX_REPORTED = 50
 MAX_PAINT_CELLS = 300_000_000
+PAINT_CHUNK = 1 << 16
 
 
 def verify_word(word: SymbolicWord) -> list[str]:
@@ -86,9 +87,9 @@ def verify_tiling(tiling: Tiling, window: Box | None = None) -> list[str]:
     if len(tiling) == 0:
         return problems
     window = window if window is not None else tiling.window
-    shapes_per = tiling.placement_shapes()
+    table = tiling.shape_table()
     anchors = tiling.anchors
-    ends = anchors + shapes_per
+    ends = anchors + table[tiling.codes]
     if window is not None:
         lo = np.array(window.anchor, dtype=np.int64)
         hi = np.array(window.end, dtype=np.int64)
@@ -107,18 +108,18 @@ def verify_tiling(tiling: Tiling, window: Box | None = None) -> list[str]:
         problems.append(f"bounding box of {volume} cells is too large to paint; not checked")
         return problems
     painted = np.zeros(volume, dtype=bool)
-    for cells in _painted_cells(anchors - base, shapes_per, extent):
+    for cells in _painted_cells(anchors - base, tiling.codes, table, extent):
         painted[cells] = True
-    if np.count_nonzero(painted) == int(np.prod(shapes_per, axis=1).sum()):
+    if np.count_nonzero(painted) == int(np.prod(table, axis=1)[tiling.codes].sum()):
         return problems
     cells, counts = np.unique(
-        np.concatenate(list(_painted_cells(anchors - base, shapes_per, extent))),
+        np.concatenate(list(_painted_cells(anchors - base, tiling.codes, table, extent))),
         return_counts=True,
     )
     over = counts > 1
     for flat, count in zip(cells[over][:MAX_REPORTED], counts[over]):
         cell = tuple(int(x + y) for x, y in zip(base, np.unravel_index(flat, extent)))
-        owners = _owners(tiling, anchors, shapes_per, cell)
+        owners = _owners(tiling, anchors, ends, cell)
         problems.append(f"cell {cell} covered {int(count)} times by {owners}")
     if int(over.sum()) > MAX_REPORTED:
         problems.append(f"... and {int(over.sum()) - MAX_REPORTED} more overlapping cells")
@@ -126,20 +127,22 @@ def verify_tiling(tiling: Tiling, window: Box | None = None) -> list[str]:
 
 
 def _painted_cells(
-    rel: np.ndarray, shapes_per: np.ndarray, extent: tuple[int, ...]
+    rel: np.ndarray, codes: np.ndarray, table: np.ndarray, extent: tuple[int, ...]
 ) -> Iterator[np.ndarray]:
-    """Flat indices, in a grid of ``extent``, of the cells each group of
-    equally shaped placements covers (anchors ``rel`` relative to the grid)."""
+    """Flat indices, in a grid of ``extent``, of the cells covered by each
+    tile's placements, ``PAINT_CHUNK`` placements at a time (anchors ``rel``
+    relative to the grid, shapes looked up per tile code in ``table``)."""
     strides = np.cumprod((extent[1:] + (1,))[::-1])[::-1]
-    for shape in np.unique(shapes_per, axis=0):
-        start = rel[np.all(shapes_per == shape, axis=1)] @ strides
+    for code, shape in enumerate(table):
+        start = rel[codes == code] @ strides
         offs = np.indices(tuple(shape)).reshape(len(shape), -1).T @ strides
-        yield (start[:, None] + offs[None, :]).ravel()
+        for lo in range(0, len(start), PAINT_CHUNK):
+            yield (start[lo : lo + PAINT_CHUNK, None] + offs[None, :]).ravel()
 
 
-def _owners(tiling: Tiling, anchors: np.ndarray, shapes_per: np.ndarray, cell) -> list:
+def _owners(tiling: Tiling, anchors: np.ndarray, ends: np.ndarray, cell) -> list:
     cell_arr = np.array(cell, dtype=np.int64)
-    inside = np.all(anchors <= cell_arr, axis=1) & np.all(anchors + shapes_per > cell_arr, axis=1)
+    inside = np.all(anchors <= cell_arr, axis=1) & np.all(ends > cell_arr, axis=1)
     return [
         (tiling.tile_order[int(tiling.codes[i])], tuple(int(x) for x in anchors[i]))
         for i in np.flatnonzero(inside)[:4]

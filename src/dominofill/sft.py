@@ -275,10 +275,14 @@ class Tiling:
         for code, anchor in zip(self.codes, self.anchors):
             yield Placement(self.tile_order[int(code)], tuple(int(x) for x in anchor))
 
+    def shape_table(self) -> np.ndarray:
+        """Tile shapes in ``tile_order``, one int64 row per tile (indexed by code)."""
+        table = np.array([self.tile_shapes[t] for t in self.tile_order], dtype=np.int64)
+        return table.reshape(len(self.tile_order), self.dim)
+
     def placement_shapes(self) -> np.ndarray:
         """Tile shape of each placement, one int64 row per placement."""
-        table = np.array([self.tile_shapes[t] for t in self.tile_order], dtype=np.int64)
-        return table.reshape(len(self.tile_order), self.dim)[self.codes]
+        return self.shape_table()[self.codes]
 
     def covered_cells(self) -> int:
         return sum(self.tile_cell_counts().values())
@@ -291,10 +295,20 @@ class Tiling:
         return out
 
     def sorted_canonical(self) -> "Tiling":
-        """Placements ordered by anchor lexicographically, then tile."""
-        if len(self.codes) == 0:
+        """Placements ordered by anchor lexicographically, then tile.
+
+        A tiling already in that order is returned as is, after one pass
+        over consecutive rows; only an unordered one is sorted.
+        """
+        columns = [self.anchors[:, a] for a in range(self.dim)] + [self.codes]
+        undecided = np.ones(max(len(self.codes) - 1, 0), dtype=bool)
+        for col in columns:
+            if np.any(undecided & (col[1:] < col[:-1])):
+                break
+            undecided &= col[1:] == col[:-1]
+        else:
             return self
-        keys = [self.codes] + [self.anchors[:, a] for a in range(self.dim - 1, -1, -1)]
+        keys = columns[::-1]
         order = np.lexsort(keys)
         return Tiling(self.tile_shapes, self.codes[order], self.anchors[order], self.window)
 

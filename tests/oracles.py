@@ -3,12 +3,24 @@
 Everything here trades speed for obviousness and stays independent of the
 package internals: representability by bitset closure, tie-breaks by
 exhaustive descent, tiling counts by first-free-cell backtracking, word
-decoding by per-cell grouping.
+decoding by per-cell grouping, tiling files written and read line by line.
+The tiling-file oracles share only the header helpers with the package.
 """
 
 import math
 
-from dominofill.sft import Placement, allowed_neighbor
+import numpy as np
+
+from dominofill.cli.files import (
+    TILING_MAGIC,
+    ParseError,
+    _fields_of,
+    _fmt_shapes,
+    _parse_tile,
+    _read_header,
+    _window_line,
+)
+from dominofill.sft import Placement, Tiling, allowed_neighbor
 
 
 def representable_bits(heights, limit):
@@ -181,3 +193,53 @@ def decode_by_cells(word):
             partial_cells += count
     partials.sort(key=lambda p: (alphabet.tiles.index(p.tile), p.anchor))
     return whole, partials, partial_cells
+
+
+def serialize_by_lines(tiling, seed=0):
+    """Tiling file text, one f-string per placement line."""
+    canon = tiling.sorted_canonical()
+    dim = canon.dim if len(canon) else (canon.window.dim if canon.window else 1)
+    lines = [
+        TILING_MAGIC,
+        f"dim {dim}",
+        f"shapes {_fmt_shapes(canon.tile_shapes)}",
+        _window_line(canon.window),
+        f"seed {seed}",
+    ]
+    order = canon.tile_order
+    for code, anchor in zip(canon.codes, canon.anchors):
+        coords = " ".join(str(int(x)) for x in anchor)
+        lines.append(f"{order[int(code)]} {coords}")
+    return "\n".join(lines) + "\n"
+
+
+@_fields_of("tiling")
+def parse_by_lines(text):
+    """(tiling, seed) of a tiling file, one ``str.split`` and ``int`` per line.
+
+    Non-blank lines come from ``str.splitlines``; placements are grouped by
+    tile and sorted into canonical order at the end.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    dim, shapes, window, seed, idx = _read_header(lines, TILING_MAGIC)
+    tiles = []
+    anchors = []
+    for ln in lines[idx:]:
+        parts = ln.split()
+        if len(parts) != dim + 1:
+            raise ParseError(f"bad placement line {ln!r}")
+        tiles.append(_parse_tile(parts[0]))
+        anchors.append([int(x) for x in parts[1:]])
+    if any(len(s) != dim or min(s) < 1 for s in shapes.values()):
+        raise ParseError(f"every tile shape needs {dim} positive extents")
+    index = {tile: i for i, tile in enumerate(shapes)}
+    try:
+        rows_tile = np.array([index[t] for t in tiles], dtype=np.intp)
+    except KeyError as exc:
+        raise ParseError(f"unknown tile {exc.args[0]!r}") from None
+    try:
+        rows = np.array(anchors, dtype=np.int64).reshape(len(tiles), dim)
+    except (OverflowError, ValueError) as exc:
+        raise ParseError(f"every anchor needs {dim} int64 coordinates") from exc
+    parts = [(tile, rows[rows_tile == i]) for tile, i in index.items()]
+    return Tiling.from_parts(shapes, parts, window).sorted_canonical(), seed

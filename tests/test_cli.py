@@ -281,6 +281,29 @@ class TestVerifyTiling:
         problems = verify_tiling(t)
         assert problems and "leaves the window" in problems[0]
 
+    def test_tiles_sharing_a_shape(self):
+        t = Tiling.from_parts(
+            {1: (2, 1), 2: (2, 1), "P": (2, 2)},
+            [(1, [(0, 0), (0, 1)]), (2, [(1, 0), (0, 2)]), ("P", [(1, 1)])],
+            Box((0, 0), (3, 3)),
+        )
+        assert verify_tiling(t) == [
+            "cell (1, 0) covered 2 times by [(1, (0, 0)), (2, (1, 0))]",
+            "cell (1, 1) covered 2 times by [(1, (0, 1)), ('P', (1, 1))]",
+            "cell (1, 2) covered 2 times by [(2, (0, 2)), ('P', (1, 1))]",
+        ]
+
+    def test_overlap_and_escape_in_3d(self):
+        t = Tiling.from_parts(
+            {1: (2, 1, 1), 2: (1, 2, 3)},
+            [(1, [(0, 0, 0), (3, 3, 3)]), (2, [(1, 0, 0), (4, 4, 4)])],
+            Box((0, 0, 0), (5, 5, 5)),
+        )
+        assert verify_tiling(t) == [
+            "placement 2 at (4, 4, 4) leaves the window",
+            "cell (1, 0, 0) covered 2 times by [(1, (0, 0, 0)), (2, (1, 0, 0))]",
+        ]
+
     def test_coverage_counts(self):
         t = sample_tiling()
         window = Box((0, 0), (6, 6))

@@ -1,0 +1,174 @@
+"""Tiling text files: the column writer and bulk parser against the line oracles."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import parse_by_lines, serialize_by_lines
+
+from dominofill import Box, BrickWall
+from dominofill.cli import files
+from dominofill.cli.files import (
+    ParseError,
+    VersionMismatch,
+    load_any,
+    parse_tiling,
+    serialize_tiling,
+    serialize_word,
+)
+from dominofill.sft import Tiling
+
+INT64_EDGES = [0, 2**63 - 1, -(2**63 - 1), -(2**63)]
+TILE_IDS = [1, 2, "P", "P2", "P10"]
+
+
+@st.composite
+def tilings(draw):
+    dim = draw(st.integers(1, 3))
+    ids = draw(st.lists(st.sampled_from(TILE_IDS), unique=True, max_size=len(TILE_IDS)))
+    shapes = {t: tuple(draw(st.integers(1, 12)) for _ in range(dim)) for t in ids}
+    coord = st.one_of(
+        st.integers(-12, 12), st.integers(-(10**15), 10**15), st.sampled_from(INT64_EDGES)
+    )
+    placements = draw(
+        st.lists(st.tuples(st.sampled_from(ids), st.tuples(*[coord] * dim)), max_size=25)
+        if ids
+        else st.just([])
+    )
+    window = draw(
+        st.none()
+        | st.builds(
+            Box,
+            st.tuples(*[st.integers(-50, 50)] * dim),
+            st.tuples(*[st.integers(1, 50)] * dim),
+        )
+    )
+    tiling = Tiling.from_parts(shapes, [(t, [a]) for t, a in placements], window)
+    return tiling, draw(st.integers(0, 2**64))
+
+
+def snapshot(parsed):
+    """Everything a parse returns, in a form that compares with ``==``."""
+    tiling, seed = parsed
+    return (
+        list(tiling.tile_shapes.items()),
+        tiling.tile_order,
+        tiling.codes.dtype,
+        tiling.codes.tolist(),
+        tiling.anchors.dtype,
+        tiling.anchors.shape,
+        tiling.anchors.tolist(),
+        tiling.window,
+        seed,
+    )
+
+
+def records(tiling):
+    return [(*map(int, a), int(c)) for c, a in zip(tiling.codes, tiling.anchors)]
+
+
+def outcome(parse, text):
+    try:
+        return "ok", snapshot(parse(text))
+    except ParseError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300)
+@given(tilings())
+def test_writer_and_bulk_parser_match_line_oracles(case):
+    tiling, seed = case
+    canon = tiling.sorted_canonical()
+    assert records(canon) == sorted(records(tiling))
+    assert canon.sorted_canonical() is canon  # an ordered tiling is not sorted again
+    text = serialize_tiling(tiling, seed)
+    assert text == serialize_by_lines(tiling, seed)
+    want = outcome(parse_by_lines, text)
+    assert outcome(parse_tiling, text) == want
+    assert outcome(files._parse_tiling_bulk, text) == want  # written files never need the walk
+
+
+def test_word_writer_matches_cell_lines(flagship_alphabet):
+    word = BrickWall(flagship_alphabet, "P", (1, 2)).materialize(Box((-13, -7), (9, 11)))
+    word.grid[2:4, 5:9] = -1  # unassigned cells are skipped
+    body = "".join(
+        f"{' '.join(map(str, cell))} {sym.tile} {' '.join(map(str, sym.offset))}\n"
+        for cell, sym in word.iter_cells()
+    )
+    assert serialize_word(word, seed=4).split("\n", 5)[5] == body
+
+
+HEADER = "dominofill tiling v1\ndim 2\nshapes 1:3x2 2:2x3 P:6x6\nwindow 0 0 12 12\nseed 3\n"
+
+MALFORMED = {
+    "uneven_lines_even_token_count": HEADER + "1 0\n0 1 3 0\n",
+    "plus_sign": HEADER + "1 +5 0\n",
+    "underscore_digits": HEADER + "1 1_0 0\n",
+    "arabic_indic_digit": HEADER + "1 ٣ 0\n",
+    "superscript_digit_tile": HEADER + "² 0 0\n",
+    "tab_separators": HEADER + "1\t0\t0\n2 3 0\n",
+    "crlf_endings": (HEADER + "1 0 0\n2 3 0\n").replace("\n", "\r\n"),
+    "crlf_header_only": HEADER.replace("\n", "\r\n") + "1 0 0\n",
+    "blank_lines_in_body": HEADER + "1 0 0\n\n   \n2 3 0\n",
+    "trailing_blank_line": HEADER + "1 0 0\n\n",
+    "trailing_spaces": HEADER + "1 0 0  \n 2 3 0\n",
+    "no_final_newline": HEADER + "1 0 0\n2 3 0",
+    "int64_overflow": HEADER + "1 9223372036854775808 0\n",
+    "int64_negative_overflow": HEADER + "1 -9223372036854775809 0\n",
+    "multi_digit_anchors": HEADER + "1 300 -1234\n2 987654321 -4999999999\n",
+    "int64_extremes": HEADER + "1 9223372036854775807 -9223372036854775808\n",
+    "leading_zeros": HEADER + "01 007 -00\n",
+    "twenty_digit_one": HEADER + "1 00000000000000000001 0\n",
+    "unknown_tile_number": HEADER + "1 0 0\n9 0 0\n",
+    "unknown_tile_label": HEADER + "Q 0 0\nP2 6 6\n",
+    "lone_minus_anchor": HEADER + "1 - 0\n",
+    "minus_inside_anchor": HEADER + "1 1-2 0\n",
+    "letter_in_anchor": HEADER + "1 0x1 0\n",
+    "double_minus_tile": HEADER + "--1 0 0\n",
+    "too_many_tokens": HEADER + "1 0 0 0\n",
+    "group_separator": HEADER + "1 0 0\x1c2 3 0\n",
+    "form_feed_line": HEADER + "1 0 0\n\x0c\n2 3 0\n",
+    "bad_shape_extent": HEADER.replace("P:6x6", "P:6x0") + "1 0 0\n",
+    "bad_dim": HEADER.replace("dim 2", "dim two"),
+    "huge_dim": HEADER.replace("dim 2", "dim 1000000000").replace("0 0 12 12", "none") + "1 0\n",
+    "dim_past_intp": HEADER.replace("dim 2", "dim 9223372036854775808").replace("0 0 12 12", "none")
+    + "1 0\n",
+    "empty_body": HEADER,
+    "header_cut_short": "dominofill tiling v1\ndim 2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_bodies_match_line_walk(name):
+    text = MALFORMED[name]
+    assert outcome(parse_tiling, text) == outcome(parse_by_lines, text)
+
+
+def test_uneven_lines_are_not_counted_as_tokens():
+    text = MALFORMED["uneven_lines_even_token_count"]
+    assert outcome(parse_tiling, text) == ("ParseError", "bad placement line '1 0'")
+
+
+@pytest.mark.parametrize(
+    "first, error",
+    [
+        ("dominofill tiling v1\r", None),
+        ("dominofill tiling v2", VersionMismatch),
+        ("dominofill " + "x" * 5000, VersionMismatch),
+        ("not a tiling", ParseError),
+    ],
+    ids=["cr_ending", "other_version", "long_marker", "no_marker"],
+)
+def test_load_any_reads_first_line(tmp_path, first, error):
+    path = tmp_path / "t.txt"
+    rest = HEADER.split("\n", 1)[1] + "1 0 0\n"
+    path.write_bytes(("\n\n" + first + "\n" + rest).encode())
+    if error is None:
+        assert np.array_equal(load_any(str(path)).tiling.anchors, [[0, 0]])
+        return
+    with pytest.raises(error) as exc:
+        load_any(str(path))
+    if error is VersionMismatch:
+        assert str(exc.value) == f"unsupported format marker {first!r}"
+    else:
+        assert str(exc.value) == f"unrecognized file {str(path)!r}"
