@@ -116,22 +116,23 @@ def _label_table(tiles) -> np.ndarray:
     return np.array(names, dtype=f"S{width}").view(np.uint8).reshape(len(names), width)
 
 
-def _text_lines(fields: list[np.ndarray]) -> str:
-    """Rows of space-separated fields, one ``\\n``-terminated line per row.
+def _text_lines(fields: list[np.ndarray], sep: bytes = b" ", end: bytes = b"\n") -> str:
+    """Rows of ``sep``-separated fields, each row followed by ``end``.
 
     A field is an integer column, written in decimal, or a uint8 matrix of
     label bytes padded with zero bytes.  Each field fills its own columns of
     one byte matrix (a decimal right-aligned behind its sign column), and
-    the zero bytes are deleted from the matrix's bytes in one pass.  The
-    rows go ``_CHUNK_ROWS`` at a time, so the matrix stays small.
+    the zero bytes are deleted from the matrix's bytes in one pass, so a
+    ``sep`` of ``b"\\0"`` joins fields with nothing between them.  The rows
+    go ``_CHUNK_ROWS`` at a time, so the matrix stays small.
     """
     return "".join(
-        _text_block([field[lo : lo + _CHUNK_ROWS] for field in fields])
+        _text_block([field[lo : lo + _CHUNK_ROWS] for field in fields], sep[0], end[0])
         for lo in range(0, len(fields[0]), _CHUNK_ROWS)
     )
 
 
-def _text_block(fields: list[np.ndarray]) -> str:
+def _text_block(fields: list[np.ndarray], sep: int, end: int) -> str:
     n = len(fields[0])
     columns = []
     for field in fields:
@@ -158,18 +159,17 @@ def _text_block(fields: list[np.ndarray]) -> str:
                 rest, digit = np.divmod(rest, 10)
                 block[:, j] = np.where(shown, digit + ord("0"), 0)
         at += width
-        mat[:, at] = ord(" ")
+        mat[:, at] = sep
         at += 1
-    mat[:, -1] = ord("\n")
+    mat[:, -1] = end
     return mat.tobytes().translate(None, b"\0").decode("utf-8")
 
 
 def serialize_tiling(tiling: Tiling, seed: int = 0) -> str:
     canon = tiling.sorted_canonical()
-    dim = canon.dim if len(canon) else (canon.window.dim if canon.window else 1)
     header = [
         TILING_MAGIC,
-        f"dim {dim}",
+        f"dim {canon.dim}",
         f"shapes {_fmt_shapes(canon.tile_shapes)}",
         _window_line(canon.window),
         f"seed {seed}",
@@ -436,7 +436,10 @@ def load_any(path: str) -> LoadedFile:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _from_json(stripped)
-    first = next(iter(stripped.partition("\n")[0].splitlines()), "")
+    # The first non-blank line, unstripped, as parse_tiling and parse_word read it.
+    end = text.find("\n", len(text) - len(stripped))
+    head = text if end < 0 else text[:end]
+    first = next((ln for ln in head.splitlines() if ln.strip()), "")
     if first == TILING_MAGIC:
         tiling, seed = parse_tiling(text)
         return LoadedFile("tiling", tiling, None, seed)
@@ -448,24 +451,41 @@ def load_any(path: str) -> LoadedFile:
     raise ParseError(f"unrecognized file {path!r}")
 
 
+def _literal(text: bytes, rows: int) -> np.ndarray:
+    """A label field that holds ``text`` on every row."""
+    return np.broadcast_to(np.frombuffer(text, dtype=np.uint8), (rows, len(text)))
+
+
 def tiling_to_json(tiling: Tiling, seed: int = 0) -> str:
+    """The tiling as one line of JSON with sorted keys and no spaces.
+
+    The placements are written by the column writer, one
+    ``{"anchor":[..],"tile":..}`` object a row, and spliced into the dump of
+    the other fields; a JSON string cannot hold ``"placements":0`` unescaped.
+    """
     canon = tiling.sorted_canonical()
-    dim = canon.dim if len(canon) else (canon.window.dim if canon.window else 1)
+    n = len(canon)
+    fields = [_literal(b'{"anchor":[', n)]
+    for a in range(canon.dim):
+        fields += [canon.anchors[:, a], _literal(b"," if a + 1 < canon.dim else b"]", n)]
+    labels = _label_table([json.dumps(t) for t in canon.tile_order])[canon.codes]
+    fields += [_literal(b',"tile":', n), labels, _literal(b"}", n)]
+    rows = _text_lines(fields, sep=b"\0", end=b",")[:-1]
     doc = {
         "format": "dominofill tiling",
         "version": 1,
-        "dim": dim,
+        "dim": canon.dim,
         "shapes": {str(t): list(s) for t, s in canon.tile_shapes.items()},
         "window": None
         if canon.window is None
         else {"anchor": list(canon.window.anchor), "shape": list(canon.window.shape)},
         "seed": seed,
-        "placements": [
-            {"tile": canon.tile_order[int(c)], "anchor": [int(x) for x in a]}
-            for c, a in zip(canon.codes, canon.anchors)
-        ],
+        "placements": 0,
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    head, key, tail = json.dumps(doc, sort_keys=True, separators=(",", ":")).partition(
+        '"placements":0'
+    )
+    return f"{head}{key[:-1]}[{rows}]{tail}\n"
 
 
 def word_to_json(word: SymbolicWord, seed: int = 0) -> str:

@@ -10,15 +10,18 @@ so a draw always consumes exactly one raw output.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 
 
 def scramble(x: int) -> int:
     """One SplitMix64 output round applied to an arbitrary 64-bit value."""
     z = x & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX[0]) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX[1]) & _MASK
     return z ^ (z >> 31)
 
 
@@ -40,10 +43,30 @@ class SplitMix64:
         return (self.next_u64() * n) >> 64
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle driven by ``below``."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        """In-place Fisher-Yates shuffle driven by ``below``.
+
+        Swap k (k = 1 .. len - 1) swaps position i = len - k with
+        ``below(i + 1)``.  Output k is ``scramble(state + k * gamma)``, a pure
+        function of the counter, so all draws come from one ``uint64`` numpy
+        pass; only the swaps run in order.  The multiply-shift is split in
+        32-bit halves, which is exact for lists shorter than 2**32.
+        """
+        n = len(items)
+        if n < 2:
+            return
+        k = np.arange(1, n, dtype=np.uint64)
+        z = k * np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        for shift, mix in zip((30, 27), _MIX):
+            z ^= z >> np.uint64(shift)
+            z *= np.uint64(mix)
+        z ^= z >> np.uint64(31)
+        bound = np.uint64(n + 1) - k  # i + 1
+        low = ((z & np.uint64(0xFFFFFFFF)) * bound) >> np.uint64(32)
+        draws = ((z >> np.uint64(32)) * bound + low) >> np.uint64(32)
+        for i, j in zip(range(n - 1, 0, -1), draws.tolist()):
             items[i], items[j] = items[j], items[i]
+        self._state = (self._state + (n - 1) * _GAMMA) & _MASK
 
     def fork(self, tag: int) -> "SplitMix64":
         """Child stream for purpose ``tag``, independent of draw order.

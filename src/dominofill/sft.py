@@ -338,40 +338,63 @@ class DecodeResult(NamedTuple):
     partial_cells: int
 
 
-def decode(word: SymbolicWord, check: bool = True) -> DecodeResult:
+def decode(
+    word: SymbolicWord, check: bool = True, boxes: Sequence[Box] | None = None
+) -> DecodeResult:
     """Group assigned cells by placement into whole tiles and cut partials.
 
     Each cell names its placement (tile, cell - offset); a placement is whole
     iff all of its tile's cells are present.  Tiles cut by the domain boundary
     or by unassigned cells are reported as partials, in (tile order, anchor)
     order, not as errors.  Requires a valid word; raises InvalidWord otherwise.
+
+    Given ``boxes``, same-shape sub-boxes of the word's box, each box decodes
+    (and with ``check`` validates) as if the word were restricted to it, all
+    in one grouping: placements and partials come box after box, and the
+    tiling's window is the word's box.  Without ``boxes`` the whole word is
+    decoded.
     """
+    boxes = [word.box] if boxes is None else list(boxes)
     if check:
-        violations = validate_word(word)
-        if violations:
-            raise InvalidWord(f"{len(violations)} adjacency violations, first: {violations[0]}")
+        for box in boxes:
+            violations = validate_word(SymbolicWord(word.alphabet, box, word.subgrid(box)))
+            if violations:
+                raise InvalidWord(
+                    f"{len(violations)} adjacency violations, first: {violations[0]}"
+                )
     alphabet = word.alphabet
-    # Pad the low side so every anchor gets a flat index in the padded grid.
+    # Stack the boxes along a leading axis, each padded on its low side so
+    # every anchor gets a flat index inside its own box's slab.
     pad = max(max(s) for s in alphabet.tile_shapes.values())
-    padded = np.full(tuple(e + pad for e in word.box.shape), -1, dtype=np.int32)
-    padded[(slice(pad, None),) * alphabet.dim] = word.grid
-    strides = np.cumprod((padded.shape[1:] + (1,))[::-1])[::-1]
-    cells = np.flatnonzero(padded >= 0)
-    syms = padded.ravel()[cells]
-    anchors = cells - (alphabet.offsets @ strides)[syms]
-    keys, counts = np.unique(
-        alphabet.tile_codes[syms].astype(np.int64) * padded.size + anchors,
-        return_counts=True,
-    )
-    codes, flat = np.divmod(keys, padded.size)
+    slab_shape = tuple(e + pad for e in boxes[0].shape)
+    stacked = np.full((len(boxes),) + slab_shape, -1, dtype=np.int32)
+    inner = (slice(pad, None),) * alphabet.dim
+    for slab, box in zip(stacked, boxes):
+        slab[inner] = word.subgrid(box)
+    slab_size = math.prod(slab_shape)
+    strides = np.cumprod((slab_shape[1:] + (1,))[::-1])[::-1]
+    keys = np.flatnonzero(stacked >= 0)
+    syms = stacked.ravel()[keys]
+    keys -= (alphabet.offsets @ strides)[syms]  # each cell's anchor, in its own slab
+    # Key (box, tile code, anchor in the slab), box-major, packed in place as
+    # anchor + (code + box * (n_tiles - 1)) * slab_size.
+    n_tiles = len(alphabet.tiles)
+    major = keys // slab_size
+    major *= n_tiles - 1
+    major += alphabet.tile_codes[syms]
+    major *= slab_size
+    keys += major
+    keys, counts = np.unique(keys, return_counts=True)
+    major, flat = np.divmod(keys, slab_size)
+    slab_of, codes = np.divmod(major, n_tiles)
     volumes = np.array([math.prod(alphabet.shape(t)) for t in alphabet.tiles])
     whole = counts == volumes[codes]
-    corner = np.array(word.box.anchor, dtype=np.int64) - pad
-    coords = np.stack(np.unravel_index(flat, padded.shape), axis=1) + corner
+    corners = np.array([box.anchor for box in boxes], dtype=np.int64) - pad
+    coords = np.stack(np.unravel_index(flat, slab_shape), axis=1) + corners[slab_of]
     tiling = Tiling(alphabet.tile_shapes, codes[whole], coords[whole], word.box)
     partials = [
-        Placement(alphabet.tiles[int(c)], tuple(int(x) for x in a))
-        for c, a in zip(codes[~whole], coords[~whole])
+        Placement(alphabet.tiles[c], tuple(a))
+        for c, a in zip(codes[~whole].tolist(), coords[~whole].tolist())
     ]
     return DecodeResult(tiling, partials, int(counts[~whole].sum()))
 

@@ -14,7 +14,6 @@ with the window, with the uncovered remainder reported as the error set.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -459,30 +458,43 @@ def build_stage(
     spec = plan.stages[towers.stage - 1]
     word = SymbolicWord(alphabet, towers.window)
     blocks: list[TowerBlock] = []
-    prev = _BlockIndex(state) if state is not None else None
+    inside = _blocks_by_tower(state, towers) if state is not None else None
     # A tower's wall translate moves with its anchor, so the wall reads the
     # same over every interior of one (tile, collar) kind: draw it once.
     patterns: dict[tuple[int | str, int], np.ndarray] = {}
-    for anchor_row in towers.anchors:
+    # A band depends only on where both walls sit relative to its block, so
+    # every block of one kind at one pair of wall phases gets the same band.
+    bands: dict[tuple, np.ndarray] = {}
+    tower_shape = (spec.side,) * towers.window.dim
+    for k, anchor_row in enumerate(towers.anchors):
         anchor = tuple(int(x) for x in anchor_row)
-        tower_box = Box(anchor, (spec.side,) * towers.window.dim)
         pure = towers.stage == 1 or anchor in tail_anchors
         tile, collar = (
             (plan.brick_id(towers.stage), spec.collar) if pure else (wall.tile, base.fill_length)
         )
         tower_wall = BrickWall(alphabet, tile, _add(wall.translate, anchor))
-        domain = interior(tower_box, collar + 1)
-        if domain is None:
-            raise Infeasible("stage_side", f"side {spec.side} below 2*({collar}+1)+1")
         if (tile, collar) not in patterns:
+            domain = interior(Box(anchor, tower_shape), collar + 1)
+            if domain is None:
+                raise Infeasible("stage_side", f"side {spec.side} below 2*({collar}+1)+1")
             patterns[tile, collar] = tower_wall.pattern_over(domain)
-        word.paste(domain, patterns[tile, collar])
-        for blk in [] if pure or prev is None else prev.deep_inside(tower_box):
-            fill = fill_between(blk.wall, blk.domain, tower_wall, base, blk.collar)
+        pattern = patterns[tile, collar]
+        domain = Box(tuple(a + collar + 1 for a in anchor), pattern.shape)
+        word.paste(domain, pattern)
+        for blk in [] if pure or inside is None else inside[k]:
             band = interior(blk.box, 1)
-            word.paste(band, fill.materialize(band).grid)
+            key = (
+                _phase(blk.wall, blk.box.anchor),
+                _phase(tower_wall, blk.box.anchor),
+                blk.box.shape,
+                blk.collar,
+            )
+            if key not in bands:
+                fill = fill_between(blk.wall, blk.domain, tower_wall, base, blk.collar)
+                bands[key] = fill.materialize(band).grid
+            word.paste(band, bands[key])
             word.paste(blk.domain, state.word.subgrid(blk.domain))
-        blocks.append(TowerBlock(tower_box, collar, tower_wall, domain))
+        blocks.append(TowerBlock(Box(anchor, tower_shape), collar, tower_wall, domain))
     return ConstructionState(towers.stage, word, blocks, spec.side, towers.window)
 
 
@@ -490,29 +502,33 @@ def _add(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(int(x) + int(y) for x, y in zip(a, b))
 
 
-class _BlockIndex:
-    """Previous-stage blocks sorted by first anchor coordinate.
+def _phase(wall: BrickWall, anchor: tuple[int, ...]) -> tuple:
+    """The wall's tile and its translate relative to ``anchor``."""
+    return wall.tile, tuple((t - a) % p for t, a, p in zip(wall.translate, anchor, wall.period))
 
-    A tower keeps only blocks anchored inside it, so a bisect along axis 0
-    narrows each lookup to one slab instead of every block in the window.
-    The stable sort keeps the original row-major block order within a slab.
+
+def _blocks_by_tower(state: ConstructionState, towers: StageTowers) -> list[list[TowerBlock]]:
+    """The previous-stage blocks each tower keeps, in block order.
+
+    A tower keeps a block whose anchor lies in the tower shrunk by the
+    block's collar plus the previous tower side plus 2 on every face.  One
+    array query finds each block's lattice cell and tests that depth.
     """
-
-    def __init__(self, state: ConstructionState):
-        self.margin = 2 + state.tower_side
-        self.blocks = sorted(state.blocks, key=lambda blk: blk.box.anchor[0])
-        self.keys = [blk.box.anchor[0] for blk in self.blocks]
-
-    def deep_inside(self, tower_box: Box) -> list[TowerBlock]:
-        """Blocks whose anchor sits deep enough inside ``tower_box``."""
-        lo = bisect_left(self.keys, tower_box.anchor[0])
-        hi = bisect_left(self.keys, tower_box.anchor[0] + tower_box.shape[0])
-        out = []
-        for blk in self.blocks[lo:hi]:
-            core = interior(tower_box, blk.collar + self.margin)
-            if core is not None and core.contains_cell(blk.box.anchor):
-                out.append(blk)
+    out: list[list[TowerBlock]] = [[] for _ in range(towers.count)]
+    if not state.blocks or not towers.count:
         return out
+    start = np.add(towers.window.anchor, towers.offset)
+    counts = (np.subtract(towers.window.end, towers.side) - start) // towers.step + 1
+    anchors = np.array([blk.box.anchor for blk in state.blocks], dtype=np.int64)
+    depth = np.array([blk.collar for blk in state.blocks], dtype=np.int64)[:, None]
+    depth += 2 + state.tower_side
+    cell, rel = np.divmod(anchors - start, towers.step)
+    deep = (cell >= 0) & (cell < counts) & (rel >= depth) & (rel < towers.side - depth)
+    kept = np.flatnonzero(deep.all(axis=1))
+    owners = np.ravel_multi_index(tuple(cell[kept].T), tuple(counts))
+    for i, owner in zip(kept.tolist(), owners.tolist()):
+        out[owner].append(state.blocks[i])
+    return out
 
 
 @dataclass
@@ -594,6 +610,9 @@ class FrequencyReport:
         }
 
 
+_DECODE_BATCH_CELLS = 1 << 16
+
+
 def finalize(
     state: ConstructionState | None,
     window: Box | None,
@@ -601,8 +620,10 @@ def finalize(
 ) -> tuple[Tiling, FrequencyReport]:
     """Decode the top-stage interiors into whole placements and account cells.
 
-    The word is validated once; each block domain is decoded once and the
-    whole placements of all blocks are merged in one concatenation.
+    The word is validated once; block domains of one shape are decoded in
+    stacked batches of up to ``_DECODE_BATCH_CELLS`` cells (one domain a call
+    when it is larger), and the whole placements of all blocks are merged in
+    one concatenation.
     Uncovered cells are the sublattice error set, the towers' own unfilled
     boundary collars, and tiles cut by domain edges; those are excluded from
     the covered count, never errors.
@@ -617,7 +638,14 @@ def finalize(
     violations = validate_word(state.word)
     if violations:
         raise InvalidWord(f"stage {state.stage} word is invalid: {violations[0]}")
-    results = [decode(state.word.restrict(blk.domain), check=False) for blk in state.blocks]
+    by_shape: dict[tuple[int, ...], list[Box]] = {}
+    for blk in state.blocks:
+        by_shape.setdefault(blk.domain.shape, []).append(blk.domain)
+    results = []
+    for shape, domains in by_shape.items():
+        per_call = max(1, _DECODE_BATCH_CELLS // math.prod(shape))
+        for lo in range(0, len(domains), per_call):
+            results.append(decode(state.word, check=False, boxes=domains[lo : lo + per_call]))
     partial_cells = sum(r.partial_cells for r in results)
     tiling = Tiling(
         state.word.alphabet.tile_shapes,

@@ -3,10 +3,12 @@
 Everything here trades speed for obviousness and stays independent of the
 package internals: representability by bitset closure, tie-breaks by
 exhaustive descent, tiling counts by first-free-cell backtracking, word
-decoding by per-cell grouping, tiling files written and read line by line.
-The tiling-file oracles share only the header helpers with the package.
+decoding by per-cell grouping, tiling files written and read line by line,
+JSON built record by record, bands filled once per block.  The tiling-file
+oracles share only the header helpers with the package.
 """
 
+import json
 import math
 
 import numpy as np
@@ -20,7 +22,10 @@ from dominofill.cli.files import (
     _read_header,
     _window_line,
 )
-from dominofill.sft import Placement, Tiling, allowed_neighbor
+from dominofill.brickfill import BrickWall, fill_between
+from dominofill.geometry import Box, interior
+from dominofill.sft import Placement, SymbolicWord, Tiling, allowed_neighbor
+from dominofill.tower import ConstructionState, TowerBlock
 
 
 def representable_bits(heights, limit):
@@ -198,10 +203,9 @@ def decode_by_cells(word):
 def serialize_by_lines(tiling, seed=0):
     """Tiling file text, one f-string per placement line."""
     canon = tiling.sorted_canonical()
-    dim = canon.dim if len(canon) else (canon.window.dim if canon.window else 1)
     lines = [
         TILING_MAGIC,
-        f"dim {dim}",
+        f"dim {canon.dim}",
         f"shapes {_fmt_shapes(canon.tile_shapes)}",
         _window_line(canon.window),
         f"seed {seed}",
@@ -243,3 +247,59 @@ def parse_by_lines(text):
         raise ParseError(f"every anchor needs {dim} int64 coordinates") from exc
     parts = [(tile, rows[rows_tile == i]) for tile, i in index.items()]
     return Tiling.from_parts(shapes, parts, window).sorted_canonical(), seed
+
+
+def tiling_to_json_by_rows(tiling, seed=0):
+    """JSON tiling file text from one dict per placement and one ``json.dumps``."""
+    canon = tiling.sorted_canonical()
+    doc = {
+        "format": "dominofill tiling",
+        "version": 1,
+        "dim": canon.dim,
+        "shapes": {str(t): list(s) for t, s in canon.tile_shapes.items()},
+        "window": None
+        if canon.window is None
+        else {"anchor": list(canon.window.anchor), "shape": list(canon.window.shape)},
+        "seed": seed,
+        "placements": [
+            {"tile": canon.tile_order[int(c)], "anchor": [int(x) for x in a]}
+            for c, a in zip(canon.codes, canon.anchors)
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def build_stage_per_block(state, towers, wall, base, plan, tail_anchors=frozenset()):
+    """One construction stage with a wall drawn per tower and a band filled per block.
+
+    A tower keeps each previous block whose anchor lies in the tower shrunk
+    by the block's collar plus the previous tower side plus 2 on every face.
+    """
+    spec = plan.stages[towers.stage - 1]
+    word = SymbolicWord(wall.alphabet, towers.window)
+    blocks = []
+    if state is not None and state.blocks:
+        prev_anchors = np.array([blk.box.anchor for blk in state.blocks])
+        prev_depth = np.array([blk.collar for blk in state.blocks])[:, None] + 2 + state.tower_side
+    for row in towers.anchors:
+        anchor = tuple(int(x) for x in row)
+        tower_box = Box(anchor, (spec.side,) * towers.window.dim)
+        pure = towers.stage == 1 or anchor in tail_anchors
+        tile = plan.brick_id(towers.stage) if pure else wall.tile
+        collar = spec.collar if pure else base.fill_length
+        translate = [t + a for t, a in zip(wall.translate, anchor)]
+        tower_wall = BrickWall(wall.alphabet, tile, translate)
+        domain = interior(tower_box, collar + 1)
+        word.paste(domain, tower_wall.pattern_over(domain))
+        if not pure and state is not None and state.blocks:
+            lo = np.array(anchor) + prev_depth
+            hi = np.array(anchor) + spec.side - prev_depth
+            inside = np.all((lo <= prev_anchors) & (prev_anchors < hi), axis=1)
+            for i in np.flatnonzero(inside):
+                blk = state.blocks[i]
+                fill = fill_between(blk.wall, blk.domain, tower_wall, base, blk.collar)
+                band = interior(blk.box, 1)
+                word.paste(band, fill.materialize(band).grid)
+                word.paste(blk.domain, state.word.subgrid(blk.domain))
+        blocks.append(TowerBlock(tower_box, collar, tower_wall, domain))
+    return ConstructionState(towers.stage, word, blocks, spec.side, towers.window)

@@ -609,6 +609,23 @@ sides = 33,200
 cutoffs = 2,3
 """
 
+THREE_D_INI = """\
+[run]
+dim = 3
+window = 240,240,240
+seed = 1
+mode = relaxed
+
+[family]
+shapes = 2x1x1 1x2x1 1x1x2
+
+[targets]
+probs = 1/3 1/3 1/3
+
+[plan]
+sides = 30,120
+"""
+
 # sha256 of the files `dominofill build` writes, run with a relative --out
 # (report.json embeds the out dir).  A change here changes seeded outputs.
 GOLDEN_BUILDS = {
@@ -626,6 +643,11 @@ GOLDEN_BUILDS = {
         "tiling.txt": "3790190a28ab360f44699baab7b45c22e8e57433f6e291d45097c6b6b2406ac3",
         "tiling_pre.txt": "e019bc1f22daa1d4808da99d89e6065da70f62bcced097f0ef88eab6817656c7",
         "report.json": "20d4501229ef6671f0811ca0ff4fba8e10ffa4782d60ccbc4dcda9a219ca630b",
+    }),
+    "three_d_two_stage": (THREE_D_INI, {
+        "tiling.txt": "2fe086e9e81ddc15d7eb1f6587c96a5ef57eb2ea0fe00559980765394c0767cd",
+        "tiling_pre.txt": "2d2f56ab39407f393f551997989b978d39ad7bf515f15b88672afbb355784e42",
+        "report.json": "05d19b62530f31532e195228b3982c7f70e4541020a5233cc770529903295a26",
     }),
 }
 GOLDEN_FILL = "90522b56788230bd82846b10810a0e49c1fc3a121736979376b577b983d38213"

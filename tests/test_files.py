@@ -1,10 +1,10 @@
-"""Tiling text files: the column writer and bulk parser against the line oracles."""
+"""Tiling files: the column writers and bulk parser against the line and row oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import parse_by_lines, serialize_by_lines
+from oracles import parse_by_lines, serialize_by_lines, tiling_to_json_by_rows
 
 from dominofill import Box, BrickWall
 from dominofill.cli import files
@@ -15,6 +15,7 @@ from dominofill.cli.files import (
     parse_tiling,
     serialize_tiling,
     serialize_word,
+    tiling_to_json,
 )
 from dominofill.sft import Tiling
 
@@ -88,6 +89,29 @@ def test_writer_and_bulk_parser_match_line_oracles(case):
     assert outcome(files._parse_tiling_bulk, text) == want  # written files never need the walk
 
 
+@settings(max_examples=300)
+@given(tilings())
+def test_json_writer_matches_row_oracle(case):
+    tiling, seed = case
+    text = tiling_to_json(tiling, seed)
+    assert text == tiling_to_json_by_rows(tiling, seed)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_empty_tiling_without_window_round_trips(tmp_path, dim, fmt):
+    shapes = {1: (2,) * dim, "P": (4,) * dim}
+    empty = Tiling.from_parts(shapes, [], None)
+    text = serialize_tiling(empty, 5) if fmt == "text" else tiling_to_json(empty, 5)
+    assert (f"\ndim {dim}\n" if fmt == "text" else f'"dim":{dim},') in text
+    path = tmp_path / "empty"
+    path.write_text(text, encoding="utf-8")
+    loaded = load_any(str(path))
+    assert loaded.tiling.tile_shapes == shapes
+    assert loaded.tiling.anchors.shape == (0, dim)
+    assert loaded.tiling.window is None and loaded.seed == 5
+
+
 def test_word_writer_matches_cell_lines(flagship_alphabet):
     word = BrickWall(flagship_alphabet, "P", (1, 2)).materialize(Box((-13, -7), (9, 11)))
     word.grid[2:4, 5:9] = -1  # unassigned cells are skipped
@@ -156,8 +180,17 @@ def test_uneven_lines_are_not_counted_as_tokens():
         ("dominofill tiling v2", VersionMismatch),
         ("dominofill " + "x" * 5000, VersionMismatch),
         ("not a tiling", ParseError),
+        (" dominofill tiling v1", ParseError),
+        ("\tdominofill tiling v2", ParseError),
     ],
-    ids=["cr_ending", "other_version", "long_marker", "no_marker"],
+    ids=[
+        "cr_ending",
+        "other_version",
+        "long_marker",
+        "no_marker",
+        "leading_space_marker",
+        "leading_tab_other_version",
+    ],
 )
 def test_load_any_reads_first_line(tmp_path, first, error):
     path = tmp_path / "t.txt"
@@ -172,3 +205,12 @@ def test_load_any_reads_first_line(tmp_path, first, error):
         assert str(exc.value) == f"unsupported format marker {first!r}"
     else:
         assert str(exc.value) == f"unrecognized file {str(path)!r}"
+
+
+def test_load_any_reads_json_after_leading_whitespace(tmp_path):
+    tiling = Tiling.from_parts({1: (3, 2), 2: (2, 3)}, [(2, [(4, -1)])], Box((0, -1), (6, 6)))
+    path = tmp_path / "t.json"
+    path.write_text(" \n\t" + tiling_to_json(tiling, seed=7), encoding="utf-8")
+    loaded = load_any(str(path))
+    assert loaded.kind == "tiling" and loaded.seed == 7
+    assert loaded.tiling.same_placements(tiling) and loaded.tiling.window == tiling.window

@@ -200,6 +200,43 @@ class TestCodec:
         assert result.partials == partials
         assert result.partial_cells == partial_cells
 
+    @pytest.mark.parametrize("dim", sorted(DECODE_CASES))
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30)
+    def test_stacked_boxes_match_per_box_decode(self, dim, seed):
+        make_alphabet, side = DECODE_CASES[dim]
+        alphabet = make_alphabet()
+        rng = np.random.default_rng(seed)
+        word = encode(random_disjoint_tiling(alphabet, rng, side), alphabet)
+        word.grid[rng.random(word.grid.shape) < rng.random() / 4] = -1
+        shape = tuple(int(x) for x in rng.integers(1, side + 1, dim))
+        boxes = [
+            Box(tuple(int(rng.integers(0, side - e + 1)) for e in shape), shape)
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        per_box = [decode(word.restrict(box)) for box in boxes]
+        stacked = decode(word, boxes=boxes)
+        assert stacked.tiling.window == word.box
+        assert np.array_equal(
+            stacked.tiling.codes, np.concatenate([r.tiling.codes for r in per_box])
+        )
+        assert np.array_equal(
+            stacked.tiling.anchors, np.concatenate([r.tiling.anchors for r in per_box])
+        )
+        assert stacked.partials == [p for r in per_box for p in r.partials]
+        assert stacked.partial_cells == sum(r.partial_cells for r in per_box)
+
+    def test_stacked_boxes_are_checked_one_by_one(self, flagship_alphabet):
+        word = SymbolicWord(flagship_alphabet, Box((0, 0), (6, 1)))
+        word.set_cell((0, 0), Symbol(1, (0, 0)))
+        word.set_cell((1, 0), Symbol(1, (1, 0)))
+        word.set_cell((4, 0), Symbol(1, (0, 0)))
+        word.set_cell((5, 0), Symbol(2, (0, 0)))
+        ok = decode(word, boxes=[Box((0, 0), (2, 1))])
+        assert ok.partial_cells == 2
+        with pytest.raises(InvalidWord):
+            decode(word, boxes=[Box((0, 0), (2, 1)), Box((4, 0), (2, 1))])
+
     def test_decode_rejects_invalid(self, flagship_alphabet):
         word = SymbolicWord(flagship_alphabet, Box((0, 0), (2, 1)))
         word.set_cell((0, 0), Symbol(1, (0, 0)))

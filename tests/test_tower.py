@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import build_stage_per_block
+from test_cli import LINE_INI, THREE_D_INI, TWO_STAGE_INI
 
 from dominofill import (
     Box,
@@ -13,6 +15,9 @@ from dominofill import (
     run_pipeline,
     validate_family,
 )
+from dominofill import tower
+from dominofill.cli.config import parse_config
+from dominofill.cli.main import _family_and_plan
 from dominofill.geometry import interior
 from dominofill.sft import Tiling, validate_word
 from dominofill.tower import (
@@ -235,6 +240,40 @@ class TestBuildStage:
             ring[(slice(1, -1),) * ring.ndim] = False
             grid = state2.word.subgrid(blk.domain)
             assert np.array_equal(grid[ring], blk.wall.pattern_over(blk.domain)[ring])
+
+
+def block_record(blk):
+    return blk.box, blk.collar, blk.wall.tile, blk.wall.translate, blk.domain
+
+
+@pytest.mark.parametrize(
+    "ini",
+    [LINE_INI, TWO_STAGE_INI, THREE_D_INI],
+    ids=["countable_line", "two_stage_1024", "three_d_two_stage"],
+)
+def test_build_stage_matches_band_per_block_oracle(ini, monkeypatch):
+    """Every stage of a seeded run equals the build that fills each band anew."""
+    cfg = parse_config(ini)
+    _, _, plan = _family_and_plan(cfg)
+    real_build, real_fill = tower.build_stage, tower.fill_between
+    stages, fills = [], []
+
+    def checked(state, towers, wall, base, plan, tail_anchors=frozenset()):
+        got = real_build(state, towers, wall, base, plan, tail_anchors)
+        want = build_stage_per_block(state, towers, wall, base, plan, tail_anchors)
+        assert np.array_equal(got.word.grid, want.word.grid)
+        assert [block_record(b) for b in got.blocks] == [block_record(b) for b in want.blocks]
+        stages.append(towers.stage)
+        return got
+
+    def counted(*args):
+        fills.append(args)
+        return real_fill(*args)
+
+    monkeypatch.setattr(tower, "build_stage", checked)
+    monkeypatch.setattr(tower, "fill_between", counted)
+    tower.run_pipeline(plan, Box(cfg.window_anchor, cfg.window_shape), cfg.seed)
+    assert stages == [1, 2] and fills  # stage 2 kept blocks and filled their bands
 
 
 class TestFinalize:
