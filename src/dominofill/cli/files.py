@@ -10,6 +10,7 @@ for a given object, which is what makes seeded runs diffable.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import string
@@ -505,10 +506,18 @@ def word_to_json(word: SymbolicWord, seed: int = 0) -> str:
 
 
 def _from_json(text: str) -> LoadedFile:
+    # A decoded document holds no reference cycles, so the cyclic collector
+    # has nothing to find in it; pausing it spares its passes over millions
+    # of new records.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
+    finally:
+        if collecting:
+            gc.enable()
     if not isinstance(doc, dict):
         raise ParseError("JSON file is not an object")
     if doc.get("version") != 1:
@@ -526,9 +535,13 @@ def _from_json_doc(doc: dict) -> LoadedFile:
     seed = int(doc.get("seed", 0))
     if fmt == "dominofill tiling":
         placements = doc["placements"]
-        tiles = [_parse_tile(str(rec["tile"])) for rec in placements]
-        anchors = [[int(x) for x in rec["anchor"]] for rec in placements]
-        tiling = _tiling_from_records(shapes, dim, window, tiles, anchors)
+        columns = _json_columns(placements, dim)
+        if columns is not None:
+            tiling = _tiling_from_columns(shapes, dim, window, *columns)
+        else:
+            tiles = [_parse_tile(str(rec["tile"])) for rec in placements]
+            anchors = [[int(x) for x in rec["anchor"]] for rec in placements]
+            tiling = _tiling_from_records(shapes, dim, window, tiles, anchors)
         return LoadedFile("tiling", tiling, None, seed)
     if fmt == "dominofill word":
         records = (
@@ -541,6 +554,29 @@ def _from_json_doc(doc: dict) -> LoadedFile:
         )
         return LoadedFile("word", None, _word_from_records(shapes, dim, window, records), seed)
     raise ParseError(f"unknown JSON format {fmt!r}")
+
+
+def _json_columns(placements, dim: int) -> tuple[list, np.ndarray, np.ndarray] | None:
+    """(tiles, inverse, anchors) of JSON placement records, in bulk passes.
+
+    Tile values are mapped through their distinct values and the anchors
+    convert in one ``np.array``.  Returns None, leaving the records to the
+    per-record walk and its messages, unless every record is an object with
+    a ``tile`` that is an int or a string (a bool would compare equal to an
+    int) and the anchors form an int64 array of ``dim`` coordinates a row.
+    """
+    try:
+        raw = [rec["tile"] for rec in placements]
+        anchors = np.array([rec["anchor"] for rec in placements])
+    except (IndexError, KeyError, TypeError, ValueError):
+        return None
+    if anchors.dtype != np.int64 or anchors.shape != (len(raw), dim):
+        return None
+    if not set(map(type, raw)) <= {int, str}:
+        return None
+    index = {t: i for i, t in enumerate(dict.fromkeys(raw))}
+    inverse = np.fromiter(map(index.__getitem__, raw), dtype=np.intp, count=len(raw))
+    return [_parse_tile(str(t)) for t in index], inverse, anchors
 
 
 def write_atomic(path: str, content: str) -> None:

@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .brickfill import BrickWall, fill_between
 from .geometry import Box, interior
@@ -358,7 +359,11 @@ def _tail_mass(targets, cuts, stage_index) -> Fraction:
 
 @dataclass(frozen=True)
 class StageTowers:
-    """Anchors of one stage's disjoint towers inside the window."""
+    """Anchors of one stage's disjoint towers inside the window.
+
+    The towers sit on the lattice ``window.anchor + offset + step * i``,
+    ``0 <= i < counts`` per axis; ``anchors`` lists them in C order of ``i``.
+    """
 
     stage: int
     side: int
@@ -366,6 +371,7 @@ class StageTowers:
     offset: tuple[int, ...]
     anchors: np.ndarray
     window: Box
+    counts: tuple[int, ...]
 
     @property
     def count(self) -> int:
@@ -378,6 +384,28 @@ class StageTowers:
     @property
     def error_fraction(self) -> Fraction:
         return Fraction(self.error_cells, self.window.volume)
+
+    def lattice_view(
+        self, grid: np.ndarray, offset: Sequence[int], shape: Sequence[int]
+    ) -> np.ndarray:
+        """Writeable view of a window grid at every tower, lattice axes first.
+
+        Entry ``[i..., c...]`` is cell ``c`` of the ``shape`` box anchored at
+        tower ``i``'s anchor plus ``offset``.  A box that leaves the grid at
+        any tower raises ValueError.
+        """
+        if grid.shape != self.window.shape:
+            raise ValueError(f"grid {grid.shape} does not match window {self.window.shape}")
+        start = [o + x for o, x in zip(self.offset, offset)]
+        if min(start) < 0:
+            raise ValueError(f"box at tower offset {tuple(offset)} leaves the grid")
+        windows = sliding_window_view(
+            grid[tuple(slice(s, None) for s in start)], tuple(shape), writeable=True
+        )
+        view = windows[tuple(slice(0, n * self.step, self.step) for n in self.counts)]
+        if view.shape[: grid.ndim] != self.counts:
+            raise ValueError(f"box {tuple(shape)} at tower offset {tuple(offset)} leaves the grid")
+        return view
 
 
 def sample_towers(
@@ -408,7 +436,8 @@ def sample_towers(
         axes.append(np.arange(start, stop + 1, step, dtype=np.int64))
     mesh = np.meshgrid(*axes, indexing="ij")
     anchors = np.stack([m.ravel() for m in mesh], axis=1)
-    return StageTowers(stage, spec.side, step, offset, anchors, window)
+    counts = tuple(len(ax) for ax in axes)
+    return StageTowers(stage, spec.side, step, offset, anchors, window, counts)
 
 
 @dataclass
@@ -426,13 +455,48 @@ class TowerBlock:
     domain: Box
 
 
+@dataclass(frozen=True, eq=False)
+class StageBlocks(Sequence):
+    """One stage's finished blocks, one per tower, held as arrays.
+
+    Tower k's block has the (tile, collar) kind ``kinds[kind[k]]``; its
+    boundary wall is that tile's wall at ``wall.translate`` plus the tower
+    anchor.  Indexing builds ``TowerBlock``s on demand.
+    """
+
+    towers: StageTowers
+    wall: BrickWall
+    kinds: list[tuple[int | str, int]]
+    kind: np.ndarray
+
+    def __len__(self) -> int:
+        return self.towers.count
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]
+        if isinstance(picked, range):
+            return [self._block(k) for k in picked]
+        return self._block(picked)
+
+    def collars(self) -> np.ndarray:
+        """Each block's collar, in tower order."""
+        return np.array([collar for _, collar in self.kinds], dtype=np.int64)[self.kind]
+
+    def _block(self, k: int) -> TowerBlock:
+        anchor = tuple(int(x) for x in self.towers.anchors[k])
+        tile, collar = self.kinds[self.kind[k]]
+        box = Box(anchor, (self.towers.side,) * len(anchor))
+        wall = BrickWall(self.wall.alphabet, tile, _add(self.wall.translate, anchor))
+        return TowerBlock(box, collar, wall, interior(box, collar + 1))
+
+
 @dataclass
 class ConstructionState:
-    """Word and block list after one stage."""
+    """Word and blocks after one stage."""
 
     stage: int
     word: SymbolicWord
-    blocks: list[TowerBlock]
+    blocks: StageBlocks
     tower_side: int
     window: Box
 
@@ -443,92 +507,114 @@ def build_stage(
     wall: BrickWall,
     base: RectFamily,
     plan: StagePlan,
-    tail_anchors: frozenset[tuple[int, ...]] = frozenset(),
+    tails: np.ndarray | None = None,
 ) -> ConstructionState:
     """Run one construction stage on a fresh word.
 
     Every tower lays a wall over its interior.  A pure wall block (always at
-    stage 1; later, when its anchor is in ``tail_anchors``, with that stage's
-    coarser brick) stops there.  A composite lays the ambient wall, pastes
-    back verbatim the previous-stage blocks that landed deep enough, and
-    bridges each to the ambient wall with a filling band.  Previous blocks
-    not wholly inside a good position are dropped.
+    stage 1; later, where the boolean ``tails`` mask over ``towers.anchors``
+    is set, with that stage's coarser brick) stops there.  A composite lays
+    the ambient wall, pastes back verbatim the previous-stage blocks that
+    landed deep enough, and bridges each to the ambient wall with a filling
+    band.  Previous blocks not wholly inside a good position are dropped.
+
+    Towers are disjoint and each kept block lies inside its tower, so the
+    stage writes all walls, then all bands, then all kept domains, each
+    group as strided assignments over a tower lattice.
     """
     alphabet = wall.alphabet
     spec = plan.stages[towers.stage - 1]
+    dim = towers.window.dim
     word = SymbolicWord(alphabet, towers.window)
-    blocks: list[TowerBlock] = []
-    inside = _blocks_by_tower(state, towers) if state is not None else None
+    pure = np.full(towers.count, towers.stage == 1)
+    if tails is not None:
+        pure |= tails
+    composite, brick = (wall.tile, base.fill_length), (plan.brick_id(towers.stage), spec.collar)
+    kinds = list(dict.fromkeys([composite, brick]))
+    kind = np.where(pure, kinds.index(brick), kinds.index(composite))
     # A tower's wall translate moves with its anchor, so the wall reads the
     # same over every interior of one (tile, collar) kind: draw it once.
-    patterns: dict[tuple[int | str, int], np.ndarray] = {}
-    # A band depends only on where both walls sit relative to its block, so
-    # every block of one kind at one pair of wall phases gets the same band.
-    bands: dict[tuple, np.ndarray] = {}
-    tower_shape = (spec.side,) * towers.window.dim
-    for k, anchor_row in enumerate(towers.anchors):
-        anchor = tuple(int(x) for x in anchor_row)
-        pure = towers.stage == 1 or anchor in tail_anchors
-        tile, collar = (
-            (plan.brick_id(towers.stage), spec.collar) if pure else (wall.tile, base.fill_length)
-        )
-        tower_wall = BrickWall(alphabet, tile, _add(wall.translate, anchor))
-        if (tile, collar) not in patterns:
-            domain = interior(Box(anchor, tower_shape), collar + 1)
-            if domain is None:
-                raise Infeasible("stage_side", f"side {spec.side} below 2*({collar}+1)+1")
-            patterns[tile, collar] = tower_wall.pattern_over(domain)
-        pattern = patterns[tile, collar]
-        domain = Box(tuple(a + collar + 1 for a in anchor), pattern.shape)
-        word.paste(domain, pattern)
-        for blk in [] if pure or inside is None else inside[k]:
-            band = interior(blk.box, 1)
-            key = (
-                _phase(blk.wall, blk.box.anchor),
-                _phase(tower_wall, blk.box.anchor),
-                blk.box.shape,
-                blk.collar,
-            )
-            if key not in bands:
-                fill = fill_between(blk.wall, blk.domain, tower_wall, base, blk.collar)
-                bands[key] = fill.materialize(band).grid
-            word.paste(band, bands[key])
-            word.paste(blk.domain, state.word.subgrid(blk.domain))
-        blocks.append(TowerBlock(Box(anchor, tower_shape), collar, tower_wall, domain))
+    for k, (tile, collar) in enumerate(kinds):
+        mask = (kind == k).reshape(towers.counts)
+        if not mask.any():
+            continue
+        extent = spec.side - 2 * (collar + 1)
+        if extent < 1:
+            raise Infeasible("stage_side", f"side {spec.side} below 2*({collar}+1)+1")
+        domain = Box((collar + 1,) * dim, (extent,) * dim)
+        pattern = BrickWall(alphabet, tile, wall.translate).pattern_over(domain)
+        towers.lattice_view(word.grid, domain.anchor, domain.shape)[mask] = pattern
+    blocks = StageBlocks(towers, wall, kinds, kind)
+    if state is not None:
+        _paste_kept(word, state, towers, wall, base, pure)
     return ConstructionState(towers.stage, word, blocks, spec.side, towers.window)
+
+
+def _paste_kept(
+    word: SymbolicWord,
+    state: ConstructionState,
+    towers: StageTowers,
+    wall: BrickWall,
+    base: RectFamily,
+    pure: np.ndarray,
+) -> None:
+    """Paste the previous blocks composite towers keep, each in its band.
+
+    A band depends only on the block's kind and where the tower's wall sits
+    relative to the block, so every block with one such key gets the same
+    band: it is filled once per key and written with one masked assignment
+    over the previous stage's tower lattice.
+    """
+    prev = state.blocks
+    kept, owners = _kept_blocks(prev, towers)
+    keep = ~pure[owners]
+    kept, owners = kept[keep], owners[keep]
+    if not len(kept):
+        return
+    shift = towers.anchors[owners] - prev.towers.anchors[kept]
+    phase = np.mod(shift + wall.translate, wall.alphabet.shape(wall.tile))
+    keys = np.column_stack([prev.kind[kept], phase])
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    lattice = prev.towers
+    slot = np.full(lattice.count, -1, dtype=np.intp)
+    slot[kept] = inverse.ravel()
+    slot = slot.reshape(lattice.counts)
+    dim = lattice.window.dim
+    bands = lattice.lattice_view(word.grid, (1,) * dim, (lattice.side - 2,) * dim)
+    for g, i in enumerate(first):
+        blk = prev[int(kept[i])]
+        outer = BrickWall(wall.alphabet, wall.tile, _add(wall.translate, towers.anchors[owners[i]]))
+        fill = fill_between(blk.wall, blk.domain, outer, base, blk.collar)
+        bands[slot == g] = fill.materialize(interior(blk.box, 1)).grid
+    prev_kind = prev.kind.reshape(lattice.counts)
+    for k, (_, collar) in enumerate(prev.kinds):
+        mask = (slot >= 0) & (prev_kind == k)
+        if not mask.any():
+            continue
+        corner, shape = (collar + 1,) * dim, (lattice.side - 2 * (collar + 1),) * dim
+        source = lattice.lattice_view(state.word.grid, corner, shape)
+        lattice.lattice_view(word.grid, corner, shape)[mask] = source[mask]
 
 
 def _add(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(int(x) + int(y) for x, y in zip(a, b))
 
 
-def _phase(wall: BrickWall, anchor: tuple[int, ...]) -> tuple:
-    """The wall's tile and its translate relative to ``anchor``."""
-    return wall.tile, tuple((t - a) % p for t, a, p in zip(wall.translate, anchor, wall.period))
-
-
-def _blocks_by_tower(state: ConstructionState, towers: StageTowers) -> list[list[TowerBlock]]:
-    """The previous-stage blocks each tower keeps, in block order.
+def _kept_blocks(prev: StageBlocks, towers: StageTowers) -> tuple[np.ndarray, np.ndarray]:
+    """(kept, owners): the previous blocks the towers keep and each one's tower.
 
     A tower keeps a block whose anchor lies in the tower shrunk by the
     block's collar plus the previous tower side plus 2 on every face.  One
-    array query finds each block's lattice cell and tests that depth.
+    array query finds each block's lattice cell and tests that depth; blocks
+    come in increasing index order.
     """
-    out: list[list[TowerBlock]] = [[] for _ in range(towers.count)]
-    if not state.blocks or not towers.count:
-        return out
     start = np.add(towers.window.anchor, towers.offset)
-    counts = (np.subtract(towers.window.end, towers.side) - start) // towers.step + 1
-    anchors = np.array([blk.box.anchor for blk in state.blocks], dtype=np.int64)
-    depth = np.array([blk.collar for blk in state.blocks], dtype=np.int64)[:, None]
-    depth += 2 + state.tower_side
-    cell, rel = np.divmod(anchors - start, towers.step)
-    deep = (cell >= 0) & (cell < counts) & (rel >= depth) & (rel < towers.side - depth)
+    depth = prev.collars()[:, None] + 2 + prev.towers.side
+    cell, rel = np.divmod(prev.towers.anchors - start, towers.step)
+    deep = (cell >= 0) & (cell < towers.counts) & (rel >= depth) & (rel < towers.side - depth)
     kept = np.flatnonzero(deep.all(axis=1))
-    owners = np.ravel_multi_index(tuple(cell[kept].T), tuple(counts))
-    for i, owner in zip(kept.tolist(), owners.tolist()):
-        out[owner].append(state.blocks[i])
-    return out
+    owners = np.ravel_multi_index(tuple(cell[kept].T), towers.counts)
+    return kept, owners
 
 
 @dataclass
@@ -638,11 +724,13 @@ def finalize(
     violations = validate_word(state.word)
     if violations:
         raise InvalidWord(f"stage {state.stage} word is invalid: {violations[0]}")
-    by_shape: dict[tuple[int, ...], list[Box]] = {}
-    for blk in state.blocks:
-        by_shape.setdefault(blk.domain.shape, []).append(blk.domain)
+    blocks = state.blocks
+    collars = blocks.collars()
     results = []
-    for shape, domains in by_shape.items():
+    for collar in np.unique(collars).tolist():
+        shape = (blocks.towers.side - 2 * (collar + 1),) * blocks.towers.window.dim
+        corners = blocks.towers.anchors[collars == collar] + (collar + 1)
+        domains = [Box(tuple(c), shape) for c in corners.tolist()]
         per_call = max(1, _DECODE_BATCH_CELLS // math.prod(shape))
         for lo in range(0, len(domains), per_call):
             results.append(decode(state.word, check=False, boxes=domains[lo : lo + per_call]))
@@ -832,10 +920,10 @@ def run_pipeline(plan: StagePlan, window: Box, seed: int) -> PipelineResult:
     state: ConstructionState | None = None
     for stage in range(1, plan.stage_count + 1):
         towers = sample_towers(plan, window, stage, root.fork(stage).seed)
-        tail_anchors: frozenset[tuple[int, ...]] = frozenset()
+        tails = None
         if plan.countable and stage >= 2:
-            tail_anchors = _select_tails(plan, towers, root.fork(1000 + stage))
-        state = build_stage(state, towers, wall, plan.base, plan, tail_anchors)
+            tails = _select_tails(plan, towers, root.fork(1000 + stage))
+        state = build_stage(state, towers, wall, plan.base, plan, tails)
     pre_tiling, pre_report = finalize(state, window, plan)
     final = redistribute(
         pre_tiling, plan.targets, pre_report, root.fork(2000).seed, alphabet.tile_shapes
@@ -846,15 +934,17 @@ def run_pipeline(plan: StagePlan, window: Box, seed: int) -> PipelineResult:
     return PipelineResult(plan, state, pre_tiling, pre_report, final, report, seed)
 
 
-def _select_tails(plan: StagePlan, towers: StageTowers, rng: SplitMix64) -> frozenset:
+def _select_tails(plan: StagePlan, towers: StageTowers, rng: SplitMix64) -> np.ndarray:
     """Pick how many towers carry this stage's coarser brick, and which.
 
     The count matches the stage's reserved tail mass against the whole-brick
     content cells one tower's interior actually holds, rounded to nearest.
+    Returns a boolean mask over ``towers.anchors``.
     """
     spec = plan.stages[towers.stage - 1]
+    tails = np.zeros(towers.count, dtype=bool)
     if spec.tail_mass == 0 or towers.count == 0:
-        return frozenset()
+        return tails
     period = plan.brick_shape(towers.stage)
     extent = spec.side - 2 * (spec.collar + 1)
     content = 1
@@ -867,4 +957,5 @@ def _select_tails(plan: StagePlan, towers: StageTowers, rng: SplitMix64) -> froz
     count = min(int(want + Fraction(1, 2)), towers.count)
     idx = list(range(towers.count))
     rng.shuffle(idx)
-    return frozenset(tuple(int(x) for x in towers.anchors[i]) for i in idx[:count])
+    tails[idx[:count]] = True
+    return tails

@@ -4,8 +4,9 @@ Everything here trades speed for obviousness and stays independent of the
 package internals: representability by bitset closure, tie-breaks by
 exhaustive descent, tiling counts by first-free-cell backtracking, word
 decoding by per-cell grouping, tiling files written and read line by line,
-JSON built record by record, bands filled once per block.  The tiling-file
-oracles share only the header helpers with the package.
+JSON built and read record by record, bands filled once per block.  The
+file oracles share only the header helpers and the records-to-object steps
+with the package.
 """
 
 import json
@@ -15,12 +16,15 @@ import numpy as np
 
 from dominofill.cli.files import (
     TILING_MAGIC,
+    LoadedFile,
     ParseError,
     _fields_of,
     _fmt_shapes,
     _parse_tile,
     _read_header,
+    _tiling_from_records,
     _window_line,
+    _word_from_records,
 )
 from dominofill.brickfill import BrickWall, fill_between
 from dominofill.geometry import Box, interior
@@ -269,11 +273,41 @@ def tiling_to_json_by_rows(tiling, seed=0):
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def build_stage_per_block(state, towers, wall, base, plan, tail_anchors=frozenset()):
+@_fields_of("JSON")
+def load_json_doc_by_records(doc):
+    """LoadedFile of a parsed JSON document, one ``_parse_tile`` and ``int`` per field."""
+    fmt = doc.get("format", "")
+    dim = int(doc["dim"])
+    shapes = {_parse_tile(t): tuple(int(x) for x in s) for t, s in doc["shapes"].items()}
+    win = doc.get("window")
+    window = None if win is None else Box(tuple(win["anchor"]), tuple(win["shape"]))
+    seed = int(doc.get("seed", 0))
+    if fmt == "dominofill tiling":
+        placements = doc["placements"]
+        tiles = [_parse_tile(str(rec["tile"])) for rec in placements]
+        anchors = [[int(x) for x in rec["anchor"]] for rec in placements]
+        tiling = _tiling_from_records(shapes, dim, window, tiles, anchors)
+        return LoadedFile("tiling", tiling, None, seed)
+    if fmt == "dominofill word":
+        records = (
+            (
+                tuple(int(x) for x in rec["cell"]),
+                _parse_tile(str(rec["tile"])),
+                tuple(int(x) for x in rec["offset"]),
+            )
+            for rec in doc["cells"]
+        )
+        return LoadedFile("word", None, _word_from_records(shapes, dim, window, records), seed)
+    raise ParseError(f"unknown JSON format {fmt!r}")
+
+
+def build_stage_per_block(state, towers, wall, base, plan, tails=None):
     """One construction stage with a wall drawn per tower and a band filled per block.
 
-    A tower keeps each previous block whose anchor lies in the tower shrunk
-    by the block's collar plus the previous tower side plus 2 on every face.
+    Tower k is a pure wall tower at stage 1 or where the boolean ``tails``
+    mask is set.  A tower keeps each previous block whose anchor lies in the
+    tower shrunk by the block's collar plus the previous tower side plus 2
+    on every face.
     """
     spec = plan.stages[towers.stage - 1]
     word = SymbolicWord(wall.alphabet, towers.window)
@@ -281,10 +315,10 @@ def build_stage_per_block(state, towers, wall, base, plan, tail_anchors=frozense
     if state is not None and state.blocks:
         prev_anchors = np.array([blk.box.anchor for blk in state.blocks])
         prev_depth = np.array([blk.collar for blk in state.blocks])[:, None] + 2 + state.tower_side
-    for row in towers.anchors:
+    for k, row in enumerate(towers.anchors):
         anchor = tuple(int(x) for x in row)
         tower_box = Box(anchor, (spec.side,) * towers.window.dim)
-        pure = towers.stage == 1 or anchor in tail_anchors
+        pure = towers.stage == 1 or (tails is not None and bool(tails[k]))
         tile = plan.brick_id(towers.stage) if pure else wall.tile
         collar = spec.collar if pure else base.fill_length
         translate = [t + a for t, a in zip(wall.translate, anchor)]

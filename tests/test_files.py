@@ -1,10 +1,17 @@
-"""Tiling files: the column writers and bulk parser against the line and row oracles."""
+"""Tiling files: the column writers and bulk parsers against the line and record oracles."""
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import parse_by_lines, serialize_by_lines, tiling_to_json_by_rows
+from oracles import (
+    load_json_doc_by_records,
+    parse_by_lines,
+    serialize_by_lines,
+    tiling_to_json_by_rows,
+)
 
 from dominofill import Box, BrickWall
 from dominofill.cli import files
@@ -214,3 +221,69 @@ def test_load_any_reads_json_after_leading_whitespace(tmp_path):
     loaded = load_any(str(path))
     assert loaded.kind == "tiling" and loaded.seed == 7
     assert loaded.tiling.same_placements(tiling) and loaded.tiling.window == tiling.window
+
+
+def json_outcome(load, doc):
+    try:
+        loaded = load(doc)
+    except ParseError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", loaded.kind, snapshot((loaded.tiling, loaded.seed))
+
+
+@settings(max_examples=300)
+@given(tilings())
+def test_json_bulk_loader_matches_record_oracle(case):
+    tiling, seed = case
+    doc = json.loads(tiling_to_json(tiling, seed))
+    assert json_outcome(files._from_json_doc, doc) == json_outcome(load_json_doc_by_records, doc)
+    if doc["placements"]:  # written files never need the per-record walk
+        assert files._json_columns(doc["placements"], doc["dim"]) is not None
+
+
+def json_doc(*placements):
+    return {
+        "format": "dominofill tiling",
+        "version": 1,
+        "dim": 2,
+        "shapes": {"1": [3, 2], "2": [2, 3], "P": [6, 6]},
+        "window": {"anchor": [0, 0], "shape": [12, 12]},
+        "seed": 3,
+        "placements": [{"tile": t, "anchor": a} for t, a in placements],
+    }
+
+
+MALFORMED_JSON = {
+    "missing_anchor": {**json_doc((1, [0, 0])), "placements": [{"tile": 1}]},
+    "missing_tile": {**json_doc((1, [0, 0])), "placements": [{"anchor": [0, 0]}]},
+    "record_not_object": {**json_doc((1, [0, 0])), "placements": [[1, [0, 0]]]},
+    "wrong_arity": json_doc((1, [0, 0]), (2, [3, 0, 0])),
+    "uniform_wrong_arity": json_doc((1, [0]), (2, [3])),
+    "nested_anchor": json_doc((1, [[0], [0]])),
+    "float_coordinate": json_doc((1, [0, 0]), (2, [1.5, 0])),
+    "integral_float_coordinate": json_doc((1, [2.0, 0])),
+    "huge_float_coordinate": json_doc((1, [1e30, 0])),
+    "string_coordinate": json_doc((1, ["3", 0])),
+    "bad_string_coordinate": json_doc((1, ["x", 0])),
+    "string_anchor": json_doc((1, "00")),
+    "null_coordinate": json_doc((1, [None, 0])),
+    "int64_overflow": json_doc((1, [2**63, 0])),
+    "int64_negative_overflow": json_doc((1, [-(2**63) - 1, 0])),
+    "int64_extremes": json_doc((1, [2**63 - 1, -(2**63)])),
+    "unknown_tile": json_doc((1, [0, 0]), (9, [3, 0])),
+    "unknown_tile_label": json_doc(("Q", [0, 0]), ("P", [6, 6])),
+    "string_tile_ids": json_doc(("1", [0, 0]), (2, [3, 0]), ("P", [6, 6])),
+    "bool_tile": json_doc((1, [0, 0]), (True, [3, 0])),
+    "bool_coordinates": json_doc((1, [True, False]), (2, [3, 0])),
+    "all_bool_coordinates": json_doc((1, [True, False])),
+    "float_tile": json_doc((1.0, [0, 0])),
+    "null_tile": json_doc((None, [0, 0])),
+    "no_placements": json_doc(),
+    "placements_not_list": {**json_doc(), "placements": {"tile": 1, "anchor": [0, 0]}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_JSON))
+def test_malformed_json_matches_record_oracle(name):
+    doc = MALFORMED_JSON[name]
+    assert json_outcome(files._from_json_doc, doc) == json_outcome(load_json_doc_by_records, doc)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from oracles import build_stage_per_block
 from test_cli import LINE_INI, THREE_D_INI, TWO_STAGE_INI
 
@@ -19,6 +21,7 @@ from dominofill import tower
 from dominofill.cli.config import parse_config
 from dominofill.cli.main import _family_and_plan
 from dominofill.geometry import interior
+from dominofill.rng import SplitMix64
 from dominofill.sft import Tiling, validate_word
 from dominofill.tower import (
     FrequencyReport,
@@ -27,6 +30,7 @@ from dominofill.tower import (
     NonpositiveTarget,
     StagePlan,
     StageSpec,
+    StageTowers,
     TargetsInfeasible,
     WindowTooSmall,
     build_stage,
@@ -246,24 +250,57 @@ def block_record(blk):
     return blk.box, blk.collar, blk.wall.tile, blk.wall.translate, blk.domain
 
 
-@pytest.mark.parametrize(
-    "ini",
-    [LINE_INI, TWO_STAGE_INI, THREE_D_INI],
-    ids=["countable_line", "two_stage_1024", "three_d_two_stage"],
+def with_plan(ini, **fields):
+    """``ini`` with ``[run]``/``[plan]`` fields added or replaced."""
+    for key, value in fields.items():
+        lines = [ln for ln in ini.splitlines() if not ln.startswith(f"{key} =")]
+        section = "[plan]" if key in ("gaps", "sides", "cutoffs") else "[run]"
+        at = lines.index(section) + 1
+        ini = "\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]) + "\n"
+    return ini
+
+
+# The line family without its cut points: a 399-cell countable window would
+# make its one stage-2 tower a tail tower, which keeps no blocks.
+PAIR_LINE_INI = (
+    LINE_INI.replace("shapes = 2 3 5", "shapes = 2 3")
+    .replace("probs = 2/5 2/5 1/5", "probs = 1/2 1/2")
+    .replace("cutoffs = 2,3\n", "")
 )
-def test_build_stage_matches_band_per_block_oracle(ini, monkeypatch):
+
+# (config, stage-2 towers per axis or None); the edge windows put the top
+# stage's single tower flush with both window ends (stage-2 offset 0 at seed
+# 86) or leave the most slack after it (extent side + step - 1).
+ORACLE_RUNS = {
+    "countable_line": (LINE_INI, None),
+    "two_stage_1024": (TWO_STAGE_INI, None),
+    "three_d_two_stage": (THREE_D_INI, None),
+    "countable_line_gaps": (with_plan(LINE_INI, gaps="1,4", window_anchor="-1000"), None),
+    "two_stage_gaps": (with_plan(TWO_STAGE_INI, gaps="3,7", window_anchor="-17,5"), None),
+    "three_d_gaps": (with_plan(THREE_D_INI, gaps="2,5", window_anchor="3,-4,9"), None),
+    "line_window_is_side": (with_plan(LINE_INI, window="200", seed="86"), (1,)),
+    "line_most_end_slack": (with_plan(PAIR_LINE_INI, window="399"), (1,)),
+    "two_stage_most_end_slack": (with_plan(TWO_STAGE_INI, window="1023,1023"), (1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_RUNS)
+def test_build_stage_matches_band_per_block_oracle(name, monkeypatch):
     """Every stage of a seeded run equals the build that fills each band anew."""
+    ini, top_counts = ORACLE_RUNS[name]
     cfg = parse_config(ini)
     _, _, plan = _family_and_plan(cfg)
     real_build, real_fill = tower.build_stage, tower.fill_between
     stages, fills = [], []
 
-    def checked(state, towers, wall, base, plan, tail_anchors=frozenset()):
-        got = real_build(state, towers, wall, base, plan, tail_anchors)
-        want = build_stage_per_block(state, towers, wall, base, plan, tail_anchors)
+    def checked(state, towers, wall, base, plan, tails=None):
+        got = real_build(state, towers, wall, base, plan, tails)
+        want = build_stage_per_block(state, towers, wall, base, plan, tails)
         assert np.array_equal(got.word.grid, want.word.grid)
         assert [block_record(b) for b in got.blocks] == [block_record(b) for b in want.blocks]
         stages.append(towers.stage)
+        if towers.stage == 2 and top_counts is not None:
+            assert towers.counts == top_counts
         return got
 
     def counted(*args):
@@ -274,6 +311,113 @@ def test_build_stage_matches_band_per_block_oracle(ini, monkeypatch):
     monkeypatch.setattr(tower, "fill_between", counted)
     tower.run_pipeline(plan, Box(cfg.window_anchor, cfg.window_shape), cfg.seed)
     assert stages == [1, 2] and fills  # stage 2 kept blocks and filled their bands
+
+
+@st.composite
+def lattices(draw):
+    """A tower lattice in a window it fills up to some end slack, a box that
+    fits inside every tower, and a random grid over the window."""
+    dim = draw(st.integers(1, 3))
+    side = draw(st.integers(1, 6))
+    step = draw(st.integers(side, side + 4))
+    offset = tuple(draw(st.integers(0, step - 1)) for _ in range(dim))
+    counts = tuple(draw(st.integers(1, 4)) for _ in range(dim))
+    slack = tuple(draw(st.integers(0, step - 1)) for _ in range(dim))
+    anchor = tuple(draw(st.integers(-20, 20)) for _ in range(dim))
+    extent = tuple(o + (n - 1) * step + side + e for o, n, e in zip(offset, counts, slack))
+    window = Box(anchor, extent)
+    axes = [a + o + step * np.arange(n) for a, o, n in zip(anchor, offset, counts)]
+    anchors = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    towers = StageTowers(1, side, step, offset, anchors, window, counts)
+    shape = tuple(draw(st.integers(1, side)) for _ in range(dim))
+    corner = tuple(draw(st.integers(0, side - e)) for e in shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    grid = rng.integers(0, 100, size=extent).astype(np.int32)
+    return towers, corner, shape, grid, rng
+
+
+@given(lattices())
+def test_lattice_view_writes_what_a_per_tower_loop_writes(case):
+    towers, corner, shape, grid, rng = case
+    mask = rng.random(towers.counts) < 0.5
+    pattern = rng.integers(-50, 0, size=shape).astype(np.int32)
+    want = grid.copy()
+    for k, row in enumerate(towers.anchors):
+        if mask.ravel()[k]:
+            rel = np.subtract(row, towers.window.anchor) + corner
+            want[tuple(slice(r, r + e) for r, e in zip(rel, shape))] = pattern
+    towers.lattice_view(grid, corner, shape)[mask] = pattern
+    assert np.array_equal(grid, want)
+
+
+@given(lattices(), st.data())
+def test_lattice_view_refuses_boxes_past_the_grid(case, data):
+    towers, corner, shape, grid, _ = case
+    axis = data.draw(st.integers(0, towers.window.dim - 1))
+    way = data.draw(st.sampled_from(["extra_tower", "before_start", "past_end"]))
+    corner, counts = list(corner), list(towers.counts)
+    offset, extent = towers.offset[axis], towers.window.shape[axis]
+    if way == "extra_tower":  # the fewest towers whose last box ends past the grid
+        counts[axis] = (extent - offset - corner[axis] - shape[axis]) // towers.step + 2
+    elif way == "before_start":
+        corner[axis] = -offset - 1
+    else:
+        last = offset + (counts[axis] - 1) * towers.step
+        corner[axis] = extent - last - shape[axis] + 1
+    bad = StageTowers(1, towers.side, towers.step, towers.offset, towers.anchors,
+                      towers.window, tuple(counts))
+    before = grid.copy()
+    with pytest.raises(ValueError):
+        bad.lattice_view(grid, corner, shape)[...] = -1
+    assert np.array_equal(grid, before)
+
+
+@pytest.fixture(scope="module")
+def countable_stages():
+    """Stage 2 of the countable line plan, with tail and composite towers."""
+    plan = _family_and_plan(parse_config(LINE_INI))[2]
+    window = Box((0,), (20_000,))
+    wall = BrickWall(plan.alphabet(), plan.brick_id(1), (0,))
+    towers1 = sample_towers(plan, window, 1, seed=3)
+    state1 = build_stage(None, towers1, wall, plan.base, plan)
+    towers2 = sample_towers(plan, window, 2, seed=5)
+    tails = tower._select_tails(plan, towers2, SplitMix64(7))
+    state2 = build_stage(state1, towers2, wall, plan.base, plan, tails)
+    want = build_stage_per_block(state1, towers2, wall, plan.base, plan, tails)
+    return plan, window, state2, [block_record(b) for b in want.blocks], tails
+
+
+def test_stage_blocks_behave_as_the_oracle_list(countable_stages):
+    _, _, state, records, tails = countable_stages
+    blocks = state.blocks
+    assert 0 < tails.sum() < len(tails)  # both kinds of tower
+    n = len(records)
+    assert len(blocks) == n > 10
+    assert block_record(blocks[0]) == records[0]
+    assert block_record(blocks[5]) == records[5]
+    assert block_record(blocks[-1]) == records[-1]
+    assert block_record(blocks[-n]) == records[0]
+    assert block_record(blocks[np.int64(3)]) == records[3]
+    for cut in (slice(None, 4), slice(3, 17, 4), slice(-6, None), slice(None, None, -5)):
+        assert [block_record(b) for b in blocks[cut]] == records[cut]
+    assert [block_record(b) for b in blocks] == records
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            blocks[index]
+
+
+def test_finalize_reads_block_arrays(countable_stages, monkeypatch):
+    plan, window, state, _, _ = countable_stages
+    want, _ = finalize(state, window, plan)
+
+    def refuse(*args):
+        raise AssertionError("finalize built a TowerBlock")
+
+    monkeypatch.setattr(tower, "TowerBlock", refuse)
+    got, report = finalize(state, window, plan)
+    assert len(got) and got.same_placements(want)
+    with pytest.raises(AssertionError):
+        state.blocks[0]
 
 
 class TestFinalize:
