@@ -196,10 +196,17 @@ class SymbolicWord:
 
 
 def validate_word(word: SymbolicWord) -> list[Violation]:
-    """All one-step adjacency violations between assigned cell pairs."""
+    """All one-step adjacency violations between assigned cell pairs.
+
+    Per axis the assigned pairs are compressed once and looked up in the
+    flattened transition table as ``a * size + b``; the per-cell report is
+    built only when that lookup finds a failure.
+    """
     out: list[Violation] = []
     grid = word.grid
     alphabet = word.alphabet
+    size = alphabet.size
+    pair_dtype = np.int32 if size * size <= np.iinfo(np.int32).max else np.int64
     for axis in range(alphabet.dim):
         lo = [slice(None)] * alphabet.dim
         hi = [slice(None)] * alphabet.dim
@@ -207,12 +214,16 @@ def validate_word(word: SymbolicWord) -> list[Violation]:
         hi[axis] = slice(1, None)
         a = grid[tuple(lo)]
         b = grid[tuple(hi)]
-        both = (a >= 0) & (b >= 0)
-        if not np.any(both):
+        both = a >= 0
+        both &= b >= 0
+        pairs = a[both].astype(pair_dtype, copy=False)
+        pairs *= size
+        pairs += b[both]
+        ok = alphabet.transition(axis).ravel()[pairs]
+        if ok.all():
             continue
-        table = alphabet.transition(axis)
         bad = np.zeros(a.shape, dtype=bool)
-        bad[both] = ~table[a[both], b[both]]
+        bad[both] = ~ok
         for rel in np.argwhere(bad):
             cell = tuple(int(x + y) for x, y in zip(word.box.anchor, rel))
             sym = alphabet.symbol(int(a[tuple(rel)]))
@@ -235,8 +246,8 @@ class Tiling:
         self.tile_order = sorted(self.tile_shapes, key=tile_sort_key)
         self.codes = np.asarray(codes, dtype=np.int32)
         self.anchors = np.asarray(anchors, dtype=np.int64)
-        if self.anchors.ndim == 1:
-            self.anchors = self.anchors.reshape(len(self.codes), -1)
+        if self.anchors.ndim != 2 or len(self.anchors) != len(self.codes):
+            raise ValueError(f"anchors of shape {self.anchors.shape} for {len(self.codes)} codes")
         self.window = window
 
     @classmethod
@@ -297,19 +308,33 @@ class Tiling:
     def sorted_canonical(self) -> "Tiling":
         """Placements ordered by anchor lexicographically, then tile.
 
-        A tiling already in that order is returned as is, after one pass
-        over consecutive rows; only an unordered one is sorted.
+        The order is that of one packed int64 key per row (each anchor column
+        less its minimum, then the code); equal keys only come from equal
+        rows, so one ``argsort`` gives the lexicographic order.  Spans too
+        wide to pack in 62 bits fall back to ``np.lexsort``.  A tiling
+        already in that order is returned as is.
         """
-        columns = [self.anchors[:, a] for a in range(self.dim)] + [self.codes]
-        undecided = np.ones(max(len(self.codes) - 1, 0), dtype=bool)
-        for col in columns:
-            if np.any(undecided & (col[1:] < col[:-1])):
-                break
-            undecided &= col[1:] == col[:-1]
-        else:
+        n = len(self.codes)
+        if n < 2:
             return self
-        keys = columns[::-1]
-        order = np.lexsort(keys)
+        columns = [self.anchors[:, a] for a in range(self.dim)]
+        spans = [(int(c.min()), int(c.max()) + 1) for c in columns]
+        n_codes = len(self.tile_order)
+        if math.prod(hi - lo for lo, hi in spans) * n_codes < 1 << 62:
+            key = np.zeros(n, dtype=np.int64)
+            for column, (lo, hi) in zip(columns, spans):
+                key *= hi - lo
+                key += column
+                key -= lo
+            key *= n_codes
+            key += self.codes
+            if np.all(key[1:] >= key[:-1]):
+                return self
+            order = np.argsort(key)
+        else:
+            order = np.lexsort([self.codes] + columns[::-1])
+            if np.array_equal(order, np.arange(n)):
+                return self
         return Tiling(self.tile_shapes, self.codes[order], self.anchors[order], self.window)
 
     def concat(self, other: "Tiling") -> "Tiling":
@@ -334,50 +359,51 @@ class Tiling:
 
 class DecodeResult(NamedTuple):
     tiling: Tiling
-    partials: list[Placement]
+    partials: Tiling
     partial_cells: int
 
 
 def decode(
-    word: SymbolicWord, check: bool = True, boxes: Sequence[Box] | None = None
+    word: SymbolicWord,
+    corners: np.ndarray | None = None,
+    shape: Sequence[int] | None = None,
 ) -> DecodeResult:
     """Group assigned cells by placement into whole tiles and cut partials.
 
     Each cell names its placement (tile, cell - offset); a placement is whole
     iff all of its tile's cells are present.  Tiles cut by the domain boundary
-    or by unassigned cells are reported as partials, in (tile order, anchor)
-    order, not as errors.  Requires a valid word; raises InvalidWord otherwise.
+    or by unassigned cells are reported as partials (a tiling without a
+    window), in (tile order, anchor) order, not as errors.  The word must be
+    valid (see ``validate_word``); decode does not check it.
 
-    Given ``boxes``, same-shape sub-boxes of the word's box, each box decodes
-    (and with ``check`` validates) as if the word were restricted to it, all
-    in one grouping: placements and partials come box after box, and the
-    tiling's window is the word's box.  Without ``boxes`` the whole word is
-    decoded.
+    Given ``corners``, an ``(n, dim)`` array of low corners of ``shape``-
+    sized domains inside the word's box, each domain decodes as if the word
+    were restricted to it, all in one grouping: placements and partials come
+    domain after domain, and the tiling's window is the word's box.  Without
+    ``corners`` the whole word is decoded.
     """
-    boxes = [word.box] if boxes is None else list(boxes)
-    if check:
-        for box in boxes:
-            violations = validate_word(SymbolicWord(word.alphabet, box, word.subgrid(box)))
-            if violations:
-                raise InvalidWord(
-                    f"{len(violations)} adjacency violations, first: {violations[0]}"
-                )
     alphabet = word.alphabet
-    # Stack the boxes along a leading axis, each padded on its low side so
-    # every anchor gets a flat index inside its own box's slab.
+    dim = alphabet.dim
+    if corners is None:
+        corners, shape = np.array([word.box.anchor]), word.box.shape
+    corners = np.asarray(corners, dtype=np.int64).reshape(-1, dim)
+    rel = corners - np.array(word.box.anchor, dtype=np.int64)
+    if np.any(rel < 0) or np.any(rel + shape > word.box.shape):
+        raise ValueError(f"a {shape} domain leaves the word's box {word.box}")
+    # Stack the domains along a leading axis, each padded on its low side so
+    # every anchor gets a flat index inside its own domain's slab.
     pad = max(max(s) for s in alphabet.tile_shapes.values())
-    slab_shape = tuple(e + pad for e in boxes[0].shape)
-    stacked = np.full((len(boxes),) + slab_shape, -1, dtype=np.int32)
-    inner = (slice(pad, None),) * alphabet.dim
-    for slab, box in zip(stacked, boxes):
-        slab[inner] = word.subgrid(box)
+    slab_shape = tuple(e + pad for e in shape)
+    stacked = np.full((len(rel),) + slab_shape, -1, dtype=np.int32)
+    windows = np.lib.stride_tricks.sliding_window_view(word.grid, shape)
+    stacked[(slice(None),) + (slice(pad, None),) * dim] = windows[tuple(rel.T)]
     slab_size = math.prod(slab_shape)
     strides = np.cumprod((slab_shape[1:] + (1,))[::-1])[::-1]
     keys = np.flatnonzero(stacked >= 0)
     syms = stacked.ravel()[keys]
     keys -= (alphabet.offsets @ strides)[syms]  # each cell's anchor, in its own slab
-    # Key (box, tile code, anchor in the slab), box-major, packed in place as
-    # anchor + (code + box * (n_tiles - 1)) * slab_size.
+    # Key (domain, tile code, anchor in the slab), domain-major, packed in
+    # place as anchor + (code + domain * (n_tiles - 1)) * slab_size.
     n_tiles = len(alphabet.tiles)
     major = keys // slab_size
     major *= n_tiles - 1
@@ -389,13 +415,10 @@ def decode(
     slab_of, codes = np.divmod(major, n_tiles)
     volumes = np.array([math.prod(alphabet.shape(t)) for t in alphabet.tiles])
     whole = counts == volumes[codes]
-    corners = np.array([box.anchor for box in boxes], dtype=np.int64) - pad
-    coords = np.stack(np.unravel_index(flat, slab_shape), axis=1) + corners[slab_of]
+    coords = np.stack(np.unravel_index(flat, slab_shape), axis=1)
+    coords += corners[slab_of] - pad
     tiling = Tiling(alphabet.tile_shapes, codes[whole], coords[whole], word.box)
-    partials = [
-        Placement(alphabet.tiles[c], tuple(a))
-        for c, a in zip(codes[~whole].tolist(), coords[~whole].tolist())
-    ]
+    partials = Tiling(alphabet.tile_shapes, codes[~whole], coords[~whole])
     return DecodeResult(tiling, partials, int(counts[~whole].sum()))
 
 

@@ -706,10 +706,10 @@ def finalize(
 ) -> tuple[Tiling, FrequencyReport]:
     """Decode the top-stage interiors into whole placements and account cells.
 
-    The word is validated once; block domains of one shape are decoded in
-    stacked batches of up to ``_DECODE_BATCH_CELLS`` cells (one domain a call
-    when it is larger), and the whole placements of all blocks are merged in
-    one concatenation.
+    The word is validated once; block domains of one shape are decoded by
+    their corners in stacked batches of up to ``_DECODE_BATCH_CELLS`` cells
+    (one domain a call when it is larger), and the whole placements of all
+    blocks are merged in one concatenation.
     Uncovered cells are the sublattice error set, the towers' own unfilled
     boundary collars, and tiles cut by domain edges; those are excluded from
     the covered count, never errors.
@@ -730,10 +730,9 @@ def finalize(
     for collar in np.unique(collars).tolist():
         shape = (blocks.towers.side - 2 * (collar + 1),) * blocks.towers.window.dim
         corners = blocks.towers.anchors[collars == collar] + (collar + 1)
-        domains = [Box(tuple(c), shape) for c in corners.tolist()]
         per_call = max(1, _DECODE_BATCH_CELLS // math.prod(shape))
-        for lo in range(0, len(domains), per_call):
-            results.append(decode(state.word, check=False, boxes=domains[lo : lo + per_call]))
+        for lo in range(0, len(corners), per_call):
+            results.append(decode(state.word, corners[lo : lo + per_call], shape))
     partial_cells = sum(r.partial_cells for r in results)
     tiling = Tiling(
         state.word.alphabet.tile_shapes,
@@ -845,11 +844,12 @@ def redistribute(
         quotas_sh.append(n_pool - n_ex - sum(quotas_sh, start=Fraction(0)))
         counts_sh = _largest_remainder(quotas_sh, n_pool - n_ex, rng.fork(30 + rank))
         counts = counts_ex + counts_sh
-        perm = list(range(n_pool))
-        rng.fork(20 + rank).shuffle(perm)
+        shuffled = list(range(n_pool))
+        rng.fork(20 + rank).shuffle(shuffled)
+        perm = np.array(shuffled, dtype=np.int64)
         pos = 0
         for label, cnt in zip(exclusive + shared + [None], counts):
-            chosen = pool_anchors[np.array(perm[pos : pos + cnt], dtype=np.int64)]
+            chosen = pool_anchors[perm[pos : pos + cnt]]
             pos += cnt
             if cnt == 0:
                 continue

@@ -3,7 +3,8 @@
 Everything here trades speed for obviousness and stays independent of the
 package internals: representability by bitset closure, tie-breaks by
 exhaustive descent, tiling counts by first-free-cell backtracking, word
-decoding by per-cell grouping, tiling files written and read line by line,
+validation by a per-cell mask over every pair, word decoding by per-cell
+grouping, tiling files written and read line by line,
 JSON built and read record by record, bands filled once per block.  The
 file oracles share only the header helpers and the records-to-object steps
 with the package.
@@ -28,7 +29,7 @@ from dominofill.cli.files import (
 )
 from dominofill.brickfill import BrickWall, fill_between
 from dominofill.geometry import Box, interior
-from dominofill.sft import Placement, SymbolicWord, Tiling, allowed_neighbor
+from dominofill.sft import Placement, SymbolicWord, Tiling, Violation, allowed_neighbor
 from dominofill.tower import ConstructionState, TowerBlock
 
 
@@ -177,6 +178,36 @@ class WordSample:
     def __init__(self, rate):
         self.rate = rate
         self.words = []
+
+
+def validate_word_by_mask(word):
+    """All one-step violations, from a per-cell mask built on every call.
+
+    Per axis, every assigned pair is looked up in the 2-d transition table
+    and the failures are listed in ``np.argwhere`` order, axis by axis.
+    """
+    out = []
+    grid = word.grid
+    alphabet = word.alphabet
+    for axis in range(alphabet.dim):
+        lo = [slice(None)] * alphabet.dim
+        hi = [slice(None)] * alphabet.dim
+        lo[axis] = slice(0, -1)
+        hi[axis] = slice(1, None)
+        a = grid[tuple(lo)]
+        b = grid[tuple(hi)]
+        both = (a >= 0) & (b >= 0)
+        if not np.any(both):
+            continue
+        table = alphabet.transition(axis)
+        bad = np.zeros(a.shape, dtype=bool)
+        bad[both] = ~table[a[both], b[both]]
+        for rel in np.argwhere(bad):
+            cell = tuple(int(x + y) for x, y in zip(word.box.anchor, rel))
+            sym = alphabet.symbol(int(a[tuple(rel)]))
+            nb = alphabet.symbol(int(b[tuple(rel)]))
+            out.append(Violation(cell, axis, sym, nb))
+    return out
 
 
 def decode_by_cells(word):

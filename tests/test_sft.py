@@ -10,16 +10,17 @@ from oracles import (
     count_exact_tilings,
     decode_by_cells,
     enumerate_boundary_complete_words,
+    validate_word_by_mask,
 )
 
 from dominofill import Box, BrickWall, build_alphabet, validate_family
 from dominofill.sft import (
     Alphabet,
-    InvalidWord,
     Placement,
     Symbol,
     SymbolicWord,
     Tiling,
+    Violation,
     allowed_neighbor,
     decode,
     encode,
@@ -93,6 +94,19 @@ class TestValidateWord:
         assert v.cell == (0, 0) and v.axis == 0
         assert v.symbol == Symbol(1, (0, 0)) and v.neighbor == Symbol(2, (0, 0))
 
+    def test_violation_found_in_one_domain(self, flagship_alphabet):
+        word = SymbolicWord(flagship_alphabet, Box((0, 0), (6, 1)))
+        word.set_cell((0, 0), Symbol(1, (0, 0)))
+        word.set_cell((1, 0), Symbol(1, (1, 0)))
+        word.set_cell((4, 0), Symbol(1, (0, 0)))
+        word.set_cell((5, 0), Symbol(2, (0, 0)))
+        assert validate_word(word.restrict(Box((0, 0), (2, 1)))) == []
+        ok = decode(word, np.array([(0, 0)]), (2, 1))
+        assert ok.partial_cells == 2
+        broken = Violation((4, 0), 0, Symbol(1, (0, 0)), Symbol(2, (0, 0)))
+        assert validate_word(word.restrict(Box((4, 0), (2, 1)))) == [broken]
+        assert validate_word(word) == [broken]
+
     def test_gaps_are_ignored(self, flagship_alphabet):
         word = SymbolicWord(flagship_alphabet, Box((0, 0), (3, 1)))
         word.set_cell((0, 0), Symbol(1, (0, 0)))
@@ -137,6 +151,53 @@ DECODE_CASES = {
 }
 
 
+class TestAgainstOracles:
+    @pytest.mark.parametrize("dim", sorted(DECODE_CASES))
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_validate_word_matches_mask_oracle(self, dim, seed):
+        make_alphabet, side = DECODE_CASES[dim]
+        alphabet = make_alphabet()
+        rng = np.random.default_rng(seed)
+        word = encode(random_disjoint_tiling(alphabet, rng, side), alphabet)
+        word.grid[rng.random(word.grid.shape) < rng.random() / 4] = -1
+        breaches = rng.random(word.grid.shape) < rng.random() / 10
+        word.grid[breaches] = rng.integers(0, alphabet.size, int(breaches.sum()))
+        shift = tuple(int(x) for x in rng.integers(-9, 9, dim))
+        moved = SymbolicWord(alphabet, word.box.translate(shift), word.grid)
+        for w in (word, moved):
+            assert validate_word(w) == validate_word_by_mask(w)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "span", [3, 1000, 2**40, 2**61], ids=["span3", "span1000", "span2^40", "span2^61"]
+    )
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25)
+    def test_sorted_canonical_matches_lexsort(self, dim, span, seed):
+        rng = np.random.default_rng(seed)
+        shapes = {1: (1,) * dim, 2: (2,) * dim, "P": (4,) * dim}
+        n = int(rng.integers(0, 40))
+        pool_codes = rng.integers(0, 3, n + 1)
+        pool_anchors = rng.integers(-span // 2, span - span // 2, (n + 1, dim))
+        pick = rng.integers(0, n + 1, n)  # repeats give duplicate rows
+        tiling = Tiling(shapes, pool_codes[pick], pool_anchors[pick])
+        order = np.lexsort([tiling.codes] + [tiling.anchors[:, a] for a in range(dim)][::-1])
+        canon = tiling.sorted_canonical()
+        assert np.array_equal(canon.codes, tiling.codes[order])
+        assert np.array_equal(canon.anchors, tiling.anchors[order])
+        assert canon.sorted_canonical() is canon
+
+    def test_tiling_needs_one_anchor_row_per_code(self):
+        with pytest.raises(ValueError, match="anchors of shape"):
+            Tiling({1: (2,)}, [0, 0], np.array([3, 5]))
+        with pytest.raises(ValueError, match="anchors of shape"):
+            Tiling({1: (2,)}, [], [])
+        with pytest.raises(ValueError, match="anchors of shape"):
+            Tiling({1: (2,)}, [0], np.zeros((2, 1), dtype=np.int64))
+        assert len(Tiling({1: (2,)}, [], np.zeros((0, 1), dtype=np.int64))) == 0
+
+
 class TestCodec:
     def test_encode_single_placement(self, flagship_alphabet):
         t = Tiling.from_parts({1: (3, 2)}, [(1, [(0, 0)])], Box((0, 0), (3, 2)))
@@ -151,7 +212,7 @@ class TestCodec:
         rng = np.random.default_rng(seed)
         t = random_disjoint_tiling(flagship_alphabet, rng)
         out = decode(encode(t, flagship_alphabet))
-        assert out.partials == []
+        assert list(out.partials.placements()) == []
         assert out.tiling.same_placements(t)
 
     def test_word_round_trip_on_aligned_wall(self, flagship_alphabet):
@@ -159,7 +220,7 @@ class TestCodec:
         box = Box((-6, 6), (18, 12))
         word = wall.materialize(box)
         result = decode(word)
-        assert result.partials == []
+        assert list(result.partials.placements()) == []
         back = encode(result.tiling, flagship_alphabet, box)
         assert back.equals_on(word, box)
 
@@ -179,7 +240,7 @@ class TestCodec:
         result = decode(word)
         assert len(result.tiling) == 0
         assert result.partial_cells == 2
-        assert result.partials == [Placement(1, (-1,)), Placement("P", (3,))]
+        assert list(result.partials.placements()) == [Placement(1, (-1,)), Placement("P", (3,))]
 
     @pytest.mark.parametrize("dim", sorted(DECODE_CASES))
     @given(seed=st.integers(0, 2**32 - 1))
@@ -197,7 +258,7 @@ class TestCodec:
         result = decode(word)
         assert set(result.tiling.placements()) == whole
         assert len(result.tiling) == len(whole)
-        assert result.partials == partials
+        assert list(result.partials.placements()) == partials
         assert result.partial_cells == partial_cells
 
     @pytest.mark.parametrize("dim", sorted(DECODE_CASES))
@@ -215,7 +276,8 @@ class TestCodec:
             for _ in range(int(rng.integers(1, 6)))
         ]
         per_box = [decode(word.restrict(box)) for box in boxes]
-        stacked = decode(word, boxes=boxes)
+        corners = np.array([box.anchor for box in boxes])
+        stacked = decode(word, corners, shape)
         assert stacked.tiling.window == word.box
         assert np.array_equal(
             stacked.tiling.codes, np.concatenate([r.tiling.codes for r in per_box])
@@ -223,26 +285,34 @@ class TestCodec:
         assert np.array_equal(
             stacked.tiling.anchors, np.concatenate([r.tiling.anchors for r in per_box])
         )
-        assert stacked.partials == [p for r in per_box for p in r.partials]
+        assert list(stacked.partials.placements()) == [
+            p for r in per_box for p in r.partials.placements()
+        ]
         assert stacked.partial_cells == sum(r.partial_cells for r in per_box)
 
-    def test_stacked_boxes_are_checked_one_by_one(self, flagship_alphabet):
-        word = SymbolicWord(flagship_alphabet, Box((0, 0), (6, 1)))
-        word.set_cell((0, 0), Symbol(1, (0, 0)))
-        word.set_cell((1, 0), Symbol(1, (1, 0)))
-        word.set_cell((4, 0), Symbol(1, (0, 0)))
-        word.set_cell((5, 0), Symbol(2, (0, 0)))
-        ok = decode(word, boxes=[Box((0, 0), (2, 1))])
-        assert ok.partial_cells == 2
-        with pytest.raises(InvalidWord):
-            decode(word, boxes=[Box((0, 0), (2, 1)), Box((4, 0), (2, 1))])
+    def test_no_corners_decode_nothing(self, flagship_alphabet):
+        word = BrickWall(flagship_alphabet, "P", (0, 0)).materialize(Box((0, 0), (12, 12)))
+        result = decode(word, np.zeros((0, 2), dtype=np.int64), (6, 6))
+        assert len(result.tiling) == len(result.partials) == result.partial_cells == 0
+        assert result.tiling.window == word.box
+        assert result.tiling.anchors.shape == result.partials.anchors.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "corner", [(-1, 0), (0, 7), (7, 0)], ids=["below", "past_y", "past_x"]
+    )
+    def test_corners_must_keep_domains_inside(self, flagship_alphabet, corner):
+        word = BrickWall(flagship_alphabet, "P", (0, 0)).materialize(Box((0, 0), (12, 12)))
+        with pytest.raises(ValueError, match="leaves the word's box"):
+            decode(word, np.array([(0, 0), corner]), (6, 6))
 
     def test_decode_rejects_invalid(self, flagship_alphabet):
+        # decode trusts its word; an invalid one is refused by validate_word
+        # before decoding, as finalize does.
         word = SymbolicWord(flagship_alphabet, Box((0, 0), (2, 1)))
         word.set_cell((0, 0), Symbol(1, (0, 0)))
         word.set_cell((1, 0), Symbol(2, (0, 0)))
-        with pytest.raises(InvalidWord):
-            decode(word)
+        broken = Violation((0, 0), 0, Symbol(1, (0, 0)), Symbol(2, (0, 0)))
+        assert validate_word(word) == [broken]
 
 
 class TestTranslateWord:
@@ -283,4 +353,4 @@ class TestLocalGlobalEquivalence:
                 word.set_cell(cell, sym)
             assert validate_word(word) == []
             result = decode(word)
-            assert result.partials == []
+            assert list(result.partials.placements()) == []

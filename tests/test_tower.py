@@ -22,8 +22,9 @@ from dominofill.cli.config import parse_config
 from dominofill.cli.main import _family_and_plan
 from dominofill.geometry import interior
 from dominofill.rng import SplitMix64
-from dominofill.sft import Tiling, validate_word
+from dominofill.sft import InvalidWord, SymbolicWord, Tiling, validate_word
 from dominofill.tower import (
+    ConstructionState,
     FrequencyReport,
     Infeasible,
     InvalidTargets,
@@ -434,6 +435,17 @@ class TestFinalize:
         assert report.frequency("P") == 1
         assert report.partial_cells == 16 * (100 - 36)
         assert report.uncovered_fraction == Fraction(90_000 - 576, 90_000)
+
+    def test_invalid_word_is_refused(self, two_stage_state):
+        plan, window, state1, _ = two_stage_state
+        blk = state1.blocks[3]
+        grid = state1.word.grid.copy()
+        rel = tuple(c - w + 1 for c, w in zip(blk.domain.anchor, window.anchor))
+        grid[rel] = grid[rel[0] - 1, rel[1]]  # repeats its left neighbour's symbol
+        word = SymbolicWord(state1.word.alphabet, window, grid)
+        broken = ConstructionState(1, word, state1.blocks, state1.tower_side, window)
+        with pytest.raises(InvalidWord, match="stage 1 word is invalid"):
+            finalize(broken, window, plan)
 
     def test_two_stage_report(self, two_stage_state):
         plan, window, _, state2 = two_stage_state
