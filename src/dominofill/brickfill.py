@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, expand, interior
+from .geometry import Box, expand, grid_rows, interior
 from .numerics import RectFamily, represent
 from .sft import Alphabet, Symbol, SymbolicWord, Tiling
 
@@ -95,8 +95,7 @@ class BrickWall:
             start = self.ceil_align(box.anchor[axis], axis)
             stop = box.end[axis] - self.period[axis]
             anchors_1d.append(np.arange(start, stop + 1, self.period[axis], dtype=np.int64))
-        mesh = np.meshgrid(*anchors_1d, indexing="ij")
-        anchors = np.stack([m.ravel() for m in mesh], axis=1)
+        anchors = grid_rows(anchors_1d)
         return Tiling.from_parts({self.tile: self.period}, [(self.tile, anchors)], box)
 
 
@@ -191,12 +190,10 @@ class StripRun:
 
     def anchors(self) -> np.ndarray:
         shape = tuple(e // c for e, c in zip(self.box.shape, self.counts))
-        axes = [
+        return grid_rows([
             np.arange(a, a + e, s, dtype=np.int64)
             for a, e, s in zip(self.box.anchor, self.box.shape, shape)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        ])
 
 
 def strip_runs(b: Box, f: RectFamily, axis: int) -> list[StripRun]:

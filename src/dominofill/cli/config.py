@@ -1,7 +1,9 @@
-"""Run configuration: an INI file mapped to one dataclass, losslessly.
+"""Run configuration: an INI file mapped to one dataclass.
 
 Values keep their exact rational form (fractions serialize as ``a/b``), so
-writing a config back out and re-reading it yields an equal RunConfig.
+writing a config back out and re-reading it yields an equal RunConfig, up to
+the output directory: that says where a run is written, not what it builds,
+so it is not written back out and a run's report does not depend on it.
 """
 
 from __future__ import annotations
@@ -166,7 +168,6 @@ def serialize_config(cfg: RunConfig) -> str:
         "mode": cfg.mode,
         "window": _fmt_ints(cfg.window_shape),
         "window_anchor": _fmt_ints(cfg.window_anchor),
-        "out": cfg.out_dir,
         "format": cfg.out_format,
     }
     parser["family"] = {"shapes": _fmt_shapes(cfg.shapes)}

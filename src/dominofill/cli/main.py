@@ -158,6 +158,7 @@ def cmd_build(args) -> int:
         ),
     ]
     report_doc = {
+        "schema": 1,
         "seed": cfg.seed,
         "config": serialize_config(cfg),
         "pre": result.pre_report.to_dict(),

@@ -5,7 +5,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -74,3 +76,9 @@ def interior(b: Box, s: int) -> Box | None:
     if any(e < 1 for e in shape):
         return None
     return Box(tuple(a + s for a in b.anchor), shape)
+
+
+def grid_rows(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Every point of the product of per-axis coordinates, one row each, in C order."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)

@@ -22,12 +22,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .brickfill import BrickWall, fill_between
-from .geometry import Box, interior
+from .geometry import Box, grid_rows, interior
 from .numerics import RectFamily, SharedAxisDivisor, validate_family
 from .rng import SplitMix64
 from .sft import Alphabet, InvalidWord, SymbolicWord, Tiling, build_alphabet, validate_word
 
 LARGE_FINITE = "P"
+# Strict planning refuses a stage whose minimal side would exceed this.
+SIDE_CAP = 10**7
 
 
 class NonpositiveTarget(ValueError):
@@ -125,11 +127,7 @@ class StagePlan:
     def brick_shape(self, stage: int) -> tuple[int, ...]:
         if not self.countable:
             return self.family.large_shape
-        cutoff = self.stages[stage - 1].cutoff
-        return tuple(
-            math.prod(s[a] for s in self.family.shapes[:cutoff])
-            for a in range(self.family.dim)
-        )
+        return _brick_period(self.family, self.stages[stage - 1].cutoff)
 
     def large_shapes(self) -> dict[int | str, tuple[int, ...]]:
         if not self.countable:
@@ -185,14 +183,15 @@ def plan_stages(
     error_budgets: Sequence | None = None,
     gaps: Sequence[int] | None = None,
     cutoffs: Sequence[int] | None = None,
-    side_cap: int = 10**7,
 ) -> StagePlan:
     """Build and validate a stage schedule.
 
     Strict mode enforces the geometric-decay inequalities exactly in rational
-    arithmetic and, when ``sides`` is omitted, picks each side minimal by
-    scanning upward.  Relaxed mode only requires every stage to fit its
-    blocks (side >= 2 * (collar + 2) + previous side + 1) and records the
+    arithmetic: stage i needs 2d * (collar + 2 + previous side) / side below
+    1/4^i.  When ``sides`` is omitted it takes each side minimal, which in
+    closed form is 2d * (collar + 2 + previous side) * 4^i + 1, and refuses a
+    side above ``SIDE_CAP``.  Relaxed mode only requires every stage to fit
+    its blocks (side >= 2 * (collar + 2) + previous side + 1) and records the
     supplied budgets for reporting rather than enforcing decay.
     """
     if mode not in ("strict", "relaxed"):
@@ -206,7 +205,7 @@ def plan_stages(
     collars = _stage_collars(f, base, cuts, n_stages)
     if cuts is not None and mode == "strict":
         _check_tail_schedule(targets, cuts)
-    chosen = _choose_sides(f.dim, mode, sides, collars, n_stages, side_cap)
+    chosen = _choose_sides(f.dim, mode, sides, collars, n_stages)
     specs = []
     for i in range(n_stages):
         specs.append(
@@ -279,19 +278,17 @@ def _resolve_budgets(error_budgets, n_stages, mode):
     return budgets
 
 
+def _brick_period(f: RectFamily, cut: int) -> tuple[int, ...]:
+    """Per-axis product of the first ``cut`` tiles' sides: the brick they all divide."""
+    return tuple(math.prod(s[a] for s in f.shapes[:cut]) for a in range(f.dim))
+
+
 def _stage_collars(f, base, cuts, n_stages):
     if cuts is None:
         return [f.fill_length] * n_stages
-    base_period = tuple(
-        math.prod(s[a] for s in f.shapes[: cuts[0]]) for a in range(f.dim)
-    )
-    collars = []
-    for i in range(n_stages):
-        period = tuple(
-            math.prod(s[a] for s in f.shapes[: cuts[i]]) for a in range(f.dim)
-        )
-        collars.append(base.threshold + sum(period) + sum(base_period))
-    return collars
+    return [
+        base.threshold + sum(_brick_period(f, cut)) + sum(base.large_shape) for cut in cuts
+    ]
 
 
 def _check_tail_schedule(targets, cuts):
@@ -310,27 +307,24 @@ def _check_tail_schedule(targets, cuts):
             raise Infeasible("tail_order", f"stage {k + 1} block mass too small")
 
 
-def _choose_sides(dim, mode, sides, collars, n_stages, side_cap):
+def _choose_sides(dim, mode, sides, collars, n_stages):
     chosen = []
     prev = 0
     for i in range(1, n_stages + 1):
         collar = collars[i - 1]
         if mode == "strict":
-            bound = Fraction(1, 4**i)
             need = 2 * dim * (collar + 2 + prev)
             if sides is not None:
                 n = int(sides[i - 1])
-                if Fraction(need, n) >= bound:
+                if Fraction(need, n) >= Fraction(1, 4**i):
                     raise Infeasible(
                         "collar_fraction",
                         f"stage {i}: 2d(collar+2+prev)/{n} not below 1/4^{i}",
                     )
             else:
-                n = prev + 1
-                while n <= side_cap and Fraction(need, n) >= bound:
-                    n += 1
-                if n > side_cap:
-                    raise Infeasible("collar_fraction", f"stage {i} side exceeds cap {side_cap}")
+                n = need * 4**i + 1  # the least n with need / n < 1 / 4^i
+                if n > SIDE_CAP:
+                    raise Infeasible("collar_fraction", f"stage {i} side exceeds cap {SIDE_CAP}")
         else:
             minimum = 2 * (collar + 2) + prev + 1
             n = int(sides[i - 1]) if sides is not None else minimum
@@ -434,10 +428,8 @@ def sample_towers(
         start = window.anchor[a] + offset[a]
         stop = window.end[a] - spec.side
         axes.append(np.arange(start, stop + 1, step, dtype=np.int64))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    anchors = np.stack([m.ravel() for m in mesh], axis=1)
     counts = tuple(len(ax) for ax in axes)
-    return StageTowers(stage, spec.side, step, offset, anchors, window, counts)
+    return StageTowers(stage, spec.side, step, offset, grid_rows(axes), window, counts)
 
 
 @dataclass
@@ -482,30 +474,35 @@ class StageBlocks(Sequence):
         """Each block's collar, in tower order."""
         return np.array([collar for _, collar in self.kinds], dtype=np.int64)[self.kind]
 
+    def domain(self, k: int) -> Box:
+        """Kind ``k``'s block domain relative to its tower anchor: the tower
+        shrunk by the kind's collar plus 1 on every face."""
+        dim, side, collar = self.towers.window.dim, self.towers.side, self.kinds[k][1]
+        domain = interior(Box((0,) * dim, (side,) * dim), collar + 1)
+        if domain is None:
+            raise Infeasible("stage_side", f"side {side} below 2*({collar}+1)+1")
+        return domain
+
     def _block(self, k: int) -> TowerBlock:
         anchor = tuple(int(x) for x in self.towers.anchors[k])
         tile, collar = self.kinds[self.kind[k]]
         box = Box(anchor, (self.towers.side,) * len(anchor))
-        wall = BrickWall(self.wall.alphabet, tile, _add(self.wall.translate, anchor))
-        return TowerBlock(box, collar, wall, interior(box, collar + 1))
+        wall = BrickWall(self.wall.alphabet, tile, np.add(self.wall.translate, anchor))
+        return TowerBlock(box, collar, wall, self.domain(self.kind[k]).translate(anchor))
 
 
 @dataclass
 class ConstructionState:
     """Word and blocks after one stage."""
 
-    stage: int
     word: SymbolicWord
     blocks: StageBlocks
-    tower_side: int
-    window: Box
 
 
 def build_stage(
     state: ConstructionState | None,
     towers: StageTowers,
     wall: BrickWall,
-    base: RectFamily,
     plan: StagePlan,
     tails: np.ndarray | None = None,
 ) -> ConstructionState:
@@ -519,35 +516,30 @@ def build_stage(
     band.  Previous blocks not wholly inside a good position are dropped.
 
     Towers are disjoint and each kept block lies inside its tower, so the
-    stage writes all walls, then all bands, then all kept domains, each
-    group as strided assignments over a tower lattice.
+    stage writes all walls, then the bands and kept domains of each band
+    key, each group as strided assignments over a tower lattice.
     """
-    alphabet = wall.alphabet
     spec = plan.stages[towers.stage - 1]
-    dim = towers.window.dim
-    word = SymbolicWord(alphabet, towers.window)
+    word = SymbolicWord(wall.alphabet, towers.window)
     pure = np.full(towers.count, towers.stage == 1)
     if tails is not None:
         pure |= tails
-    composite, brick = (wall.tile, base.fill_length), (plan.brick_id(towers.stage), spec.collar)
+    composite = (wall.tile, plan.base.fill_length)
+    brick = (plan.brick_id(towers.stage), spec.collar)
     kinds = list(dict.fromkeys([composite, brick]))
     kind = np.where(pure, kinds.index(brick), kinds.index(composite))
+    blocks = StageBlocks(towers, wall, kinds, kind)
     # A tower's wall translate moves with its anchor, so the wall reads the
     # same over every interior of one (tile, collar) kind: draw it once.
-    for k, (tile, collar) in enumerate(kinds):
+    for k, (tile, _) in enumerate(kinds):
         mask = (kind == k).reshape(towers.counts)
-        if not mask.any():
-            continue
-        extent = spec.side - 2 * (collar + 1)
-        if extent < 1:
-            raise Infeasible("stage_side", f"side {spec.side} below 2*({collar}+1)+1")
-        domain = Box((collar + 1,) * dim, (extent,) * dim)
-        pattern = BrickWall(alphabet, tile, wall.translate).pattern_over(domain)
-        towers.lattice_view(word.grid, domain.anchor, domain.shape)[mask] = pattern
-    blocks = StageBlocks(towers, wall, kinds, kind)
+        if mask.any():
+            domain = blocks.domain(k)
+            pattern = BrickWall(wall.alphabet, tile, wall.translate).pattern_over(domain)
+            towers.lattice_view(word.grid, domain.anchor, domain.shape)[mask] = pattern
     if state is not None:
-        _paste_kept(word, state, towers, wall, base, pure)
-    return ConstructionState(towers.stage, word, blocks, spec.side, towers.window)
+        _paste_kept(word, state, towers, wall, plan.base, pure)
+    return ConstructionState(word, blocks)
 
 
 def _paste_kept(
@@ -560,10 +552,11 @@ def _paste_kept(
 ) -> None:
     """Paste the previous blocks composite towers keep, each in its band.
 
-    A band depends only on the block's kind and where the tower's wall sits
-    relative to the block, so every block with one such key gets the same
-    band: it is filled once per key and written with one masked assignment
-    over the previous stage's tower lattice.
+    A band depends only on its key: the block's kind and the phase of the
+    tower's wall relative to the block's anchor.  It is filled once per key
+    in the block's own frame (the block's tower anchored at the origin) and
+    written, then the kept domains copied over it, with one masked
+    assignment each over the previous stage's lattice.
     """
     prev = state.blocks
     kept, owners = _kept_blocks(prev, towers)
@@ -571,33 +564,27 @@ def _paste_kept(
     kept, owners = kept[keep], owners[keep]
     if not len(kept):
         return
-    shift = towers.anchors[owners] - prev.towers.anchors[kept]
-    phase = np.mod(shift + wall.translate, wall.alphabet.shape(wall.tile))
-    keys = np.column_stack([prev.kind[kept], phase])
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     lattice = prev.towers
+    shift = towers.anchors[owners] - lattice.anchors[kept]
+    phase = np.mod(shift + wall.translate, wall.period)
+    keys, inverse = np.unique(
+        np.column_stack([prev.kind[kept], phase]), axis=0, return_inverse=True
+    )
     slot = np.full(lattice.count, -1, dtype=np.intp)
     slot[kept] = inverse.ravel()
     slot = slot.reshape(lattice.counts)
     dim = lattice.window.dim
-    bands = lattice.lattice_view(word.grid, (1,) * dim, (lattice.side - 2,) * dim)
-    for g, i in enumerate(first):
-        blk = prev[int(kept[i])]
-        outer = BrickWall(wall.alphabet, wall.tile, _add(wall.translate, towers.anchors[owners[i]]))
-        fill = fill_between(blk.wall, blk.domain, outer, base, blk.collar)
-        bands[slot == g] = fill.materialize(interior(blk.box, 1)).grid
-    prev_kind = prev.kind.reshape(lattice.counts)
-    for k, (_, collar) in enumerate(prev.kinds):
-        mask = (slot >= 0) & (prev_kind == k)
-        if not mask.any():
-            continue
-        corner, shape = (collar + 1,) * dim, (lattice.side - 2 * (collar + 1),) * dim
-        source = lattice.lattice_view(state.word.grid, corner, shape)
-        lattice.lattice_view(word.grid, corner, shape)[mask] = source[mask]
-
-
-def _add(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(int(x) + int(y) for x, y in zip(a, b))
+    band = interior(Box((0,) * dim, (lattice.side,) * dim), 1)
+    bands = lattice.lattice_view(word.grid, band.anchor, band.shape)
+    for g, (k, *key_phase) in enumerate(keys.tolist()):
+        (tile, collar), domain = prev.kinds[k], prev.domain(k)
+        inner = BrickWall(wall.alphabet, tile, prev.wall.translate)
+        outer = BrickWall(wall.alphabet, wall.tile, key_phase)
+        fill = fill_between(inner, domain, outer, base, collar)
+        mask = slot == g
+        bands[mask] = fill.materialize(band).grid
+        source = lattice.lattice_view(state.word.grid, domain.anchor, domain.shape)
+        lattice.lattice_view(word.grid, domain.anchor, domain.shape)[mask] = source[mask]
 
 
 def _kept_blocks(prev: StageBlocks, towers: StageTowers) -> tuple[np.ndarray, np.ndarray]:
@@ -700,16 +687,14 @@ _DECODE_BATCH_CELLS = 1 << 16
 
 
 def finalize(
-    state: ConstructionState | None,
-    window: Box | None,
-    plan: StagePlan | None = None,
+    state: ConstructionState | None, plan: StagePlan | None = None
 ) -> tuple[Tiling, FrequencyReport]:
     """Decode the top-stage interiors into whole placements and account cells.
 
-    The word is validated once; block domains of one shape are decoded by
-    their corners in stacked batches of up to ``_DECODE_BATCH_CELLS`` cells
-    (one domain a call when it is larger), and the whole placements of all
-    blocks are merged in one concatenation.
+    The window is the top stage's.  The word is validated once; the block
+    domains of one kind are decoded by their corners in stacked batches of up
+    to ``_DECODE_BATCH_CELLS`` cells (one domain a call when it is larger),
+    and the whole placements of all blocks are merged in one concatenation.
     Uncovered cells are the sublattice error set, the towers' own unfilled
     boundary collars, and tiles cut by domain edges; those are excluded from
     the covered count, never errors.
@@ -717,22 +702,22 @@ def finalize(
     from .sft import decode  # looked up per call: the benchmark hooks dominofill.sft.decode
 
     targets = plan.targets if plan is not None else None
-    if state is None or not state.blocks or window is None:
+    window = state.blocks.towers.window if state is not None else None
+    if state is None or not state.blocks:
         shapes = {} if state is None else state.word.alphabet.tile_shapes
         cells = 0 if window is None else window.volume
         return Tiling.from_parts(shapes, [], window), FrequencyReport(cells, 0, {}, targets)
+    blocks = state.blocks
     violations = validate_word(state.word)
     if violations:
-        raise InvalidWord(f"stage {state.stage} word is invalid: {violations[0]}")
-    blocks = state.blocks
-    collars = blocks.collars()
+        raise InvalidWord(f"stage {blocks.towers.stage} word is invalid: {violations[0]}")
     results = []
-    for collar in np.unique(collars).tolist():
-        shape = (blocks.towers.side - 2 * (collar + 1),) * blocks.towers.window.dim
-        corners = blocks.towers.anchors[collars == collar] + (collar + 1)
-        per_call = max(1, _DECODE_BATCH_CELLS // math.prod(shape))
+    for k in np.unique(blocks.kind).tolist():
+        domain = blocks.domain(k)
+        corners = blocks.towers.anchors[blocks.kind == k] + domain.anchor
+        per_call = max(1, _DECODE_BATCH_CELLS // domain.volume)
         for lo in range(0, len(corners), per_call):
-            results.append(decode(state.word, corners[lo : lo + per_call], shape))
+            results.append(decode(state.word, corners[lo : lo + per_call], domain.shape))
     partial_cells = sum(r.partial_cells for r in results)
     tiling = Tiling(
         state.word.alphabet.tile_shapes,
@@ -893,9 +878,7 @@ def _subdivide(
     anchors: np.ndarray, period: tuple[int, ...], tile_shape: tuple[int, ...]
 ) -> np.ndarray:
     """Anchors of the tile grid refining each brick placement."""
-    axes = [np.arange(0, p, s, dtype=np.int64) for p, s in zip(period, tile_shape)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    offsets = np.stack([m.ravel() for m in mesh], axis=1)
+    offsets = grid_rows([np.arange(0, p, s, dtype=np.int64) for p, s in zip(period, tile_shape)])
     return (anchors[:, None, :] + offsets[None, :, :]).reshape(-1, anchors.shape[1])
 
 
@@ -923,8 +906,8 @@ def run_pipeline(plan: StagePlan, window: Box, seed: int) -> PipelineResult:
         tails = None
         if plan.countable and stage >= 2:
             tails = _select_tails(plan, towers, root.fork(1000 + stage))
-        state = build_stage(state, towers, wall, plan.base, plan, tails)
-    pre_tiling, pre_report = finalize(state, window, plan)
+        state = build_stage(state, towers, wall, plan, tails)
+    pre_tiling, pre_report = finalize(state, plan)
     final = redistribute(
         pre_tiling, plan.targets, pre_report, root.fork(2000).seed, alphabet.tile_shapes
     )

@@ -332,7 +332,7 @@ def load_json_doc_by_records(doc):
     raise ParseError(f"unknown JSON format {fmt!r}")
 
 
-def build_stage_per_block(state, towers, wall, base, plan, tails=None):
+def build_stage_per_block(state, towers, wall, plan, tails=None):
     """One construction stage with a wall drawn per tower and a band filled per block.
 
     Tower k is a pure wall tower at stage 1 or where the boolean ``tails``
@@ -340,12 +340,12 @@ def build_stage_per_block(state, towers, wall, base, plan, tails=None):
     tower shrunk by the block's collar plus the previous tower side plus 2
     on every face.
     """
-    spec = plan.stages[towers.stage - 1]
+    spec, base = plan.stages[towers.stage - 1], plan.base
     word = SymbolicWord(wall.alphabet, towers.window)
     blocks = []
     if state is not None and state.blocks:
         prev_anchors = np.array([blk.box.anchor for blk in state.blocks])
-        prev_depth = np.array([blk.collar for blk in state.blocks])[:, None] + 2 + state.tower_side
+        prev_depth = np.array([blk.collar + 2 + blk.box.shape[0] for blk in state.blocks])[:, None]
     for k, row in enumerate(towers.anchors):
         anchor = tuple(int(x) for x in row)
         tower_box = Box(anchor, (spec.side,) * towers.window.dim)
@@ -367,4 +367,4 @@ def build_stage_per_block(state, towers, wall, base, plan, tails=None):
                 word.paste(band, fill.materialize(band).grid)
                 word.paste(blk.domain, state.word.subgrid(blk.domain))
         blocks.append(TowerBlock(tower_box, collar, tower_wall, domain))
-    return ConstructionState(towers.stage, word, blocks, spec.side, towers.window)
+    return ConstructionState(word, blocks)

@@ -626,28 +626,28 @@ probs = 1/3 1/3 1/3
 sides = 30,120
 """
 
-# sha256 of the files `dominofill build` writes, run with a relative --out
-# (report.json embeds the out dir).  A change here changes seeded outputs.
+# sha256 of the files `dominofill build` writes.  A change here changes
+# seeded outputs.
 GOLDEN_BUILDS = {
     "flagship_300": (FLAGSHIP_INI, {
         "tiling.txt": "03c1e6c172a9210c4ca08d5a69ede18088c7d69543a7d0648490739cf3e6cf55",
         "tiling_pre.txt": "1bea073244a963ddd7ab7bde9ca42b2666540c918a3c43ec53c9cd0e4b2c1db3",
-        "report.json": "a37486188acac9d43b6ce6402b34982efe085646ddc6090f51716376ad57c46d",
+        "report.json": "e7f38e248ef6c6e6e6d962c302b2259208357aaf892d69c470f9aefd484a3fee",
     }),
     "two_stage_1024": (TWO_STAGE_INI, {
         "tiling.txt": "d98bffb5cd4469bd2fd817faf8ec803eaceacfb16ca86e17a006187bb1f05ee9",
         "tiling_pre.txt": "977bf9199a88f1a3cdd651d67af5e83b3cf53936061eaf2ec635b5a43fe60a84",
-        "report.json": "0eac438cde7d6c2704d143547c33904b3be1c086f0b4abb1eb5ac560acbde5a8",
+        "report.json": "14433a1182a33595e980ab13e4a129b28c122d16689d2d7cd7b0c55c802dd895",
     }),
     "countable_line": (LINE_INI, {
         "tiling.txt": "3790190a28ab360f44699baab7b45c22e8e57433f6e291d45097c6b6b2406ac3",
         "tiling_pre.txt": "e019bc1f22daa1d4808da99d89e6065da70f62bcced097f0ef88eab6817656c7",
-        "report.json": "20d4501229ef6671f0811ca0ff4fba8e10ffa4782d60ccbc4dcda9a219ca630b",
+        "report.json": "f511ae438672a030b25536a019ea8ac1e0c22c3097517daed3509b86c84f4b8b",
     }),
     "three_d_two_stage": (THREE_D_INI, {
         "tiling.txt": "2fe086e9e81ddc15d7eb1f6587c96a5ef57eb2ea0fe00559980765394c0767cd",
         "tiling_pre.txt": "2d2f56ab39407f393f551997989b978d39ad7bf515f15b88672afbb355784e42",
-        "report.json": "05d19b62530f31532e195228b3982c7f70e4541020a5233cc770529903295a26",
+        "report.json": "67d5c5609eeaa1ad9f0dd71426e4b8f5c1bb3f0cee9e763f5bd7059235ae0595",
     }),
 }
 GOLDEN_FILL = "90522b56788230bd82846b10810a0e49c1fc3a121736979376b577b983d38213"
@@ -666,6 +666,20 @@ class TestGoldenBytes:
         assert main(["build", "--config", "run.ini", "--out", "out"]) == 0
         capsys.readouterr()
         assert {f: sha256_of(Path("out") / f) for f in digests} == digests
+
+    def test_report_does_not_depend_on_out_dir(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text(FLAGSHIP_INI, encoding="utf-8")
+        reports = []
+        for out in (tmp_path / "a", tmp_path / "deeper" / "b"):
+            assert main(["build", "--config", str(config), "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        capsys.readouterr()
+        assert reports[0] == reports[1]
+        report = json.loads(reports[0])
+        assert report["schema"] == 1
+        echoed = parse_config(report["config"])
+        assert echoed == parse_config(FLAGSHIP_INI).replace(out_dir=echoed.out_dir)
 
     def test_fill_output(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

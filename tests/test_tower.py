@@ -71,6 +71,26 @@ class TestPlanStages:
         assert [s.collar for s in two.stages] == [26, 26]
         assert [s.error_budget for s in two.stages] == [Fraction(1, 8), Fraction(1, 32)]
 
+    def test_strict_sides_are_minimal_in_closed_form(self, flagship):
+        three = plan_stages(flagship, FLAGSHIP_TARGETS, count=3)
+        assert [s.side for s in three.stages] == [449, 30529, 7822593]
+        with pytest.raises(Infeasible, match="stage 4 side exceeds cap 10000000") as info:
+            plan_stages(flagship, FLAGSHIP_TARGETS, count=4)
+        assert info.value.constraint == "collar_fraction"
+        families = [
+            (validate_family([(2,), (3,)]), ["1/2", "1/2"]),
+            (flagship, ["2/5", "3/5"]),
+            (validate_family([(2, 1, 1), (1, 2, 1), (1, 1, 2)]), ["1/3", "1/3", "1/3"]),
+        ]
+        for family, probs in families:
+            targets = TargetDistribution.of(probs)
+            sides = [s.side for s in plan_stages(family, targets, count=2).stages]
+            for i in range(2):
+                smaller = sides[:i] + [sides[i] - 1] + sides[i + 1 :]
+                with pytest.raises(Infeasible, match=f"stage {i + 1}: 2d") as info:
+                    plan_stages(family, targets, sides=smaller)
+                assert info.value.constraint == "collar_fraction"
+
     def test_strict_validates_explicit_sides(self, flagship):
         accepted = plan_stages(flagship, FLAGSHIP_TARGETS, sides=(449,))
         assert accepted.stages[0].side == 449
@@ -202,16 +222,16 @@ def two_stage_state(flagship, flagship_alphabet):
     window = Box((0, 0), (600, 600))
     wall = BrickWall(flagship_alphabet, "P", (0, 0))
     towers1 = sample_towers(plan, window, 1, seed=0, offset=(0, 0))
-    state1 = build_stage(None, towers1, wall, flagship, plan)
+    state1 = build_stage(None, towers1, wall, plan)
     towers2 = sample_towers(plan, window, 2, seed=0, offset=(0, 0))
-    state2 = build_stage(state1, towers2, wall, flagship, plan)
+    state2 = build_stage(state1, towers2, wall, plan)
     return plan, window, state1, state2
 
 
 class TestBuildStage:
     def test_stage_one_blocks_are_wall_restrictions(self, two_stage_state, flagship_alphabet):
         _, _, state1, _ = two_stage_state
-        assert state1.stage == 1 and len(state1.blocks) == 100
+        assert state1.blocks.towers.stage == 1 and len(state1.blocks) == 100
         blk = state1.blocks[3]
         assert blk.domain == interior(blk.box, blk.collar + 1)
         shifted = BrickWall(flagship_alphabet, "P", blk.box.anchor)
@@ -230,7 +250,7 @@ class TestBuildStage:
         preserved = 0
         for big in state2.blocks:
             for prev in state1.blocks:
-                core = interior(big.box, prev.collar + 2 + state1.tower_side)
+                core = interior(big.box, prev.collar + 2 + state1.blocks.towers.side)
                 if core is not None and core.contains_cell(prev.box.anchor):
                     assert np.array_equal(
                         state1.word.subgrid(prev.domain), state2.word.subgrid(prev.domain)
@@ -294,9 +314,9 @@ def test_build_stage_matches_band_per_block_oracle(name, monkeypatch):
     real_build, real_fill = tower.build_stage, tower.fill_between
     stages, fills = [], []
 
-    def checked(state, towers, wall, base, plan, tails=None):
-        got = real_build(state, towers, wall, base, plan, tails)
-        want = build_stage_per_block(state, towers, wall, base, plan, tails)
+    def checked(state, towers, wall, plan, tails=None):
+        got = real_build(state, towers, wall, plan, tails)
+        want = build_stage_per_block(state, towers, wall, plan, tails)
         assert np.array_equal(got.word.grid, want.word.grid)
         assert [block_record(b) for b in got.blocks] == [block_record(b) for b in want.blocks]
         stages.append(towers.stage)
@@ -380,11 +400,11 @@ def countable_stages():
     window = Box((0,), (20_000,))
     wall = BrickWall(plan.alphabet(), plan.brick_id(1), (0,))
     towers1 = sample_towers(plan, window, 1, seed=3)
-    state1 = build_stage(None, towers1, wall, plan.base, plan)
+    state1 = build_stage(None, towers1, wall, plan)
     towers2 = sample_towers(plan, window, 2, seed=5)
     tails = tower._select_tails(plan, towers2, SplitMix64(7))
-    state2 = build_stage(state1, towers2, wall, plan.base, plan, tails)
-    want = build_stage_per_block(state1, towers2, wall, plan.base, plan, tails)
+    state2 = build_stage(state1, towers2, wall, plan, tails)
+    want = build_stage_per_block(state1, towers2, wall, plan, tails)
     return plan, window, state2, [block_record(b) for b in want.blocks], tails
 
 
@@ -409,16 +429,41 @@ def test_stage_blocks_behave_as_the_oracle_list(countable_stages):
 
 def test_finalize_reads_block_arrays(countable_stages, monkeypatch):
     plan, window, state, _, _ = countable_stages
-    want, _ = finalize(state, window, plan)
+    want, _ = finalize(state, plan)
 
     def refuse(*args):
         raise AssertionError("finalize built a TowerBlock")
 
     monkeypatch.setattr(tower, "TowerBlock", refuse)
-    got, report = finalize(state, window, plan)
+    got, report = finalize(state, plan)
     assert len(got) and got.same_placements(want)
     with pytest.raises(AssertionError):
         state.blocks[0]
+
+
+def test_build_path_builds_no_tower_block(monkeypatch):
+    """A two-stage countable build, kept blocks and bands included, reads
+    only block arrays: bands are filled from their key in the block's frame."""
+    cfg = parse_config(LINE_INI)
+    _, _, plan = _family_and_plan(cfg)
+    window = Box(cfg.window_anchor, cfg.window_shape)
+    want = run_pipeline(plan, window, cfg.seed)
+    fills = []
+
+    def refuse(*args):
+        raise AssertionError("the build built a TowerBlock")
+
+    def counted(*args):
+        fills.append(args)
+        return real_fill(*args)
+
+    real_fill = tower.fill_between
+    monkeypatch.setattr(tower, "TowerBlock", refuse)
+    monkeypatch.setattr(tower, "fill_between", counted)
+    got = run_pipeline(plan, window, cfg.seed)
+    assert fills  # stage 2 kept blocks and filled their bands
+    assert np.array_equal(got.state.word.grid, want.state.word.grid)
+    assert got.tiling.same_placements(want.tiling)
 
 
 class TestFinalize:
@@ -426,8 +471,8 @@ class TestFinalize:
         plan = plan_stages(flagship, FLAGSHIP_TARGETS, mode="relaxed", sides=(64,))
         window = Box((0, 0), (300, 300))
         towers = sample_towers(plan, window, 1, seed=0, offset=(0, 0))
-        state = build_stage(None, towers, BrickWall(flagship_alphabet, "P", (0, 0)), flagship, plan)
-        tiling, report = finalize(state, window, plan)
+        state = build_stage(None, towers, BrickWall(flagship_alphabet, "P", (0, 0)), plan)
+        tiling, report = finalize(state, plan)
         # each 10x10 block domain holds exactly one whole 6x6 brick
         assert towers.count == 16
         assert set(p.tile for p in tiling.placements()) == {"P"}
@@ -443,13 +488,13 @@ class TestFinalize:
         rel = tuple(c - w + 1 for c, w in zip(blk.domain.anchor, window.anchor))
         grid[rel] = grid[rel[0] - 1, rel[1]]  # repeats its left neighbour's symbol
         word = SymbolicWord(state1.word.alphabet, window, grid)
-        broken = ConstructionState(1, word, state1.blocks, state1.tower_side, window)
+        broken = ConstructionState(word, state1.blocks)
         with pytest.raises(InvalidWord, match="stage 1 word is invalid"):
-            finalize(broken, window, plan)
+            finalize(broken, plan)
 
     def test_two_stage_report(self, two_stage_state):
         plan, window, _, state2 = two_stage_state
-        tiling, report = finalize(state2, window, plan)
+        tiling, report = finalize(state2, plan)
         assert set(report.tile_cells) == {1, 2, "P"}
         assert report.small_tile_fraction() < Fraction(2, 5)
         assert report.notes["small_fraction_below_min_target"] is True
