@@ -380,7 +380,9 @@ def decode(
     sized domains inside the word's box, each domain decodes as if the word
     were restricted to it, all in one grouping: placements and partials come
     domain after domain, and the tiling's window is the word's box.  Without
-    ``corners`` the whole word is decoded.
+    ``corners`` the whole word is decoded.  When every cell of the domains
+    is assigned, a placement is whole iff its anchor cell's tile fits in its
+    domain, and only the cells within a tile side of a face are grouped.
     """
     alphabet = word.alphabet
     dim = alphabet.dim
@@ -399,21 +401,46 @@ def decode(
     stacked[(slice(None),) + (slice(pad, None),) * dim] = windows[tuple(rel.T)]
     slab_size = math.prod(slab_shape)
     strides = np.cumprod((slab_shape[1:] + (1,))[::-1])[::-1]
-    keys = np.flatnonzero(stacked >= 0)
-    syms = stacked.ravel()[keys]
-    keys -= (alphabet.offsets @ strides)[syms]  # each cell's anchor, in its own slab
-    # Key (domain, tile code, anchor in the slab), domain-major, packed in
-    # place as anchor + (code + domain * (n_tiles - 1)) * slab_size.
     n_tiles = len(alphabet.tiles)
-    major = keys // slab_size
-    major *= n_tiles - 1
-    major += alphabet.tile_codes[syms]
-    major *= slab_size
-    keys += major
-    keys, counts = np.unique(keys, return_counts=True)
+    volumes = np.array([math.prod(alphabet.shape(t)) for t in alphabet.tiles])
+
+    def packed(anchors, syms):
+        # Key (domain, tile code, anchor in the slab), domain-major:
+        # anchor + (code + domain * (n_tiles - 1)) * slab_size.
+        major = anchors // slab_size
+        major *= n_tiles - 1
+        major += alphabet.tile_codes[syms]
+        major *= slab_size
+        major += anchors
+        return major
+
+    cells = stacked.ravel()
+    grouped = stacked >= 0
+    fitted = None
+    if np.count_nonzero(grouped) == len(rel) * math.prod(shape):
+        # Every cell is assigned, so in a valid word a placement is whole iff
+        # its anchor cell's tile fits in the domain.  The other placements
+        # lie within a tile side of a face: only those cells are grouped.
+        starts = np.flatnonzero(np.append(alphabet.is_anchor, False)[cells])
+        corner = np.stack(np.unravel_index(starts % slab_size, slab_shape), axis=1)
+        fitted = starts[np.all(corner + alphabet.sym_shapes[cells[starts]] <= slab_shape, axis=1)]
+        grouped[(slice(None),) + tuple(slice(2 * pad - 1, e + 1) for e in shape)] = False
+    keys = np.flatnonzero(grouped)
+    syms = cells[keys]
+    keys -= (alphabet.offsets @ strides)[syms]  # each cell's anchor, in its own slab
+    if fitted is not None:
+        cut = np.ones(len(cells), dtype=bool)
+        cut[fitted] = False
+        cut = cut[keys]
+        keys, syms = keys[cut], syms[cut]
+    keys, counts = np.unique(packed(keys, syms), return_counts=True)
+    if fitted is not None:
+        keys = np.concatenate([keys, packed(fitted, cells[fitted])])
+        counts = np.concatenate([counts, volumes[alphabet.tile_codes[cells[fitted]]]])
+        order = np.argsort(keys)
+        keys, counts = keys[order], counts[order]
     major, flat = np.divmod(keys, slab_size)
     slab_of, codes = np.divmod(major, n_tiles)
-    volumes = np.array([math.prod(alphabet.shape(t)) for t in alphabet.tiles])
     whole = counts == volumes[codes]
     coords = np.stack(np.unravel_index(flat, slab_shape), axis=1)
     coords += corners[slab_of] - pad

@@ -13,6 +13,7 @@ with the window, with the uncovered remainder reported as the error set.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -146,8 +147,10 @@ class StagePlan:
         """
         top = self.stages[-1]
         period = self.brick_shape(self.stage_count)
-        inner = top.side - 2 * (top.collar + 1)
-        content = [max(inner - 2 * (p - 1), 0) for p in period]
+        domain = block_domain(top.side, top.collar, len(window_shape))
+        if domain is None:
+            return Fraction(1)
+        content = [max(e - 2 * (p - 1), 0) for e, p in zip(domain.shape, period)]
         if 0 in content:
             return Fraction(1)
         towers = 1
@@ -171,6 +174,13 @@ class StagePlan:
         """Smallest target among the base tiles (all tiles without cut points)."""
         limit = self.cutoffs[0] if self.cutoffs else len(self.targets.probs)
         return min(self.targets.probs[:limit])
+
+
+def block_domain(side: int, collar: int, dim: int) -> Box | None:
+    """The block domain rule: a tower of side ``side`` shrunk by ``collar``
+    plus 1 on every face, relative to the tower anchor; None when nothing is
+    left."""
+    return interior(Box((0,) * dim, (side,) * dim), collar + 1)
 
 
 def plan_stages(
@@ -478,10 +488,18 @@ class StageBlocks(Sequence):
         """Kind ``k``'s block domain relative to its tower anchor: the tower
         shrunk by the kind's collar plus 1 on every face."""
         dim, side, collar = self.towers.window.dim, self.towers.side, self.kinds[k][1]
-        domain = interior(Box((0,) * dim, (side,) * dim), collar + 1)
+        domain = block_domain(side, collar, dim)
         if domain is None:
             raise Infeasible("stage_side", f"side {side} below 2*({collar}+1)+1")
         return domain
+
+    def paint(self, grid: np.ndarray, values: Sequence) -> None:
+        """Write ``values[k]`` over the domain of every kind-k block of
+        ``grid``, a grid over the window, with one masked assignment per kind."""
+        for k in np.unique(self.kind).tolist():
+            domain = self.domain(k)
+            mask = (self.kind == k).reshape(self.towers.counts)
+            self.towers.lattice_view(grid, domain.anchor, domain.shape)[mask] = values[k]
 
     def _block(self, k: int) -> TowerBlock:
         anchor = tuple(int(x) for x in self.towers.anchors[k])
@@ -491,12 +509,72 @@ class StageBlocks(Sequence):
         return TowerBlock(box, collar, wall, self.domain(self.kind[k]).translate(anchor))
 
 
-@dataclass
-class ConstructionState:
-    """Word and blocks after one stage."""
+@dataclass(frozen=True, eq=False)
+class KeptBlocks:
+    """The previous-stage blocks a stage's composite towers keep, and their bands.
 
-    word: SymbolicWord
+    Block ``index[j]`` of ``state`` (increasing) is kept by tower ``owner[j]``
+    and sits in the band of key ``key[j]``.  Key g's band is filled from the
+    previous kind ``kinds[g]`` and a wall phase: ``bands[g]`` is its grid over
+    ``band``, the previous tower shrunk by 1, in the block's own frame.
+    """
+
+    state: "ConstructionState"
+    index: np.ndarray
+    owner: np.ndarray
+    key: np.ndarray
+    kinds: list[int]
+    band: Box
+    bands: list[np.ndarray]
+
+
+@dataclass(eq=False)
+class ConstructionState:
+    """One stage's blocks and the templates their domains are made of.
+
+    ``patterns[k]`` is kind k's wall over ``blocks.domain(k)`` (None when no
+    tower has kind k); ``kept`` holds the previous blocks the composite towers
+    paste back, with their bands.  ``word``, the stage's word over the
+    window, is painted from these templates on first read: the build path
+    never reads it.
+    """
+
     blocks: StageBlocks
+    patterns: list[np.ndarray | None]
+    kept: KeptBlocks | None = None
+    _word: SymbolicWord | None = field(default=None, init=False, repr=False)
+
+    @property
+    def word(self) -> SymbolicWord:
+        if self._word is None:
+            alphabet, window = self.blocks.wall.alphabet, self.blocks.towers.window
+            self._word = SymbolicWord(alphabet, window, _paint(self))
+        return self._word
+
+
+def _paint(state: ConstructionState) -> np.ndarray:
+    """The stage's word grid: each kind's wall, then each band key's bands and
+    kept domains, each as one masked assignment over a tower lattice."""
+    grid = np.full(state.blocks.towers.window.shape, -1, dtype=np.int32)
+    state.blocks.paint(grid, state.patterns)
+    kept = state.kept
+    if kept is None:
+        return grid
+    prev = kept.state
+    source = prev._word.grid if prev._word is not None else _paint(prev)
+    lattice = prev.blocks.towers
+    slot = np.full(lattice.count, -1, dtype=np.intp)
+    slot[kept.index] = kept.key
+    slot = slot.reshape(lattice.counts)
+    band = kept.band
+    bands = lattice.lattice_view(grid, band.anchor, band.shape)
+    for g, (k, fill) in enumerate(zip(kept.kinds, kept.bands)):
+        mask = slot == g
+        bands[mask] = fill
+        domain = prev.blocks.domain(k)
+        view = lattice.lattice_view(source, domain.anchor, domain.shape)
+        lattice.lattice_view(grid, domain.anchor, domain.shape)[mask] = view[mask]
+    return grid
 
 
 def build_stage(
@@ -506,7 +584,7 @@ def build_stage(
     plan: StagePlan,
     tails: np.ndarray | None = None,
 ) -> ConstructionState:
-    """Run one construction stage on a fresh word.
+    """Run one construction stage: pick each tower's kind and make its templates.
 
     Every tower lays a wall over its interior.  A pure wall block (always at
     stage 1; later, where the boolean ``tails`` mask over ``towers.anchors``
@@ -515,12 +593,12 @@ def build_stage(
     landed deep enough, and bridges each to the ambient wall with a filling
     band.  Previous blocks not wholly inside a good position are dropped.
 
-    Towers are disjoint and each kept block lies inside its tower, so the
-    stage writes all walls, then the bands and kept domains of each band
-    key, each group as strided assignments over a tower lattice.
+    A tower's wall translate moves with its anchor, so the wall reads the
+    same over every domain of one (tile, collar) kind: it is drawn once per
+    kind.  A band is filled once per band key.  No word is written; see
+    ``ConstructionState``.
     """
     spec = plan.stages[towers.stage - 1]
-    word = SymbolicWord(wall.alphabet, towers.window)
     pure = np.full(towers.count, towers.stage == 1)
     if tails is not None:
         pure |= tails
@@ -529,62 +607,48 @@ def build_stage(
     kinds = list(dict.fromkeys([composite, brick]))
     kind = np.where(pure, kinds.index(brick), kinds.index(composite))
     blocks = StageBlocks(towers, wall, kinds, kind)
-    # A tower's wall translate moves with its anchor, so the wall reads the
-    # same over every interior of one (tile, collar) kind: draw it once.
-    for k, (tile, _) in enumerate(kinds):
-        mask = (kind == k).reshape(towers.counts)
-        if mask.any():
-            domain = blocks.domain(k)
-            pattern = BrickWall(wall.alphabet, tile, wall.translate).pattern_over(domain)
-            towers.lattice_view(word.grid, domain.anchor, domain.shape)[mask] = pattern
-    if state is not None:
-        _paste_kept(word, state, towers, wall, plan.base, pure)
-    return ConstructionState(word, blocks)
+    patterns = [
+        BrickWall(wall.alphabet, tile, wall.translate).pattern_over(blocks.domain(k))
+        if np.any(kind == k) else None
+        for k, (tile, _) in enumerate(kinds)
+    ]
+    kept = _keep_blocks(state, towers, wall, plan.base, pure) if state is not None else None
+    return ConstructionState(blocks, patterns, kept)
 
 
-def _paste_kept(
-    word: SymbolicWord,
+def _keep_blocks(
     state: ConstructionState,
     towers: StageTowers,
     wall: BrickWall,
     base: RectFamily,
     pure: np.ndarray,
-) -> None:
-    """Paste the previous blocks composite towers keep, each in its band.
+) -> KeptBlocks | None:
+    """The previous blocks composite towers keep, with one band per key.
 
     A band depends only on its key: the block's kind and the phase of the
     tower's wall relative to the block's anchor.  It is filled once per key
-    in the block's own frame (the block's tower anchored at the origin) and
-    written, then the kept domains copied over it, with one masked
-    assignment each over the previous stage's lattice.
+    in the block's own frame (the block's tower anchored at the origin).
     """
     prev = state.blocks
     kept, owners = _kept_blocks(prev, towers)
     keep = ~pure[owners]
     kept, owners = kept[keep], owners[keep]
     if not len(kept):
-        return
-    lattice = prev.towers
-    shift = towers.anchors[owners] - lattice.anchors[kept]
+        return None
+    shift = towers.anchors[owners] - prev.towers.anchors[kept]
     phase = np.mod(shift + wall.translate, wall.period)
     keys, inverse = np.unique(
         np.column_stack([prev.kind[kept], phase]), axis=0, return_inverse=True
     )
-    slot = np.full(lattice.count, -1, dtype=np.intp)
-    slot[kept] = inverse.ravel()
-    slot = slot.reshape(lattice.counts)
-    dim = lattice.window.dim
-    band = interior(Box((0,) * dim, (lattice.side,) * dim), 1)
-    bands = lattice.lattice_view(word.grid, band.anchor, band.shape)
-    for g, (k, *key_phase) in enumerate(keys.tolist()):
+    dim = towers.window.dim
+    band = interior(Box((0,) * dim, (prev.towers.side,) * dim), 1)
+    bands = []
+    for k, *key_phase in keys.tolist():
         (tile, collar), domain = prev.kinds[k], prev.domain(k)
         inner = BrickWall(wall.alphabet, tile, prev.wall.translate)
         outer = BrickWall(wall.alphabet, wall.tile, key_phase)
-        fill = fill_between(inner, domain, outer, base, collar)
-        mask = slot == g
-        bands[mask] = fill.materialize(band).grid
-        source = lattice.lattice_view(state.word.grid, domain.anchor, domain.shape)
-        lattice.lattice_view(word.grid, domain.anchor, domain.shape)[mask] = source[mask]
+        bands.append(fill_between(inner, domain, outer, base, collar).materialize(band).grid)
+    return KeptBlocks(state, kept, owners, inverse.ravel(), keys[:, 0].tolist(), band, bands)
 
 
 def _kept_blocks(prev: StageBlocks, towers: StageTowers) -> tuple[np.ndarray, np.ndarray]:
@@ -683,49 +747,36 @@ class FrequencyReport:
         }
 
 
-_DECODE_BATCH_CELLS = 1 << 16
-
-
 def finalize(
     state: ConstructionState | None, plan: StagePlan | None = None
 ) -> tuple[Tiling, FrequencyReport]:
-    """Decode the top-stage interiors into whole placements and account cells.
+    """Assemble the whole placements of the top-stage block domains and account cells.
 
-    The window is the top stage's.  The word is validated once; the block
-    domains of one kind are decoded by their corners in stacked batches of up
-    to ``_DECODE_BATCH_CELLS`` cells (one domain a call when it is larger),
-    and the whole placements of all blocks are merged in one concatenation.
-    Uncovered cells are the sublattice error set, the towers' own unfilled
-    boundary collars, and tiles cut by domain edges; those are excluded from
-    the covered count, never errors.
+    The window is the top stage's.  No window word is read: each template
+    (every kind's wall, every band key's band, down the stages that reach the
+    top) is checked with ``validate_word`` and decoded once, and its
+    placements are translated to every block that uses it (see
+    ``_assemble``).  The result must pass ``_check_placements``.  Uncovered
+    cells are the sublattice error set, the towers' own unfilled boundary
+    collars, and tiles cut by domain edges (``partial_cells``); those are
+    excluded from the covered count, never errors.
     """
-    from .sft import decode  # looked up per call: the benchmark hooks dominofill.sft.decode
-
     targets = plan.targets if plan is not None else None
     window = state.blocks.towers.window if state is not None else None
     if state is None or not state.blocks:
-        shapes = {} if state is None else state.word.alphabet.tile_shapes
+        shapes = {} if state is None else state.blocks.wall.alphabet.tile_shapes
         cells = 0 if window is None else window.volume
         return Tiling.from_parts(shapes, [], window), FrequencyReport(cells, 0, {}, targets)
     blocks = state.blocks
-    violations = validate_word(state.word)
-    if violations:
-        raise InvalidWord(f"stage {blocks.towers.stage} word is invalid: {violations[0]}")
-    results = []
-    for k in np.unique(blocks.kind).tolist():
-        domain = blocks.domain(k)
-        corners = blocks.towers.anchors[blocks.kind == k] + domain.anchor
-        per_call = max(1, _DECODE_BATCH_CELLS // domain.volume)
-        for lo in range(0, len(corners), per_call):
-            results.append(decode(state.word, corners[lo : lo + per_call], domain.shape))
-    partial_cells = sum(r.partial_cells for r in results)
-    tiling = Tiling(
-        state.word.alphabet.tile_shapes,
-        np.concatenate([r.tiling.codes for r in results]),
-        np.concatenate([r.tiling.anchors for r in results]),
-        window,
-    ).sorted_canonical()
-    report = FrequencyReport.of_tiling(tiling, targets, partial_cells)
+    codes, anchors, _ = _assemble(state, np.arange(len(blocks)))
+    tiling = Tiling(blocks.wall.alphabet.tile_shapes, codes, anchors, window)
+    _check_placements(blocks, tiling)
+    domain_cells = sum(
+        blocks.domain(k).volume * int(np.count_nonzero(blocks.kind == k))
+        for k in np.unique(blocks.kind).tolist()
+    )
+    tiling = tiling.sorted_canonical()
+    report = FrequencyReport.of_tiling(tiling, targets, domain_cells - tiling.covered_cells())
     if plan is not None:
         collar_bound = plan.collar_mass_bound()
         report.notes["small_fraction_below_min_target"] = bool(
@@ -737,6 +788,153 @@ def finalize(
         report.notes["collar_mass_bound"] = collar_bound
         report.notes["predicted_error_budget"] = plan.predicted_error_budget()
     return tiling, report
+
+
+def _template(stage: int, alphabet: Alphabet, box: Box, grid: np.ndarray):
+    """(codes, anchors) of the whole placements of one template word over ``box``,
+    which must pass ``validate_word``."""
+    from .sft import decode  # looked up per call: the benchmark hooks dominofill.sft.decode
+
+    word = SymbolicWord(alphabet, box, grid)
+    violations = validate_word(word)
+    if violations:
+        raise InvalidWord(f"stage {stage} word is invalid: {violations[0]}")
+    whole = decode(word).tiling
+    return whole.codes, whole.anchors
+
+
+def _assemble(
+    state: ConstructionState, chosen: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(codes, anchors, owner): the whole placements in the domains of blocks ``chosen``.
+
+    ``owner`` is each placement's position in ``chosen``.  A block's domain
+    holds its kind's wall bricks, less those wholly inside the band of a
+    block it keeps; each such band's placements, less those wholly inside
+    the kept block's domain; and the kept block's own placements, assembled
+    the same way one stage down.  Each part is one broadcast add per kind
+    or band key.  A band that leaves its tower's domain (no plan from
+    ``plan_stages`` has one: a kept block's collar is never below the
+    composite collar) gives only the placements wholly inside the domain,
+    as a decode of the domain would.
+    """
+    blocks, towers = state.blocks, state.blocks.towers
+    alphabet = blocks.wall.alphabet
+    origin, kind = towers.anchors[chosen], blocks.kind[chosen]
+    lo, hi = np.empty_like(origin), np.empty_like(origin)
+    index = owner = key = np.zeros(0, dtype=np.intp)
+    if state.kept is not None:
+        kept, prev = state.kept, state.kept.state.blocks
+        position = np.full(len(blocks), -1, dtype=np.intp)
+        position[chosen] = np.arange(len(chosen))
+        mine = position[kept.owner] >= 0
+        index, owner, key = kept.index[mine], position[kept.owner[mine]], kept.key[mine]
+        band_lo = prev.towers.anchors[index] + kept.band.anchor
+    parts = []
+    for k in np.unique(kind).tolist():
+        domain = blocks.domain(k)
+        codes, rel = _template(towers.stage, alphabet, domain, state.patterns[k])
+        which = np.flatnonzero(kind == k)
+        lo[which] = origin[which] + domain.anchor
+        hi[which] = lo[which] + domain.shape
+        banded = kind[owner] == k
+        keep = None
+        if len(codes) and banded.any():
+            row = np.full(len(chosen), -1, dtype=np.intp)
+            row[which] = np.arange(len(which))
+            period = alphabet.shape(blocks.kinds[k][0])
+            box_lo = band_lo[banded] - origin[owner[banded]]
+            keep = ~_bricks_in_boxes(
+                rel, period, box_lo, kept.band.shape, row[owner[banded]], len(which)
+            )
+        parts.append(_translate(codes, rel, origin[which], which, keep))
+    if not len(index):
+        return tuple(np.concatenate(column) for column in zip(*parts))
+    shapes = np.array([alphabet.shape(t) for t in alphabet.tiles], dtype=np.int64)
+    inner_parts = []
+    for g in np.unique(key).tolist():
+        codes, rel = _template(towers.stage, alphabet, kept.band, kept.bands[g])
+        inner = prev.domain(kept.kinds[g])
+        outside = np.any(rel < inner.anchor, axis=1)
+        outside |= np.any(rel + shapes[codes] > inner.end, axis=1)
+        sel = key == g
+        inner_parts.append(
+            _translate(codes[outside], rel[outside], prev.towers.anchors[index[sel]], owner[sel])
+        )
+    codes, anchors, below = _assemble(kept.state, index)
+    inner_parts.append((codes, anchors, owner[below]))
+    codes, anchors, placed = (np.concatenate(column) for column in zip(*inner_parts))
+    if np.any(band_lo < lo[owner]) or np.any(band_lo + kept.band.shape > hi[owner]):
+        inside = np.all(anchors >= lo[placed], axis=1)
+        inside &= np.all(anchors + shapes[codes] <= hi[placed], axis=1)
+        codes, anchors, placed = codes[inside], anchors[inside], placed[inside]
+    parts.append((codes, anchors, placed))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _translate(codes, rel, origin, owner, keep=None):
+    """(codes, anchors, owner) of template placements ``rel`` at every ``origin``,
+    where the (origin, placement) mask ``keep`` is set."""
+    anchors = origin[:, None, :] + rel[None, :, :]
+    codes = np.broadcast_to(codes, anchors.shape[:2])
+    owner = np.broadcast_to(owner[:, None], anchors.shape[:2])
+    if keep is None:
+        return codes.ravel(), anchors.reshape(-1, anchors.shape[2]), owner.ravel()
+    return codes[keep], anchors[keep], owner[keep]
+
+
+def _bricks_in_boxes(bricks, period, box_lo, box_shape, rows, n_rows) -> np.ndarray:
+    """(n_rows, len(bricks)) mask: brick b wholly inside a box of row ``rows[j]``.
+
+    ``bricks`` lie on a full grid of spacing ``period``; box j is
+    ``box_lo[j]`` plus ``box_shape`` in the same frame.  Each box covers a
+    box of brick indices, marked in one difference array over the brick
+    lattice and summed up along each axis.
+    """
+    dim = len(period)
+    origin = bricks.min(axis=0)
+    index = (bricks - origin) // period
+    n = index.max(axis=0) + 1
+    first = np.clip(-((origin - box_lo) // period), 0, n)
+    stop = np.clip((box_lo + box_shape - period - origin) // period + 1, first, n)
+    diff = np.zeros((n_rows, *(n + 1)), dtype=np.int32)
+    for corner in itertools.product((0, 1), repeat=dim):
+        at = tuple(stop[:, a] if c else first[:, a] for a, c in enumerate(corner))
+        np.add.at(diff, (rows, *at), -1 if sum(corner) % 2 else 1)
+    for axis in range(1, dim + 1):
+        np.cumsum(diff, axis=axis, out=diff)
+    return diff[(slice(None), *index.T)] > 0
+
+
+def _check_placements(blocks: StageBlocks, tiling: Tiling) -> None:
+    """Refuse placements that leave the window, leave the block domains or overlap.
+
+    Domain cells start at 1 in a window-sized byte grid and every placement
+    adds 1 to each of its cells, one tile cell at a time.  A cell reads 2
+    after exactly one paint only if it is a domain cell, and after two or
+    more otherwise (a cell listed twice in one assignment takes one paint),
+    so as many cells read 2 as the placements have cells iff each of their
+    cells is its own domain cell.
+    """
+    window, stage = blocks.towers.window, blocks.towers.stage
+    grid = np.zeros(window.shape, dtype=np.uint8)
+    blocks.paint(grid, [1] * len(blocks.kinds))
+    flat = grid.reshape(-1)
+    strides = np.array([math.prod(window.shape[a + 1 :]) for a in range(window.dim)])
+    cells = 0
+    for code, tile in enumerate(tiling.tile_order):
+        rel = tiling.anchors[tiling.codes == code] - window.anchor
+        if not len(rel):
+            continue
+        shape = tiling.tile_shapes[tile]
+        if rel.min() < 0 or np.any(rel.max(axis=0) + shape > window.shape):
+            raise InvalidWord(f"stage {stage} placements of tile {tile} leave the window")
+        base = rel @ strides
+        for offset in np.ndindex(shape):
+            flat[base + int(np.dot(offset, strides))] += 1
+        cells += len(rel) * math.prod(shape)
+    if np.count_nonzero(flat == 2) != cells:
+        raise InvalidWord(f"stage {stage} placements overlap or leave their block domains")
 
 
 def _largest_remainder(quotas: list[Fraction], total: int, rng: SplitMix64) -> list[int]:
@@ -929,11 +1127,12 @@ def _select_tails(plan: StagePlan, towers: StageTowers, rng: SplitMix64) -> np.n
     if spec.tail_mass == 0 or towers.count == 0:
         return tails
     period = plan.brick_shape(towers.stage)
-    extent = spec.side - 2 * (spec.collar + 1)
-    content = 1
-    for a in range(towers.window.dim):
-        lead = (-(spec.collar + 1)) % period[a]
-        content *= max((extent - lead) // period[a], 0) * period[a]
+    domain = block_domain(spec.side, spec.collar, towers.window.dim)
+    content = 0
+    if domain is not None:
+        content = math.prod(
+            max((e - (-a) % p) // p, 0) * p for a, e, p in zip(domain.anchor, domain.shape, period)
+        )
     if content <= 0:
         raise Infeasible("stage_side", f"stage {towers.stage} tail towers hold no whole brick")
     want = spec.tail_mass * towers.window.volume / content

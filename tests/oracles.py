@@ -5,13 +5,14 @@ package internals: representability by bitset closure, tie-breaks by
 exhaustive descent, tiling counts by first-free-cell backtracking, word
 validation by a per-cell mask over every pair, word decoding by per-cell
 grouping, tiling files written and read line by line,
-JSON built and read record by record, bands filled once per block.  The
-file oracles share only the header helpers and the records-to-object steps
-with the package.
+JSON built and read record by record, bands filled once per block, block
+domains decoded from the stage's whole word.  The file oracles share only
+the header helpers and the records-to-object steps with the package.
 """
 
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +30,17 @@ from dominofill.cli.files import (
 )
 from dominofill.brickfill import BrickWall, fill_between
 from dominofill.geometry import Box, interior
-from dominofill.sft import Placement, SymbolicWord, Tiling, Violation, allowed_neighbor
-from dominofill.tower import ConstructionState, TowerBlock
+from dominofill.sft import (
+    InvalidWord,
+    Placement,
+    SymbolicWord,
+    Tiling,
+    Violation,
+    allowed_neighbor,
+    decode,
+    validate_word,
+)
+from dominofill.tower import FrequencyReport, TowerBlock
 
 
 def representable_bits(heights, limit):
@@ -332,8 +342,18 @@ def load_json_doc_by_records(doc):
     raise ParseError(f"unknown JSON format {fmt!r}")
 
 
+class StageWord(NamedTuple):
+    """A stage as a word over the whole window and a list of ``TowerBlock``s."""
+
+    word: SymbolicWord
+    blocks: list
+
+
 def build_stage_per_block(state, towers, wall, plan, tails=None):
     """One construction stage with a wall drawn per tower and a band filled per block.
+
+    ``state`` is the previous stage: its ``blocks`` are read as ``TowerBlock``s
+    and its ``word`` on their domains.
 
     Tower k is a pure wall tower at stage 1 or where the boolean ``tails``
     mask is set.  A tower keeps each previous block whose anchor lies in the
@@ -367,4 +387,43 @@ def build_stage_per_block(state, towers, wall, plan, tails=None):
                 word.paste(band, fill.materialize(band).grid)
                 word.paste(blk.domain, state.word.subgrid(blk.domain))
         blocks.append(TowerBlock(tower_box, collar, tower_wall, domain))
-    return ConstructionState(word, blocks)
+    return StageWord(word, blocks)
+
+
+def finalize_by_decode(state, plan):
+    """(tiling, report) of a stage, read back from its whole word.
+
+    The word over the window is validated once, then each kind's block
+    domains are decoded by their corners in stacked batches of up to 2^16
+    cells, and the whole placements of all blocks merged and sorted.
+    """
+    blocks = state.blocks
+    word = state.word
+    violations = validate_word(word)
+    if violations:
+        raise InvalidWord(f"stage {blocks.towers.stage} word is invalid: {violations[0]}")
+    results = []
+    for k in np.unique(blocks.kind).tolist():
+        domain = blocks.domain(k)
+        corners = blocks.towers.anchors[blocks.kind == k] + domain.anchor
+        per_call = max(1, (1 << 16) // domain.volume)
+        for lo in range(0, len(corners), per_call):
+            results.append(decode(word, corners[lo : lo + per_call], domain.shape))
+    partial_cells = sum(r.partial_cells for r in results)
+    tiling = Tiling(
+        word.alphabet.tile_shapes,
+        np.concatenate([r.tiling.codes for r in results]),
+        np.concatenate([r.tiling.anchors for r in results]),
+        blocks.towers.window,
+    ).sorted_canonical()
+    report = FrequencyReport.of_tiling(tiling, plan.targets, partial_cells)
+    collar_bound = plan.collar_mass_bound()
+    report.notes["small_fraction_below_min_target"] = bool(
+        report.small_tile_fraction() < plan.min_small_target()
+    )
+    report.notes["large_fraction_above_collar_bound"] = bool(
+        report.large_fraction() > 1 - collar_bound
+    )
+    report.notes["collar_mass_bound"] = collar_bound
+    report.notes["predicted_error_budget"] = plan.predicted_error_budget()
+    return tiling, report

@@ -56,3 +56,19 @@ def test_traced_build_yields_every_metric(ini, tmp_path, monkeypatch, capsys):
     assert {metric for metric, _, _ in FROM_SUMMARY} <= set(values)
     assert values["sft.decode.calls"] >= 1
     assert values["cli.verify.verify_tiling.cells_painted"] > 0
+
+
+def test_traced_build_validates_templates_only(tmp_path, monkeypatch, capsys):
+    """A two-stage build checks its wall and band templates, never the
+    window's word: fewer cells are validated than the window holds."""
+    monkeypatch.chdir(tmp_path)
+    Path("run.ini").write_text(TWO_STAGE_INI, encoding="utf-8")
+    tracer = Tracer()
+    tracer.install(HOOKS)
+    try:
+        assert main(["build", "--config", "run.ini", "--out", "out"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    values, _ = layer_metrics(tracer, 0.0)
+    assert 0 < values["sft.validate_word.cells"] < 1024 * 1024

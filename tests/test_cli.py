@@ -609,6 +609,14 @@ sides = 33,200
 cutoffs = 2,3
 """
 
+# Three flagship stages: at seed 4 stage-3 towers keep stage-2 blocks that
+# themselves kept stage-1 blocks.
+THREE_STAGE_INI = (
+    FLAGSHIP_INI.replace("window = 300,300", "window = 1500,1500")
+    .replace("seed = 11", "seed = 4")
+    .replace("sides = 64", "sides = 57,200,700")
+)
+
 THREE_D_INI = """\
 [run]
 dim = 3
@@ -643,6 +651,11 @@ GOLDEN_BUILDS = {
         "tiling.txt": "3790190a28ab360f44699baab7b45c22e8e57433f6e291d45097c6b6b2406ac3",
         "tiling_pre.txt": "e019bc1f22daa1d4808da99d89e6065da70f62bcced097f0ef88eab6817656c7",
         "report.json": "f511ae438672a030b25536a019ea8ac1e0c22c3097517daed3509b86c84f4b8b",
+    }),
+    "three_stage_1500": (THREE_STAGE_INI, {
+        "tiling.txt": "cd46e35a46a252d00ad8efb88fcf296be274601d4026bbdc7e2e80d4ccca1226",
+        "tiling_pre.txt": "3531cfc285c216bae36cf89c8872b71866ffa8c594c2eade3aefabb5632464f2",
+        "report.json": "5973d85e339ea3de66904a0c72d98b1b6d2944fb3a7bb8ac7321bf4f603043bb",
     }),
     "three_d_two_stage": (THREE_D_INI, {
         "tiling.txt": "2fe086e9e81ddc15d7eb1f6587c96a5ef57eb2ea0fe00559980765394c0767cd",

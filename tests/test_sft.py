@@ -14,6 +14,7 @@ from oracles import (
 )
 
 from dominofill import Box, BrickWall, build_alphabet, validate_family
+from dominofill.geometry import grid_rows
 from dominofill.sft import (
     Alphabet,
     Placement,
@@ -140,6 +141,30 @@ def random_disjoint_tiling(alphabet, rng, box_side=20, attempts=60):
         parts,
         Box((0,) * alphabet.dim, (box_side,) * alphabet.dim),
     )
+
+
+def full_wall_word(alphabet, rng, box_side):
+    """A word with every cell of a cube assigned: the wall of a random brick
+    at a random translate, about half of its bricks split into one small tile
+    that divides them, restricted to the cube."""
+    dim = alphabet.dim
+    brick = rng.choice([t for t in alphabet.tiles if not isinstance(t, int)])
+    period = alphabet.shape(brick)
+    small = [
+        t for t in alphabet.tiles
+        if isinstance(t, int) and all(p % e == 0 for p, e in zip(period, alphabet.shape(t)))
+    ]
+    start = [-int(rng.integers(0, p)) for p in period]
+    bricks = grid_rows([np.arange(a, box_side, p) for a, p in zip(start, period)])
+    split = rng.random(len(bricks)) < 0.5
+    parts = [(brick, bricks[~split])]
+    for row in bricks[split]:
+        tile = small[rng.integers(len(small))]
+        shape = alphabet.shape(tile)
+        offsets = grid_rows([np.arange(0, p, e) for p, e in zip(period, shape)])
+        parts.append((tile, row + offsets))
+    shapes = {t: alphabet.shape(t) for t in alphabet.tiles}
+    return encode(Tiling.from_parts(shapes, parts), alphabet, Box((0,) * dim, (box_side,) * dim))
 
 
 # (alphabet, cube side) per dimension; the line carries bricks P2 and P10 so
@@ -288,6 +313,38 @@ class TestCodec:
         assert list(stacked.partials.placements()) == [
             p for r in per_box for p in r.partials.placements()
         ]
+        assert stacked.partial_cells == sum(r.partial_cells for r in per_box)
+
+    @pytest.mark.parametrize("dim", sorted(DECODE_CASES))
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30)
+    def test_fully_assigned_words_match_per_cell_grouping(self, dim, seed):
+        """Words without holes, where only the cut tiles are grouped, decode
+        as the per-cell grouping does, one box or several stacked."""
+        make_alphabet, side = DECODE_CASES[dim]
+        alphabet = make_alphabet()
+        rng = np.random.default_rng(seed)
+        word = full_wall_word(alphabet, rng, side)
+        assert validate_word(word) == [] and np.all(word.grid >= 0)
+        shape = tuple(int(x) for x in rng.integers(1, side + 1, dim))
+        boxes = [
+            Box(tuple(int(rng.integers(0, side - e + 1)) for e in shape), shape)
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        per_box = [decode(word.restrict(box)) for box in boxes]
+        for box, result in zip(boxes, per_box):
+            whole, partials, partial_cells = decode_by_cells(word.restrict(box))
+            assert set(result.tiling.placements()) == whole
+            assert len(result.tiling) == len(whole)
+            assert list(result.partials.placements()) == partials
+            assert result.partial_cells == partial_cells
+        stacked = decode(word, np.array([box.anchor for box in boxes]), shape)
+        for column in ("codes", "anchors"):
+            for part in ("tiling", "partials"):
+                assert np.array_equal(
+                    getattr(getattr(stacked, part), column),
+                    np.concatenate([getattr(getattr(r, part), column) for r in per_box]),
+                )
         assert stacked.partial_cells == sum(r.partial_cells for r in per_box)
 
     def test_no_corners_decode_nothing(self, flagship_alphabet):

@@ -1,13 +1,22 @@
 """Stage planning, tower sampling, staged construction, and redistribution."""
 
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import build_stage_per_block
-from test_cli import LINE_INI, THREE_D_INI, TWO_STAGE_INI
+from oracles import build_stage_per_block, finalize_by_decode
+from test_cli import (
+    GOLDEN_BUILDS,
+    LINE_INI,
+    THREE_D_INI,
+    THREE_STAGE_INI,
+    TWO_STAGE_INI,
+    sha256_of,
+)
 
 from dominofill import (
     Box,
@@ -19,7 +28,7 @@ from dominofill import (
 )
 from dominofill import tower
 from dominofill.cli.config import parse_config
-from dominofill.cli.main import _family_and_plan
+from dominofill.cli.main import _family_and_plan, main
 from dominofill.geometry import interior
 from dominofill.rng import SplitMix64
 from dominofill.sft import InvalidWord, SymbolicWord, Tiling, validate_word
@@ -41,6 +50,13 @@ from dominofill.tower import (
 )
 
 FLAGSHIP_TARGETS = TargetDistribution.of([Fraction(2, 5), Fraction(3, 5)])
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.append(str(REPO / "perfbench"))
+try:
+    from workloads import WORKLOADS
+finally:
+    sys.path.remove(str(REPO / "perfbench"))
 
 
 class TestTargetDistribution:
@@ -334,6 +350,51 @@ def test_build_stage_matches_band_per_block_oracle(name, monkeypatch):
     assert stages == [1, 2] and fills  # stage 2 kept blocks and filled their bands
 
 
+def three_stage_run(monkeypatch, check=None):
+    """Run ``THREE_STAGE_INI`` and return each stage's (input state, towers);
+    ``check(state, towers, wall, plan, tails, got)`` sees every stage built."""
+    cfg = parse_config(THREE_STAGE_INI)
+    _, _, plan = _family_and_plan(cfg)
+    real_build = tower.build_stage
+    runs = {}
+
+    def spy(state, towers, wall, plan, tails=None):
+        got = real_build(state, towers, wall, plan, tails)
+        if check is not None:
+            check(state, towers, wall, plan, tails, got)
+        runs[towers.stage] = (state, towers)
+        return got
+
+    monkeypatch.setattr(tower, "build_stage", spy)
+    tower.run_pipeline(plan, Box(cfg.window_anchor, cfg.window_shape), cfg.seed)
+    return runs
+
+
+def test_three_stage_run_keeps_a_composite_block(monkeypatch):
+    """A stage-3 tower keeps a stage-2 block that itself kept stage-1 blocks,
+    so the top stage pastes a block with bands of its own."""
+    runs = three_stage_run(monkeypatch)
+    assert sorted(runs) == [1, 2, 3]
+    (state1, towers2), (state2, towers3) = runs[2], runs[3]
+    _, composite = tower._kept_blocks(state1.blocks, towers2)
+    kept, _ = tower._kept_blocks(state2.blocks, towers3)
+    assert len(kept) and np.isin(kept, composite).any()
+
+
+def test_three_stage_build_matches_band_per_block_oracle(monkeypatch):
+    """Each of three stages equals the build that fills each band anew."""
+    stages = []
+
+    def check(state, towers, wall, plan, tails, got):
+        want = build_stage_per_block(state, towers, wall, plan, tails)
+        assert np.array_equal(got.word.grid, want.word.grid)
+        assert [block_record(b) for b in got.blocks] == [block_record(b) for b in want.blocks]
+        stages.append(towers.stage)
+
+    three_stage_run(monkeypatch, check)
+    assert stages == [1, 2, 3]
+
+
 @st.composite
 def lattices(draw):
     """A tower lattice in a window it fills up to some end slack, a box that
@@ -466,6 +527,72 @@ def test_build_path_builds_no_tower_block(monkeypatch):
     assert got.tiling.same_placements(want.tiling)
 
 
+WORD_PATH_RUNS = {
+    **{name: ini for name, (ini, _) in ORACLE_RUNS.items()},
+    "three_stage": THREE_STAGE_INI,
+    **{f"perfbench_{name}": w.config_text(1, "out") for name, w in WORKLOADS.items()},
+}
+
+
+@pytest.mark.parametrize("name", WORD_PATH_RUNS)
+def test_finalize_matches_word_path_oracle(name):
+    """The placements assembled from templates are those a decode of the
+    whole top-stage word finds, with the same cut cells and report."""
+    cfg = parse_config(WORD_PATH_RUNS[name])
+    _, _, plan = _family_and_plan(cfg)
+    result = run_pipeline(plan, Box(cfg.window_anchor, cfg.window_shape), cfg.seed)
+    want, want_report = finalize_by_decode(result.state, plan)
+    got, report = result.pre_tiling, result.pre_report
+    assert got.tile_order == want.tile_order and got.window == want.window
+    assert np.array_equal(got.codes, want.codes)
+    assert np.array_equal(got.anchors, want.anchors)
+    assert report.partial_cells == want_report.partial_cells
+    assert report == want_report
+    assert report.to_dict() == want_report.to_dict()
+
+
+def test_bands_leaving_the_domain_match_word_path():
+    """A hand-made plan whose stage-1 collar is 13 lets kept bands cross the
+    26-collar stage-2 domains; only the placements inside a domain count,
+    as a decode of the whole word finds them."""
+    flagship = validate_family([(3, 2), (2, 3)])
+    stages = (StageSpec(64, 13, Fraction(1, 4)), StageSpec(512, 26, Fraction(1, 4)))
+    plan = StagePlan(flagship, flagship, FLAGSHIP_TARGETS, "relaxed", stages)
+    result = run_pipeline(plan, Box((0, 0), (1100, 1100)), seed=1)
+    state = result.state
+    prev, kept = state.kept.state.blocks, state.kept
+    band_lo = prev.towers.anchors[kept.index] + kept.band.anchor
+    domain = state.blocks.domain(0)
+    lo = state.blocks.towers.anchors[kept.owner] + domain.anchor
+    leaving = np.any(band_lo + kept.band.shape > lo + domain.shape, axis=1)
+    assert leaving.any() and not np.any(band_lo < lo)
+    want, want_report = finalize_by_decode(state, plan)
+    assert result.pre_tiling.same_placements(want)
+    assert result.pre_report == want_report
+
+
+def test_build_reads_no_window_word(tmp_path, monkeypatch, capsys):
+    """A two-stage `dominofill build` paints no stage word and makes no
+    window-sized word, and still writes the golden bytes."""
+    ini, digests = GOLDEN_BUILDS["two_stage_1024"]
+    real_word = tower.SymbolicWord
+
+    def unpaintable(state):
+        raise AssertionError("the build painted a stage word")
+
+    def small_word(alphabet, box, grid=None):
+        assert box.volume < 1024 * 1024, f"a word over {box}"
+        return real_word(alphabet, box, grid)
+
+    monkeypatch.setattr(tower, "_paint", unpaintable)
+    monkeypatch.setattr(tower, "SymbolicWord", small_word)
+    monkeypatch.chdir(tmp_path)
+    Path("run.ini").write_text(ini, encoding="utf-8")
+    assert main(["build", "--config", "run.ini", "--out", "out"]) == 0
+    capsys.readouterr()
+    assert {f: sha256_of(Path("out") / f) for f in digests} == digests
+
+
 class TestFinalize:
     def test_single_stage_is_pure_bricks(self, flagship, flagship_alphabet):
         plan = plan_stages(flagship, FLAGSHIP_TARGETS, mode="relaxed", sides=(64,))
@@ -482,15 +609,36 @@ class TestFinalize:
         assert report.uncovered_fraction == Fraction(90_000 - 576, 90_000)
 
     def test_invalid_word_is_refused(self, two_stage_state):
-        plan, window, state1, _ = two_stage_state
-        blk = state1.blocks[3]
-        grid = state1.word.grid.copy()
-        rel = tuple(c - w + 1 for c, w in zip(blk.domain.anchor, window.anchor))
-        grid[rel] = grid[rel[0] - 1, rel[1]]  # repeats its left neighbour's symbol
-        word = SymbolicWord(state1.word.alphabet, window, grid)
-        broken = ConstructionState(word, state1.blocks)
+        plan, _, state1, _ = two_stage_state
+        pattern = state1.patterns[0].copy()
+        pattern[1, 1] = pattern[0, 1]  # repeats its left neighbour's symbol
+        broken = ConstructionState(state1.blocks, [pattern], state1.kept)
         with pytest.raises(InvalidWord, match="stage 1 word is invalid"):
             finalize(broken, plan)
+
+    @pytest.mark.parametrize("step", ["onto", "halfway"])
+    def test_overlapping_placement_is_refused(self, two_stage_state, monkeypatch, step):
+        """The first placement, moved onto its neighbour along axis 0 or
+        halfway there, overlaps it and fails the paint check."""
+        plan, _, _, state2 = two_stage_state
+        real = tower._assemble
+
+        def moved(state, chosen):
+            codes, anchors, owner = real(state, chosen)
+            if state is state2:
+                side = plan.alphabet().shape(plan.alphabet().tiles[codes[0]])[0]
+                neighbour = anchors[0] + (side, 0)
+                assert any((anchors == neighbour).all(axis=1) & (codes == codes[0]))
+                anchors = anchors.copy()
+                anchors[0, 0] += side if step == "onto" else side // 2
+            return codes, anchors, owner
+
+        want, _ = finalize(state2, plan)
+        monkeypatch.setattr(tower, "_assemble", moved)
+        with pytest.raises(InvalidWord, match="stage 2 placements"):
+            finalize(state2, plan)
+        monkeypatch.undo()
+        assert finalize(state2, plan)[0].same_placements(want)
 
     def test_two_stage_report(self, two_stage_state):
         plan, window, _, state2 = two_stage_state
