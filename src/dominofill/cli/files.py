@@ -215,22 +215,22 @@ def _tiling_from_columns(
     return Tiling(shapes, codes, rows, window).sorted_canonical()
 
 
-_BODY_BYTES = np.zeros(256, dtype=bool)
-_BODY_BYTES[list((string.ascii_letters + string.digits + "- \n").encode())] = True
+_LABEL_BYTES = (string.ascii_letters + string.digits + "-").encode()
 _MAX_TOKEN = 20  # a sign and 19 digits hold every int64; longer tokens go to the line walk
-_CHUNK_BYTES = 1 << 20
+_CHUNK_BYTES = 1 << 17
 
 
 def _parse_tiling_bulk(text: str) -> tuple[Tiling, int] | None:
     """Parse a tiling in numpy passes over the bytes of its body.
 
     Returns None, leaving the file to the line walk, unless the text is
-    ASCII, each header line ends in a bare ``\\n``, the body holds only
-    digits, letters, ``-``, space and ``\\n``, every body line has dim + 1
-    tokens of at most ``_MAX_TOKEN`` bytes, every anchor is an optional
-    ``-`` and digits that fit in int64, and every tile token reads as a
-    tile id.  On such files the line walk reaches the same tiling.  The body
-    goes in chunks of whole lines, so the scratch arrays stay small.
+    ASCII, each header line ends in a bare ``\\n``, every body line is dim + 1
+    tokens of at most ``_MAX_TOKEN`` bytes joined by single spaces and ended
+    by ``\\n``, every tile token is letters, digits and ``-``, every anchor
+    is an optional ``-`` and digits that fit in int64, and every tile token
+    reads as a tile id.  On such files the line walk reaches the same
+    tiling.  The body goes in chunks of whole lines, so the scratch arrays
+    stay small; the anchors come out one contiguous column per axis.
     """
     if not text.isascii():
         return None
@@ -249,68 +249,73 @@ def _parse_tiling_bulk(text: str) -> tuple[Tiling, int] | None:
     dim, shapes, window, seed, _ = _read_header(lines, TILING_MAGIC)
     if not 1 <= dim < 2**62:  # (0, dim) arrays need dim to fit in intp
         return None
-    raw = text.encode("ascii")
-    buf = np.frombuffer(raw, dtype=np.uint8)
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     tokens: dict[bytes, int] = {}
     inverse = [np.zeros(0, dtype=np.intp)]
-    rows = [np.zeros((0, dim), dtype=np.int64)]
-    while pos < len(raw):
-        cut = raw.find(b"\n", pos + _CHUNK_BYTES)
-        end = len(raw) if cut < 0 else cut + 1
+    columns = [np.zeros((dim, 0), dtype=np.int64)]
+    while pos < len(text):
+        cut = text.find("\n", pos + _CHUNK_BYTES)
+        end = len(text) if cut < 0 else cut + 1
         parsed = _parse_lines(buf[pos:end], dim)
         if parsed is None:
             return None
         distinct, local, values = parsed
         ids = np.array([tokens.setdefault(tok, len(tokens)) for tok in distinct], dtype=np.intp)
         inverse.append(ids[local])
-        rows.append(values)
+        columns.append(values)
         pos = end
+    if any(tok.translate(None, _LABEL_BYTES) for tok in tokens):
+        return None
     try:
         tiles = [_parse_tile(tok.decode("ascii")) for tok in tokens]
     except ValueError:
         return None
-    return (
-        _tiling_from_columns(
-            shapes, dim, window, tiles, np.concatenate(inverse), np.concatenate(rows)
-        ),
-        seed,
-    )
+    rows = np.concatenate(columns, axis=1).T
+    return _tiling_from_columns(shapes, dim, window, tiles, np.concatenate(inverse), rows), seed
 
 
 def _parse_lines(chunk: np.ndarray, dim: int) -> tuple | None:
     """(distinct tile tokens, index of each line's token among them, anchor
-    rows) of a run of whole body lines, or None where the line walk decides."""
-    if not _BODY_BYTES[chunk].all():
+    columns as a (dim, lines) array) of a run of whole body lines, or None
+    where the line walk decides."""
+    width = dim + 1
+    # Token k ends at the k-th separator and starts after the one before.
+    stops = np.flatnonzero((chunk == ord(" ")) | (chunk == ord("\n")))
+    if len(stops) % width or chunk[-1] != ord("\n"):
         return None
-    line_ends = np.flatnonzero(chunk == ord("\n"))
-    if chunk[-1] != ord("\n"):
-        line_ends = np.append(line_ends, len(chunk))
-    n, width = len(line_ends), dim + 1
-    # Token k spans [edges[2k], edges[2k + 1]).
-    words = (chunk != ord(" ")) & (chunk != ord("\n"))
-    edges = np.flatnonzero(np.diff(words, prepend=False, append=False))
-    if len(edges) != 2 * n * width:
+    starts = np.empty_like(stops)
+    starts[0] = 0
+    starts[1:] = stops[:-1] + 1
+    n = len(stops) // width
+    stops = stops.reshape(n, width)
+    starts = starts.reshape(n, width)
+    kinds = chunk[stops]
+    if np.any(kinds[:, :-1] != ord(" ")) or np.any(kinds[:, -1] != ord("\n")):
         return None
-    starts = edges[0::2].reshape(n, width)
-    stops = edges[1::2].reshape(n, width)
-    # With n * width tokens in all, line k holds exactly tokens
-    # k*width .. k*width + dim iff the first starts after the previous line
-    # ends and the last starts before this line ends.
-    if np.any(starts[1:, 0] < line_ends[:-1]) or np.any(starts[:, -1] > line_ends):
-        return None
-    if int((stops - starts).max()) > _MAX_TOKEN:
-        return None
-    rows = _int64_tokens(chunk, starts[:, 1:], stops[:, 1:])
-    if rows is None:
-        return None
-    tokens = _token_matrix(chunk, starts[:, 0], stops[:, 0])
-    distinct, inverse = np.unique(tokens.view(f"S{tokens.shape[1]}").ravel(), return_inverse=True)
-    return distinct, inverse, rows
-
-
-def _token_matrix(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """The tokens as rows of a uint8 matrix, left-aligned and zero-padded."""
     lengths = stops - starts
+    if int(lengths.min()) < 1 or int(lengths.max()) > _MAX_TOKEN:
+        return None
+    values = np.empty((dim, n), dtype=np.int64)
+    for axis in range(dim):
+        column = _int64_tokens(chunk, starts[:, axis + 1], stops[:, axis + 1])
+        if column is None:
+            return None
+        values[axis] = column
+    labels = _token_matrix(chunk, starts[:, 0], lengths[:, 0])
+    if np.count_nonzero(labels) != int(lengths[:, 0].sum()):
+        return None  # a zero byte inside a tile token
+    if labels.shape[1] <= 8:  # group short labels as packed uint64 keys
+        packed = np.zeros((n, 8), dtype=np.uint8)
+        packed[:, : labels.shape[1]] = labels
+        keys = packed.view(np.uint64).ravel()
+    else:
+        keys = labels.view(f"S{labels.shape[1]}").ravel()
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return [bytes(tok) for tok in distinct.view(f"S{distinct.itemsize}")], inverse.ravel(), values
+
+
+def _token_matrix(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The tokens as rows of a uint8 matrix, left-aligned and zero-padded."""
     out = np.zeros((len(starts), int(lengths.max())), dtype=np.uint8)
     for j in range(out.shape[1]):
         out[:, j] = np.where(lengths > j, buf.take(starts + j, mode="clip"), 0)
@@ -322,9 +327,9 @@ def _int64_tokens(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.
     not an optional ``-`` followed by at most 19 digits, or leaves int64."""
     neg = buf[starts] == ord("-")
     digits = stops - starts - neg
-    if digits.size and (digits.min() < 1 or digits.max() > 19):
+    if digits.min() < 1 or digits.max() > 19:
         return None
-    wide = int(digits.max(initial=0))
+    wide = int(digits.max())
     dtype = np.uint64 if wide > 9 else np.uint32
     mag = np.zeros(starts.shape, dtype=dtype)
     bad = np.zeros(starts.shape, dtype=bool)

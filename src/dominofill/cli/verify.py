@@ -21,6 +21,7 @@ from ..sft import SymbolicWord, Tiling
 MAX_REPORTED = 50
 MAX_PAINT_CELLS = 300_000_000
 PAINT_CHUNK = 1 << 16
+_INT64 = np.iinfo(np.int64)
 
 
 def verify_word(word: SymbolicWord) -> list[str]:
@@ -63,7 +64,7 @@ def verify_word(word: SymbolicWord) -> list[str]:
         flat_positions = np.flatnonzero(both)[~ok]
         for flat in flat_positions[:MAX_REPORTED]:
             rel = np.unravel_index(int(flat), pair_shape)
-            cell = tuple(int(x + y) for x, y in zip(word.box.anchor, rel))
+            cell = tuple(int(x) + int(y) for x, y in zip(word.box.anchor, rel))
             s = syms[int(grid[rel])]
             rel_next = list(rel)
             rel_next[axis] += 1
@@ -80,70 +81,111 @@ def verify_word(word: SymbolicWord) -> list[str]:
 def verify_tiling(tiling: Tiling, window: Box | None = None) -> list[str]:
     """Containment and overlap checks by painting each placement's cells.
 
-    The placements overlap iff fewer distinct cells get painted than their
-    volumes add up to; only then are the per-cell multiplicities counted.
+    Every pass runs over one anchor column at a time.  A placement ``[x, x +
+    s)`` lies in ``[lo, hi)`` iff ``lo <= x <= hi - s``, tested with Python-int
+    bounds, so no tile end is formed in int64 and an anchor near the edge of
+    int64 cannot wrap back into the window.  The placements overlap iff fewer
+    distinct cells get painted than their volumes add up to; only then are the
+    per-cell multiplicities counted.
     """
     problems: list[str] = []
     if len(tiling) == 0:
         return problems
     window = window if window is not None else tiling.window
     table = tiling.shape_table()
-    anchors = tiling.anchors
-    ends = anchors + table[tiling.codes]
+    codes = tiling.codes.astype(np.intp)
+    columns = [np.ascontiguousarray(tiling.anchors[:, a]) for a in range(tiling.dim)]
     if window is not None:
-        lo = np.array(window.anchor, dtype=np.int64)
-        hi = np.array(window.end, dtype=np.int64)
-        outside = np.any(anchors < lo, axis=1) | np.any(ends > hi, axis=1)
+        outside = np.zeros(len(codes), dtype=bool)
+        for column, sizes, lo, hi in zip(columns, table.T, window.anchor, window.end):
+            outside |= column < _exact([lo])
+            outside |= column > _exact([hi - int(s) for s in sizes])[codes]
         for idx in np.flatnonzero(outside)[:MAX_REPORTED]:
-            tile = tiling.tile_order[int(tiling.codes[idx])]
-            problems.append(
-                f"placement {tile} at {tuple(int(x) for x in anchors[idx])} leaves the window"
-            )
+            tile = tiling.tile_order[int(codes[idx])]
+            anchor = tuple(int(c[idx]) for c in columns)
+            problems.append(f"placement {tile} at {anchor} leaves the window")
         if int(outside.sum()) > MAX_REPORTED:
             problems.append(f"... and {int(outside.sum()) - MAX_REPORTED} more outside")
-    base = np.min(anchors, axis=0)
-    extent = tuple(int(e) for e in np.max(ends, axis=0) - base)
+    base = [int(column.min()) for column in columns]
+    members = [(code, codes == code) for code in range(len(table))]
+    members = [(code, mask) for code, mask in members if mask.any()]
+    # Per tile code, its farthest anchor plus its size, in Python ints.
+    extent = tuple(
+        max(int(column.max(where=mask, initial=lo)) + int(sizes[code]) for code, mask in members)
+        - lo
+        for column, sizes, lo in zip(columns, table.T, base)
+    )
     volume = math.prod(extent)
     if volume > MAX_PAINT_CELLS:
         problems.append(f"bounding box of {volume} cells is too large to paint; not checked")
         return problems
+    rel = [column - lo for column, lo in zip(columns, base)]
+    flat = rel[0].copy()  # rel is read again to name the owners of an overlap
+    for column, e in zip(rel[1:], extent[1:]):
+        flat *= e
+        flat += column
     painted = np.zeros(volume, dtype=bool)
-    for cells in _painted_cells(anchors - base, tiling.codes, table, extent):
+    placed = 0
+    for cells in _painted_cells(flat, members, table, extent):
         painted[cells] = True
-    if np.count_nonzero(painted) == int(np.prod(table, axis=1)[tiling.codes].sum()):
+        placed += len(cells)
+    if np.count_nonzero(painted) == placed:
         return problems
     cells, counts = np.unique(
-        np.concatenate(list(_painted_cells(anchors - base, tiling.codes, table, extent))),
-        return_counts=True,
+        np.concatenate(list(_painted_cells(flat, members, table, extent))), return_counts=True
     )
     over = counts > 1
-    for flat, count in zip(cells[over][:MAX_REPORTED], counts[over]):
-        cell = tuple(int(x + y) for x, y in zip(base, np.unravel_index(flat, extent)))
-        owners = _owners(tiling, anchors, ends, cell)
-        problems.append(f"cell {cell} covered {int(count)} times by {owners}")
+    for flat_cell, count in zip(cells[over][:MAX_REPORTED], counts[over]):
+        cell = np.unravel_index(flat_cell, extent)
+        owners = [
+            (tiling.tile_order[int(codes[i])], tuple(int(c[i]) for c in columns))
+            for i in np.flatnonzero(_covering(rel, table, codes, cell))[:4]
+        ]
+        at = tuple(int(x) + int(y) for x, y in zip(base, cell))
+        problems.append(f"cell {at} covered {int(count)} times by {owners}")
     if int(over.sum()) > MAX_REPORTED:
         problems.append(f"... and {int(over.sum()) - MAX_REPORTED} more overlapping cells")
     return problems
 
 
+def _exact(values: list[int]) -> np.ndarray:
+    """The Python ints as int64, or as Python ints (object) if one leaves int64,
+    so that comparing an int64 column against them is exact either way."""
+    if all(_INT64.min <= v <= _INT64.max for v in values):
+        return np.array(values, dtype=np.int64)
+    return np.array(values, dtype=object)
+
+
 def _painted_cells(
-    rel: np.ndarray, codes: np.ndarray, table: np.ndarray, extent: tuple[int, ...]
+    flat: np.ndarray,
+    members: list[tuple[int, np.ndarray]],
+    table: np.ndarray,
+    extent: tuple[int, ...],
 ) -> Iterator[np.ndarray]:
-    """Flat indices, in a grid of ``extent``, of the cells covered by each
-    tile's placements, ``PAINT_CHUNK`` placements at a time (anchors ``rel``
-    relative to the grid, shapes looked up per tile code in ``table``)."""
+    """Flat indices, in a grid of ``extent``, of the cells covered by the
+    placements at flat anchor indices ``flat``, tile code by tile code
+    (``members`` holds each code and the mask of its placements, ``table``
+    its shape).  A tile with no more cells than placements gives one array
+    per cell offset; a larger tile gives runs of placements, each broadcast
+    against every offset, of about ``PAINT_CHUNK`` cells and at least one
+    placement."""
     strides = np.cumprod((extent[1:] + (1,))[::-1])[::-1]
-    for code, shape in enumerate(table):
-        start = rel[codes == code] @ strides
-        offs = np.indices(tuple(shape)).reshape(len(shape), -1).T @ strides
-        for lo in range(0, len(start), PAINT_CHUNK):
-            yield (start[lo : lo + PAINT_CHUNK, None] + offs[None, :]).ravel()
+    for code, mask in members:
+        start = flat[mask]
+        offsets = np.indices(tuple(table[code])).reshape(len(extent), -1).T @ strides
+        if len(offsets) <= len(start):
+            for offset in offsets:
+                yield start + offset
+        else:
+            rows = max(1, PAINT_CHUNK // len(offsets))
+            for lo in range(0, len(start), rows):
+                yield (start[lo : lo + rows, None] + offsets).ravel()
 
 
-def _owners(tiling: Tiling, anchors: np.ndarray, ends: np.ndarray, cell) -> list:
-    cell_arr = np.array(cell, dtype=np.int64)
-    inside = np.all(anchors <= cell_arr, axis=1) & np.all(ends > cell_arr, axis=1)
-    return [
-        (tiling.tile_order[int(tiling.codes[i])], tuple(int(x) for x in anchors[i]))
-        for i in np.flatnonzero(inside)[:4]
-    ]
+def _covering(rel: list[np.ndarray], table: np.ndarray, codes: np.ndarray, cell) -> np.ndarray:
+    """Which placements, at anchors ``rel`` relative to the grid, cover ``cell``."""
+    inside = np.ones(len(codes), dtype=bool)
+    for column, sizes, x in zip(rel, table.T, cell):
+        offset = int(x) - column
+        inside &= (offset >= 0) & (offset < sizes[codes])
+    return inside

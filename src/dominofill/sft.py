@@ -249,6 +249,7 @@ class Tiling:
         if self.anchors.ndim != 2 or len(self.anchors) != len(self.codes):
             raise ValueError(f"anchors of shape {self.anchors.shape} for {len(self.codes)} codes")
         self.window = window
+        self._canonical = False  # set on the tilings sorted_canonical returns
 
     @classmethod
     def from_parts(
@@ -312,11 +313,27 @@ class Tiling:
         less its minimum, then the code); equal keys only come from equal
         rows, so one ``argsort`` gives the lexicographic order.  Spans too
         wide to pack in 62 bits fall back to ``np.lexsort``.  A tiling
-        already in that order is returned as is.
+        already in that order is returned as is.  The tiling returned is
+        marked, and a marked tiling is returned at once; its arrays are made
+        read-only, so an edit in place that could break the order raises.
         """
+        if self._canonical:
+            return self
+        order = self._canonical_order()
+        canon = self if order is None else Tiling(
+            self.tile_shapes, self.codes[order], self.anchors[order], self.window
+        )
+        canon._canonical = True
+        canon.codes.setflags(write=False)
+        canon.anchors.setflags(write=False)
+        return canon
+
+    def _canonical_order(self) -> np.ndarray | None:
+        """The permutation ``sorted_canonical`` applies, or None if the
+        placements are already in canonical order."""
         n = len(self.codes)
         if n < 2:
-            return self
+            return None
         columns = [self.anchors[:, a] for a in range(self.dim)]
         spans = [(int(c.min()), int(c.max()) + 1) for c in columns]
         n_codes = len(self.tile_order)
@@ -328,14 +345,9 @@ class Tiling:
                 key -= lo
             key *= n_codes
             key += self.codes
-            if np.all(key[1:] >= key[:-1]):
-                return self
-            order = np.argsort(key)
-        else:
-            order = np.lexsort([self.codes] + columns[::-1])
-            if np.array_equal(order, np.arange(n)):
-                return self
-        return Tiling(self.tile_shapes, self.codes[order], self.anchors[order], self.window)
+            return None if np.all(key[1:] >= key[:-1]) else np.argsort(key)
+        order = np.lexsort([self.codes] + columns[::-1])
+        return None if np.array_equal(order, np.arange(n)) else order
 
     def concat(self, other: "Tiling") -> "Tiling":
         if self.tile_order != other.tile_order:

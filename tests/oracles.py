@@ -6,7 +6,8 @@ exhaustive descent, tiling counts by first-free-cell backtracking, word
 validation by a per-cell mask over every pair, word decoding by per-cell
 grouping, tiling files written and read line by line,
 JSON built and read record by record, bands filled once per block, block
-domains decoded from the stage's whole word.  The file oracles share only
+domains decoded from the stage's whole word, tilings verified by row-wise
+reductions over the ``(n, dim)`` anchor array.  The file oracles share only
 the header helpers and the records-to-object steps with the package.
 """
 
@@ -427,3 +428,72 @@ def finalize_by_decode(state, plan):
     report.notes["collar_mass_bound"] = collar_bound
     report.notes["predicted_error_budget"] = plan.predicted_error_budget()
     return tiling, report
+
+
+MAX_PAINT_CELLS_BY_ROWS = 300_000_000
+PAINT_CHUNK = 1 << 16
+
+
+def verify_tiling_by_rows(tiling, window=None, max_reported=50):
+    """Containment and overlap problems of a tiling, from reductions along
+    the rows of the ``(n, dim)`` anchor and end arrays.
+
+    Tile ends are formed in int64, so anchors must stay well inside int64.
+    """
+    problems = []
+    if len(tiling) == 0:
+        return problems
+    window = window if window is not None else tiling.window
+    table = tiling.shape_table()
+    anchors = tiling.anchors
+    ends = anchors + table[tiling.codes]
+    if window is not None:
+        lo = np.array(window.anchor, dtype=np.int64)
+        hi = np.array(window.end, dtype=np.int64)
+        outside = np.any(anchors < lo, axis=1) | np.any(ends > hi, axis=1)
+        for idx in np.flatnonzero(outside)[:max_reported]:
+            tile = tiling.tile_order[int(tiling.codes[idx])]
+            problems.append(
+                f"placement {tile} at {tuple(int(x) for x in anchors[idx])} leaves the window"
+            )
+        if int(outside.sum()) > max_reported:
+            problems.append(f"... and {int(outside.sum()) - max_reported} more outside")
+    base = np.min(anchors, axis=0)
+    extent = tuple(int(e) for e in np.max(ends, axis=0) - base)
+    volume = math.prod(extent)
+    if volume > MAX_PAINT_CELLS_BY_ROWS:
+        problems.append(f"bounding box of {volume} cells is too large to paint; not checked")
+        return problems
+    painted = np.zeros(volume, dtype=bool)
+    for cells in _painted_cells_by_rows(anchors - base, tiling.codes, table, extent):
+        painted[cells] = True
+    if np.count_nonzero(painted) == int(np.prod(table, axis=1)[tiling.codes].sum()):
+        return problems
+    cells, counts = np.unique(
+        np.concatenate(list(_painted_cells_by_rows(anchors - base, tiling.codes, table, extent))),
+        return_counts=True,
+    )
+    over = counts > 1
+    for flat, count in zip(cells[over][:max_reported], counts[over]):
+        cell = tuple(int(x + y) for x, y in zip(base, np.unravel_index(flat, extent)))
+        cell_arr = np.array(cell, dtype=np.int64)
+        inside = np.all(anchors <= cell_arr, axis=1) & np.all(ends > cell_arr, axis=1)
+        owners = [
+            (tiling.tile_order[int(tiling.codes[i])], tuple(int(x) for x in anchors[i]))
+            for i in np.flatnonzero(inside)[:4]
+        ]
+        problems.append(f"cell {cell} covered {int(count)} times by {owners}")
+    if int(over.sum()) > max_reported:
+        problems.append(f"... and {int(over.sum()) - max_reported} more overlapping cells")
+    return problems
+
+
+def _painted_cells_by_rows(rel, codes, table, extent):
+    """Flat indices of the cells each tile's placements cover, ``PAINT_CHUNK``
+    placements at a time, one broadcast of anchors against tile offsets."""
+    strides = np.cumprod((extent[1:] + (1,))[::-1])[::-1]
+    for code, shape in enumerate(table):
+        start = rel[codes == code] @ strides
+        offs = np.indices(tuple(shape)).reshape(len(shape), -1).T @ strides
+        for lo in range(0, len(start), PAINT_CHUNK):
+            yield (start[lo : lo + PAINT_CHUNK, None] + offs[None, :]).ravel()

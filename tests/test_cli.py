@@ -11,6 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import verify_tiling_by_rows
 
 import dominofill
 from dominofill import Box, BrickWall
@@ -29,7 +32,8 @@ from dominofill.cli.files import (
 )
 from dominofill.cli.main import main
 from dominofill.cli.render import render_ascii, render_svg
-from dominofill.cli.verify import verify_tiling, verify_word
+from dominofill.cli import verify
+from dominofill.cli.verify import MAX_REPORTED, verify_tiling, verify_word
 from dominofill.sft import Symbol, SymbolicWord, Tiling
 
 FLAGSHIP_INI = """\
@@ -95,6 +99,46 @@ class TestConfig:
             parse_config(FLAGSHIP_INI.replace("window = 300,300", "window = wide"))
         with pytest.raises(ConfigError):
             parse_config(FILL_INI.replace("box_anchor = 4\n", ""))
+
+
+@st.composite
+def checked_tilings(draw):
+    """A tiling and a window (or None) for the verifier: placements on a
+    small grid, so that overlaps and escapes abound, one of them repeated 2 to
+    257 times, and at times a few far anchors (within 10^15, so that tile ends
+    stay inside int64) that make the bounding box too large to paint."""
+    dim = draw(st.integers(1, 3))
+    ids = draw(st.lists(st.sampled_from([1, 2, "P"]), min_size=1, unique=True))
+    shapes = {t: tuple(draw(st.integers(1, 4)) for _ in range(dim)) for t in ids}
+    near = st.tuples(*[st.integers(-3, 14)] * dim)
+    far = st.tuples(*[st.integers(-(10**15), 10**15)] * dim)
+    rows = draw(st.lists(st.tuples(st.sampled_from(ids), near), max_size=80))
+    if rows and draw(st.booleans()):
+        at = draw(st.integers(0, len(rows) - 1))
+        rows[at:at] = [rows[at]] * draw(st.sampled_from([1, 2, 3, 255, 256, 257]))
+    if draw(st.integers(0, 3)) == 0:
+        rows += draw(st.lists(st.tuples(st.sampled_from(ids), far), min_size=1, max_size=3))
+    rows = draw(st.permutations(rows))
+    window = draw(
+        st.none()
+        | st.builds(
+            Box, st.tuples(*[st.integers(-3, 6)] * dim), st.tuples(*[st.integers(1, 14)] * dim)
+        )
+    )
+    return Tiling.from_parts(shapes, [(t, [a]) for t, a in rows], window), window
+
+
+# More than MAX_REPORTED placements outside the window, and overlapping cells.
+MORE_THAN_REPORTED = {
+    "outside": (
+        Tiling.from_parts({1: (3, 2)}, [(1, [(x, 20) for x in range(0, 180, 3)])]),
+        Box((0, 0), (180, 10)),
+    ),
+    "overlapping": (
+        Tiling.from_parts({1: (3, 2)}, [(1, [(x, 0) for x in range(0, 60, 3)] * 2)]),
+        None,
+    ),
+}
 
 
 def sample_tiling():
@@ -304,6 +348,34 @@ class TestVerifyTiling:
             "cell (1, 0, 0) covered 2 times by [(1, (0, 0, 0)), (2, (1, 0, 0))]",
         ]
 
+    @settings(max_examples=300)
+    @given(checked_tilings())
+    @example(MORE_THAN_REPORTED["outside"])
+    @example(MORE_THAN_REPORTED["overlapping"])
+    def test_matches_row_wise_oracle(self, case):
+        tiling, window = case
+        want = verify_tiling_by_rows(tiling, window, MAX_REPORTED)
+        assert verify_tiling(tiling, window) == want
+        assert verify_tiling(Tiling(tiling.tile_shapes, tiling.codes, tiling.anchors, window)) == want
+
+    def test_large_tile_is_painted_in_one_piece(self, monkeypatch):
+        t = Tiling.from_parts(
+            {1: (3, 2), "P": (1000, 1000)}, [(1, [(0, 0), (999, 999)]), ("P", [(0, 0)])]
+        )
+        pieces = []
+        painted_cells = verify._painted_cells
+
+        def counted(*args):
+            for cells in painted_cells(*args):
+                pieces.append(len(cells))
+                yield cells
+
+        monkeypatch.setattr(verify, "_painted_cells", counted)
+        assert verify_tiling(t) == verify_tiling_by_rows(t, None, MAX_REPORTED)
+        assert len(verify_tiling(t)) == 7
+        # Each pass: the two 3x2 placements broadcast at once, the big tile in one array.
+        assert pieces == [12, 1_000_000, 12, 1_000_000] * 2
+
     def test_coverage_counts(self):
         t = sample_tiling()
         window = Box((0, 0), (6, 6))
@@ -459,6 +531,47 @@ class TestMain:
         path.write_text(text, encoding="utf-8")
         assert main(["verify", str(path)]) == 1
         assert "covered 256 times" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "header, body, want",
+        [
+            (
+                "dim 2\nshapes 1:3x2\nwindow 0 0 8 8",
+                "1 0 9223372036854775807\n",
+                ["placement 1 at (0, 9223372036854775807) leaves the window"],
+            ),
+            (
+                "dim 1\nshapes 1:3\nwindow 0 10",
+                "1 9223372036854775806\n",
+                ["placement 1 at (9223372036854775806,) leaves the window"],
+            ),
+            (
+                "dim 1\nshapes 1:3\nwindow 0 10",
+                "1 -9223372036854775808\n1 0\n",
+                [
+                    "placement 1 at (-9223372036854775808,) leaves the window",
+                    "bounding box of 9223372036854775811 cells is too large to paint; not checked",
+                ],
+            ),
+            (
+                "dim 1\nshapes 1:3\nwindow none",
+                "1 9223372036854775806\n1 9223372036854775806\n",
+                [
+                    f"cell ({x},) covered 2 times by "
+                    "[(1, (9223372036854775806,)), (1, (9223372036854775806,))]"
+                    for x in range(2**63 - 2, 2**63 + 1)
+                ],
+            ),
+        ],
+        ids=["end_past_int64_2d", "end_past_int64_1d", "spread_past_int64", "overlap_past_int64"],
+    )
+    @pytest.mark.filterwarnings("error")  # an int64 wrap warns before it misreports
+    def test_verify_anchors_at_the_int64_edge(self, tmp_path, capsys, header, body, want):
+        path = tmp_path / "edge.txt"
+        path.write_text(f"dominofill tiling v1\n{header}\nseed 0\n{body}", encoding="utf-8")
+        assert main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == want + [f"FAIL: {len(want)} violations in {path}"]
 
     def test_verify_rejects_cell_listed_twice(self, tmp_path, capsys):
         path = tmp_path / "twice.txt"

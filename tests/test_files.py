@@ -27,7 +27,9 @@ from dominofill.cli.files import (
 from dominofill.sft import Tiling
 
 INT64_EDGES = [0, 2**63 - 1, -(2**63 - 1), -(2**63)]
-TILE_IDS = [1, 2, "P", "P2", "P10"]
+# Labels of 1 to 13 bytes: the bulk parser groups labels of up to 8 bytes as
+# packed integers and longer ones as byte strings.
+TILE_IDS = [1, 2, "P", "P2", "P10", "P1234567", "P123456789", 10**12]
 
 
 @st.composite
@@ -94,6 +96,18 @@ def test_writer_and_bulk_parser_match_line_oracles(case):
     want = outcome(parse_by_lines, text)
     assert outcome(parse_tiling, text) == want
     assert outcome(files._parse_tiling_bulk, text) == want  # written files never need the walk
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 40, 1 << 17])
+def test_labels_group_across_chunks(monkeypatch, chunk_bytes):
+    shapes = {t: (1, 1) for t in TILE_IDS}
+    # Short labels first and wide ones last, so small chunks see one kind each.
+    parts = [(t, [(i, k) for k in range(3)]) for i, t in enumerate(TILE_IDS)]
+    text = serialize_tiling(Tiling.from_parts(shapes, parts, None), 1)
+    monkeypatch.setattr(files, "_CHUNK_BYTES", chunk_bytes)
+    want = outcome(parse_by_lines, text)
+    assert outcome(files._parse_tiling_bulk, text) == want
+    assert want[0] == "ok" and len(want[1][3]) == 3 * len(TILE_IDS)
 
 
 @settings(max_examples=300)

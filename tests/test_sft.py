@@ -213,6 +213,15 @@ class TestAgainstOracles:
         assert np.array_equal(canon.anchors, tiling.anchors[order])
         assert canon.sorted_canonical() is canon
 
+    @pytest.mark.parametrize("order", [[0, 1], [1, 0]], ids=["in_order", "reversed"])
+    def test_canonical_tiling_is_read_only(self, order):
+        anchors = np.array([[0, 0], [3, 0]])[order]
+        canon = Tiling({1: (3, 2)}, [0, 0], anchors).sorted_canonical()
+        with pytest.raises(ValueError, match="read-only"):
+            canon.codes[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            canon.anchors[0, 0] = 3
+
     def test_tiling_needs_one_anchor_row_per_code(self):
         with pytest.raises(ValueError, match="anchors of shape"):
             Tiling({1: (2,)}, [0, 0], np.array([3, 5]))
