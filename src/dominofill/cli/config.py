@@ -204,5 +204,9 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path!r} is not UTF-8: {exc}") from exc
+    return parse_config(text)

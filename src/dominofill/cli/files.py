@@ -17,6 +17,7 @@ import string
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -49,6 +50,14 @@ class VersionMismatch(ParseError):
 
 def _parse_tile(token: str):
     return int(token) if token.lstrip("-").isdigit() else token
+
+
+def _json_int(value) -> int:
+    """An integer field of a JSON file; a float or a bool is refused, as the
+    text reader refuses ``0.5``."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
 def _fmt_shapes(shapes: Mapping) -> str:
@@ -437,8 +446,11 @@ class LoadedFile:
 
 
 def load_any(path: str) -> LoadedFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path!r} is not UTF-8: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _from_json(stripped)
@@ -533,11 +545,15 @@ def _from_json(text: str) -> LoadedFile:
 @_fields_of("JSON")
 def _from_json_doc(doc: dict) -> LoadedFile:
     fmt = doc.get("format", "")
-    dim = int(doc["dim"])
-    shapes = {_parse_tile(t): tuple(int(x) for x in s) for t, s in doc["shapes"].items()}
+    dim = _json_int(doc["dim"])
+    shapes = {_parse_tile(t): tuple(map(_json_int, s)) for t, s in doc["shapes"].items()}
     win = doc.get("window")
-    window = None if win is None else Box(tuple(win["anchor"]), tuple(win["shape"]))
-    seed = int(doc.get("seed", 0))
+    window = (
+        None
+        if win is None
+        else Box(tuple(map(_json_int, win["anchor"])), tuple(map(_json_int, win["shape"])))
+    )
+    seed = _json_int(doc.get("seed", 0))
     if fmt == "dominofill tiling":
         placements = doc["placements"]
         columns = _json_columns(placements, dim)
@@ -545,15 +561,15 @@ def _from_json_doc(doc: dict) -> LoadedFile:
             tiling = _tiling_from_columns(shapes, dim, window, *columns)
         else:
             tiles = [_parse_tile(str(rec["tile"])) for rec in placements]
-            anchors = [[int(x) for x in rec["anchor"]] for rec in placements]
+            anchors = [list(map(_json_int, rec["anchor"])) for rec in placements]
             tiling = _tiling_from_records(shapes, dim, window, tiles, anchors)
         return LoadedFile("tiling", tiling, None, seed)
     if fmt == "dominofill word":
         records = (
             (
-                tuple(int(x) for x in rec["cell"]),
+                tuple(map(_json_int, rec["cell"])),
                 _parse_tile(str(rec["tile"])),
-                tuple(int(x) for x in rec["offset"]),
+                tuple(map(_json_int, rec["offset"])),
             )
             for rec in doc["cells"]
         )
@@ -567,17 +583,21 @@ def _json_columns(placements, dim: int) -> tuple[list, np.ndarray, np.ndarray] |
     Tile values are mapped through their distinct values and the anchors
     convert in one ``np.array``.  Returns None, leaving the records to the
     per-record walk and its messages, unless every record is an object with
-    a ``tile`` that is an int or a string (a bool would compare equal to an
-    int) and the anchors form an int64 array of ``dim`` coordinates a row.
+    a ``tile`` that is an int or a string and the anchors form an int64
+    array of ``dim`` coordinates a row, none of them a bool (a bool would
+    compare equal to an int, and numpy reads one beside ints as an int).
     """
     try:
         raw = [rec["tile"] for rec in placements]
-        anchors = np.array([rec["anchor"] for rec in placements])
+        rows = [rec["anchor"] for rec in placements]
+        anchors = np.array(rows)
     except (IndexError, KeyError, TypeError, ValueError):
         return None
     if anchors.dtype != np.int64 or anchors.shape != (len(raw), dim):
         return None
     if not set(map(type, raw)) <= {int, str}:
+        return None
+    if bool in set(map(type, chain.from_iterable(rows))):
         return None
     index = {t: i for i, t in enumerate(dict.fromkeys(raw))}
     inverse = np.fromiter(map(index.__getitem__, raw), dtype=np.intp, count=len(raw))

@@ -42,12 +42,13 @@ class Placement(NamedTuple):
     anchor: tuple[int, ...]
 
 
-def tile_sort_key(tile: TileId) -> tuple[int, int]:
-    """Small tiles by index, then large tiles by their stage number."""
+def tile_sort_key(tile: TileId) -> tuple[int, int, str]:
+    """Small tiles by index, then large tiles by the stage number their
+    ASCII-digit suffix names (0 without one), ties by label."""
     if isinstance(tile, int):
-        return (0, tile)
+        return (0, tile, "")
     suffix = tile[1:]
-    return (1, int(suffix) if suffix else 0)
+    return (1, int(suffix) if suffix.isascii() and suffix.isdigit() else 0, tile)
 
 
 class Alphabet:
@@ -375,87 +376,57 @@ class DecodeResult(NamedTuple):
     partial_cells: int
 
 
-def decode(
-    word: SymbolicWord,
-    corners: np.ndarray | None = None,
-    shape: Sequence[int] | None = None,
-) -> DecodeResult:
+def decode(word: SymbolicWord) -> DecodeResult:
     """Group assigned cells by placement into whole tiles and cut partials.
 
     Each cell names its placement (tile, cell - offset); a placement is whole
-    iff all of its tile's cells are present.  Tiles cut by the domain boundary
+    iff all of its tile's cells are present.  Tiles cut by the box's faces
     or by unassigned cells are reported as partials (a tiling without a
     window), in (tile order, anchor) order, not as errors.  The word must be
-    valid (see ``validate_word``); decode does not check it.
-
-    Given ``corners``, an ``(n, dim)`` array of low corners of ``shape``-
-    sized domains inside the word's box, each domain decodes as if the word
-    were restricted to it, all in one grouping: placements and partials come
-    domain after domain, and the tiling's window is the word's box.  Without
-    ``corners`` the whole word is decoded.  When every cell of the domains
-    is assigned, a placement is whole iff its anchor cell's tile fits in its
-    domain, and only the cells within a tile side of a face are grouped.
+    valid (see ``validate_word``); decode does not check it.  When every
+    cell is assigned, a placement is whole iff its anchor cell's tile fits
+    in the box, and only the cells within a tile side of a face are grouped.
     """
-    alphabet = word.alphabet
-    dim = alphabet.dim
-    if corners is None:
-        corners, shape = np.array([word.box.anchor]), word.box.shape
-    corners = np.asarray(corners, dtype=np.int64).reshape(-1, dim)
-    rel = corners - np.array(word.box.anchor, dtype=np.int64)
-    if np.any(rel < 0) or np.any(rel + shape > word.box.shape):
-        raise ValueError(f"a {shape} domain leaves the word's box {word.box}")
-    # Stack the domains along a leading axis, each padded on its low side so
-    # every anchor gets a flat index inside its own domain's slab.
+    alphabet, shape = word.alphabet, word.box.shape
+    # Pad the box on its low faces so that every anchor, even one below the
+    # box, packs with its tile code into one int64 key: code * size + flat.
     pad = max(max(s) for s in alphabet.tile_shapes.values())
-    slab_shape = tuple(e + pad for e in shape)
-    stacked = np.full((len(rel),) + slab_shape, -1, dtype=np.int32)
-    windows = np.lib.stride_tricks.sliding_window_view(word.grid, shape)
-    stacked[(slice(None),) + (slice(pad, None),) * dim] = windows[tuple(rel.T)]
-    slab_size = math.prod(slab_shape)
-    strides = np.cumprod((slab_shape[1:] + (1,))[::-1])[::-1]
-    n_tiles = len(alphabet.tiles)
+    padded = tuple(e + pad for e in shape)
+    grid = np.full(padded, -1, dtype=np.int32)
+    grid[(slice(pad, None),) * alphabet.dim] = word.grid
+    size = np.int64(math.prod(padded))  # keys are int64 whatever the codes' dtype
+    strides = np.cumprod((padded[1:] + (1,))[::-1])[::-1]
     volumes = np.array([math.prod(alphabet.shape(t)) for t in alphabet.tiles])
-
-    def packed(anchors, syms):
-        # Key (domain, tile code, anchor in the slab), domain-major:
-        # anchor + (code + domain * (n_tiles - 1)) * slab_size.
-        major = anchors // slab_size
-        major *= n_tiles - 1
-        major += alphabet.tile_codes[syms]
-        major *= slab_size
-        major += anchors
-        return major
-
-    cells = stacked.ravel()
-    grouped = stacked >= 0
+    cells = grid.ravel()
+    grouped = grid >= 0
     fitted = None
-    if np.count_nonzero(grouped) == len(rel) * math.prod(shape):
-        # Every cell is assigned, so in a valid word a placement is whole iff
-        # its anchor cell's tile fits in the domain.  The other placements
-        # lie within a tile side of a face: only those cells are grouped.
+    if np.count_nonzero(grouped) == word.grid.size:
+        # In a valid word a placement is then whole iff its anchor cell's
+        # tile fits in the box.  The other placements lie within a tile side
+        # of a face: only those cells are grouped.
         starts = np.flatnonzero(np.append(alphabet.is_anchor, False)[cells])
-        corner = np.stack(np.unravel_index(starts % slab_size, slab_shape), axis=1)
-        fitted = starts[np.all(corner + alphabet.sym_shapes[cells[starts]] <= slab_shape, axis=1)]
-        grouped[(slice(None),) + tuple(slice(2 * pad - 1, e + 1) for e in shape)] = False
-    keys = np.flatnonzero(grouped)
-    syms = cells[keys]
-    keys -= (alphabet.offsets @ strides)[syms]  # each cell's anchor, in its own slab
+        corner = np.stack(np.unravel_index(starts, padded), axis=1)
+        fitted = starts[np.all(corner + alphabet.sym_shapes[cells[starts]] <= padded, axis=1)]
+        grouped[tuple(slice(2 * pad - 1, e + 1) for e in shape)] = False
+    flat = np.flatnonzero(grouped)
+    syms = cells[flat]
+    flat -= (alphabet.offsets @ strides)[syms]  # each cell's anchor
     if fitted is not None:
-        cut = np.ones(len(cells), dtype=bool)
+        cut = np.ones(size, dtype=bool)
         cut[fitted] = False
-        cut = cut[keys]
-        keys, syms = keys[cut], syms[cut]
-    keys, counts = np.unique(packed(keys, syms), return_counts=True)
+        cut = cut[flat]
+        flat, syms = flat[cut], syms[cut]
+    keys, counts = np.unique(alphabet.tile_codes[syms] * size + flat, return_counts=True)
     if fitted is not None:
-        keys = np.concatenate([keys, packed(fitted, cells[fitted])])
-        counts = np.concatenate([counts, volumes[alphabet.tile_codes[cells[fitted]]]])
+        codes = alphabet.tile_codes[cells[fitted]]
+        keys = np.concatenate([keys, codes * size + fitted])
+        counts = np.concatenate([counts, volumes[codes]])
         order = np.argsort(keys)
         keys, counts = keys[order], counts[order]
-    major, flat = np.divmod(keys, slab_size)
-    slab_of, codes = np.divmod(major, n_tiles)
+    codes, flat = np.divmod(keys, size)
     whole = counts == volumes[codes]
-    coords = np.stack(np.unravel_index(flat, slab_shape), axis=1)
-    coords += corners[slab_of] - pad
+    coords = np.stack(np.unravel_index(flat, padded), axis=1)
+    coords += np.array(word.box.anchor, dtype=np.int64) - pad
     tiling = Tiling(alphabet.tile_shapes, codes[whole], coords[whole], word.box)
     partials = Tiling(alphabet.tile_shapes, codes[~whole], coords[~whole])
     return DecodeResult(tiling, partials, int(counts[~whole].sum()))

@@ -25,6 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .brickfill import BrickWall, fill_between
 from .geometry import Box, grid_rows, interior
 from .numerics import RectFamily, SharedAxisDivisor, validate_family
+from . import sft
 from .rng import SplitMix64
 from .sft import Alphabet, InvalidWord, SymbolicWord, Tiling, build_alphabet, validate_word
 
@@ -793,13 +794,11 @@ def finalize(
 def _template(stage: int, alphabet: Alphabet, box: Box, grid: np.ndarray):
     """(codes, anchors) of the whole placements of one template word over ``box``,
     which must pass ``validate_word``."""
-    from .sft import decode  # looked up per call: the benchmark hooks dominofill.sft.decode
-
     word = SymbolicWord(alphabet, box, grid)
     violations = validate_word(word)
     if violations:
         raise InvalidWord(f"stage {stage} word is invalid: {violations[0]}")
-    whole = decode(word).tiling
+    whole = sft.decode(word).tiling
     return whole.codes, whole.anchors
 
 

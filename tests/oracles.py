@@ -315,27 +315,40 @@ def tiling_to_json_by_rows(tiling, seed=0):
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def int_field(value):
+    """``int`` of a JSON integer field, refusing floats and bools."""
+    if type(value) in (bool, float):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 @_fields_of("JSON")
 def load_json_doc_by_records(doc):
-    """LoadedFile of a parsed JSON document, one ``_parse_tile`` and ``int`` per field."""
+    """LoadedFile of a parsed JSON document, one ``_parse_tile`` or ``int_field`` per field."""
     fmt = doc.get("format", "")
-    dim = int(doc["dim"])
-    shapes = {_parse_tile(t): tuple(int(x) for x in s) for t, s in doc["shapes"].items()}
+    dim = int_field(doc["dim"])
+    shapes = {_parse_tile(t): tuple(int_field(x) for x in s) for t, s in doc["shapes"].items()}
     win = doc.get("window")
-    window = None if win is None else Box(tuple(win["anchor"]), tuple(win["shape"]))
-    seed = int(doc.get("seed", 0))
+    window = (
+        None
+        if win is None
+        else Box(
+            tuple(int_field(x) for x in win["anchor"]), tuple(int_field(x) for x in win["shape"])
+        )
+    )
+    seed = int_field(doc.get("seed", 0))
     if fmt == "dominofill tiling":
         placements = doc["placements"]
         tiles = [_parse_tile(str(rec["tile"])) for rec in placements]
-        anchors = [[int(x) for x in rec["anchor"]] for rec in placements]
+        anchors = [[int_field(x) for x in rec["anchor"]] for rec in placements]
         tiling = _tiling_from_records(shapes, dim, window, tiles, anchors)
         return LoadedFile("tiling", tiling, None, seed)
     if fmt == "dominofill word":
         records = (
             (
-                tuple(int(x) for x in rec["cell"]),
+                tuple(int_field(x) for x in rec["cell"]),
                 _parse_tile(str(rec["tile"])),
-                tuple(int(x) for x in rec["offset"]),
+                tuple(int_field(x) for x in rec["offset"]),
             )
             for rec in doc["cells"]
         )
@@ -394,9 +407,9 @@ def build_stage_per_block(state, towers, wall, plan, tails=None):
 def finalize_by_decode(state, plan):
     """(tiling, report) of a stage, read back from its whole word.
 
-    The word over the window is validated once, then each kind's block
-    domains are decoded by their corners in stacked batches of up to 2^16
-    cells, and the whole placements of all blocks merged and sorted.
+    The word over the window is validated once, then each block domain is
+    decoded from the word restricted to it, and the whole placements of all
+    blocks merged and sorted.
     """
     blocks = state.blocks
     word = state.word
@@ -406,10 +419,8 @@ def finalize_by_decode(state, plan):
     results = []
     for k in np.unique(blocks.kind).tolist():
         domain = blocks.domain(k)
-        corners = blocks.towers.anchors[blocks.kind == k] + domain.anchor
-        per_call = max(1, (1 << 16) // domain.volume)
-        for lo in range(0, len(corners), per_call):
-            results.append(decode(word, corners[lo : lo + per_call], domain.shape))
+        for anchor in blocks.towers.anchors[blocks.kind == k].tolist():
+            results.append(decode(word.restrict(domain.translate(tuple(anchor)))))
     partial_cells = sum(r.partial_cells for r in results)
     tiling = Tiling(
         word.alphabet.tile_shapes,

@@ -252,6 +252,26 @@ def duplicate_cell(doc):
     doc["cells"].append({"cell": doc["cells"][0]["cell"], "tile": 1, "offset": [0, 0]})
 
 
+def half_anchor(doc):
+    next(rec for rec in doc["placements"] if rec["anchor"] == [0, 0])["anchor"] = [0.5, 0]
+
+
+def float_shape(doc):
+    doc["shapes"]["1"] = [2.9, 1]
+
+
+def float_window_anchor(doc):
+    doc["window"]["anchor"] = [-6.0, -6]
+
+
+def float_offset(doc):
+    doc["cells"][0]["offset"] = [x + 0.5 for x in doc["cells"][0]["offset"]]
+
+
+def bool_seed(doc):
+    doc["seed"] = True
+
+
 class TestJsonLoaderErrors:
     """Bad JSON input is a ParseError, as it is for the text formats."""
 
@@ -261,6 +281,11 @@ class TestJsonLoaderErrors:
         ("word", cell_outside),
         ("word", negative_cell),
         ("word", duplicate_cell),
+        ("tiling", half_anchor),
+        ("tiling", float_shape),
+        ("tiling", float_window_anchor),
+        ("tiling", bool_seed),
+        ("word", float_offset),
     ]
 
     def bad_file(self, tmp_path, flagship_alphabet, kind, edit):
@@ -579,6 +604,20 @@ class TestMain:
         path.write_text("\n".join(lines + ["0 2 0", "0 1 0"]) + "\n", encoding="utf-8")
         assert main(["verify", str(path)]) == 1
         assert "cell (0,) listed twice" in capsys.readouterr().err
+
+    def test_verify_refuses_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(serialize_tiling(sample_tiling()).encode() + b"\xff\n")
+        assert main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and len(err.splitlines()) == 1
+
+    def test_build_refuses_non_utf8_config(self, tmp_path, capsys):
+        path = tmp_path / "latin.ini"
+        path.write_bytes(b"; \xff\n" + FLAGSHIP_INI.encode())
+        assert main(["build", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and len(err.splitlines()) == 1
 
     def test_stats_without_window(self, tmp_path, capsys):
         t = sample_tiling()

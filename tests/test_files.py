@@ -24,7 +24,7 @@ from dominofill.cli.files import (
     serialize_word,
     tiling_to_json,
 )
-from dominofill.sft import Tiling
+from dominofill.sft import Tiling, tile_sort_key
 
 INT64_EDGES = [0, 2**63 - 1, -(2**63 - 1), -(2**63)]
 # Labels of 1 to 13 bytes: the bulk parser groups labels of up to 8 bytes as
@@ -108,6 +108,21 @@ def test_labels_group_across_chunks(monkeypatch, chunk_bytes):
     want = outcome(parse_by_lines, text)
     assert outcome(files._parse_tiling_bulk, text) == want
     assert want[0] == "ok" and len(want[1][3]) == 3 * len(TILE_IDS)
+
+
+@pytest.mark.parametrize("labels", [("P", "Q"), ("Ab", "PX"), ("P2", "Q2", "P10", "R")])
+def test_tile_order_is_total(labels):
+    """Any labels load, and the header's order of labels of one stage does
+    not change the bytes written."""
+    texts = []
+    for order in (labels, labels[::-1]):
+        header = " ".join(f"{t}:{labels.index(t) + 1}x1" for t in order)
+        body = "".join(f"{t} {10 * labels.index(t)} 0\n" for t in order)
+        text = f"dominofill tiling v1\ndim 2\nshapes {header}\nwindow none\nseed 4\n{body}"
+        texts.append(serialize_tiling(*parse_tiling(text)))
+    assert texts[0] == texts[1]
+    written = [1, 2, 10**12, "P", "P2", "P10", "P1234567", "P123456789"]
+    assert sorted(TILE_IDS, key=tile_sort_key) == written  # the program's labels keep their order
 
 
 @settings(max_examples=300)
@@ -294,10 +309,42 @@ MALFORMED_JSON = {
     "null_tile": json_doc((None, [0, 0])),
     "no_placements": json_doc(),
     "placements_not_list": {**json_doc(), "placements": {"tile": 1, "anchor": [0, 0]}},
+    "float_dim": {**json_doc((1, [0, 0])), "dim": 2.0},
+    "float_shape": {**json_doc((1, [0, 0])), "shapes": {"1": [2.9, 1], "P": [6, 6]}},
+    "bool_shape": {**json_doc((1, [0, 0])), "shapes": {"1": [True, 1], "P": [6, 6]}},
+    "float_window_anchor": {
+        **json_doc((1, [0, 0])),
+        "window": {"anchor": [0.5, 0], "shape": [12, 12]},
+    },
+    "bool_window_shape": {
+        **json_doc((1, [0, 0])),
+        "window": {"anchor": [0, 0], "shape": [12, True]},
+    },
+    "float_seed": {**json_doc((1, [0, 0])), "seed": 3.0},
 }
+# Integer fields that are JSON floats or bools are refused, not truncated.
+NON_INTEGER_JSON = [
+    "float_coordinate",
+    "integral_float_coordinate",
+    "huge_float_coordinate",
+    "bool_coordinates",
+    "all_bool_coordinates",
+    "float_dim",
+    "float_shape",
+    "bool_shape",
+    "float_window_anchor",
+    "bool_window_shape",
+    "float_seed",
+]
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_JSON))
 def test_malformed_json_matches_record_oracle(name):
     doc = MALFORMED_JSON[name]
     assert json_outcome(files._from_json_doc, doc) == json_outcome(load_json_doc_by_records, doc)
+
+
+@pytest.mark.parametrize("name", NON_INTEGER_JSON)
+def test_json_integer_fields_refuse_floats_and_bools(name):
+    outcome = json_outcome(files._from_json_doc, MALFORMED_JSON[name])
+    assert outcome[0] == "ParseError" and "is not an integer" in outcome[1]

@@ -102,7 +102,7 @@ class TestValidateWord:
         word.set_cell((4, 0), Symbol(1, (0, 0)))
         word.set_cell((5, 0), Symbol(2, (0, 0)))
         assert validate_word(word.restrict(Box((0, 0), (2, 1)))) == []
-        ok = decode(word, np.array([(0, 0)]), (2, 1))
+        ok = decode(word.restrict(Box((0, 0), (2, 1))))
         assert ok.partial_cells == 2
         broken = Violation((4, 0), 0, Symbol(1, (0, 0)), Symbol(2, (0, 0)))
         assert validate_word(word.restrict(Box((4, 0), (2, 1)))) == [broken]
@@ -298,38 +298,32 @@ class TestCodec:
     @pytest.mark.parametrize("dim", sorted(DECODE_CASES))
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30)
-    def test_stacked_boxes_match_per_box_decode(self, dim, seed):
+    def test_restricted_boxes_match_whole_word_decode(self, dim, seed):
+        """With holes, a box's decode holds exactly the whole-word decode's
+        whole placements that lie inside the box."""
         make_alphabet, side = DECODE_CASES[dim]
         alphabet = make_alphabet()
         rng = np.random.default_rng(seed)
         word = encode(random_disjoint_tiling(alphabet, rng, side), alphabet)
         word.grid[rng.random(word.grid.shape) < rng.random() / 4] = -1
-        shape = tuple(int(x) for x in rng.integers(1, side + 1, dim))
-        boxes = [
-            Box(tuple(int(rng.integers(0, side - e + 1)) for e in shape), shape)
-            for _ in range(int(rng.integers(1, 6)))
-        ]
-        per_box = [decode(word.restrict(box)) for box in boxes]
-        corners = np.array([box.anchor for box in boxes])
-        stacked = decode(word, corners, shape)
-        assert stacked.tiling.window == word.box
-        assert np.array_equal(
-            stacked.tiling.codes, np.concatenate([r.tiling.codes for r in per_box])
-        )
-        assert np.array_equal(
-            stacked.tiling.anchors, np.concatenate([r.tiling.anchors for r in per_box])
-        )
-        assert list(stacked.partials.placements()) == [
-            p for r in per_box for p in r.partials.placements()
-        ]
-        assert stacked.partial_cells == sum(r.partial_cells for r in per_box)
+        whole = decode(word).tiling
+        ends = whole.anchors + whole.placement_shapes()
+        for _ in range(int(rng.integers(1, 6))):
+            shape = tuple(int(x) for x in rng.integers(1, side + 1, dim))
+            box = Box(tuple(int(rng.integers(0, side - e + 1)) for e in shape), shape)
+            inside = np.all(whole.anchors >= box.anchor, axis=1)
+            inside &= np.all(ends <= box.end, axis=1)
+            result = decode(word.restrict(box))
+            assert result.tiling.window == box
+            assert np.array_equal(result.tiling.codes, whole.codes[inside])
+            assert np.array_equal(result.tiling.anchors, whole.anchors[inside])
 
     @pytest.mark.parametrize("dim", sorted(DECODE_CASES))
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30)
     def test_fully_assigned_words_match_per_cell_grouping(self, dim, seed):
         """Words without holes, where only the cut tiles are grouped, decode
-        as the per-cell grouping does, one box or several stacked."""
+        as the per-cell grouping does."""
         make_alphabet, side = DECODE_CASES[dim]
         alphabet = make_alphabet()
         rng = np.random.default_rng(seed)
@@ -347,18 +341,10 @@ class TestCodec:
             assert len(result.tiling) == len(whole)
             assert list(result.partials.placements()) == partials
             assert result.partial_cells == partial_cells
-        stacked = decode(word, np.array([box.anchor for box in boxes]), shape)
-        for column in ("codes", "anchors"):
-            for part in ("tiling", "partials"):
-                assert np.array_equal(
-                    getattr(getattr(stacked, part), column),
-                    np.concatenate([getattr(getattr(r, part), column) for r in per_box]),
-                )
-        assert stacked.partial_cells == sum(r.partial_cells for r in per_box)
 
-    def test_no_corners_decode_nothing(self, flagship_alphabet):
-        word = BrickWall(flagship_alphabet, "P", (0, 0)).materialize(Box((0, 0), (12, 12)))
-        result = decode(word, np.zeros((0, 2), dtype=np.int64), (6, 6))
+    def test_unassigned_word_decodes_nothing(self, flagship_alphabet):
+        word = SymbolicWord(flagship_alphabet, Box((0, 0), (12, 12)))
+        result = decode(word)
         assert len(result.tiling) == len(result.partials) == result.partial_cells == 0
         assert result.tiling.window == word.box
         assert result.tiling.anchors.shape == result.partials.anchors.shape == (0, 2)
@@ -366,10 +352,10 @@ class TestCodec:
     @pytest.mark.parametrize(
         "corner", [(-1, 0), (0, 7), (7, 0)], ids=["below", "past_y", "past_x"]
     )
-    def test_corners_must_keep_domains_inside(self, flagship_alphabet, corner):
+    def test_restrict_must_keep_domains_inside(self, flagship_alphabet, corner):
         word = BrickWall(flagship_alphabet, "P", (0, 0)).materialize(Box((0, 0), (12, 12)))
         with pytest.raises(ValueError, match="leaves the word's box"):
-            decode(word, np.array([(0, 0), corner]), (6, 6))
+            word.restrict(Box(corner, (6, 6)))
 
     def test_decode_rejects_invalid(self, flagship_alphabet):
         # decode trusts its word; an invalid one is refused by validate_word

@@ -26,7 +26,7 @@ from dominofill import (
     run_pipeline,
     validate_family,
 )
-from dominofill import tower
+from dominofill import sft, tower
 from dominofill.cli.config import parse_config
 from dominofill.cli.main import _family_and_plan, main
 from dominofill.geometry import interior
@@ -549,6 +549,27 @@ def test_finalize_matches_word_path_oracle(name):
     assert report.partial_cells == want_report.partial_cells
     assert report == want_report
     assert report.to_dict() == want_report.to_dict()
+
+
+@pytest.mark.parametrize(
+    "ini",
+    [TWO_STAGE_INI, THREE_STAGE_INI, LINE_INI, THREE_D_INI],
+    ids=["two_stage", "three_stage", "line", "three_d"],
+)
+def test_build_decodes_only_fully_assigned_words(ini, monkeypatch):
+    """Every template the build decodes takes decode's fully assigned path."""
+    seen = []
+    decode = sft.decode
+
+    def checked(word):
+        seen.append(bool(np.all(word.grid >= 0)))
+        return decode(word)
+
+    monkeypatch.setattr(sft, "decode", checked)
+    cfg = parse_config(ini)
+    _, _, plan = _family_and_plan(cfg)
+    run_pipeline(plan, Box(cfg.window_anchor, cfg.window_shape), cfg.seed)
+    assert seen and all(seen)
 
 
 def test_bands_leaving_the_domain_match_word_path():
