@@ -49,7 +49,12 @@ class VersionMismatch(ParseError):
 
 
 def _parse_tile(token: str):
-    return int(token) if token.lstrip("-").isdigit() else token
+    """An int where ``int()`` reads the signed digits, else the label itself
+    (``isdigit`` also accepts digits such as ``²`` that ``int()`` refuses)."""
+    try:
+        return int(token) if token.lstrip("-").isdigit() else token
+    except ValueError:
+        return token
 
 
 def _json_int(value) -> int:

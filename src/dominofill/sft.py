@@ -308,47 +308,14 @@ class Tiling:
         return out
 
     def sorted_canonical(self) -> "Tiling":
-        """Placements ordered by anchor lexicographically, then tile.
-
-        The order is that of one packed int64 key per row (each anchor column
-        less its minimum, then the code); equal keys only come from equal
-        rows, so one ``argsort`` gives the lexicographic order.  Spans too
-        wide to pack in 62 bits fall back to ``np.lexsort``.  A tiling
-        already in that order is returned as is.  The tiling returned is
-        marked, and a marked tiling is returned at once; its arrays are made
-        read-only, so an edit in place that could break the order raises.
-        """
+        """Placements ordered by anchor lexicographically, then tile (see
+        ``canonical_tiling``).  A tiling already in that order is marked and
+        returned as is, and a marked tiling is returned at once."""
         if self._canonical:
             return self
-        order = self._canonical_order()
-        canon = self if order is None else Tiling(
-            self.tile_shapes, self.codes[order], self.anchors[order], self.window
+        return canonical_tiling(
+            self.tile_shapes, self.anchors, [(slice(None), None, self.codes)], self.window, self
         )
-        canon._canonical = True
-        canon.codes.setflags(write=False)
-        canon.anchors.setflags(write=False)
-        return canon
-
-    def _canonical_order(self) -> np.ndarray | None:
-        """The permutation ``sorted_canonical`` applies, or None if the
-        placements are already in canonical order."""
-        n = len(self.codes)
-        if n < 2:
-            return None
-        columns = [self.anchors[:, a] for a in range(self.dim)]
-        spans = [(int(c.min()), int(c.max()) + 1) for c in columns]
-        n_codes = len(self.tile_order)
-        if math.prod(hi - lo for lo, hi in spans) * n_codes < 1 << 62:
-            key = np.zeros(n, dtype=np.int64)
-            for column, (lo, hi) in zip(columns, spans):
-                key *= hi - lo
-                key += column
-                key -= lo
-            key *= n_codes
-            key += self.codes
-            return None if np.all(key[1:] >= key[:-1]) else np.argsort(key)
-        order = np.lexsort([self.codes] + columns[::-1])
-        return None if np.array_equal(order, np.arange(n)) else order
 
     def concat(self, other: "Tiling") -> "Tiling":
         if self.tile_order != other.tile_order:
@@ -368,6 +335,104 @@ class Tiling:
             and np.array_equal(a.codes, b.codes)
             and np.array_equal(a.anchors, b.anchors)
         )
+
+
+# (rows, offsets, code): the placements anchors[rows] + each offset row (all
+# >= 0; None is the one zero offset), with one tile code or one per row.
+PlacementGroup = tuple[np.ndarray | slice, np.ndarray | None, np.ndarray | int]
+
+
+def canonical_tiling(
+    tile_shapes: Mapping[TileId, tuple[int, ...]],
+    anchors: np.ndarray,
+    groups: Sequence[PlacementGroup],
+    window: Box | None = None,
+    source: Tiling | None = None,
+) -> Tiling:
+    """The placements of ``groups``, ordered by anchor lexicographically,
+    then tile; codes index the ``tile_order`` of ``tile_shapes``.
+
+    Each placement is one packed int64 key: each anchor column less its
+    minimum, then the code.  An offset only adds a fixed delta to its row's
+    key, so no anchor row is formed: one in-place sort orders the keys, and
+    division by each radix unpacks the codes and one contiguous column per
+    axis.  Equal keys only come from equal placements.  Keys that would need
+    more than 62 bits fall back to ``np.lexsort`` over the formed rows.  When
+    the groups already list their placements in that order, ``source`` (if
+    given) is returned in place of a copy.  The tiling returned is marked
+    canonical, and its arrays are made read-only, so an edit in place that
+    could break the order raises.
+    """
+    n_codes = len(tile_shapes)
+    dim = anchors.shape[1]
+    tops = [offsets.max(axis=0) for _, offsets, _ in groups if offsets is not None]
+    reach = np.max(tops + [np.zeros(dim, dtype=np.int64)], axis=0)
+    lows, extents = [0] * dim, [1] * dim
+    if len(anchors):  # column by column: an axis-0 reduction over rows is slow
+        lows = [int(anchors[:, a].min()) for a in range(dim)]
+        highs = [int(anchors[:, a].max()) + int(r) for a, r in enumerate(reach)]
+        extents = [hi - lo + 1 for lo, hi in zip(lows, highs)]
+    if math.prod(extents) * n_codes >= 1 << 62:
+        return _lexsorted(tile_shapes, anchors, groups, window, source)
+    base = np.zeros(len(anchors), dtype=np.int64)
+    for a, (lo, extent) in enumerate(zip(lows, extents)):
+        base *= extent
+        base += anchors[:, a]
+        base -= lo
+    base *= n_codes
+    strides = np.array([n_codes * math.prod(extents[a + 1 :]) for a in range(dim)], dtype=np.int64)
+    if len(groups) == 1 and groups[0][1] is None:  # add the codes in place: no copy
+        rows, _, code = groups[0]
+        keys = base[rows]
+        keys += code
+    else:
+        parts = []
+        for rows, offsets, code in groups:
+            keys = base[rows] + code
+            parts.append(keys if offsets is None else (keys[:, None] + offsets @ strides).ravel())
+        keys = np.concatenate(parts or [base[:0]])
+    if source is not None and np.all(keys[1:] >= keys[:-1]):
+        return _mark_canonical(source)
+    keys.sort()
+    # ``//`` by a constant and a product back cost less than np.divmod; the
+    # keys are left holding the codes.
+    columns = np.empty((dim, len(keys)), dtype=np.int64).T  # contiguous columns
+    rest = keys // n_codes
+    keys -= rest * n_codes
+    for a in range(dim - 1, 0, -1):
+        high = rest // extents[a]
+        rest -= high * extents[a]
+        np.add(rest, lows[a], out=columns[:, a])
+        rest = high
+    np.add(rest, lows[0], out=columns[:, 0])
+    return _mark_canonical(Tiling(tile_shapes, keys, columns, window))
+
+
+def _lexsorted(tile_shapes, anchors, groups, window, source) -> Tiling:
+    """``canonical_tiling`` for keys too wide to pack: form the rows, then ``np.lexsort``."""
+    dim = anchors.shape[1]
+    code_parts, row_parts = [np.zeros(0, dtype=np.int64)], [anchors[:0]]
+    for rows, offsets, code in groups:
+        block = anchors[rows]
+        codes = np.broadcast_to(code, len(block))
+        if offsets is not None:
+            block = (block[:, None, :] + offsets[None, :, :]).reshape(-1, dim)
+            codes = np.repeat(codes, len(offsets))
+        code_parts.append(codes)
+        row_parts.append(block)
+    codes, rows = np.concatenate(code_parts), np.concatenate(row_parts)
+    order = np.lexsort([codes] + [rows[:, a] for a in range(dim)][::-1])
+    if source is not None and np.array_equal(order, np.arange(len(order))):
+        return _mark_canonical(source)
+    rows = np.asfortranarray(rows[order])
+    return _mark_canonical(Tiling(tile_shapes, codes[order], rows, window))
+
+
+def _mark_canonical(tiling: Tiling) -> Tiling:
+    tiling._canonical = True
+    tiling.codes.setflags(write=False)
+    tiling.anchors.setflags(write=False)
+    return tiling
 
 
 class DecodeResult(NamedTuple):
@@ -430,28 +495,3 @@ def decode(word: SymbolicWord) -> DecodeResult:
     tiling = Tiling(alphabet.tile_shapes, codes[whole], coords[whole], word.box)
     partials = Tiling(alphabet.tile_shapes, codes[~whole], coords[~whole])
     return DecodeResult(tiling, partials, int(counts[~whole].sum()))
-
-
-def encode(tiling: Tiling, alphabet: Alphabet, window: Box | None = None) -> SymbolicWord:
-    """Write each placement's symbols; placements must tile disjointly."""
-    if window is None:
-        window = tiling.window
-    if window is None:
-        if len(tiling) == 0:
-            raise ValueError("cannot infer a window from an empty tiling")
-        lo = tuple(int(x) for x in tiling.anchors.min(axis=0))
-        hi = tuple(int(x) for x in (tiling.anchors + tiling.placement_shapes()).max(axis=0))
-        window = Box(lo, tuple(h - l for l, h in zip(lo, hi)))
-    word = SymbolicWord(alphabet, window)
-    for tile, anchor in tiling.placements():
-        block = alphabet.block(tile)
-        target = Box(anchor, alphabet.shape(tile))
-        clip = window.intersect(target)
-        if clip is None:
-            continue
-        rel = tuple(
-            slice(c - t, c - t + e)
-            for c, t, e in zip(clip.anchor, target.anchor, clip.shape)
-        )
-        word.paste(clip, block[rel])
-    return word

@@ -27,7 +27,16 @@ from .geometry import Box, grid_rows, interior
 from .numerics import RectFamily, SharedAxisDivisor, validate_family
 from . import sft
 from .rng import SplitMix64
-from .sft import Alphabet, InvalidWord, SymbolicWord, Tiling, build_alphabet, validate_word
+from .sft import (
+    Alphabet,
+    InvalidWord,
+    SymbolicWord,
+    Tiling,
+    build_alphabet,
+    canonical_tiling,
+    tile_sort_key,
+    validate_word,
+)
 
 LARGE_FINITE = "P"
 # Strict planning refuses a stage whose minimal side would exceed this.
@@ -969,8 +978,10 @@ def redistribute(
     the rest over the other tiles its period admits, proportionally to their
     remaining deficits; bricks left with no label stay in place, which is how
     any reserved tail mass survives.  Placement counts come from largest-
-    remainder rounding and a seeded shuffle picks which placements get which
-    label.
+    remainder rounding and a seeded shuffle picks which placements of a pool,
+    taken in the input's order, get which label.  The output is kept as
+    groups of input rows with subdivision offsets and is put in canonical
+    order by ``canonical_tiling`` in key space, without forming the rows.
     """
     shapes = dict(tile_shapes) if tile_shapes is not None else dict(tiling.tile_shapes)
     small_tiles = sorted(t for t in shapes if isinstance(t, int))
@@ -993,17 +1004,17 @@ def redistribute(
         deficits[j] = (p - measured) * covered
     rng = SplitMix64(seed)
     code_of = {t: i for i, t in enumerate(tiling.tile_order)}
-    parts: list[tuple[int | str, np.ndarray]] = []
-    for j in small_tiles:
-        if j in code_of:
-            sel = tiling.codes == code_of[j]
-            if np.any(sel):
-                parts.append((j, tiling.anchors[sel]))
+    out_code = {t: i for i, t in enumerate(sorted(shapes, key=tile_sort_key))}
+    groups = [
+        (np.flatnonzero(tiling.codes == code_of[j]), None, out_code[j])
+        for j in small_tiles
+        if j in code_of
+    ]
     for rank, pool_tile in enumerate(large_tiles):
         if pool_tile not in code_of:
             continue
-        pool_anchors = tiling.anchors[tiling.codes == code_of[pool_tile]]
-        n_pool = len(pool_anchors)
+        pool = np.flatnonzero(tiling.codes == code_of[pool_tile])
+        n_pool = len(pool)
         if n_pool == 0:
             continue
         period = shapes[pool_tile]
@@ -1031,16 +1042,17 @@ def redistribute(
         perm = np.array(shuffled, dtype=np.int64)
         pos = 0
         for label, cnt in zip(exclusive + shared + [None], counts):
-            chosen = pool_anchors[perm[pos : pos + cnt]]
+            chosen = pool[perm[pos : pos + cnt]]
             pos += cnt
             if cnt == 0:
                 continue
             if label is None:
-                parts.append((pool_tile, chosen))
+                groups.append((chosen, None, out_code[pool_tile]))
             else:
-                parts.append((label, _subdivide(chosen, period, shapes[label])))
+                steps = [np.arange(0, p, e, dtype=np.int64) for p, e in zip(period, shapes[label])]
+                groups.append((chosen, grid_rows(steps), out_code[label]))
                 deficits[label] = max(deficits[label] - Fraction(cnt * area), Fraction(0))
-    return Tiling.from_parts(shapes, parts, tiling.window).sorted_canonical()
+    return canonical_tiling(shapes, tiling.anchors, groups, tiling.window)
 
 
 def _divides(small: tuple[int, ...], period: tuple[int, ...]) -> bool:
@@ -1069,14 +1081,6 @@ def _pool_allocation(
         for j in others:
             alloc[j] = deficits[j] * scale
     return alloc
-
-
-def _subdivide(
-    anchors: np.ndarray, period: tuple[int, ...], tile_shape: tuple[int, ...]
-) -> np.ndarray:
-    """Anchors of the tile grid refining each brick placement."""
-    offsets = grid_rows([np.arange(0, p, s, dtype=np.int64) for p, s in zip(period, tile_shape)])
-    return (anchors[:, None, :] + offsets[None, :, :]).reshape(-1, anchors.shape[1])
 
 
 @dataclass

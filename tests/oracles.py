@@ -4,15 +4,17 @@ Everything here trades speed for obviousness and stays independent of the
 package internals: representability by bitset closure, tie-breaks by
 exhaustive descent, tiling counts by first-free-cell backtracking, word
 validation by a per-cell mask over every pair, word decoding by per-cell
-grouping, tiling files written and read line by line,
-JSON built and read record by record, bands filled once per block, block
-domains decoded from the stage's whole word, tilings verified by row-wise
-reductions over the ``(n, dim)`` anchor array.  The file oracles share only
+grouping, word encoding by pasting each placement's block, tiling files
+written and read line by line, JSON built and read record by record, bands
+filled once per block, block domains decoded from the stage's whole word,
+redistribution by forming every subdivided anchor row and lexsorting them,
+tilings verified by row-wise reductions over the ``(n, dim)`` anchor array.  The file oracles share only
 the header helpers and the records-to-object steps with the package.
 """
 
 import json
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +32,8 @@ from dominofill.cli.files import (
     _word_from_records,
 )
 from dominofill.brickfill import BrickWall, fill_between
-from dominofill.geometry import Box, interior
+from dominofill.geometry import Box, grid_rows, interior
+from dominofill.rng import SplitMix64
 from dominofill.sft import (
     InvalidWord,
     Placement,
@@ -41,7 +44,15 @@ from dominofill.sft import (
     decode,
     validate_word,
 )
-from dominofill.tower import FrequencyReport, TowerBlock
+from dominofill.tower import (
+    FrequencyReport,
+    InvalidTargets,
+    TargetsInfeasible,
+    TowerBlock,
+    _divides,
+    _largest_remainder,
+    _pool_allocation,
+)
 
 
 def representable_bits(heights, limit):
@@ -246,6 +257,31 @@ def decode_by_cells(word):
     return whole, partials, partial_cells
 
 
+def encode(tiling, alphabet, window=None):
+    """Write each placement's symbols; placements must tile disjointly."""
+    if window is None:
+        window = tiling.window
+    if window is None:
+        if len(tiling) == 0:
+            raise ValueError("cannot infer a window from an empty tiling")
+        lo = tuple(int(x) for x in tiling.anchors.min(axis=0))
+        hi = tuple(int(x) for x in (tiling.anchors + tiling.placement_shapes()).max(axis=0))
+        window = Box(lo, tuple(h - l for l, h in zip(lo, hi)))
+    word = SymbolicWord(alphabet, window)
+    for tile, anchor in tiling.placements():
+        block = alphabet.block(tile)
+        target = Box(anchor, alphabet.shape(tile))
+        clip = window.intersect(target)
+        if clip is None:
+            continue
+        rel = tuple(
+            slice(c - t, c - t + e)
+            for c, t, e in zip(clip.anchor, target.anchor, clip.shape)
+        )
+        word.paste(clip, block[rel])
+    return word
+
+
 def serialize_by_lines(tiling, seed=0):
     """Tiling file text, one f-string per placement line."""
     canon = tiling.sorted_canonical()
@@ -439,6 +475,89 @@ def finalize_by_decode(state, plan):
     report.notes["collar_mass_bound"] = collar_bound
     report.notes["predicted_error_budget"] = plan.predicted_error_budget()
     return tiling, report
+
+
+def redistribute_by_rows(tiling, targets, report, seed, tile_shapes=None):
+    """``tower.redistribute`` with every output anchor row formed.
+
+    The same pools, counts and seeded shuffles; each chosen brick's tile grid
+    is formed as rows, the parts are concatenated in order and the result is
+    lexsorted by anchor, then code.
+    """
+    shapes = dict(tile_shapes) if tile_shapes is not None else dict(tiling.tile_shapes)
+    small_tiles = sorted(t for t in shapes if isinstance(t, int))
+    large_tiles = sorted(
+        (t for t in shapes if not isinstance(t, int)),
+        key=lambda t: math.prod(shapes[t]),
+        reverse=True,
+    )
+    if len(small_tiles) != len(targets.probs):
+        raise InvalidTargets(f"{len(small_tiles)} small tiles, {len(targets.probs)} targets")
+    covered = report.covered_cells
+    if covered == 0:
+        return tiling
+    deficits = {}
+    for j in small_tiles:
+        measured = Fraction(report.tile_cells.get(j, 0), covered)
+        p = targets.probs[j - 1]
+        if measured > p:
+            raise TargetsInfeasible(f"tile {j} already carries {measured}, above target {p}")
+        deficits[j] = (p - measured) * covered
+    rng = SplitMix64(seed)
+    code_of = {t: i for i, t in enumerate(tiling.tile_order)}
+    parts = []
+    for j in small_tiles:
+        if j in code_of:
+            sel = tiling.codes == code_of[j]
+            if np.any(sel):
+                parts.append((j, tiling.anchors[sel]))
+    for rank, pool_tile in enumerate(large_tiles):
+        if pool_tile not in code_of:
+            continue
+        pool_anchors = tiling.anchors[tiling.codes == code_of[pool_tile]]
+        n_pool = len(pool_anchors)
+        if n_pool == 0:
+            continue
+        period = shapes[pool_tile]
+        area = math.prod(period)
+        eligible = [j for j in small_tiles if _divides(shapes[j], period)]
+        finer = set()
+        for other in large_tiles[rank + 1 :]:
+            finer.update(j for j in small_tiles if _divides(shapes[j], shapes[other]))
+        exclusive = [j for j in eligible if j not in finer]
+        keep = targets.tail_mass * covered if rank == 0 else Fraction(0)
+        alloc = _pool_allocation(deficits, eligible, exclusive, Fraction(n_pool * area) - keep)
+        shared = [j for j in eligible if j not in exclusive]
+        quotas_ex = [alloc.get(j, Fraction(0)) / area for j in exclusive]
+        n_ex = min(n_pool, math.ceil(sum(quotas_ex, start=Fraction(0))))
+        counts_ex = _largest_remainder(quotas_ex, n_ex, rng.fork(10 + rank))
+        quotas_sh = [alloc.get(j, Fraction(0)) / area for j in shared]
+        quotas_sh.append(n_pool - n_ex - sum(quotas_sh, start=Fraction(0)))
+        counts_sh = _largest_remainder(quotas_sh, n_pool - n_ex, rng.fork(30 + rank))
+        counts = counts_ex + counts_sh
+        shuffled = list(range(n_pool))
+        rng.fork(20 + rank).shuffle(shuffled)
+        perm = np.array(shuffled, dtype=np.int64)
+        pos = 0
+        for label, cnt in zip(exclusive + shared + [None], counts):
+            chosen = pool_anchors[perm[pos : pos + cnt]]
+            pos += cnt
+            if cnt == 0:
+                continue
+            if label is None:
+                parts.append((pool_tile, chosen))
+            else:
+                parts.append((label, _subdivide(chosen, period, shapes[label])))
+                deficits[label] = max(deficits[label] - Fraction(cnt * area), Fraction(0))
+    merged = Tiling.from_parts(shapes, parts, tiling.window)
+    order = np.lexsort([merged.codes] + [merged.anchors[:, a] for a in range(merged.dim)][::-1])
+    return Tiling(shapes, merged.codes[order], merged.anchors[order], tiling.window)
+
+
+def _subdivide(anchors, period, tile_shape):
+    """Anchors of the tile grid refining each brick placement."""
+    offsets = grid_rows([np.arange(0, p, s, dtype=np.int64) for p, s in zip(period, tile_shape)])
+    return (anchors[:, None, :] + offsets[None, :, :]).reshape(-1, anchors.shape[1])
 
 
 MAX_PAINT_CELLS_BY_ROWS = 300_000_000

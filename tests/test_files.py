@@ -24,6 +24,7 @@ from dominofill.cli.files import (
     serialize_word,
     tiling_to_json,
 )
+from dominofill.cli.main import main
 from dominofill.sft import Tiling, tile_sort_key
 
 INT64_EDGES = [0, 2**63 - 1, -(2**63 - 1), -(2**63)]
@@ -123,6 +124,30 @@ def test_tile_order_is_total(labels):
     assert texts[0] == texts[1]
     written = [1, 2, 10**12, "P", "P2", "P10", "P1234567", "P123456789"]
     assert sorted(TILE_IDS, key=tile_sort_key) == written  # the program's labels keep their order
+
+
+@pytest.mark.parametrize(
+    "token, tile",
+    [("7", 7), ("-7", -7), ("٣", 3), ("+5", "+5"), ("1_0", "1_0"), ("²", "²"), ("-²", "-²")],
+)
+def test_tile_token_is_an_int_only_where_int_reads_it(token, tile):
+    assert files._parse_tile(token) == tile
+
+
+@pytest.mark.parametrize("label", ["²", "-²"], ids=["superscript", "minus_superscript"])
+def test_label_int_refuses_reads_back(tmp_path, capsys, label):
+    """A label that ``str.isdigit`` accepts and ``int()`` refuses is written,
+    read back and verified as that label."""
+    shapes = {1: (1, 2), label: (2, 2)}
+    tiling = Tiling.from_parts(shapes, [(1, [(0, 0)]), (label, [(1, 0)])], Box((0, 0), (3, 2)))
+    text = serialize_tiling(tiling, 7)
+    parsed, seed = parse_tiling(text)
+    assert parsed.tile_shapes == shapes and seed == 7
+    assert parsed.same_placements(tiling)
+    path = tmp_path / "tiling.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @settings(max_examples=300)

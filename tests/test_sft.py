@@ -9,6 +9,7 @@ from oracles import (
     WordSample,
     count_exact_tilings,
     decode_by_cells,
+    encode,
     enumerate_boundary_complete_words,
     validate_word_by_mask,
 )
@@ -24,7 +25,6 @@ from dominofill.sft import (
     Violation,
     allowed_neighbor,
     decode,
-    encode,
     validate_word,
 )
 
@@ -212,6 +212,44 @@ class TestAgainstOracles:
         assert np.array_equal(canon.codes, tiling.codes[order])
         assert np.array_equal(canon.anchors, tiling.anchors[order])
         assert canon.sorted_canonical() is canon
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_sorted_canonical_builds_read_only_columns(self, dim):
+        """A sort gives int32 codes and int64 anchors held one contiguous
+        column per axis, both read-only."""
+        rng = np.random.default_rng(dim)
+        shapes = {1: (1,) * dim, 2: (2,) * dim, "P": (4,) * dim}
+        tiling = Tiling(shapes, rng.integers(0, 3, 60), rng.integers(-20, 20, (60, dim)))
+        canon = tiling.sorted_canonical()
+        assert canon is not tiling
+        assert canon.codes.dtype == np.int32 and canon.anchors.dtype == np.int64
+        assert all(canon.anchors[:, a].flags.c_contiguous for a in range(dim))
+        assert not canon.codes.flags.writeable and not canon.anchors.flags.writeable
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("short, packed", [(1, True), (0, False)], ids=["below", "at"])
+    def test_sorted_canonical_at_the_62_bit_limit(self, monkeypatch, dim, short, packed):
+        """Four tiles and anchor spans of 2^(60 / dim), the last one less
+        ``short``: a key just under 62 bits is packed, one of 62 bits falls
+        back to ``np.lexsort``, and both give the lexsort order."""
+        rng = np.random.default_rng(dim + 2 * short)
+        shapes = {1: (1,) * dim, 2: (2,) * dim, "P": (4,) * dim, "P2": (8,) * dim}
+        spans = [2 ** (60 // dim)] * dim
+        spans[-1] -= short
+        lows = [-(2**58), 3][:dim]
+        columns = []
+        for lo, span in zip(lows, spans):
+            column = lo + rng.integers(0, span, 40)
+            column[:2] = lo, lo + span - 1  # the span is reached exactly
+            columns.append(rng.permutation(column))
+        tiling = Tiling(shapes, rng.integers(0, 4, 40), np.stack(columns, axis=1))
+        order = np.lexsort([tiling.codes] + columns[::-1])
+        real_lexsort, calls = np.lexsort, []
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or real_lexsort(keys))
+        canon = tiling.sorted_canonical()
+        assert bool(calls) is not packed
+        assert np.array_equal(canon.codes, tiling.codes[order])
+        assert np.array_equal(canon.anchors, tiling.anchors[order])
 
     @pytest.mark.parametrize("order", [[0, 1], [1, 0]], ids=["in_order", "reversed"])
     def test_canonical_tiling_is_read_only(self, order):

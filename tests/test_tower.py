@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import build_stage_per_block, finalize_by_decode
+from oracles import build_stage_per_block, finalize_by_decode, redistribute_by_rows
 from test_cli import (
     GOLDEN_BUILDS,
     LINE_INI,
@@ -754,6 +754,64 @@ class TestRedistribute:
         tiling = block_grid_tiling(assignments, flagship_alphabet)
         with pytest.raises(TargetsInfeasible):
             redistribute(tiling, FLAGSHIP_TARGETS, measured_report(tiling), seed=0)
+
+
+@pytest.mark.parametrize("name", WORD_PATH_RUNS)
+def test_redistribute_matches_row_oracle(name):
+    """The key-space redistribution of a seeded run equals the one that forms
+    every subdivided anchor row and lexsorts them."""
+    cfg = parse_config(WORD_PATH_RUNS[name])
+    _, _, plan = _family_and_plan(cfg)
+    result = run_pipeline(plan, Box(cfg.window_anchor, cfg.window_shape), cfg.seed)
+    seed = SplitMix64(cfg.seed).fork(2000).seed
+    shapes = plan.alphabet().tile_shapes
+    want = redistribute_by_rows(result.pre_tiling, plan.targets, result.pre_report, seed, shapes)
+    got = result.tiling
+    assert got.tile_order == want.tile_order and got.window == want.window
+    assert np.array_equal(got.codes, want.codes)
+    assert np.array_equal(got.anchors, want.anchors)
+
+
+def random_pools(dim, rng, wide):
+    """(tiling, tile_shapes, targets) for ``redistribute``: tiles 1 and 2 and
+    bricks P1 and P2 placed in a shuffled order, overlaps allowed, while the
+    tile shapes passed also hold tile 3 and brick P3, which the tiling lacks.
+    ``wide`` spreads the anchors over 2^61, past the 62-bit key."""
+    small = {1: (1,) * dim, 2: (2,) + (1,) * (dim - 1), 3: (1,) * (dim - 1) + (2,)}
+    large = {"P1": (2,) * dim, "P2": (4,) * dim, "P3": (8,) * dim}
+    present = [1, 2, "P1", "P2"]
+    counts = [int(rng.integers(0, 3)), int(rng.integers(0, 3))]
+    counts += [int(rng.integers(10, 40)), int(rng.integers(0, 30))]
+    span = 2**61 if wide else 40
+    parts = [(t, rng.integers(-span, span, (n, dim))) for t, n in zip(present, counts)]
+    tiling = Tiling.from_parts({t: (small | large)[t] for t in present}, parts, None)
+    order = rng.permutation(len(tiling))
+    tiling = Tiling(tiling.tile_shapes, tiling.codes[order], tiling.anchors[order])
+    targets = TargetDistribution.of(["3/8", "1/4", "1/4"], tail_mass=Fraction(1, 8))
+    return tiling, small | large, targets
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("wide", [False, True], ids=["packed", "wide"])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_redistribute_matches_row_oracle_on_random_pools(dim, wide, seed):
+    """Unsorted input, extra tiles in the tile shapes and reserved tail mass:
+    the same placements as the row oracle, in canonical order; anchors spread
+    past the 62-bit key take the ``np.lexsort`` fallback."""
+    rng = np.random.default_rng(seed)
+    tiling, shapes, targets = random_pools(dim, rng, wide)
+    report = FrequencyReport.of_tiling(tiling, targets)
+    want = redistribute_by_rows(tiling, targets, report, seed, shapes)
+    real_lexsort, calls = np.lexsort, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "lexsort", lambda keys: calls.append(1) or real_lexsort(keys))
+        got = redistribute(tiling, targets, report, seed, shapes)
+    assert bool(calls) is wide
+    assert got.tile_order == want.tile_order == sorted(shapes, key=sft.tile_sort_key)
+    assert np.array_equal(got.codes, want.codes)
+    assert np.array_equal(got.anchors, want.anchors)
+    assert got.sorted_canonical() is got
+    assert not got.codes.flags.writeable and not got.anchors.flags.writeable
 
 
 @pytest.fixture(scope="module")
