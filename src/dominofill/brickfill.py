@@ -88,16 +88,6 @@ class BrickWall:
         tiled = np.tile(rolled, reps)
         return tiled[tuple(slice(0, e) for e in box.shape)].copy()
 
-    def placements_in(self, box: Box) -> Tiling:
-        """Whole bricks contained in ``box``."""
-        anchors_1d = []
-        for axis in range(box.dim):
-            start = self.ceil_align(box.anchor[axis], axis)
-            stop = box.end[axis] - self.period[axis]
-            anchors_1d.append(np.arange(start, stop + 1, self.period[axis], dtype=np.int64))
-        anchors = grid_rows(anchors_1d)
-        return Tiling.from_parts({self.tile: self.period}, [(self.tile, anchors)], box)
-
 
 def complete_partial_tiles(b: Box, wall: BrickWall, direction: str) -> Box:
     """Align ``b`` to the wall lattice.
@@ -229,16 +219,6 @@ def strip_runs(b: Box, f: RectFamily, axis: int) -> list[StripRun]:
     return runs
 
 
-def strip_tile(b: Box, f: RectFamily, axis: int) -> Tiling:
-    """Tile ``b`` exactly by strips of family tiles along ``axis``."""
-    return _runs_tiling(strip_runs(b, f, axis), f, b)
-
-
-def _runs_tiling(runs: list[StripRun], f: RectFamily, window: Box | None) -> Tiling:
-    shapes = {j + 1: s for j, s in enumerate(f.shapes)}
-    return Tiling.from_parts(shapes, [(run.tile, run.anchors()) for run in runs], window)
-
-
 def collar_width(inner_wall: BrickWall, outer_wall: BrickWall, base: RectFamily) -> int:
     """Collar wide enough to complete both walls and leave representable gaps."""
     return base.threshold + sum(inner_wall.period) + sum(outer_wall.period)
@@ -288,7 +268,9 @@ class FilledWord:
 
     def collar_tiling(self) -> Tiling:
         """The explicit small-tile placements of the filling collar."""
-        return _runs_tiling(self.runs, self.base, self.footprint)
+        shapes = {j + 1: s for j, s in enumerate(self.base.shapes)}
+        parts = [(run.tile, run.anchors()) for run in self.runs]
+        return Tiling.from_parts(shapes, parts, self.footprint)
 
 
 def fill_between(

@@ -610,12 +610,17 @@ def _json_columns(placements, dim: int) -> tuple[list, np.ndarray, np.ndarray] |
 
 
 def write_atomic(path: str, content: str) -> None:
+    """Write ``content`` to ``path`` through a renamed temp file, with the
+    mode a plain ``open(path, "w")`` gives (``mkstemp`` makes it 0600)."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(content)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

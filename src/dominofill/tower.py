@@ -20,7 +20,6 @@ from fractions import Fraction
 from collections.abc import Mapping, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .brickfill import BrickWall, fill_between
 from .geometry import Box, grid_rows, interior
@@ -399,28 +398,6 @@ class StageTowers:
     def error_fraction(self) -> Fraction:
         return Fraction(self.error_cells, self.window.volume)
 
-    def lattice_view(
-        self, grid: np.ndarray, offset: Sequence[int], shape: Sequence[int]
-    ) -> np.ndarray:
-        """Writeable view of a window grid at every tower, lattice axes first.
-
-        Entry ``[i..., c...]`` is cell ``c`` of the ``shape`` box anchored at
-        tower ``i``'s anchor plus ``offset``.  A box that leaves the grid at
-        any tower raises ValueError.
-        """
-        if grid.shape != self.window.shape:
-            raise ValueError(f"grid {grid.shape} does not match window {self.window.shape}")
-        start = [o + x for o, x in zip(self.offset, offset)]
-        if min(start) < 0:
-            raise ValueError(f"box at tower offset {tuple(offset)} leaves the grid")
-        windows = sliding_window_view(
-            grid[tuple(slice(s, None) for s in start)], tuple(shape), writeable=True
-        )
-        view = windows[tuple(slice(0, n * self.step, self.step) for n in self.counts)]
-        if view.shape[: grid.ndim] != self.counts:
-            raise ValueError(f"box {tuple(shape)} at tower offset {tuple(offset)} leaves the grid")
-        return view
-
 
 def sample_towers(
     plan: StagePlan,
@@ -503,14 +480,6 @@ class StageBlocks(Sequence):
             raise Infeasible("stage_side", f"side {side} below 2*({collar}+1)+1")
         return domain
 
-    def paint(self, grid: np.ndarray, values: Sequence) -> None:
-        """Write ``values[k]`` over the domain of every kind-k block of
-        ``grid``, a grid over the window, with one masked assignment per kind."""
-        for k in np.unique(self.kind).tolist():
-            domain = self.domain(k)
-            mask = (self.kind == k).reshape(self.towers.counts)
-            self.towers.lattice_view(grid, domain.anchor, domain.shape)[mask] = values[k]
-
     def _block(self, k: int) -> TowerBlock:
         anchor = tuple(int(x) for x in self.towers.anchors[k])
         tile, collar = self.kinds[self.kind[k]]
@@ -563,28 +532,27 @@ class ConstructionState:
 
 
 def _paint(state: ConstructionState) -> np.ndarray:
-    """The stage's word grid: each kind's wall, then each band key's bands and
-    kept domains, each as one masked assignment over a tower lattice."""
-    grid = np.full(state.blocks.towers.window.shape, -1, dtype=np.int32)
-    state.blocks.paint(grid, state.patterns)
-    kept = state.kept
-    if kept is None:
-        return grid
-    prev = kept.state
-    source = prev._word.grid if prev._word is not None else _paint(prev)
-    lattice = prev.blocks.towers
-    slot = np.full(lattice.count, -1, dtype=np.intp)
-    slot[kept.index] = kept.key
-    slot = slot.reshape(lattice.counts)
-    band = kept.band
-    bands = lattice.lattice_view(grid, band.anchor, band.shape)
-    for g, (k, fill) in enumerate(zip(kept.kinds, kept.bands)):
-        mask = slot == g
-        bands[mask] = fill
-        domain = prev.blocks.domain(k)
-        view = lattice.lattice_view(source, domain.anchor, domain.shape)
-        lattice.lattice_view(grid, domain.anchor, domain.shape)[mask] = view[mask]
+    """The stage's word grid, pasted block by block: each block's kind wall
+    over its domain, then each kept block's band and, inside the band, that
+    block's domain copied from the previous stage's grid."""
+    blocks, window = state.blocks, state.blocks.towers.window
+    grid = np.full(window.shape, -1, dtype=np.int32)
+    for anchor, k in zip((blocks.towers.anchors - window.anchor).tolist(), blocks.kind.tolist()):
+        grid[_cells(anchor, blocks.domain(k))] = state.patterns[k]
+    if state.kept is not None:
+        kept, prev = state.kept, state.kept.state
+        source = prev._word.grid if prev._word is not None else _paint(prev)
+        anchors = (prev.blocks.towers.anchors[kept.index] - window.anchor).tolist()
+        for anchor, g in zip(anchors, kept.key.tolist()):
+            grid[_cells(anchor, kept.band)] = kept.bands[g]
+            inner = _cells(anchor, prev.blocks.domain(kept.kinds[g]))
+            grid[inner] = source[inner]
     return grid
+
+
+def _cells(anchor: list[int], box: Box) -> tuple[slice, ...]:
+    """The index of ``box`` moved by ``anchor`` in a grid."""
+    return tuple(slice(a + x, a + x + e) for a, x, e in zip(anchor, box.anchor, box.shape))
 
 
 def build_stage(
@@ -778,9 +746,9 @@ def finalize(
         cells = 0 if window is None else window.volume
         return Tiling.from_parts(shapes, [], window), FrequencyReport(cells, 0, {}, targets)
     blocks = state.blocks
-    codes, anchors, _ = _assemble(state, np.arange(len(blocks)))
+    codes, anchors, owner = _assemble(state, np.arange(len(blocks)))
     tiling = Tiling(blocks.wall.alphabet.tile_shapes, codes, anchors, window)
-    _check_placements(blocks, tiling)
+    _check_placements(blocks, tiling, owner)
     domain_cells = sum(
         blocks.domain(k).volume * int(np.count_nonzero(blocks.kind == k))
         for k in np.unique(blocks.kind).tolist()
@@ -914,35 +882,36 @@ def _bricks_in_boxes(bricks, period, box_lo, box_shape, rows, n_rows) -> np.ndar
     return diff[(slice(None), *index.T)] > 0
 
 
-def _check_placements(blocks: StageBlocks, tiling: Tiling) -> None:
-    """Refuse placements that leave the window, leave the block domains or overlap.
+def _check_placements(blocks: StageBlocks, tiling: Tiling, owner: np.ndarray) -> None:
+    """Refuse placements that leave their own block's domain, or overlap.
 
-    Domain cells start at 1 in a window-sized byte grid and every placement
-    adds 1 to each of its cells, one tile cell at a time.  A cell reads 2
-    after exactly one paint only if it is a domain cell, and after two or
-    more otherwise (a cell listed twice in one assignment takes one paint),
-    so as many cells read 2 as the placements have cells iff each of their
-    cells is its own domain cell.
+    Placement j belongs to block ``owner[j]``, and each anchor column must
+    keep its tile inside that block's domain.  Domains lie in their towers
+    and towers in the window, so every placement then adds 1 to each of its
+    cells in a window-sized byte grid, one tile cell at a time.  A cell
+    listed twice in one assignment takes one paint, so as many cells read 1
+    as the placements have cells iff no two placements share a cell.
     """
-    window, stage = blocks.towers.window, blocks.towers.stage
-    grid = np.zeros(window.shape, dtype=np.uint8)
-    blocks.paint(grid, [1] * len(blocks.kinds))
-    flat = grid.reshape(-1)
-    strides = np.array([math.prod(window.shape[a + 1 :]) for a in range(window.dim)])
-    cells = 0
+    towers, stage = blocks.towers, blocks.towers.stage
+    window, sizes = towers.window, tiling.shape_table()
+    lo, hi = np.zeros((2, len(blocks.kinds), window.dim), dtype=np.int64)
+    for k in np.unique(blocks.kind).tolist():
+        lo[k], hi[k] = blocks.domain(k).anchor, blocks.domain(k).end
+    lo, hi = towers.anchors + lo[blocks.kind], towers.anchors + hi[blocks.kind]
+    strides = [math.prod(window.shape[a + 1 :]) for a in range(window.dim)]
+    base = np.zeros(len(tiling), dtype=np.int64)
+    for a in range(window.dim):
+        x = tiling.anchors[:, a]
+        if np.any(x < lo[owner, a]) or np.any(x + sizes[tiling.codes, a] > hi[owner, a]):
+            raise InvalidWord(f"stage {stage} placements leave their block domains")
+        base += (x - window.anchor[a]) * strides[a]
+    flat = np.zeros(window.volume, dtype=np.uint8)
     for code, tile in enumerate(tiling.tile_order):
-        rel = tiling.anchors[tiling.codes == code] - window.anchor
-        if not len(rel):
-            continue
-        shape = tiling.tile_shapes[tile]
-        if rel.min() < 0 or np.any(rel.max(axis=0) + shape > window.shape):
-            raise InvalidWord(f"stage {stage} placements of tile {tile} leave the window")
-        base = rel @ strides
-        for offset in np.ndindex(shape):
-            flat[base + int(np.dot(offset, strides))] += 1
-        cells += len(rel) * math.prod(shape)
-    if np.count_nonzero(flat == 2) != cells:
-        raise InvalidWord(f"stage {stage} placements overlap or leave their block domains")
+        at = base[tiling.codes == code]
+        for offset in np.ndindex(tiling.tile_shapes[tile]):
+            flat[at + int(np.dot(offset, strides))] += 1
+    if np.count_nonzero(flat == 1) != tiling.covered_cells():
+        raise InvalidWord(f"stage {stage} placements overlap")
 
 
 def _largest_remainder(quotas: list[Fraction], total: int, rng: SplitMix64) -> list[int]:
@@ -1097,13 +1066,20 @@ class PipelineResult:
 
 
 def run_pipeline(plan: StagePlan, window: Box, seed: int) -> PipelineResult:
-    """Sample towers, build every stage, finalize, and redistribute."""
+    """Sample towers, build every stage, finalize, and redistribute.
+
+    A top stage that samples no tower in the window raises WindowTooSmall."""
     alphabet = plan.alphabet()
     root = SplitMix64(seed)
     wall = BrickWall(alphabet, plan.brick_id(1), (0,) * window.dim)
     state: ConstructionState | None = None
     for stage in range(1, plan.stage_count + 1):
         towers = sample_towers(plan, window, stage, root.fork(stage).seed)
+        if stage == plan.stage_count and towers.count == 0:
+            raise WindowTooSmall(
+                f"window {window.shape} holds no whole stage {stage} tower"
+                f" of side {towers.side} at offset {towers.offset}"
+            )
         tails = None
         if plan.countable and stage >= 2:
             tails = _select_tails(plan, towers, root.fork(1000 + stage))

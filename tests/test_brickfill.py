@@ -1,5 +1,7 @@
 """Brick walls, tile completion, strip tiling, the uniform filler, and glue."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from dominofill.brickfill import (
     collar_width,
     complete_partial_tiles,
     glue,
-    strip_tile,
+    strip_runs,
 )
 from dominofill.numerics import NotRepresentable
 from dominofill.sft import Symbol, decode, validate_word
@@ -36,13 +38,6 @@ class TestBrickWall:
     def test_restrictions_are_valid(self, flagship_alphabet, translate, corner):
         wall = BrickWall(flagship_alphabet, "P", translate)
         assert validate_word(wall.materialize(Box(corner, (13, 9)))) == []
-
-    def test_placements_in(self, flagship_alphabet):
-        wall = BrickWall(flagship_alphabet, "P", (0, 0))
-        t = wall.placements_in(Box((0, 0), (12, 12)))
-        assert sorted(p.anchor for p in t.placements()) == [
-            (0, 0), (0, 6), (6, 0), (6, 6),
-        ]
 
 
 class TestCompletePartialTiles:
@@ -71,25 +66,31 @@ class TestCompletePartialTiles:
 
 
 class TestStripTile:
+    """`strip_runs` tiles a box exactly by strips of family tiles along one axis."""
+
+    @staticmethod
+    def placements(runs):
+        return [(run.tile, tuple(a)) for run in runs for a in run.anchors().tolist()]
+
     def test_line_segment(self, line_family):
-        t = strip_tile(Box((0,), (15,)), line_family, 0)
-        got = [(p.tile, p.anchor) for p in t.placements()]
-        assert got == [
+        runs = strip_runs(Box((0,), (15,)), line_family, 0)
+        assert self.placements(runs) == [
             (1, (0,)), (1, (2,)), (1, (4,)), (1, (6,)), (1, (8,)), (1, (10,)),
             (2, (12,)),
         ]
 
     def test_plane_strip(self, flagship):
-        t = strip_tile(Box((0, 0), (6, 12)), flagship, 0)
-        assert set(p.tile for p in t.placements()) == {1}
-        assert len(list(t.placements())) == 12
-        assert t.covered_cells() == 72
+        runs = strip_runs(Box((0, 0), (6, 12)), flagship, 0)
+        got = self.placements(runs)
+        assert set(tile for tile, _ in got) == {1}
+        assert len(got) == 12
+        assert sum(math.prod(flagship.shapes[tile - 1]) for tile, _ in got) == 72
 
     def test_rejections(self, flagship):
         with pytest.raises(NotRepresentable):
-            strip_tile(Box((0, 0), (1, 12)), flagship, 0)
+            strip_runs(Box((0, 0), (1, 12)), flagship, 0)
         with pytest.raises(NonMultipleExtent):
-            strip_tile(Box((0, 0), (6, 7)), flagship, 0)
+            strip_runs(Box((0, 0), (6, 7)), flagship, 0)
 
 
 def assert_fill_contract(fill, inner_wall, box, outer_wall, width, probe_margin=3):

@@ -698,6 +698,22 @@ class TestUserErrors:
         self.assert_one_error_line(capsys)
         assert not (tmp_path / "out").exists()
 
+    def test_empty_top_stage_exits_1(self, tmp_path, capsys):
+        """At 600x600, seed 1, the stage-2 offset leaves no whole 512-tower in
+        the window: the build is refused, not written with nothing covered."""
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            FLAGSHIP_INI.replace("window = 300,300", "window = 600,600")
+            .replace("seed = 11", "seed = 1")
+            .replace("sides = 64", "sides = 64,512"),
+            encoding="utf-8",
+        )
+        assert main(["build", "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "(600, 600)" in err[0] and "stage 2" in err[0] and "offset (180, 248)" in err[0]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("window", ["10,x", "10", "10,0"])
     def test_bad_window_flag_exits_1(self, window, flagship_cfg, capsys):
         assert main(["plan", "--config", flagship_cfg, "--window", window]) == 1

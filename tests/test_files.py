@@ -1,6 +1,8 @@
 """Tiling files: the column writers and bulk parsers against the line and record oracles."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from dominofill.cli.files import (
     serialize_tiling,
     serialize_word,
     tiling_to_json,
+    write_atomic,
 )
 from dominofill.cli.main import main
 from dominofill.sft import Tiling, tile_sort_key
@@ -373,3 +376,16 @@ def test_malformed_json_matches_record_oracle(name):
 def test_json_integer_fields_refuse_floats_and_bools(name):
     outcome = json_outcome(files._from_json_doc, MALFORMED_JSON[name])
     assert outcome[0] == "ParseError" and "is not an integer" in outcome[1]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_write_atomic_gives_the_mode_of_a_plain_open(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_atomic(str(tmp_path / "atomic.txt"), "x\n")
+        with open(tmp_path / "plain.txt", "w", encoding="utf-8") as fh:
+            fh.write("x\n")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "atomic.txt").stat().st_mode)
+    assert mode == 0o666 & ~umask == stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)

@@ -40,7 +40,6 @@ from dominofill.tower import (
     NonpositiveTarget,
     StagePlan,
     StageSpec,
-    StageTowers,
     TargetsInfeasible,
     WindowTooSmall,
     build_stage,
@@ -395,65 +394,6 @@ def test_three_stage_build_matches_band_per_block_oracle(monkeypatch):
     assert stages == [1, 2, 3]
 
 
-@st.composite
-def lattices(draw):
-    """A tower lattice in a window it fills up to some end slack, a box that
-    fits inside every tower, and a random grid over the window."""
-    dim = draw(st.integers(1, 3))
-    side = draw(st.integers(1, 6))
-    step = draw(st.integers(side, side + 4))
-    offset = tuple(draw(st.integers(0, step - 1)) for _ in range(dim))
-    counts = tuple(draw(st.integers(1, 4)) for _ in range(dim))
-    slack = tuple(draw(st.integers(0, step - 1)) for _ in range(dim))
-    anchor = tuple(draw(st.integers(-20, 20)) for _ in range(dim))
-    extent = tuple(o + (n - 1) * step + side + e for o, n, e in zip(offset, counts, slack))
-    window = Box(anchor, extent)
-    axes = [a + o + step * np.arange(n) for a, o, n in zip(anchor, offset, counts)]
-    anchors = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    towers = StageTowers(1, side, step, offset, anchors, window, counts)
-    shape = tuple(draw(st.integers(1, side)) for _ in range(dim))
-    corner = tuple(draw(st.integers(0, side - e)) for e in shape)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    grid = rng.integers(0, 100, size=extent).astype(np.int32)
-    return towers, corner, shape, grid, rng
-
-
-@given(lattices())
-def test_lattice_view_writes_what_a_per_tower_loop_writes(case):
-    towers, corner, shape, grid, rng = case
-    mask = rng.random(towers.counts) < 0.5
-    pattern = rng.integers(-50, 0, size=shape).astype(np.int32)
-    want = grid.copy()
-    for k, row in enumerate(towers.anchors):
-        if mask.ravel()[k]:
-            rel = np.subtract(row, towers.window.anchor) + corner
-            want[tuple(slice(r, r + e) for r, e in zip(rel, shape))] = pattern
-    towers.lattice_view(grid, corner, shape)[mask] = pattern
-    assert np.array_equal(grid, want)
-
-
-@given(lattices(), st.data())
-def test_lattice_view_refuses_boxes_past_the_grid(case, data):
-    towers, corner, shape, grid, _ = case
-    axis = data.draw(st.integers(0, towers.window.dim - 1))
-    way = data.draw(st.sampled_from(["extra_tower", "before_start", "past_end"]))
-    corner, counts = list(corner), list(towers.counts)
-    offset, extent = towers.offset[axis], towers.window.shape[axis]
-    if way == "extra_tower":  # the fewest towers whose last box ends past the grid
-        counts[axis] = (extent - offset - corner[axis] - shape[axis]) // towers.step + 2
-    elif way == "before_start":
-        corner[axis] = -offset - 1
-    else:
-        last = offset + (counts[axis] - 1) * towers.step
-        corner[axis] = extent - last - shape[axis] + 1
-    bad = StageTowers(1, towers.side, towers.step, towers.offset, towers.anchors,
-                      towers.window, tuple(counts))
-    before = grid.copy()
-    with pytest.raises(ValueError):
-        bad.lattice_view(grid, corner, shape)[...] = -1
-    assert np.array_equal(grid, before)
-
-
 @pytest.fixture(scope="module")
 def countable_stages():
     """Stage 2 of the countable line plan, with tail and composite towers."""
@@ -660,6 +600,24 @@ class TestFinalize:
             finalize(state2, plan)
         monkeypatch.undo()
         assert finalize(state2, plan)[0].same_placements(want)
+
+    def test_placement_of_another_block_is_refused(self, two_stage_state, monkeypatch):
+        """The first placement, handed to the block of another tower, still
+        lies in a block domain, but not in its own block's."""
+        plan, _, _, state2 = two_stage_state
+        real = tower._assemble
+
+        def handed_on(state, chosen):
+            codes, anchors, owner = real(state, chosen)
+            if state is state2:
+                owner = owner.copy()
+                owner[0] = (owner[0] + 1) % len(chosen)
+            return codes, anchors, owner
+
+        assert len(state2.blocks) > 1
+        monkeypatch.setattr(tower, "_assemble", handed_on)
+        with pytest.raises(InvalidWord, match="stage 2 placements leave their block domains"):
+            finalize(state2, plan)
 
     def test_two_stage_report(self, two_stage_state):
         plan, window, _, state2 = two_stage_state
