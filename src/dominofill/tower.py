@@ -509,17 +509,15 @@ class KeptBlocks:
 
 @dataclass(eq=False)
 class ConstructionState:
-    """One stage's blocks and the templates their domains are made of.
+    """One stage's blocks and the bands their domains are made of.
 
-    ``patterns[k]`` is kind k's wall over ``blocks.domain(k)`` (None when no
-    tower has kind k); ``kept`` holds the previous blocks the composite towers
-    paste back, with their bands.  ``word``, the stage's word over the
-    window, is painted from these templates on first read: the build path
-    never reads it.
+    A block's domain is its kind's wall, which ``blocks`` determines;
+    ``kept`` holds the previous blocks the composite towers paste back, with
+    their bands.  ``word``, the stage's word over the window, is painted
+    from these on first read: the build path never reads it.
     """
 
     blocks: StageBlocks
-    patterns: list[np.ndarray | None]
     kept: KeptBlocks | None = None
     _word: SymbolicWord | None = field(default=None, init=False, repr=False)
 
@@ -533,12 +531,19 @@ class ConstructionState:
 
 def _paint(state: ConstructionState) -> np.ndarray:
     """The stage's word grid, pasted block by block: each block's kind wall
-    over its domain, then each kept block's band and, inside the band, that
-    block's domain copied from the previous stage's grid."""
+    over its domain (drawn once per kind), then each kept block's band and,
+    inside the band, that block's domain copied from the previous stage's
+    grid."""
     blocks, window = state.blocks, state.blocks.towers.window
     grid = np.full(window.shape, -1, dtype=np.int32)
+    wall = blocks.wall
+    walls = {
+        k: BrickWall(wall.alphabet, tile, wall.translate).pattern_over(blocks.domain(k))
+        for k, (tile, _) in enumerate(blocks.kinds)
+        if np.any(blocks.kind == k)
+    }
     for anchor, k in zip((blocks.towers.anchors - window.anchor).tolist(), blocks.kind.tolist()):
-        grid[_cells(anchor, blocks.domain(k))] = state.patterns[k]
+        grid[_cells(anchor, blocks.domain(k))] = walls[k]
     if state.kept is not None:
         kept, prev = state.kept, state.kept.state
         source = prev._word.grid if prev._word is not None else _paint(prev)
@@ -562,7 +567,7 @@ def build_stage(
     plan: StagePlan,
     tails: np.ndarray | None = None,
 ) -> ConstructionState:
-    """Run one construction stage: pick each tower's kind and make its templates.
+    """Run one construction stage: pick each tower's kind and fill its bands.
 
     Every tower lays a wall over its interior.  A pure wall block (always at
     stage 1; later, where the boolean ``tails`` mask over ``towers.anchors``
@@ -572,9 +577,9 @@ def build_stage(
     band.  Previous blocks not wholly inside a good position are dropped.
 
     A tower's wall translate moves with its anchor, so the wall reads the
-    same over every domain of one (tile, collar) kind: it is drawn once per
-    kind.  A band is filled once per band key.  No word is written; see
-    ``ConstructionState``.
+    same over every domain of one (tile, collar) kind; it is not drawn here,
+    since its bricks are a lattice (see ``_wall_placements``).  A band is
+    filled once per band key.  No word is written; see ``ConstructionState``.
     """
     spec = plan.stages[towers.stage - 1]
     pure = np.full(towers.count, towers.stage == 1)
@@ -585,13 +590,8 @@ def build_stage(
     kinds = list(dict.fromkeys([composite, brick]))
     kind = np.where(pure, kinds.index(brick), kinds.index(composite))
     blocks = StageBlocks(towers, wall, kinds, kind)
-    patterns = [
-        BrickWall(wall.alphabet, tile, wall.translate).pattern_over(blocks.domain(k))
-        if np.any(kind == k) else None
-        for k, (tile, _) in enumerate(kinds)
-    ]
     kept = _keep_blocks(state, towers, wall, plan.base, pure) if state is not None else None
-    return ConstructionState(blocks, patterns, kept)
+    return ConstructionState(blocks, kept)
 
 
 def _keep_blocks(
@@ -730,14 +730,15 @@ def finalize(
 ) -> tuple[Tiling, FrequencyReport]:
     """Assemble the whole placements of the top-stage block domains and account cells.
 
-    The window is the top stage's.  No window word is read: each template
-    (every kind's wall, every band key's band, down the stages that reach the
-    top) is checked with ``validate_word`` and decoded once, and its
-    placements are translated to every block that uses it (see
-    ``_assemble``).  The result must pass ``_check_placements``.  Uncovered
-    cells are the sublattice error set, the towers' own unfilled boundary
-    collars, and tiles cut by domain edges (``partial_cells``); those are
-    excluded from the covered count, never errors.
+    The window is the top stage's.  No window word is read.  Each kind's
+    wall bricks are a lattice by construction (``_wall_placements``).  Each
+    band key's band, down the stages that reach the top, is the one template
+    written as a word: it is checked with ``validate_word`` and decoded
+    once.  Each part's placements are translated to every block that uses
+    it (see ``_assemble``).  The result must pass ``_check_placements``.
+    Uncovered cells are the sublattice error set, the towers' own unfilled
+    boundary collars, and tiles cut by domain edges (``partial_cells``);
+    those are excluded from the covered count, never errors.
     """
     targets = plan.targets if plan is not None else None
     window = state.blocks.towers.window if state is not None else None
@@ -768,8 +769,19 @@ def finalize(
     return tiling, report
 
 
+def _wall_placements(alphabet: Alphabet, tile, translate, box: Box):
+    """(codes, anchors) of the whole bricks of ``tile``'s wall at ``translate``
+    inside ``box``, in C order: the aligned anchors whose brick fits."""
+    axes = [
+        np.arange(a + (t - a) % p, e - p + 1, p, dtype=np.int64)
+        for a, e, t, p in zip(box.anchor, box.end, translate, alphabet.shape(tile))
+    ]
+    anchors = grid_rows(axes)
+    return np.full(len(anchors), alphabet.tiles.index(tile), dtype=np.int32), anchors
+
+
 def _template(stage: int, alphabet: Alphabet, box: Box, grid: np.ndarray):
-    """(codes, anchors) of the whole placements of one template word over ``box``,
+    """(codes, anchors) of the whole placements of one band word over ``box``,
     which must pass ``validate_word``."""
     word = SymbolicWord(alphabet, box, grid)
     violations = validate_word(word)
@@ -809,7 +821,7 @@ def _assemble(
     parts = []
     for k in np.unique(kind).tolist():
         domain = blocks.domain(k)
-        codes, rel = _template(towers.stage, alphabet, domain, state.patterns[k])
+        codes, rel = _wall_placements(alphabet, blocks.kinds[k][0], blocks.wall.translate, domain)
         which = np.flatnonzero(kind == k)
         lo[which] = origin[which] + domain.anchor
         hi[which] = lo[which] + domain.shape

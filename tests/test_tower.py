@@ -1,12 +1,13 @@
 """Stage planning, tower sampling, staged construction, and redistribution."""
 
+import dataclasses
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import build_stage_per_block, finalize_by_decode, redistribute_by_rows
 from test_cli import (
@@ -17,6 +18,7 @@ from test_cli import (
     TWO_STAGE_INI,
     sha256_of,
 )
+from test_sft import DECODE_CASES
 
 from dominofill import (
     Box,
@@ -29,6 +31,7 @@ from dominofill import (
 from dominofill import sft, tower
 from dominofill.cli.config import parse_config
 from dominofill.cli.main import _family_and_plan, main
+from dominofill.cli.verify import verify_tiling
 from dominofill.geometry import interior
 from dominofill.rng import SplitMix64
 from dominofill.sft import InvalidWord, SymbolicWord, Tiling, validate_word
@@ -532,6 +535,49 @@ def test_bands_leaving_the_domain_match_word_path():
     assert result.pre_report == want_report
 
 
+def assert_wall_lattice_is_its_decode(alphabet, tile, translate, box):
+    codes, anchors = tower._wall_placements(alphabet, tile, translate, box)
+    lattice = Tiling(alphabet.tile_shapes, codes, anchors, box)
+    canon = lattice.sorted_canonical()
+    decoded = sft.decode(BrickWall(alphabet, tile, translate).materialize(box))
+    want = decoded.tiling.sorted_canonical()
+    assert np.array_equal(canon.codes, want.codes)
+    assert np.array_equal(canon.anchors, want.anchors)
+    assert np.array_equal(anchors, canon.anchors)  # already in C order
+    return anchors
+
+
+@pytest.mark.parametrize("dim", sorted(DECODE_CASES))
+@given(data=st.data())
+@settings(max_examples=60)
+def test_wall_lattice_equals_its_decode(dim, data):
+    """The lattice of a wall's whole bricks in a box is what a decode of the
+    wall over that box finds, for any tile, translate and box (the line's
+    alphabet carries bricks P2 and P10)."""
+    alphabet = DECODE_CASES[dim][0]()
+    tile = data.draw(st.sampled_from(alphabet.tiles))
+    translate = data.draw(st.tuples(*[st.integers(-40, 40)] * dim))
+    anchor = data.draw(st.tuples(*[st.integers(-40, 40)] * dim))
+    shape = data.draw(st.tuples(*[st.integers(1, {1: 80, 2: 30, 3: 12}[dim])] * dim))
+    assert_wall_lattice_is_its_decode(alphabet, tile, translate, Box(anchor, shape))
+
+
+@pytest.mark.parametrize("dim", sorted(DECODE_CASES))
+def test_wall_lattice_in_a_box_below_one_period_is_empty(dim):
+    """A box with a negative anchor and one axis narrower than the period
+    holds no whole brick, while the same box made wide enough holds some."""
+    alphabet = DECODE_CASES[dim][0]()
+    tile = alphabet.tiles[-1]
+    period = alphabet.shape(tile)
+    anchor, translate = (-7,) * dim, (-5,) * dim
+    narrow = Box(anchor, (period[0] - 1, *(3 * p for p in period[1:])))
+    anchors = assert_wall_lattice_is_its_decode(alphabet, tile, translate, narrow)
+    assert anchors.shape == (0, dim)
+    wide = Box(anchor, tuple(3 * p for p in period))
+    anchors = assert_wall_lattice_is_its_decode(alphabet, tile, translate, wide)
+    assert len(anchors) >= 2**dim and np.all(anchors < 0, axis=1).any()
+
+
 def test_build_reads_no_window_word(tmp_path, monkeypatch, capsys):
     """A two-stage `dominofill build` paints no stage word and makes no
     window-sized word, and still writes the golden bytes."""
@@ -570,12 +616,36 @@ class TestFinalize:
         assert report.uncovered_fraction == Fraction(90_000 - 576, 90_000)
 
     def test_invalid_word_is_refused(self, two_stage_state):
-        plan, _, state1, _ = two_stage_state
-        pattern = state1.patterns[0].copy()
-        pattern[1, 1] = pattern[0, 1]  # repeats its left neighbour's symbol
-        broken = ConstructionState(state1.blocks, [pattern], state1.kept)
-        with pytest.raises(InvalidWord, match="stage 1 word is invalid"):
+        plan, _, _, state2 = two_stage_state
+        band = state2.kept.bands[0].copy()
+        band[1, 1] = band[0, 1]  # repeats its left neighbour's symbol
+        kept = dataclasses.replace(state2.kept, bands=[band, *state2.kept.bands[1:]])
+        broken = ConstructionState(state2.blocks, kept)
+        with pytest.raises(InvalidWord, match="stage 2 word is invalid"):
             finalize(broken, plan)
+
+    def test_misplaced_wall_brick_is_refused(self, two_stage_state, monkeypatch):
+        """A kind wall's first brick, moved one cell toward its neighbour
+        along axis 0, overlaps it and fails the placement check."""
+        plan, _, _, state2 = two_stage_state
+        real = tower._wall_placements
+        walls_moved = []
+
+        def moved(alphabet, tile, translate, box):
+            codes, anchors = real(alphabet, tile, translate, box)
+            if len(anchors) and (anchors == anchors[0] + (alphabet.shape(tile)[0], 0)).all(1).any():
+                anchors = anchors.copy()
+                anchors[0, 0] += 1
+                walls_moved.append(tile)
+            return codes, anchors
+
+        want, _ = finalize(state2, plan)
+        monkeypatch.setattr(tower, "_wall_placements", moved)
+        with pytest.raises(InvalidWord, match="stage 2 placements"):
+            finalize(state2, plan)
+        monkeypatch.undo()
+        assert walls_moved
+        assert finalize(state2, plan)[0].same_placements(want)
 
     @pytest.mark.parametrize("step", ["onto", "halfway"])
     def test_overlapping_placement_is_refused(self, two_stage_state, monkeypatch, step):
@@ -805,6 +875,63 @@ class TestRunPipeline:
         other = run_pipeline(plan, Box((0, 0), (600, 600)), seed=12)
         assert result.tiling.same_placements(again.tiling)
         assert not result.tiling.same_placements(other.tiling)
+
+
+# Strict plans (the paper's schedule, minimal sides) of the 2,3 line and the
+# flagship family, each run on a window of twice its top side.
+STRICT_PLANS = {
+    "line_1_stage": ([(2,), (3,)], (129,)),
+    "line_2_stages": ([(2,), (3,)], (129, 4641)),
+    "line_3_stages": ([(2,), (3,)], (129, 4641, 596097)),
+    "flagship_1_stage": ([(3, 2), (2, 3)], (449,)),
+}
+GRANULARITY = pytest.mark.xfail(
+    strict=True,
+    reason="granularity defect: the one tower's domain holds 16 six-cell bricks, so"
+    " tile 1's share moves in steps of 1/16 and misses 2/5 by 1/40; the planner"
+    " accepts the plan all the same",
+)
+
+
+@pytest.fixture(scope="module")
+def strict_runs():
+    """(plan, window, result) of a strict plan at a seed, built on first use."""
+    runs = {}
+
+    def get(name, seed):
+        if (name, seed) not in runs:
+            shapes, sides = STRICT_PLANS[name]
+            family = validate_family(shapes)
+            plan = plan_stages(family, FLAGSHIP_TARGETS, len(sides), mode="strict")
+            assert tuple(spec.side for spec in plan.stages) == sides
+            window = Box((0,) * family.dim, (2 * sides[-1],) * family.dim)
+            runs[name, seed] = plan, window, run_pipeline(plan, window, seed)
+        return runs[name, seed]
+
+    return get
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", STRICT_PLANS)
+def test_strict_plan_builds_what_the_word_path_decodes(strict_runs, name, seed):
+    """A strict plan's build verifies clean, equals the word-path oracle, and
+    keeps its small tiles below the plan's collar mass bound."""
+    plan, window, result = strict_runs(name, seed)
+    assert verify_tiling(result.tiling, window) == []
+    want, want_report = finalize_by_decode(result.state, plan)
+    assert result.pre_tiling.same_placements(want)
+    assert result.pre_report == want_report
+    assert result.pre_report.small_tile_fraction() <= plan.collar_mass_bound()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "name",
+    [pytest.param(n, marks=GRANULARITY) if n == "line_1_stage" else n for n in STRICT_PLANS],
+)
+def test_strict_plan_meets_the_tolerance(strict_runs, name, seed):
+    _, _, result = strict_runs(name, seed)
+    assert max(abs(d) for d in result.report.deltas().values()) <= Fraction(1, 50)
 
 
 @pytest.fixture(scope="module")
