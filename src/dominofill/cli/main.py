@@ -9,6 +9,7 @@ it per invocation.  The only environment variable honoured is
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -274,7 +275,11 @@ def _add_overrides(sub, *, window: bool = True) -> None:
     sub.add_argument("--format", choices=FORMATS, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once.  ``main`` looks each command
+    up by name when it runs it, so a ``cmd_*`` replaced on this module
+    takes effect."""
     parser = argparse.ArgumentParser(
         prog="dominofill",
         description="Tilings of lattice windows by rectangles with coprime sides.",
@@ -284,47 +289,39 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan = subs.add_parser("plan", help="validate and print a stage schedule")
     p_plan.add_argument("--config", required=True)
     _add_overrides(p_plan)
-    p_plan.set_defaults(func=cmd_plan)
 
     p_build = subs.add_parser("build", help="run the staged pipeline and write tilings")
     p_build.add_argument("--config", required=True)
     _add_overrides(p_build)
-    p_build.set_defaults(func=cmd_build)
 
     p_fill = subs.add_parser("fill", help="fill between two wall translates")
     p_fill.add_argument("--config", required=True)
     _add_overrides(p_fill, window=False)
-    p_fill.set_defaults(func=cmd_fill)
 
     p_redist = subs.add_parser("redistribute", help="relabel bricks to hit targets")
     p_redist.add_argument("file")
     p_redist.add_argument("--config", required=True)
     _add_overrides(p_redist, window=False)
-    p_redist.set_defaults(func=cmd_redistribute)
 
     p_verify = subs.add_parser("verify", help="independently check a tiling or word file")
     p_verify.add_argument("file")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_stats = subs.add_parser("stats", help="frequency report for a tiling file")
     p_stats.add_argument("file")
     p_stats.add_argument("--config", default=None)
-    p_stats.set_defaults(func=cmd_stats)
 
     p_render = subs.add_parser("render", help="SVG (d=2) or ASCII (d=1) picture")
     p_render.add_argument("file")
     p_render.add_argument("--out", default=None)
-    p_render.set_defaults(func=cmd_render)
 
     return parser
 
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

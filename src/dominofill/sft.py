@@ -76,7 +76,6 @@ class Alphabet:
         self.sym_shapes = np.array(
             [self.tile_shapes[s.tile] for s in self.symbols], dtype=np.int32
         )
-        self.is_anchor = np.all(self.offsets == 0, axis=1)
         self._transitions: dict[int, np.ndarray] = {}
         self._blocks: dict[int | str, np.ndarray] = {}
         self.size = n
@@ -136,15 +135,6 @@ def build_alphabet(
     return Alphabet(f.dim, shapes)
 
 
-def allowed_neighbor(alphabet: Alphabet, s: Symbol, axis: int, t: Symbol) -> bool:
-    """One-step rule: does symbol ``t`` legally follow ``s`` along ``axis``?"""
-    shape = alphabet.shape(s.tile)
-    if s.offset[axis] < shape[axis] - 1:
-        expected = s.offset[:axis] + (s.offset[axis] + 1,) + s.offset[axis + 1 :]
-        return t.tile == s.tile and t.offset == expected
-    return t.offset[axis] == 0
-
-
 class SymbolicWord:
     """Partial word over a box: an int grid of symbol indices, -1 unassigned."""
 
@@ -191,9 +181,6 @@ class SymbolicWord:
         for rel in np.argwhere(self.grid >= 0):
             cell = tuple(int(a + r) for a, r in zip(self.box.anchor, rel))
             yield cell, self.alphabet.symbol(int(self.grid[tuple(rel)]))
-
-    def equals_on(self, other: "SymbolicWord", sub: Box) -> bool:
-        return bool(np.array_equal(self.subgrid(sub), other.subgrid(sub)))
 
 
 def validate_word(word: SymbolicWord) -> list[Violation]:
@@ -327,15 +314,6 @@ class Tiling:
             self.window or other.window,
         )
 
-    def same_placements(self, other: "Tiling") -> bool:
-        a = self.sorted_canonical()
-        b = other.sorted_canonical()
-        return bool(
-            a.tile_order == b.tile_order
-            and np.array_equal(a.codes, b.codes)
-            and np.array_equal(a.anchors, b.anchors)
-        )
-
 
 # (rows, offsets, code): the placements anchors[rows] + each offset row (all
 # >= 0; None is the one zero offset), with one tile code or one per row.
@@ -448,9 +426,7 @@ def decode(word: SymbolicWord) -> DecodeResult:
     iff all of its tile's cells are present.  Tiles cut by the box's faces
     or by unassigned cells are reported as partials (a tiling without a
     window), in (tile order, anchor) order, not as errors.  The word must be
-    valid (see ``validate_word``); decode does not check it.  When every
-    cell is assigned, a placement is whole iff its anchor cell's tile fits
-    in the box, and only the cells within a tile side of a face are grouped.
+    valid (see ``validate_word``); decode does not check it.
     """
     alphabet, shape = word.alphabet, word.box.shape
     # Pad the box on its low faces so that every anchor, even one below the
@@ -463,31 +439,10 @@ def decode(word: SymbolicWord) -> DecodeResult:
     strides = np.cumprod((padded[1:] + (1,))[::-1])[::-1]
     volumes = np.array([math.prod(alphabet.shape(t)) for t in alphabet.tiles])
     cells = grid.ravel()
-    grouped = grid >= 0
-    fitted = None
-    if np.count_nonzero(grouped) == word.grid.size:
-        # In a valid word a placement is then whole iff its anchor cell's
-        # tile fits in the box.  The other placements lie within a tile side
-        # of a face: only those cells are grouped.
-        starts = np.flatnonzero(np.append(alphabet.is_anchor, False)[cells])
-        corner = np.stack(np.unravel_index(starts, padded), axis=1)
-        fitted = starts[np.all(corner + alphabet.sym_shapes[cells[starts]] <= padded, axis=1)]
-        grouped[tuple(slice(2 * pad - 1, e + 1) for e in shape)] = False
-    flat = np.flatnonzero(grouped)
+    flat = np.flatnonzero(cells >= 0)
     syms = cells[flat]
     flat -= (alphabet.offsets @ strides)[syms]  # each cell's anchor
-    if fitted is not None:
-        cut = np.ones(size, dtype=bool)
-        cut[fitted] = False
-        cut = cut[flat]
-        flat, syms = flat[cut], syms[cut]
     keys, counts = np.unique(alphabet.tile_codes[syms] * size + flat, return_counts=True)
-    if fitted is not None:
-        codes = alphabet.tile_codes[cells[fitted]]
-        keys = np.concatenate([keys, codes * size + fitted])
-        counts = np.concatenate([counts, volumes[codes]])
-        order = np.argsort(keys)
-        keys, counts = keys[order], counts[order]
     codes, flat = np.divmod(keys, size)
     whole = counts == volumes[codes]
     coords = np.stack(np.unravel_index(flat, padded), axis=1)

@@ -13,7 +13,6 @@ with the window, with the uncovered remainder reported as the error set.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -797,46 +796,38 @@ def _assemble(
     """(codes, anchors, owner): the whole placements in the domains of blocks ``chosen``.
 
     ``owner`` is each placement's position in ``chosen``.  A block's domain
-    holds its kind's wall bricks, less those wholly inside the band of a
-    block it keeps; each such band's placements, less those wholly inside
-    the kept block's domain; and the kept block's own placements, assembled
-    the same way one stage down.  Each part is one broadcast add per kind
-    or band key.  A band that leaves its tower's domain (no plan from
-    ``plan_stages`` has one: a kept block's collar is never below the
-    composite collar) gives only the placements wholly inside the domain,
-    as a decode of the domain would.
+    holds its kind's wall bricks, less those wholly inside a kept block's
+    band (see ``_under_bands``); each such band's placements, less those
+    wholly inside the kept block's domain; and the kept block's own
+    placements, assembled the same way one stage down.  Each part is one
+    broadcast add per kind or band key.  A band that leaves its tower's
+    domain (no plan from ``plan_stages`` has one: a kept block's collar is
+    never below the composite collar) gives only the placements wholly
+    inside the domain, as a decode of the domain would.
     """
-    blocks, towers = state.blocks, state.blocks.towers
+    blocks, towers, kept = state.blocks, state.blocks.towers, state.kept
     alphabet = blocks.wall.alphabet
     origin, kind = towers.anchors[chosen], blocks.kind[chosen]
     lo, hi = np.empty_like(origin), np.empty_like(origin)
-    index = owner = key = np.zeros(0, dtype=np.intp)
-    if state.kept is not None:
-        kept, prev = state.kept, state.kept.state.blocks
+    parts = []
+    for k in np.unique(kind).tolist():
+        domain, tile = blocks.domain(k), blocks.kinds[k][0]
+        codes, rel = _wall_placements(alphabet, tile, blocks.wall.translate, domain)
+        which = np.flatnonzero(kind == k)
+        lo[which] = origin[which] + domain.anchor
+        hi[which] = lo[which] + domain.shape
+        part = _translate(codes, rel, origin[which], which)
+        if kept is not None:
+            free = ~_under_bands(part[1], alphabet.shape(tile), kept)
+            part = tuple(column[free] for column in part)
+        parts.append(part)
+    if kept is not None:
+        prev = kept.state.blocks
         position = np.full(len(blocks), -1, dtype=np.intp)
         position[chosen] = np.arange(len(chosen))
         mine = position[kept.owner] >= 0
         index, owner, key = kept.index[mine], position[kept.owner[mine]], kept.key[mine]
-        band_lo = prev.towers.anchors[index] + kept.band.anchor
-    parts = []
-    for k in np.unique(kind).tolist():
-        domain = blocks.domain(k)
-        codes, rel = _wall_placements(alphabet, blocks.kinds[k][0], blocks.wall.translate, domain)
-        which = np.flatnonzero(kind == k)
-        lo[which] = origin[which] + domain.anchor
-        hi[which] = lo[which] + domain.shape
-        banded = kind[owner] == k
-        keep = None
-        if len(codes) and banded.any():
-            row = np.full(len(chosen), -1, dtype=np.intp)
-            row[which] = np.arange(len(which))
-            period = alphabet.shape(blocks.kinds[k][0])
-            box_lo = band_lo[banded] - origin[owner[banded]]
-            keep = ~_bricks_in_boxes(
-                rel, period, box_lo, kept.band.shape, row[owner[banded]], len(which)
-            )
-        parts.append(_translate(codes, rel, origin[which], which, keep))
-    if not len(index):
+    if kept is None or not len(index):
         return tuple(np.concatenate(column) for column in zip(*parts))
     shapes = np.array([alphabet.shape(t) for t in alphabet.tiles], dtype=np.int64)
     inner_parts = []
@@ -852,6 +843,7 @@ def _assemble(
     codes, anchors, below = _assemble(kept.state, index)
     inner_parts.append((codes, anchors, owner[below]))
     codes, anchors, placed = (np.concatenate(column) for column in zip(*inner_parts))
+    band_lo = prev.towers.anchors[index] + kept.band.anchor
     if np.any(band_lo < lo[owner]) or np.any(band_lo + kept.band.shape > hi[owner]):
         inside = np.all(anchors >= lo[placed], axis=1)
         inside &= np.all(anchors + shapes[codes] <= hi[placed], axis=1)
@@ -860,38 +852,32 @@ def _assemble(
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _translate(codes, rel, origin, owner, keep=None):
-    """(codes, anchors, owner) of template placements ``rel`` at every ``origin``,
-    where the (origin, placement) mask ``keep`` is set."""
+def _translate(codes, rel, origin, owner):
+    """(codes, anchors, owner) of template placements ``rel`` at every ``origin``."""
     anchors = origin[:, None, :] + rel[None, :, :]
     codes = np.broadcast_to(codes, anchors.shape[:2])
     owner = np.broadcast_to(owner[:, None], anchors.shape[:2])
-    if keep is None:
-        return codes.ravel(), anchors.reshape(-1, anchors.shape[2]), owner.ravel()
-    return codes[keep], anchors[keep], owner[keep]
+    return codes.ravel(), anchors.reshape(-1, anchors.shape[2]), owner.ravel()
 
 
-def _bricks_in_boxes(bricks, period, box_lo, box_shape, rows, n_rows) -> np.ndarray:
-    """(n_rows, len(bricks)) mask: brick b wholly inside a box of row ``rows[j]``.
+def _under_bands(anchors: np.ndarray, period, kept: KeptBlocks) -> np.ndarray:
+    """Mask of the bricks of shape ``period`` at ``anchors`` wholly inside a kept band.
 
-    ``bricks`` lie on a full grid of spacing ``period``; box j is
-    ``box_lo[j]`` plus ``box_shape`` in the same frame.  Each box covers a
-    box of brick indices, marked in one difference array over the brick
-    lattice and summed up along each axis.
+    A band lies in its block's tower, one cell of the previous stage's tower
+    lattice: one divmod finds the only tower a brick can be under, and the
+    brick is under its band iff that tower is kept and the brick's offset in
+    it lies in ``band.anchor .. band.end - period``.  Towers are disjoint, so
+    a brick is only ever under a band its own block keeps.
     """
-    dim = len(period)
-    origin = bricks.min(axis=0)
-    index = (bricks - origin) // period
-    n = index.max(axis=0) + 1
-    first = np.clip(-((origin - box_lo) // period), 0, n)
-    stop = np.clip((box_lo + box_shape - period - origin) // period + 1, first, n)
-    diff = np.zeros((n_rows, *(n + 1)), dtype=np.int32)
-    for corner in itertools.product((0, 1), repeat=dim):
-        at = tuple(stop[:, a] if c else first[:, a] for a, c in enumerate(corner))
-        np.add.at(diff, (rows, *at), -1 if sum(corner) % 2 else 1)
-    for axis in range(1, dim + 1):
-        np.cumsum(diff, axis=axis, out=diff)
-    return diff[(slice(None), *index.T)] > 0
+    prev = kept.state.blocks.towers
+    cell, rel = np.divmod(anchors - np.add(prev.window.anchor, prev.offset), prev.step)
+    under = (cell >= 0) & (cell < prev.counts)
+    under &= (rel >= kept.band.anchor) & (rel <= np.subtract(kept.band.end, period))
+    under = under.all(axis=1)
+    is_kept = np.zeros(prev.count, dtype=bool)
+    is_kept[kept.index] = True
+    under[under] = is_kept[np.ravel_multi_index(tuple(cell[under].T), prev.counts)]
+    return under
 
 
 def _check_placements(blocks: StageBlocks, tiling: Tiling, owner: np.ndarray) -> None:

@@ -37,10 +37,10 @@ from dominofill.rng import SplitMix64
 from dominofill.sft import (
     InvalidWord,
     Placement,
+    Symbol,
     SymbolicWord,
     Tiling,
     Violation,
-    allowed_neighbor,
     decode,
     validate_word,
 )
@@ -145,6 +145,30 @@ def count_exact_tilings(width, height, tiles):
         return found
 
     return walk()
+
+
+def allowed_neighbor(alphabet, s: Symbol, axis: int, t: Symbol) -> bool:
+    """One-step rule: does symbol ``t`` legally follow ``s`` along ``axis``?"""
+    shape = alphabet.shape(s.tile)
+    if s.offset[axis] < shape[axis] - 1:
+        expected = s.offset[:axis] + (s.offset[axis] + 1,) + s.offset[axis + 1 :]
+        return t.tile == s.tile and t.offset == expected
+    return t.offset[axis] == 0
+
+
+def equals_on(a: SymbolicWord, b: SymbolicWord, box: Box) -> bool:
+    """Do two words hold the same symbols (or holes) on ``box``?"""
+    return bool(np.array_equal(a.subgrid(box), b.subgrid(box)))
+
+
+def same_placements(a: Tiling, b: Tiling) -> bool:
+    """Do two tilings hold the same placements, in whatever order?"""
+    a, b = a.sorted_canonical(), b.sorted_canonical()
+    return bool(
+        a.tile_order == b.tile_order
+        and np.array_equal(a.codes, b.codes)
+        and np.array_equal(a.anchors, b.anchors)
+    )
 
 
 def enumerate_boundary_complete_words(alphabet, width, height, sample=None):

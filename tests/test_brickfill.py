@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import equals_on
 
 from dominofill import Box, BrickWall, build_alphabet, expand, fill_between, validate_family
 from dominofill.brickfill import (
@@ -99,7 +100,7 @@ def assert_fill_contract(fill, inner_wall, box, outer_wall, width, probe_margin=
     word = fill.materialize(window)
     assert validate_word(word) == []
     inner_view = inner_wall.materialize(box)
-    assert word.equals_on(inner_view, box)
+    assert equals_on(word, inner_view, box)
     footprint = expand(box, width)
     outer_view = outer_wall.materialize(window)
     for cell, sym in outer_view.iter_cells():
@@ -116,7 +117,7 @@ class TestUniformFill:
         same = BrickWall(flagship_alphabet, "P", (10, 7))  # same translate mod period
         fill = fill_between(wall, Box((3, 3), (10, 10)), same, flagship)
         probe = Box((-20, -20), (50, 50))
-        assert fill.materialize(probe).equals_on(wall.materialize(probe), probe)
+        assert equals_on(fill.materialize(probe), wall.materialize(probe), probe)
 
     def test_line_worked_example(self, line_alphabet, line_family):
         inner = BrickWall(line_alphabet, "P", (0,))
@@ -180,7 +181,7 @@ class TestRestrictedFill:
         window = expand(box, width + 4)
         word = fill.materialize(window)
         assert validate_word(word) == []
-        assert word.equals_on(inner.materialize(box), box)
+        assert equals_on(word, inner.materialize(box), box)
         collar_tiles = set(p.tile for p in fill.collar_tiling().placements())
         assert collar_tiles <= {1, 2}
 
@@ -191,7 +192,7 @@ class TestRestrictedFill:
         a = fill_between(inner, box, outer, line_family)
         b = fill_between(inner, box, outer, line_family, line_family.fill_length)
         probe = expand(box, line_family.fill_length + 6)
-        assert a.materialize(probe).equals_on(b.materialize(probe), probe)
+        assert equals_on(a.materialize(probe), b.materialize(probe), probe)
 
     def test_incompatible_period_rejected(self, flagship):
         f = validate_family([(2,), (3,), (5,)])
@@ -210,7 +211,7 @@ class TestGlue:
         box = Box((1, 1), (12, 10))
         glued = glue(wall.materialize(box), wall, flagship)
         probe = expand(box, flagship.fill_length + 4)
-        assert glued.materialize(probe).equals_on(wall.materialize(probe), probe)
+        assert equals_on(glued.materialize(probe), wall.materialize(probe), probe)
 
     @given(translates_2d, translates_2d)
     @settings(max_examples=20)
@@ -223,7 +224,7 @@ class TestGlue:
         window = expand(block_box, flagship.fill_length + 3)
         word = glued.materialize(window)
         assert validate_word(word) == []
-        assert word.equals_on(block, block_box)
+        assert equals_on(word, block, block_box)
         footprint = expand(block_box, flagship.fill_length)
         ambient_view = ambient.materialize(window)
         for cell, sym in ambient_view.iter_cells():

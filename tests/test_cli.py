@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import verify_tiling_by_rows
+from oracles import same_placements, verify_tiling_by_rows
 
 import dominofill
 from dominofill import Box, BrickWall
@@ -30,6 +30,7 @@ from dominofill.cli.files import (
     word_to_json,
     write_atomic,
 )
+from dominofill.cli import main as cli_main
 from dominofill.cli.main import main
 from dominofill.cli.render import render_ascii, render_svg
 from dominofill.cli import verify
@@ -153,7 +154,7 @@ class TestTilingFiles:
         text = serialize_tiling(t, seed=7)
         back, seed = parse_tiling(text)
         assert seed == 7
-        assert back.same_placements(t)
+        assert same_placements(back, t)
         assert back.window == t.window
         assert serialize_tiling(back, seed=7) == text
 
@@ -163,7 +164,7 @@ class TestTilingFiles:
         write_atomic(str(path), tiling_to_json(t, seed=3))
         loaded = load_any(str(path))
         assert loaded.kind == "tiling" and loaded.seed == 3
-        assert loaded.tiling.same_placements(t)
+        assert same_placements(loaded.tiling, t)
 
     def test_version_mismatch(self):
         text = serialize_tiling(sample_tiling())
@@ -556,6 +557,19 @@ class TestMain:
         path.write_text(text, encoding="utf-8")
         assert main(["verify", str(path)]) == 1
         assert "covered 256 times" in capsys.readouterr().err
+
+    def test_command_replaced_after_first_call_is_run(self, tmp_path, capsys, monkeypatch):
+        """The parser is built once, but each call looks its command up on
+        the module, so a ``cmd_*`` patched in later is the one that runs."""
+        path = tmp_path / "one.txt"
+        write_atomic(str(path), serialize_tiling(Tiling.from_parts({1: (1, 1)}, [(1, [(0, 0)])])))
+        assert main(["verify", str(path)]) == 0
+        seen = []
+        monkeypatch.setattr(cli_main, "cmd_verify", lambda args: seen.append(args.file) or 7)
+        assert main(["verify", str(path)]) == 7
+        assert seen == [str(path)]
+        assert cli_main.build_parser() is cli_main.build_parser()
+        capsys.readouterr()
 
     @pytest.mark.parametrize(
         "header, body, want",

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import (
     load_json_doc_by_records,
     parse_by_lines,
+    same_placements,
     serialize_by_lines,
     tiling_to_json_by_rows,
 )
@@ -146,7 +147,7 @@ def test_label_int_refuses_reads_back(tmp_path, capsys, label):
     text = serialize_tiling(tiling, 7)
     parsed, seed = parse_tiling(text)
     assert parsed.tile_shapes == shapes and seed == 7
-    assert parsed.same_placements(tiling)
+    assert same_placements(parsed, tiling)
     path = tmp_path / "tiling.txt"
     path.write_text(text, encoding="utf-8")
     assert main(["verify", str(path)]) == 0
@@ -277,7 +278,7 @@ def test_load_any_reads_json_after_leading_whitespace(tmp_path):
     path.write_text(" \n\t" + tiling_to_json(tiling, seed=7), encoding="utf-8")
     loaded = load_any(str(path))
     assert loaded.kind == "tiling" and loaded.seed == 7
-    assert loaded.tiling.same_placements(tiling) and loaded.tiling.window == tiling.window
+    assert same_placements(loaded.tiling, tiling) and loaded.tiling.window == tiling.window
 
 
 def json_outcome(load, doc):
