@@ -13,6 +13,7 @@ from dominofill import Box, BrickWall, build_alphabet, expand, fill_between, val
 from dominofill.cli.files import write_atomic
 from dominofill.cli.render import render_svg
 from dominofill.cli.verify import verify_word
+from dominofill.sft import Tiling
 
 
 def main() -> None:
@@ -39,8 +40,13 @@ def main() -> None:
     print(f"inner translate {inner.translate}, outer translate {outer.translate}")
     print(f"box {box.shape} bridged inside a collar of width {family.fill_length}")
     print(f"verifier errors: {len(errors)}")
-    collar = fill.collar_tiling()
-    print(f"collar uses {len(list(collar.placements()))} small tiles")
+    placed = fill.placements(region)
+    collar = Tiling.from_parts(
+        {t: s for t, s in placed.tile_shapes.items() if isinstance(t, int)},
+        [(p.tile, [p.anchor]) for p in placed.placements() if isinstance(p.tile, int)],
+        fill.footprint,
+    )
+    print(f"collar uses {len(collar)} small tiles")
     write_atomic(args.out, render_svg(collar))
     print(f"wrote {args.out}")
 

@@ -11,6 +11,7 @@ obvious analogue when the periods differ.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .geometry import Box, expand, grid_rows, interior
 from .numerics import RectFamily, represent
-from .sft import Alphabet, Symbol, SymbolicWord, Tiling
+from .sft import Alphabet, InvalidWord, Symbol, SymbolicWord, Tiling
 
 
 class NonMultipleExtent(ValueError):
@@ -76,6 +77,13 @@ class BrickWall:
 
     def materialize(self, box: Box) -> SymbolicWord:
         return SymbolicWord(self.alphabet, box, self.pattern_over(box))
+
+    def bricks(self, box: Box) -> np.ndarray:
+        """Anchors of the wall's whole bricks inside ``box``, one row each, in C order."""
+        return grid_rows([
+            np.arange(self.ceil_align(a, axis), e - p + 1, p, dtype=np.int64)
+            for axis, (a, e, p) in enumerate(zip(box.anchor, box.end, self.period))
+        ])
 
     def pattern_over(self, box: Box) -> np.ndarray:
         """Symbol-index array of the wall restricted to ``box``."""
@@ -235,7 +243,6 @@ class FilledWord:
         outer_wall: BrickWall,
         outer_core: Box | None,
         runs: list[StripRun],
-        base: RectFamily,
         footprint: Box | None,
     ) -> None:
         self.inner_wall = inner_wall
@@ -243,13 +250,12 @@ class FilledWord:
         self.outer_wall = outer_wall
         self.outer_core = outer_core
         self.runs = runs
-        self.base = base
         self.footprint = footprint
         self.alphabet = outer_wall.alphabet
 
     @classmethod
-    def pure_wall(cls, wall: BrickWall, base: RectFamily) -> "FilledWord":
-        return cls(wall, None, wall, None, [], base, None)
+    def pure_wall(cls, wall: BrickWall) -> "FilledWord":
+        return cls(wall, None, wall, None, [], None)
 
     def materialize(self, box: Box) -> SymbolicWord:
         grid = self.outer_wall.pattern_over(box)
@@ -266,11 +272,69 @@ class FilledWord:
             word.paste(clip, phase_wall.pattern_over(clip))
         return word
 
-    def collar_tiling(self) -> Tiling:
-        """The explicit small-tile placements of the filling collar."""
-        shapes = {j + 1: s for j, s in enumerate(self.base.shapes)}
-        parts = [(run.tile, run.anchors()) for run in self.runs]
-        return Tiling.from_parts(shapes, parts, self.footprint)
+    def placements(self, box: Box) -> Tiling:
+        """The fill's whole tiles inside ``box``, in closed form.
+
+        They are the outer wall's bricks outside ``outer_core``, the inner
+        wall's bricks on ``inner_core`` and each strip run's tiles.  Raises
+        InvalidWord unless the tiles that meet ``box``, clipped to it, cover
+        each of its cells exactly once.
+        """
+        alphabet = self.alphabet
+        outer = self.outer_wall.bricks(_reach(box, self.outer_wall.period))
+        if self.outer_core is not None:
+            lo, hi = self.outer_core.anchor, self.outer_core.end
+            outer = outer[np.any((outer + self.outer_wall.period <= lo) | (outer >= hi), axis=1)]
+        parts = [(self.outer_wall.tile, outer)]
+        if self.inner_core is not None:
+            near = self.inner_core.intersect(_reach(box, self.inner_wall.period))
+            if near is not None:
+                parts.append((self.inner_wall.tile, self.inner_wall.bricks(near)))
+        for run in self.runs:
+            if box.contains_box(run.box):
+                parts.append((run.tile, run.anchors()))
+            elif run.box.intersect(box) is not None:
+                anchors = run.anchors()
+                low = np.subtract(box.anchor, alphabet.shape(run.tile))
+                parts.append((run.tile, anchors[np.all((anchors > low) & (anchors < box.end), 1)]))
+        codes = np.repeat(
+            np.array([alphabet.tiles.index(t) for t, _ in parts], dtype=np.int32),
+            [len(a) for _, a in parts],
+        )
+        anchors = np.concatenate([a for _, a in parts])
+        _check_partition(alphabet, codes, anchors, box)
+        ends = anchors + alphabet.shape_table[codes]
+        whole = np.all((anchors >= box.anchor) & (ends <= box.end), axis=1)
+        return Tiling(alphabet.tile_shapes, codes[whole], anchors[whole], box)
+
+
+def _reach(box: Box, shape) -> Box:
+    """The box holding every tile of ``shape`` that meets ``box``."""
+    return Box(
+        tuple(a - s + 1 for a, s in zip(box.anchor, shape)),
+        tuple(e + 2 * s - 2 for e, s in zip(box.shape, shape)),
+    )
+
+
+def _check_partition(alphabet: Alphabet, codes, anchors, box: Box) -> None:
+    """Refuse tiles that, clipped to ``box``, do not cover each of its cells
+    exactly once.  Every tile must meet ``box``.  Each tile's cells are
+    counted in a grid padded by the largest tile side less 1, one flat
+    offset table per tile code, and the box's counts must all be 1."""
+    pad = alphabet.shape_table.max(axis=0) - 1
+    shape = tuple((box.shape + 2 * pad).tolist())
+    strides = np.cumprod((shape[1:] + (1,))[::-1])[::-1]
+    flat = (anchors - (box.anchor - pad)) @ strides
+    cells = [flat[:0]]  # empty, for a box that no tile meets
+    for c in np.unique(codes).tolist():
+        cells.append((flat[codes == c][:, None] + alphabet.tile_cells[c] @ strides).ravel())
+    counts = np.bincount(np.concatenate(cells), minlength=math.prod(shape)).reshape(shape)
+    counts = counts[tuple(slice(p, p + e) for p, e in zip(pad.tolist(), box.shape))]
+    bad = np.flatnonzero(counts != 1)
+    if len(bad):
+        rel = np.unravel_index(bad[0], box.shape)
+        cell = tuple(int(a + r) for a, r in zip(box.anchor, rel))
+        raise InvalidWord(f"the fill covers cell {cell} {counts[rel]} times")
 
 
 def fill_between(
@@ -291,7 +355,7 @@ def fill_between(
     its own brick.
     """
     if inner_wall.aligned_with(outer_wall):
-        return FilledWord.pure_wall(outer_wall, base)
+        return FilledWord.pure_wall(outer_wall)
     for wall in (inner_wall, outer_wall):
         for axis in range(base.dim):
             for side in base.axis_sides(axis):
@@ -306,7 +370,7 @@ def fill_between(
     runs: list[StripRun] = []
     for piece in pieces:
         runs.extend(strip_runs(piece.box, base, piece.axis))
-    return FilledWord(inner_wall, inner_core, outer_wall, outer_core, runs, base, footprint)
+    return FilledWord(inner_wall, inner_core, outer_wall, outer_core, runs, footprint)
 
 
 class GluedWord:

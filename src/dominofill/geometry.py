@@ -80,5 +80,8 @@ def interior(b: Box, s: int) -> Box | None:
 
 def grid_rows(axes: Sequence[np.ndarray]) -> np.ndarray:
     """Every point of the product of per-axis coordinates, one row each, in C order."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    dim = len(axes)
+    rows = np.empty([len(a) for a in axes] + [dim], dtype=np.result_type(*axes))
+    for d, a in enumerate(axes):
+        rows[..., d] = np.reshape(a, (-1,) + (1,) * (dim - d - 1))
+    return rows.reshape(-1, dim)

@@ -76,6 +76,11 @@ class Alphabet:
         self.sym_shapes = np.array(
             [self.tile_shapes[s.tile] for s in self.symbols], dtype=np.int32
         )
+        # Each tile's shape and its cell offsets, int64 rows, indexed by tile code.
+        self.shape_table = np.array([self.tile_shapes[t] for t in self.tiles], dtype=np.int64)
+        self.tile_cells = [
+            self.offsets[self.tile_codes == c].astype(np.int64) for c in range(len(self.tiles))
+        ]
         self._transitions: dict[int, np.ndarray] = {}
         self._blocks: dict[int | str, np.ndarray] = {}
         self.size = n

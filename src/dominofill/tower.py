@@ -20,10 +20,9 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from .brickfill import BrickWall, fill_between
+from .brickfill import BrickWall, FilledWord, fill_between
 from .geometry import Box, grid_rows, interior
 from .numerics import RectFamily, SharedAxisDivisor, validate_family
-from . import sft
 from .rng import SplitMix64
 from .sft import (
     Alphabet,
@@ -33,7 +32,7 @@ from .sft import (
     build_alphabet,
     canonical_tiling,
     tile_sort_key,
-    validate_word,
+    validate_word,  # not called by the build; perfbench/layers.py traces this name
 )
 
 LARGE_FINITE = "P"
@@ -493,8 +492,10 @@ class KeptBlocks:
 
     Block ``index[j]`` of ``state`` (increasing) is kept by tower ``owner[j]``
     and sits in the band of key ``key[j]``.  Key g's band is filled from the
-    previous kind ``kinds[g]`` and a wall phase: ``bands[g]`` is its grid over
-    ``band``, the previous tower shrunk by 1, in the block's own frame.
+    previous kind ``kinds[g]`` and a wall phase: ``fills[g]`` is its fill, in
+    the block's own frame, and its band is that fill over ``band``, the
+    previous tower shrunk by 1.  No band is drawn: ``finalize`` reads each
+    key's tiles from ``fills[g].placements(band)``.
     """
 
     state: "ConstructionState"
@@ -503,7 +504,7 @@ class KeptBlocks:
     key: np.ndarray
     kinds: list[int]
     band: Box
-    bands: list[np.ndarray]
+    fills: list[FilledWord]
 
 
 @dataclass(eq=False)
@@ -512,8 +513,9 @@ class ConstructionState:
 
     A block's domain is its kind's wall, which ``blocks`` determines;
     ``kept`` holds the previous blocks the composite towers paste back, with
-    their bands.  ``word``, the stage's word over the window, is painted
-    from these on first read: the build path never reads it.
+    their band fills.  ``word``, the stage's word over the window, is
+    painted from these on first read, each band materialized from its fill
+    there: the build path never reads it.
     """
 
     blocks: StageBlocks
@@ -530,9 +532,9 @@ class ConstructionState:
 
 def _paint(state: ConstructionState) -> np.ndarray:
     """The stage's word grid, pasted block by block: each block's kind wall
-    over its domain (drawn once per kind), then each kept block's band and,
-    inside the band, that block's domain copied from the previous stage's
-    grid."""
+    over its domain (drawn once per kind), then each kept block's band
+    (materialized once per key) and, inside the band, that block's domain
+    copied from the previous stage's grid."""
     blocks, window = state.blocks, state.blocks.towers.window
     grid = np.full(window.shape, -1, dtype=np.int32)
     wall = blocks.wall
@@ -546,9 +548,10 @@ def _paint(state: ConstructionState) -> np.ndarray:
     if state.kept is not None:
         kept, prev = state.kept, state.kept.state
         source = prev._word.grid if prev._word is not None else _paint(prev)
+        bands = [fill.materialize(kept.band).grid for fill in kept.fills]
         anchors = (prev.blocks.towers.anchors[kept.index] - window.anchor).tolist()
         for anchor, g in zip(anchors, kept.key.tolist()):
-            grid[_cells(anchor, kept.band)] = kept.bands[g]
+            grid[_cells(anchor, kept.band)] = bands[g]
             inner = _cells(anchor, prev.blocks.domain(kept.kinds[g]))
             grid[inner] = source[inner]
     return grid
@@ -578,7 +581,9 @@ def build_stage(
     A tower's wall translate moves with its anchor, so the wall reads the
     same over every domain of one (tile, collar) kind; it is not drawn here,
     since its bricks are a lattice (see ``_wall_placements``).  A band is
-    filled once per band key.  No word is written; see ``ConstructionState``.
+    filled once per band key, and kept as its ``FilledWord``: strip runs
+    between two wall lattices, never drawn.  No word is written; see
+    ``ConstructionState``.
     """
     spec = plan.stages[towers.stage - 1]
     pure = np.full(towers.count, towers.stage == 1)
@@ -619,13 +624,13 @@ def _keep_blocks(
     )
     dim = towers.window.dim
     band = interior(Box((0,) * dim, (prev.towers.side,) * dim), 1)
-    bands = []
+    fills = []
     for k, *key_phase in keys.tolist():
         (tile, collar), domain = prev.kinds[k], prev.domain(k)
         inner = BrickWall(wall.alphabet, tile, prev.wall.translate)
         outer = BrickWall(wall.alphabet, wall.tile, key_phase)
-        bands.append(fill_between(inner, domain, outer, base, collar).materialize(band).grid)
-    return KeptBlocks(state, kept, owners, inverse.ravel(), keys[:, 0].tolist(), band, bands)
+        fills.append(fill_between(inner, domain, outer, base, collar))
+    return KeptBlocks(state, kept, owners, inverse.ravel(), keys[:, 0].tolist(), band, fills)
 
 
 def _kept_blocks(prev: StageBlocks, towers: StageTowers) -> tuple[np.ndarray, np.ndarray]:
@@ -729,12 +734,14 @@ def finalize(
 ) -> tuple[Tiling, FrequencyReport]:
     """Assemble the whole placements of the top-stage block domains and account cells.
 
-    The window is the top stage's.  No window word is read.  Each kind's
-    wall bricks are a lattice by construction (``_wall_placements``).  Each
-    band key's band, down the stages that reach the top, is the one template
-    written as a word: it is checked with ``validate_word`` and decoded
-    once.  Each part's placements are translated to every block that uses
-    it (see ``_assemble``).  The result must pass ``_check_placements``.
+    The window is the top stage's.  No word is written, validated or
+    decoded.  Each kind's wall bricks are a lattice by construction
+    (``_wall_placements``).  Each band key's tiles, down the stages that
+    reach the top, come from its fill in closed form
+    (``FilledWord.placements``), which refuses a fill that does not cover
+    the band exactly once; that refusal is raised as ``InvalidWord`` naming
+    the stage.  Each part's placements are translated to every block that
+    uses it (see ``_assemble``).  The result must pass ``_check_placements``.
     Uncovered cells are the sublattice error set, the towers' own unfilled
     boundary collars, and tiles cut by domain edges (``partial_cells``);
     those are excluded from the covered count, never errors.
@@ -771,23 +778,8 @@ def finalize(
 def _wall_placements(alphabet: Alphabet, tile, translate, box: Box):
     """(codes, anchors) of the whole bricks of ``tile``'s wall at ``translate``
     inside ``box``, in C order: the aligned anchors whose brick fits."""
-    axes = [
-        np.arange(a + (t - a) % p, e - p + 1, p, dtype=np.int64)
-        for a, e, t, p in zip(box.anchor, box.end, translate, alphabet.shape(tile))
-    ]
-    anchors = grid_rows(axes)
+    anchors = BrickWall(alphabet, tile, translate).bricks(box)
     return np.full(len(anchors), alphabet.tiles.index(tile), dtype=np.int32), anchors
-
-
-def _template(stage: int, alphabet: Alphabet, box: Box, grid: np.ndarray):
-    """(codes, anchors) of the whole placements of one band word over ``box``,
-    which must pass ``validate_word``."""
-    word = SymbolicWord(alphabet, box, grid)
-    violations = validate_word(word)
-    if violations:
-        raise InvalidWord(f"stage {stage} word is invalid: {violations[0]}")
-    whole = sft.decode(word).tiling
-    return whole.codes, whole.anchors
 
 
 def _assemble(
@@ -797,13 +789,15 @@ def _assemble(
 
     ``owner`` is each placement's position in ``chosen``.  A block's domain
     holds its kind's wall bricks, less those wholly inside a kept block's
-    band (see ``_under_bands``); each such band's placements, less those
-    wholly inside the kept block's domain; and the kept block's own
-    placements, assembled the same way one stage down.  Each part is one
-    broadcast add per kind or band key.  A band that leaves its tower's
-    domain (no plan from ``plan_stages`` has one: a kept block's collar is
-    never below the composite collar) gives only the placements wholly
-    inside the domain, as a decode of the domain would.
+    band (see ``_under_bands``); each such band's placements, read from its
+    key's fill (``FilledWord.placements``, which refuses a fill that is not
+    an exact partition of the band), less those wholly inside the kept
+    block's domain; and the kept block's own placements, assembled the same
+    way one stage down.  Each part is one broadcast add per kind or band
+    key.  A band that leaves its tower's domain (no plan from
+    ``plan_stages`` has one: a kept block's collar is never below the
+    composite collar) gives only the placements wholly inside the domain,
+    as a decode of the domain would.
     """
     blocks, towers, kept = state.blocks, state.blocks.towers, state.kept
     alphabet = blocks.wall.alphabet
@@ -829,10 +823,14 @@ def _assemble(
         index, owner, key = kept.index[mine], position[kept.owner[mine]], kept.key[mine]
     if kept is None or not len(index):
         return tuple(np.concatenate(column) for column in zip(*parts))
-    shapes = np.array([alphabet.shape(t) for t in alphabet.tiles], dtype=np.int64)
+    shapes = alphabet.shape_table
     inner_parts = []
     for g in np.unique(key).tolist():
-        codes, rel = _template(towers.stage, alphabet, kept.band, kept.bands[g])
+        try:
+            placed = kept.fills[g].placements(kept.band)
+        except InvalidWord as err:
+            raise InvalidWord(f"stage {towers.stage} band {g} is refused: {err}") from None
+        codes, rel = placed.codes, placed.anchors
         inner = prev.domain(kept.kinds[g])
         outside = np.any(rel < inner.anchor, axis=1)
         outside |= np.any(rel + shapes[codes] > inner.end, axis=1)

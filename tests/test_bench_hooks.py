@@ -37,13 +37,14 @@ def test_hook_resolves(module, attr_path):
 
 
 @pytest.mark.parametrize(
-    "ini, decodes",
-    [(FLAGSHIP_INI, False), (TWO_STAGE_INI, True), (LINE_INI, True)],
+    "ini",
+    [FLAGSHIP_INI, TWO_STAGE_INI, LINE_INI],
     ids=["one_stage_many_blocks", "two_stage_one_top_block", "line_many_top_blocks"],
 )
-def test_traced_build_yields_every_metric(ini, decodes, tmp_path, monkeypatch, capsys):
-    """Every metric is reported.  Only band templates are decoded, so a
-    one-stage build, which has no band, decodes nothing."""
+def test_traced_build_yields_every_metric(ini, tmp_path, monkeypatch, capsys):
+    """Every metric is reported.  The build writes no word: walls and bands
+    are read from their lattices and fills in closed form, so no build
+    decodes or validates a cell, bands or not."""
     monkeypatch.chdir(tmp_path)
     Path("run.ini").write_text(ini, encoding="utf-8")
     tracer = Tracer()
@@ -56,24 +57,8 @@ def test_traced_build_yields_every_metric(ini, decodes, tmp_path, monkeypatch, c
     capsys.readouterr()
     values, _ = layer_metrics(tracer, 0.0)
     assert {metric for metric, _, _ in FROM_SUMMARY} <= set(values)
-    if decodes:
-        assert values["sft.decode.calls"] >= 1
-    else:
-        assert values["sft.decode.calls"] == 0
+    assert values["sft.decode.calls"] == 0
+    assert values["sft.validate_word.cells"] == 0
+    if ini is not FLAGSHIP_INI:  # a two-stage build fills bands all the same
+        assert values["brickfill.fill_between.calls"] >= 1
     assert values["cli.verify.verify_tiling.cells_painted"] > 0
-
-
-def test_traced_build_validates_templates_only(tmp_path, monkeypatch, capsys):
-    """A two-stage build checks its band templates, never the window's
-    word: fewer cells are validated than the window holds."""
-    monkeypatch.chdir(tmp_path)
-    Path("run.ini").write_text(TWO_STAGE_INI, encoding="utf-8")
-    tracer = Tracer()
-    tracer.install(HOOKS)
-    try:
-        assert main(["build", "--config", "run.ini", "--out", "out"]) == 0
-    finally:
-        tracer.uninstall()
-    capsys.readouterr()
-    values, _ = layer_metrics(tracer, 0.0)
-    assert 0 < values["sft.validate_word.cells"] < 1024 * 1024

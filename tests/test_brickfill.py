@@ -1,11 +1,13 @@
 """Brick walls, tile completion, strip tiling, the uniform filler, and glue."""
 
+import copy
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import equals_on
+from oracles import equals_on, same_placements
 
 from dominofill import Box, BrickWall, build_alphabet, expand, fill_between, validate_family
 from dominofill.brickfill import (
@@ -18,7 +20,7 @@ from dominofill.brickfill import (
     strip_runs,
 )
 from dominofill.numerics import NotRepresentable
-from dominofill.sft import Symbol, decode, validate_word
+from dominofill.sft import InvalidWord, Symbol, decode, validate_word
 
 translates_2d = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
 
@@ -109,6 +111,19 @@ def assert_fill_contract(fill, inner_wall, box, outer_wall, width, probe_margin=
     # decode partitions the window: complete tiles + boundary cuts, no overlap
     result = decode(word)
     assert result.tiling.covered_cells() + result.partial_cells == window.volume
+    assert same_placements(fill.placements(window), result.tiling)
+
+
+def collar_tiles(fill):
+    """The fill's placements in its collar: wholly inside the outer core and
+    not wholly inside the inner core.  A sound fill puts only family tiles
+    there."""
+    placed = fill.placements(fill.footprint)
+    boxes = [(p, Box(p.anchor, placed.tile_shapes[p.tile])) for p in placed.placements()]
+    return [
+        p for p, box in boxes
+        if fill.outer_core.contains_box(box) and not fill.inner_core.contains_box(box)
+    ]
 
 
 class TestUniformFill:
@@ -127,13 +142,32 @@ class TestUniformFill:
         assert fill.inner_core == Box((0,), (12,))
         assert fill.outer_core == Box((-9,), (30,))
         assert fill.footprint == Box((-14,), (38,))
-        collar = fill.collar_tiling()
-        got = sorted((p.anchor, p.tile) for p in collar.placements())
+        got = sorted((p.anchor, p.tile) for p in collar_tiles(fill))
         assert got == [
             ((-9,), 1), ((-7,), 1), ((-5,), 1), ((-3,), 2),
             ((12,), 1), ((14,), 1), ((16,), 1), ((18,), 2),
         ]
         assert_fill_contract(fill, inner, box, outer, line_family.fill_length)
+
+    def test_placements_refuse_a_hole_or_an_overlap(self, line_alphabet, line_family):
+        """The worked example's fill with its first run dropped leaves a hole;
+        with that run moved one cell down it overlaps its neighbour as well,
+        and as many cells stay uncovered, which a cell count would pass."""
+        fill = fill_between(
+            BrickWall(line_alphabet, "P", (0,)), Box((0,), (10,)),
+            BrickWall(line_alphabet, "P", (3,)), line_family,
+        )
+        run = fill.runs[0]
+        moved = dataclasses.replace(run, box=run.box.translate((-1,)))
+        for runs, cell, times in ((fill.runs[1:], -9, 0), ([moved, *fill.runs[1:]], -10, 2)):
+            broken = copy.copy(fill)
+            broken.runs = runs
+            with pytest.raises(InvalidWord, match=rf"cell \({cell},\) {times} times"):
+                broken.placements(fill.footprint)
+        bare = copy.copy(fill)
+        bare.runs = fill.runs[1:]
+        with pytest.raises(InvalidWord, match=r"cell \(-9,\) 0 times"):
+            bare.placements(run.box)  # no tile of the fill meets this box at all
 
     @given(
         st.integers(-30, 30), st.integers(-30, 30),
@@ -164,8 +198,8 @@ class TestUniformFill:
         inner = BrickWall(flagship_alphabet, "P", (1, 4))
         outer = BrickWall(flagship_alphabet, "P", (3, 0))
         fill = fill_between(inner, Box((0, 0), (14, 9)), outer, flagship)
-        tiles = set(p.tile for p in fill.collar_tiling().placements())
-        assert tiles <= {1, 2}
+        tiles = set(p.tile for p in collar_tiles(fill))
+        assert tiles and tiles <= {1, 2}
 
 
 class TestRestrictedFill:
@@ -182,8 +216,8 @@ class TestRestrictedFill:
         word = fill.materialize(window)
         assert validate_word(word) == []
         assert equals_on(word, inner.materialize(box), box)
-        collar_tiles = set(p.tile for p in fill.collar_tiling().placements())
-        assert collar_tiles <= {1, 2}
+        tiles = set(p.tile for p in collar_tiles(fill))
+        assert tiles and tiles <= {1, 2}
 
     def test_single_period_matches_uniform(self, line_alphabet, line_family):
         inner = BrickWall(line_alphabet, "P", (2,))

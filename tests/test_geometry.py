@@ -2,13 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dominofill import Box, expand
 from dominofill.brickfill import GapTooNarrow, decompose_collar
-from dominofill.geometry import interior
+from dominofill.geometry import grid_rows, interior
 
 
 def enumerate_cells(box):
@@ -113,3 +114,20 @@ class TestDecomposeCollar:
             assert not union & cells
             union |= cells
         assert union == enumerate_cells(outer) - enumerate_cells(inner)
+
+
+@pytest.mark.parametrize(
+    "extents",
+    [(4,), (0,), (3, 5), (3, 0), (0, 5), (2, 3, 4), (2, 0, 4), (1, 1, 1)],
+    ids=str,
+)
+def test_grid_rows_is_the_meshgrid_product(extents):
+    """One row per point of the per-axis product, in C order and with the
+    axes' int64 dtype, as ``meshgrid`` and ``stack`` give it, empty axes
+    included."""
+    axes = [np.arange(-2, 3 * e - 2, 3, dtype=np.int64) + 10 * a for a, e in enumerate(extents)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    want = np.stack([m.ravel() for m in mesh], axis=1)
+    got = grid_rows(axes)
+    assert got.dtype == np.int64 and got.shape == (math.prod(extents), len(extents))
+    assert np.array_equal(got, want)

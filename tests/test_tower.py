@@ -1,5 +1,6 @@
 """Stage planning, tower sampling, staged construction, and redistribution."""
 
+import copy
 import dataclasses
 import sys
 from fractions import Fraction
@@ -34,6 +35,7 @@ from dominofill import (
     validate_family,
 )
 from dominofill import sft, tower
+from dominofill.brickfill import FilledWord
 from dominofill.cli.config import parse_config
 from dominofill.cli.main import _family_and_plan, main
 from dominofill.cli.verify import verify_tiling
@@ -499,35 +501,70 @@ def test_finalize_matches_word_path_oracle(name):
     assert report.to_dict() == want_report.to_dict()
 
 
-@pytest.mark.parametrize(
-    "ini",
-    [TWO_STAGE_INI, THREE_STAGE_INI, LINE_INI, THREE_D_INI],
-    ids=["two_stage", "three_stage", "line", "three_d"],
-)
-def test_build_decodes_only_fully_assigned_words(ini, monkeypatch):
-    """Every template the build decodes is fully assigned."""
-    seen = []
-    decode = sft.decode
+BAND_RUNS = {
+    "two_stage": TWO_STAGE_INI,
+    "three_stage": THREE_STAGE_INI,
+    "line": LINE_INI,
+    "three_d": THREE_D_INI,
+}
 
-    def checked(word):
-        seen.append(bool(np.all(word.grid >= 0)))
-        return decode(word)
 
-    monkeypatch.setattr(sft, "decode", checked)
+def run_config(ini):
     cfg = parse_config(ini)
     _, _, plan = _family_and_plan(cfg)
-    run_pipeline(plan, Box(cfg.window_anchor, cfg.window_shape), cfg.seed)
-    assert seen and all(seen)
+    return run_pipeline(plan, Box(cfg.window_anchor, cfg.window_shape), cfg.seed)
+
+
+@pytest.mark.parametrize("ini", BAND_RUNS.values(), ids=BAND_RUNS)
+def test_build_takes_no_word_path(ini, monkeypatch):
+    """The build decodes, validates and materializes no word: bands come
+    from their fills in closed form, and the outputs are unchanged."""
+    want = run_config(ini)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the build took the word path")
+
+    monkeypatch.setattr(sft, "decode", refuse)
+    monkeypatch.setattr(sft, "validate_word", refuse)
+    monkeypatch.setattr(tower, "validate_word", refuse)
+    monkeypatch.setattr(FilledWord, "materialize", refuse)
+    got = run_config(ini)
+    assert got.state.kept is not None  # the top stage kept blocks in bands
+    assert same_placements(got.pre_tiling, want.pre_tiling)
+    assert same_placements(got.tiling, want.tiling)
+
+
+def collar_13_run():
+    """A hand-made flagship plan whose stage-1 collar is 13, below the
+    26-collar of the stage-2 domains."""
+    flagship = validate_family([(3, 2), (2, 3)])
+    stages = (StageSpec(64, 13, Fraction(1, 4)), StageSpec(512, 26, Fraction(1, 4)))
+    plan = StagePlan(flagship, flagship, FLAGSHIP_TARGETS, "relaxed", stages)
+    return plan, run_pipeline(plan, Box((0, 0), (1100, 1100)), seed=1)
+
+
+@pytest.mark.parametrize("name", [*BAND_RUNS, "collar_13"])
+def test_band_placements_match_word_path(name):
+    """Every band key's closed-form placements, at every stage of a build,
+    are what a decode of its band, materialized and validated, finds."""
+    result = collar_13_run()[1] if name == "collar_13" else run_config(BAND_RUNS[name])
+    state, stages = result.state, []
+    while state.kept is not None:
+        kept = state.kept
+        for fill in kept.fills:
+            word = fill.materialize(kept.band)
+            assert validate_word(word) == []
+            assert same_placements(fill.placements(kept.band), sft.decode(word).tiling)
+        stages.append(state.blocks.towers.stage)
+        state = kept.state
+    assert stages == ([3, 2] if name == "three_stage" else [2])
 
 
 def test_bands_leaving_the_domain_match_word_path():
     """A hand-made plan whose stage-1 collar is 13 lets kept bands cross the
     26-collar stage-2 domains; only the placements inside a domain count,
     as a decode of the whole word finds them."""
-    flagship = validate_family([(3, 2), (2, 3)])
-    stages = (StageSpec(64, 13, Fraction(1, 4)), StageSpec(512, 26, Fraction(1, 4)))
-    plan = StagePlan(flagship, flagship, FLAGSHIP_TARGETS, "relaxed", stages)
-    result = run_pipeline(plan, Box((0, 0), (1100, 1100)), seed=1)
+    plan, result = collar_13_run()
     state = result.state
     prev, kept = state.kept.state.blocks, state.kept
     band_lo = prev.towers.anchors[kept.index] + kept.band.anchor
@@ -621,13 +658,22 @@ class TestFinalize:
         assert report.uncovered_fraction == Fraction(90_000 - 576, 90_000)
 
     def test_invalid_word_is_refused(self, two_stage_state):
+        """A band fill with a hole (its first strip run dropped) or an
+        overlap (that run shifted one cell down axis 0, which leaves a hole
+        of the same size, so a cell count would pass) is refused."""
         plan, _, _, state2 = two_stage_state
-        band = state2.kept.bands[0].copy()
-        band[1, 1] = band[0, 1]  # repeats its left neighbour's symbol
-        kept = dataclasses.replace(state2.kept, bands=[band, *state2.kept.bands[1:]])
-        broken = ConstructionState(state2.blocks, kept)
-        with pytest.raises(InvalidWord, match="stage 2 word is invalid"):
-            finalize(broken, plan)
+        fills = state2.kept.fills
+        g = next(g for g, fill in enumerate(fills) if fill.runs)
+        run = fills[g].runs[0]
+        shifted = dataclasses.replace(run, box=run.box.translate((-1, 0)))
+        for runs, times in ((fills[g].runs[1:], 0), ([shifted, *fills[g].runs[1:]], 2)):
+            broken_fill = copy.copy(fills[g])
+            broken_fill.runs = runs
+            kept = dataclasses.replace(state2.kept, fills=[*fills[:g], broken_fill, *fills[g + 1:]])
+            broken = ConstructionState(state2.blocks, kept)
+            with pytest.raises(InvalidWord, match=f"stage 2 band {g} .* {times} times"):
+                finalize(broken, plan)
+        assert len(finalize(state2, plan)[0])
 
     def test_misplaced_wall_brick_is_refused(self, two_stage_state, monkeypatch):
         """A kind wall's first brick, moved one cell toward its neighbour
