@@ -2,10 +2,10 @@
 
 Text files are UTF-8 and line-oriented: a version marker, then ``dim``,
 ``shapes``, ``window`` and ``seed`` header lines, then one sorted record per
-placement (``tile x_1 .. x_d``) or per assigned cell
-(``x_1 .. x_d tile o_1 .. o_d``).  The JSON flavour mirrors the same fields
-one for one.  Writes are atomic (temp file + rename) and byte-deterministic
-for a given object, which is what makes seeded runs diffable.
+placement (``tile x_1 .. x_d``) or per assigned cell (``x_1 .. x_d tile
+o_1 .. o_d``); JSON has the same fields, and one record layout (``TILING``,
+``WORD``) serves both kinds.  Writes are atomic (temp file + rename) and
+byte-deterministic for a given object, which is what makes seeded runs diffable.
 """
 
 from __future__ import annotations
@@ -18,15 +18,12 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from ..geometry import Box
-from ..sft import Alphabet, Symbol, SymbolicWord, Tiling, tile_sort_key
-
-TILING_MAGIC = "dominofill tiling v1"
-WORD_MAGIC = "dominofill word v1"
+from ..sft import Alphabet, SymbolicWord, Tiling, tile_sort_key
 
 
 class ParseError(ValueError):
@@ -70,14 +67,25 @@ def _fmt_shapes(shapes: Mapping) -> str:
     return " ".join(f"{t}:{'x'.join(str(e) for e in s)}" for t, s in items)
 
 
-def _parse_shapes(text: str) -> dict:
+def _shape_map(pairs) -> dict:
+    """Tile shapes from ``(tile token, extents)`` pairs; a tile is listed once."""
     out = {}
+    for token, extents in pairs:
+        tile = _parse_tile(token)
+        if tile in out:
+            raise ParseError(f"tile {tile!r} listed twice in shapes")
+        out[tile] = tuple(extents)
+    return out
+
+
+def _parse_shapes(text: str) -> dict:
+    pairs = []
     for token in text.split():
         tile, _, dims = token.partition(":")
         if not dims:
             raise ParseError(f"bad shapes token {token!r}")
-        out[_parse_tile(tile)] = tuple(int(x) for x in dims.split("x"))
-    return out
+        pairs.append((tile, [int(x) for x in dims.split("x")]))
+    return _shape_map(pairs)
 
 
 def _window_line(window: Box | None) -> str:
@@ -105,20 +113,31 @@ def _read_header(lines: list[str], magic: str) -> tuple[int, dict, Box | None, i
             raise VersionMismatch(f"expected {magic!r}, found {lines[0]!r}")
         raise ParseError(f"missing {magic!r} marker")
     header = {}
-    idx = 1
-    for key in ("dim", "shapes", "window", "seed"):
+    for idx, key in enumerate(("dim", "shapes", "window", "seed"), 1):
         if idx >= len(lines):
             raise ParseError(f"missing header line {key!r}")
         name, _, rest = lines[idx].partition(" ")
         if name != key:
             raise ParseError(f"expected header {key!r}, found {name!r}")
         header[key] = rest
-        idx += 1
     dim = int(header["dim"])
     shapes = _parse_shapes(header["shapes"])
     window = _parse_window(header["window"].split(), dim)
     seed = int(header["seed"])
-    return dim, shapes, window, seed, idx
+    return dim, shapes, window, seed, len(header) + 1
+
+
+class _Kind(NamedTuple):
+    """A file kind's record layout: ``fields`` of ``dim`` coordinates each, the
+    tile label after ``label_at`` of them, the records listed under ``key`` in
+    JSON; ``build(shapes, dim, window, *records)`` makes the object."""
+
+    name: str
+    magic: str
+    fields: tuple[str, ...]
+    label_at: int
+    key: str
+    build: Callable
 
 
 _CHUNK_ROWS = 1 << 16
@@ -180,53 +199,78 @@ def _text_block(fields: list[np.ndarray], sep: int, end: int) -> str:
     return mat.tobytes().translate(None, b"\0").decode("utf-8")
 
 
+def _literal(text: bytes, rows: int) -> np.ndarray:
+    """A label field that holds ``text`` on every row."""
+    return np.broadcast_to(np.frombuffer(text, dtype=np.uint8), (rows, len(text)))
+
+
+def _write_text(kind: _Kind, seed: int, dim, shapes, window, tiles, codes, fields) -> str:
+    """The text file of records: tile ``tiles[codes[k]]`` and ``fields`` row k."""
+    header = [kind.magic, f"dim {dim}", f"shapes {_fmt_shapes(shapes)}", _window_line(window)]
+    columns = [field[:, a] for field in fields for a in range(dim)]
+    columns.insert(kind.label_at * dim, _label_table(tiles)[codes])
+    return "\n".join(header + [f"seed {seed}"]) + "\n" + _text_lines(columns)
+
+
+def _write_json(kind: _Kind, seed: int, dim, shapes, window, tiles, codes, fields) -> str:
+    """One line of JSON with sorted keys and no spaces: the column writer's
+    records, one object a row, spliced into the dump of the other fields (a
+    JSON string cannot hold ``"<key>":0`` unescaped)."""
+    n, lead, row = len(codes), b"{", []
+    for key in sorted([*kind.fields, "tile"]):
+        if key == "tile":
+            labels = _label_table([json.dumps(t) for t in tiles])[codes]
+            row += [_literal(lead + b'"tile":', n), labels]
+        else:
+            row.append(_literal(lead + f'"{key}":['.encode(), n))
+            for a in range(dim):
+                column = fields[kind.fields.index(key)][:, a]
+                row += [column, _literal(b"," if a + 1 < dim else b"]", n)]
+        lead = b","
+    rows = _text_lines(row + [_literal(b"}", n)], sep=b"\0", end=b",")[:-1]
+    doc = {
+        "format": kind.magic[: -len(" v1")],
+        "version": 1,
+        "dim": dim,
+        "shapes": {str(t): list(s) for t, s in shapes.items()},
+        "window": None
+        if window is None
+        else {"anchor": list(window.anchor), "shape": list(window.shape)},
+        "seed": seed,
+        kind.key: 0,
+    }
+    dump = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    head, key, tail = dump.partition(f'"{kind.key}":0')
+    return f"{head}{key[:-1]}[{rows}]{tail}\n"
+
+
+def _tiling_records(tiling: Tiling) -> tuple:
+    t = tiling.sorted_canonical()
+    return t.dim, t.tile_shapes, t.window, t.tile_order, t.codes, [t.anchors]
+
+
+def _word_records(word: SymbolicWord) -> tuple:
+    alphabet, assigned = word.alphabet, word.grid >= 0
+    syms = word.grid[assigned]
+    cells = np.argwhere(assigned) + np.array(word.box.anchor, dtype=np.int64)
+    codes, fields = alphabet.tile_codes[syms], [cells, alphabet.offsets[syms]]
+    return alphabet.dim, alphabet.tile_shapes, word.box, alphabet.tiles, codes, fields
+
+
 def serialize_tiling(tiling: Tiling, seed: int = 0) -> str:
-    canon = tiling.sorted_canonical()
-    header = [
-        TILING_MAGIC,
-        f"dim {canon.dim}",
-        f"shapes {_fmt_shapes(canon.tile_shapes)}",
-        _window_line(canon.window),
-        f"seed {seed}",
-    ]
-    labels = _label_table(canon.tile_order)[canon.codes]
-    body = _text_lines([labels] + [canon.anchors[:, a] for a in range(canon.dim)])
-    return "\n".join(header) + "\n" + body
+    return _write_text(TILING, seed, *_tiling_records(tiling))
 
 
-def _tiling_from_records(
-    shapes: dict, dim: int, window: Box | None, tiles: list, anchors: list
-) -> Tiling:
-    """Placements from parallel tile and anchor lists, in canonical order."""
-    index: dict = {}
-    inverse = np.array([index.setdefault(t, len(index)) for t in tiles], dtype=np.intp)
-    return _tiling_from_columns(shapes, dim, window, list(index), inverse, anchors)
+def serialize_word(word: SymbolicWord, seed: int = 0) -> str:
+    return _write_text(WORD, seed, *_word_records(word))
 
 
-def _tiling_from_columns(
-    shapes: dict, dim: int, window: Box | None, tiles: list, inverse: np.ndarray, anchors
-) -> Tiling:
-    """Placement k is tile ``tiles[inverse[k]]`` at ``anchors[k]``; canonical order.
+def tiling_to_json(tiling: Tiling, seed: int = 0) -> str:
+    return _write_json(TILING, seed, *_tiling_records(tiling))
 
-    Raises ParseError on a bad tile shape, an unknown tile or an anchor of
-    the wrong length, checked in that order; the first unknown tile in
-    placement order is the one named.
-    """
-    if any(len(s) != dim or min(s) < 1 for s in shapes.values()):
-        raise ParseError(f"every tile shape needs {dim} positive extents")
-    unknown = np.array([t not in shapes for t in tiles], dtype=bool)
-    if np.any(unknown):
-        first = np.flatnonzero(unknown[inverse])[0]
-        raise ParseError(f"unknown tile {tiles[inverse[first]]!r}")
-    try:
-        rows = np.asarray(anchors, dtype=np.int64).reshape(len(inverse), dim)
-    except (OverflowError, ValueError) as exc:
-        raise ParseError(f"every anchor needs {dim} int64 coordinates") from exc
-    if len(inverse) == 0:
-        return Tiling.from_parts(shapes, [], window)
-    code_of = {t: i for i, t in enumerate(sorted(shapes, key=tile_sort_key))}
-    codes = np.array([code_of[t] for t in tiles], dtype=np.int32)[inverse]
-    return Tiling(shapes, codes, rows, window).sorted_canonical()
+
+def word_to_json(word: SymbolicWord, seed: int = 0) -> str:
+    return _write_json(WORD, seed, *_word_records(word))
 
 
 _LABEL_BYTES = (string.ascii_letters + string.digits + "-").encode()
@@ -234,17 +278,23 @@ _MAX_TOKEN = 20  # a sign and 19 digits hold every int64; longer tokens go to th
 _CHUNK_BYTES = 1 << 17
 
 
-def _parse_tiling_bulk(text: str) -> tuple[Tiling, int] | None:
-    """Parse a tiling in numpy passes over the bytes of its body.
+def _distinct(values: list) -> tuple[list, np.ndarray]:
+    """The distinct values in order of first appearance, and each one's index among them."""
+    index = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    return list(index), np.fromiter(map(index.get, values), dtype=np.intp, count=len(values))
+
+
+def _parse_bulk(text: str, kind: _Kind) -> tuple | None:
+    """``((dim, shapes, window, seed), (tiles, inverse, fields))`` of a text
+    file, in numpy passes over the bytes of its body.
 
     Returns None, leaving the file to the line walk, unless the text is
-    ASCII, each header line ends in a bare ``\\n``, every body line is dim + 1
-    tokens of at most ``_MAX_TOKEN`` bytes joined by single spaces and ended
-    by ``\\n``, every tile token is letters, digits and ``-``, every anchor
-    is an optional ``-`` and digits that fit in int64, and every tile token
-    reads as a tile id.  On such files the line walk reaches the same
-    tiling.  The body goes in chunks of whole lines, so the scratch arrays
-    stay small; the anchors come out one contiguous column per axis.
+    ASCII, each header line ends in a bare ``\\n``, every body line is a
+    label and one token per coordinate, each of at most ``_MAX_TOKEN`` bytes,
+    joined by single spaces and ended by ``\\n``, every label is letters,
+    digits and ``-``, and every coordinate is an optional ``-`` and digits
+    that fit in int64; the line walk reads such files the same.  The body
+    goes in chunks of whole lines, so the scratch arrays stay small.
     """
     if not text.isascii():
         return None
@@ -260,17 +310,18 @@ def _parse_tiling_bulk(text: str) -> tuple[Tiling, int] | None:
             if line.splitlines() != [line]:
                 return None
             lines.append(line)
-    dim, shapes, window, seed, _ = _read_header(lines, TILING_MAGIC)
-    if not 1 <= dim < 2**62:  # (0, dim) arrays need dim to fit in intp
+    dim, shapes, window, seed, _ = _read_header(lines, kind.magic)
+    if not 1 <= dim < 2**62:  # (2 * dim, 0) arrays need 2 * dim to fit in intp
         return None
+    width = len(kind.fields) * dim + 1
     buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     tokens: dict[bytes, int] = {}
     inverse = [np.zeros(0, dtype=np.intp)]
-    columns = [np.zeros((dim, 0), dtype=np.int64)]
+    columns = [np.zeros((width - 1, 0), dtype=np.int64)]
     while pos < len(text):
         cut = text.find("\n", pos + _CHUNK_BYTES)
         end = len(text) if cut < 0 else cut + 1
-        parsed = _parse_lines(buf[pos:end], dim)
+        parsed = _parse_lines(buf[pos:end], width, kind.label_at * dim)
         if parsed is None:
             return None
         distinct, local, values = parsed
@@ -280,19 +331,15 @@ def _parse_tiling_bulk(text: str) -> tuple[Tiling, int] | None:
         pos = end
     if any(tok.translate(None, _LABEL_BYTES) for tok in tokens):
         return None
-    try:
-        tiles = [_parse_tile(tok.decode("ascii")) for tok in tokens]
-    except ValueError:
-        return None
-    rows = np.concatenate(columns, axis=1).T
-    return _tiling_from_columns(shapes, dim, window, tiles, np.concatenate(inverse), rows), seed
+    tiles = [_parse_tile(tok.decode("ascii")) for tok in tokens]
+    fields = [f.T for f in np.split(np.concatenate(columns, axis=1), len(kind.fields))]
+    return (dim, shapes, window, seed), (tiles, np.concatenate(inverse), fields)
 
 
-def _parse_lines(chunk: np.ndarray, dim: int) -> tuple | None:
-    """(distinct tile tokens, index of each line's token among them, anchor
-    columns as a (dim, lines) array) of a run of whole body lines, or None
-    where the line walk decides."""
-    width = dim + 1
+def _parse_lines(chunk: np.ndarray, width: int, at: int) -> tuple | None:
+    """(distinct labels, each line's label index among them, the other tokens'
+    values as a (width - 1, lines) array) of whole body lines of ``width``
+    tokens, the label at token ``at``; or None where the line walk decides."""
     # Token k ends at the k-th separator and starts after the one before.
     stops = np.flatnonzero((chunk == ord(" ")) | (chunk == ord("\n")))
     if len(stops) % width or chunk[-1] != ord("\n"):
@@ -309,14 +356,14 @@ def _parse_lines(chunk: np.ndarray, dim: int) -> tuple | None:
     lengths = stops - starts
     if int(lengths.min()) < 1 or int(lengths.max()) > _MAX_TOKEN:
         return None
-    values = np.empty((dim, n), dtype=np.int64)
-    for axis in range(dim):
-        column = _int64_tokens(chunk, starts[:, axis + 1], stops[:, axis + 1])
+    values = np.empty((width - 1, n), dtype=np.int64)
+    for row, token in enumerate(t for t in range(width) if t != at):
+        column = _int64_tokens(chunk, starts[:, token], stops[:, token])
         if column is None:
             return None
-        values[axis] = column
-    labels = _token_matrix(chunk, starts[:, 0], lengths[:, 0])
-    if np.count_nonzero(labels) != int(lengths[:, 0].sum()):
+        values[row] = column
+    labels = _token_matrix(chunk, starts[:, at], lengths[:, at])
+    if np.count_nonzero(labels) != int(lengths[:, at].sum()):
         return None  # a zero byte inside a tile token
     if labels.shape[1] <= 8:  # group short labels as packed uint64 keys
         packed = np.zeros((n, 8), dtype=np.uint8)
@@ -363,81 +410,144 @@ def _int64_tokens(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.
     return values
 
 
-@_fields_of("tiling")
-def parse_tiling(text: str) -> tuple[Tiling, int]:
-    parsed = _parse_tiling_bulk(text)
-    if parsed is not None:
-        return parsed
+def _walk_lines(text: str, kind: _Kind) -> tuple:
+    """What ``_parse_bulk`` returns, one ``str.split`` and ``int`` per line."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    dim, shapes, window, seed, idx = _read_header(lines, TILING_MAGIC)
-    tiles = []
-    anchors = []
+    dim, shapes, window, seed, idx = _read_header(lines, kind.magic)
+    tiles, rows = [], []
     for ln in lines[idx:]:
         parts = ln.split()
-        if len(parts) != dim + 1:
-            raise ParseError(f"bad placement line {ln!r}")
-        tiles.append(_parse_tile(parts[0]))
-        anchors.append([int(x) for x in parts[1:]])
-    return _tiling_from_records(shapes, dim, window, tiles, anchors), seed
+        if len(parts) != len(kind.fields) * dim + 1:
+            raise ParseError(f"bad {kind.key[:-1]} line {ln!r}")
+        tiles.append(_parse_tile(parts.pop(kind.label_at * dim)))
+        rows.append([int(x) for x in parts])
+    fields = [[row[k * dim : (k + 1) * dim] for row in rows] for k in range(len(kind.fields))]
+    return (dim, shapes, window, seed), (*_distinct(tiles), fields)
 
 
-def serialize_word(word: SymbolicWord, seed: int = 0) -> str:
-    alphabet = word.alphabet
-    header = [
-        WORD_MAGIC,
-        f"dim {alphabet.dim}",
-        f"shapes {_fmt_shapes(alphabet.tile_shapes)}",
-        _window_line(word.box),
-        f"seed {seed}",
-    ]
-    assigned = word.grid >= 0
-    syms = word.grid[assigned]
-    cells = np.argwhere(assigned) + np.array(word.box.anchor, dtype=np.int64)
-    offsets = alphabet.offsets[syms]
-    labels = _label_table(alphabet.tiles)[alphabet.tile_codes[syms]]
-    body = _text_lines(
-        [cells[:, a] for a in range(alphabet.dim)]
-        + [labels]
-        + [offsets[:, a] for a in range(alphabet.dim)]
-    )
-    return "\n".join(header) + "\n" + body
+def _read_text(text: str, kind: _Kind) -> tuple:
+    """(object, seed) of a text file, read in bulk where it can be."""
+    with _fields_of(kind.name):
+        (dim, shapes, window, seed), records = _parse_bulk(text, kind) or _walk_lines(text, kind)
+        return kind.build(shapes, dim, window, *records), seed
 
 
-def _word_from_records(shapes: dict, dim: int, window: Box | None, records) -> SymbolicWord:
-    """Word from ``(cell, tile, offset)`` records.
+def _json_records(records, kind: _Kind, dim: int) -> tuple:
+    """(tiles, inverse, fields) of JSON records: one ``np.array`` a field if each
+    record is an object with an int or string ``tile`` and each field makes an
+    int64 array of ``dim`` coordinates a row, with no bool (numpy reads a bool
+    beside ints as an int); else every tile, then each field, by ``_json_int``."""
+    try:
+        raw = [rec["tile"] for rec in records]
+        rows = [[rec[field] for rec in records] for field in kind.fields]
+        fields = [np.array(r) for r in rows]
+    except (IndexError, KeyError, TypeError, ValueError):
+        fields = None
+    if (
+        fields is None
+        or any(f.dtype != np.int64 or f.shape != (len(raw), dim) for f in fields)
+        or not set(map(type, raw)) <= {int, str}
+        or bool in set(map(type, chain.from_iterable(chain.from_iterable(rows))))
+    ):
+        raw = [str(rec["tile"]) for rec in records]
+        fields = [[list(map(_json_int, rec[field])) for rec in records] for field in kind.fields]
+    distinct, inverse = _distinct(raw)
+    return [_parse_tile(str(t)) for t in distinct], inverse, fields
 
-    Raises ParseError on a missing window, an unknown tile, a cell outside
-    the window or listed twice, or an offset the tile does not have.
-    """
+
+def _coords(rows, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate rows as an (n, dim) array, int64 or, if a value leaves
+    int64, Python ints; and the mask of rows not of ``dim`` coordinates,
+    which read as zeros."""
+    if isinstance(rows, np.ndarray):
+        return rows, np.zeros(len(rows), dtype=bool)
+    misfit = np.array([len(row) != dim for row in rows], dtype=bool)
+    rows = [[0] * dim if bad else row for row, bad in zip(rows, misfit)]
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), max(dim, 0)), misfit
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(len(rows), max(dim, 0)), misfit
+
+
+def _build_tiling(shapes: dict, dim: int, window, tiles: list, inverse, fields) -> Tiling:
+    """Placement k is tile ``tiles[inverse[k]]`` at anchor k; canonical order.
+    Refuses a bad tile shape, an unknown tile (the first in placement order)
+    or an anchor not of ``dim`` int64 coordinates, checked in that order."""
+    if any(len(s) != dim or min(s) < 1 for s in shapes.values()):
+        raise ParseError(f"every tile shape needs {dim} positive extents")
+    unknown = np.array([t not in shapes for t in tiles], dtype=bool)
+    if np.any(unknown):
+        first = np.flatnonzero(unknown[inverse])[0]
+        raise ParseError(f"unknown tile {tiles[inverse[first]]!r}")
+    rows, misfit = _coords(fields[0], dim)
+    if dim < 0 or misfit.any() or rows.dtype != np.int64:
+        raise ParseError(f"every anchor needs {dim} int64 coordinates")
+    if len(inverse) == 0:
+        return Tiling.from_parts(shapes, [], window)
+    code_of = {t: i for i, t in enumerate(sorted(shapes, key=tile_sort_key))}
+    codes = np.array([code_of[t] for t in tiles], dtype=np.int32)[inverse]
+    return Tiling(shapes, codes, rows, window).sorted_canonical()
+
+
+def _build_word(shapes: dict, dim: int, window, tiles: list, inverse, fields) -> SymbolicWord:
+    """The word of (cell, tile, offset) records, built in array passes.
+
+    Refuses a missing window, else names the first offending record in file
+    order and its first defect of: an unknown tile, a cell outside the window
+    (or not of ``dim`` coordinates), a cell listed twice, an offset its tile
+    lacks (or not of ``dim`` coordinates).  A symbol's index is its tile's
+    first symbol plus the offset's C-order index in the tile."""
     if window is None:
         raise ParseError("word files need an explicit window")
     word = SymbolicWord(Alphabet(dim, shapes), window)
-    for cell, tile, offset in records:
-        if tile not in shapes:
-            raise ParseError(f"unknown tile {tile!r} at cell {cell}")
-        if len(cell) != dim or not window.contains_cell(cell):
-            raise ParseError(f"cell {cell} outside window")
-        if word.cell(cell) is not None:
-            raise ParseError(f"cell {cell} listed twice")
-        try:
-            word.set_cell(cell, Symbol(tile, offset))
-        except KeyError as exc:
-            raise ParseError(f"offset {offset} invalid for tile {tile!r}") from exc
+    alphabet = word.alphabet
+    codes = [alphabet.tiles.index(t) if t in shapes else -1 for t in tiles]
+    codes = np.array(codes, dtype=np.intp)[inverse]
+    (cells, bad_cell), (offsets, bad_offset) = (_coords(field, dim) for field in fields)
+    lo, hi = _coords([window.anchor, window.end], dim)[0]
+    inside = ~bad_cell & np.all((cells >= lo) & (cells < hi), axis=1)
+    # An unknown tile (code -1) gets the last row, a zero shape that no offset fits.
+    sizes = np.array([*map(alphabet.shape, alphabet.tiles), (0,) * dim], dtype=np.int64)[codes]
+    fits = ~bad_offset & np.all((offsets >= 0) & (offsets < sizes), axis=1)
+    held = np.flatnonzero(inside)
+    flat = _c_index((cells[held] - lo).astype(np.int64), np.array(window.shape))
+    twice = inside.copy()
+    twice[held[np.unique(flat, return_index=True)[1]]] = False
+    bad = (codes < 0) | ~inside | twice | ~fits
+    if bad.any():
+        k = int(bad.argmax())
+        tile, cell, offset = tiles[inverse[k]], *(tuple(map(int, f[k])) for f in fields)
+        defects = [
+            (codes[k] < 0, f"unknown tile {tile!r} at cell {cell}"),
+            (bad_cell[k], f"every cell needs {dim} int64 coordinates"),
+            (not inside[k], f"cell {cell} outside window"),
+            (twice[k], f"cell {cell} listed twice"),
+            (bad_offset[k], f"every offset needs {dim} int64 coordinates"),
+            (True, f"offset {offset} invalid for tile {tile!r}"),
+        ]
+        raise ParseError(next(message for failed, message in defects if failed))
+    np.put(word.grid, flat, alphabet.tile_codes.searchsorted(codes) + _c_index(offsets, sizes))
     return word
 
 
-@_fields_of("word")
+def _c_index(index: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each row's C-order index in a box of ``sizes``, one box or one a row."""
+    flat = np.zeros(len(index), dtype=np.int64)
+    for a in range(index.shape[1]):
+        flat = flat * sizes[..., a] + index[:, a]
+    return flat
+
+
+TILING = _Kind("tiling", "dominofill tiling v1", ("anchor",), 0, "placements", _build_tiling)
+WORD = _Kind("word", "dominofill word v1", ("cell", "offset"), 1, "cells", _build_word)
+
+
+def parse_tiling(text: str) -> tuple[Tiling, int]:
+    return _read_text(text, TILING)
+
+
 def parse_word(text: str) -> tuple[SymbolicWord, int]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    dim, shapes, window, seed, idx = _read_header(lines, WORD_MAGIC)
-    records = []
-    for ln in lines[idx:]:
-        parts = ln.split()
-        if len(parts) != 2 * dim + 1:
-            raise ParseError(f"bad cell line {ln!r}")
-        cell = tuple(int(x) for x in parts[:dim])
-        records.append((cell, _parse_tile(parts[dim]), tuple(int(x) for x in parts[dim + 1 :])))
-    return _word_from_records(shapes, dim, window, records), seed
+    return _read_text(text, WORD)
 
 
 @dataclass(frozen=True)
@@ -445,9 +555,9 @@ class LoadedFile:
     """Either a tiling or a word, as found on disk."""
 
     kind: str
-    tiling: Tiling | None
-    word: SymbolicWord | None
-    seed: int
+    tiling: Tiling | None = None
+    word: SymbolicWord | None = None
+    seed: int = 0
 
 
 def load_any(path: str) -> LoadedFile:
@@ -463,68 +573,13 @@ def load_any(path: str) -> LoadedFile:
     end = text.find("\n", len(text) - len(stripped))
     head = text if end < 0 else text[:end]
     first = next((ln for ln in head.splitlines() if ln.strip()), "")
-    if first == TILING_MAGIC:
-        tiling, seed = parse_tiling(text)
-        return LoadedFile("tiling", tiling, None, seed)
-    if first == WORD_MAGIC:
-        word, seed = parse_word(text)
-        return LoadedFile("word", None, word, seed)
+    for kind, parse in ((TILING, parse_tiling), (WORD, parse_word)):
+        if first == kind.magic:
+            built, seed = parse(text)
+            return LoadedFile(kind.name, seed=seed, **{kind.name: built})
     if first.startswith("dominofill "):
         raise VersionMismatch(f"unsupported format marker {first!r}")
     raise ParseError(f"unrecognized file {path!r}")
-
-
-def _literal(text: bytes, rows: int) -> np.ndarray:
-    """A label field that holds ``text`` on every row."""
-    return np.broadcast_to(np.frombuffer(text, dtype=np.uint8), (rows, len(text)))
-
-
-def tiling_to_json(tiling: Tiling, seed: int = 0) -> str:
-    """The tiling as one line of JSON with sorted keys and no spaces.
-
-    The placements are written by the column writer, one
-    ``{"anchor":[..],"tile":..}`` object a row, and spliced into the dump of
-    the other fields; a JSON string cannot hold ``"placements":0`` unescaped.
-    """
-    canon = tiling.sorted_canonical()
-    n = len(canon)
-    fields = [_literal(b'{"anchor":[', n)]
-    for a in range(canon.dim):
-        fields += [canon.anchors[:, a], _literal(b"," if a + 1 < canon.dim else b"]", n)]
-    labels = _label_table([json.dumps(t) for t in canon.tile_order])[canon.codes]
-    fields += [_literal(b',"tile":', n), labels, _literal(b"}", n)]
-    rows = _text_lines(fields, sep=b"\0", end=b",")[:-1]
-    doc = {
-        "format": "dominofill tiling",
-        "version": 1,
-        "dim": canon.dim,
-        "shapes": {str(t): list(s) for t, s in canon.tile_shapes.items()},
-        "window": None
-        if canon.window is None
-        else {"anchor": list(canon.window.anchor), "shape": list(canon.window.shape)},
-        "seed": seed,
-        "placements": 0,
-    }
-    head, key, tail = json.dumps(doc, sort_keys=True, separators=(",", ":")).partition(
-        '"placements":0'
-    )
-    return f"{head}{key[:-1]}[{rows}]{tail}\n"
-
-
-def word_to_json(word: SymbolicWord, seed: int = 0) -> str:
-    doc = {
-        "format": "dominofill word",
-        "version": 1,
-        "dim": word.alphabet.dim,
-        "shapes": {str(t): list(s) for t, s in word.alphabet.tile_shapes.items()},
-        "window": {"anchor": list(word.box.anchor), "shape": list(word.box.shape)},
-        "seed": seed,
-        "cells": [
-            {"cell": list(cell), "tile": sym.tile, "offset": list(sym.offset)}
-            for cell, sym in word.iter_cells()
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _from_json(text: str) -> LoadedFile:
@@ -551,62 +606,18 @@ def _from_json(text: str) -> LoadedFile:
 def _from_json_doc(doc: dict) -> LoadedFile:
     fmt = doc.get("format", "")
     dim = _json_int(doc["dim"])
-    shapes = {_parse_tile(t): tuple(map(_json_int, s)) for t, s in doc["shapes"].items()}
+    shapes = _shape_map((t, map(_json_int, s)) for t, s in doc["shapes"].items())
     win = doc.get("window")
-    window = (
-        None
-        if win is None
-        else Box(tuple(map(_json_int, win["anchor"])), tuple(map(_json_int, win["shape"])))
-    )
+    box = None if win is None else [tuple(map(_json_int, win[k])) for k in ("anchor", "shape")]
+    if box is not None and list(map(len, box)) != [dim, dim]:
+        raise ParseError(f"window anchor and shape need {dim} coordinates each")
+    window = None if box is None else Box(*box)
     seed = _json_int(doc.get("seed", 0))
-    if fmt == "dominofill tiling":
-        placements = doc["placements"]
-        columns = _json_columns(placements, dim)
-        if columns is not None:
-            tiling = _tiling_from_columns(shapes, dim, window, *columns)
-        else:
-            tiles = [_parse_tile(str(rec["tile"])) for rec in placements]
-            anchors = [list(map(_json_int, rec["anchor"])) for rec in placements]
-            tiling = _tiling_from_records(shapes, dim, window, tiles, anchors)
-        return LoadedFile("tiling", tiling, None, seed)
-    if fmt == "dominofill word":
-        records = (
-            (
-                tuple(map(_json_int, rec["cell"])),
-                _parse_tile(str(rec["tile"])),
-                tuple(map(_json_int, rec["offset"])),
-            )
-            for rec in doc["cells"]
-        )
-        return LoadedFile("word", None, _word_from_records(shapes, dim, window, records), seed)
+    for kind in (TILING, WORD):
+        if fmt == kind.magic[: -len(" v1")]:
+            built = kind.build(shapes, dim, window, *_json_records(doc[kind.key], kind, dim))
+            return LoadedFile(kind.name, seed=seed, **{kind.name: built})
     raise ParseError(f"unknown JSON format {fmt!r}")
-
-
-def _json_columns(placements, dim: int) -> tuple[list, np.ndarray, np.ndarray] | None:
-    """(tiles, inverse, anchors) of JSON placement records, in bulk passes.
-
-    Tile values are mapped through their distinct values and the anchors
-    convert in one ``np.array``.  Returns None, leaving the records to the
-    per-record walk and its messages, unless every record is an object with
-    a ``tile`` that is an int or a string and the anchors form an int64
-    array of ``dim`` coordinates a row, none of them a bool (a bool would
-    compare equal to an int, and numpy reads one beside ints as an int).
-    """
-    try:
-        raw = [rec["tile"] for rec in placements]
-        rows = [rec["anchor"] for rec in placements]
-        anchors = np.array(rows)
-    except (IndexError, KeyError, TypeError, ValueError):
-        return None
-    if anchors.dtype != np.int64 or anchors.shape != (len(raw), dim):
-        return None
-    if not set(map(type, raw)) <= {int, str}:
-        return None
-    if bool in set(map(type, chain.from_iterable(rows))):
-        return None
-    index = {t: i for i, t in enumerate(dict.fromkeys(raw))}
-    inverse = np.fromiter(map(index.__getitem__, raw), dtype=np.intp, count=len(raw))
-    return [_parse_tile(str(t)) for t in index], inverse, anchors
 
 
 def write_atomic(path: str, content: str) -> None:

@@ -4,8 +4,8 @@ Every cell of a tiling is labelled by the tile covering it together with the
 cell's offset inside that tile.  The resulting word obeys a one-step rule per
 axis: inside a tile the offset must increment, and at a tile's far face the
 next symbol may be any tile's near face.  Words over box domains are stored
-as integer grids (symbol indices, -1 for unassigned) so that validation and
-decoding stay vectorised on multi-million-cell windows.
+as integer grids (symbol indices, -1 for unassigned), so that validation and
+decoding are array passes.
 """
 
 from __future__ import annotations
@@ -152,16 +152,10 @@ class SymbolicWord:
             raise ValueError("grid does not match box shape")
         self.grid = grid
 
-    def _rel(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(x - a for x, a in zip(v, self.box.anchor))
-
-    def set_cell(self, v: tuple[int, ...], symbol: Symbol) -> None:
-        self.grid[self._rel(v)] = self.alphabet.index(symbol)
-
     def cell(self, v: tuple[int, ...]) -> Symbol | None:
         if not self.box.contains_cell(v):
             return None
-        idx = int(self.grid[self._rel(v)])
+        idx = int(self.grid[tuple(x - a for x, a in zip(v, self.box.anchor))])
         return None if idx < 0 else self.alphabet.symbol(idx)
 
     def slices_for(self, sub: Box) -> tuple[slice, ...]:
@@ -180,12 +174,6 @@ class SymbolicWord:
 
     def restrict(self, sub: Box) -> "SymbolicWord":
         return SymbolicWord(self.alphabet, sub, self.subgrid(sub).copy())
-
-    def iter_cells(self) -> Iterator[tuple[tuple[int, ...], Symbol]]:
-        """Assigned cells in lexicographic order."""
-        for rel in np.argwhere(self.grid >= 0):
-            cell = tuple(int(a + r) for a, r in zip(self.box.anchor, rel))
-            yield cell, self.alphabet.symbol(int(self.grid[tuple(rel)]))
 
 
 def validate_word(word: SymbolicWord) -> list[Violation]:

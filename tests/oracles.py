@@ -4,12 +4,13 @@ Everything here trades speed for obviousness and stays independent of the
 package internals: representability by bitset closure, tie-breaks by
 exhaustive descent, tiling counts by first-free-cell backtracking, word
 validation by a per-cell mask over every pair, word decoding by per-cell
-grouping, word encoding by pasting each placement's block, tiling files
-written and read line by line, JSON built and read record by record, bands
-filled once per block, block domains decoded from the stage's whole word,
-redistribution by forming every subdivided anchor row and lexsorting them,
-tilings verified by row-wise reductions over the ``(n, dim)`` anchor array.  The file oracles share only
-the header helpers and the records-to-object steps with the package.
+grouping, word encoding by pasting each placement's block, tiling and word
+files written and read line by line and cell by cell, JSON built and read
+record by record, bands filled once per block, block domains decoded from
+the stage's whole word, redistribution by forming every subdivided anchor
+row and lexsorting them, tilings verified by row-wise reductions over the
+``(n, dim)`` anchor array.  The file oracles share only the header helpers
+with the package.
 """
 
 import json
@@ -20,21 +21,19 @@ from typing import NamedTuple
 import numpy as np
 
 from dominofill.cli.files import (
-    TILING_MAGIC,
     LoadedFile,
     ParseError,
     _fields_of,
     _fmt_shapes,
     _parse_tile,
     _read_header,
-    _tiling_from_records,
     _window_line,
-    _word_from_records,
 )
 from dominofill.brickfill import BrickWall, fill_between
 from dominofill.geometry import Box, grid_rows, interior
 from dominofill.rng import SplitMix64
 from dominofill.sft import (
+    Alphabet,
     InvalidWord,
     Placement,
     Symbol,
@@ -53,6 +52,9 @@ from dominofill.tower import (
     _largest_remainder,
     _pool_allocation,
 )
+
+TILING_MAGIC = "dominofill tiling v1"
+WORD_MAGIC = "dominofill word v1"
 
 
 def representable_bits(heights, limit):
@@ -265,7 +267,7 @@ def decode_by_cells(word):
     """
     alphabet = word.alphabet
     groups = {}
-    for cell, sym in word.iter_cells():
+    for cell, sym in iter_cells(word):
         key = Placement(sym.tile, tuple(c - o for c, o in zip(cell, sym.offset)))
         groups[key] = groups.get(key, 0) + 1
     whole = set()
@@ -340,6 +342,13 @@ def parse_by_lines(text):
             raise ParseError(f"bad placement line {ln!r}")
         tiles.append(_parse_tile(parts[0]))
         anchors.append([int(x) for x in parts[1:]])
+    return tiling_from_records(shapes, dim, window, tiles, anchors), seed
+
+
+def tiling_from_records(shapes, dim, window, tiles, anchors):
+    """Tiling of parallel tile and anchor lists, grouped by tile and sorted
+    into canonical order; refuses a bad shape, an unknown tile (the first in
+    placement order) or an anchor that is not ``dim`` int64 coordinates."""
     if any(len(s) != dim or min(s) < 1 for s in shapes.values()):
         raise ParseError(f"every tile shape needs {dim} positive extents")
     index = {tile: i for i, tile in enumerate(shapes)}
@@ -352,7 +361,7 @@ def parse_by_lines(text):
     except (OverflowError, ValueError) as exc:
         raise ParseError(f"every anchor needs {dim} int64 coordinates") from exc
     parts = [(tile, rows[rows_tile == i]) for tile, i in index.items()]
-    return Tiling.from_parts(shapes, parts, window).sorted_canonical(), seed
+    return Tiling.from_parts(shapes, parts, window).sorted_canonical()
 
 
 def tiling_to_json_by_rows(tiling, seed=0):
@@ -384,24 +393,33 @@ def int_field(value):
 
 @_fields_of("JSON")
 def load_json_doc_by_records(doc):
-    """LoadedFile of a parsed JSON document, one ``_parse_tile`` or ``int_field`` per field."""
+    """LoadedFile of a parsed JSON document, one ``_parse_tile`` or ``int_field`` per field.
+
+    A word's records are read and checked one at a time, so a record's
+    defect is found before a later record is read.
+    """
     fmt = doc.get("format", "")
     dim = int_field(doc["dim"])
-    shapes = {_parse_tile(t): tuple(int_field(x) for x in s) for t, s in doc["shapes"].items()}
+    shapes = {}
+    for t, s in doc["shapes"].items():
+        tile = _parse_tile(t)
+        if tile in shapes:
+            raise ParseError(f"tile {tile!r} listed twice in shapes")
+        shapes[tile] = tuple(int_field(x) for x in s)
     win = doc.get("window")
-    window = (
-        None
-        if win is None
-        else Box(
-            tuple(int_field(x) for x in win["anchor"]), tuple(int_field(x) for x in win["shape"])
-        )
-    )
+    window = None
+    if win is not None:
+        anchor = tuple(int_field(x) for x in win["anchor"])
+        shape = tuple(int_field(x) for x in win["shape"])
+        if len(anchor) != dim or len(shape) != dim:
+            raise ParseError(f"window anchor and shape need {dim} coordinates each")
+        window = Box(anchor, shape)
     seed = int_field(doc.get("seed", 0))
     if fmt == "dominofill tiling":
         placements = doc["placements"]
         tiles = [_parse_tile(str(rec["tile"])) for rec in placements]
         anchors = [[int_field(x) for x in rec["anchor"]] for rec in placements]
-        tiling = _tiling_from_records(shapes, dim, window, tiles, anchors)
+        tiling = tiling_from_records(shapes, dim, window, tiles, anchors)
         return LoadedFile("tiling", tiling, None, seed)
     if fmt == "dominofill word":
         records = (
@@ -412,8 +430,91 @@ def load_json_doc_by_records(doc):
             )
             for rec in doc["cells"]
         )
-        return LoadedFile("word", None, _word_from_records(shapes, dim, window, records), seed)
+        return LoadedFile("word", None, word_from_records(shapes, dim, window, records), seed)
     raise ParseError(f"unknown JSON format {fmt!r}")
+
+
+def set_cell(word, cell, symbol):
+    """Write one symbol at an absolute cell of the word's box."""
+    word.grid[tuple(x - a for x, a in zip(cell, word.box.anchor))] = word.alphabet.index(symbol)
+
+
+def iter_cells(word):
+    """The word's assigned cells and their symbols, in lexicographic order."""
+    for rel in np.argwhere(word.grid >= 0):
+        cell = tuple(int(a + r) for a, r in zip(word.box.anchor, rel))
+        yield cell, word.alphabet.symbol(int(word.grid[tuple(rel)]))
+
+
+def word_from_records(shapes, dim, window, records):
+    """Word of ``(cell, tile, offset)`` records, one ``set_cell`` each.
+
+    Raises ParseError on a missing window, an unknown tile, a cell outside
+    the window or listed twice, or an offset the tile does not have, at the
+    first record that has one, in that order.
+    """
+    if window is None:
+        raise ParseError("word files need an explicit window")
+    word = SymbolicWord(Alphabet(dim, shapes), window)
+    for cell, tile, offset in records:
+        if tile not in shapes:
+            raise ParseError(f"unknown tile {tile!r} at cell {cell}")
+        if len(cell) != dim or not window.contains_cell(cell):
+            raise ParseError(f"cell {cell} outside window")
+        if word.cell(cell) is not None:
+            raise ParseError(f"cell {cell} listed twice")
+        try:
+            set_cell(word, cell, Symbol(tile, offset))
+        except KeyError as exc:
+            raise ParseError(f"offset {offset} invalid for tile {tile!r}") from exc
+    return word
+
+
+def serialize_word_by_lines(word, seed=0):
+    """Word file text, one f-string per assigned cell."""
+    alphabet = word.alphabet
+    lines = [
+        WORD_MAGIC,
+        f"dim {alphabet.dim}",
+        f"shapes {_fmt_shapes(alphabet.tile_shapes)}",
+        _window_line(word.box),
+        f"seed {seed}",
+    ]
+    for cell, sym in iter_cells(word):
+        lines.append(f"{' '.join(map(str, cell))} {sym.tile} {' '.join(map(str, sym.offset))}")
+    return "\n".join(lines) + "\n"
+
+
+@_fields_of("word")
+def parse_word_by_lines(text):
+    """(word, seed) of a word file, one ``str.split`` and ``int`` per line."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    dim, shapes, window, seed, idx = _read_header(lines, WORD_MAGIC)
+    records = []
+    for ln in lines[idx:]:
+        parts = ln.split()
+        if len(parts) != 2 * dim + 1:
+            raise ParseError(f"bad cell line {ln!r}")
+        cell = tuple(int(x) for x in parts[:dim])
+        records.append((cell, _parse_tile(parts[dim]), tuple(int(x) for x in parts[dim + 1 :])))
+    return word_from_records(shapes, dim, window, records), seed
+
+
+def word_to_json_by_cells(word, seed=0):
+    """JSON word file text from one dict per assigned cell and one ``json.dumps``."""
+    doc = {
+        "format": "dominofill word",
+        "version": 1,
+        "dim": word.alphabet.dim,
+        "shapes": {str(t): list(s) for t, s in word.alphabet.tile_shapes.items()},
+        "window": {"anchor": list(word.box.anchor), "shape": list(word.box.shape)},
+        "seed": seed,
+        "cells": [
+            {"cell": list(cell), "tile": sym.tile, "offset": list(sym.offset)}
+            for cell, sym in iter_cells(word)
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 class StageWord(NamedTuple):

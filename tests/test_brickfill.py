@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import equals_on, same_placements
+from oracles import equals_on, iter_cells, same_placements, set_cell
 
 from dominofill import Box, BrickWall, build_alphabet, expand, fill_between, validate_family
 from dominofill.brickfill import (
@@ -105,7 +105,7 @@ def assert_fill_contract(fill, inner_wall, box, outer_wall, width, probe_margin=
     assert equals_on(word, inner_view, box)
     footprint = expand(box, width)
     outer_view = outer_wall.materialize(window)
-    for cell, sym in outer_view.iter_cells():
+    for cell, sym in iter_cells(outer_view):
         if not footprint.contains_cell(cell):
             assert word.cell(cell) == sym
     # decode partitions the window: complete tiles + boundary cuts, no overlap
@@ -261,7 +261,7 @@ class TestGlue:
         assert equals_on(word, block, block_box)
         footprint = expand(block_box, flagship.fill_length)
         ambient_view = ambient.materialize(window)
-        for cell, sym in ambient_view.iter_cells():
+        for cell, sym in iter_cells(ambient_view):
             if not footprint.contains_cell(cell):
                 assert word.cell(cell) == sym
 
@@ -269,7 +269,7 @@ class TestGlue:
         wall = BrickWall(flagship_alphabet, "P", (0, 0))
         box = Box((0, 0), (12, 12))
         block = wall.materialize(box)
-        block.set_cell((0, 5), Symbol(1, (0, 0)))
+        set_cell(block, (0, 5), Symbol(1, (0, 0)))
         with pytest.raises(NoMatchingTranslate):
             glue(block, wall, flagship)
 

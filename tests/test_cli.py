@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import same_placements, verify_tiling_by_rows
+from oracles import same_placements, set_cell, verify_tiling_by_rows
 
 import dominofill
 from dominofill import Box, BrickWall
@@ -317,14 +317,14 @@ class TestVerifyWord:
 
     def test_broken_pair_reported(self, flagship_alphabet):
         w = sample_word(flagship_alphabet)
-        w.set_cell((3, 3), Symbol(1, (0, 0)))
+        set_cell(w, (3, 3), Symbol(1, (0, 0)))
         problems = verify_word(w)
         assert problems
         assert any("axis" in p for p in problems)
 
     def test_gaps_are_ignored(self, flagship_alphabet):
         w = SymbolicWord(flagship_alphabet, Box((0, 0), (4, 4)))
-        w.set_cell((1, 1), Symbol(2, (1, 1)))
+        set_cell(w, (1, 1), Symbol(2, (1, 1)))
         assert verify_word(w) == []
 
 
@@ -646,7 +646,7 @@ class TestMain:
 
     def test_verify_rejects_broken_word(self, tmp_path, flagship_alphabet, capsys):
         w = sample_word(flagship_alphabet)
-        w.set_cell((3, 3), Symbol(1, (0, 0)))
+        set_cell(w, (3, 3), Symbol(1, (0, 0)))
         path = tmp_path / "bad_word.txt"
         write_atomic(str(path), serialize_word(w))
         assert main(["verify", str(path)]) == 1
@@ -846,6 +846,13 @@ GOLDEN_BUILDS = {
     }),
 }
 GOLDEN_FILL = "90522b56788230bd82846b10810a0e49c1fc3a121736979376b577b983d38213"
+# The same flagship build and fill written with `--format json`.
+GOLDEN_JSON_BUILD = {
+    "tiling.json": "a58ca13682c1e2edb9ce4e5e22bfc1fd7f09c3cad7f7904106955353beab4b48",
+    "tiling_pre.json": "d686d7fbffbda8dbc3bb4d53898eece14c6ae0e278d5bc83445485c2c32b0c36",
+    "report.json": "14dde88cb73fc29981773d051fc80d378c4e2a0e01cbb615e916378c6e26fa94",
+}
+GOLDEN_FILL_JSON = "856cab217b668177aebaee8962da5c990d202b96fc351c455ff803e284389ae8"
 
 
 def sha256_of(path) -> str:
@@ -882,6 +889,21 @@ class TestGoldenBytes:
         assert main(["fill", "--config", "fill.ini", "--out", "out"]) == 0
         capsys.readouterr()
         assert sha256_of(Path("out") / "fill.txt") == GOLDEN_FILL
+
+    def test_json_build_outputs(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("run.ini").write_text(FLAGSHIP_INI, encoding="utf-8")
+        assert main(["build", "--config", "run.ini", "--out", "out", "--format", "json"]) == 0
+        capsys.readouterr()
+        digests = {f: sha256_of(Path("out") / f) for f in GOLDEN_JSON_BUILD}
+        assert digests == GOLDEN_JSON_BUILD
+
+    def test_json_fill_output(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("fill.ini").write_text(FILL_INI, encoding="utf-8")
+        assert main(["fill", "--config", "fill.ini", "--out", "out", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert sha256_of(Path("out") / "fill.json") == GOLDEN_FILL_JSON
 
 
 class TestConsoleScript:

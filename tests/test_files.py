@@ -1,4 +1,5 @@
-"""Tiling files: the column writers and bulk parsers against the line and record oracles."""
+"""Tiling and word files: the column writers and bulk readers against the line, cell and
+record oracles."""
 
 import json
 import os
@@ -9,11 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    iter_cells,
     load_json_doc_by_records,
     parse_by_lines,
+    parse_word_by_lines,
     same_placements,
     serialize_by_lines,
+    serialize_word_by_lines,
     tiling_to_json_by_rows,
+    word_to_json_by_cells,
 )
 
 from dominofill import Box, BrickWall
@@ -23,13 +28,15 @@ from dominofill.cli.files import (
     VersionMismatch,
     load_any,
     parse_tiling,
+    parse_word,
     serialize_tiling,
     serialize_word,
     tiling_to_json,
+    word_to_json,
     write_atomic,
 )
 from dominofill.cli.main import main
-from dominofill.sft import Tiling, tile_sort_key
+from dominofill.sft import Alphabet, SymbolicWord, Tiling, tile_sort_key
 
 INT64_EDGES = [0, 2**63 - 1, -(2**63 - 1), -(2**63)]
 # Labels of 1 to 13 bytes: the bulk parser groups labels of up to 8 bytes as
@@ -89,6 +96,15 @@ def outcome(parse, text):
         return type(exc).__name__, str(exc)
 
 
+def parse_bulk_only(text, kind=files.TILING):
+    """(object, seed) read by the bulk parser alone; a file it leaves to the
+    line walk fails the test."""
+    parsed = files._parse_bulk(text, kind)
+    assert parsed is not None
+    (dim, shapes, window, seed), records = parsed
+    return kind.build(shapes, dim, window, *records), seed
+
+
 @settings(max_examples=300)
 @given(tilings())
 def test_writer_and_bulk_parser_match_line_oracles(case):
@@ -100,7 +116,7 @@ def test_writer_and_bulk_parser_match_line_oracles(case):
     assert text == serialize_by_lines(tiling, seed)
     want = outcome(parse_by_lines, text)
     assert outcome(parse_tiling, text) == want
-    assert outcome(files._parse_tiling_bulk, text) == want  # written files never need the walk
+    assert outcome(parse_bulk_only, text) == want  # written files never need the walk
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 40, 1 << 17])
@@ -111,7 +127,7 @@ def test_labels_group_across_chunks(monkeypatch, chunk_bytes):
     text = serialize_tiling(Tiling.from_parts(shapes, parts, None), 1)
     monkeypatch.setattr(files, "_CHUNK_BYTES", chunk_bytes)
     want = outcome(parse_by_lines, text)
-    assert outcome(files._parse_tiling_bulk, text) == want
+    assert outcome(parse_bulk_only, text) == want
     assert want[0] == "ok" and len(want[1][3]) == 3 * len(TILE_IDS)
 
 
@@ -182,7 +198,7 @@ def test_word_writer_matches_cell_lines(flagship_alphabet):
     word.grid[2:4, 5:9] = -1  # unassigned cells are skipped
     body = "".join(
         f"{' '.join(map(str, cell))} {sym.tile} {' '.join(map(str, sym.offset))}\n"
-        for cell, sym in word.iter_cells()
+        for cell, sym in iter_cells(word)
     )
     assert serialize_word(word, seed=4).split("\n", 5)[5] == body
 
@@ -296,7 +312,8 @@ def test_json_bulk_loader_matches_record_oracle(case):
     doc = json.loads(tiling_to_json(tiling, seed))
     assert json_outcome(files._from_json_doc, doc) == json_outcome(load_json_doc_by_records, doc)
     if doc["placements"]:  # written files never need the per-record walk
-        assert files._json_columns(doc["placements"], doc["dim"]) is not None
+        _, _, fields = files._json_records(doc["placements"], files.TILING, doc["dim"])
+        assert all(isinstance(field, np.ndarray) for field in fields)
 
 
 def json_doc(*placements):
@@ -390,3 +407,297 @@ def test_write_atomic_gives_the_mode_of_a_plain_open(tmp_path, umask):
         os.umask(old)
     mode = stat.S_IMODE((tmp_path / "atomic.txt").stat().st_mode)
     assert mode == 0o666 & ~umask == stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+
+
+@st.composite
+def words(draw):
+    """A word over a small window with random symbols and unassigned cells;
+    file I/O does not ask for the one-step rule."""
+    dim = draw(st.integers(1, 3))
+    ids = draw(st.lists(st.sampled_from(TILE_IDS), unique=True, min_size=1, max_size=4))
+    shapes = {t: tuple(draw(st.integers(1, 3)) for _ in range(dim)) for t in ids}
+    corner = st.one_of(st.integers(-12, 12), st.integers(-(10**15), 10**15))
+    window = Box(
+        tuple(draw(corner) for _ in range(dim)), tuple(draw(st.integers(1, 5)) for _ in range(dim))
+    )
+    word = SymbolicWord(Alphabet(dim, shapes), window)
+    cells = int(np.prod(window.shape))
+    symbols = st.integers(-1, word.alphabet.size - 1)
+    word.grid[...] = np.array(draw(st.lists(symbols, min_size=cells, max_size=cells))).reshape(
+        window.shape
+    )
+    return word, draw(st.integers(0, 2**64))
+
+
+def word_snapshot(parsed):
+    """Everything a word read returns, in a form that compares with ``==``."""
+    word, seed = parsed
+    alphabet = word.alphabet
+    return (
+        list(alphabet.tile_shapes.items()),
+        alphabet.tiles,
+        word.box,
+        word.grid.dtype,
+        word.grid.tolist(),
+        seed,
+    )
+
+
+def same_word(outcome, word, seed):
+    """Whether a read's outcome is ``word`` and ``seed``, shapes in any order."""
+    shapes, *rest = word_snapshot((word, seed))
+    ok, got = outcome
+    return ok == "ok" and dict(got[0]) == dict(shapes) and got[1:] == tuple(rest)
+
+
+def word_outcome(parse, text):
+    try:
+        return "ok", word_snapshot(parse(text))
+    except ParseError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def json_word_outcome(load, doc):
+    try:
+        loaded = load(doc)
+    except ParseError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", loaded.kind, word_snapshot((loaded.word, loaded.seed))
+
+
+@settings(max_examples=300)
+@given(words())
+def test_word_writers_and_readers_match_cell_oracles(case):
+    word, seed = case
+    text = serialize_word(word, seed)
+    assert text == serialize_word_by_lines(word, seed)
+    assert word_to_json(word, seed) == word_to_json_by_cells(word, seed)
+    want = word_outcome(parse_word_by_lines, text)
+    assert same_word(want, word, seed)
+    assert word_outcome(parse_word, text) == want
+    # Written files never need the line walk or the per-record walk.
+    assert word_outcome(lambda t: parse_bulk_only(t, files.WORD), text) == want
+    doc = json.loads(word_to_json(word, seed))
+    want = json_word_outcome(load_json_doc_by_records, doc)
+    assert want[1] == "word" and same_word((want[0], want[2]), word, seed)
+    assert json_word_outcome(files._from_json_doc, doc) == want
+    _, _, fields = files._json_records(doc["cells"], files.WORD, doc["dim"])
+    assert all(isinstance(field, np.ndarray) for field in fields) or not doc["cells"]
+
+
+WORD_HEADER = "dominofill word v1\ndim 2\nshapes 1:3x2 2:2x3 P:6x6\nwindow 0 0 12 12\nseed 3\n"
+PAST_INT64 = "9223372036854775808"
+
+# Word files as MALFORMED has tilings, plus the build's refusals and files
+# with more than one defect: the first offending record is named, and in it
+# the first of unknown tile, cell outside, cell listed twice, bad offset.
+MALFORMED_WORDS = {
+    "well_formed": WORD_HEADER + "0 0 1 0 0\n0 1 1 0 1\n11 11 P 5 5\n",
+    "uneven_lines_even_token_count": WORD_HEADER + "0 0 1 0\n0 1 1 0 1 0\n",
+    "plus_sign": WORD_HEADER + "+5 0 1 0 0\n",
+    "underscore_digits": WORD_HEADER + "1_0 0 1 0 0\n",
+    "arabic_indic_digit": WORD_HEADER + "٣ 0 1 0 0\n",
+    "superscript_digit_tile": WORD_HEADER + "0 0 ² 0 0\n",
+    "tab_separators": WORD_HEADER + "0\t0\t1\t0\t0\n0 1 1 0 1\n",
+    "crlf_endings": (WORD_HEADER + "0 0 1 0 0\n0 1 1 0 1\n").replace("\n", "\r\n"),
+    "crlf_header_only": WORD_HEADER.replace("\n", "\r\n") + "0 0 1 0 0\n",
+    "blank_lines_in_body": WORD_HEADER + "0 0 1 0 0\n\n   \n0 1 1 0 1\n",
+    "trailing_blank_line": WORD_HEADER + "0 0 1 0 0\n\n",
+    "trailing_spaces": WORD_HEADER + "0 0 1 0 0  \n 0 1 1 0 1\n",
+    "no_final_newline": WORD_HEADER + "0 0 1 0 0\n0 1 1 0 1",
+    "cell_past_int64": WORD_HEADER + f"{PAST_INT64} 0 1 0 0\n",
+    "cell_past_negative_int64": WORD_HEADER + "0 -9223372036854775809 1 0 0\n",
+    "offset_past_int64": WORD_HEADER + f"0 0 1 {PAST_INT64} 0\n",
+    "int64_extremes": WORD_HEADER + "9223372036854775807 -9223372036854775808 1 0 0\n",
+    "two_digit_cells": WORD_HEADER + "10 11 P 4 5\n11 10 P 5 4\n",
+    "leading_zeros": WORD_HEADER + "01 00 01 00 01\n",
+    "twenty_digit_one": WORD_HEADER + "00000000000000000001 0 1 0 0\n",
+    "lone_minus_cell": WORD_HEADER + "- 0 1 0 0\n",
+    "minus_inside_offset": WORD_HEADER + "0 0 1 0-1 0\n",
+    "letter_in_cell": WORD_HEADER + "0x1 0 1 0 0\n",
+    "double_minus_tile": WORD_HEADER + "0 0 --1 0 0\n",
+    "too_many_tokens": WORD_HEADER + "0 0 1 0 0 0\n",
+    "group_separator": WORD_HEADER + "0 0 1 0 0\x1c0 1 1 0 1\n",
+    "form_feed_line": WORD_HEADER + "0 0 1 0 0\n\x0c\n0 1 1 0 1\n",
+    "bad_shape_extent": WORD_HEADER.replace("P:6x6", "P:6x0") + "0 0 1 0 0\n",
+    "bad_dim": WORD_HEADER.replace("dim 2", "dim two"),
+    "huge_dim": WORD_HEADER.replace("dim 2", "dim 1000000000").replace("0 0 12 12", "none")
+    + "0 1 0\n",
+    "dim_past_intp": WORD_HEADER.replace("dim 2", f"dim {PAST_INT64}").replace("0 0 12 12", "none")
+    + "0 1 0\n",
+    "empty_body": WORD_HEADER,
+    "header_cut_short": "dominofill word v1\ndim 2\n",
+    "tile_listed_twice_in_shapes": WORD_HEADER.replace("2:2x3", "1:2x3") + "0 0 1 0 0\n",
+    "no_window": WORD_HEADER.replace("0 0 12 12", "none") + "0 0 1 0 0\n",
+    "no_window_and_bad_int": WORD_HEADER.replace("0 0 12 12", "none") + "0 x 1 0 0\n",
+    "unknown_tile_number": WORD_HEADER + "0 0 1 0 0\n1 0 9 0 0\n",
+    "unknown_tile_label": WORD_HEADER + "0 0 Q 0 0\n",
+    "cell_outside": WORD_HEADER + "0 0 1 0 0\n12 0 1 0 0\n",
+    "cell_below_window": WORD_HEADER + "0 -1 1 0 0\n",
+    "cell_listed_twice": WORD_HEADER + "4 4 1 0 0\n4 4 2 0 0\n",
+    "offset_outside_tile": WORD_HEADER + "0 0 1 3 0\n",
+    "negative_offset": WORD_HEADER + "0 0 2 0 -1\n",
+    "unknown_tile_then_bad_int": WORD_HEADER + "0 0 Q 0 0\n0 x 1 0 0\n",
+    "unknown_tile_and_outside_cell": WORD_HEADER + "99 99 Q 0 0\n",
+    "outside_cell_and_bad_offset": WORD_HEADER + "99 0 1 9 9\n",
+    "twice_and_bad_offset": WORD_HEADER + "0 0 1 0 0\n0 0 1 9 9\n",
+    "bad_offset_then_unknown_tile": WORD_HEADER + "0 0 1 5 5\n1 1 Q 0 0\n",
+    "twice_then_unknown_tile": WORD_HEADER + "0 0 1 0 0\n0 0 1 1 0\n5 5 Q 0 0\n",
+    "outside_then_twice": WORD_HEADER + "0 0 1 0 0\n0 12 1 0 0\n0 0 1 0 0\n",
+    "twice_then_cell_past_int64": WORD_HEADER + f"0 0 1 0 0\n0 0 1 0 0\n{PAST_INT64} 0 1 0 0\n",
+    "cell_past_int64_then_twice": WORD_HEADER + f"{PAST_INT64} 0 1 0 0\n0 0 1 0 0\n0 0 1 0 0\n",
+    "offset_past_int64_after_good_cells": WORD_HEADER + f"0 0 1 0 0\n1 1 1 {PAST_INT64} 0\n",
+    "first_of_three_twice": WORD_HEADER + "3 3 1 0 0\n2 2 1 0 0\n3 3 1 0 0\n2 2 1 0 0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_WORDS))
+def test_malformed_words_match_line_walk(name):
+    text = MALFORMED_WORDS[name]
+    assert word_outcome(parse_word, text) == word_outcome(parse_word_by_lines, text)
+
+
+def test_word_refusals_name_the_first_record():
+    assert word_outcome(parse_word, MALFORMED_WORDS["twice_then_unknown_tile"]) == (
+        "ParseError",
+        "cell (0, 0) listed twice",
+    )
+    assert word_outcome(parse_word, MALFORMED_WORDS["cell_past_int64_then_twice"]) == (
+        "ParseError",
+        f"cell ({PAST_INT64}, 0) outside window",
+    )
+    assert word_outcome(parse_word, MALFORMED_WORDS["first_of_three_twice"]) == (
+        "ParseError",
+        "cell (3, 3) listed twice",
+    )
+
+
+def json_word_doc(*cells):
+    return {
+        "format": "dominofill word",
+        "version": 1,
+        "dim": 2,
+        "shapes": {"1": [3, 2], "2": [2, 3], "P": [6, 6]},
+        "window": {"anchor": [0, 0], "shape": [12, 12]},
+        "seed": 3,
+        "cells": [{"cell": c, "tile": t, "offset": o} for c, t, o in cells],
+    }
+
+
+GOOD_CELL = ([0, 0], 1, [0, 0])
+MALFORMED_JSON_WORDS = {
+    "well_formed": json_word_doc(GOOD_CELL, ([11, 11], "P", [5, 5])),
+    "missing_cell": {**json_word_doc(), "cells": [{"tile": 1, "offset": [0, 0]}]},
+    "missing_tile": {**json_word_doc(), "cells": [{"cell": [0, 0], "offset": [0, 0]}]},
+    "missing_offset": {**json_word_doc(), "cells": [{"cell": [0, 0], "tile": 1}]},
+    "record_not_object": {**json_word_doc(), "cells": [[[0, 0], 1, [0, 0]]]},
+    "cells_not_list": {**json_word_doc(), "cells": {"cell": [0, 0], "tile": 1, "offset": [0, 0]}},
+    "no_cells": json_word_doc(),
+    "nested_cell": json_word_doc(([[0], [0]], 1, [0, 0])),
+    "float_cell": json_word_doc(GOOD_CELL, ([1.5, 0], 1, [0, 0])),
+    "integral_float_offset": json_word_doc(([0, 0], 1, [0.0, 0])),
+    "bool_cell": json_word_doc(([True, False], 1, [0, 0])),
+    "bool_offset": json_word_doc(GOOD_CELL, ([4, 4], 1, [False, True])),
+    "string_cell": json_word_doc((["3", 0], 1, [0, 0])),
+    "string_cell_value": json_word_doc(("00", 1, [0, 0])),
+    "bad_string_cell": json_word_doc((["x", 0], 1, [0, 0])),
+    "null_offset": json_word_doc(([0, 0], 1, [None, 0])),
+    "cell_past_int64": json_word_doc(([2**63, 0], 1, [0, 0])),
+    "cell_past_negative_int64": json_word_doc(([0, -(2**63) - 1], 1, [0, 0])),
+    "offset_past_int64": json_word_doc(GOOD_CELL, ([1, 1], 1, [2**63, 0])),
+    "unknown_tile": json_word_doc(GOOD_CELL, ([3, 0], 9, [0, 0])),
+    "unknown_tile_label": json_word_doc(([0, 0], "Q", [0, 0])),
+    "string_tile_ids": json_word_doc(([0, 0], "1", [0, 0]), ([3, 0], 2, [0, 0])),
+    "bool_tile": json_word_doc(([0, 0], True, [0, 0])),
+    "float_tile": json_word_doc(([0, 0], 1.0, [0, 0])),
+    "null_tile": json_word_doc(([0, 0], None, [0, 0])),
+    "no_window": {**json_word_doc(GOOD_CELL), "window": None},
+    "tile_listed_twice_in_shapes": {
+        **json_word_doc(GOOD_CELL),
+        "shapes": {"1": [3, 2], "01": [2, 3], "P": [6, 6]},
+    },
+    "cell_outside": json_word_doc(GOOD_CELL, ([0, 12], 1, [0, 0])),
+    "cell_listed_twice": json_word_doc(GOOD_CELL, ([0, 0], 2, [0, 0])),
+    "offset_outside_tile": json_word_doc(([0, 0], 2, [2, 0])),
+    "twice_then_unknown_tile": json_word_doc(GOOD_CELL, GOOD_CELL, ([5, 5], "Q", [0, 0])),
+    "unknown_tile_and_outside_cell": json_word_doc(([99, 99], "Q", [0, 0])),
+    "bad_offset_then_outside": json_word_doc(([0, 0], 1, [7, 7]), ([99, 0], 1, [0, 0])),
+    "outside_then_cell_past_int64": json_word_doc(([12, 0], 1, [0, 0]), ([2**63, 0], 1, [0, 0])),
+    "unknown_tile_and_short_cell": json_word_doc(([0], "Q", [0, 0])),
+    # Declared changes, each listed in DECLARED_JSON_WORDS.
+    "short_cell": json_word_doc(([0], 1, [0, 0])),
+    "long_offset": json_word_doc(GOOD_CELL, ([1, 1], 1, [0, 0, 0])),
+    "unknown_tile_then_float_cell": json_word_doc(([0, 0], "Q", [0, 0]), ([1.5, 0], 1, [0, 0])),
+    "twice_then_missing_offset": {
+        **json_word_doc(),
+        "cells": json_word_doc(GOOD_CELL, GOOD_CELL)["cells"] + [{"cell": [1, 1], "tile": 1}],
+    },
+    "no_window_and_float_cell": {**json_word_doc(([1.5, 0], 1, [0, 0])), "window": None},
+}
+# Where the reader departs from the record oracle on purpose, and what it says:
+# a cell or offset of other than ``dim`` coordinates gets the message that
+# anchors get, and a JSON word's records are all read before any is checked,
+# as text files and JSON tilings always were, so a malformed field is named
+# before an earlier record's defect or a missing window.
+DECLARED_JSON_WORDS = {
+    "short_cell": "every cell needs 2 int64 coordinates",
+    "long_offset": "every offset needs 2 int64 coordinates",
+    "unknown_tile_then_float_cell": "bad JSON field: 1.5 is not an integer",
+    "twice_then_missing_offset": "bad JSON field: 'offset'",
+    "no_window_and_float_cell": "bad JSON field: 1.5 is not an integer",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_JSON_WORDS))
+def test_malformed_json_words_match_record_oracle(name):
+    doc = MALFORMED_JSON_WORDS[name]
+    got = json_word_outcome(files._from_json_doc, doc)
+    want = json_word_outcome(load_json_doc_by_records, doc)
+    if name in DECLARED_JSON_WORDS:
+        assert got == ("ParseError", DECLARED_JSON_WORDS[name]) != want
+    else:
+        assert got == want
+
+
+DUPLICATED_SHAPES = {"1": [3, 2], "01": [2, 3], "P": [6, 6]}
+TILE_LISTED_TWICE = {
+    "text_tiling": HEADER.replace("2:2x3", "1:2x3") + "1 0 0\n1 2 0\n",
+    "text_tiling_leading_zero": HEADER.replace("2:2x3", "01:2x3") + "1 0 0\n1 2 0\n",
+    "text_word": WORD_HEADER.replace("2:2x3", "1:2x3") + "0 0 1 0 0\n",
+    "json_tiling": {**json_doc((1, [0, 0]), (1, [2, 0])), "shapes": DUPLICATED_SHAPES},
+    "json_word": {**json_word_doc(GOOD_CELL), "shapes": DUPLICATED_SHAPES},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TILE_LISTED_TWICE))
+def test_tile_listed_twice_in_shapes_is_refused(tmp_path, capsys, name):
+    """Two header entries that read as one tile are a one-line user error,
+    not a file in which the last shape wins."""
+    content = TILE_LISTED_TWICE[name]
+    if isinstance(content, dict):
+        assert json_outcome(load_json_doc_by_records, content)[1] == "tile 1 listed twice in shapes"
+        content = json.dumps(content)
+    path = tmp_path / "dup.txt"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ParseError, match=r"^tile 1 listed twice in shapes$"):
+        load_any(str(path))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err == "error: tile 1 listed twice in shapes\n"
+
+
+@pytest.mark.parametrize("kind", ["tiling", "word"])
+@pytest.mark.parametrize("anchor, shape", [([0, 0, 0], [6, 6, 6]), ([0, 0, 0], [6]), ([0], [6, 6])])
+def test_json_window_of_other_dimension_is_refused(tmp_path, capsys, kind, anchor, shape):
+    """A JSON window needs ``dim`` anchor and shape coordinates, as the text
+    header needs ``2 * dim`` integers; a 3-D window on a 2-D tiling verified
+    ``OK`` and counted 216 window cells."""
+    doc = json_doc((1, [0, 0])) if kind == "tiling" else json_word_doc(GOOD_CELL)
+    doc["window"] = {"anchor": anchor, "shape": shape}
+    message = "window anchor and shape need 2 coordinates each"
+    assert json_outcome(load_json_doc_by_records, doc) == ("ParseError", message)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        load_any(str(path))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -14,6 +14,7 @@ from oracles import (
     enumerate_boundary_complete_words,
     equals_on,
     same_placements,
+    set_cell,
     validate_word_by_mask,
 )
 
@@ -71,8 +72,8 @@ class TestAllowedNeighbor:
         step = (1, 0) if axis == 0 else (0, 1)
         # lay the pair along the chosen axis only
         word = SymbolicWord(a, Box((0, 0), (2, 1) if axis == 0 else (1, 2)))
-        word.set_cell((0, 0), s)
-        word.set_cell(step, t)
+        set_cell(word, (0, 0), s)
+        set_cell(word, step, t)
         assert (validate_word(word) == []) == allowed_neighbor(a, s, axis, t)
 
 
@@ -84,13 +85,13 @@ class TestValidateWord:
 
     def test_single_cell_passes(self, flagship_alphabet):
         word = SymbolicWord(flagship_alphabet, Box((4, 4), (1, 1)))
-        word.set_cell((4, 4), Symbol("P", (3, 3)))
+        set_cell(word, (4, 4), Symbol("P", (3, 3)))
         assert validate_word(word) == []
 
     def test_broken_continuation(self, flagship_alphabet):
         word = SymbolicWord(flagship_alphabet, Box((0, 0), (2, 1)))
-        word.set_cell((0, 0), Symbol(1, (0, 0)))
-        word.set_cell((1, 0), Symbol(2, (0, 0)))
+        set_cell(word, (0, 0), Symbol(1, (0, 0)))
+        set_cell(word, (1, 0), Symbol(2, (0, 0)))
         problems = validate_word(word)
         assert len(problems) == 1
         v = problems[0]
@@ -99,10 +100,10 @@ class TestValidateWord:
 
     def test_violation_found_in_one_domain(self, flagship_alphabet):
         word = SymbolicWord(flagship_alphabet, Box((0, 0), (6, 1)))
-        word.set_cell((0, 0), Symbol(1, (0, 0)))
-        word.set_cell((1, 0), Symbol(1, (1, 0)))
-        word.set_cell((4, 0), Symbol(1, (0, 0)))
-        word.set_cell((5, 0), Symbol(2, (0, 0)))
+        set_cell(word, (0, 0), Symbol(1, (0, 0)))
+        set_cell(word, (1, 0), Symbol(1, (1, 0)))
+        set_cell(word, (4, 0), Symbol(1, (0, 0)))
+        set_cell(word, (5, 0), Symbol(2, (0, 0)))
         assert validate_word(word.restrict(Box((0, 0), (2, 1)))) == []
         ok = decode(word.restrict(Box((0, 0), (2, 1))))
         assert ok.partial_cells == 2
@@ -112,8 +113,8 @@ class TestValidateWord:
 
     def test_gaps_are_ignored(self, flagship_alphabet):
         word = SymbolicWord(flagship_alphabet, Box((0, 0), (3, 1)))
-        word.set_cell((0, 0), Symbol(1, (0, 0)))
-        word.set_cell((2, 0), Symbol(2, (0, 0)))
+        set_cell(word, (0, 0), Symbol(1, (0, 0)))
+        set_cell(word, (2, 0), Symbol(2, (0, 0)))
         assert validate_word(word) == []
 
     @given(
@@ -309,8 +310,8 @@ class TestCodec:
     def test_mixed_cut_tiles(self):
         alphabet = Alphabet(1, {1: (2,), 2: (3,), "P": (6,)})
         word = SymbolicWord(alphabet, Box((0,), (4,)))
-        word.set_cell((0,), Symbol(1, (1,)))
-        word.set_cell((3,), Symbol("P", (0,)))
+        set_cell(word, (0,), Symbol(1, (1,)))
+        set_cell(word, (3,), Symbol("P", (0,)))
         result = decode(word)
         assert len(result.tiling) == 0
         assert result.partial_cells == 2
@@ -400,8 +401,8 @@ class TestCodec:
         # decode trusts its word; an invalid one is refused by validate_word
         # before decoding, as finalize does.
         word = SymbolicWord(flagship_alphabet, Box((0, 0), (2, 1)))
-        word.set_cell((0, 0), Symbol(1, (0, 0)))
-        word.set_cell((1, 0), Symbol(2, (0, 0)))
+        set_cell(word, (0, 0), Symbol(1, (0, 0)))
+        set_cell(word, (1, 0), Symbol(2, (0, 0)))
         broken = Violation((0, 0), 0, Symbol(1, (0, 0)), Symbol(2, (0, 0)))
         assert validate_word(word) == [broken]
 
@@ -441,7 +442,7 @@ class TestLocalGlobalEquivalence:
         for grid in sample.words:
             word = SymbolicWord(alphabet, Box((0, 0), (width, height)))
             for cell, sym in grid.items():
-                word.set_cell(cell, sym)
+                set_cell(word, cell, sym)
             assert validate_word(word) == []
             result = decode(word)
             assert list(result.partials.placements()) == []
