@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, expand, grid_rows, interior
+from .geometry import Box, expand, grid_rows, interior, within
 from .numerics import RectFamily, represent
 from .sft import Alphabet, InvalidWord, Symbol, SymbolicWord, Tiling
 
@@ -282,9 +282,9 @@ class FilledWord:
         """
         alphabet = self.alphabet
         outer = self.outer_wall.bricks(_reach(box, self.outer_wall.period))
-        if self.outer_core is not None:
-            lo, hi = self.outer_core.anchor, self.outer_core.end
-            outer = outer[np.any((outer + self.outer_wall.period <= lo) | (outer >= hi), axis=1)]
+        if self.outer_core is not None:  # a brick meets the core iff it lies in its reach
+            near = _reach(self.outer_core, self.outer_wall.period)
+            outer = outer[~within(outer, self.outer_wall.period, near.anchor, near.end)]
         parts = [(self.outer_wall.tile, outer)]
         if self.inner_core is not None:
             near = self.inner_core.intersect(_reach(box, self.inner_wall.period))
@@ -294,17 +294,16 @@ class FilledWord:
             if box.contains_box(run.box):
                 parts.append((run.tile, run.anchors()))
             elif run.box.intersect(box) is not None:
-                anchors = run.anchors()
-                low = np.subtract(box.anchor, alphabet.shape(run.tile))
-                parts.append((run.tile, anchors[np.all((anchors > low) & (anchors < box.end), 1)]))
+                anchors, shape = run.anchors(), alphabet.shape(run.tile)
+                near = _reach(box, shape)
+                parts.append((run.tile, anchors[within(anchors, shape, near.anchor, near.end)]))
         codes = np.repeat(
             np.array([alphabet.tiles.index(t) for t, _ in parts], dtype=np.int32),
             [len(a) for _, a in parts],
         )
         anchors = np.concatenate([a for _, a in parts])
         _check_partition(alphabet, codes, anchors, box)
-        ends = anchors + alphabet.shape_table[codes]
-        whole = np.all((anchors >= box.anchor) & (ends <= box.end), axis=1)
+        whole = within(anchors, alphabet.shape_table.T.take(codes, axis=1), box.anchor, box.end)
         return Tiling(alphabet.tile_shapes, codes[whole], anchors[whole], box)
 
 

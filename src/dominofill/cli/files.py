@@ -154,11 +154,12 @@ def _text_lines(fields: list[np.ndarray], sep: bytes = b" ", end: bytes = b"\n")
     """Rows of ``sep``-separated fields, each row followed by ``end``.
 
     A field is an integer column, written in decimal, or a uint8 matrix of
-    label bytes padded with zero bytes.  Each field fills its own columns of
-    one byte matrix (a decimal right-aligned behind its sign column), and
-    the zero bytes are deleted from the matrix's bytes in one pass, so a
-    ``sep`` of ``b"\\0"`` joins fields with nothing between them.  The rows
-    go ``_CHUNK_ROWS`` at a time, so the matrix stays small.
+    label bytes padded with zero bytes.  Each field fills its own byte
+    columns of one matrix (a decimal right-aligned behind its sign column),
+    laid out one matrix row per byte column so that every store is
+    contiguous; the matrix is transposed once into the pass that deletes its
+    zero bytes, so a ``sep`` of ``b"\\0"`` joins fields with nothing between
+    them.  The rows go ``_CHUNK_ROWS`` at a time, so the matrix stays small.
     """
     return "".join(
         _text_block([field[lo : lo + _CHUNK_ROWS] for field in fields], sep[0], end[0])
@@ -167,36 +168,38 @@ def _text_lines(fields: list[np.ndarray], sep: bytes = b" ", end: bytes = b"\n")
 
 
 def _text_block(fields: list[np.ndarray], sep: int, end: int) -> str:
-    n = len(fields[0])
     columns = []
     for field in fields:
         if field.dtype == np.uint8:
-            columns.append((field, None, field.shape[1]))
+            columns.append((field.T, None, field.shape[1]))
             continue
         neg = field < 0
         mag = field.astype(np.uint64)
         np.negative(mag, out=mag, where=neg)
         top = int(mag.max())
         columns.append((mag.astype(np.uint32) if top < 2**32 else mag, neg, 1 + len(str(top))))
-    mat = np.zeros((n, sum(width + 1 for *_, width in columns)), dtype=np.uint8)
+    mat = np.empty((sum(width + 1 for *_, width in columns), len(fields[0])), dtype=np.uint8)
     at = 0
     for data, neg, width in columns:
-        block = mat[:, at : at + width]
         if neg is None:
-            block[...] = data
+            mat[at : at + width] = data
         else:
-            block[:, 0] = np.where(neg, ord("-"), 0)
-            rest, digit = np.divmod(data, 10)
-            block[:, -1] = digit + ord("0")
-            for j in range(width - 2, 0, -1):
-                shown = rest > 0
-                rest, digit = np.divmod(rest, 10)
-                block[:, j] = np.where(shown, digit + ord("0"), 0)
+            # ``//`` by the dtype's own 10 and a product back: cheaper than np.divmod,
+            # and one dtype under numpy 1.x's value-based casting too.
+            mat[at] = neg * np.uint8(ord("-"))
+            ten = data.dtype.type(10)
+            for j in range(at + width - 1, at, -1):
+                rest, row = data // ten, mat[j]
+                np.subtract(data, rest * ten, out=row, casting="unsafe")
+                row += ord("0")
+                if j < at + width - 1:
+                    row *= data > 0  # a leading zero is blanked
+                data = rest
         at += width
-        mat[:, at] = sep
+        mat[at] = sep
         at += 1
-    mat[:, -1] = end
-    return mat.tobytes().translate(None, b"\0").decode("utf-8")
+    mat[-1] = end
+    return mat.T.tobytes().translate(None, b"\0").decode("utf-8")
 
 
 def _literal(text: bytes, rows: int) -> np.ndarray:
@@ -208,7 +211,7 @@ def _write_text(kind: _Kind, seed: int, dim, shapes, window, tiles, codes, field
     """The text file of records: tile ``tiles[codes[k]]`` and ``fields`` row k."""
     header = [kind.magic, f"dim {dim}", f"shapes {_fmt_shapes(shapes)}", _window_line(window)]
     columns = [field[:, a] for field in fields for a in range(dim)]
-    columns.insert(kind.label_at * dim, _label_table(tiles)[codes])
+    columns.insert(kind.label_at * dim, _label_table(tiles).take(codes, axis=0))
     return "\n".join(header + [f"seed {seed}"]) + "\n" + _text_lines(columns)
 
 
@@ -219,7 +222,7 @@ def _write_json(kind: _Kind, seed: int, dim, shapes, window, tiles, codes, field
     n, lead, row = len(codes), b"{", []
     for key in sorted([*kind.fields, "tile"]):
         if key == "tile":
-            labels = _label_table([json.dumps(t) for t in tiles])[codes]
+            labels = _label_table([json.dumps(t) for t in tiles]).take(codes, axis=0)
             row += [_literal(lead + b'"tile":', n), labels]
         else:
             row.append(_literal(lead + f'"{key}":['.encode(), n))

@@ -120,10 +120,13 @@ def _write_tiling(path_stem: str, tiling, seed: int, fmt: str) -> str:
     return path
 
 
-def _load_tiling(path: str) -> Tiling:
+def _load_tiling(path: str, verified: bool = True) -> Tiling:
+    """The tiling in ``path``; if ``verified``, one ``verify_tiling`` refuses is a user error."""
     loaded = load_any(path)
     if loaded.kind != "tiling":
         raise ParseError(f"{path} is not a tiling file")
+    if verified and (problems := verify_tiling(loaded.tiling)):
+        raise ParseError(f"{path} fails verify, {len(problems)} violations: {problems[0]}")
     return loaded.tiling
 
 
@@ -254,7 +257,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_render(args) -> int:
-    tiling = _load_tiling(args.file)
+    tiling = _load_tiling(args.file, verified=False)  # an overlap can be looked at
     out_dir = args.out or "out"
     if tiling.dim == 1:
         path = os.path.join(out_dir, "render.txt")

@@ -78,6 +78,15 @@ def interior(b: Box, s: int) -> Box | None:
     return Box(tuple(a + s for a in b.anchor), shape)
 
 
+def within(anchors: np.ndarray, sizes, lo, hi) -> np.ndarray:
+    """Mask of the boxes at ``anchors`` (rows) of extents ``sizes`` inside ``[lo, hi)``,
+    one axis a pass (``sizes[a]``, ``lo[a]``, ``hi[a]``: numbers or columns)."""
+    inside = np.ones(len(anchors), dtype=bool)
+    for a in range(anchors.shape[1]):
+        inside &= (anchors[:, a] >= lo[a]) & (anchors[:, a] + sizes[a] <= hi[a])
+    return inside
+
+
 def grid_rows(axes: Sequence[np.ndarray]) -> np.ndarray:
     """Every point of the product of per-axis coordinates, one row each, in C order."""
     dim = len(axes)

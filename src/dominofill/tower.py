@@ -21,7 +21,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from .brickfill import BrickWall, FilledWord, fill_between
-from .geometry import Box, grid_rows, interior
+from .geometry import Box, grid_rows, interior, within
 from .numerics import RectFamily, SharedAxisDivisor, validate_family
 from .rng import SplitMix64
 from .sft import (
@@ -396,6 +396,19 @@ class StageTowers:
     def error_fraction(self) -> Fraction:
         return Fraction(self.error_cells, self.window.volume)
 
+    def locate(self, points: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """(cell, inside): each point's C-order index on the tower lattice (by floor
+        division per axis, so index -1 just below it), and whether it lies in a
+        tower at an offset in ``[lo[a], hi[a])`` (numbers or columns) on every axis."""
+        cell, inside = np.zeros(len(points), dtype=np.int64), np.ones(len(points), dtype=bool)
+        for a, count in enumerate(self.counts):
+            rel = points[:, a] - (self.window.anchor[a] + self.offset[a])
+            index = rel // self.step
+            rel -= index * self.step
+            inside &= (index >= 0) & (index < count) & (rel >= lo[a]) & (rel < hi[a])
+            cell = cell * count + index
+        return cell, inside
+
 
 def sample_towers(
     plan: StagePlan,
@@ -464,10 +477,6 @@ class StageBlocks(Sequence):
         if isinstance(picked, range):
             return [self._block(k) for k in picked]
         return self._block(picked)
-
-    def collars(self) -> np.ndarray:
-        """Each block's collar, in tower order."""
-        return np.array([collar for _, collar in self.kinds], dtype=np.int64)[self.kind]
 
     def domain(self, k: int) -> Box:
         """Kind ``k``'s block domain relative to its tower anchor: the tower
@@ -619,18 +628,19 @@ def _keep_blocks(
         return None
     shift = towers.anchors[owners] - prev.towers.anchors[kept]
     phase = np.mod(shift + wall.translate, wall.period)
-    keys, inverse = np.unique(
-        np.column_stack([prev.kind[kept], phase]), axis=0, return_inverse=True
-    )
+    shape = (len(prev.kinds), *wall.period)  # phases lie in [0, period): keys sort as rows
+    packed = np.ravel_multi_index((prev.kind[kept], *phase.T), shape)
+    keys, inverse = np.unique(packed, return_inverse=True)
+    keys = np.column_stack(np.unravel_index(keys, shape)).tolist()
     dim = towers.window.dim
     band = interior(Box((0,) * dim, (prev.towers.side,) * dim), 1)
     fills = []
-    for k, *key_phase in keys.tolist():
+    for k, *key_phase in keys:
         (tile, collar), domain = prev.kinds[k], prev.domain(k)
         inner = BrickWall(wall.alphabet, tile, prev.wall.translate)
         outer = BrickWall(wall.alphabet, wall.tile, key_phase)
         fills.append(fill_between(inner, domain, outer, base, collar))
-    return KeptBlocks(state, kept, owners, inverse.ravel(), keys[:, 0].tolist(), band, fills)
+    return KeptBlocks(state, kept, owners, inverse, [k for k, *_ in keys], band, fills)
 
 
 def _kept_blocks(prev: StageBlocks, towers: StageTowers) -> tuple[np.ndarray, np.ndarray]:
@@ -638,16 +648,13 @@ def _kept_blocks(prev: StageBlocks, towers: StageTowers) -> tuple[np.ndarray, np
 
     A tower keeps a block whose anchor lies in the tower shrunk by the
     block's collar plus the previous tower side plus 2 on every face.  One
-    array query finds each block's lattice cell and tests that depth; blocks
-    come in increasing index order.
+    lattice lookup (``StageTowers.locate``) finds each block's tower and tests
+    that depth; blocks come in increasing index order.
     """
-    start = np.add(towers.window.anchor, towers.offset)
-    depth = prev.collars()[:, None] + 2 + prev.towers.side
-    cell, rel = np.divmod(prev.towers.anchors - start, towers.step)
-    deep = (cell >= 0) & (cell < towers.counts) & (rel >= depth) & (rel < towers.side - depth)
-    kept = np.flatnonzero(deep.all(axis=1))
-    owners = np.ravel_multi_index(tuple(cell[kept].T), towers.counts)
-    return kept, owners
+    depth = np.array([c for _, c in prev.kinds], dtype=np.int64)[prev.kind] + 2 + prev.towers.side
+    lo, hi = ([bound] * towers.window.dim for bound in (depth, towers.side - depth))
+    owners, deep = towers.locate(prev.towers.anchors, lo, hi)
+    return np.flatnonzero(deep), owners[deep]
 
 
 @dataclass
@@ -832,8 +839,7 @@ def _assemble(
             raise InvalidWord(f"stage {towers.stage} band {g} is refused: {err}") from None
         codes, rel = placed.codes, placed.anchors
         inner = prev.domain(kept.kinds[g])
-        outside = np.any(rel < inner.anchor, axis=1)
-        outside |= np.any(rel + shapes[codes] > inner.end, axis=1)
+        outside = ~within(rel, shapes.T.take(codes, axis=1), inner.anchor, inner.end)
         sel = key == g
         inner_parts.append(
             _translate(codes[outside], rel[outside], prev.towers.anchors[index[sel]], owner[sel])
@@ -843,8 +849,7 @@ def _assemble(
     codes, anchors, placed = (np.concatenate(column) for column in zip(*inner_parts))
     band_lo = prev.towers.anchors[index] + kept.band.anchor
     if np.any(band_lo < lo[owner]) or np.any(band_lo + kept.band.shape > hi[owner]):
-        inside = np.all(anchors >= lo[placed], axis=1)
-        inside &= np.all(anchors + shapes[codes] <= hi[placed], axis=1)
+        inside = within(anchors, shapes.T.take(codes, axis=1), lo[placed].T, hi[placed].T)
         codes, anchors, placed = codes[inside], anchors[inside], placed[inside]
     parts.append((codes, anchors, placed))
     return tuple(np.concatenate(column) for column in zip(*parts))
@@ -862,19 +867,15 @@ def _under_bands(anchors: np.ndarray, period, kept: KeptBlocks) -> np.ndarray:
     """Mask of the bricks of shape ``period`` at ``anchors`` wholly inside a kept band.
 
     A band lies in its block's tower, one cell of the previous stage's tower
-    lattice: one divmod finds the only tower a brick can be under, and the
-    brick is under its band iff that tower is kept and the brick's offset in
-    it lies in ``band.anchor .. band.end - period``.  Towers are disjoint, so
-    a brick is only ever under a band its own block keeps.
+    lattice: ``StageTowers.locate`` finds the only tower a brick can be
+    under, and the brick is under its band iff that tower is kept and the
+    brick's offset in it lies in ``band.anchor .. band.end - period``.
+    Towers are disjoint, so a brick is only ever under a band its own block keeps.
     """
     prev = kept.state.blocks.towers
-    cell, rel = np.divmod(anchors - np.add(prev.window.anchor, prev.offset), prev.step)
-    under = (cell >= 0) & (cell < prev.counts)
-    under &= (rel >= kept.band.anchor) & (rel <= np.subtract(kept.band.end, period))
-    under = under.all(axis=1)
-    is_kept = np.zeros(prev.count, dtype=bool)
-    is_kept[kept.index] = True
-    under[under] = is_kept[np.ravel_multi_index(tuple(cell[under].T), prev.counts)]
+    cell, under = prev.locate(anchors, kept.band.anchor, np.subtract(kept.band.end, period) + 1)
+    is_kept = np.bincount(kept.index, minlength=prev.count) > 0
+    under[under] = is_kept[cell[under]]
     return under
 
 
@@ -882,31 +883,31 @@ def _check_placements(blocks: StageBlocks, tiling: Tiling, owner: np.ndarray) ->
     """Refuse placements that leave their own block's domain, or overlap.
 
     Placement j belongs to block ``owner[j]``, and each anchor column must
-    keep its tile inside that block's domain.  Domains lie in their towers
-    and towers in the window, so every placement then adds 1 to each of its
-    cells in a window-sized byte grid, one tile cell at a time.  A cell
-    listed twice in one assignment takes one paint, so as many cells read 1
-    as the placements have cells iff no two placements share a cell.
+    keep its tile inside that block's domain (bounds taken per axis from
+    contiguous columns).  Domains lie in their towers and towers in the
+    window, so every placement then sets each of its cells in a window-sized
+    bool grid, one tile cell at a time: a scatter with no gather.  A
+    placement's own cells are distinct, so the distinct painted cells number
+    the placements' summed volumes iff no two placements share a cell.
     """
     towers, stage = blocks.towers, blocks.towers.stage
-    window, sizes = towers.window, tiling.shape_table()
+    window, table = towers.window, tiling.shape_table()
     lo, hi = np.zeros((2, len(blocks.kinds), window.dim), dtype=np.int64)
     for k in np.unique(blocks.kind).tolist():
         lo[k], hi[k] = blocks.domain(k).anchor, blocks.domain(k).end
-    lo, hi = towers.anchors + lo[blocks.kind], towers.anchors + hi[blocks.kind]
+    lo, hi = ((towers.anchors + b[blocks.kind]).T.take(owner, axis=1) for b in (lo, hi))
+    if not within(tiling.anchors, table.T.take(tiling.codes, axis=1), lo, hi).all():
+        raise InvalidWord(f"stage {stage} placements leave their block domains")
     strides = [math.prod(window.shape[a + 1 :]) for a in range(window.dim)]
     base = np.zeros(len(tiling), dtype=np.int64)
     for a in range(window.dim):
-        x = tiling.anchors[:, a]
-        if np.any(x < lo[owner, a]) or np.any(x + sizes[tiling.codes, a] > hi[owner, a]):
-            raise InvalidWord(f"stage {stage} placements leave their block domains")
-        base += (x - window.anchor[a]) * strides[a]
-    flat = np.zeros(window.volume, dtype=np.uint8)
+        base += (tiling.anchors[:, a] - window.anchor[a]) * strides[a]
+    painted = np.zeros(window.volume, dtype=bool)
     for code, tile in enumerate(tiling.tile_order):
         at = base[tiling.codes == code]
         for offset in np.ndindex(tiling.tile_shapes[tile]):
-            flat[at + int(np.dot(offset, strides))] += 1
-    if np.count_nonzero(flat == 1) != tiling.covered_cells():
+            painted[at + int(np.dot(offset, strides))] = True
+    if np.count_nonzero(painted) != tiling.covered_cells():
         raise InvalidWord(f"stage {stage} placements overlap")
 
 

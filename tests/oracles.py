@@ -9,7 +9,8 @@ files written and read line by line and cell by cell, JSON built and read
 record by record, bands filled once per block, block domains decoded from
 the stage's whole word, redistribution by forming every subdivided anchor
 row and lexsorting them, tilings verified by row-wise reductions over the
-``(n, dim)`` anchor array.  The file oracles share only the header helpers
+``(n, dim)`` anchor array, points located on a tower lattice by a Python
+``divmod`` each.  The file oracles share only the header helpers
 with the package.
 """
 
@@ -515,6 +516,26 @@ def word_to_json_by_cells(word, seed=0):
         ],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def locate_by_points(towers, points, lo, hi):
+    """``StageTowers.locate`` one point at a time: per axis a Python ``divmod``
+    of the point less the lattice start by ``step`` (floored, so a point just
+    below the start is in lattice index -1), the C-order index of the
+    indices, and whether every index is in range and every offset in
+    ``[lo[a], hi[a])`` (numbers, or one value per point)."""
+    start = [w + o for w, o in zip(towers.window.anchor, towers.offset)]
+    cells, inside = [], []
+    for k, point in enumerate(points.tolist()):
+        cell, ok = 0, True
+        for a, (x, count) in enumerate(zip(point, towers.counts)):
+            index, rel = divmod(x - start[a], towers.step)
+            low, high = (int(np.broadcast_to(b[a], len(points))[k]) for b in (lo, hi))
+            ok = ok and 0 <= index < count and low <= rel < high
+            cell = cell * count + index
+        cells.append(cell)
+        inside.append(ok)
+    return np.array(cells, dtype=np.int64), np.array(inside, dtype=bool)
 
 
 class StageWord(NamedTuple):

@@ -633,6 +633,25 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["stats", "redistribute"])
+    def test_broken_tiling_is_refused(self, command, flagship_cfg, tmp_path, capsys):
+        """stats and redistribute refuse a tiling that verify fails, rather than
+        report or relabel from double-counted cells; render still draws it."""
+        path = tmp_path / "seven.txt"
+        head = "dominofill tiling v1\ndim 2\nshapes 1:3x2 2:2x3\nwindow 0 0 6 6\nseed 0\n"
+        path.write_text(head + "1 0 0\n" * 7, encoding="utf-8")
+        assert main(["verify", str(path)]) == 1
+        assert "FAIL: 6 violations" in capsys.readouterr().err
+        out = tmp_path / "out"
+        extra = ["--config", flagship_cfg, "--out", str(out)] if command == "redistribute" else []
+        assert main([command, str(path), *extra]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1, err
+        assert err[0].startswith(f"error: {path} fails verify, 6 violations: cell (0, 0) covered 7")
+        assert not out.exists()
+        assert main(["render", str(path), "--out", str(tmp_path)]) == 0
+
     def test_stats_without_window(self, tmp_path, capsys):
         t = sample_tiling()
         path = tmp_path / "nowindow.txt"
@@ -791,6 +810,27 @@ sides = 33,200
 cutoffs = 2,3
 """
 
+# Three countable line stages: at seed 2 stage-3 towers keep stage-2 blocks
+# of both kinds (the composite and the P2 tail brick), so the band keys'
+# kind digit is pinned.
+LINE_3_STAGE_INI = """\
+[run]
+dim = 1
+window = 300000
+seed = 2
+mode = relaxed
+
+[family]
+shapes = 2 3 5 7
+
+[targets]
+probs = 2/5 3/10 1/5 1/10
+
+[plan]
+sides = 33,220,1500
+cutoffs = 2,3,4
+"""
+
 # Three flagship stages: at seed 4 stage-3 towers keep stage-2 blocks that
 # themselves kept stage-1 blocks.
 THREE_STAGE_INI = (
@@ -833,6 +873,11 @@ GOLDEN_BUILDS = {
         "tiling.txt": "3790190a28ab360f44699baab7b45c22e8e57433f6e291d45097c6b6b2406ac3",
         "tiling_pre.txt": "e019bc1f22daa1d4808da99d89e6065da70f62bcced097f0ef88eab6817656c7",
         "report.json": "f511ae438672a030b25536a019ea8ac1e0c22c3097517daed3509b86c84f4b8b",
+    }),
+    "countable_line_3_stage": (LINE_3_STAGE_INI, {
+        "tiling.txt": "e4ecdfcc4e746ebfc0b13157f1d1ed15d21cfb1f4e1c502f59de033abd65d80a",
+        "tiling_pre.txt": "5637a41f585948fa3a95e15076ee128fce1a38f536a61bddba00c4d4560a99f3",
+        "report.json": "dc6a15988fe872208ab70cbb9a507ec358a670e7769472d7f8c9293fcdda717c",
     }),
     "three_stage_1500": (THREE_STAGE_INI, {
         "tiling.txt": "cd46e35a46a252d00ad8efb88fcf296be274601d4026bbdc7e2e80d4ccca1226",

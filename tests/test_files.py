@@ -38,7 +38,10 @@ from dominofill.cli.files import (
 from dominofill.cli.main import main
 from dominofill.sft import Alphabet, SymbolicWord, Tiling, tile_sort_key
 
-INT64_EDGES = [0, 2**63 - 1, -(2**63 - 1), -(2**63)]
+# The int64 ends, the first two- and nineteen-digit values, and both sides
+# of the writer's switch from uint32 to uint64 digit columns.
+INT64_EDGES = [0, 9, 10, 2**32 - 1, 2**32, -(2**32 - 1), -(2**32), 10**18]
+INT64_EDGES += [2**63 - 1, -(2**63 - 1), -(2**63)]
 # Labels of 1 to 13 bytes: the bulk parser groups labels of up to 8 bytes as
 # packed integers and longer ones as byte strings.
 TILE_IDS = [1, 2, "P", "P2", "P10", "P1234567", "P123456789", 10**12]
@@ -50,7 +53,10 @@ def tilings(draw):
     ids = draw(st.lists(st.sampled_from(TILE_IDS), unique=True, max_size=len(TILE_IDS)))
     shapes = {t: tuple(draw(st.integers(1, 12)) for _ in range(dim)) for t in ids}
     coord = st.one_of(
-        st.integers(-12, 12), st.integers(-(10**15), 10**15), st.sampled_from(INT64_EDGES)
+        st.integers(-12, 12),
+        st.integers(-(10**15), 10**15),
+        st.sampled_from(INT64_EDGES),
+        st.builds(lambda k, sign: sign * 10**k, st.integers(0, 18), st.sampled_from([1, -1])),
     )
     placements = draw(
         st.lists(st.tuples(st.sampled_from(ids), st.tuples(*[coord] * dim)), max_size=25)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import (
     build_stage_per_block,
     finalize_by_decode,
+    locate_by_points,
     redistribute_by_rows,
     same_placements,
 )
@@ -39,7 +40,7 @@ from dominofill.brickfill import FilledWord
 from dominofill.cli.config import parse_config
 from dominofill.cli.main import _family_and_plan, main
 from dominofill.cli.verify import verify_tiling
-from dominofill.geometry import interior
+from dominofill.geometry import grid_rows, interior
 from dominofill.rng import SplitMix64
 from dominofill.sft import InvalidWord, SymbolicWord, Tiling, validate_word
 from dominofill.tower import (
@@ -50,6 +51,7 @@ from dominofill.tower import (
     NonpositiveTarget,
     StagePlan,
     StageSpec,
+    StageTowers,
     TargetsInfeasible,
     WindowTooSmall,
     build_stage,
@@ -602,6 +604,51 @@ def test_wall_lattice_equals_its_decode(dim, data):
     anchor = data.draw(st.tuples(*[st.integers(-40, 40)] * dim))
     shape = data.draw(st.tuples(*[st.integers(1, {1: 80, 2: 30, 3: 12}[dim])] * dim))
     assert_wall_lattice_is_its_decode(alphabet, tile, translate, Box(anchor, shape))
+
+
+@st.composite
+def lattice_queries(draw):
+    """A tower lattice shaped like ``sample_towers``' (offset below the step,
+    side up to the step, any count per axis), points on its towers, between
+    them, below its start and beyond its end, and offset bounds per axis, as
+    numbers or as one value per point."""
+    dim = draw(st.integers(1, 3))
+    step = draw(st.integers(1, 12))
+    side = draw(st.integers(1, step))
+    offset = tuple(draw(st.integers(0, step - 1)) for _ in range(dim))
+    counts = tuple(draw(st.integers(0, 4)) for _ in range(dim))
+    anchor = tuple(draw(st.integers(-30, 30)) for _ in range(dim))
+    shape = tuple(o + max(c * step, 1) + draw(st.integers(0, 3)) for o, c in zip(offset, counts))
+    window = Box(anchor, shape)
+    axes = [np.arange(a + o, a + o + c * step, step) for a, o, c in zip(anchor, offset, counts)]
+    towers = StageTowers(1, side, step, offset, grid_rows(axes), window, counts)
+    start = [a + o for a, o in zip(anchor, offset)]
+    rows = st.tuples(*[st.integers(x - 2 * step, x + (c + 2) * step) for x, c in zip(start, counts)])
+    points = np.array(draw(st.lists(rows, min_size=1, max_size=40)), dtype=np.int64)
+    value = st.integers(-1, step + 1)
+    column = st.lists(value, min_size=len(points), max_size=len(points)).map(np.array)
+    lo, hi = ([draw(value | column) for _ in range(dim)] for _ in range(2))
+    return towers, points, lo, hi
+
+
+@given(lattice_queries())
+@settings(max_examples=200)
+def test_locate_matches_a_divmod_per_point(case):
+    """``StageTowers.locate``, one column at a time, gives each point the flat
+    index and inside mask that a per-point Python ``divmod`` gives."""
+    towers, points, lo, hi = case
+    cell, inside = towers.locate(points, lo, hi)
+    want_cell, want_inside = locate_by_points(towers, points, lo, hi)
+    assert np.array_equal(cell, want_cell)
+    assert np.array_equal(inside, want_inside)
+
+
+def test_locate_floors_below_the_start():
+    """A point one cell below the lattice start is in lattice index -1, not 0."""
+    window = Box((5,), (40,))
+    towers = StageTowers(1, 6, 10, (3,), np.array([[8], [18], [28]]), window, (3,))
+    cell, inside = towers.locate(np.array([[7], [8], [37]]), [0], [6])
+    assert cell.tolist() == [-1, 0, 2] and inside.tolist() == [False, True, False]
 
 
 @pytest.mark.parametrize("dim", sorted(DECODE_CASES))
