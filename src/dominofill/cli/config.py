@@ -1,5 +1,10 @@
 """Run configuration: an INI file mapped to one dataclass.
 
+``SCHEMA`` lists every INI key once, with the ``RunConfig`` field it sets, the
+reader that parses its text and the writer that prints it back, in the order
+``serialize_config`` writes them.  A section or key the schema does not list
+is refused.
+
 Values keep their exact rational form (fractions serialize as ``a/b``), so
 writing a config back out and re-reading it yields an equal RunConfig, up to
 the output directory: that says where a run is written, not what it builds,
@@ -10,38 +15,50 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from fractions import Fraction
+from typing import Any, Callable, NamedTuple
 
 
 class ConfigError(ValueError):
     pass
 
 
-def parse_ints(text: str) -> tuple[int, ...]:
+def _ints(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(x) for x in text.replace(",", " ").split())
     except ValueError:
         values = ()
     if not values:
-        raise ConfigError(f"expected integers, got {text!r}")
+        raise ValueError(f"expected integers, got {text!r}")
     return values
 
 
-def _parse_shapes(text: str) -> tuple[tuple[int, ...], ...]:
-    shapes = []
-    for token in text.split():
-        shapes.append(tuple(int(x) for x in token.split("x")))
+def _extents(text: str) -> tuple[int, ...]:
+    values = _ints(text)
+    if min(values) < 1:
+        raise ValueError(f"extents must be >= 1, got {values}")
+    return values
+
+
+def _shapes(text: str) -> tuple[tuple[int, ...], ...]:
+    shapes = tuple(tuple(int(x) for x in token.split("x")) for token in text.split())
     if not shapes:
-        raise ConfigError("shapes must list at least one WxH entry")
-    return tuple(shapes)
+        raise ValueError("shapes must list at least one WxH entry")
+    return shapes
 
 
-def _parse_fractions(text: str) -> tuple[Fraction, ...]:
-    out = []
-    for token in text.replace(",", " ").split():
-        out.append(Fraction(token) if "/" in token else Fraction(str(token)))
-    return tuple(out)
+def _fractions(text: str) -> tuple[Fraction, ...]:
+    return tuple(Fraction(token) for token in text.replace(",", " ").split())
+
+
+def _one_of(*choices: str) -> Callable[[str], str]:
+    def read(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"must be one of {choices}, got {text!r}")
+        return text
+
+    return read
 
 
 def _fmt_ints(values) -> str:
@@ -58,6 +75,48 @@ def _fmt_fractions(values) -> str:
 
 MODES = ("strict", "relaxed")
 FORMATS = ("text", "json")
+
+
+class Key(NamedTuple):
+    section: str
+    key: str
+    field: str
+    read: Callable[[str], Any]
+    write: Callable[[Any], str] | None = str  # None: not echoed into report.json
+    per_axis: bool = False  # one entry per axis of the lattice
+
+
+SCHEMA = (
+    Key("run", "dim", "dim", int),
+    Key("run", "seed", "seed", int),
+    Key("run", "mode", "mode", _one_of(*MODES)),
+    Key("run", "window", "window_shape", _extents, _fmt_ints, per_axis=True),
+    Key("run", "window_anchor", "window_anchor", _ints, _fmt_ints, per_axis=True),
+    Key("run", "out", "out_dir", str, None),
+    Key("run", "format", "out_format", _one_of(*FORMATS)),
+    Key("family", "shapes", "shapes", _shapes, _fmt_shapes),
+    Key("targets", "probs", "targets", _fractions, _fmt_fractions),
+    Key("targets", "tail_mass", "tail_mass", Fraction),
+    Key("plan", "count", "count", int),
+    Key("plan", "sides", "sides", _ints, _fmt_ints),
+    Key("plan", "gaps", "gaps", _ints, _fmt_ints),
+    Key("plan", "error_budgets", "error_budgets", _fractions, _fmt_fractions),
+    Key("plan", "cutoffs", "cutoffs", _ints, _fmt_ints),
+    Key("fill", "inner_translate", "fill_inner", _ints, _fmt_ints, per_axis=True),
+    Key("fill", "outer_translate", "fill_outer", _ints, _fmt_ints, per_axis=True),
+    Key("fill", "box_anchor", "fill_anchor", _ints, _fmt_ints, per_axis=True),
+    Key("fill", "box_shape", "fill_shape", _extents, _fmt_ints, per_axis=True),
+)
+SECTIONS = tuple(dict.fromkeys(row.section for row in SCHEMA))
+
+
+def _read(row: Key, text) -> Any:
+    """``row``'s value from ``text``; any failure is a one-line ConfigError."""
+    try:
+        return row.read(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        why = exc if isinstance(exc, ValueError) else f"zero denominator in {text!r}"
+        raise ConfigError(f"[{row.section}] {row.key}: {why}") from exc
 
 
 @dataclass(frozen=True)
@@ -81,123 +140,62 @@ class RunConfig:
     cutoffs: tuple[int, ...] | None = None
     fill_inner: tuple[int, ...] | None = None
     fill_outer: tuple[int, ...] | None = None
-    fill_box: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    fill_anchor: tuple[int, ...] | None = None
+    fill_shape: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.window_anchor:
             object.__setattr__(self, "window_anchor", (0,) * self.dim)
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.out_format not in FORMATS:
-            raise ConfigError(f"format must be one of {FORMATS}, got {self.out_format!r}")
-        box = self.fill_box or (None, None)
-        vectors = {
-            "window": self.window_shape,
-            "window_anchor": self.window_anchor,
-            "inner_translate": self.fill_inner,
-            "outer_translate": self.fill_outer,
-            "box_anchor": box[0],
-            "box_shape": box[1],
-        }
-        for key, vec in vectors.items():
-            if vec is not None and len(vec) != self.dim:
-                raise ConfigError(f"{key} needs {self.dim} entries, got {len(vec)}")
-        for key in ("window", "box_shape"):
-            if vectors[key] is not None and min(vectors[key]) < 1:
-                raise ConfigError(f"{key} extents must be >= 1, got {vectors[key]}")
+        for row in SCHEMA:
+            vec = getattr(self, row.field)
+            if row.per_axis and vec is not None and len(vec) != self.dim:
+                raise ConfigError(
+                    f"[{row.section}] {row.key}: needs {self.dim} entries, got {len(vec)}"
+                )
+        if (self.fill_anchor is None) != (self.fill_shape is None):
+            raise ConfigError("fill box needs both box_anchor and box_shape")
 
-    def replace(self, **kwargs) -> "RunConfig":
-        return replace(self, **kwargs)
+    def with_run_keys(self, texts: dict[str, Any]) -> "RunConfig":
+        """This config with the given ``[run]`` keys read as the INI file reads them."""
+        rows = [row for row in SCHEMA if row.section == "run" and row.key in texts]
+        return replace(self, **{row.field: _read(row, texts[row.key]) for row in rows})
 
 
 def parse_config(text: str) -> RunConfig:
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
+        # DEFAULT first: its keys are copied into every other section.
+        entries = {"DEFAULT": dict(parser.defaults())}
+        entries.update((section, dict(parser.items(section))) for section in parser.sections())
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
-    try:
-        run = parser["run"]
-        family = parser["family"]
-        targets = parser["targets"]
-    except KeyError as exc:
-        raise ConfigError(f"missing section {exc}") from exc
-    plan = parser["plan"] if parser.has_section("plan") else {}
-    fill = parser["fill"] if parser.has_section("fill") else {}
-
-    def opt(section, key, conv):
-        return conv(section[key]) if key in section else None
-
-    fill_box = None
-    if "box_anchor" in fill or "box_shape" in fill:
-        if "box_anchor" not in fill or "box_shape" not in fill:
-            raise ConfigError("fill box needs both box_anchor and box_shape")
-        fill_box = (parse_ints(fill["box_anchor"]), parse_ints(fill["box_shape"]))
-    try:
-        return RunConfig(
-            dim=int(run["dim"]),
-            shapes=_parse_shapes(family["shapes"]),
-            targets=_parse_fractions(targets["probs"]),
-            tail_mass=Fraction(targets.get("tail_mass", "0")),
-            window_shape=parse_ints(run["window"]),
-            window_anchor=opt(run, "window_anchor", parse_ints) or (),
-            seed=int(run.get("seed", "0")),
-            mode=run.get("mode", "strict"),
-            out_dir=run.get("out", "out"),
-            out_format=run.get("format", "text"),
-            count=opt(plan, "count", int),
-            sides=opt(plan, "sides", parse_ints),
-            gaps=opt(plan, "gaps", parse_ints),
-            error_budgets=opt(plan, "error_budgets", _parse_fractions),
-            cutoffs=opt(plan, "cutoffs", parse_ints),
-            fill_inner=opt(fill, "inner_translate", parse_ints),
-            fill_outer=opt(fill, "outer_translate", parse_ints),
-            fill_box=fill_box,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing key {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    rows = {(row.section, row.key): row for row in SCHEMA}
+    values = {}
+    for section, items in entries.items():
+        if not items and section not in (*SECTIONS, "DEFAULT"):
+            raise ConfigError(f"[{section}]: unknown section")
+        for key, value in items.items():
+            row = rows.get((section, key))
+            if row is None:
+                what = "key" if section in SECTIONS else "section"
+                raise ConfigError(f"[{section}] {key}: unknown {what}")
+            values[row.field] = _read(row, value)
+    required = {f.name for f in fields(RunConfig) if f.default is MISSING}
+    for row in SCHEMA:
+        if row.field in required and row.field not in values:
+            raise ConfigError(f"[{row.section}] {row.key}: required, not given")
+    return RunConfig(**values)
 
 
 def serialize_config(cfg: RunConfig) -> str:
     parser = configparser.ConfigParser()
-    parser["run"] = {
-        "dim": str(cfg.dim),
-        "seed": str(cfg.seed),
-        "mode": cfg.mode,
-        "window": _fmt_ints(cfg.window_shape),
-        "window_anchor": _fmt_ints(cfg.window_anchor),
-        "format": cfg.out_format,
-    }
-    parser["family"] = {"shapes": _fmt_shapes(cfg.shapes)}
-    parser["targets"] = {
-        "probs": _fmt_fractions(cfg.targets),
-        "tail_mass": str(cfg.tail_mass),
-    }
-    plan = {}
-    if cfg.count is not None:
-        plan["count"] = str(cfg.count)
-    if cfg.sides is not None:
-        plan["sides"] = _fmt_ints(cfg.sides)
-    if cfg.gaps is not None:
-        plan["gaps"] = _fmt_ints(cfg.gaps)
-    if cfg.error_budgets is not None:
-        plan["error_budgets"] = _fmt_fractions(cfg.error_budgets)
-    if cfg.cutoffs is not None:
-        plan["cutoffs"] = _fmt_ints(cfg.cutoffs)
-    if plan:
-        parser["plan"] = plan
-    fill = {}
-    if cfg.fill_inner is not None:
-        fill["inner_translate"] = _fmt_ints(cfg.fill_inner)
-    if cfg.fill_outer is not None:
-        fill["outer_translate"] = _fmt_ints(cfg.fill_outer)
-    if cfg.fill_box is not None:
-        fill["box_anchor"] = _fmt_ints(cfg.fill_box[0])
-        fill["box_shape"] = _fmt_ints(cfg.fill_box[1])
-    if fill:
-        parser["fill"] = fill
+    for row in SCHEMA:
+        value = getattr(cfg, row.field)
+        if row.write is not None and value is not None:
+            if not parser.has_section(row.section):
+                parser.add_section(row.section)
+            parser.set(row.section, row.key, row.write(value))
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

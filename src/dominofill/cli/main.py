@@ -37,7 +37,6 @@ from .config import (
     ConfigError,
     RunConfig,
     load_config,
-    parse_ints,
     serialize_config,
 )
 from .files import (
@@ -75,19 +74,9 @@ def _setup_logging() -> None:
 
 
 def _load_with_overrides(args) -> RunConfig:
-    cfg = load_config(args.config)
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "mode", None):
-        updates["mode"] = args.mode
-    if getattr(args, "window", None):
-        updates["window_shape"] = parse_ints(args.window)
-    if getattr(args, "out", None):
-        updates["out_dir"] = args.out
-    if getattr(args, "format", None):
-        updates["out_format"] = args.format
-    return cfg.replace(**updates) if updates else cfg
+    """The config, with each ``[run]`` key that a flag of the same name gives replaced."""
+    given = {key: v for key, v in vars(args).items() if v not in (None, "")}
+    return load_config(args.config).with_run_keys(given)
 
 
 def _family_and_plan(cfg: RunConfig):
@@ -187,13 +176,13 @@ def cmd_build(args) -> int:
 
 def cmd_fill(args) -> int:
     cfg = _load_with_overrides(args)
-    if cfg.fill_inner is None or cfg.fill_outer is None or cfg.fill_box is None:
+    if cfg.fill_inner is None or cfg.fill_outer is None or cfg.fill_anchor is None:
         raise ConfigError("fill needs [fill] inner_translate, outer_translate, box_anchor, box_shape")
     family = validate_family(cfg.shapes, cfg.dim)
     alphabet = build_alphabet(family)
     inner = BrickWall(alphabet, "P", cfg.fill_inner)
     outer = BrickWall(alphabet, "P", cfg.fill_outer)
-    box = Box(*cfg.fill_box)
+    box = Box(cfg.fill_anchor, cfg.fill_shape)
     filled = fill_between(inner, box, outer, family)
     region = expand(box, family.fill_length)
     word = filled.materialize(region)

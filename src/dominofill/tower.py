@@ -388,14 +388,6 @@ class StageTowers:
     def count(self) -> int:
         return len(self.anchors)
 
-    @property
-    def error_cells(self) -> int:
-        return self.window.volume - self.count * self.side ** self.window.dim
-
-    @property
-    def error_fraction(self) -> Fraction:
-        return Fraction(self.error_cells, self.window.volume)
-
     def locate(self, points: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         """(cell, inside): each point's C-order index on the tower lattice (by floor
         division per axis, so index -1 just below it), and whether it lies in a

@@ -40,8 +40,12 @@ from oracles import (
 FLAGSHIP = [(3, 2), (2, 3)]
 FLAGSHIP_TARGETS = [Fraction(2, 5), Fraction(3, 5)]
 WINDOW_SIDE = 4096
-# Seed 4 lands on a marginal tower draw whose good-block count cannot meet
-# the targets and is rejected as infeasible, so the five-seed sample skips it.
+# Seed 4 is refused as infeasible, so the five-seed sample skips it.  The cause
+# is the collars, not the tower draw: `strip_runs` writes every strip width with
+# `represent`'s lexicographically greatest coefficients, so nearly all collar
+# mass lands on tile 1 (0.403 of the covered cells before redistribution at
+# seed 4, against 0.033 on tile 2), and redistribution cannot take collar tiles
+# back.
 SEEDS = (1, 2, 3, 5, 6)
 
 

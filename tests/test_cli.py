@@ -3,9 +3,11 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +19,15 @@ from oracles import same_placements, set_cell, verify_tiling_by_rows
 
 import dominofill
 from dominofill import Box, BrickWall
-from dominofill.cli.config import ConfigError, parse_config, serialize_config
+from dominofill.cli.config import (
+    FORMATS,
+    MODES,
+    SCHEMA,
+    ConfigError,
+    RunConfig,
+    parse_config,
+    serialize_config,
+)
 from dominofill.cli.files import (
     ParseError,
     VersionMismatch,
@@ -73,6 +83,41 @@ box_shape = 6
 """
 
 
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+@st.composite
+def run_configs(draw):
+    """A RunConfig with every field set, out_dir included."""
+    dim = draw(st.integers(1, 3))
+    axes = st.tuples(*[st.integers(-(10**6), 10**6)] * dim)
+    extents = st.tuples(*[st.integers(1, 10**6)] * dim)
+    ints = st.lists(st.integers(0, 10**4), min_size=1, max_size=4).map(tuple)
+    fractions = st.lists(st.fractions(), min_size=1, max_size=4).map(tuple)
+    shapes = st.lists(st.tuples(*[st.integers(1, 9)] * dim), min_size=1, max_size=4)
+    return RunConfig(
+        dim=dim,
+        shapes=tuple(draw(shapes)),
+        targets=draw(fractions),
+        window_shape=draw(extents),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        mode=draw(st.sampled_from(MODES)),
+        tail_mass=draw(st.fractions()),
+        window_anchor=draw(axes),
+        out_dir=draw(st.sampled_from(["elsewhere", "runs/a b"])),
+        out_format=draw(st.sampled_from(FORMATS)),
+        count=draw(st.integers(1, 9)),
+        sides=draw(ints),
+        gaps=draw(ints),
+        error_budgets=draw(fractions),
+        cutoffs=draw(ints),
+        fill_inner=draw(axes),
+        fill_outer=draw(axes),
+        fill_anchor=draw(axes),
+        fill_shape=draw(extents),
+    )
+
+
 class TestConfig:
     def test_parse_fields(self):
         cfg = parse_config(FLAGSHIP_INI)
@@ -88,8 +133,31 @@ class TestConfig:
         cfg = parse_config(FLAGSHIP_INI)
         assert parse_config(serialize_config(cfg)) == cfg
         filled = parse_config(FILL_INI)
-        assert filled.fill_box == ((4,), (6,))
+        assert (filled.fill_anchor, filled.fill_shape) == ((4,), (6,))
         assert parse_config(serialize_config(filled)) == filled
+
+    @given(run_configs())
+    def test_round_trip_of_every_key(self, cfg):
+        """A config that sets every schema row reads back equal, up to out_dir."""
+        text = serialize_config(cfg)
+        assert parse_config(text) == replace(cfg, out_dir="out")
+        echoed = [row.key for row in SCHEMA if row.write is not None]
+        assert re.findall(r"^(\w+) = ", text, re.M) == echoed
+
+    def test_readme_example_parses(self):
+        example = README.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(example)
+        assert cfg.sides == (64, 512) and cfg.window_shape == (4096, 4096)
+
+    def test_readme_table_lists_the_schema(self):
+        """README's key table lists each schema row, in order, with its echo."""
+        rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| [^|]+ \| ([^|]+) \|$", README, re.M)
+        assert [(section, key) for section, key, _ in rows] == [
+            (row.section, row.key) for row in SCHEMA
+        ]
+        assert [echo.strip() != "no" for _, _, echo in rows] == [
+            row.write is not None for row in SCHEMA
+        ]
 
     def test_missing_section(self):
         with pytest.raises(ConfigError):
@@ -692,21 +760,58 @@ class TestMain:
         assert (tmp_path / "render.txt").exists()
 
 
-# (name, config text) pairs that parse_config must refuse with a ConfigError.
+# (name, config text, what the error names) triples that parse_config must
+# refuse with a ConfigError.
 BAD_CONFIGS = [
-    ("mode_bogus", FLAGSHIP_INI.replace("mode = relaxed", "mode = bogus")),
-    ("window_extent_zero", FLAGSHIP_INI.replace("window = 300,300", "window = 300,0")),
-    ("window_wrong_length", FLAGSHIP_INI.replace("window = 300,300", "window = 300")),
+    ("mode_bogus", FLAGSHIP_INI.replace("mode = relaxed", "mode = bogus"), "mode"),
+    (
+        "window_extent_zero",
+        FLAGSHIP_INI.replace("window = 300,300", "window = 300,0"),
+        "window",
+    ),
+    ("window_wrong_length", FLAGSHIP_INI.replace("window = 300,300", "window = 300"), "window"),
     (
         "window_anchor_wrong_length",
         FLAGSHIP_INI.replace("window = 300,300", "window = 300,300\nwindow_anchor = 0,0,0"),
+        "window_anchor",
     ),
-    ("format_xml", FLAGSHIP_INI.replace("mode = relaxed", "mode = relaxed\nformat = xml")),
+    (
+        "format_xml",
+        FLAGSHIP_INI.replace("mode = relaxed", "mode = relaxed\nformat = xml"),
+        "format",
+    ),
     (
         "fill_translate_wrong_length",
         FILL_INI.replace("inner_translate = 4", "inner_translate = 4,1"),
+        "inner_translate",
     ),
+    ("probs_zero_denominator", FLAGSHIP_INI.replace("2/5 3/5", "2/0 3/5"), "probs"),
+    (
+        "tail_mass_zero_denominator",
+        FLAGSHIP_INI.replace("probs = 2/5 3/5", "probs = 2/5 3/5\ntail_mass = 1/0"),
+        "tail_mass",
+    ),
+    (
+        "error_budgets_zero_denominator",
+        FLAGSHIP_INI.replace("sides = 64", "sides = 64\nerror_budgets = 1/0"),
+        "error_budgets",
+    ),
+    (
+        "format_misspelled",
+        FLAGSHIP_INI.replace("mode = relaxed", "mode = relaxed\nformt = json"),
+        "formt",
+    ),
+    (
+        "window_anchor_misspelled",
+        FLAGSHIP_INI.replace("window = 300,300", "window = 300,300\nwindow_ancor = 5,5"),
+        "window_ancor",
+    ),
+    ("plan_unknown_key", FLAGSHIP_INI.replace("sides = 64", "sides = 64\ngap = 5"), "gap"),
+    ("section_misspelled", FLAGSHIP_INI.replace("[plan]", "[plann]"), "plann"),
+    ("section_unknown_empty", FLAGSHIP_INI + "\n[plann]\n", "plann"),
+    ("default_entry", "[DEFAULT]\nseed = 3\n\n" + FLAGSHIP_INI, "DEFAULT"),
 ]
+BAD_IDS = [name for name, _, _ in BAD_CONFIGS]
 
 
 class TestUserErrors:
@@ -717,18 +822,20 @@ class TestUserErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
 
-    @pytest.mark.parametrize("name, text", BAD_CONFIGS, ids=[n for n, _ in BAD_CONFIGS])
-    def test_config_read_raises_config_error(self, name, text):
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("name, text, named", BAD_CONFIGS, ids=BAD_IDS)
+    def test_config_read_raises_config_error(self, name, text, named):
+        with pytest.raises(ConfigError, match=named):
             parse_config(text)
 
-    @pytest.mark.parametrize("name, text", BAD_CONFIGS, ids=[n for n, _ in BAD_CONFIGS])
-    def test_bad_config_exits_1(self, name, text, tmp_path, capsys):
+    @pytest.mark.parametrize("name, text, named", BAD_CONFIGS, ids=BAD_IDS)
+    def test_bad_config_exits_1(self, name, text, named, tmp_path, capsys):
         ini = tmp_path / "bad.ini"
         ini.write_text(text, encoding="utf-8")
         command = "fill" if "[fill]" in text else "build"
-        assert main([command, "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
-        self.assert_one_error_line(capsys)
+        for argv in (["plan"], [command, "--out", str(tmp_path / "out")]):
+            assert main(argv + ["--config", str(ini)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
         assert not (tmp_path / "out").exists()
 
     def test_empty_top_stage_exits_1(self, tmp_path, capsys):
@@ -926,7 +1033,7 @@ class TestGoldenBytes:
         report = json.loads(reports[0])
         assert report["schema"] == 1
         echoed = parse_config(report["config"])
-        assert echoed == parse_config(FLAGSHIP_INI).replace(out_dir=echoed.out_dir)
+        assert echoed == replace(parse_config(FLAGSHIP_INI), out_dir=echoed.out_dir)
 
     def test_fill_output(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
