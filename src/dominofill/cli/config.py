@@ -34,6 +34,13 @@ def _ints(text: str) -> tuple[int, ...]:
     return values
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
 def _extents(text: str) -> tuple[int, ...]:
     values = _ints(text)
     if min(values) < 1:
@@ -87,7 +94,7 @@ class Key(NamedTuple):
 
 
 SCHEMA = (
-    Key("run", "dim", "dim", int),
+    Key("run", "dim", "dim", _positive),
     Key("run", "seed", "seed", int),
     Key("run", "mode", "mode", _one_of(*MODES)),
     Key("run", "window", "window_shape", _extents, _fmt_ints, per_axis=True),

@@ -318,7 +318,11 @@ def _parse_bulk(text: str, kind: _Kind) -> tuple | None:
         return None
     width = len(kind.fields) * dim + 1
     buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    tokens: dict[bytes, int] = {}
+    # The header's labels of 1 to 8 label bytes, packed as the body's are and
+    # sorted: label k of the table has id k, and a label it lacks the next free id.
+    named = [s for s in map(str, shapes) if s and not s.encode().translate(None, _LABEL_BYTES)]
+    table = np.unique(_packed_keys(_label_table([s for s in named if len(s) <= 8])))
+    tokens = {bytes(tok): k for k, tok in enumerate(table.view("S8"))}
     inverse = [np.zeros(0, dtype=np.intp)]
     columns = [np.zeros((width - 1, 0), dtype=np.int64)]
     while pos < len(text):
@@ -327,9 +331,8 @@ def _parse_bulk(text: str, kind: _Kind) -> tuple | None:
         parsed = _parse_lines(buf[pos:end], width, kind.label_at * dim)
         if parsed is None:
             return None
-        distinct, local, values = parsed
-        ids = np.array([tokens.setdefault(tok, len(tokens)) for tok in distinct], dtype=np.intp)
-        inverse.append(ids[local])
+        keys, values = parsed
+        inverse.append(_label_ids(keys, table, tokens))
         columns.append(values)
         pos = end
     if any(tok.translate(None, _LABEL_BYTES) for tok in tokens):
@@ -339,13 +342,39 @@ def _parse_bulk(text: str, kind: _Kind) -> tuple | None:
     return (dim, shapes, window, seed), (tiles, np.concatenate(inverse), fields)
 
 
+def _label_ids(keys: np.ndarray, table: np.ndarray, tokens: dict[bytes, int]) -> np.ndarray:
+    """Each label key's id: its place in the sorted ``table`` when the table
+    holds every key, else from one sort of the keys, a label new to
+    ``tokens`` taking the next free id."""
+    if keys.dtype == table.dtype and len(table):
+        ids = np.searchsorted(table, keys)
+        if np.array_equal(table.take(ids, mode="clip"), keys):
+            return ids
+    distinct, local = np.unique(keys, return_inverse=True)
+    names = distinct.view(f"S{distinct.itemsize}")
+    ids = np.array([tokens.setdefault(bytes(tok), len(tokens)) for tok in names], dtype=np.intp)
+    return ids[local.ravel()]
+
+
+def _packed_keys(labels: np.ndarray) -> np.ndarray:
+    """Rows of at most 8 zero-padded label bytes, each as one uint64."""
+    packed = np.zeros((len(labels), 8), dtype=np.uint8)
+    packed[:, : labels.shape[1]] = labels
+    return packed.view(np.uint64).ravel()
+
+
 def _parse_lines(chunk: np.ndarray, width: int, at: int) -> tuple | None:
-    """(distinct labels, each line's label index among them, the other tokens'
-    values as a (width - 1, lines) array) of whole body lines of ``width``
-    tokens, the label at token ``at``; or None where the line walk decides."""
+    """(label keys, the other tokens' values as a (width - 1, lines) array)
+    of whole body lines of ``width`` tokens, the label at token ``at``; or
+    None where the line walk decides.  A key is the label packed into a
+    uint64 when every label has at most 8 bytes, else its bytes."""
     # Token k ends at the k-th separator and starts after the one before.
-    stops = np.flatnonzero((chunk == ord(" ")) | (chunk == ord("\n")))
+    newlines = chunk == ord("\n")
+    stops = np.flatnonzero(newlines | (chunk == ord(" ")))
     if len(stops) % width or chunk[-1] != ord("\n"):
+        return None
+    # Every width-th separator ends a line, and no other one does.
+    if not np.array_equal(np.flatnonzero(newlines), stops[width - 1 :: width]):
         return None
     starts = np.empty_like(stops)
     starts[0] = 0
@@ -353,9 +382,6 @@ def _parse_lines(chunk: np.ndarray, width: int, at: int) -> tuple | None:
     n = len(stops) // width
     stops = stops.reshape(n, width)
     starts = starts.reshape(n, width)
-    kinds = chunk[stops]
-    if np.any(kinds[:, :-1] != ord(" ")) or np.any(kinds[:, -1] != ord("\n")):
-        return None
     lengths = stops - starts
     if int(lengths.min()) < 1 or int(lengths.max()) > _MAX_TOKEN:
         return None
@@ -368,14 +394,9 @@ def _parse_lines(chunk: np.ndarray, width: int, at: int) -> tuple | None:
     labels = _token_matrix(chunk, starts[:, at], lengths[:, at])
     if np.count_nonzero(labels) != int(lengths[:, at].sum()):
         return None  # a zero byte inside a tile token
-    if labels.shape[1] <= 8:  # group short labels as packed uint64 keys
-        packed = np.zeros((n, 8), dtype=np.uint8)
-        packed[:, : labels.shape[1]] = labels
-        keys = packed.view(np.uint64).ravel()
-    else:
-        keys = labels.view(f"S{labels.shape[1]}").ravel()
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    return [bytes(tok) for tok in distinct.view(f"S{distinct.itemsize}")], inverse.ravel(), values
+    if labels.shape[1] <= 8:
+        return _packed_keys(labels), values
+    return labels.view(f"S{labels.shape[1]}").ravel(), values
 
 
 def _token_matrix(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

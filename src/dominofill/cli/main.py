@@ -9,6 +9,7 @@ it per invocation.  The only environment variable honoured is
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import logging
@@ -313,7 +314,19 @@ def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
-        return globals()["cmd_" + args.command](args)
+        status = globals()["cmd_" + args.command](args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a closed reader is met here, not in the exit flush
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout (``dominofill plan | head -1``): stop
+        # quietly with 128 + SIGPIPE, as a process the signal ends does.
+        # The rest of stdout's buffer goes to the null device at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        with contextlib.suppress(OSError, ValueError):  # stdout may have no descriptor
+            os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -810,6 +810,8 @@ BAD_CONFIGS = [
     ("section_misspelled", FLAGSHIP_INI.replace("[plan]", "[plann]"), "plann"),
     ("section_unknown_empty", FLAGSHIP_INI + "\n[plann]\n", "plann"),
     ("default_entry", "[DEFAULT]\nseed = 3\n\n" + FLAGSHIP_INI, "DEFAULT"),
+    ("dim_zero", FLAGSHIP_INI.replace("dim = 2", "dim = 0"), "] dim: must be >= 1"),
+    ("dim_negative", FLAGSHIP_INI.replace("dim = 2", "dim = -1"), "] dim: must be >= 1"),
 ]
 BAD_IDS = [name for name, _, _ in BAD_CONFIGS]
 
@@ -883,6 +885,14 @@ class TestUserErrors:
         path.write_text(text.replace(field, bad, 1))
         assert main(["verify", str(path)]) == 1
         self.assert_one_error_line(capsys)
+
+    def test_closed_stdout_exits_141_silently(self, flagship_cfg, monkeypatch, capsys):
+        def closed(args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("dominofill.cli.main.cmd_plan", closed)
+        assert main(["plan", "--config", flagship_cfg]) == 141
+        assert capsys.readouterr() == ("", "")
 
     def test_internal_value_error_propagates(self, flagship_cfg, monkeypatch):
         def broken(*args, **kwargs):
@@ -1089,6 +1099,29 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert "stage 1: side 64" in proc.stdout
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_reader_gone_exits_141(self, flagship_cfg, unbuffered):
+        """A pipe whose reader closed before the first write: no error line, no
+        "Exception ignored" from the exit flush, and status 128 + SIGPIPE,
+        whether stdout is block-buffered (one write at the end) or not."""
+        src = str(Path(dominofill.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONUNBUFFERED": unbuffered}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dominofill", "plan", "--config", flagship_cfg],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, "")
 
     @pytest.mark.skipif(
         shutil.which("dominofill") is None,

@@ -137,6 +137,43 @@ def test_labels_group_across_chunks(monkeypatch, chunk_bytes):
     assert want[0] == "ok" and len(want[1][3]) == 3 * len(TILE_IDS)
 
 
+# Body labels against a header that lists HEADER_TILES: its own spellings
+# (one over 8 bytes), other spellings of its ints, tiles it lacks (one an int
+# over 8 bytes) and labels the bulk parser leaves to the line walk.
+HEADER_TILES = [1, 2, "P", "P1234567", "P123456789"]
+OWN_LABELS = ["1", "2", "P", "P1234567", "P123456789"]
+OTHER_LABELS = ["01", "002", "-0", "9", "Q", "P12345678", "1000000000000", "P_1"]
+
+
+@st.composite
+def labelled_bodies(draw):
+    """(header lines, body labels): a run of the header's own labels, then any
+    labels, so that a label the header lacks can first appear in a later chunk."""
+    labels = draw(st.lists(st.sampled_from(OWN_LABELS), max_size=12))
+    labels += draw(st.lists(st.sampled_from(OWN_LABELS + OTHER_LABELS), max_size=12))
+    tiles = draw(st.lists(st.sampled_from(HEADER_TILES), min_size=1, unique=True))
+    shapes = " ".join(f"{t}:1x1" for t in tiles)
+    return f"dim 2\nshapes {shapes}\nwindow 0 0 4 4\nseed 5\n", labels
+
+
+@settings(max_examples=150)
+@given(labelled_bodies(), st.sampled_from([1, 40]), st.data())
+def test_label_lookup_matches_line_walk(case, chunk_bytes, data):
+    """Tiling and word bodies read as the line walk reads them, whichever
+    chunk a label the header lacks first appears in."""
+    header, labels = case
+    coord = st.integers(-1, 4)
+    anchors = [data.draw(st.tuples(coord, coord)) for _ in labels]
+    tiling = "dominofill tiling v1\n" + header
+    tiling += "".join(f"{t} {x} {y}\n" for t, (x, y) in zip(labels, anchors))
+    word = "dominofill word v1\n" + header
+    word += "".join(f"{x} {y} {t} 0 0\n" for t, (x, y) in zip(labels, anchors))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(files, "_CHUNK_BYTES", chunk_bytes)
+        assert outcome(parse_tiling, tiling) == outcome(parse_by_lines, tiling)
+        assert word_outcome(parse_word, word) == word_outcome(parse_word_by_lines, word)
+
+
 @pytest.mark.parametrize("labels", [("P", "Q"), ("Ab", "PX"), ("P2", "Q2", "P10", "R")])
 def test_tile_order_is_total(labels):
     """Any labels load, and the header's order of labels of one stage does
@@ -224,6 +261,12 @@ MALFORMED = {
     "trailing_blank_line": HEADER + "1 0 0\n\n",
     "trailing_spaces": HEADER + "1 0 0  \n 2 3 0\n",
     "no_final_newline": HEADER + "1 0 0\n2 3 0",
+    # Each of these has a multiple of 3 separators, so the separator count
+    # alone does not refuse it: the newline positions or the last byte do.
+    "space_before_newline": HEADER + "1 0 0 \n2 3\n",
+    "blank_body_line": HEADER + "1 0 0\n\n2 3\n",
+    "tab_separator": HEADER + "1\t0 0\n2 3 0 4\n",
+    "no_final_newline_after_even_count": HEADER + "1 0 0\n2 3 0 4",
     "int64_overflow": HEADER + "1 9223372036854775808 0\n",
     "int64_negative_overflow": HEADER + "1 -9223372036854775809 0\n",
     "multi_digit_anchors": HEADER + "1 300 -1234\n2 987654321 -4999999999\n",
