@@ -4,9 +4,9 @@ A brick wall is the doubly periodic word whose tiles are translates of one
 large brick on a full sublattice.  The filler interpolates between an inner
 wall written on a box and an outer wall far away: complete the cut bricks on
 each side, split the remaining collar into axis slabs, and tile each slab by
-strips of small family tiles.  The collar width needed for this is the
-family's ``fill_length`` when both walls share the brick shape, and the
-obvious analogue when the periods differ.
+strips of small family tiles.  The collar width needed for this is
+``RectFamily.collar`` of the two walls' periods; for two walls of the
+family brick that is ``fill_length``, ``collar(large_shape, large_shape)``.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ def strip_runs(b: Box, f: RectFamily, axis: int) -> list[StripRun]:
 
 def collar_width(inner_wall: BrickWall, outer_wall: BrickWall, base: RectFamily) -> int:
     """Collar wide enough to complete both walls and leave representable gaps."""
-    return base.threshold + sum(inner_wall.period) + sum(outer_wall.period)
+    return base.collar(inner_wall.period, outer_wall.period)
 
 
 class FilledWord:
@@ -297,11 +297,8 @@ class FilledWord:
                 anchors, shape = run.anchors(), alphabet.shape(run.tile)
                 near = _reach(box, shape)
                 parts.append((run.tile, anchors[within(anchors, shape, near.anchor, near.end)]))
-        codes = np.repeat(
-            np.array([alphabet.tiles.index(t) for t, _ in parts], dtype=np.int32),
-            [len(a) for _, a in parts],
-        )
-        anchors = np.concatenate([a for _, a in parts])
+        tiling = Tiling.from_parts(alphabet.tile_shapes, parts, box)
+        codes, anchors = tiling.codes, tiling.anchors
         _check_partition(alphabet, codes, anchors, box)
         whole = within(anchors, alphabet.shape_table.T.take(codes, axis=1), box.anchor, box.end)
         return Tiling(alphabet.tile_shapes, codes[whole], anchors[whole], box)
@@ -350,8 +347,8 @@ def fill_between(
     tiles), but the collar is tiled by base-family tiles only.  Both periods
     must be per-axis multiples of every base tile side so that completed
     cores have strip-tileable cross sections.  ``width`` defaults to
-    ``collar_width``, which is the family's ``fill_length`` for two walls of
-    its own brick.
+    ``collar_width``, which for two walls of the family's own brick is its
+    ``fill_length``, ``collar(large_shape, large_shape)``.
     """
     if inner_wall.aligned_with(outer_wall):
         return FilledWord.pure_wall(outer_wall)

@@ -211,10 +211,9 @@ def cmd_redistribute(args) -> int:
     for j, s in enumerate(cfg.shapes, start=1):
         shapes.setdefault(j, tuple(s))
     report = FrequencyReport.of_tiling(tiling, targets)
-    seed = cfg.seed if args.seed is None else args.seed
-    result = redistribute(tiling, targets, report, seed, shapes)
+    result = redistribute(tiling, targets, report, cfg.seed, shapes)
     path = _write_tiling(
-        os.path.join(cfg.out_dir, "redistributed"), result, seed, cfg.out_format
+        os.path.join(cfg.out_dir, "redistributed"), result, cfg.seed, cfg.out_format
     )
     print(f"wrote {path}")
     return 0

@@ -50,21 +50,30 @@ class RectFamily:
 
     ``large_shape`` is the per-axis product of all sides: the one box shape
     every family tile subdivides exactly.  ``threshold`` is the least R such
-    that every integer >= R is representable along every axis, and
-    ``fill_length`` is the collar width R + 2 * sum(large_shape) that the
-    uniform filler needs between two misaligned walls.
+    that every integer >= R is representable along every axis.  ``collar``
+    is the one collar rule, and ``fill_length`` is
+    ``collar(large_shape, large_shape)``: the width the uniform filler needs
+    between two misaligned walls of the family brick.
     """
 
     dim: int
     shapes: tuple[tuple[int, ...], ...]
     large_shape: tuple[int, ...]
     threshold: int
-    fill_length: int
     axis_thresholds: tuple[int, ...]
 
     @property
     def count(self) -> int:
         return len(self.shapes)
+
+    def collar(self, inner_period: Sequence[int], outer_period: Sequence[int]) -> int:
+        """Collar width that completes an inner and an outer wall of these
+        periods and leaves representable gaps: R + sum of both periods."""
+        return self.threshold + sum(inner_period) + sum(outer_period)
+
+    @property
+    def fill_length(self) -> int:
+        return self.collar(self.large_shape, self.large_shape)
 
     def axis_sides(self, axis: int) -> tuple[int, ...]:
         return tuple(s[axis] for s in self.shapes)
@@ -93,14 +102,11 @@ def validate_family(shapes: Sequence[Sequence[int]], dim: int | None = None) -> 
             raise SharedAxisDivisor(axis, g)
     large = tuple(math.prod(b[axis] for b in boxes) for axis in range(dim))
     per_axis = tuple(axis_threshold([b[axis] for b in boxes]) for axis in range(dim))
-    threshold = max(per_axis)
-    fill_length = threshold + 2 * sum(large)
     return RectFamily(
         dim=dim,
         shapes=tuple(boxes),
         large_shape=large,
-        threshold=threshold,
-        fill_length=fill_length,
+        threshold=max(per_axis),
         axis_thresholds=per_axis,
     )
 

@@ -82,7 +82,6 @@ class Alphabet:
             self.offsets[self.tile_codes == c].astype(np.int64) for c in range(len(self.tiles))
         ]
         self._transitions: dict[int, np.ndarray] = {}
-        self._blocks: dict[int | str, np.ndarray] = {}
         self.size = n
 
     def index(self, symbol: Symbol) -> int:
@@ -95,14 +94,11 @@ class Alphabet:
         return self.tile_shapes[tile]
 
     def block(self, tile: TileId) -> np.ndarray:
-        """Symbol-index grid of one whole tile (offset -> index)."""
-        if tile not in self._blocks:
-            shape = self.tile_shapes[tile]
-            arr = np.empty(shape, dtype=np.int32)
-            for off in Box((0,) * self.dim, shape).cells():
-                arr[off] = self._index[Symbol(tile, off)]
-            self._blocks[tile] = arr
-        return self._blocks[tile]
+        """Symbol-index grid of one whole tile (offset -> index).  A tile's
+        symbols are numbered consecutively in C order of their offsets."""
+        shape = self.tile_shapes[tile]
+        first = self._index[Symbol(tile, (0,) * self.dim)]
+        return np.arange(first, first + math.prod(shape), dtype=np.int32).reshape(shape)
 
     def transition(self, axis: int) -> np.ndarray:
         """Boolean table T[a, b]: symbol b may sit one step up ``axis`` from a."""
@@ -281,11 +277,8 @@ class Tiling:
         return sum(self.tile_cell_counts().values())
 
     def tile_cell_counts(self) -> dict[TileId, int]:
-        out = {}
-        for code, tile in enumerate(self.tile_order):
-            n = int(np.count_nonzero(self.codes == code))
-            out[tile] = n * math.prod(self.tile_shapes[tile])
-        return out
+        counts = np.bincount(self.codes, minlength=len(self.tile_order)).tolist()
+        return {t: n * math.prod(self.tile_shapes[t]) for t, n in zip(self.tile_order, counts)}
 
     def sorted_canonical(self) -> "Tiling":
         """Placements ordered by anchor lexicographically, then tile (see

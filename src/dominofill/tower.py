@@ -303,9 +303,7 @@ def _brick_period(f: RectFamily, cut: int) -> tuple[int, ...]:
 def _stage_collars(f, base, cuts, n_stages):
     if cuts is None:
         return [f.fill_length] * n_stages
-    return [
-        base.threshold + sum(_brick_period(f, cut)) + sum(base.large_shape) for cut in cuts
-    ]
+    return [base.collar(_brick_period(f, cut), base.large_shape) for cut in cuts]
 
 
 def _check_tail_schedule(targets, cuts):
@@ -728,9 +726,7 @@ class FrequencyReport:
         }
 
 
-def finalize(
-    state: ConstructionState | None, plan: StagePlan | None = None
-) -> tuple[Tiling, FrequencyReport]:
+def finalize(state: ConstructionState, plan: StagePlan) -> tuple[Tiling, FrequencyReport]:
     """Assemble the whole placements of the top-stage block domains and account cells.
 
     The window is the top stage's.  No word is written, validated or
@@ -743,34 +739,29 @@ def finalize(
     uses it (see ``_assemble``).  The result must pass ``_check_placements``.
     Uncovered cells are the sublattice error set, the towers' own unfilled
     boundary collars, and tiles cut by domain edges (``partial_cells``);
-    those are excluded from the covered count, never errors.
+    those are excluded from the covered count, never errors.  The state
+    holds at least one block: ``run_pipeline`` refuses a top stage with
+    none (``WindowTooSmall``).
     """
-    targets = plan.targets if plan is not None else None
-    window = state.blocks.towers.window if state is not None else None
-    if state is None or not state.blocks:
-        shapes = {} if state is None else state.blocks.wall.alphabet.tile_shapes
-        cells = 0 if window is None else window.volume
-        return Tiling.from_parts(shapes, [], window), FrequencyReport(cells, 0, {}, targets)
     blocks = state.blocks
     codes, anchors, owner = _assemble(state, np.arange(len(blocks)))
-    tiling = Tiling(blocks.wall.alphabet.tile_shapes, codes, anchors, window)
+    tiling = Tiling(blocks.wall.alphabet.tile_shapes, codes, anchors, blocks.towers.window)
     _check_placements(blocks, tiling, owner)
     domain_cells = sum(
         blocks.domain(k).volume * int(np.count_nonzero(blocks.kind == k))
         for k in np.unique(blocks.kind).tolist()
     )
     tiling = tiling.sorted_canonical()
-    report = FrequencyReport.of_tiling(tiling, targets, domain_cells - tiling.covered_cells())
-    if plan is not None:
-        collar_bound = plan.collar_mass_bound()
-        report.notes["small_fraction_below_min_target"] = bool(
-            report.small_tile_fraction() < plan.min_small_target()
-        )
-        report.notes["large_fraction_above_collar_bound"] = bool(
-            report.large_fraction() > 1 - collar_bound
-        )
-        report.notes["collar_mass_bound"] = collar_bound
-        report.notes["predicted_error_budget"] = plan.predicted_error_budget()
+    report = FrequencyReport.of_tiling(tiling, plan.targets, domain_cells - tiling.covered_cells())
+    collar_bound = plan.collar_mass_bound()
+    report.notes["small_fraction_below_min_target"] = bool(
+        report.small_tile_fraction() < plan.min_small_target()
+    )
+    report.notes["large_fraction_above_collar_bound"] = bool(
+        report.large_fraction() > 1 - collar_bound
+    )
+    report.notes["collar_mass_bound"] = collar_bound
+    report.notes["predicted_error_budget"] = plan.predicted_error_budget()
     return tiling, report
 
 
@@ -882,8 +873,8 @@ def _check_placements(blocks: StageBlocks, tiling: Tiling, owner: np.ndarray) ->
     placement's own cells are distinct, so the distinct painted cells number
     the placements' summed volumes iff no two placements share a cell.
     """
-    towers, stage = blocks.towers, blocks.towers.stage
-    window, table = towers.window, tiling.shape_table()
+    towers, stage, alphabet = blocks.towers, blocks.towers.stage, blocks.wall.alphabet
+    window, table = towers.window, alphabet.shape_table
     lo, hi = np.zeros((2, len(blocks.kinds), window.dim), dtype=np.int64)
     for k in np.unique(blocks.kind).tolist():
         lo[k], hi[k] = blocks.domain(k).anchor, blocks.domain(k).end
@@ -895,10 +886,10 @@ def _check_placements(blocks: StageBlocks, tiling: Tiling, owner: np.ndarray) ->
     for a in range(window.dim):
         base += (tiling.anchors[:, a] - window.anchor[a]) * strides[a]
     painted = np.zeros(window.volume, dtype=bool)
-    for code, tile in enumerate(tiling.tile_order):
+    for code, cells in enumerate(alphabet.tile_cells):
         at = base[tiling.codes == code]
-        for offset in np.ndindex(tiling.tile_shapes[tile]):
-            painted[at + int(np.dot(offset, strides))] = True
+        for offset in (cells @ strides).tolist():
+            painted[at + offset] = True
     if np.count_nonzero(painted) != tiling.covered_cells():
         raise InvalidWord(f"stage {stage} placements overlap")
 
@@ -914,8 +905,7 @@ def _largest_remainder(quotas: list[Fraction], total: int, rng: SplitMix64) -> l
     missing = total - sum(floors)
     order = list(range(len(quotas)))
     rng.shuffle(order)
-    position = {j: k for k, j in enumerate(order)}
-    rank = sorted(order, key=lambda j: (-remainders[j], position[j]))
+    rank = sorted(order, key=lambda j: -remainders[j])  # stable: ties keep the shuffled order
     counts = list(floors)
     for j in rank[:missing]:
         counts[j] += 1

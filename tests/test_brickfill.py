@@ -211,6 +211,7 @@ class TestRestrictedFill:
         outer = BrickWall(alphabet, "P1", (1,))
         box = Box((-7,), (40,))
         width = collar_width(inner, outer, base)
+        assert width == base.collar(inner.period, outer.period)
         fill = fill_between(inner, box, outer, base)
         window = expand(box, width + 4)
         word = fill.materialize(window)
@@ -279,6 +280,7 @@ class TestCollarWidth:
         a = BrickWall(flagship_alphabet, "P", (0, 0))
         b = BrickWall(flagship_alphabet, "P", (3, 3))
         assert collar_width(a, b, flagship) == flagship.fill_length
+        assert collar_width(a, b, flagship) == flagship.collar(a.period, b.period)
 
     def test_grows_with_coarser_periods(self, flagship):
         f = validate_family([(2,), (3,), (5,)])
@@ -287,3 +289,4 @@ class TestCollarWidth:
         inner = BrickWall(alphabet, "P2", (0,))
         outer = BrickWall(alphabet, "P1", (0,))
         assert collar_width(inner, outer, base) == base.threshold + 30 + 6
+        assert collar_width(inner, outer, base) == base.collar(inner.period, outer.period)

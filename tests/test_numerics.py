@@ -156,6 +156,7 @@ class TestValidateFamily:
             assert f.axis_thresholds[axis] == threshold_by_scan(sides)
         assert f.threshold == max(f.axis_thresholds)
         assert f.fill_length == f.threshold + 2 * sum(f.large_shape)
+        assert f.fill_length == f.collar(f.large_shape, f.large_shape)
 
     @given(valid_shape_lists(max_side=5))
     def test_threshold_tightness(self, shapes):

@@ -1,5 +1,6 @@
 """The experiment scripts run end to end, and README's library import line resolves."""
 
+import json
 import os
 import re
 import subprocess
@@ -52,6 +53,29 @@ def test_run_flagship_runs(tmp_path):
     stdout = run_script("run_flagship.py", "--window", "1024", "--out", str(tmp_path))
     assert "verifier errors: 0" in stdout
     assert (tmp_path / "tiling.txt").exists() and (tmp_path / "report.json").exists()
+
+
+def test_compare_digests_reports_each_op(tmp_path):
+    ops = [{"seed": s, "digests": {"tiling.txt": f"t{s}", "report.json": f"r{s}"}}
+           for s in (1, 2)]
+    for side in ("base", "head"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "flagship-seed1-trace1.json").write_text(
+            json.dumps({"ops": ops}), encoding="utf-8")
+    args = str(tmp_path / "base"), str(tmp_path / "head")
+    rows = [line for line in run_script("compare_digests.py", *args).splitlines()
+            if line.startswith("| flagship")]
+    assert rows == ["| flagship-seed1-trace1 | 1 | same |", "| flagship-seed1-trace1 | 2 | same |"]
+    ops[1]["digests"]["tiling.txt"] = "edited"
+    (tmp_path / "head" / "flagship-seed1-trace1.json").write_text(
+        json.dumps({"ops": ops[1:]}), encoding="utf-8")
+    (tmp_path / "head" / "line_countable-seed1-trace1.json").write_text(
+        json.dumps({"ops": ops}), encoding="utf-8")
+    stdout = run_script("compare_digests.py", *args)
+    assert "| flagship-seed1-trace1 | 1 | missing in head |" in stdout
+    assert "| flagship-seed1-trace1 | 2 | differ: tiling.txt |" in stdout
+    assert "| line_countable-seed1-trace1 | - | no base run |" in stdout
+    assert stdout.rstrip().endswith("3 of 3 rows not the same.")
 
 
 def test_readme_import_line_resolves():

@@ -49,6 +49,24 @@ class TestAlphabet:
             shape = flagship_alphabet.shape(s.tile)
             assert all(0 <= o < w for o, w in zip(s.offset, shape))
 
+    @given(st.data())
+    def test_block_is_the_grid_of_symbol_indices(self, data):
+        dim = data.draw(st.integers(1, 3))
+        side = st.integers(1, 4)
+        shapes = data.draw(st.lists(st.tuples(*[side] * dim), min_size=1, max_size=3))
+        tile_shapes = {j + 1: s for j, s in enumerate(shapes)}
+        tile_shapes.update(data.draw(st.dictionaries(
+            st.sampled_from(["P", "P1", "P2"]), st.tuples(*[side] * dim), max_size=2
+        )))
+        alphabet = Alphabet(dim, tile_shapes)
+        for tile, shape in tile_shapes.items():
+            want = np.empty(shape, dtype=np.int64)
+            for offset in np.ndindex(shape):
+                want[offset] = alphabet.index(Symbol(tile, offset))
+            block = alphabet.block(tile)
+            assert block.dtype == np.int32 and block.shape == shape
+            assert np.array_equal(block, want)
+
 
 class TestAllowedNeighbor:
     def test_interior_continuation(self, flagship_alphabet):

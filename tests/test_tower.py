@@ -161,6 +161,8 @@ class TestPlanStages:
         plan = plan_stages(f3, t3, mode="strict", cutoffs=(2, 3))
         assert [s.side for s in plan.stages] == [129, 5409]
         assert [s.collar for s in plan.stages] == [14, 38]
+        for i, spec in enumerate(plan.stages, start=1):
+            assert spec.collar == plan.base.collar(plan.brick_shape(i), plan.base.large_shape)
         assert [s.tail_mass for s in plan.stages] == [0, Fraction(1, 10)]
         assert plan.brick_id(1) == "P1" and plan.brick_id(2) == "P2"
         assert plan.brick_shape(1) == (6,) and plan.brick_shape(2) == (30,)
@@ -794,12 +796,6 @@ class TestFinalize:
         assert report.notes["small_fraction_below_min_target"] is True
         assert report.notes["predicted_error_budget"] == Fraction(1, 2)
         assert sum(report.tile_cells.values()) == report.covered_cells
-
-    def test_empty_state(self):
-        tiling, report = finalize(None, None)
-        assert len(tiling) == 0
-        assert report.covered_cells == 0
-        assert report.uncovered_fraction == 0
 
 
 def measured_report(tiling):
