@@ -7,11 +7,12 @@ each side, split the remaining collar into axis slabs, and tile each slab by
 strips of small family tiles.  The collar width needed for this is
 ``RectFamily.collar`` of the two walls' periods; for two walls of the
 family brick that is ``fill_length``, ``collar(large_shape, large_shape)``.
+A wall or a fill is described once, by its tiles: its word over a box is
+painted (``Alphabet.paint``) from the tiles that meet the box.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,15 +87,9 @@ class BrickWall:
         ])
 
     def pattern_over(self, box: Box) -> np.ndarray:
-        """Symbol-index array of the wall restricted to ``box``."""
-        pattern = self.alphabet.block(self.tile)
-        phase = tuple(
-            (a - t) % p for a, t, p in zip(box.anchor, self.translate, self.period)
-        )
-        rolled = np.roll(pattern, tuple(-ph for ph in phase), axis=tuple(range(box.dim)))
-        reps = tuple(-(-e // p) for e, p in zip(box.shape, self.period))
-        tiled = np.tile(rolled, reps)
-        return tiled[tuple(slice(0, e) for e in box.shape)].copy()
+        """Symbol-index array (int32) of the wall restricted to ``box``: the
+        word of the wall as a fill, painted from its bricks that meet ``box``."""
+        return FilledWord.pure_wall(self).materialize(box).grid
 
 
 def complete_partial_tiles(b: Box, wall: BrickWall, direction: str) -> Box:
@@ -126,7 +121,6 @@ class CollarPiece:
 
     box: Box
     axis: int
-    side: int
 
 
 def decompose_collar(inner: Box, outer: Box, threshold: int) -> list[CollarPiece]:
@@ -152,7 +146,7 @@ def decompose_collar(inner: Box, outer: Box, threshold: int) -> list[CollarPiece
         for side in (0, 1):
             boxes = _face_slab(inner, outer, axis, side)
             if boxes is not None:
-                pieces.append(CollarPiece(boxes, axis, side))
+                pieces.append(CollarPiece(boxes, axis))
     return pieces
 
 
@@ -234,7 +228,8 @@ def collar_width(inner_wall: BrickWall, outer_wall: BrickWall, base: RectFamily)
 
 class FilledWord:
     """Lazy infinite word: inner wall on a core box, outer wall far away,
-    explicit strip runs on the collar in between."""
+    strip runs on the collar in between.  Its tiles that meet a box come in
+    closed form, and its word over the box is painted from them."""
 
     def __init__(
         self,
@@ -258,28 +253,32 @@ class FilledWord:
         return cls(wall, None, wall, None, [], None)
 
     def materialize(self, box: Box) -> SymbolicWord:
-        grid = self.outer_wall.pattern_over(box)
-        word = SymbolicWord(self.alphabet, box, grid)
-        if self.inner_core is not None:
-            clip = box.intersect(self.inner_core)
-            if clip is not None:
-                word.paste(clip, self.inner_wall.pattern_over(clip))
-        for run in self.runs:
-            clip = box.intersect(run.box)
-            if clip is None:
-                continue
-            phase_wall = BrickWall(self.alphabet, run.tile, run.box.anchor)
-            word.paste(clip, phase_wall.pattern_over(clip))
-        return word
+        """The fill's word over ``box``, painted from its tiles that meet ``box``
+        (-1 on cells that none covers)."""
+        alphabet, tiles = self.alphabet, self._tiles_meeting(box)
+        near, cut = _around(alphabet, box)
+        grid = np.full(near.volume, -1, dtype=np.int32)
+        for symbol, cells in alphabet.paint(tiles.codes, tiles.anchors, near.anchor, near.shape):
+            grid[cells] = symbol
+        return SymbolicWord(alphabet, box, grid.reshape(near.shape)[cut].copy())
 
     def placements(self, box: Box) -> Tiling:
         """The fill's whole tiles inside ``box``, in closed form.
 
-        They are the outer wall's bricks outside ``outer_core``, the inner
-        wall's bricks on ``inner_core`` and each strip run's tiles.  Raises
-        InvalidWord unless the tiles that meet ``box``, clipped to it, cover
-        each of its cells exactly once.
+        Raises InvalidWord unless the tiles that meet ``box``, clipped to
+        it, cover each of its cells exactly once.
         """
+        alphabet = self.alphabet
+        tiles = self._tiles_meeting(box)
+        codes, anchors = tiles.codes, tiles.anchors
+        _check_partition(alphabet, codes, anchors, box)
+        whole = within(anchors, alphabet.shape_table.T.take(codes, axis=1), box.anchor, box.end)
+        return Tiling(alphabet.tile_shapes, codes[whole], anchors[whole], box)
+
+    def _tiles_meeting(self, box: Box) -> Tiling:
+        """The fill's tiles that meet ``box``: the outer wall's bricks
+        outside ``outer_core``, the inner wall's bricks on ``inner_core``
+        and each strip run's tiles."""
         alphabet = self.alphabet
         outer = self.outer_wall.bricks(_reach(box, self.outer_wall.period))
         if self.outer_core is not None:  # a brick meets the core iff it lies in its reach
@@ -297,11 +296,7 @@ class FilledWord:
                 anchors, shape = run.anchors(), alphabet.shape(run.tile)
                 near = _reach(box, shape)
                 parts.append((run.tile, anchors[within(anchors, shape, near.anchor, near.end)]))
-        tiling = Tiling.from_parts(alphabet.tile_shapes, parts, box)
-        codes, anchors = tiling.codes, tiling.anchors
-        _check_partition(alphabet, codes, anchors, box)
-        whole = within(anchors, alphabet.shape_table.T.take(codes, axis=1), box.anchor, box.end)
-        return Tiling(alphabet.tile_shapes, codes[whole], anchors[whole], box)
+        return Tiling.from_parts(alphabet.tile_shapes, parts, box)
 
 
 def _reach(box: Box, shape) -> Box:
@@ -312,20 +307,22 @@ def _reach(box: Box, shape) -> Box:
     )
 
 
+def _around(alphabet: Alphabet, box: Box) -> tuple[Box, tuple[slice, ...]]:
+    """The box holding every tile of the alphabet that meets ``box``, and
+    the slices that cut ``box`` out of a grid over it."""
+    reach = alphabet.shape_table.max(axis=0).tolist()
+    return _reach(box, reach), tuple(slice(s - 1, s - 1 + e) for s, e in zip(reach, box.shape))
+
+
 def _check_partition(alphabet: Alphabet, codes, anchors, box: Box) -> None:
     """Refuse tiles that, clipped to ``box``, do not cover each of its cells
-    exactly once.  Every tile must meet ``box``.  Each tile's cells are
-    counted in a grid padded by the largest tile side less 1, one flat
-    offset table per tile code, and the box's counts must all be 1."""
-    pad = alphabet.shape_table.max(axis=0) - 1
-    shape = tuple((box.shape + 2 * pad).tolist())
-    strides = np.cumprod((shape[1:] + (1,))[::-1])[::-1]
-    flat = (anchors - (box.anchor - pad)) @ strides
-    cells = [flat[:0]]  # empty, for a box that no tile meets
-    for c in np.unique(codes).tolist():
-        cells.append((flat[codes == c][:, None] + alphabet.tile_cells[c] @ strides).ravel())
-    counts = np.bincount(np.concatenate(cells), minlength=math.prod(shape)).reshape(shape)
-    counts = counts[tuple(slice(p, p + e) for p, e in zip(pad.tolist(), box.shape))]
+    exactly once.  Every tile must meet ``box``.  The tiles' cells
+    (``Alphabet.paint``) are counted in one bincount over ``_around`` the
+    box, and the box's counts must all be 1."""
+    near, cut = _around(alphabet, box)
+    cells = [c for _, c in alphabet.paint(codes, anchors, near.anchor, near.shape)]
+    counts = np.bincount(np.concatenate([anchors[:0, 0], *cells]), minlength=near.volume)
+    counts = counts.reshape(near.shape)[cut]
     bad = np.flatnonzero(counts != 1)
     if len(bad):
         rel = np.unravel_index(bad[0], box.shape)

@@ -100,13 +100,14 @@ def _window(cfg: RunConfig) -> Box:
     return Box(cfg.window_anchor, cfg.window_shape)
 
 
-def _write_tiling(path_stem: str, tiling, seed: int, fmt: str) -> str:
-    if fmt == "json":
-        path = path_stem + ".json"
-        write_atomic(path, tiling_to_json(tiling, seed))
+def _write(path_stem: str, tiling_or_word, seed: int, fmt: str) -> str:
+    """Write a tiling or a word to ``path_stem`` plus ``.json`` or ``.txt``; return the path."""
+    if isinstance(tiling_or_word, Tiling):
+        to_text, to_json = serialize_tiling, tiling_to_json
     else:
-        path = path_stem + ".txt"
-        write_atomic(path, serialize_tiling(tiling, seed))
+        to_text, to_json = serialize_word, word_to_json
+    path = path_stem + (".json" if fmt == "json" else ".txt")
+    write_atomic(path, (to_json if fmt == "json" else to_text)(tiling_or_word, seed))
     return path
 
 
@@ -146,10 +147,8 @@ def cmd_build(args) -> int:
     result = run_pipeline(plan, window, cfg.seed)
     out = cfg.out_dir
     paths = [
-        _write_tiling(os.path.join(out, "tiling"), result.tiling, cfg.seed, cfg.out_format),
-        _write_tiling(
-            os.path.join(out, "tiling_pre"), result.pre_tiling, cfg.seed, cfg.out_format
-        ),
+        _write(os.path.join(out, "tiling"), result.tiling, cfg.seed, cfg.out_format),
+        _write(os.path.join(out, "tiling_pre"), result.pre_tiling, cfg.seed, cfg.out_format),
     ]
     report_doc = {
         "schema": 1,
@@ -187,13 +186,7 @@ def cmd_fill(args) -> int:
     filled = fill_between(inner, box, outer, family)
     region = expand(box, family.fill_length)
     word = filled.materialize(region)
-    out = cfg.out_dir
-    if cfg.out_format == "json":
-        path = os.path.join(out, "fill.json")
-        write_atomic(path, word_to_json(word, cfg.seed))
-    else:
-        path = os.path.join(out, "fill.txt")
-        write_atomic(path, serialize_word(word, cfg.seed))
+    path = _write(os.path.join(cfg.out_dir, "fill"), word, cfg.seed, cfg.out_format)
     print(f"filled {region} between translates {cfg.fill_inner} and {cfg.fill_outer}")
     print(f"wrote {path}")
     return 0
@@ -210,11 +203,8 @@ def cmd_redistribute(args) -> int:
     shapes = dict(tiling.tile_shapes)
     for j, s in enumerate(cfg.shapes, start=1):
         shapes.setdefault(j, tuple(s))
-    report = FrequencyReport.of_tiling(tiling, targets)
-    result = redistribute(tiling, targets, report, cfg.seed, shapes)
-    path = _write_tiling(
-        os.path.join(cfg.out_dir, "redistributed"), result, cfg.seed, cfg.out_format
-    )
+    result = redistribute(tiling, targets, cfg.seed, shapes)
+    path = _write(os.path.join(cfg.out_dir, "redistributed"), result, cfg.seed, cfg.out_format)
     print(f"wrote {path}")
     return 0
 

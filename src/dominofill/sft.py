@@ -93,12 +93,26 @@ class Alphabet:
     def shape(self, tile: TileId) -> tuple[int, ...]:
         return self.tile_shapes[tile]
 
-    def block(self, tile: TileId) -> np.ndarray:
-        """Symbol-index grid of one whole tile (offset -> index).  A tile's
-        symbols are numbered consecutively in C order of their offsets."""
-        shape = self.tile_shapes[tile]
-        first = self._index[Symbol(tile, (0,) * self.dim)]
-        return np.arange(first, first + math.prod(shape), dtype=np.int32).reshape(shape)
+    def paint(self, codes, anchors, origin, shape) -> Iterator[tuple[int, np.ndarray]]:
+        """(symbol index, flat cells) per tile code present and per cell offset, in C order.
+
+        The cells are that offset's cell of every tile of that code at
+        ``anchors`` (rows), as flat C-order indices in a grid of ``shape``
+        whose first cell is ``origin``; the caller keeps the tiles inside it.
+        A tile's symbols are numbered consecutively in C order of their
+        offsets.  The anchors are flattened one anchor column a pass.
+        """
+        strides = [math.prod(shape[a + 1 :]) for a in range(len(shape))]
+        flat = np.zeros(len(codes), dtype=np.int64)
+        for a, (low, stride) in enumerate(zip(origin, strides)):
+            flat += (anchors[:, a] - low) * stride
+        first = 0
+        for code, cells in enumerate(self.tile_cells):
+            at = flat[codes == code]
+            if len(at):
+                for symbol, step in enumerate((cells @ strides).tolist(), first):
+                    yield symbol, at + step
+            first += len(cells)
 
     def transition(self, axis: int) -> np.ndarray:
         """Boolean table T[a, b]: symbol b may sit one step up ``axis`` from a."""

@@ -90,9 +90,6 @@ class TargetDistribution:
     def of(cls, values: Sequence, tail_mass=0) -> "TargetDistribution":
         return cls(tuple(_as_fraction(v) for v in values), _as_fraction(tail_mass))
 
-    def __len__(self) -> int:
-        return len(self.probs)
-
 
 @dataclass(frozen=True)
 class StageSpec:
@@ -868,10 +865,11 @@ def _check_placements(blocks: StageBlocks, tiling: Tiling, owner: np.ndarray) ->
     Placement j belongs to block ``owner[j]``, and each anchor column must
     keep its tile inside that block's domain (bounds taken per axis from
     contiguous columns).  Domains lie in their towers and towers in the
-    window, so every placement then sets each of its cells in a window-sized
-    bool grid, one tile cell at a time: a scatter with no gather.  A
-    placement's own cells are distinct, so the distinct painted cells number
-    the placements' summed volumes iff no two placements share a cell.
+    window, so every placement then sets each of its cells
+    (``Alphabet.paint``) in a window-sized bool grid, one tile cell at a
+    time: a scatter with no gather.  A placement's own cells are distinct,
+    so the distinct painted cells number the placements' summed volumes iff
+    no two placements share a cell.
     """
     towers, stage, alphabet = blocks.towers, blocks.towers.stage, blocks.wall.alphabet
     window, table = towers.window, alphabet.shape_table
@@ -881,15 +879,9 @@ def _check_placements(blocks: StageBlocks, tiling: Tiling, owner: np.ndarray) ->
     lo, hi = ((towers.anchors + b[blocks.kind]).T.take(owner, axis=1) for b in (lo, hi))
     if not within(tiling.anchors, table.T.take(tiling.codes, axis=1), lo, hi).all():
         raise InvalidWord(f"stage {stage} placements leave their block domains")
-    strides = [math.prod(window.shape[a + 1 :]) for a in range(window.dim)]
-    base = np.zeros(len(tiling), dtype=np.int64)
-    for a in range(window.dim):
-        base += (tiling.anchors[:, a] - window.anchor[a]) * strides[a]
     painted = np.zeros(window.volume, dtype=bool)
-    for code, cells in enumerate(alphabet.tile_cells):
-        at = base[tiling.codes == code]
-        for offset in (cells @ strides).tolist():
-            painted[at + offset] = True
+    for _, cells in alphabet.paint(tiling.codes, tiling.anchors, window.anchor, window.shape):
+        painted[cells] = True
     if np.count_nonzero(painted) != tiling.covered_cells():
         raise InvalidWord(f"stage {stage} placements overlap")
 
@@ -915,12 +907,12 @@ def _largest_remainder(quotas: list[Fraction], total: int, rng: SplitMix64) -> l
 def redistribute(
     tiling: Tiling,
     targets: TargetDistribution,
-    report: FrequencyReport,
     seed: int,
     tile_shapes: Mapping[int | str, tuple[int, ...]] | None = None,
 ) -> Tiling:
     """Relabel and subdivide large bricks so small-tile frequencies hit targets.
 
+    Each small tile's deficit is measured on ``tiling``'s own cell counts.
     Brick pools are processed from coarsest to finest.  A pool first serves
     the tiles only it (among the remaining pools) can produce, then spreads
     the rest over the other tiles its period admits, proportionally to their
@@ -940,12 +932,13 @@ def redistribute(
     )
     if len(small_tiles) != len(targets.probs):
         raise InvalidTargets(f"{len(small_tiles)} small tiles, {len(targets.probs)} targets")
-    covered = report.covered_cells
+    tile_cells = tiling.tile_cell_counts()
+    covered = sum(tile_cells.values())
     if covered == 0:
         return tiling
     deficits: dict[int, Fraction] = {}
     for j in small_tiles:
-        measured = Fraction(report.tile_cells.get(j, 0), covered)
+        measured = Fraction(tile_cells.get(j, 0), covered)
         p = targets.probs[j - 1]
         if measured > p:
             raise TargetsInfeasible(f"tile {j} already carries {measured}, above target {p}")
@@ -1064,9 +1057,7 @@ def run_pipeline(plan: StagePlan, window: Box, seed: int) -> PipelineResult:
             tails = _select_tails(plan, towers, root.fork(1000 + stage))
         state = build_stage(state, towers, wall, plan, tails)
     pre_tiling, pre_report = finalize(state, plan)
-    final = redistribute(
-        pre_tiling, plan.targets, pre_report, root.fork(2000).seed, alphabet.tile_shapes
-    )
+    final = redistribute(pre_tiling, plan.targets, root.fork(2000).seed, alphabet.tile_shapes)
     report = FrequencyReport.of_tiling(
         final, plan.targets, pre_report.partial_cells, pre_report.notes
     )

@@ -4,14 +4,15 @@ Everything here trades speed for obviousness and stays independent of the
 package internals: representability by bitset closure, tie-breaks by
 exhaustive descent, tiling counts by first-free-cell backtracking, word
 validation by a per-cell mask over every pair, word decoding by per-cell
-grouping, word encoding by pasting each placement's block, tiling and word
-files written and read line by line and cell by cell, JSON built and read
-record by record, bands filled once per block, block domains decoded from
-the stage's whole word, redistribution by forming every subdivided anchor
-row and lexsorting them, tilings verified by row-wise reductions over the
-``(n, dim)`` anchor array, points located on a tower lattice by a Python
-``divmod`` each.  The file oracles share only the header helpers
-with the package.
+grouping, word encoding by pasting each placement's block, wall words by
+rolling and tiling one brick's block and fill words by pasting them, tiling
+and word files written and read line by line and cell by cell, JSON built
+and read record by record, bands filled once per block, block domains
+decoded from the stage's whole word, redistribution by forming every
+subdivided anchor row and lexsorting them, tilings verified by row-wise
+reductions over the ``(n, dim)`` anchor array, points located on a tower
+lattice by a Python ``divmod`` each.  The file oracles share only the header
+helpers with the package.
 """
 
 import json
@@ -284,6 +285,39 @@ def decode_by_cells(word):
     return whole, partials, partial_cells
 
 
+def symbol_block(alphabet, tile):
+    """One tile's grid of symbol indices, one ``alphabet.index`` per offset."""
+    shape = alphabet.shape(tile)
+    block = np.empty(shape, dtype=np.int32)
+    for offset in np.ndindex(shape):
+        block[offset] = alphabet.index(Symbol(tile, offset))
+    return block
+
+
+def wall_pattern_by_roll(wall, box):
+    """A wall's symbol grid over ``box``: one brick's ``symbol_block``, rolled
+    to the box's phase, tiled over it and cut."""
+    pattern = symbol_block(wall.alphabet, wall.tile)
+    phase = tuple((a - t) % p for a, t, p in zip(box.anchor, wall.translate, wall.period))
+    rolled = np.roll(pattern, tuple(-ph for ph in phase), axis=tuple(range(box.dim)))
+    reps = tuple(-(-e // p) for e, p in zip(box.shape, wall.period))
+    return np.tile(rolled, reps)[tuple(slice(0, e) for e in box.shape)].copy()
+
+
+def fill_word_by_pastes(fill, box):
+    """A fill's symbol grid over ``box``: the outer wall, the inner wall
+    pasted on the inner core, then each strip run pasted as the wall of its
+    tile anchored at the run's corner, all by ``wall_pattern_by_roll``."""
+    word = SymbolicWord(fill.alphabet, box, wall_pattern_by_roll(fill.outer_wall, box))
+    pastes = [(fill.inner_wall, fill.inner_core)] if fill.inner_core is not None else []
+    pastes += [(BrickWall(fill.alphabet, run.tile, run.box.anchor), run.box) for run in fill.runs]
+    for wall, core in pastes:
+        clip = box.intersect(core)
+        if clip is not None:
+            word.paste(clip, wall_pattern_by_roll(wall, clip))
+    return word.grid
+
+
 def encode(tiling, alphabet, window=None):
     """Write each placement's symbols; placements must tile disjointly."""
     if window is None:
@@ -296,7 +330,7 @@ def encode(tiling, alphabet, window=None):
         window = Box(lo, tuple(h - l for l, h in zip(lo, hi)))
     word = SymbolicWord(alphabet, window)
     for tile, anchor in tiling.placements():
-        block = alphabet.block(tile)
+        block = symbol_block(alphabet, tile)
         target = Box(anchor, alphabet.shape(tile))
         clip = window.intersect(target)
         if clip is None:

@@ -4,10 +4,19 @@ import copy
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import equals_on, iter_cells, same_placements, set_cell
+from oracles import (
+    equals_on,
+    fill_word_by_pastes,
+    iter_cells,
+    same_placements,
+    set_cell,
+    wall_pattern_by_roll,
+)
+from test_sft import DECODE_CASES
 
 from dominofill import Box, BrickWall, build_alphabet, expand, fill_between, validate_family
 from dominofill.brickfill import (
@@ -41,6 +50,23 @@ class TestBrickWall:
     def test_restrictions_are_valid(self, flagship_alphabet, translate, corner):
         wall = BrickWall(flagship_alphabet, "P", translate)
         assert validate_word(wall.materialize(Box(corner, (13, 9)))) == []
+
+    @pytest.mark.parametrize("dim", sorted(DECODE_CASES))
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_pattern_over_is_the_rolled_brick(self, dim, data):
+        """A wall's word over a box, painted from its bricks, is one brick's
+        symbol grid rolled to the box's phase and tiled over it, for any
+        tile, translate and box (the line's alphabet carries bricks P2 and
+        P10)."""
+        alphabet = DECODE_CASES[dim][0]()
+        tile = data.draw(st.sampled_from(alphabet.tiles))
+        translate = data.draw(st.tuples(*[st.integers(-40, 40)] * dim))
+        anchor = data.draw(st.tuples(*[st.integers(-40, 40)] * dim))
+        shape = data.draw(st.tuples(*[st.integers(1, {1: 80, 2: 30, 3: 12}[dim])] * dim))
+        wall, box = BrickWall(alphabet, tile, translate), Box(anchor, shape)
+        got = wall.pattern_over(box)
+        assert got.dtype == np.int32 and np.array_equal(got, wall_pattern_by_roll(wall, box))
 
 
 class TestCompletePartialTiles:
@@ -100,6 +126,7 @@ def assert_fill_contract(fill, inner_wall, box, outer_wall, width, probe_margin=
     """Checks both agreement regions cell-for-cell plus one-step validity."""
     window = expand(box, width + probe_margin)
     word = fill.materialize(window)
+    assert np.array_equal(word.grid, fill_word_by_pastes(fill, window))
     assert validate_word(word) == []
     inner_view = inner_wall.materialize(box)
     assert equals_on(word, inner_view, box)

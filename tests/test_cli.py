@@ -1015,6 +1015,52 @@ GOLDEN_JSON_BUILD = {
     "report.json": "14dde88cb73fc29981773d051fc80d378c4e2a0e01cbb615e916378c6e26fa94",
 }
 GOLDEN_FILL_JSON = "856cab217b668177aebaee8962da5c990d202b96fc351c455ff803e284389ae8"
+# `dominofill fill` on the flagship plane and on the 3-D dominoes, per format;
+# GOLDEN_FILL and GOLDEN_FILL_JSON pin the line.
+FILL_PLANE_INI = """\
+[run]
+dim = 2
+window = 64,64
+
+[family]
+shapes = 3x2 2x3
+
+[targets]
+probs = 2/5 3/5
+
+[fill]
+inner_translate = 1,2
+outer_translate = 0,0
+box_anchor = 0,0
+box_shape = 18,18
+"""
+FILL_3D_INI = """\
+[run]
+dim = 3
+window = 32,32,32
+
+[family]
+shapes = 2x1x1 1x2x1 1x1x2
+
+[targets]
+probs = 1/3 1/3 1/3
+
+[fill]
+inner_translate = 1,0,1
+outer_translate = 0,0,0
+box_anchor = 0,0,0
+box_shape = 4,6,4
+"""
+GOLDEN_FILLS = {
+    "plane": (FILL_PLANE_INI, {
+        "text": "6f32013b50577f951289dff4f0051808bc9b6018ac46dbb585f0e39aaf54ea96",
+        "json": "1fa8649a6456ced348c6019e87f3e44e765d9cb39055a7c9566e6daad85bcccd",
+    }),
+    "dominoes_3d": (FILL_3D_INI, {
+        "text": "cd92094ad723816594f8c8254cddfdf8ac3b9666a48e778009f58c1e8de49712",
+        "json": "2e3287cc6179cabe3297a98184a1c1d2cd53209dca4255ec10723f604eb9bb92",
+    }),
+}
 
 
 def sha256_of(path) -> str:
@@ -1066,6 +1112,17 @@ class TestGoldenBytes:
         assert main(["fill", "--config", "fill.ini", "--out", "out", "--format", "json"]) == 0
         capsys.readouterr()
         assert sha256_of(Path("out") / "fill.json") == GOLDEN_FILL_JSON
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FILLS))
+    def test_fill_outputs_in_each_dimension(self, name, fmt, tmp_path, monkeypatch, capsys):
+        ini, digests = GOLDEN_FILLS[name]
+        monkeypatch.chdir(tmp_path)
+        Path("fill.ini").write_text(ini, encoding="utf-8")
+        assert main(["fill", "--config", "fill.ini", "--out", "out", "--format", fmt]) == 0
+        capsys.readouterr()
+        path = Path("out") / ("fill.json" if fmt == "json" else "fill.txt")
+        assert sha256_of(path) == digests[fmt]
 
 
 class TestConsoleScript:

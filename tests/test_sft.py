@@ -50,7 +50,9 @@ class TestAlphabet:
             assert all(0 <= o < w for o, w in zip(s.offset, shape))
 
     @given(st.data())
-    def test_block_is_the_grid_of_symbol_indices(self, data):
+    def test_paint_is_the_grid_of_symbol_indices(self, data):
+        """Painting one tile at the origin of a grid of its shape gives the
+        grid of ``index(Symbol(tile, offset))``; a wall's grid is int32."""
         dim = data.draw(st.integers(1, 3))
         side = st.integers(1, 4)
         shapes = data.draw(st.lists(st.tuples(*[side] * dim), min_size=1, max_size=3))
@@ -59,13 +61,19 @@ class TestAlphabet:
             st.sampled_from(["P", "P1", "P2"]), st.tuples(*[side] * dim), max_size=2
         )))
         alphabet = Alphabet(dim, tile_shapes)
-        for tile, shape in tile_shapes.items():
+        origin = data.draw(st.tuples(*[st.integers(-9, 9)] * dim))
+        for code, tile in enumerate(alphabet.tiles):
+            shape = tile_shapes[tile]
             want = np.empty(shape, dtype=np.int64)
             for offset in np.ndindex(shape):
                 want[offset] = alphabet.index(Symbol(tile, offset))
-            block = alphabet.block(tile)
-            assert block.dtype == np.int32 and block.shape == shape
-            assert np.array_equal(block, want)
+            grid = np.full(shape, -1, dtype=np.int64)
+            codes, anchors = np.array([code]), np.array([origin], dtype=np.int64)
+            for symbol, cells in alphabet.paint(codes, anchors, origin, shape):
+                grid.ravel()[cells] = symbol
+            assert np.array_equal(grid, want)
+            pattern = BrickWall(alphabet, tile, origin).pattern_over(Box(origin, shape))
+            assert pattern.dtype == np.int32 and np.array_equal(pattern, want)
 
 
 class TestAllowedNeighbor:

@@ -798,11 +798,6 @@ class TestFinalize:
         assert sum(report.tile_cells.values()) == report.covered_cells
 
 
-def measured_report(tiling):
-    """Frequency report for a synthetic fully-covered window."""
-    return FrequencyReport.of_tiling(tiling, FLAGSHIP_TARGETS)
-
-
 def block_grid_tiling(assignments, alphabet):
     """A 60x60 window as a 10x10 grid of 6x6 blocks.
 
@@ -833,7 +828,7 @@ class TestRedistribute:
         assignments = {(0, i): 1 for i in range(5)}
         assignments.update({(1, i): 2 for i in range(4)})
         tiling = block_grid_tiling(assignments, flagship_alphabet)
-        out = redistribute(tiling, FLAGSHIP_TARGETS, measured_report(tiling), seed=5)
+        out = redistribute(tiling, FLAGSHIP_TARGETS, seed=5)
         counts = out.tile_cell_counts()
         assert counts[1] == 1440 and counts[2] == 2160
         assert counts.get("P", 0) == 0
@@ -843,7 +838,7 @@ class TestRedistribute:
         assignments = {(0, i): 1 for i in range(5)}
         assignments.update({(1, i): 2 for i in range(4)})
         tiling = block_grid_tiling(assignments, flagship_alphabet)
-        out = redistribute(tiling, FLAGSHIP_TARGETS, measured_report(tiling), seed=5)
+        out = redistribute(tiling, FLAGSHIP_TARGETS, seed=5)
         cover = np.zeros((60, 60), dtype=np.int32)
         for p in out.placements():
             w, h = out.tile_shapes[p.tile]
@@ -853,8 +848,8 @@ class TestRedistribute:
     def test_determinism(self, flagship_alphabet):
         assignments = {(0, 0): 1, (2, 2): 2}
         tiling = block_grid_tiling(assignments, flagship_alphabet)
-        a = redistribute(tiling, FLAGSHIP_TARGETS, measured_report(tiling), seed=1)
-        b = redistribute(tiling, FLAGSHIP_TARGETS, measured_report(tiling), seed=1)
+        a = redistribute(tiling, FLAGSHIP_TARGETS, seed=1)
+        b = redistribute(tiling, FLAGSHIP_TARGETS, seed=1)
         assert same_placements(a, b)
 
     def test_identity_when_exact(self, flagship_alphabet):
@@ -867,14 +862,14 @@ class TestRedistribute:
                 for dy in range(0, 6, h):
                     parts.append((tile, [(6 * gx + dx, 6 * gy + dy)]))
         t = Tiling.from_parts(dict(flagship_alphabet.tile_shapes), parts, Box((0, 0), (60, 60)))
-        out = redistribute(t, FLAGSHIP_TARGETS, measured_report(t), seed=3)
+        out = redistribute(t, FLAGSHIP_TARGETS, seed=3)
         assert same_placements(out, t)
 
     def test_rejects_overfull_tile(self, flagship_alphabet):
         assignments = {(gx, gy): 1 for gx in range(5) for gy in range(10)}
         tiling = block_grid_tiling(assignments, flagship_alphabet)
         with pytest.raises(TargetsInfeasible):
-            redistribute(tiling, FLAGSHIP_TARGETS, measured_report(tiling), seed=0)
+            redistribute(tiling, FLAGSHIP_TARGETS, seed=0)
 
 
 @pytest.mark.parametrize("name", WORD_PATH_RUNS)
@@ -926,7 +921,7 @@ def test_redistribute_matches_row_oracle_on_random_pools(dim, wide, seed):
     real_lexsort, calls = np.lexsort, []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np, "lexsort", lambda keys: calls.append(1) or real_lexsort(keys))
-        got = redistribute(tiling, targets, report, seed, shapes)
+        got = redistribute(tiling, targets, seed, shapes)
     assert bool(calls) is wide
     assert got.tile_order == want.tile_order == sorted(shapes, key=sft.tile_sort_key)
     assert np.array_equal(got.codes, want.codes)
