@@ -7,8 +7,9 @@ each side, split the remaining collar into axis slabs, and tile each slab by
 strips of small family tiles.  The collar width needed for this is
 ``RectFamily.collar`` of the two walls' periods; for two walls of the
 family brick that is ``fill_length``, ``collar(large_shape, large_shape)``.
-A wall or a fill is described once, by its tiles: its word over a box is
-painted (``Alphabet.paint``) from the tiles that meet the box.
+A wall or a fill is described once, by its tiles, lattice rows of plain
+integers: its word over a box is painted (``Alphabet.paint``) from the tiles
+that meet the box, and ``placements_of`` checks and keeps many fills' tiles.
 """
 
 from __future__ import annotations
@@ -180,13 +181,6 @@ class StripRun:
     box: Box
     counts: tuple[int, ...]
 
-    def anchors(self) -> np.ndarray:
-        shape = tuple(e // c for e, c in zip(self.box.shape, self.counts))
-        return grid_rows([
-            np.arange(a, a + e, s, dtype=np.int64)
-            for a, e, s in zip(self.box.anchor, self.box.shape, shape)
-        ])
-
 
 def strip_runs(b: Box, f: RectFamily, axis: int) -> list[StripRun]:
     """Decompose ``b`` into full-cross-section strips of single tiles.
@@ -228,8 +222,9 @@ def collar_width(inner_wall: BrickWall, outer_wall: BrickWall, base: RectFamily)
 
 class FilledWord:
     """Lazy infinite word: inner wall on a core box, outer wall far away,
-    strip runs on the collar in between.  Its tiles that meet a box come in
-    closed form, and its word over the box is painted from them."""
+    strip runs on the collar in between.  Its tiles are a few lattice rows
+    (``_rows``); those that meet a box come in closed form, and its word
+    over the box is painted from them."""
 
     def __init__(
         self,
@@ -255,79 +250,126 @@ class FilledWord:
     def materialize(self, box: Box) -> SymbolicWord:
         """The fill's word over ``box``, painted from its tiles that meet ``box``
         (-1 on cells that none covers)."""
-        alphabet, tiles = self.alphabet, self._tiles_meeting(box)
+        alphabet = self.alphabet
+        codes, anchors, _ = _tiles_meeting([self], box)
         near, cut = _around(alphabet, box)
         grid = np.full(near.volume, -1, dtype=np.int32)
-        for symbol, cells in alphabet.paint(tiles.codes, tiles.anchors, near.anchor, near.shape):
+        for symbol, cells in alphabet.paint(codes, anchors, near.anchor, near.shape):
             grid[cells] = symbol
         return SymbolicWord(alphabet, box, grid.reshape(near.shape)[cut].copy())
 
     def placements(self, box: Box) -> Tiling:
         """The fill's whole tiles inside ``box``, in closed form.
 
-        Raises InvalidWord unless the tiles that meet ``box``, clipped to
-        it, cover each of its cells exactly once.
+        Raises InvalidWord (``PartitionBroken``) unless the tiles that meet
+        ``box``, clipped to it, cover each of its cells exactly once: this
+        is ``placements_of`` with one fill.
         """
-        alphabet = self.alphabet
-        tiles = self._tiles_meeting(box)
-        codes, anchors = tiles.codes, tiles.anchors
-        _check_partition(alphabet, codes, anchors, box)
-        whole = within(anchors, alphabet.shape_table.T.take(codes, axis=1), box.anchor, box.end)
-        return Tiling(alphabet.tile_shapes, codes[whole], anchors[whole], box)
+        codes, anchors, _ = placements_of([self], box)
+        return Tiling(self.alphabet.tile_shapes, codes, anchors, box)
 
-    def _tiles_meeting(self, box: Box) -> Tiling:
-        """The fill's tiles that meet ``box``: the outer wall's bricks
-        outside ``outer_core``, the inner wall's bricks on ``inner_core``
-        and each strip run's tiles."""
-        alphabet = self.alphabet
-        outer = self.outer_wall.bricks(_reach(box, self.outer_wall.period))
-        if self.outer_core is not None:  # a brick meets the core iff it lies in its reach
-            near = _reach(self.outer_core, self.outer_wall.period)
-            outer = outer[~within(outer, self.outer_wall.period, near.anchor, near.end)]
-        parts = [(self.outer_wall.tile, outer)]
+    def _rows(self, box: Box) -> list[tuple[int, ...]]:
+        """Lattice rows (see ``_tiles_meeting``) of the fill's tiles near
+        ``box``: the outer wall's bricks that meet it, skipping those that
+        meet ``outer_core``, the inner wall's bricks on ``inner_core`` and
+        each strip run's tiles."""
+        code, none = self.alphabet.tiles.index, (0,) * (2 * box.dim)
+        wall, period = self.outer_wall, self.outer_wall.period
+        start = [wall.ceil_align(a - p + 1, x) for x, (a, p) in enumerate(zip(box.anchor, period))]
+        count = [(e - 1 - s) // p + 1 for s, e, p in zip(start, box.end, period)]
+        skip = none
+        if self.outer_core is not None:  # a brick meets the core iff its anchor is in [lo, end)
+            core = self.outer_core
+            skip = (*(a - p + 1 for a, p in zip(core.anchor, period)), *core.end)
+        rows = [(code(wall.tile), *start, *count, *period, *skip)]
         if self.inner_core is not None:
-            near = self.inner_core.intersect(_reach(box, self.inner_wall.period))
-            if near is not None:
-                parts.append((self.inner_wall.tile, self.inner_wall.bricks(near)))
+            core, wall = self.inner_core, self.inner_wall
+            count = (e // p for e, p in zip(core.shape, wall.period))
+            rows.append((code(wall.tile), *core.anchor, *count, *wall.period, *none))
         for run in self.runs:
-            if box.contains_box(run.box):
-                parts.append((run.tile, run.anchors()))
-            elif run.box.intersect(box) is not None:
-                anchors, shape = run.anchors(), alphabet.shape(run.tile)
-                near = _reach(box, shape)
-                parts.append((run.tile, anchors[within(anchors, shape, near.anchor, near.end)]))
-        return Tiling.from_parts(alphabet.tile_shapes, parts, box)
+            shape = self.alphabet.shape(run.tile)
+            rows.append((code(run.tile), *run.box.anchor, *run.counts, *shape, *none))
+        return rows
 
 
-def _reach(box: Box, shape) -> Box:
-    """The box holding every tile of ``shape`` that meets ``box``."""
-    return Box(
-        tuple(a - s + 1 for a, s in zip(box.anchor, shape)),
-        tuple(e + 2 * s - 2 for e, s in zip(box.shape, shape)),
-    )
+class PartitionBroken(InvalidWord):
+    """Fill ``fill`` of a ``placements_of`` call covers ``cell`` ``times`` times."""
+
+    def __init__(self, fill: int, cell: tuple[int, ...], times: int) -> None:
+        super().__init__(f"the fill covers cell {cell} {times} times")
+        self.fill = fill
+
+
+def placements_of(fills: Sequence[FilledWord], box: Box) -> tuple[np.ndarray, ...]:
+    """(codes, anchors, fill index) of each fill's whole tiles inside ``box``,
+    fill by fill, from one expansion of all their tiles (``_tiles_meeting``).
+
+    Raises PartitionBroken, naming the first fill and its first cell in C
+    order, unless each fill's tiles that meet ``box``, clipped to it, cover
+    each of its cells exactly once.  One ``Alphabet.paint`` and one bincount
+    count them all, in the fills' copies of ``_around`` the box stacked
+    along axis 0 (so fill f's flat cells move by f times its volume).
+    """
+    alphabet, n = fills[0].alphabet, len(fills)
+    codes, anchors, fill = _tiles_meeting(fills, box)
+    near, cut = _around(alphabet, box)
+    stacked = anchors.copy()
+    stacked[:, 0] += fill * near.shape[0]
+    grid = (n * near.shape[0], *near.shape[1:])
+    cells = [c for _, c in alphabet.paint(codes, stacked, near.anchor, grid)]
+    counts = np.bincount(np.concatenate([anchors[:0, 0], *cells]), minlength=n * near.volume)
+    counts = counts.reshape(n, *near.shape)[(slice(None), *cut)]
+    bad = np.flatnonzero(counts != 1)
+    if len(bad):
+        f, *rel = np.unravel_index(bad[0], counts.shape)
+        cell = tuple(int(a + r) for a, r in zip(box.anchor, rel))
+        raise PartitionBroken(int(f), cell, int(counts[(f, *rel)]))
+    whole = within(anchors, alphabet.shape_table.T.take(codes, axis=1), box.anchor, box.end)
+    return codes[whole], anchors[whole], fill[whole]
+
+
+def _tiles_meeting(fills: Sequence[FilledWord], box: Box) -> tuple[np.ndarray, ...]:
+    """(codes, anchors, fill index) of every tile of ``fills`` that meets ``box``.
+
+    Each fill lists its tiles as lattice rows of plain integers
+    (``FilledWord._rows``): a tile code, then per axis the start, count and
+    step of the anchors ``start + i * step``, ``0 <= i < count``, then the
+    box ``[skip_lo, skip_hi)`` of anchors the row skips (empty: none).  The
+    rows of all fills are expanded together: each row's index range is cut,
+    per axis, to the tiles that meet ``box``; a repeat numbers each tile in
+    its row, and per axis, from the last, a division and a modulus by the
+    count give its index.  Tiles come fill by fill, row by row, in C order.
+    """
+    dim = box.dim
+    rows = [(f, *row) for f, fill in enumerate(fills) for row in fill._rows(box)]
+    table = np.array(rows, dtype=np.int64).reshape(-1, 2 + 5 * dim)
+    start, count, step = (table[:, 2 + k * dim : 2 + (k + 1) * dim] for k in range(3))
+    reach = start + fills[0].alphabet.shape_table[table[:, 1]] - 1  # a row's first tile's far cell
+    first = np.maximum(-((reach - box.anchor) // step), 0)
+    count[:] = np.minimum((np.subtract(box.end, 1) - start) // step + 1, count) - first
+    start += first * step
+    sizes = np.maximum(count, 0).prod(axis=1)
+    per_tile = np.repeat(table.T, sizes, axis=1)  # one row a column
+    start, count, step, lo, hi = (per_tile[2 + k * dim : 2 + (k + 1) * dim] for k in range(5))
+    local = np.arange(per_tile.shape[1]) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    anchors = np.empty((len(local), dim), dtype=np.int64)
+    for a in range(dim - 1, -1, -1):
+        local, index = np.divmod(local, count[a])
+        anchors[:, a] = start[a] + index * step[a]
+    keep = ~within(anchors, [1] * dim, lo, hi)
+    fill, codes = per_tile[:2].compress(keep, axis=1)
+    return codes.astype(np.int32), anchors.compress(keep, axis=0), fill
 
 
 def _around(alphabet: Alphabet, box: Box) -> tuple[Box, tuple[slice, ...]]:
     """The box holding every tile of the alphabet that meets ``box``, and
     the slices that cut ``box`` out of a grid over it."""
     reach = alphabet.shape_table.max(axis=0).tolist()
-    return _reach(box, reach), tuple(slice(s - 1, s - 1 + e) for s, e in zip(reach, box.shape))
-
-
-def _check_partition(alphabet: Alphabet, codes, anchors, box: Box) -> None:
-    """Refuse tiles that, clipped to ``box``, do not cover each of its cells
-    exactly once.  Every tile must meet ``box``.  The tiles' cells
-    (``Alphabet.paint``) are counted in one bincount over ``_around`` the
-    box, and the box's counts must all be 1."""
-    near, cut = _around(alphabet, box)
-    cells = [c for _, c in alphabet.paint(codes, anchors, near.anchor, near.shape)]
-    counts = np.bincount(np.concatenate([anchors[:0, 0], *cells]), minlength=near.volume)
-    counts = counts.reshape(near.shape)[cut]
-    bad = np.flatnonzero(counts != 1)
-    if len(bad):
-        rel = np.unravel_index(bad[0], box.shape)
-        cell = tuple(int(a + r) for a, r in zip(box.anchor, rel))
-        raise InvalidWord(f"the fill covers cell {cell} {counts[rel]} times")
+    near = Box(
+        tuple(a - s + 1 for a, s in zip(box.anchor, reach)),
+        tuple(e + 2 * s - 2 for e, s in zip(box.shape, reach)),
+    )
+    return near, tuple(slice(s - 1, s - 1 + e) for s, e in zip(reach, box.shape))
 
 
 def fill_between(

@@ -197,8 +197,7 @@ def cmd_redistribute(args) -> int:
     tiling = _load_tiling(args.file)
     if tiling.window is None:
         raise ParseError("redistribution needs a tiling with a window")
-    if tiling.dim != cfg.dim:
-        raise ConfigError(f"config has dim {cfg.dim}, the tiling has dim {tiling.dim}")
+    _check_family(cfg, tiling)
     targets = TargetDistribution.of(cfg.targets, cfg.tail_mass)
     shapes = dict(tiling.tile_shapes)
     for j, s in enumerate(cfg.shapes, start=1):
@@ -207,6 +206,18 @@ def cmd_redistribute(args) -> int:
     path = _write(os.path.join(cfg.out_dir, "redistributed"), result, cfg.seed, cfg.out_format)
     print(f"wrote {path}")
     return 0
+
+
+def _check_family(cfg, tiling) -> None:
+    """Refuse a config of another family than the tiling's: another dimension,
+    or a small tile whose shape differs from its shape in the tiling header."""
+    if tiling.dim != cfg.dim:
+        raise ConfigError(f"config has dim {cfg.dim}, the tiling has dim {tiling.dim}")
+    for tile, shape in enumerate(map(tuple, cfg.shapes), start=1):
+        have = tiling.tile_shapes.get(tile, shape)
+        if have != shape:
+            shapes = ("x".join(map(str, s)) for s in (shape, have))
+            raise ConfigError("config tile {} has shape {}, the tiling has {}".format(tile, *shapes))
 
 
 def cmd_verify(args) -> int:
@@ -229,6 +240,7 @@ def cmd_stats(args) -> int:
     targets = None
     if args.config:
         cfg = load_config(args.config)
+        _check_family(cfg, tiling)
         targets = TargetDistribution.of(cfg.targets, cfg.tail_mass)
     report = FrequencyReport.of_tiling(tiling, targets)
     print(json.dumps(report.to_dict(), sort_keys=True, indent=2))

@@ -241,6 +241,7 @@ class Tiling:
             raise ValueError(f"anchors of shape {self.anchors.shape} for {len(self.codes)} codes")
         self.window = window
         self._canonical = False  # set on the tilings sorted_canonical returns
+        self._cell_counts: dict[TileId, int] | None = None
 
     @classmethod
     def from_parts(
@@ -291,8 +292,13 @@ class Tiling:
         return sum(self.tile_cell_counts().values())
 
     def tile_cell_counts(self) -> dict[TileId, int]:
-        counts = np.bincount(self.codes, minlength=len(self.tile_order)).tolist()
-        return {t: n * math.prod(self.tile_shapes[t]) for t, n in zip(self.tile_order, counts)}
+        """Cells covered per tile, in a new dict.  A canonical tiling, whose
+        arrays are read-only, counts them once."""
+        if self._cell_counts is None or not self._canonical:
+            placed = np.bincount(self.codes, minlength=len(self.tile_order)).tolist()
+            volumes = [math.prod(self.tile_shapes[t]) for t in self.tile_order]
+            self._cell_counts = {t: n * v for t, n, v in zip(self.tile_order, placed, volumes)}
+        return dict(self._cell_counts)
 
     def sorted_canonical(self) -> "Tiling":
         """Placements ordered by anchor lexicographically, then tile (see

@@ -20,7 +20,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from .brickfill import BrickWall, FilledWord, fill_between
+from .brickfill import BrickWall, FilledWord, PartitionBroken, fill_between, placements_of
 from .geometry import Box, grid_rows, interior, within
 from .numerics import RectFamily, SharedAxisDivisor, validate_family
 from .rng import SplitMix64
@@ -490,8 +490,8 @@ class KeptBlocks:
     and sits in the band of key ``key[j]``.  Key g's band is filled from the
     previous kind ``kinds[g]`` and a wall phase: ``fills[g]`` is its fill, in
     the block's own frame, and its band is that fill over ``band``, the
-    previous tower shrunk by 1.  No band is drawn: ``finalize`` reads each
-    key's tiles from ``fills[g].placements(band)``.
+    previous tower shrunk by 1.  No band is drawn: ``finalize`` reads the
+    tiles of all the keys in use from one ``placements_of(fills, band)``.
     """
 
     state: "ConstructionState"
@@ -728,12 +728,13 @@ def finalize(state: ConstructionState, plan: StagePlan) -> tuple[Tiling, Frequen
 
     The window is the top stage's.  No word is written, validated or
     decoded.  Each kind's wall bricks are a lattice by construction
-    (``_wall_placements``).  Each band key's tiles, down the stages that
-    reach the top, come from its fill in closed form
-    (``FilledWord.placements``), which refuses a fill that does not cover
-    the band exactly once; that refusal is raised as ``InvalidWord`` naming
-    the stage.  Each part's placements are translated to every block that
-    uses it (see ``_assemble``).  The result must pass ``_check_placements``.
+    (``_wall_placements``).  The band tiles of all keys of a stage, down the
+    stages that reach the top, come from their fills in closed form
+    (``placements_of``), which refuses a fill that does not cover the band
+    exactly once; that refusal is raised as ``InvalidWord`` naming the stage
+    and the key.  Each part's placements are translated to every block that
+    uses it (see ``_assemble``).  The result must pass ``_check_placements``,
+    which reads the cell count of the canonical tiling, counted once.
     Uncovered cells are the sublattice error set, the towers' own unfilled
     boundary collars, and tiles cut by domain edges (``partial_cells``);
     those are excluded from the covered count, never errors.  The state
@@ -743,13 +744,14 @@ def finalize(state: ConstructionState, plan: StagePlan) -> tuple[Tiling, Frequen
     blocks = state.blocks
     codes, anchors, owner = _assemble(state, np.arange(len(blocks)))
     tiling = Tiling(blocks.wall.alphabet.tile_shapes, codes, anchors, blocks.towers.window)
-    _check_placements(blocks, tiling, owner)
+    canonical = tiling.sorted_canonical()
+    covered = canonical.covered_cells()  # counted once: canonical tilings keep their counts
+    _check_placements(blocks, tiling, owner, covered)
     domain_cells = sum(
         blocks.domain(k).volume * int(np.count_nonzero(blocks.kind == k))
         for k in np.unique(blocks.kind).tolist()
     )
-    tiling = tiling.sorted_canonical()
-    report = FrequencyReport.of_tiling(tiling, plan.targets, domain_cells - tiling.covered_cells())
+    report = FrequencyReport.of_tiling(canonical, plan.targets, domain_cells - covered)
     collar_bound = plan.collar_mass_bound()
     report.notes["small_fraction_below_min_target"] = bool(
         report.small_tile_fraction() < plan.min_small_target()
@@ -759,7 +761,7 @@ def finalize(state: ConstructionState, plan: StagePlan) -> tuple[Tiling, Frequen
     )
     report.notes["collar_mass_bound"] = collar_bound
     report.notes["predicted_error_budget"] = plan.predicted_error_budget()
-    return tiling, report
+    return canonical, report
 
 
 def _wall_placements(alphabet: Alphabet, tile, translate, box: Box):
@@ -776,12 +778,14 @@ def _assemble(
 
     ``owner`` is each placement's position in ``chosen``.  A block's domain
     holds its kind's wall bricks, less those wholly inside a kept block's
-    band (see ``_under_bands``); each such band's placements, read from its
-    key's fill (``FilledWord.placements``, which refuses a fill that is not
-    an exact partition of the band), less those wholly inside the kept
-    block's domain; and the kept block's own placements, assembled the same
-    way one stage down.  Each part is one broadcast add per kind or band
-    key.  A band that leaves its tower's domain (no plan from
+    band (see ``_under_bands``); each such band's placements, less those
+    wholly inside the kept block's domain; and the kept block's own
+    placements, assembled the same way one stage down.  A kind's bricks are
+    one broadcast add.  The band tiles of every key in use come from one
+    ``placements_of`` call (one expansion, and one check that refuses a fill
+    that is not an exact partition of the band), less those inside each
+    key's kind's domain (one ``within``), and one gather moves them to every
+    kept block.  A band that leaves its tower's domain (no plan from
     ``plan_stages`` has one: a kept block's collar is never below the
     composite collar) gives only the placements wholly inside the domain,
     as a decode of the domain would.
@@ -811,23 +815,27 @@ def _assemble(
     if kept is None or not len(index):
         return tuple(np.concatenate(column) for column in zip(*parts))
     shapes = alphabet.shape_table
-    inner_parts = []
-    for g in np.unique(key).tolist():
-        try:
-            placed = kept.fills[g].placements(kept.band)
-        except InvalidWord as err:
-            raise InvalidWord(f"stage {towers.stage} band {g} is refused: {err}") from None
-        codes, rel = placed.codes, placed.anchors
-        inner = prev.domain(kept.kinds[g])
-        outside = ~within(rel, shapes.T.take(codes, axis=1), inner.anchor, inner.end)
-        sel = key == g
-        inner_parts.append(
-            _translate(codes[outside], rel[outside], prev.towers.anchors[index[sel]], owner[sel])
-        )
+    used, use = np.unique(key, return_inverse=True)
+    try:
+        codes, rel, which = placements_of([kept.fills[g] for g in used.tolist()], kept.band)
+    except PartitionBroken as err:
+        raise InvalidWord(f"stage {towers.stage} band {used[err.fill]} is refused: {err}") from None
+    inner = [prev.domain(kept.kinds[g]) for g in used.tolist()]
+    lo_hi = (np.array([getattr(b, end) for b in inner]).T for end in ("anchor", "end"))
+    bounds = (bound.take(which, axis=1) for bound in lo_hi)  # each tile's key's inner domain
+    band = np.flatnonzero(~within(rel, shapes.T.take(codes, axis=1), *bounds))
+    # One gather: kept block j takes the band tiles of its key, use[j], at its
+    # tower anchor; each key's tiles are contiguous, keys in order.
+    per_key = np.bincount(which[band], minlength=len(used))
+    size = per_key[use]
+    take = band[np.arange(size.sum()) + np.repeat(np.cumsum(per_key)[use] - np.cumsum(size), size)]
+    corner = prev.towers.anchors.take(index, axis=0)
+    anchors = rel.take(take, axis=0) + np.repeat(corner, size, axis=0)
+    inner_parts = [(codes.take(take), anchors, np.repeat(owner, size))]
     codes, anchors, below = _assemble(kept.state, index)
     inner_parts.append((codes, anchors, owner[below]))
     codes, anchors, placed = (np.concatenate(column) for column in zip(*inner_parts))
-    band_lo = prev.towers.anchors[index] + kept.band.anchor
+    band_lo = corner + kept.band.anchor
     if np.any(band_lo < lo[owner]) or np.any(band_lo + kept.band.shape > hi[owner]):
         inside = within(anchors, shapes.T.take(codes, axis=1), lo[placed].T, hi[placed].T)
         codes, anchors, placed = codes[inside], anchors[inside], placed[inside]
@@ -859,7 +867,7 @@ def _under_bands(anchors: np.ndarray, period, kept: KeptBlocks) -> np.ndarray:
     return under
 
 
-def _check_placements(blocks: StageBlocks, tiling: Tiling, owner: np.ndarray) -> None:
+def _check_placements(blocks: StageBlocks, tiling: Tiling, owner: np.ndarray, covered: int) -> None:
     """Refuse placements that leave their own block's domain, or overlap.
 
     Placement j belongs to block ``owner[j]``, and each anchor column must
@@ -868,8 +876,8 @@ def _check_placements(blocks: StageBlocks, tiling: Tiling, owner: np.ndarray) ->
     window, so every placement then sets each of its cells
     (``Alphabet.paint``) in a window-sized bool grid, one tile cell at a
     time: a scatter with no gather.  A placement's own cells are distinct,
-    so the distinct painted cells number the placements' summed volumes iff
-    no two placements share a cell.
+    so the distinct painted cells number the placements' summed volumes,
+    ``covered``, iff no two placements share a cell.
     """
     towers, stage, alphabet = blocks.towers, blocks.towers.stage, blocks.wall.alphabet
     window, table = towers.window, alphabet.shape_table
@@ -882,7 +890,7 @@ def _check_placements(blocks: StageBlocks, tiling: Tiling, owner: np.ndarray) ->
     painted = np.zeros(window.volume, dtype=bool)
     for _, cells in alphabet.paint(tiling.codes, tiling.anchors, window.anchor, window.shape):
         painted[cells] = True
-    if np.count_nonzero(painted) != tiling.covered_cells():
+    if np.count_nonzero(painted) != covered:
         raise InvalidWord(f"stage {stage} placements overlap")
 
 

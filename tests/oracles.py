@@ -5,7 +5,9 @@ package internals: representability by bitset closure, tie-breaks by
 exhaustive descent, tiling counts by first-free-cell backtracking, word
 validation by a per-cell mask over every pair, word decoding by per-cell
 grouping, word encoding by pasting each placement's block, wall words by
-rolling and tiling one brick's block and fill words by pasting them, tiling
+rolling and tiling one brick's block and fill words by pasting them, a
+fill's tiles listed part by part and its partition checked by counting each
+tile's clip, tiling
 and word files written and read line by line and cell by cell, JSON built
 and read record by record, bands filled once per block, block domains
 decoded from the stage's whole word, redistribution by forming every
@@ -32,7 +34,7 @@ from dominofill.cli.files import (
     _window_line,
 )
 from dominofill.brickfill import BrickWall, fill_between
-from dominofill.geometry import Box, grid_rows, interior
+from dominofill.geometry import Box, grid_rows, interior, within
 from dominofill.rng import SplitMix64
 from dominofill.sft import (
     Alphabet,
@@ -316,6 +318,73 @@ def fill_word_by_pastes(fill, box):
         if clip is not None:
             word.paste(clip, wall_pattern_by_roll(wall, clip))
     return word.grid
+
+
+def strip_run_anchors(run):
+    """A strip run's tile anchors, one row each, in C order: its box cut
+    into ``run.counts`` equal tiles per axis."""
+    box, shape = run.box, [e // c for e, c in zip(run.box.shape, run.counts)]
+    return grid_rows([
+        np.arange(a, a + e, s, dtype=np.int64) for a, e, s in zip(box.anchor, box.shape, shape)
+    ])
+
+
+def tiles_meeting_by_parts(fill, box):
+    """A fill's tiles that meet ``box``, part by part: the outer wall's
+    bricks that meet ``box`` less those that meet ``outer_core``, the inner
+    wall's bricks on ``inner_core`` that meet ``box``, and each strip run's
+    tiles that meet ``box``; a tile of shape s meets a box iff it lies in
+    the box grown by s - 1 on its low faces and on its high faces."""
+    def reach(b, shape):
+        return Box(
+            tuple(a - s + 1 for a, s in zip(b.anchor, shape)),
+            tuple(e + 2 * s - 2 for e, s in zip(b.shape, shape)),
+        )
+
+    alphabet = fill.alphabet
+    outer = fill.outer_wall.bricks(reach(box, fill.outer_wall.period))
+    if fill.outer_core is not None:
+        near = reach(fill.outer_core, fill.outer_wall.period)
+        outer = outer[~within(outer, fill.outer_wall.period, near.anchor, near.end)]
+    parts = [(fill.outer_wall.tile, outer)]
+    if fill.inner_core is not None:
+        near = fill.inner_core.intersect(reach(box, fill.inner_wall.period))
+        if near is not None:
+            parts.append((fill.inner_wall.tile, fill.inner_wall.bricks(near)))
+    for run in fill.runs:
+        if box.contains_box(run.box):
+            parts.append((run.tile, strip_run_anchors(run)))
+        elif run.box.intersect(box) is not None:
+            anchors, shape = strip_run_anchors(run), alphabet.shape(run.tile)
+            near = reach(box, shape)
+            parts.append((run.tile, anchors[within(anchors, shape, near.anchor, near.end)]))
+    return Tiling.from_parts(alphabet.tile_shapes, parts, box)
+
+
+def check_partition_by_slices(tiles, box):
+    """Refuse ``tiles`` unless, clipped to ``box``, they cover each of its
+    cells exactly once: each tile adds 1 to the cells of its clip, and the
+    first cell in C order whose count is not 1 is named in an InvalidWord."""
+    counts = np.zeros(box.shape, dtype=np.int64)
+    for tile, anchor in tiles.placements():
+        clip = box.intersect(Box(anchor, tiles.tile_shapes[tile]))
+        if clip is not None:
+            rel = zip(clip.anchor, box.anchor, clip.shape)
+            counts[tuple(slice(c - a, c - a + e) for c, a, e in rel)] += 1
+    bad = np.argwhere(counts != 1)
+    if len(bad):
+        rel = tuple(int(r) for r in bad[0])
+        cell = tuple(a + r for a, r in zip(box.anchor, rel))
+        raise InvalidWord(f"the fill covers cell {cell} {counts[rel]} times")
+
+
+def placements_by_parts(fill, box):
+    """A fill's whole tiles inside ``box``, in ``tiles_meeting_by_parts``
+    order, once ``check_partition_by_slices`` accepts its tiles that meet it."""
+    tiles = tiles_meeting_by_parts(fill, box)
+    check_partition_by_slices(tiles, box)
+    inside = [box.contains_box(Box(a, tiles.tile_shapes[t])) for t, a in tiles.placements()]
+    return Tiling(tiles.tile_shapes, tiles.codes[inside], tiles.anchors[inside], box)
 
 
 def encode(tiling, alphabet, window=None):

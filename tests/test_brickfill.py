@@ -9,23 +9,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    check_partition_by_slices,
     equals_on,
     fill_word_by_pastes,
     iter_cells,
+    placements_by_parts,
     same_placements,
     set_cell,
+    strip_run_anchors,
+    tiles_meeting_by_parts,
     wall_pattern_by_roll,
 )
 from test_sft import DECODE_CASES
 
 from dominofill import Box, BrickWall, build_alphabet, expand, fill_between, validate_family
 from dominofill.brickfill import (
+    FilledWord,
     InwardEmpty,
     NoMatchingTranslate,
     NonMultipleExtent,
+    PartitionBroken,
     collar_width,
     complete_partial_tiles,
     glue,
+    placements_of,
     strip_runs,
 )
 from dominofill.numerics import NotRepresentable
@@ -99,7 +106,7 @@ class TestStripTile:
 
     @staticmethod
     def placements(runs):
-        return [(run.tile, tuple(a)) for run in runs for a in run.anchors().tolist()]
+        return [(run.tile, tuple(a)) for run in runs for a in strip_run_anchors(run).tolist()]
 
     def test_line_segment(self, line_family):
         runs = strip_runs(Box((0,), (15,)), line_family, 0)
@@ -227,6 +234,68 @@ class TestUniformFill:
         fill = fill_between(inner, Box((0, 0), (14, 9)), outer, flagship)
         tiles = set(p.tile for p in collar_tiles(fill))
         assert tiles and tiles <= {1, 2}
+
+
+def assert_placements_are_each_fills_own(fills, box):
+    """``placements_of`` over ``fills`` at once, split by fill index, is each
+    fill's ``placements_by_parts``, tile for tile and in order."""
+    codes, anchors, which = placements_of(fills, box)
+    assert np.array_equal(which, np.sort(which))
+    for f, fill in enumerate(fills):
+        want = placements_by_parts(fill, box)
+        assert np.array_equal(codes[which == f], want.codes)
+        assert np.array_equal(anchors[which == f], want.anchors)
+
+
+class TestBatchedPlacements:
+    @pytest.mark.parametrize("dim", sorted(DECODE_CASES))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_batch_is_each_fills_own(self, dim, data):
+        """One to five fills at once, pure walls among them, between walls of
+        any brick at random translates, over a box near a strip run of the
+        last fill, which the box often cuts (the line's alphabet carries
+        bricks P, P2 and P10)."""
+        alphabet = DECODE_CASES[dim][0]()
+        base = validate_family([alphabet.shape(t) for t in alphabet.tiles if isinstance(t, int)])
+        bricks = st.sampled_from([t for t in alphabet.tiles if not isinstance(t, int)])
+        points = st.tuples(*[st.integers(-30, 30)] * dim)
+        side = {1: 40, 2: 20, 3: 8}[dim]
+        fills = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            outer = BrickWall(alphabet, data.draw(bricks), data.draw(points))
+            if data.draw(st.booleans()):
+                fills.append(FilledWord.pure_wall(outer))
+                continue
+            inner = BrickWall(alphabet, data.draw(bricks), data.draw(points))
+            inner_box = Box(data.draw(points), data.draw(st.tuples(*[st.integers(1, side)] * dim)))
+            fills.append(fill_between(inner, inner_box, outer, base))
+        runs = fills[-1].runs
+        near = data.draw(st.sampled_from(runs)).box.anchor if runs else (0,) * dim
+        anchor = np.add(near, data.draw(st.tuples(*[st.integers(-side, side)] * dim)))
+        box = Box(tuple(anchor.tolist()), data.draw(st.tuples(*[st.integers(1, 2 * side)] * dim)))
+        assert_placements_are_each_fills_own(fills, box)
+
+    def test_first_broken_fill_is_named(self, line_alphabet, line_family):
+        """Among three fills, the second with its first strip run dropped is
+        refused by its index, with the cell and count that the reference
+        check finds; the others are their own placements all the same."""
+        fills = [
+            fill_between(
+                BrickWall(line_alphabet, "P", (t_in,)), Box((0,), (10,)),
+                BrickWall(line_alphabet, "P", (t_out,)), line_family,
+            )
+            for t_in, t_out in ((0, 3), (1, 4), (2, 0))
+        ]
+        broken = copy.copy(fills[1])
+        broken.runs = fills[1].runs[1:]
+        box = fills[1].footprint
+        with pytest.raises(InvalidWord) as want:
+            check_partition_by_slices(tiles_meeting_by_parts(broken, box), box)
+        with pytest.raises(PartitionBroken) as got:
+            placements_of([fills[0], broken, fills[2]], box)
+        assert got.value.fill == 1 and str(got.value) == str(want.value)
+        assert_placements_are_each_fills_own([fills[0], fills[2]], box)
 
 
 class TestRestrictedFill:

@@ -886,6 +886,34 @@ class TestUserErrors:
         assert main(["verify", str(path)]) == 1
         self.assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            (
+                "[run]\ndim = 1\nwindow = 100\n\n[family]\nshapes = 2 3\n\n"
+                "[targets]\nprobs = 1/2 1/2\n",
+                "config has dim 1, the tiling has dim 2",
+            ),
+            (
+                FLAGSHIP_INI.replace("3x2 2x3", "2x3 3x2"),
+                "config tile 1 has shape 2x3, the tiling has 3x2",
+            ),
+        ],
+        ids=["other_dim", "other_shape"],
+    )
+    @pytest.mark.parametrize("command", ["stats", "redistribute"])
+    def test_config_of_another_family_exits_1(self, command, config, named, tmp_path, capsys):
+        """stats and redistribute refuse a config whose family is not the
+        tiling's, rather than measure the tiling against its targets."""
+        path, ini = tmp_path / "t.txt", tmp_path / "other.ini"
+        write_atomic(str(path), serialize_tiling(sample_tiling()))
+        ini.write_text(config, encoding="utf-8")
+        extra = ["--out", str(tmp_path / "out")] if command == "redistribute" else []
+        assert main([command, str(path), "--config", str(ini), *extra]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0] == f"error: {named}", err
+        assert not (tmp_path / "out").exists()
+
     def test_closed_stdout_exits_141_silently(self, flagship_cfg, monkeypatch, capsys):
         def closed(args):
             raise BrokenPipeError(32, "Broken pipe")

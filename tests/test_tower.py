@@ -12,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     build_stage_per_block,
+    check_partition_by_slices,
     finalize_by_decode,
     locate_by_points,
     redistribute_by_rows,
     same_placements,
+    tiles_meeting_by_parts,
 )
 from test_cli import (
     GOLDEN_BUILDS,
@@ -25,6 +27,7 @@ from test_cli import (
     TWO_STAGE_INI,
     sha256_of,
 )
+from test_brickfill import assert_placements_are_each_fills_own
 from test_sft import DECODE_CASES
 
 from dominofill import (
@@ -722,6 +725,26 @@ class TestFinalize:
             with pytest.raises(InvalidWord, match=f"stage 2 band {g} .* {times} times"):
                 finalize(broken, plan)
         assert len(finalize(state2, plan)[0])
+
+    def test_broken_band_key_is_named(self):
+        """Of the nine band keys of a 1024x1024 flagship build, the first
+        after key 0 that has strip runs, with its first run dropped, is
+        refused by its own number, with the cell and count that the reference
+        check finds; the other keys' placements are their reference ones."""
+        result = run_config(TWO_STAGE_INI)
+        state, kept = result.state, result.state.kept
+        fills, band = kept.fills, kept.band
+        assert len(fills) == 9 and set(kept.key.tolist()) == set(range(9))
+        g = next(g for g in range(1, len(fills)) if fills[g].runs)
+        broken_fill = copy.copy(fills[g])
+        broken_fill.runs = fills[g].runs[1:]
+        with pytest.raises(InvalidWord) as want:
+            check_partition_by_slices(tiles_meeting_by_parts(broken_fill, band), band)
+        kept = dataclasses.replace(kept, fills=[*fills[:g], broken_fill, *fills[g + 1:]])
+        with pytest.raises(InvalidWord) as got:
+            finalize(ConstructionState(state.blocks, kept), result.plan)
+        assert str(got.value) == f"stage 2 band {g} is refused: {want.value}"
+        assert_placements_are_each_fills_own([f for h, f in enumerate(fills) if h != g], band)
 
     def test_misplaced_wall_brick_is_refused(self, two_stage_state, monkeypatch):
         """A kind wall's first brick, moved one cell toward its neighbour
