@@ -2,9 +2,11 @@
 
 A brick wall is the doubly periodic word whose tiles are translates of one
 large brick on a full sublattice.  The filler interpolates between an inner
-wall written on a box and an outer wall far away: complete the cut bricks on
-each side, split the remaining collar into axis slabs, and tile each slab by
-strips of small family tiles.  The collar width needed for this is
+wall written on a box and an outer wall far away: the inner core grows to
+whole inner bricks (``BrickWall.outward``), the outer core shrinks to whole
+outer bricks (``BrickWall.inward``), ``collar_slabs`` splits the collar
+between them into axis slabs, and ``strip_runs`` tiles each slab by strips
+of single family tiles.  The collar width needed for this is
 ``RectFamily.collar`` of the two walls' periods; for two walls of the
 family brick that is ``fill_length``, ``collar(large_shape, large_shape)``.
 A wall or a fill is described once, by its tiles, lattice rows of plain
@@ -77,6 +79,22 @@ class BrickWall:
         p = self.period[axis]
         return x + (self.translate[axis] - x) % p
 
+    def outward(self, box: Box) -> Box:
+        """Smallest lattice box holding ``box``: every brick that meets
+        ``box`` lies wholly inside it."""
+        lo = [self.floor_align(a, axis) for axis, a in enumerate(box.anchor)]
+        hi = [self.ceil_align(e, axis) for axis, e in enumerate(box.end)]
+        return Box(tuple(lo), tuple(h - l for l, h in zip(lo, hi)))
+
+    def inward(self, box: Box) -> Box:
+        """Largest lattice box inside ``box``; raises InwardEmpty when
+        ``box`` holds no whole brick."""
+        lo = [self.ceil_align(a, axis) for axis, a in enumerate(box.anchor)]
+        hi = [self.floor_align(e, axis) for axis, e in enumerate(box.end)]
+        if any(h - l < p for l, h, p in zip(lo, hi, self.period)):
+            raise InwardEmpty(f"{box} contains no whole tile of period {self.period}")
+        return Box(tuple(lo), tuple(h - l for l, h in zip(lo, hi)))
+
     def materialize(self, box: Box) -> SymbolicWord:
         return SymbolicWord(self.alphabet, box, self.pattern_over(box))
 
@@ -93,84 +111,31 @@ class BrickWall:
         return FilledWord.pure_wall(self).materialize(box).grid
 
 
-def complete_partial_tiles(b: Box, wall: BrickWall, direction: str) -> Box:
-    """Align ``b`` to the wall lattice.
+def collar_slabs(inner: Box, outer: Box, threshold: int) -> list[tuple[Box, int]]:
+    """Split outer minus inner into axis slabs, each with the axis its
+    strips run along.
 
-    ``outward``: smallest aligned box containing b, so every wall tile that
-    meets b lies wholly inside the result.  ``inward``: largest aligned box
-    inside b; raises InwardEmpty when b contains no whole wall tile.
+    Faces go axis 0 low, axis 0 high, axis 1 low, ...  A face's slab spans
+    its gap along the face axis, inner's extents along earlier axes and
+    outer's along later ones.  A gap of zero is a flush face and gives no
+    slab; any other gap up to ``threshold``, a negative one (outer does not
+    hold inner) too, cannot be strip tiled and raises GapTooNarrow for the
+    first such face.
     """
-    if direction not in ("outward", "inward"):
-        raise ValueError(f"unknown direction {direction!r}")
-    lo = []
-    hi = []
-    for axis in range(b.dim):
-        if direction == "outward":
-            lo.append(wall.floor_align(b.anchor[axis], axis))
-            hi.append(wall.ceil_align(b.end[axis], axis))
-        else:
-            lo.append(wall.ceil_align(b.anchor[axis], axis))
-            hi.append(wall.floor_align(b.end[axis], axis))
-    if direction == "inward" and any(h - l < p for l, h, p in zip(lo, hi, wall.period)):
-        raise InwardEmpty(f"{b} contains no whole tile of period {wall.period}")
-    return Box(tuple(lo), tuple(h - l for l, h in zip(lo, hi)))
-
-
-@dataclass(frozen=True)
-class CollarPiece:
-    """One slab of a collar decomposition and the axis its strips run along."""
-
-    box: Box
-    axis: int
-
-
-def decompose_collar(inner: Box, outer: Box, threshold: int) -> list[CollarPiece]:
-    """Split outer minus inner into axis slabs with representable gaps.
-
-    Faces are processed axis 0 low, axis 0 high, axis 1 low, ...  Each slab's
-    free axis is the face axis; its other extents are inherited from a single
-    box (inner for earlier axes, outer for later ones).  A gap of zero is a
-    flush face and produces no slab; a gap in 1..threshold cannot be strip
-    tiled and raises GapTooNarrow.
-    """
-    if not outer.contains_box(inner):
-        raise ValueError("outer must contain inner")
+    slabs = []
     for axis in range(outer.dim):
-        for side, gap in (
-            (0, inner.anchor[axis] - outer.anchor[axis]),
-            (1, outer.end[axis] - inner.end[axis]),
+        for side, lo, hi in (
+            (0, outer.anchor[axis], inner.anchor[axis]),
+            (1, inner.end[axis], outer.end[axis]),
         ):
-            if 0 < gap <= threshold:
-                raise GapTooNarrow(axis, side, gap, threshold)
-    pieces = []
-    for axis in range(outer.dim):
-        for side in (0, 1):
-            boxes = _face_slab(inner, outer, axis, side)
-            if boxes is not None:
-                pieces.append(CollarPiece(boxes, axis))
-    return pieces
-
-
-def _face_slab(inner: Box, outer: Box, axis: int, side: int) -> Box | None:
-    if side == 0:
-        lo, hi = outer.anchor[axis], inner.anchor[axis]
-    else:
-        lo, hi = inner.end[axis], outer.end[axis]
-    if hi <= lo:
-        return None
-    anchor = []
-    shape = []
-    for a in range(outer.dim):
-        if a == axis:
-            anchor.append(lo)
-            shape.append(hi - lo)
-        elif a < axis:
-            anchor.append(inner.anchor[a])
-            shape.append(inner.shape[a])
-        else:
-            anchor.append(outer.anchor[a])
-            shape.append(outer.shape[a])
-    return Box(tuple(anchor), tuple(shape))
+            if hi == lo:
+                continue
+            if hi - lo <= threshold:
+                raise GapTooNarrow(axis, side, hi - lo, threshold)
+            anchor = (*inner.anchor[:axis], lo, *outer.anchor[axis + 1 :])
+            shape = (*inner.shape[:axis], hi - lo, *outer.shape[axis + 1 :])
+            slabs.append((Box(anchor, shape), axis))
+    return slabs
 
 
 @dataclass(frozen=True)
@@ -197,20 +162,13 @@ def strip_runs(b: Box, f: RectFamily, axis: int) -> list[StripRun]:
     for j, (a_j, side) in enumerate(zip(coeffs, sides)):
         if a_j == 0:
             continue
-        tile_shape = f.shapes[j]
-        counts = []
-        for ax in range(b.dim):
-            if ax == axis:
-                counts.append(a_j)
-                continue
-            if b.shape[ax] % tile_shape[ax] != 0:
-                raise NonMultipleExtent(ax, b.shape[ax], tile_shape[ax])
-            counts.append(b.shape[ax] // tile_shape[ax])
-        anchor = list(b.anchor)
-        anchor[axis] = pos
-        shape = list(b.shape)
-        shape[axis] = a_j * side
-        runs.append(StripRun(j + 1, Box(tuple(anchor), tuple(shape)), tuple(counts)))
+        anchor = (*b.anchor[:axis], pos, *b.anchor[axis + 1 :])
+        shape = (*b.shape[:axis], a_j * side, *b.shape[axis + 1 :])
+        for ax, (e, s) in enumerate(zip(shape, f.shapes[j])):
+            if e % s != 0:
+                raise NonMultipleExtent(ax, e, s)
+        counts = tuple(e // s for e, s in zip(shape, f.shapes[j]))
+        runs.append(StripRun(j + 1, Box(anchor, shape), counts))
         pos += a_j * side
     return runs
 
@@ -382,12 +340,14 @@ def fill_between(
     """Valid word equal to inner_wall on inner_box and outer_wall outside
     expand(inner_box, width); aligned walls return the wall itself.
 
-    The walls may have different periods (a coarser brick subsumes more
-    tiles), but the collar is tiled by base-family tiles only.  Both periods
-    must be per-axis multiples of every base tile side so that completed
-    cores have strip-tileable cross sections.  ``width`` defaults to
-    ``collar_width``, which for two walls of the family's own brick is its
-    ``fill_length``, ``collar(large_shape, large_shape)``.
+    The inner core is ``inner_wall.outward(inner_box)``, the outer core is
+    ``outer_wall.inward`` of the footprint ``expand(inner_box, width)``, and
+    the collar between them is ``collar_slabs`` cut into ``strip_runs`` of
+    base-family tiles only.  So the walls may have different periods (a
+    coarser brick subsumes more tiles), each a per-axis multiple of every
+    base tile side.  ``width`` defaults to ``collar_width`` (``fill_length``
+    for two walls of the family brick); a narrower one may raise
+    GapTooNarrow, for a negative gap too, or InwardEmpty.
     """
     if inner_wall.aligned_with(outer_wall):
         return FilledWord.pure_wall(outer_wall)
@@ -398,13 +358,11 @@ def fill_between(
                     raise NonMultipleExtent(axis, wall.period[axis], side)
     if width is None:
         width = collar_width(inner_wall, outer_wall, base)
-    inner_core = complete_partial_tiles(inner_box, inner_wall, "outward")
+    inner_core = inner_wall.outward(inner_box)
     footprint = expand(inner_box, width)
-    outer_core = complete_partial_tiles(footprint, outer_wall, "inward")
-    pieces = decompose_collar(inner_core, outer_core, base.threshold)
-    runs: list[StripRun] = []
-    for piece in pieces:
-        runs.extend(strip_runs(piece.box, base, piece.axis))
+    outer_core = outer_wall.inward(footprint)
+    slabs = collar_slabs(inner_core, outer_core, base.threshold)
+    runs = [run for slab, axis in slabs for run in strip_runs(slab, base, axis)]
     return FilledWord(inner_wall, inner_core, outer_wall, outer_core, runs, footprint)
 
 

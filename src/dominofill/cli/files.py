@@ -24,6 +24,7 @@ import numpy as np
 
 from ..geometry import Box
 from ..sft import Alphabet, SymbolicWord, Tiling, tile_sort_key
+from .verify import MAX_PAINT_CELLS
 
 
 class ParseError(ValueError):
@@ -516,13 +517,16 @@ def _build_tiling(shapes: dict, dim: int, window, tiles: list, inverse, fields) 
 def _build_word(shapes: dict, dim: int, window, tiles: list, inverse, fields) -> SymbolicWord:
     """The word of (cell, tile, offset) records, built in array passes.
 
-    Refuses a missing window, else names the first offending record in file
+    Refuses a missing window or one of more than ``MAX_PAINT_CELLS`` cells,
+    the verifier's bound, else names the first offending record in file
     order and its first defect of: an unknown tile, a cell outside the window
     (or not of ``dim`` coordinates), a cell listed twice, an offset its tile
     lacks (or not of ``dim`` coordinates).  A symbol's index is its tile's
     first symbol plus the offset's C-order index in the tile."""
     if window is None:
         raise ParseError("word files need an explicit window")
+    if window.volume > MAX_PAINT_CELLS:
+        raise ParseError(f"word window of {window.volume} cells is too large to paint")
     word = SymbolicWord(Alphabet(dim, shapes), window)
     alphabet = word.alphabet
     codes = [alphabet.tiles.index(t) if t in shapes else -1 for t in tiles]

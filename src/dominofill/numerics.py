@@ -4,6 +4,9 @@ A family is a list of k >= 2 integer box shapes whose sides along each axis
 have gcd 1.  Coprimality buys a representability threshold per axis: beyond
 it every integer is a nonnegative combination of the sides, which is what
 lets a collar strip of arbitrary (large enough) width be tiled exactly.
+One table per heights tuple, the least value each suffix of the heights
+represents in each residue class, gives both the threshold and
+``represent``'s test of a rest against the remaining heights, a lookup each.
 """
 
 from __future__ import annotations
@@ -114,66 +117,58 @@ def validate_family(shapes: Sequence[Sequence[int]], dim: int | None = None) -> 
 def axis_threshold(heights: Iterable[int]) -> int:
     """Least R such that every r >= R is a nonnegative combination of heights.
 
-    Dynamic programming over residues modulo the smallest height: for each
-    residue class find the least representable member (shortest path in the
-    residue graph); the threshold is one past the largest of those, shifted
-    down by one period.
+    Every value from a residue class's least member on is representable, so
+    the threshold is one past the largest of those (``_least_tables``),
+    shifted down by one smallest height.
     """
     hs = sorted({int(h) for h in heights})
     if not hs or hs[0] < 1:
         raise GcdNotOne("heights must be positive integers")
     if math.gcd(*hs) != 1:
         raise GcdNotOne(f"heights {hs} have gcd {math.gcd(*hs)}")
-    if hs[0] == 1:
-        return 0
-    m = hs[0]
-    least = [None] * m
-    least[0] = 0
-    heap = [(0, 0)]
-    while heap:
-        value, residue = heapq.heappop(heap)
-        if least[residue] is not None and value > least[residue]:
-            continue
-        for h in hs[1:]:
-            nxt = value + h
-            r = nxt % m
-            if least[r] is None or nxt < least[r]:
-                least[r] = nxt
-                heapq.heappush(heap, (nxt, r))
-    worst = max(least)
-    return max(worst - m + 1, 0)
+    m, least = _least_tables(tuple(hs))[0]
+    return max(max(least) - m + 1, 0)
 
 
 @lru_cache(maxsize=4096)
-def _suffix_tables(heights: tuple[int, ...], r: int) -> list[bytearray]:
-    """tables[j][x] == 1 iff x is representable using heights[j:]."""
-    k = len(heights)
-    tables = [bytearray(r + 1) for _ in range(k + 1)]
-    tables[k][0] = 1
-    for j in range(k - 1, -1, -1):
-        h = heights[j]
-        row = bytearray(tables[j + 1])
-        for x in range(h, r + 1):
-            if row[x - h]:
-                row[x] = 1
-        tables[j] = row
-    return tables
+def _least_tables(heights: tuple[int, ...]) -> tuple[tuple[int, tuple], ...]:
+    """Per suffix ``heights[j:]``: its smallest height m and, per residue
+    modulo m, the least value it represents (``inf``: none), by Dijkstra
+    over the residues.  It represents x iff ``x >= least[x % m]``."""
+    tables = []
+    for j in range(len(heights)):
+        m = min(heights[j:])
+        least = [0] + [math.inf] * (m - 1)
+        heap = [0]
+        while heap:
+            value = heapq.heappop(heap)
+            if value > least[value % m]:
+                continue
+            for nxt in (value + h for h in heights[j:]):
+                if nxt < least[nxt % m]:
+                    least[nxt % m] = nxt
+                    heapq.heappush(heap, nxt)
+        tables.append((m, tuple(least)))
+    return tuple(tables)
 
 
 def represent(r: int, heights: Sequence[int]) -> tuple[int, ...]:
-    """Lexicographically greatest coefficients with sum(a_j * h_j) == r."""
+    """Lexicographically greatest coefficients with sum(a_j * h_j) == r:
+    greedily the largest a_j whose rest the later heights represent (a
+    lookup in their least table); the last height divides the rest."""
     hs = tuple(int(h) for h in heights)
-    if r < 0 or any(h < 1 for h in hs):
+    if r < 0 or not hs or min(hs) < 1:
         raise NotRepresentable(f"{r} over {hs}")
-    tables = _suffix_tables(hs, r)
-    if not tables[0][r]:
+    tables = _least_tables(hs)
+    m, least = tables[0]
+    if r < least[r % m]:
         raise NotRepresentable(f"{r} is not representable over {hs}")
     coeffs = []
     rest = r
-    for j, h in enumerate(hs):
+    for h, (m, least) in zip(hs, tables[1:]):
         a = rest // h
-        while not tables[j + 1][rest - a * h]:
+        while rest - a * h < least[(rest - a * h) % m]:
             a -= 1
         coeffs.append(a)
         rest -= a * h
-    return tuple(coeffs)
+    return (*coeffs, rest // hs[-1])

@@ -2,19 +2,20 @@
 
 Everything here trades speed for obviousness and stays independent of the
 package internals: representability by bitset closure, tie-breaks by
-exhaustive descent, tiling counts by first-free-cell backtracking, word
-validation by a per-cell mask over every pair, word decoding by per-cell
-grouping, word encoding by pasting each placement's block, wall words by
-rolling and tiling one brick's block and fill words by pasting them, a
-fill's tiles listed part by part and its partition checked by counting each
-tile's clip, tiling
-and word files written and read line by line and cell by cell, JSON built
-and read record by record, bands filled once per block, block domains
-decoded from the stage's whole word, redistribution by forming every
-subdivided anchor row and lexsorting them, tilings verified by row-wise
-reductions over the ``(n, dim)`` anchor array, points located on a tower
-lattice by a Python ``divmod`` each.  The file oracles share only the header
-helpers with the package.
+exhaustive descent, representations by a bytearray a suffix of the heights,
+cores aligned by a direction flag, collars cut face by face, tiling counts
+by first-free-cell backtracking, word validation by a per-cell mask over
+every pair, word decoding by per-cell grouping, word encoding by pasting
+each placement's block, wall words by rolling and tiling one brick's block
+and fill words by pasting them, a fill's tiles listed part by part and its
+partition checked by counting each tile's clip, tiling and word files
+written and read line by line and cell by cell, JSON built and read record
+by record, bands filled once per block, block domains decoded from the
+stage's whole word, redistribution by forming every subdivided anchor row
+and lexsorting them, tilings verified by row-wise reductions over the
+``(n, dim)`` anchor array, points located on a tower lattice by a Python
+``divmod`` each.  The file oracles share only the header helpers with the
+package.
 """
 
 import json
@@ -33,8 +34,9 @@ from dominofill.cli.files import (
     _read_header,
     _window_line,
 )
-from dominofill.brickfill import BrickWall, fill_between
+from dominofill.brickfill import BrickWall, GapTooNarrow, InwardEmpty, fill_between
 from dominofill.geometry import Box, grid_rows, interior, within
+from dominofill.numerics import NotRepresentable
 from dominofill.rng import SplitMix64
 from dominofill.sft import (
     Alphabet,
@@ -113,6 +115,109 @@ def lex_greatest_by_descent(r, heights):
         return None
 
     return walk(0, r, [])
+
+
+def represent_by_suffix_tables(r, heights):
+    """Lexicographically greatest coefficients with sum(a_j * h_j) == r, or
+    NotRepresentable: greedily the largest a_j whose rest the later heights
+    represent, read off one bytearray a suffix over [0, r] (1: the suffix
+    ``heights[j:]`` represents that value), built cell by cell."""
+    hs = tuple(int(h) for h in heights)
+    if r < 0 or any(h < 1 for h in hs):
+        raise NotRepresentable(f"{r} over {hs}")
+    k = len(hs)
+    tables = [bytearray(r + 1) for _ in range(k + 1)]
+    tables[k][0] = 1
+    for j in range(k - 1, -1, -1):
+        h = hs[j]
+        row = bytearray(tables[j + 1])
+        for x in range(h, r + 1):
+            if row[x - h]:
+                row[x] = 1
+        tables[j] = row
+    if not tables[0][r]:
+        raise NotRepresentable(f"{r} is not representable over {hs}")
+    coeffs = []
+    rest = r
+    for j, h in enumerate(hs):
+        a = rest // h
+        while not tables[j + 1][rest - a * h]:
+            a -= 1
+        coeffs.append(a)
+        rest -= a * h
+    return tuple(coeffs)
+
+
+def complete_partial_tiles_by_direction(b, wall, direction):
+    """``b`` aligned to the wall lattice, one axis at a time, with the
+    alignment written out from the wall's translate and period.
+
+    ``outward``: smallest aligned box containing b.  ``inward``: largest
+    aligned box inside b; raises InwardEmpty when b contains no whole wall
+    tile.
+    """
+    if direction not in ("outward", "inward"):
+        raise ValueError(f"unknown direction {direction!r}")
+
+    def floor_align(x, axis):
+        return x - (x - wall.translate[axis]) % wall.period[axis]
+
+    def ceil_align(x, axis):
+        return x + (wall.translate[axis] - x) % wall.period[axis]
+
+    lo = []
+    hi = []
+    for axis in range(b.dim):
+        if direction == "outward":
+            lo.append(floor_align(b.anchor[axis], axis))
+            hi.append(ceil_align(b.end[axis], axis))
+        else:
+            lo.append(ceil_align(b.anchor[axis], axis))
+            hi.append(floor_align(b.end[axis], axis))
+    if direction == "inward" and any(h - l < p for l, h, p in zip(lo, hi, wall.period)):
+        raise InwardEmpty(f"{b} contains no whole tile of period {wall.period}")
+    return Box(tuple(lo), tuple(h - l for l, h in zip(lo, hi)))
+
+
+def decompose_collar_by_faces(inner, outer, threshold):
+    """Outer minus inner as (slab, axis) pairs, face by face: axis 0 low,
+    axis 0 high, axis 1 low, ...  A plain ValueError unless outer contains
+    inner; then GapTooNarrow for the first face whose gap is in
+    1..threshold; else one slab per face with a positive gap, spanning the
+    gap along the face axis, inner's extents along earlier axes and outer's
+    along later ones."""
+    if not outer.contains_box(inner):
+        raise ValueError("outer must contain inner")
+    for axis in range(outer.dim):
+        for side, gap in (
+            (0, inner.anchor[axis] - outer.anchor[axis]),
+            (1, outer.end[axis] - inner.end[axis]),
+        ):
+            if 0 < gap <= threshold:
+                raise GapTooNarrow(axis, side, gap, threshold)
+    slabs = []
+    for axis in range(outer.dim):
+        for side in (0, 1):
+            if side == 0:
+                lo, hi = outer.anchor[axis], inner.anchor[axis]
+            else:
+                lo, hi = inner.end[axis], outer.end[axis]
+            if hi <= lo:
+                continue
+            anchor = []
+            shape = []
+            for a in range(outer.dim):
+                if a == axis:
+                    anchor.append(lo)
+                    shape.append(hi - lo)
+                elif a < axis:
+                    anchor.append(inner.anchor[a])
+                    shape.append(inner.shape[a])
+                else:
+                    anchor.append(outer.anchor[a])
+                    shape.append(outer.shape[a])
+            slabs.append((Box(tuple(anchor), tuple(shape)), axis))
+    return slabs
 
 
 def count_exact_tilings(width, height, tiles):

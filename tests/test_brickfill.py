@@ -2,7 +2,9 @@
 
 import copy
 import dataclasses
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     check_partition_by_slices,
+    complete_partial_tiles_by_direction,
     equals_on,
     fill_word_by_pastes,
     iter_cells,
@@ -25,16 +28,17 @@ from test_sft import DECODE_CASES
 from dominofill import Box, BrickWall, build_alphabet, expand, fill_between, validate_family
 from dominofill.brickfill import (
     FilledWord,
+    GapTooNarrow,
     InwardEmpty,
     NoMatchingTranslate,
     NonMultipleExtent,
     PartitionBroken,
     collar_width,
-    complete_partial_tiles,
     glue,
     placements_of,
     strip_runs,
 )
+from dominofill.cli.verify import verify_word
 from dominofill.numerics import NotRepresentable
 from dominofill.sft import InvalidWord, Symbol, decode, validate_word
 
@@ -77,21 +81,23 @@ class TestBrickWall:
 
 
 class TestCompletePartialTiles:
+    """``BrickWall.outward`` grows a box to whole bricks, ``inward`` shrinks it."""
+
     def test_line_examples(self, line_alphabet):
         wall = BrickWall(line_alphabet, "P", (0,))
-        assert complete_partial_tiles(Box((0,), (10,)), wall, "outward") == Box((0,), (12,))
+        assert wall.outward(Box((0,), (10,))) == Box((0,), (12,))
         aligned = Box((0,), (12,))
-        assert complete_partial_tiles(aligned, wall, "outward") == aligned
-        assert complete_partial_tiles(aligned, wall, "inward") == aligned
+        assert wall.outward(aligned) == aligned
+        assert wall.inward(aligned) == aligned
         with pytest.raises(InwardEmpty):
-            complete_partial_tiles(Box((1,), (4,)), wall, "inward")
+            wall.inward(Box((1,), (4,)))
 
     @given(translates_2d, translates_2d, st.tuples(st.integers(1, 25), st.integers(1, 25)))
     @settings(max_examples=50)
     def test_face_movement_below_period(self, flagship_alphabet, translate, corner, shape):
         wall = BrickWall(flagship_alphabet, "P", translate)
         box = Box(corner, shape)
-        out = complete_partial_tiles(box, wall, "outward")
+        out = wall.outward(box)
         assert out.contains_box(box)
         for axis in range(2):
             period = wall.period[axis]
@@ -99,6 +105,28 @@ class TestCompletePartialTiles:
             assert out.end[axis] - box.end[axis] < period
             assert (out.anchor[axis] - wall.translate[axis]) % period == 0
             assert out.shape[axis] % period == 0
+
+    @pytest.mark.parametrize("dim", sorted(DECODE_CASES))
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_match_the_direction_flag(self, dim, data):
+        """Both agree with ``complete_partial_tiles_by_direction``, its
+        InwardEmpty included, on any brick, translate and box."""
+        alphabet = DECODE_CASES[dim][0]()
+        tile = data.draw(st.sampled_from([t for t in alphabet.tiles if not isinstance(t, int)]))
+        wall = BrickWall(alphabet, tile, data.draw(st.tuples(*[st.integers(-40, 40)] * dim)))
+        box = Box(
+            data.draw(st.tuples(*[st.integers(-40, 40)] * dim)),
+            data.draw(st.tuples(*[st.integers(1, 40)] * dim)),
+        )
+        assert wall.outward(box) == complete_partial_tiles_by_direction(box, wall, "outward")
+        try:
+            want = complete_partial_tiles_by_direction(box, wall, "inward")
+        except InwardEmpty as exc:
+            with pytest.raises(InwardEmpty, match=re.escape(str(exc))):
+                wall.inward(box)
+        else:
+            assert wall.inward(box) == want
 
 
 class TestStripTile:
@@ -234,6 +262,59 @@ class TestUniformFill:
         fill = fill_between(inner, Box((0, 0), (14, 9)), outer, flagship)
         tiles = set(p.tile for p in collar_tiles(fill))
         assert tiles and tiles <= {1, 2}
+
+
+class TestNarrowCollar:
+    def test_every_narrow_width_names_the_first_face(self, flagship_alphabet, flagship):
+        """Below the 12 cells this pair needs, every width is refused as a
+        gap at the low face of axis 0: at widths 0 to 5 the outer core no
+        longer holds the inner one, and the gap there is negative."""
+        inner = BrickWall(flagship_alphabet, "P", (1, 2))
+        outer = BrickWall(flagship_alphabet, "P", (0, 0))
+        box = Box((0, 0), (12, 12))
+        for width in range(12):
+            gap = -5 if width < 6 else 1
+            with pytest.raises(GapTooNarrow, match=rf"^collar gap {gap} at the low face") as got:
+                fill_between(inner, box, outer, flagship, width)
+            assert got.value.face == (0, 0)
+        assert fill_between(inner, box, outer, flagship, 12).footprint == expand(box, 12)
+
+
+COLLAR_FAMILIES = {
+    "line_2_3": (lambda: build_alphabet(validate_family([(2,), (3,)])), True, 216),
+    "line_2_5": (lambda: build_alphabet(validate_family([(2,), (5,)])), True, 1000),
+    "dominoes_3d": (DECODE_CASES[3][0], False, 512),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLLAR_FAMILIES))
+def test_collar_contract_over_every_residue(name):
+    """``fill_between`` commutes with translation, so a box at the origin,
+    every inner and outer wall translate and every box extent modulo the
+    brick cover all its cases at the family's own collar width.  The fill's
+    tiles partition a window around the footprint; on the line its word
+    there also passes the independent verifier, is the inner wall on the box
+    and the outer wall outside the footprint."""
+    make_alphabet, check_word, cases = COLLAR_FAMILIES[name]
+    alphabet = make_alphabet()
+    base = validate_family([alphabet.shape(t) for t in alphabet.tiles if isinstance(t, int)])
+    period = alphabet.shape("P")
+    translates = list(itertools.product(*map(range, period)))
+    extents = list(itertools.product(*(range(1, p + 1) for p in period)))
+    assert len(translates) ** 2 * len(extents) == cases
+    for t_in, t_out, shape in itertools.product(translates, translates, extents):
+        inner, outer = BrickWall(alphabet, "P", t_in), BrickWall(alphabet, "P", t_out)
+        box = Box((0,) * base.dim, shape)
+        fill = fill_between(inner, box, outer, base)
+        window = expand(box, base.fill_length + max(period))
+        fill.placements(window)
+        if check_word:
+            word = fill.materialize(window)
+            assert verify_word(word) == [], (t_in, t_out, shape)
+            assert np.array_equal(word.subgrid(box), inner.pattern_over(box))
+            outside = np.ones(window.shape, dtype=bool)
+            outside[word.slices_for(expand(box, base.fill_length))] = False
+            assert np.array_equal(word.grid[outside], outer.pattern_over(window)[outside])
 
 
 def assert_placements_are_each_fills_own(fills, box):

@@ -687,6 +687,26 @@ class TestMain:
         assert main(["verify", str(path)]) == 1
         assert "cell (0,) listed twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_verify_refuses_a_word_window_too_large_to_paint(self, tmp_path, capsys, fmt):
+        """A word file's window is input: one beyond the verifier's paint
+        bound is one error line, not an allocation of 10^16 cells."""
+        path = tmp_path / f"huge.{'txt' if fmt == 'text' else 'json'}"
+        if fmt == "text":
+            lines = ["dominofill word v1", "dim 2", "shapes 1:2x1"]
+            lines += ["window 0 0 100000000 100000000", "seed 0", "0 0 1 0 0"]
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        else:
+            doc = {
+                "format": "dominofill word", "version": 1, "dim": 2, "shapes": {"1": [2, 1]},
+                "window": {"anchor": [0, 0], "shape": [10**8, 10**8]}, "seed": 0,
+                "cells": [{"cell": [0, 0], "tile": 1, "offset": [0, 0]}],
+            }
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: word window of 10000000000000000 cells is too large to paint\n"
+
     def test_verify_refuses_non_utf8_file(self, tmp_path, capsys):
         path = tmp_path / "latin.txt"
         path.write_bytes(serialize_tiling(sample_tiling()).encode() + b"\xff\n")

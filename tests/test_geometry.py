@@ -1,14 +1,15 @@
-"""Boxes and the collar decomposition, against cell enumeration."""
+"""Boxes and the collar slabs, against cell enumeration."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
+from oracles import decompose_collar_by_faces
 
 from dominofill import Box, expand
-from dominofill.brickfill import GapTooNarrow, decompose_collar
+from dominofill.brickfill import GapTooNarrow, collar_slabs
 from dominofill.geometry import grid_rows, interior
 
 
@@ -72,48 +73,87 @@ class TestExpandInterior:
 
 
 class TestDecomposeCollar:
+    """``collar_slabs`` cuts a collar into axis slabs."""
+
     def test_line_segments(self):
-        pieces = decompose_collar(Box((0,), (12,)), Box((-15,), (42,)), 2)
-        assert [(p.box, p.axis) for p in pieces] == [
+        assert collar_slabs(Box((0,), (12,)), Box((-15,), (42,)), 2) == [
             (Box((-15,), (15,)), 0),
             (Box((12,), (15,)), 0),
         ]
 
     def test_identity_and_narrow(self):
         b = Box((0, 0), (12, 12))
-        assert decompose_collar(b, b, 2) == []
+        assert collar_slabs(b, b, 2) == []
         with pytest.raises(GapTooNarrow):
-            decompose_collar(Box((0,), (12,)), Box((-2,), (16,)), 2)
+            collar_slabs(Box((0,), (12,)), Box((-2,), (16,)), 2)
 
     def test_pinwheel_partition(self, flagship):
         # concentric 6-aligned squares, uniform gap 12 per face
         inner = Box((0, 0), (12, 12))
         outer = Box((-12, -12), (36, 36))
-        pieces = decompose_collar(inner, outer, flagship.threshold)
-        assert len(pieces) == 4
+        slabs = collar_slabs(inner, outer, flagship.threshold)
+        assert len(slabs) == 4
         union = set()
-        for p in pieces:
-            cells = enumerate_cells(p.box)
+        for box, free in slabs:
+            cells = enumerate_cells(box)
             assert not union & cells
             union |= cells
             # one representable extent; every other axis a multiple of the period
-            assert p.box.shape[p.axis] > flagship.threshold
+            assert box.shape[free] > flagship.threshold
             for axis in range(2):
-                if axis != p.axis:
-                    assert p.box.shape[axis] % flagship.large_shape[axis] == 0
+                if axis != free:
+                    assert box.shape[axis] % flagship.large_shape[axis] == 0
         assert union == enumerate_cells(outer) - enumerate_cells(inner)
 
     @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 3), st.integers(1, 3))
     def test_random_aligned_rings(self, ax, ay, wx, wy):
         inner = Box((6 * ax, 6 * ay), (6 * wx, 6 * wy))
         outer = expand(inner, 12)
-        pieces = decompose_collar(inner, outer, 2)
         union = set()
-        for p in pieces:
-            cells = enumerate_cells(p.box)
+        for box, _ in collar_slabs(inner, outer, 2):
+            cells = enumerate_cells(box)
             assert not union & cells
             union |= cells
         assert union == enumerate_cells(outer) - enumerate_cells(inner)
+
+    @given(data=st.data())
+    def test_matches_the_face_by_face_cut(self, data):
+        """``decompose_collar_by_faces`` on aligned cores in d = 1..3 whose
+        gaps are often flush, narrow or negative: the same slabs, or the same
+        GapTooNarrow; where it raises a plain ValueError (outer does not
+        contain inner), GapTooNarrow for the first face whose gap is
+        nonzero and at most the threshold."""
+        dim = data.draw(st.integers(1, 3))
+        period = data.draw(st.tuples(*[st.integers(1, 6)] * dim))
+        threshold = data.draw(st.integers(0, 8))
+        inner = Box(
+            tuple(p * data.draw(st.integers(-4, 4)) for p in period),
+            tuple(p * data.draw(st.integers(1, 3)) for p in period),
+        )
+        gaps = [data.draw(st.tuples(*[st.integers(-3, 14)] * 2)) for _ in period]
+        assume(all(e + lo + hi >= 1 for e, (lo, hi) in zip(inner.shape, gaps)))
+        outer = Box(
+            tuple(a - lo for a, (lo, _) in zip(inner.anchor, gaps)),
+            tuple(e + lo + hi for e, (lo, hi) in zip(inner.shape, gaps)),
+        )
+        try:
+            want = decompose_collar_by_faces(inner, outer, threshold)
+        except GapTooNarrow as exc:
+            with pytest.raises(GapTooNarrow) as got:
+                collar_slabs(inner, outer, threshold)
+            assert (got.value.face, str(got.value)) == (exc.face, str(exc))
+        except ValueError:
+            face = next(
+                (axis, side)
+                for axis, pair in enumerate(gaps)
+                for side, gap in enumerate(pair)
+                if gap != 0 and gap <= threshold
+            )
+            with pytest.raises(GapTooNarrow) as got:
+                collar_slabs(inner, outer, threshold)
+            assert got.value.face == face
+        else:
+            assert collar_slabs(inner, outer, threshold) == want
 
 
 @pytest.mark.parametrize(

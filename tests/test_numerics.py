@@ -5,12 +5,18 @@ tie-breaks by exhaustive descent.  Library answers must match them exactly.
 """
 
 import math
+import re
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import lex_greatest_by_descent, representable_bits, threshold_by_scan
+from oracles import (
+    lex_greatest_by_descent,
+    represent_by_suffix_tables,
+    representable_bits,
+    threshold_by_scan,
+)
 
 from dominofill import validate_family
 from dominofill.numerics import (
@@ -104,6 +110,37 @@ class TestRepresent:
         else:
             with pytest.raises(NotRepresentable):
                 represent(r, heights)
+
+
+class TestAgainstSuffixTables:
+    """The least tables against ``represent_by_suffix_tables``, one
+    bytearray a suffix for each width."""
+
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=5), st.integers(0, 400))
+    def test_represent_matches(self, heights, r):
+        """Heights in any order, repeats and suffixes of gcd above 1 (or a
+        whole gcd above 1) included: the same coefficients or the same
+        NotRepresentable."""
+        try:
+            want = represent_by_suffix_tables(r, heights)
+        except NotRepresentable as exc:
+            with pytest.raises(NotRepresentable, match=re.escape(str(exc))):
+                represent(r, heights)
+        else:
+            assert represent(r, heights) == want
+
+    @given(coprime_heights(max_entry=30, max_k=5))
+    def test_threshold_matches(self, heights):
+        """The threshold is the first r from which every value, over one
+        smallest height past it, has a representation."""
+        r = axis_threshold(heights)
+        for v in range(max(r - 1, 0), r + min(heights) + 1):
+            try:
+                represent_by_suffix_tables(v, heights)
+            except NotRepresentable:
+                assert v == r - 1
+            else:
+                assert v >= r or v == 0
 
 
 @st.composite
