@@ -106,6 +106,10 @@ def render_ascii(tiling: Tiling, width: int = 100) -> str:
     if tiling.dim != 1:
         raise RenderError(f"ASCII rendering needs d=1, got d={tiling.dim}")
     window = tiling.window or _bounding_window(tiling)
+    if window.shape[0] > MAX_DRAWN_CELLS:
+        raise RenderError(
+            f"ASCII rendering draws at most {MAX_DRAWN_CELLS} cells, window has {window.shape[0]}"
+        )
     cells = np.full(window.shape[0], ".", dtype="<U1")
     order = tiling.tile_order
     marks = "#%@&*+"

@@ -42,30 +42,36 @@ class SplitMix64:
             raise ValueError("bound must be positive")
         return (self.next_u64() * n) >> 64
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle driven by ``below``.
+    def shuffle(self, items: list | np.ndarray) -> None:
+        """In-place Fisher-Yates shuffle driven by ``below``; a list or 1-D array.
 
-        Swap k (k = 1 .. len - 1) swaps position i = len - k with
-        ``below(i + 1)``.  Output k is ``scramble(state + k * gamma)``, a pure
-        function of the counter, so all draws come from one ``uint64`` numpy
-        pass; only the swaps run in order.  The multiply-shift is split in
-        32-bit halves, which is exact for lists shorter than 2**32.
+        Swap s (s = len - 1 .. 1) exchanges positions s and
+        ``j[s] = below(s + 1)``, so its draw is output ``len - s``, which is
+        ``scramble(state + (len - s) * gamma)``: all draws come from one
+        ``uint64`` numpy pass and the stream advances by ``len - 1`` draws.
+        The multiply-shift is split in 32-bit halves, which is exact for
+        fewer than 2**32 items.
+
+        The swaps are not replayed one by one; the order follows from the
+        targets.  Position s is final after swap s and holds what position
+        ``j[s]`` held just before it: ``g(next(s))``, where ``next(s)`` is the
+        smallest s' > s with ``j[s'] = j[s]``, or item ``j[s]`` when there is
+        none.  ``g(s)``, what position s holds just before swap s, is
+        ``g(first(s))``, where ``first(s)`` is the smallest s'' > s with
+        ``j[s''] = s``, or item s when there is none.  Position 0 ends with
+        ``g(first(0))``, or item 0, which is the same rule with ``j[0] = 0``.
+        One sort of the keys ``j[s] * 2**32 + s`` lists each target's swaps
+        in order, which gives ``next`` and ``first``; ``first`` is injective,
+        so the ``g`` chains are disjoint paths, resolved by pointer doubling.
         """
         n = len(items)
         if n < 2:
             return
-        k = np.arange(1, n, dtype=np.uint64)
-        z = k * np.uint64(_GAMMA)
-        z += np.uint64(self._state)
-        for shift, mix in zip((30, 27), _MIX):
-            z ^= z >> np.uint64(shift)
-            z *= np.uint64(mix)
-        z ^= z >> np.uint64(31)
-        bound = np.uint64(n + 1) - k  # i + 1
-        low = ((z & np.uint64(0xFFFFFFFF)) * bound) >> np.uint64(32)
-        draws = ((z >> np.uint64(32)) * bound + low) >> np.uint64(32)
-        for i, j in zip(range(n - 1, 0, -1), draws.tolist()):
-            items[i], items[j] = items[j], items[i]
+        src = _fisher_yates_sources(self._state, n)
+        if isinstance(items, np.ndarray):
+            items[:] = items[src]
+        else:
+            items[:] = [items[i] for i in src.tolist()]
         self._state = (self._state + (n - 1) * _GAMMA) & _MASK
 
     def fork(self, tag: int) -> "SplitMix64":
@@ -77,3 +83,67 @@ class SplitMix64:
         """
         child = scramble(self.seed ^ (((tag + 1) * _GAMMA) & _MASK))
         return SplitMix64(child)
+
+
+def _fisher_yates_sources(state: int, n: int) -> np.ndarray:
+    """Indices ``src`` such that ``items[src]`` is the shuffle from ``state``.
+
+    ``SplitMix64.shuffle`` states the rule.  Every step is one array pass,
+    except the pointer doubling, which loops once per doubling of the longest
+    chain.  The 8-byte temporaries are freed once spent.
+    """
+    # j[s] = below(s + 1) from output n - s; at s = 0 the bound is 1, so j[0] = 0.
+    s = np.arange(n, dtype=np.uint64)
+    z = np.uint64(n) - s
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(state)
+    tmp = np.empty_like(z)
+    for shift, mix in zip((30, 27), _MIX):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        z ^= tmp
+        z *= np.uint64(mix)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
+    s += np.uint64(1)  # the bound s + 1, until the keys need s again
+    np.bitwise_and(z, np.uint64(0xFFFFFFFF), out=tmp)
+    tmp *= s
+    tmp >>= np.uint64(32)
+    z >>= np.uint64(32)
+    z *= s
+    z += tmp
+    z >>= np.uint64(32)
+    del tmp
+    # Keys j[s] * 2**32 + s, sorted: each target's swaps in increasing s.
+    keys = z
+    keys <<= np.uint64(32)
+    s -= np.uint64(1)
+    keys |= s
+    del s
+    keys.sort()
+    target = (keys >> np.uint64(32)).view(np.int64)
+    keys &= np.uint64(0xFFFFFFFF)
+    swap = keys.view(np.int64)
+    same = target[1:] == target[:-1]  # swap[k + 1] is next(swap[k])
+    # As j[s] <= s, v's own swap leads v's run when j[v] = v; first(v) is the
+    # first swap of the run that is not v.
+    moved = swap != target
+    heads = moved.copy()
+    heads[1:] &= ~(same & moved[:-1])
+    heads = np.flatnonzero(heads)
+    # root[s]: the end of s's first-chain, whose item is g(s).
+    root = np.arange(n)
+    live = target[heads]
+    root[live] = swap[heads]
+    del heads
+    while live.size:
+        hop = root[live]
+        jump = root[hop]
+        root[live] = jump
+        live = np.compress(jump != hop, live)
+    # Position swap[k] takes g(next(swap[k])) if there is a next, else item target[k].
+    k = np.flatnonzero(same)
+    target[k] = root[swap[k + 1]]
+    del k, root
+    src = np.empty(n, dtype=np.intp)
+    src[swap] = target
+    return src

@@ -986,9 +986,8 @@ def redistribute(
         quotas_sh.append(n_pool - n_ex - sum(quotas_sh, start=Fraction(0)))
         counts_sh = _largest_remainder(quotas_sh, n_pool - n_ex, rng.fork(30 + rank))
         counts = counts_ex + counts_sh
-        shuffled = list(range(n_pool))
-        rng.fork(20 + rank).shuffle(shuffled)
-        perm = np.array(shuffled, dtype=np.int64)
+        perm = np.arange(n_pool)
+        rng.fork(20 + rank).shuffle(perm)
         pos = 0
         for label, cnt in zip(exclusive + shared + [None], counts):
             chosen = pool[perm[pos : pos + cnt]]
@@ -1094,7 +1093,7 @@ def _select_tails(plan: StagePlan, towers: StageTowers, rng: SplitMix64) -> np.n
         raise Infeasible("stage_side", f"stage {towers.stage} tail towers hold no whole brick")
     want = spec.tail_mass * towers.window.volume / content
     count = min(int(want + Fraction(1, 2)), towers.count)
-    idx = list(range(towers.count))
+    idx = np.arange(towers.count)
     rng.shuffle(idx)
     tails[idx[:count]] = True
     return tails

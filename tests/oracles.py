@@ -11,10 +11,10 @@ and fill words by pasting them, a fill's tiles listed part by part and its
 partition checked by counting each tile's clip, tiling and word files
 written and read line by line and cell by cell, JSON built and read record
 by record, bands filled once per block, block domains decoded from the
-stage's whole word, redistribution by forming every subdivided anchor row
-and lexsorting them, tilings verified by row-wise reductions over the
-``(n, dim)`` anchor array, points located on a tower lattice by a Python
-``divmod`` each.  The file oracles share only the header helpers with the
+stage's whole word, pools shuffled by one scalar ``below`` draw a swap,
+redistribution by forming every subdivided anchor row and lexsorting them,
+tilings verified by row-wise reductions over the ``(n, dim)`` anchor array,
+points located on a tower lattice by a Python ``divmod`` each.  The file oracles share only the header helpers with the
 package.
 """
 
@@ -831,12 +831,20 @@ def finalize_by_decode(state, plan):
     return tiling, report
 
 
+def shuffle_by_below(rng, items):
+    """Fisher-Yates with one scalar ``below`` draw per swap."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
 def redistribute_by_rows(tiling, targets, report, seed, tile_shapes=None):
     """``tower.redistribute`` with every output anchor row formed.
 
-    The same pools, counts and seeded shuffles; each chosen brick's tile grid
-    is formed as rows, the parts are concatenated in order and the result is
-    lexsorted by anchor, then code.
+    The same pools, counts and seeded shuffles, each pool's done by
+    ``shuffle_by_below``; each chosen brick's tile grid is formed as rows,
+    the parts are concatenated in order and the result is lexsorted by
+    anchor, then code.
     """
     shapes = dict(tile_shapes) if tile_shapes is not None else dict(tiling.tile_shapes)
     small_tiles = sorted(t for t in shapes if isinstance(t, int))
@@ -890,7 +898,7 @@ def redistribute_by_rows(tiling, targets, report, seed, tile_shapes=None):
         counts_sh = _largest_remainder(quotas_sh, n_pool - n_ex, rng.fork(30 + rank))
         counts = counts_ex + counts_sh
         shuffled = list(range(n_pool))
-        rng.fork(20 + rank).shuffle(shuffled)
+        shuffle_by_below(rng.fork(20 + rank), shuffled)
         perm = np.array(shuffled, dtype=np.int64)
         pos = 0
         for label, cnt in zip(exclusive + shared + [None], counts):

@@ -888,6 +888,16 @@ class TestUserErrors:
         assert main(["render", str(path), "--out", str(tmp_path)]) == 1
         self.assert_one_error_line(capsys)
 
+    def test_render_huge_line_window_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text(
+            "dominofill tiling v1\ndim 1\nshapes 1:2\nwindow 0 1000000000000000\nseed 0\n1 0\n",
+            encoding="utf-8",
+        )
+        assert main(["render", str(path), "--out", str(tmp_path)]) == 1
+        self.assert_one_error_line(capsys)
+        assert not (tmp_path / "render.txt").exists()
+
     @pytest.mark.parametrize(
         "field, bad",
         [
