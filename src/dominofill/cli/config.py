@@ -126,6 +126,11 @@ def _read(row: Key, text) -> Any:
         raise ConfigError(f"[{row.section}] {row.key}: {why}") from exc
 
 
+def cells_in_int64(anchor, shape) -> bool:
+    """Whether every cell of the box at ``anchor`` of extents ``shape`` is int64."""
+    return all(-(2**63) <= a and a + n <= 2**63 for a, n in zip(anchor, shape))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one reproducible run needs."""
@@ -159,6 +164,11 @@ class RunConfig:
                 raise ConfigError(
                     f"[{row.section}] {row.key}: needs {self.dim} entries, got {len(vec)}"
                 )
+        if not cells_in_int64(self.window_anchor, self.window_shape):
+            raise ConfigError(
+                f"[run] window_anchor: window at {self.window_anchor} of extents "
+                f"{self.window_shape} has cells outside int64"
+            )
         if (self.fill_anchor is None) != (self.fill_shape is None):
             raise ConfigError("fill box needs both box_anchor and box_shape")
 

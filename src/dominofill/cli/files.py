@@ -507,8 +507,6 @@ def _build_tiling(shapes: dict, dim: int, window, tiles: list, inverse, fields) 
     rows, misfit = _coords(fields[0], dim)
     if dim < 0 or misfit.any() or rows.dtype != np.int64:
         raise ParseError(f"every anchor needs {dim} int64 coordinates")
-    if len(inverse) == 0:
-        return Tiling.from_parts(shapes, [], window)
     code_of = {t: i for i, t in enumerate(sorted(shapes, key=tile_sort_key))}
     codes = np.array([code_of[t] for t in tiles], dtype=np.int32)[inverse]
     return Tiling(shapes, codes, rows, window).sorted_canonical()

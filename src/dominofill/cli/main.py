@@ -33,10 +33,9 @@ from ..tower import (
     run_pipeline,
 )
 from .config import (
-    FORMATS,
-    MODES,
     ConfigError,
     RunConfig,
+    cells_in_int64,
     load_config,
     serialize_config,
 )
@@ -50,7 +49,7 @@ from .files import (
     write_atomic,
 )
 from .render import RenderError, render_ascii, render_svg
-from .verify import verify_tiling, verify_word
+from .verify import MAX_PAINT_CELLS, verify_tiling, verify_word
 
 log = logging.getLogger("dominofill")
 
@@ -76,7 +75,7 @@ def _setup_logging() -> None:
 
 def _load_with_overrides(args) -> RunConfig:
     """The config, with each ``[run]`` key that a flag of the same name gives replaced."""
-    given = {key: v for key, v in vars(args).items() if v not in (None, "")}
+    given = {key: v for key, v in vars(args).items() if v is not None}
     return load_config(args.config).with_run_keys(given)
 
 
@@ -179,12 +178,18 @@ def cmd_fill(args) -> int:
     if cfg.fill_inner is None or cfg.fill_outer is None or cfg.fill_anchor is None:
         raise ConfigError("fill needs [fill] inner_translate, outer_translate, box_anchor, box_shape")
     family = validate_family(cfg.shapes, cfg.dim)
+    box = Box(cfg.fill_anchor, cfg.fill_shape)
+    region = expand(box, family.fill_length)
+    reach = expand(region, max(family.large_shape) - 1)  # the wall bricks that meet it
+    if not cells_in_int64(reach.anchor, reach.shape):
+        raise ConfigError(f"[fill] box_anchor: bricks that meet fill region {region} leave int64")
+    if region.volume > MAX_PAINT_CELLS:
+        raise ConfigError(f"[fill] box_shape: fill region {region} has {region.volume} cells, "
+                          f"more than {MAX_PAINT_CELLS}")
     alphabet = build_alphabet(family)
     inner = BrickWall(alphabet, "P", cfg.fill_inner)
     outer = BrickWall(alphabet, "P", cfg.fill_outer)
-    box = Box(cfg.fill_anchor, cfg.fill_shape)
     filled = fill_between(inner, box, outer, family)
-    region = expand(box, family.fill_length)
     word = filled.materialize(region)
     path = _write(os.path.join(cfg.out_dir, "fill"), word, cfg.seed, cfg.out_format)
     print(f"filled {region} between translates {cfg.fill_inner} and {cfg.fill_outer}")
@@ -260,54 +265,41 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _add_overrides(sub, *, window: bool = True) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sub.add_argument("--mode", choices=MODES, default=None)
-    if window:
-        sub.add_argument("--window", default=None, help="window extents, e.g. 4096,4096")
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--format", choices=FORMATS, default=None)
+# One row per subcommand: name, help line, positional file, --config (required:
+# True, optional: False, not taken: None) and the [run] keys it takes as flags,
+# each read as the INI file reads its key.  render reads no config: its --out
+# is where it writes.
+FLAG_HELP = {"seed": "the run's seed", "mode": "strict or relaxed",
+             "window": "window extents, e.g. 4096,4096", "out": "output directory",
+             "format": "text or json"}
+COMMANDS = (
+    ("plan", "validate and print a stage schedule", False, True, tuple(FLAG_HELP)),
+    ("build", "run the staged pipeline and write tilings", False, True, tuple(FLAG_HELP)),
+    ("fill", "fill between two wall translates", False, True, ("seed", "mode", "out", "format")),
+    ("redistribute", "relabel bricks to hit targets", True, True, ("seed", "mode", "out", "format")),
+    ("verify", "independently check a tiling or word file", True, None, ()),
+    ("stats", "frequency report for a tiling file", True, False, ()),
+    ("render", "SVG (d=2) or ASCII (d=1) picture", True, None, ("out",)),
+)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once.  ``main`` looks each command
-    up by name when it runs it, so a ``cmd_*`` replaced on this module
-    takes effect."""
+    """The parser of ``COMMANDS``, built once.  ``main`` looks each command up
+    by name when it runs it, so a ``cmd_*`` replaced on this module takes effect."""
     parser = argparse.ArgumentParser(
         prog="dominofill",
         description="Tilings of lattice windows by rectangles with coprime sides.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_plan = subs.add_parser("plan", help="validate and print a stage schedule")
-    p_plan.add_argument("--config", required=True)
-    _add_overrides(p_plan)
-
-    p_build = subs.add_parser("build", help="run the staged pipeline and write tilings")
-    p_build.add_argument("--config", required=True)
-    _add_overrides(p_build)
-
-    p_fill = subs.add_parser("fill", help="fill between two wall translates")
-    p_fill.add_argument("--config", required=True)
-    _add_overrides(p_fill, window=False)
-
-    p_redist = subs.add_parser("redistribute", help="relabel bricks to hit targets")
-    p_redist.add_argument("file")
-    p_redist.add_argument("--config", required=True)
-    _add_overrides(p_redist, window=False)
-
-    p_verify = subs.add_parser("verify", help="independently check a tiling or word file")
-    p_verify.add_argument("file")
-
-    p_stats = subs.add_parser("stats", help="frequency report for a tiling file")
-    p_stats.add_argument("file")
-    p_stats.add_argument("--config", default=None)
-
-    p_render = subs.add_parser("render", help="SVG (d=2) or ASCII (d=1) picture")
-    p_render.add_argument("file")
-    p_render.add_argument("--out", default=None)
-
+    for name, help_line, takes_file, config, flags in COMMANDS:
+        sub = subs.add_parser(name, help=help_line)
+        if takes_file:
+            sub.add_argument("file")
+        if config is not None:
+            sub.add_argument("--config", required=config, help="the INI run config")
+        for key in flags:
+            sub.add_argument("--" + key, help=FLAG_HELP[key])
     return parser
 
 

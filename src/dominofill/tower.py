@@ -328,6 +328,8 @@ def _choose_sides(dim, mode, sides, collars, n_stages):
             need = 2 * dim * (collar + 2 + prev)
             if sides is not None:
                 n = int(sides[i - 1])
+                if n < 1:
+                    raise Infeasible("stage_side", f"stage {i} side {n} below 1")
                 if Fraction(need, n) >= Fraction(1, 4**i):
                     raise Infeasible(
                         "collar_fraction",

@@ -1,5 +1,6 @@
 """Config parsing, file formats, independent verification, and the CLI."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -45,6 +46,7 @@ from dominofill.cli.main import main
 from dominofill.cli.render import render_ascii, render_svg
 from dominofill.cli import verify
 from dominofill.cli.verify import MAX_REPORTED, verify_tiling, verify_word
+from dominofill.numerics import validate_family
 from dominofill.sft import Symbol, SymbolicWord, Tiling
 
 FLAGSHIP_INI = """\
@@ -832,8 +834,38 @@ BAD_CONFIGS = [
     ("default_entry", "[DEFAULT]\nseed = 3\n\n" + FLAGSHIP_INI, "DEFAULT"),
     ("dim_zero", FLAGSHIP_INI.replace("dim = 2", "dim = 0"), "] dim: must be >= 1"),
     ("dim_negative", FLAGSHIP_INI.replace("dim = 2", "dim = -1"), "] dim: must be >= 1"),
+    # A window with a cell outside int64: one cell past 2^63 - 1 or below
+    # -2^63, and an anchor that is not an int64 at all.
+    (
+        "window_last_cell_past_int64",
+        FLAGSHIP_INI.replace("[run]\n", "[run]\nwindow_anchor = 0,9223372036854775509\n"),
+        "] window_anchor: window at",
+    ),
+    (
+        "window_first_cell_below_int64",
+        FLAGSHIP_INI.replace("[run]\n", "[run]\nwindow_anchor = -9223372036854775809,0\n"),
+        "window_anchor",
+    ),
+    (
+        "window_anchor_past_int64",
+        FLAGSHIP_INI.replace("[run]\n", "[run]\nwindow_anchor = 10000000000000000000,0\n"),
+        "window_anchor",
+    ),
 ]
 BAD_IDS = [name for name, _, _ in BAD_CONFIGS]
+
+RUN_FLAGS = {"--seed", "--mode", "--window", "--out", "--format"}
+# Each subcommand's option strings (``-h`` aside), whether ``--config`` is
+# required (None: not taken), and whether it takes a positional file.
+PARSER_PIN = {
+    "plan": ({"--config", *RUN_FLAGS}, True, False),
+    "build": ({"--config", *RUN_FLAGS}, True, False),
+    "fill": ({"--config", *RUN_FLAGS - {"--window"}}, True, False),
+    "redistribute": ({"--config", *RUN_FLAGS - {"--window"}}, True, True),
+    "verify": (set(), None, True),
+    "stats": ({"--config"}, False, True),
+    "render": ({"--out"}, None, True),
+}
 
 
 class TestUserErrors:
@@ -880,6 +912,125 @@ class TestUserErrors:
     def test_bad_window_flag_exits_1(self, window, flagship_cfg, capsys):
         assert main(["plan", "--config", flagship_cfg, "--window", window]) == 1
         self.assert_one_error_line(capsys)
+
+    def test_parser_options_are_pinned(self):
+        """No subcommand gains or loses a flag, and every value reaches its
+        command as text: only the config schema reads it."""
+        parser = cli_main.build_parser()
+        (subs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(subs.choices) == set(PARSER_PIN)
+        for name, sub in subs.choices.items():
+            actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+            options = {s for a in actions for s in a.option_strings}
+            config = next((a.required for a in actions if "--config" in a.option_strings), None)
+            takes_file = [a.dest for a in actions if not a.option_strings] == ["file"]
+            assert (options, config, takes_file) == PARSER_PIN[name], name
+            assert all(a.type is None and a.choices is None and a.help for a in actions
+                       if a.option_strings), name
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", "abc"), ("seed", ""), ("mode", "bogus"), ("window", "10,x"),
+         ("window", "300"), ("format", "xml")],
+    )
+    @pytest.mark.parametrize("command", ["plan", "build"])
+    def test_bad_flag_value_reads_as_in_the_config(
+        self, command, key, value, flagship_cfg, tmp_path, capsys
+    ):
+        """A bad --seed, --mode, --window or --format value gives the same
+        stderr line and exit status as the same value in the INI file."""
+        ini = tmp_path / "bad.ini"
+        text = re.sub(rf"(?m)^{key} = .*\n", "", FLAGSHIP_INI)
+        ini.write_text(text.replace("[run]\n", f"[run]\n{key} = {value}\n"), encoding="utf-8")
+        out = ["--out", str(tmp_path / "out")]
+        assert main([command, "--config", str(ini), *out]) == 1
+        in_file = capsys.readouterr()
+        assert main([command, "--config", flagship_cfg, f"--{key}", value, *out]) == 1
+        assert capsys.readouterr() == in_file
+        assert in_file.out == "" and in_file.err.startswith(f"error: [run] {key}: ")
+        assert in_file.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["plot"], ["plan"], ["build", "--config", "run.ini", "--sed", "1"],
+         ["verify", "t.txt", "--config", "run.ini"], ["render", "t.txt", "--seed", "1"]],
+        ids=["unknown_command", "no_config", "unknown_flag", "verify_config", "render_seed"],
+    )
+    def test_grammar_errors_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: dominofill")
+
+    def test_window_flag_past_int64_exits_1(self, tmp_path, capsys):
+        """A --window that moves the config's window past int64 is refused
+        as the same extents in the file are."""
+        ini = tmp_path / "edge.ini"
+        anchor = "window_anchor = 0,9223372036854775508"
+        ini.write_text(FLAGSHIP_INI.replace("window = 300,300", f"window = 300,300\n{anchor}"))
+        assert main(["plan", "--config", str(ini)]) == 0
+        capsys.readouterr()
+        assert main(["plan", "--config", str(ini), "--window", "300,301"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: [run] window_anchor: "), err
+
+    @pytest.mark.parametrize(
+        "window, anchor",
+        [("1536,1536", "9223372036854774271,0"), ("1024,1024", "0,9223372036854774784"),
+         ("1024,1024", "-9223372036854775808,0")],
+        ids=["end_2^63-1", "last_cell_2^63-1", "first_cell_-2^63"],
+    )
+    def test_window_at_the_int64_edge_builds_and_verifies(self, window, anchor, tmp_path, capsys):
+        ini, out = tmp_path / "edge.ini", tmp_path / "out"
+        text = TWO_STAGE_INI.replace("window = 1024,1024", f"window = {window}")
+        ini.write_text(text.replace("[run]\n", f"[run]\nwindow_anchor = {anchor}\n"))
+        assert main(["build", "--config", str(ini), "--out", str(out)]) == 0
+        assert main(["verify", str(out / "tiling.txt")]) == 0
+        assert f"window {anchor.replace(',', ' ')} " in (out / "tiling.txt").read_text()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("sides", ["0", "0,100"])
+    @pytest.mark.parametrize("command", ["plan", "build"])
+    def test_strict_zero_side_exits_1(self, command, sides, tmp_path, capsys):
+        ini, out = tmp_path / "zero.ini", tmp_path / "out"
+        strict = FLAGSHIP_INI.replace("mode = relaxed", "mode = strict")
+        ini.write_text(strict.replace("sides = 64", f"sides = {sides}"), encoding="utf-8")
+        assert main([command, "--config", str(ini), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: plan constraint 'stage_side' cannot be met: stage 1 side 0 below 1"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            ("box_shape = 1000000000000", "[fill] box_shape: fill region"),
+            ("box_anchor = 9223372036854775800", "[fill] box_anchor: bricks that meet"),
+        ],
+        ids=["too_many_cells", "past_int64"],
+    )
+    def test_fill_region_it_cannot_hold_exits_1(self, edit, named, tmp_path, capsys):
+        ini, out = tmp_path / "fill.ini", tmp_path / "out"
+        key = edit.split(" = ")[0]
+        ini.write_text(re.sub(rf"(?m)^{key} = .*$", edit, FILL_INI), encoding="utf-8")
+        assert main(["fill", "--config", str(ini), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {named}"), err
+        assert not out.exists()
+
+    def test_fill_at_the_int64_edge(self, tmp_path, capsys):
+        """The wall bricks that meet the fill region may reach either end of
+        int64, but not a cell past it."""
+        family = validate_family(((2,), (3,)), 1)
+        reach = family.fill_length + family.large_shape[0] - 1
+        low, high = -(2**63) + reach, 2**63 - 6 - reach
+        for anchor, status in [(low, 0), (low - 1, 1), (high, 0), (high + 1, 1)]:
+            ini, out = tmp_path / "fill.ini", tmp_path / str(anchor)
+            ini.write_text(FILL_INI.replace("box_anchor = 4", f"box_anchor = {anchor}"))
+            assert main(["fill", "--config", str(ini), "--out", str(out)]) == status, anchor
+            if status == 0:
+                assert main(["verify", str(out / "fill.txt")]) == 0
+        capsys.readouterr()
 
     def test_render_3d_exits_1(self, tmp_path, capsys):
         t = Tiling.from_parts({1: (2, 1, 1)}, [(1, [(0, 0, 0)])], Box((0, 0, 0), (2, 1, 1)))

@@ -236,6 +236,21 @@ def test_empty_tiling_without_window_round_trips(tmp_path, dim, fmt):
     assert loaded.tiling.window is None and loaded.seed == 5
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_empty_tiling_without_shapes_keeps_its_dimension(tmp_path, fmt):
+    """With no shapes and no window, the dimension is the header's alone."""
+    if fmt == "text":
+        text = "dominofill tiling v1\ndim 3\nshapes \nwindow none\nseed 0\n"
+    else:
+        text = ('{"dim":3,"format":"dominofill tiling","placements":[],"seed":0,'
+                '"shapes":{},"version":1,"window":null}\n')
+    path = tmp_path / "empty"
+    path.write_text(text, encoding="utf-8")
+    tiling = load_any(str(path)).tiling
+    assert tiling.dim == 3 and tiling.anchors.shape == (0, 3) and len(tiling) == 0
+    assert (serialize_tiling if fmt == "text" else tiling_to_json)(tiling, 0) == text
+
+
 def test_word_writer_matches_cell_lines(flagship_alphabet):
     word = BrickWall(flagship_alphabet, "P", (1, 2)).materialize(Box((-13, -7), (9, 11)))
     word.grid[2:4, 5:9] = -1  # unassigned cells are skipped
