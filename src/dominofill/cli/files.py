@@ -372,29 +372,40 @@ def _parse_lines(chunk: np.ndarray, width: int, at: int) -> tuple | None:
     # Token k ends at the k-th separator and starts after the one before.
     newlines = chunk == ord("\n")
     stops = np.flatnonzero(newlines | (chunk == ord(" ")))
-    if len(stops) % width or chunk[-1] != ord("\n"):
-        return None
-    # Every width-th separator ends a line, and no other one does.
-    if not np.array_equal(np.flatnonzero(newlines), stops[width - 1 :: width]):
+    n = len(stops) // width
+    if len(stops) % width or chunk[-1] != ord("\n") or np.count_nonzero(newlines) != n:
         return None
     starts = np.empty_like(stops)
     starts[0] = 0
     starts[1:] = stops[:-1] + 1
-    n = len(stops) // width
     stops = stops.reshape(n, width)
     starts = starts.reshape(n, width)
+    # As many line ends as lines, and each line's last separator is one.
+    if not np.all(chunk[stops[:, -1]] == ord("\n")):
+        return None
     lengths = stops - starts
     if int(lengths.min()) < 1 or int(lengths.max()) > _MAX_TOKEN:
         return None
+    labels = _token_matrix(chunk, starts[:, at], lengths[:, at])
+    label_bytes = int(lengths[:, at].sum())
+    if np.count_nonzero(labels) != label_bytes:
+        return None  # a zero byte inside a tile token
+    # Each byte's digit value, 0 for a byte that is no digit.  Those bytes
+    # must be the separators, the labels' own and one minus sign at most
+    # leading each coordinate.
+    digits = chunk - np.uint8(ord("0"))
+    is_digit = digits <= 9
+    digits *= is_digit
+    allowed = n * width + np.count_nonzero(labels - np.uint8(ord("0")) > 9)
+    allowed -= labels.size - label_bytes  # the zero bytes padding the label rows
     values = np.empty((width - 1, n), dtype=np.int64)
     for row, token in enumerate(t for t in range(width) if t != at):
-        column = _int64_tokens(chunk, starts[:, token], stops[:, token])
-        if column is None:
+        neg = chunk[starts[:, token]] == ord("-")
+        if not _int64_tokens(digits, starts[:, token], stops[:, token], neg, values[row]):
             return None
-        values[row] = column
-    labels = _token_matrix(chunk, starts[:, at], lengths[:, at])
-    if np.count_nonzero(labels) != int(lengths[:, at].sum()):
-        return None  # a zero byte inside a tile token
+        allowed += np.count_nonzero(neg)
+    if len(chunk) - np.count_nonzero(is_digit) != allowed:
+        return None
     if labels.shape[1] <= 8:
         return _packed_keys(labels), values
     return labels.view(f"S{labels.shape[1]}").ravel(), values
@@ -408,31 +419,35 @@ def _token_matrix(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> n
     return out
 
 
-def _int64_tokens(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray | None:
-    """Values of the decimal tokens ``buf[starts:stops]``, or None if one is
-    not an optional ``-`` followed by at most 19 digits, or leaves int64."""
-    neg = buf[starts] == ord("-")
-    digits = stops - starts - neg
-    if digits.min() < 1 or digits.max() > 19:
-        return None
-    wide = int(digits.max())
+def _int64_tokens(
+    digits: np.ndarray, starts: np.ndarray, stops: np.ndarray, neg: np.ndarray, out: np.ndarray
+) -> bool:
+    """Write to ``out`` the values of the tokens ``[starts, stops)``: a minus
+    sign where ``neg``, then digits, which the caller has checked, with byte
+    digit values ``digits`` (0 at a byte that is no digit).  False if a
+    token has no digit or more than 19, or leaves int64."""
+    count = stops - starts - neg
+    if count.min() < 1 or count.max() > 19:
+        return False
+    wide = int(count.max())
     dtype = np.uint64 if wide > 9 else np.uint32
     mag = np.zeros(starts.shape, dtype=dtype)
-    bad = np.zeros(starts.shape, dtype=bool)
-    pos = stops - 1
-    for j in range(wide):
-        value = buf.take(pos, mode="clip") - np.uint8(ord("0"))
-        value *= digits > j
-        bad |= value > 9
-        # Widen first: on numpy 1.x a uint8 array times a numpy scalar stays uint8.
-        mag += value.astype(dtype) * dtype(10**j)
-        pos -= 1
-    mag = mag.astype(np.uint64)
-    if np.any(bad) or np.any(mag > np.uint64(2**63 - 1) + neg):
-        return None
-    values = mag.view(np.int64)
-    np.negative(values, out=values, where=neg)
-    return values
+    # Horner's rule over the last ``wide`` bytes of each token; a shorter
+    # token reads its sign or the separator before it, each a 0, in place of
+    # the bytes before that (the first token's is the chunk's last byte).
+    floor = starts - 1
+    pos = stops - wide
+    at = np.empty_like(pos)
+    for _ in range(wide):
+        mag *= 10
+        np.maximum(pos, floor, out=at)
+        mag += digits.take(at, mode="wrap")
+        pos += 1
+    if wide == 19 and np.any(mag > np.uint64(2**63 - 1) + neg):
+        return False
+    out[...] = mag.view(np.int64) if wide > 9 else mag
+    np.negative(out, out=out, where=neg)
+    return True
 
 
 def _walk_lines(text: str, kind: _Kind) -> tuple:

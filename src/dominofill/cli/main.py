@@ -275,8 +275,8 @@ FLAG_HELP = {"seed": "the run's seed", "mode": "strict or relaxed",
 COMMANDS = (
     ("plan", "validate and print a stage schedule", False, True, tuple(FLAG_HELP)),
     ("build", "run the staged pipeline and write tilings", False, True, tuple(FLAG_HELP)),
-    ("fill", "fill between two wall translates", False, True, ("seed", "mode", "out", "format")),
-    ("redistribute", "relabel bricks to hit targets", True, True, ("seed", "mode", "out", "format")),
+    ("fill", "fill between two wall translates", False, True, ("seed", "out", "format")),
+    ("redistribute", "relabel bricks to hit targets", True, True, ("seed", "out", "format")),
     ("verify", "independently check a tiling or word file", True, None, ()),
     ("stats", "frequency report for a tiling file", True, False, ()),
     ("render", "SVG (d=2) or ASCII (d=1) picture", True, None, ("out",)),

@@ -81,21 +81,36 @@ def verify_word(word: SymbolicWord) -> list[str]:
 def verify_tiling(tiling: Tiling, window: Box | None = None) -> list[str]:
     """Containment and overlap checks by painting each placement's cells.
 
-    Every pass runs over one anchor column at a time.  A placement ``[x, x +
-    s)`` lies in ``[lo, hi)`` iff ``lo <= x <= hi - s``, tested with Python-int
-    bounds, so no tile end is formed in int64 and an anchor near the edge of
-    int64 cannot wrap back into the window.  The placements overlap iff fewer
-    distinct cells get painted than their volumes add up to; only then are the
-    per-cell multiplicities counted.
+    Every pass runs over one anchor column at a time, in Python-int bounds,
+    so no tile end is formed in int64 and an anchor near the edge of int64
+    cannot wrap back into the window.  A placement ``[x, x + s)`` lies in
+    ``[lo, hi)`` iff ``lo <= x <= hi - s``; so all do iff each axis's least
+    anchor is at least ``lo`` and each tile code's greatest anchor at most
+    ``hi - s`` for its size ``s``.  Only when that fails are the placements
+    tested one by one, to name those that leave.  The placements overlap iff
+    fewer distinct cells get painted than their volumes add up to; only then
+    are the per-cell multiplicities counted.
     """
     problems: list[str] = []
     if len(tiling) == 0:
         return problems
     window = window if window is not None else tiling.window
     table = tiling.shape_table()
-    codes = tiling.codes.astype(np.intp)
+    codes = tiling.codes
     columns = [np.ascontiguousarray(tiling.anchors[:, a]) for a in range(tiling.dim)]
-    if window is not None:
+    base = [int(column.min()) for column in columns]
+    members = [(code, codes == code) for code in range(len(table))]
+    members = [(code, mask) for code, mask in members if mask.any()]
+    # Per tile code and axis, its farthest anchor plus its size, in Python ints.
+    reach = [
+        [int(c.max(where=mask, initial=lo)) + int(s) for c, lo, s in zip(columns, base, table[code])]
+        for code, mask in members
+    ]
+    inside = window is None or (
+        all(least >= low for least, low in zip(base, window.anchor))
+        and all(end <= high for ends in reach for end, high in zip(ends, window.end))
+    )
+    if not inside:
         outside = np.zeros(len(codes), dtype=bool)
         for column, sizes, lo, hi in zip(columns, table.T, window.anchor, window.end):
             outside |= column < _exact([lo])
@@ -106,24 +121,18 @@ def verify_tiling(tiling: Tiling, window: Box | None = None) -> list[str]:
             problems.append(f"placement {tile} at {anchor} leaves the window")
         if int(outside.sum()) > MAX_REPORTED:
             problems.append(f"... and {int(outside.sum()) - MAX_REPORTED} more outside")
-    base = [int(column.min()) for column in columns]
-    members = [(code, codes == code) for code in range(len(table))]
-    members = [(code, mask) for code, mask in members if mask.any()]
-    # Per tile code, its farthest anchor plus its size, in Python ints.
-    extent = tuple(
-        max(int(column.max(where=mask, initial=lo)) + int(sizes[code]) for code, mask in members)
-        - lo
-        for column, sizes, lo in zip(columns, table.T, base)
-    )
+    extent = tuple(max(ends) - lo for ends, lo in zip(zip(*reach), base))
     volume = math.prod(extent)
     if volume > MAX_PAINT_CELLS:
         problems.append(f"bounding box of {volume} cells is too large to paint; not checked")
         return problems
-    rel = [column - lo for column, lo in zip(columns, base)]
-    flat = rel[0].copy()  # rel is read again to name the owners of an overlap
-    for column, e in zip(rel[1:], extent[1:]):
+    # Each anchor's flat index in the bounding box.  A step may wrap in int64
+    # when the anchors lie near its edge, but the sum it ends in lies in [0, volume).
+    flat = np.subtract(columns[0], base[0])
+    for column, lo, e in zip(columns[1:], base[1:], extent[1:]):
         flat *= e
         flat += column
+        flat -= lo
     painted = np.zeros(volume, dtype=bool)
     placed = 0
     for cells in _painted_cells(flat, members, table, extent):
@@ -132,9 +141,11 @@ def verify_tiling(tiling: Tiling, window: Box | None = None) -> list[str]:
     if np.count_nonzero(painted) == placed:
         return problems
     cells, counts = np.unique(
-        np.concatenate(list(_painted_cells(flat, members, table, extent))), return_counts=True
+        np.concatenate([c.copy() for c in _painted_cells(flat, members, table, extent)]),
+        return_counts=True,
     )
     over = counts > 1
+    rel = [column - lo for column, lo in zip(columns, base)]
     for flat_cell, count in zip(cells[over][:MAX_REPORTED], counts[over]):
         cell = np.unravel_index(flat_cell, extent)
         owners = [
@@ -165,17 +176,19 @@ def _painted_cells(
     """Flat indices, in a grid of ``extent``, of the cells covered by the
     placements at flat anchor indices ``flat``, tile code by tile code
     (``members`` holds each code and the mask of its placements, ``table``
-    its shape).  A tile with no more cells than placements gives one array
-    per cell offset; a larger tile gives runs of placements, each broadcast
-    against every offset, of about ``PAINT_CHUNK`` cells and at least one
-    placement."""
+    its shape).  A tile with no more cells than placements fills one buffer
+    per code with each cell offset in turn, so a caller that keeps what it
+    is given copies it; a larger tile gives runs of placements, each
+    broadcast against every offset, of about ``PAINT_CHUNK`` cells and at
+    least one placement."""
     strides = np.cumprod((extent[1:] + (1,))[::-1])[::-1]
     for code, mask in members:
         start = flat[mask]
         offsets = np.indices(tuple(table[code])).reshape(len(extent), -1).T @ strides
         if len(offsets) <= len(start):
+            cells = np.empty_like(start)
             for offset in offsets:
-                yield start + offset
+                yield np.add(start, offset, out=cells)
         else:
             rows = max(1, PAINT_CHUNK // len(offsets))
             for lo in range(0, len(start), rows):

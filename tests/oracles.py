@@ -930,18 +930,19 @@ def verify_tiling_by_rows(tiling, window=None, max_reported=50):
     """Containment and overlap problems of a tiling, from reductions along
     the rows of the ``(n, dim)`` anchor and end arrays.
 
-    Tile ends are formed in int64, so anchors must stay well inside int64.
+    Anchors and tile ends are Python ints (object arrays), so a tile end
+    past int64 is compared exactly.
     """
     problems = []
     if len(tiling) == 0:
         return problems
     window = window if window is not None else tiling.window
     table = tiling.shape_table()
-    anchors = tiling.anchors
+    anchors = tiling.anchors.astype(object)
     ends = anchors + table[tiling.codes]
     if window is not None:
-        lo = np.array(window.anchor, dtype=np.int64)
-        hi = np.array(window.end, dtype=np.int64)
+        lo = np.array(window.anchor, dtype=object)
+        hi = np.array(window.end, dtype=object)
         outside = np.any(anchors < lo, axis=1) | np.any(ends > hi, axis=1)
         for idx in np.flatnonzero(outside)[:max_reported]:
             tile = tiling.tile_order[int(tiling.codes[idx])]
@@ -956,19 +957,20 @@ def verify_tiling_by_rows(tiling, window=None, max_reported=50):
     if volume > MAX_PAINT_CELLS_BY_ROWS:
         problems.append(f"bounding box of {volume} cells is too large to paint; not checked")
         return problems
+    rel = (anchors - base).astype(np.int64)
     painted = np.zeros(volume, dtype=bool)
-    for cells in _painted_cells_by_rows(anchors - base, tiling.codes, table, extent):
+    for cells in _painted_cells_by_rows(rel, tiling.codes, table, extent):
         painted[cells] = True
     if np.count_nonzero(painted) == int(np.prod(table, axis=1)[tiling.codes].sum()):
         return problems
     cells, counts = np.unique(
-        np.concatenate(list(_painted_cells_by_rows(anchors - base, tiling.codes, table, extent))),
+        np.concatenate(list(_painted_cells_by_rows(rel, tiling.codes, table, extent))),
         return_counts=True,
     )
     over = counts > 1
     for flat, count in zip(cells[over][:max_reported], counts[over]):
-        cell = tuple(int(x + y) for x, y in zip(base, np.unravel_index(flat, extent)))
-        cell_arr = np.array(cell, dtype=np.int64)
+        cell = tuple(int(x) + int(y) for x, y in zip(base, np.unravel_index(flat, extent)))
+        cell_arr = np.array(cell, dtype=object)
         inside = np.all(anchors <= cell_arr, axis=1) & np.all(ends > cell_arr, axis=1)
         owners = [
             (tiling.tile_order[int(tiling.codes[i])], tuple(int(x) for x in anchors[i]))

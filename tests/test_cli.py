@@ -176,8 +176,8 @@ class TestConfig:
 def checked_tilings(draw):
     """A tiling and a window (or None) for the verifier: placements on a
     small grid, so that overlaps and escapes abound, one of them repeated 2 to
-    257 times, and at times a few far anchors (within 10^15, so that tile ends
-    stay inside int64) that make the bounding box too large to paint."""
+    257 times, and at times a few far anchors (within 10^15) that make the
+    bounding box too large to paint."""
     dim = draw(st.integers(1, 3))
     ids = draw(st.lists(st.sampled_from([1, 2, "P"]), min_size=1, unique=True))
     shapes = {t: tuple(draw(st.integers(1, 4)) for _ in range(dim)) for t in ids}
@@ -198,6 +198,61 @@ def checked_tilings(draw):
     )
     return Tiling.from_parts(shapes, [(t, [a]) for t, a in rows], window), window
 
+
+@st.composite
+def pushed_tilings(draw):
+    """A tiling and its window for the verifier: tiles 1 and P placed in a
+    small window, which at times lies at the low or the high end of int64; then, at times, one placement pushed 1 to
+    3 cells past the window's low or high face on one axis (where the anchor
+    stays an int64), and at times a P laid on the anchor of a 1, an overlap
+    of two codes.  Tile 1 is small and often placed more times than it has
+    cells, so that its cells are painted one offset at a time."""
+    dim = draw(st.integers(1, 3))
+    shapes = {1: tuple(draw(st.integers(1, 2)) for _ in range(dim))}
+    shapes["P"] = tuple(draw(st.integers(1, 3)) for _ in range(dim))
+    extents = [draw(st.integers(3, 8)) for _ in range(dim)]
+    near = [draw(st.integers(-5, 5)) for _ in range(dim)]
+    anchor = draw(st.sampled_from([near, [-(2**63)] * dim, [2**63 - e for e in extents]]))
+    window = Box(tuple(anchor), tuple(extents))
+    rows = [
+        (t, [draw(st.integers(lo, hi - s)) for lo, hi, s in zip(window.anchor, window.end, shape)])
+        for t, shape in shapes.items()
+        for _ in range(draw(st.integers(1, 10)))
+    ]
+    if draw(st.booleans()):
+        tile, moved = rows[draw(st.integers(0, len(rows) - 1))]
+        axis, k = draw(st.integers(0, dim - 1)), draw(st.integers(1, 3))
+        lo, hi = window.anchor[axis] - k, window.end[axis] - shapes[tile][axis] + k
+        past = [x for x in (lo, hi) if -(2**63) <= x < 2**63]
+        if past:
+            moved[axis] = draw(st.sampled_from(past))
+    if draw(st.booleans()):
+        rows.append(("P", list(draw(st.sampled_from([a for t, a in rows if t == 1])))))
+    rows = draw(st.permutations(rows))
+    return Tiling.from_parts(shapes, [(t, [a]) for t, a in rows], window), window
+
+
+# A one-cell tile painted offset by offset under a P, and at each end of int64
+# a placement pushed past the window's face and a P laid on a 1.
+PUSHED = {
+    "one_cell_tile_under_p": (
+        {1: (1, 1), "P": (2, 2)},
+        [(1, [(0, 0), (1, 0), (0, 1), (9, 9)]), ("P", [(0, 0), (-2, 3)])],
+        Box((0, 0), (10, 10)),
+    ),
+    "int64_high_end": (
+        {1: (1, 1), "P": (2, 2)},
+        [(1, [(2**63 - 1, 2**63 - 1), (2**63 - 8, 2**63 - 8)])]
+        + [("P", [(2**63 - 2, 2**63 - 2), (2**63 - 1, 2**63 - 5)])],
+        Box((2**63 - 8, 2**63 - 8), (8, 8)),
+    ),
+    "int64_low_end": (
+        {1: (2,), "P": (3,)},
+        [(1, [(-(2**63),), (-(2**63) + 5,), (-(2**63) + 2,)]), ("P", [(-(2**63),)])],
+        Box((-(2**63),), (6,)),
+    ),
+}
+PUSHED = {name: (Tiling.from_parts(*args), args[2]) for name, args in PUSHED.items()}
 
 # More than MAX_REPORTED placements outside the window, and overlapping cells.
 MORE_THAN_REPORTED = {
@@ -444,10 +499,16 @@ class TestVerifyTiling:
             "cell (1, 0, 0) covered 2 times by [(1, (0, 0, 0)), (2, (1, 0, 0))]",
         ]
 
-    @settings(max_examples=300)
-    @given(checked_tilings())
+    @settings(max_examples=500)
+    @given(checked_tilings() | pushed_tilings())
     @example(MORE_THAN_REPORTED["outside"])
     @example(MORE_THAN_REPORTED["overlapping"])
+    @example(PUSHED["one_cell_tile_under_p"])
+    @example(PUSHED["int64_high_end"])
+    @example(PUSHED["int64_low_end"])
+    # An int64 wrap warns before it misreports.  Only RuntimeWarning: a failing
+    # example must still be reported, and reporting it may warn otherwise.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_matches_row_wise_oracle(self, case):
         tiling, window = case
         want = verify_tiling_by_rows(tiling, window, MAX_REPORTED)
@@ -860,8 +921,8 @@ RUN_FLAGS = {"--seed", "--mode", "--window", "--out", "--format"}
 PARSER_PIN = {
     "plan": ({"--config", *RUN_FLAGS}, True, False),
     "build": ({"--config", *RUN_FLAGS}, True, False),
-    "fill": ({"--config", *RUN_FLAGS - {"--window"}}, True, False),
-    "redistribute": ({"--config", *RUN_FLAGS - {"--window"}}, True, True),
+    "fill": ({"--config", *RUN_FLAGS - {"--window", "--mode"}}, True, False),
+    "redistribute": ({"--config", *RUN_FLAGS - {"--window", "--mode"}}, True, True),
     "verify": (set(), None, True),
     "stats": ({"--config"}, False, True),
     "render": ({"--out"}, None, True),
@@ -962,6 +1023,16 @@ class TestUserErrors:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("usage: dominofill")
+
+    @pytest.mark.parametrize("argv", [["fill"], ["redistribute", "t.txt"]], ids=["fill", "redistribute"])
+    def test_mode_flag_is_a_usage_error_where_unread(self, argv, capsys):
+        """fill and redistribute read no [run] mode, so they take no --mode."""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", "run.ini", "--mode", "strict"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dominofill")
+        assert err.splitlines()[-1].endswith("unrecognized arguments: --mode strict")
 
     def test_window_flag_past_int64_exits_1(self, tmp_path, capsys):
         """A --window that moves the config's window past int64 is refused

@@ -7,7 +7,7 @@ import stat
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     iter_cells,
@@ -172,6 +172,63 @@ def test_label_lookup_matches_line_walk(case, chunk_bytes, data):
         patch.setattr(files, "_CHUNK_BYTES", chunk_bytes)
         assert outcome(parse_tiling, tiling) == outcome(parse_by_lines, tiling)
         assert word_outcome(parse_word, word) == word_outcome(parse_word_by_lines, word)
+
+
+# Odd body tokens: signs out of place, a lone sign, labels that read as ints
+# or hold an x, the int64 ends and one past each.
+BODY_TOKENS = ["--5", "5-", "-", "-1", "-0", "P", "x", "1x2", "9223372036854775807"]
+BODY_TOKENS += ["-9223372036854775808", "9223372036854775808", "-9223372036854775809"]
+
+
+@st.composite
+def text_bodies(draw):
+    """(kind, dim, body): lines of a label and coordinates, mostly ints, else
+    tokens of digits, ``-``, ``P`` and ``x`` (or from BODY_TOKENS), joined by
+    spaces and ended by ``\n``, at times with a token too many or too few, a
+    stray space or ``\r``; or any string of those bytes."""
+    kind = draw(st.sampled_from([files.TILING, files.WORD]))
+    dim = draw(st.integers(1, 2))
+    odd = st.text("0123456789-Px", min_size=1, max_size=4) | st.sampled_from(BODY_TOKENS)
+    # Odd tokens and counts are drawn one time in twenty, so that most chunks read in bulk.
+    coord = st.one_of([st.integers(-(10**4), 10**4).map(str)] * 19 + [odd])
+    label = st.one_of([st.sampled_from(["1", "P", "-1", "01", "x", "P-"])] * 19 + [odd])
+    count = st.sampled_from([0] * 38 + [-1, 1]).map(lambda k: len(kind.fields) * dim + k)
+    coords = count.flatmap(lambda k: st.lists(coord, min_size=k, max_size=k))
+    line = st.tuples(label, coords).map(
+        lambda lc: " ".join([*lc[1][: kind.label_at * dim], lc[0], *lc[1][kind.label_at * dim :]])
+    )
+    ending = st.sampled_from(["\n"] * 36 + ["\r\n", " \n", "\n\n", "\r"])
+    lines = st.lists(st.tuples(line, ending).map("".join), max_size=8).map("".join)
+    return kind, dim, draw(st.one_of([lines] * 4 + [st.text("0123456789- \n\rPx", max_size=40)]))
+
+
+@settings(max_examples=400)
+@given(text_bodies(), st.sampled_from([1, 40, 1 << 17]))
+@example((files.TILING, 1, "P --5\n"), 1 << 17)
+@example((files.TILING, 1, "P 5-\n"), 1 << 17)
+@example((files.TILING, 1, "1 2\r\n"), 1 << 17)
+@example((files.TILING, 2, "-1 0 -3\n-1 -0 9223372036854775807\n"), 1 << 17)
+@example((files.WORD, 1, "4 -1 0\n-2 P 1\n"), 40)
+@example((files.WORD, 1, "5 1 0\n123 1 0\n"), 1 << 17)  # a short first token
+@example((files.TILING, 1, "1 2 3\n4\n"), 1 << 17)  # lines of 3 and 1 tokens
+@example((files.TILING, 1, "1\n2\n3 4\n"), 1 << 17)  # lines of 1, 1 and 2 tokens
+def test_bulk_parse_is_the_line_walk_or_none(case, chunk_bytes):
+    """Whatever body bytes the bulk reader takes, it reads as the line walk
+    does: the same header, each record's tile and its coordinates."""
+    kind, dim, body = case
+    shapes = " ".join(f"{t}:{'x'.join(['1'] * dim)}" for t in (1, "P", -1))
+    window = " ".join(["0"] * dim + ["4"] * dim)
+    text = f"{kind.magic}\ndim {dim}\nshapes {shapes}\nwindow {window}\nseed 3\n{body}"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(files, "_CHUNK_BYTES", chunk_bytes)
+        parsed = files._parse_bulk(text, kind)
+    if parsed is None:
+        return
+    head, (tiles, inverse, fields) = parsed
+    want_head, (want_tiles, want_inverse, want_fields) = files._walk_lines(text, kind)
+    assert head == want_head
+    assert [tiles[i] for i in inverse] == [want_tiles[i] for i in want_inverse]
+    assert [np.asarray(f).tolist() for f in fields] == want_fields
 
 
 @pytest.mark.parametrize("labels", [("P", "Q"), ("Ab", "PX"), ("P2", "Q2", "P10", "R")])
