@@ -19,7 +19,7 @@ from dominofill import (
     run_pipeline,
     validate_family,
 )
-from dominofill.cli.files import serialize_tiling, write_atomic
+from dominofill.cli.files import file_blocks, write_atomic
 from dominofill.cli.verify import verify_tiling
 
 
@@ -50,7 +50,7 @@ def main() -> None:
     os.makedirs(args.out, exist_ok=True)
     write_atomic(
         os.path.join(args.out, "tiling.txt"),
-        serialize_tiling(result.tiling, seed=args.seed),
+        file_blocks(result.tiling, args.seed, "text"),
     )
     report = {
         "seed": args.seed,

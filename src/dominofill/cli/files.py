@@ -18,7 +18,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -151,8 +151,9 @@ def _label_table(tiles) -> np.ndarray:
     return np.array(names, dtype=f"S{width}").view(np.uint8).reshape(len(names), width)
 
 
-def _text_lines(fields: list[np.ndarray], sep: bytes = b" ", end: bytes = b"\n") -> str:
-    """Rows of ``sep``-separated fields, each row followed by ``end``.
+def _text_blocks(fields: list[np.ndarray], sep: bytes = b" ", end: bytes = b"\n") -> Iterator[bytes]:
+    """Rows of ``sep``-separated fields, each row followed by ``end``, as
+    byte blocks of ``_CHUNK_ROWS`` rows each, so the scratch matrix stays small.
 
     A field is an integer column, written in decimal, or a uint8 matrix of
     label bytes padded with zero bytes.  Each field fills its own byte
@@ -160,47 +161,55 @@ def _text_lines(fields: list[np.ndarray], sep: bytes = b" ", end: bytes = b"\n")
     laid out one matrix row per byte column so that every store is
     contiguous; the matrix is transposed once into the pass that deletes its
     zero bytes, so a ``sep`` of ``b"\\0"`` joins fields with nothing between
-    them.  The rows go ``_CHUNK_ROWS`` at a time, so the matrix stays small.
+    them.
     """
-    return "".join(
-        _text_block([field[lo : lo + _CHUNK_ROWS] for field in fields], sep[0], end[0])
-        for lo in range(0, len(fields[0]), _CHUNK_ROWS)
-    )
+    for lo in range(0, len(fields[0]), _CHUNK_ROWS):
+        yield _text_block([field[lo : lo + _CHUNK_ROWS] for field in fields], sep[0], end[0])
 
 
-def _text_block(fields: list[np.ndarray], sep: int, end: int) -> str:
-    columns = []
-    for field in fields:
-        if field.dtype == np.uint8:
-            columns.append((field.T, None, field.shape[1]))
-            continue
-        neg = field < 0
-        mag = field.astype(np.uint64)
-        np.negative(mag, out=mag, where=neg)
-        top = int(mag.max())
-        columns.append((mag.astype(np.uint32) if top < 2**32 else mag, neg, 1 + len(str(top))))
-    mat = np.empty((sum(width + 1 for *_, width in columns), len(fields[0])), dtype=np.uint8)
+def _text_block(fields: list[np.ndarray], sep: int, end: int) -> bytes:
+    # A decimal field's width: a sign column and the digits of its greatest magnitude.
+    widths = [
+        field.shape[1]
+        if field.dtype == np.uint8
+        else 1 + len(str(max(int(field.max()), -int(field.min()))))
+        for field in fields
+    ]
+    mat = np.empty((sum(widths) + len(widths), len(fields[0])), dtype=np.uint8)
     at = 0
-    for data, neg, width in columns:
-        if neg is None:
-            mat[at : at + width] = data
+    for field, width in zip(fields, widths):
+        if field.dtype == np.uint8:
+            mat[at : at + width] = field.T
         else:
-            # ``//`` by the dtype's own 10 and a product back: cheaper than np.divmod,
-            # and one dtype under numpy 1.x's value-based casting too.
-            mat[at] = neg * np.uint8(ord("-"))
-            ten = data.dtype.type(10)
-            for j in range(at + width - 1, at, -1):
-                rest, row = data // ten, mat[j]
-                np.subtract(data, rest * ten, out=row, casting="unsafe")
-                row += ord("0")
-                if j < at + width - 1:
-                    row *= data > 0  # a leading zero is blanked
-                data = rest
+            _decimal_rows(field, mat[at : at + width])
         at += width
         mat[at] = sep
         at += 1
     mat[-1] = end
-    return mat.T.tobytes().translate(None, b"\0").decode("utf-8")
+    rows = mat.T.tobytes()
+    del mat  # freed before the pass that deletes the zero bytes
+    return rows.translate(None, b"\0")
+
+
+def _decimal_rows(field: np.ndarray, out: np.ndarray) -> None:
+    """Write ``field`` in decimal down the byte rows ``out``: a ``-`` or a zero
+    byte, then the digits right-aligned, each leading zero a zero byte."""
+    neg = field < 0
+    data = field.astype(np.uint64)
+    np.negative(data, out=data, where=neg)
+    if len(out) <= 10:  # nine digits or fewer fit in uint32
+        data = data.astype(np.uint32)
+    out[0] = neg * np.uint8(ord("-"))
+    # ``//`` by the dtype's own 10 and a product back: cheaper than np.divmod,
+    # and one dtype under numpy 1.x's value-based casting too.
+    ten = data.dtype.type(10)
+    for j in range(len(out) - 1, 0, -1):
+        rest, row = data // ten, out[j]
+        np.subtract(data, rest * ten, out=row, casting="unsafe")
+        row += ord("0")
+        if j < len(out) - 1:
+            row *= data > 0  # a leading zero is blanked
+        data = rest
 
 
 def _literal(text: bytes, rows: int) -> np.ndarray:
@@ -208,19 +217,21 @@ def _literal(text: bytes, rows: int) -> np.ndarray:
     return np.broadcast_to(np.frombuffer(text, dtype=np.uint8), (rows, len(text)))
 
 
-def _write_text(kind: _Kind, seed: int, dim, shapes, window, tiles, codes, fields) -> str:
-    """The text file of records: tile ``tiles[codes[k]]`` and ``fields`` row k."""
+def _text_file(kind: _Kind, seed: int, dim, shapes, window, tiles, codes, fields) -> Iterator[bytes]:
+    """The text file of records, in blocks: tile ``tiles[codes[k]]`` and ``fields`` row k."""
     header = [kind.magic, f"dim {dim}", f"shapes {_fmt_shapes(shapes)}", _window_line(window)]
+    yield ("\n".join(header + [f"seed {seed}"]) + "\n").encode("utf-8")
     columns = [field[:, a] for field in fields for a in range(dim)]
     columns.insert(kind.label_at * dim, _label_table(tiles).take(codes, axis=0))
-    return "\n".join(header + [f"seed {seed}"]) + "\n" + _text_lines(columns)
+    yield from _text_blocks(columns)
 
 
-def _write_json(kind: _Kind, seed: int, dim, shapes, window, tiles, codes, fields) -> str:
-    """One line of JSON with sorted keys and no spaces: the column writer's
-    records, one object a row, spliced into the dump of the other fields (a
-    JSON string cannot hold ``"<key>":0`` unescaped)."""
-    n, lead, row = len(codes), b"{", []
+def _json_file(kind: _Kind, seed: int, dim, shapes, window, tiles, codes, fields) -> Iterator[bytes]:
+    """One line of JSON with sorted keys and no spaces, in blocks: the column
+    writer's records, one object a row, each but the first behind a comma,
+    spliced into the dump of the other fields (a JSON string cannot hold
+    ``"<key>":0`` unescaped)."""
+    n, lead, row = len(codes), b",{", []
     for key in sorted([*kind.fields, "tile"]):
         if key == "tile":
             labels = _label_table([json.dumps(t) for t in tiles]).take(codes, axis=0)
@@ -231,7 +242,6 @@ def _write_json(kind: _Kind, seed: int, dim, shapes, window, tiles, codes, field
                 column = fields[kind.fields.index(key)][:, a]
                 row += [column, _literal(b"," if a + 1 < dim else b"]", n)]
         lead = b","
-    rows = _text_lines(row + [_literal(b"}", n)], sep=b"\0", end=b",")[:-1]
     doc = {
         "format": kind.magic[: -len(" v1")],
         "version": 1,
@@ -245,7 +255,11 @@ def _write_json(kind: _Kind, seed: int, dim, shapes, window, tiles, codes, field
     }
     dump = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     head, key, tail = dump.partition(f'"{kind.key}":0')
-    return f"{head}{key[:-1]}[{rows}]{tail}\n"
+    yield f"{head}{key[:-1]}[".encode("utf-8")
+    blocks = _text_blocks(row, sep=b"\0", end=b"}")
+    yield memoryview(next(blocks, b","))[1:]  # the first row's comma
+    yield from blocks
+    yield f"]{tail}\n".encode("utf-8")
 
 
 def _tiling_records(tiling: Tiling) -> tuple:
@@ -261,20 +275,30 @@ def _word_records(word: SymbolicWord) -> tuple:
     return alphabet.dim, alphabet.tile_shapes, word.box, alphabet.tiles, codes, fields
 
 
+def file_blocks(tiling_or_word: Tiling | SymbolicWord, seed: int, fmt: str) -> Iterator[bytes]:
+    """The text (``fmt`` "text") or JSON file of a tiling or a word, as the
+    byte blocks that ``write_atomic`` writes one after another."""
+    if isinstance(tiling_or_word, Tiling):
+        kind, records = TILING, _tiling_records(tiling_or_word)
+    else:
+        kind, records = WORD, _word_records(tiling_or_word)
+    return (_json_file if fmt == "json" else _text_file)(kind, seed, *records)
+
+
 def serialize_tiling(tiling: Tiling, seed: int = 0) -> str:
-    return _write_text(TILING, seed, *_tiling_records(tiling))
+    return b"".join(file_blocks(tiling, seed, "text")).decode("utf-8")
 
 
 def serialize_word(word: SymbolicWord, seed: int = 0) -> str:
-    return _write_text(WORD, seed, *_word_records(word))
+    return b"".join(file_blocks(word, seed, "text")).decode("utf-8")
 
 
 def tiling_to_json(tiling: Tiling, seed: int = 0) -> str:
-    return _write_json(TILING, seed, *_tiling_records(tiling))
+    return b"".join(file_blocks(tiling, seed, "json")).decode("utf-8")
 
 
 def word_to_json(word: SymbolicWord, seed: int = 0) -> str:
-    return _write_json(WORD, seed, *_word_records(word))
+    return b"".join(file_blocks(word, seed, "json")).decode("utf-8")
 
 
 _LABEL_BYTES = (string.ascii_letters + string.digits + "-").encode()
@@ -288,59 +312,66 @@ def _distinct(values: list) -> tuple[list, np.ndarray]:
     return list(index), np.fromiter(map(index.get, values), dtype=np.intp, count=len(values))
 
 
-def _parse_bulk(text: str, kind: _Kind) -> tuple | None:
+def _parse_bulk(data: bytes, kind: _Kind) -> tuple | None:
     """``((dim, shapes, window, seed), (tiles, inverse, fields))`` of a text
-    file, in numpy passes over the bytes of its body.
+    file's bytes, in numpy passes over its body.
 
-    Returns None, leaving the file to the line walk, unless the text is
+    Returns None, leaving the file to the line walk, unless the bytes are
     ASCII, each header line ends in a bare ``\\n``, every body line is a
     label and one token per coordinate, each of at most ``_MAX_TOKEN`` bytes,
     joined by single spaces and ended by ``\\n``, every label is letters,
     digits and ``-``, and every coordinate is an optional ``-`` and digits
     that fit in int64; the line walk reads such files the same.  The body
-    goes in chunks of whole lines, so the scratch arrays stay small.
+    goes in chunks of whole lines, so the scratch arrays stay small; each
+    chunk writes its lines into columns sized by the body's line count.
     """
-    if not text.isascii():
+    if not data.isascii():
         return None
     lines: list[str] = []
     pos = 0
     while len(lines) < 5:
-        end = text.find("\n", pos)
+        end = data.find(b"\n", pos)
         if end < 0:
             return None
-        line = text[pos:end]
+        line = data[pos:end].decode("ascii")
         pos = end + 1
         if line.strip():
             if line.splitlines() != [line]:
                 return None
             lines.append(line)
     dim, shapes, window, seed, _ = _read_header(lines, kind.magic)
-    if not 1 <= dim < 2**62:  # (2 * dim, 0) arrays need 2 * dim to fit in intp
+    if not 1 <= dim < 2**62:  # (2 * dim, n) arrays need 2 * dim to fit in intp
         return None
     width = len(kind.fields) * dim + 1
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # The body's chunks and their line counts, so that the columns are sized first.
+    cuts = [pos]
+    while cuts[-1] < len(data):
+        cut = data.find(b"\n", cuts[-1] + _CHUNK_BYTES)
+        cuts.append(len(data) if cut < 0 else cut + 1)
+    counts = [np.count_nonzero(buf[a:b] == ord("\n")) for a, b in zip(cuts, cuts[1:])]
+    if 2 * width * sum(counts) > len(data) - pos:  # a line holds a byte and a separator a token
+        return None
     # The header's labels of 1 to 8 label bytes, packed as the body's are and
     # sorted: label k of the table has id k, and a label it lacks the next free id.
     named = [s for s in map(str, shapes) if s and not s.encode().translate(None, _LABEL_BYTES)]
     table = np.unique(_packed_keys(_label_table([s for s in named if len(s) <= 8])))
     tokens = {bytes(tok): k for k, tok in enumerate(table.view("S8"))}
-    inverse = [np.zeros(0, dtype=np.intp)]
-    columns = [np.zeros((width - 1, 0), dtype=np.int64)]
-    while pos < len(text):
-        cut = text.find("\n", pos + _CHUNK_BYTES)
-        end = len(text) if cut < 0 else cut + 1
-        parsed = _parse_lines(buf[pos:end], width, kind.label_at * dim)
-        if parsed is None:
+    inverse = np.empty(sum(counts), dtype=np.intp)
+    values = np.empty((width - 1, len(inverse)), dtype=np.int64)
+    row = 0
+    for start, end, count in zip(cuts, cuts[1:], counts):
+        rows = slice(row, row + count)
+        keys = _parse_lines(buf[start:end], width, kind.label_at * dim, values[:, rows])
+        if keys is None:
             return None
-        keys, values = parsed
-        inverse.append(_label_ids(keys, table, tokens))
-        columns.append(values)
-        pos = end
+        inverse[rows] = _label_ids(keys, table, tokens)
+        row = rows.stop
     if any(tok.translate(None, _LABEL_BYTES) for tok in tokens):
         return None
     tiles = [_parse_tile(tok.decode("ascii")) for tok in tokens]
-    fields = [f.T for f in np.split(np.concatenate(columns, axis=1), len(kind.fields))]
-    return (dim, shapes, window, seed), (tiles, np.concatenate(inverse), fields)
+    fields = [values[k * dim : (k + 1) * dim].T for k in range(len(kind.fields))]
+    return (dim, shapes, window, seed), (tiles, inverse, fields)
 
 
 def _label_ids(keys: np.ndarray, table: np.ndarray, tokens: dict[bytes, int]) -> np.ndarray:
@@ -364,23 +395,22 @@ def _packed_keys(labels: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64).ravel()
 
 
-def _parse_lines(chunk: np.ndarray, width: int, at: int) -> tuple | None:
-    """(label keys, the other tokens' values as a (width - 1, lines) array)
-    of whole body lines of ``width`` tokens, the label at token ``at``; or
-    None where the line walk decides.  A key is the label packed into a
-    uint64 when every label has at most 8 bytes, else its bytes."""
+def _parse_lines(chunk: np.ndarray, width: int, at: int, values: np.ndarray) -> np.ndarray | None:
+    """The label keys of whole body lines of ``width`` tokens, the label at
+    token ``at``, one line per column of ``values``, which takes the other
+    tokens' values; or None where the line walk decides.  A key is the label
+    packed into a uint64 when every label has at most 8 bytes, else its bytes."""
     # Token k ends at the k-th separator and starts after the one before.
-    newlines = chunk == ord("\n")
-    stops = np.flatnonzero(newlines | (chunk == ord(" ")))
-    n = len(stops) // width
-    if len(stops) % width or chunk[-1] != ord("\n") or np.count_nonzero(newlines) != n:
+    stops = np.flatnonzero((chunk == ord("\n")) | (chunk == ord(" ")))
+    n = values.shape[1]  # the chunk's line ends
+    if len(stops) != n * width or chunk[-1] != ord("\n"):
         return None
     starts = np.empty_like(stops)
     starts[0] = 0
     starts[1:] = stops[:-1] + 1
     stops = stops.reshape(n, width)
     starts = starts.reshape(n, width)
-    # As many line ends as lines, and each line's last separator is one.
+    # Each line's last separator is one of the chunk's n line ends.
     if not np.all(chunk[stops[:, -1]] == ord("\n")):
         return None
     lengths = stops - starts
@@ -398,7 +428,6 @@ def _parse_lines(chunk: np.ndarray, width: int, at: int) -> tuple | None:
     digits *= is_digit
     allowed = n * width + np.count_nonzero(labels - np.uint8(ord("0")) > 9)
     allowed -= labels.size - label_bytes  # the zero bytes padding the label rows
-    values = np.empty((width - 1, n), dtype=np.int64)
     for row, token in enumerate(t for t in range(width) if t != at):
         neg = chunk[starts[:, token]] == ord("-")
         if not _int64_tokens(digits, starts[:, token], stops[:, token], neg, values[row]):
@@ -407,8 +436,8 @@ def _parse_lines(chunk: np.ndarray, width: int, at: int) -> tuple | None:
     if len(chunk) - np.count_nonzero(is_digit) != allowed:
         return None
     if labels.shape[1] <= 8:
-        return _packed_keys(labels), values
-    return labels.view(f"S{labels.shape[1]}").ravel(), values
+        return _packed_keys(labels)
+    return labels.view(f"S{labels.shape[1]}").ravel()
 
 
 def _token_matrix(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -465,10 +494,15 @@ def _walk_lines(text: str, kind: _Kind) -> tuple:
     return (dim, shapes, window, seed), (*_distinct(tiles), fields)
 
 
-def _read_text(text: str, kind: _Kind) -> tuple:
-    """(object, seed) of a text file, read in bulk where it can be."""
+def _read_text(text: str | bytes, kind: _Kind) -> tuple:
+    """(object, seed) of a text file, given as text or as ASCII bytes with
+    ``\\n`` line ends; read from its bytes in bulk where it can be, else by
+    the line walk over its text."""
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
     with _fields_of(kind.name):
-        (dim, shapes, window, seed), records = _parse_bulk(text, kind) or _walk_lines(text, kind)
+        (dim, shapes, window, seed), records = _parse_bulk(data, kind) or _walk_lines(
+            text if isinstance(text, str) else text.decode("ascii"), kind
+        )
         return kind.build(shapes, dim, window, *records), seed
 
 
@@ -601,22 +635,40 @@ class LoadedFile:
     seed: int = 0
 
 
+# The ASCII bytes ``str.isspace`` accepts, as ``str.lstrip`` strips them.
+_SPACE = bytes(c for c in range(128) if chr(c).isspace())
+
+
 def load_any(path: str) -> LoadedFile:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path!r} is not UTF-8: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _from_json(stripped)
+    """The tiling or word in a text or JSON file, read as text mode reads it.
+
+    The file is read once, as bytes.  ASCII bytes with no ``\\r`` are what
+    text mode reads, so only their head (the first non-blank line and the
+    blank lines before it) is decoded to tell the format, and a text file
+    goes to the bulk parser as bytes.  Any other file is decoded as UTF-8
+    with universal newlines, and a JSON file is decoded in any case.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.isascii() and b"\r" not in data:
+        text, start = None, len(data) - len(data.lstrip(_SPACE))
+        end = data.find(b"\n", start)
+        head = data[: len(data) if end < 0 else end].decode("ascii")
+    else:
+        try:
+            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path!r} is not UTF-8: {exc}") from exc
+        start = len(text) - len(text.lstrip())
+        end = text.find("\n", start)
+        head = text if end < 0 else text[:end]
+    if head[start:].startswith("{"):
+        return _from_json(data[start:].decode("ascii") if text is None else text[start:])
     # The first non-blank line, unstripped, as parse_tiling and parse_word read it.
-    end = text.find("\n", len(text) - len(stripped))
-    head = text if end < 0 else text[:end]
     first = next((ln for ln in head.splitlines() if ln.strip()), "")
-    for kind, parse in ((TILING, parse_tiling), (WORD, parse_word)):
+    for kind in (TILING, WORD):
         if first == kind.magic:
-            built, seed = parse(text)
+            built, seed = _read_text(data if text is None else text, kind)
             return LoadedFile(kind.name, seed=seed, **{kind.name: built})
     if first.startswith("dominofill "):
         raise VersionMismatch(f"unsupported format marker {first!r}")
@@ -661,15 +713,17 @@ def _from_json_doc(doc: dict) -> LoadedFile:
     raise ParseError(f"unknown JSON format {fmt!r}")
 
 
-def write_atomic(path: str, content: str) -> None:
-    """Write ``content`` to ``path`` through a renamed temp file, with the
-    mode a plain ``open(path, "w")`` gives (``mkstemp`` makes it 0600)."""
+def write_atomic(path: str, content: str | Iterable[bytes]) -> None:
+    """Write ``content``, a str or byte blocks (``file_blocks``), to ``path``
+    one block at a time through a renamed temp file, with the mode a plain
+    ``open(path, "w")`` gives (``mkstemp`` makes it 0600).  A block that
+    raises leaves no temp file and ``path`` as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(content)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines([content.encode("utf-8")] if isinstance(content, str) else content)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)

@@ -39,15 +39,8 @@ from .config import (
     load_config,
     serialize_config,
 )
-from .files import (
-    ParseError,
-    load_any,
-    serialize_tiling,
-    serialize_word,
-    tiling_to_json,
-    word_to_json,
-    write_atomic,
-)
+from .files import ParseError, file_blocks, load_any, write_atomic
+from .files import serialize_tiling  # noqa: F401 - the benchmark's tracer hooks it here
 from .render import RenderError, render_ascii, render_svg
 from .verify import MAX_PAINT_CELLS, verify_tiling, verify_word
 
@@ -101,12 +94,8 @@ def _window(cfg: RunConfig) -> Box:
 
 def _write(path_stem: str, tiling_or_word, seed: int, fmt: str) -> str:
     """Write a tiling or a word to ``path_stem`` plus ``.json`` or ``.txt``; return the path."""
-    if isinstance(tiling_or_word, Tiling):
-        to_text, to_json = serialize_tiling, tiling_to_json
-    else:
-        to_text, to_json = serialize_word, word_to_json
     path = path_stem + (".json" if fmt == "json" else ".txt")
-    write_atomic(path, (to_json if fmt == "json" else to_text)(tiling_or_word, seed))
+    write_atomic(path, file_blocks(tiling_or_word, seed, fmt))
     return path
 
 

@@ -323,6 +323,8 @@ class Tiling:
 
 # (rows, offsets, code): the placements anchors[rows] + each offset row (all
 # >= 0; None is the one zero offset), with one tile code or one per row.
+# Rows are an index array, or a slice in a group that is the only one and
+# has no offsets.
 PlacementGroup = tuple[np.ndarray | slice, np.ndarray | None, np.ndarray | int]
 
 
@@ -338,11 +340,12 @@ def canonical_tiling(
 
     Each placement is one packed int64 key: each anchor column less its
     minimum, then the code.  An offset only adds a fixed delta to its row's
-    key, so no anchor row is formed: one in-place sort orders the keys, and
-    division by each radix unpacks the codes and one contiguous column per
-    axis.  Equal keys only come from equal placements.  Keys that would need
-    more than 62 bits fall back to ``np.lexsort`` over the formed rows.  When
-    the groups already list their placements in that order, ``source`` (if
+    key, so no anchor row is formed: each group writes its keys into one
+    array, one in-place sort orders them, and division by each radix unpacks
+    the codes and one contiguous column per axis into the arrays returned.
+    Equal keys only come from equal placements.  Keys that would need more
+    than 62 bits fall back to ``np.lexsort`` over the formed rows.  When the
+    groups already list their placements in that order, ``source`` (if
     given) is returned in place of a copy.  The tiling returned is marked
     canonical, and its arrays are made read-only, so an edit in place that
     could break the order raises.
@@ -369,27 +372,44 @@ def canonical_tiling(
         rows, _, code = groups[0]
         keys = base[rows]
         keys += code
-    else:
-        parts = []
-        for rows, offsets, code in groups:
-            keys = base[rows] + code
-            parts.append(keys if offsets is None else (keys[:, None] + offsets @ strides).ravel())
-        keys = np.concatenate(parts or [base[:0]])
+    else:  # each group's keys go straight to their place in one array
+        sizes = [len(rows) * (1 if offsets is None else len(offsets)) for rows, offsets, _ in groups]
+        keys = np.empty(sum(sizes), dtype=np.int64)
+        at = 0
+        for (rows, offsets, code), size in zip(groups, sizes):
+            part = keys[at : at + size]
+            if offsets is None:
+                np.add(base[rows], code, out=part)
+            else:
+                part = part.reshape(len(rows), len(offsets))
+                np.add(base[rows][:, None], offsets @ strides, out=part)
+                part += np.reshape(code, (-1, 1))
+            at += size
     if source is not None and np.all(keys[1:] >= keys[:-1]):
         return _mark_canonical(source)
     keys.sort()
-    # ``//`` by a constant and a product back cost less than np.divmod; the
-    # keys are left holding the codes.
+    # ``//`` by a constant and a product back cost less than np.divmod.  The
+    # keys and column 0 take turns holding the dividend and the quotient, and
+    # each product goes to the column that then takes the remainder; the
+    # codes' product borrows the last column before it is filled (a 1-D
+    # tiling has none to borrow).
+    codes = np.empty(len(keys), dtype=np.int32)
     columns = np.empty((dim, len(keys)), dtype=np.int64).T  # contiguous columns
-    rest = keys // n_codes
-    keys -= rest * n_codes
+    rest, spare = keys, columns[:, 0]
+    product = columns[:, -1] if dim > 1 else np.empty_like(keys)
+    np.floor_divide(rest, n_codes, out=spare)
+    np.multiply(spare, n_codes, out=product)
+    np.subtract(rest, product, out=codes, casting="unsafe")
+    rest, spare = spare, rest
     for a in range(dim - 1, 0, -1):
-        high = rest // extents[a]
-        rest -= high * extents[a]
-        np.add(rest, lows[a], out=columns[:, a])
-        rest = high
+        column = columns[:, a]
+        np.floor_divide(rest, extents[a], out=spare)
+        np.multiply(spare, extents[a], out=column)
+        np.subtract(rest, column, out=column)
+        column += lows[a]
+        rest, spare = spare, rest
     np.add(rest, lows[0], out=columns[:, 0])
-    return _mark_canonical(Tiling(tile_shapes, keys, columns, window))
+    return _mark_canonical(Tiling(tile_shapes, codes, columns, window))
 
 
 def _lexsorted(tile_shapes, anchors, groups, window, source) -> Tiling:

@@ -873,8 +873,9 @@ def _check_placements(blocks: StageBlocks, tiling: Tiling, owner: np.ndarray, co
     """Refuse placements that leave their own block's domain, or overlap.
 
     Placement j belongs to block ``owner[j]``, and each anchor column must
-    keep its tile inside that block's domain (bounds taken per axis from
-    contiguous columns).  Domains lie in their towers and towers in the
+    keep its tile inside that block's domain, one axis at a time: the
+    block's bounds and the tile's extent on that axis are gathered per
+    placement.  Domains lie in their towers and towers in the
     window, so every placement then sets each of its cells
     (``Alphabet.paint``) in a window-sized bool grid, one tile cell at a
     time: a scatter with no gather.  A placement's own cells are distinct,
@@ -886,8 +887,13 @@ def _check_placements(blocks: StageBlocks, tiling: Tiling, owner: np.ndarray, co
     lo, hi = np.zeros((2, len(blocks.kinds), window.dim), dtype=np.int64)
     for k in np.unique(blocks.kind).tolist():
         lo[k], hi[k] = blocks.domain(k).anchor, blocks.domain(k).end
-    lo, hi = ((towers.anchors + b[blocks.kind]).T.take(owner, axis=1) for b in (lo, hi))
-    if not within(tiling.anchors, table.T.take(tiling.codes, axis=1), lo, hi).all():
+    lo, hi = (towers.anchors + b[blocks.kind] for b in (lo, hi))  # per block
+    inside = np.ones(len(tiling), dtype=bool)
+    for a in range(window.dim):
+        column = tiling.anchors[:, a]
+        inside &= column >= lo[:, a].take(owner)
+        inside &= column + table[:, a].take(tiling.codes) <= hi[:, a].take(owner)
+    if not inside.all():
         raise InvalidWord(f"stage {stage} placements leave their block domains")
     painted = np.zeros(window.volume, dtype=bool)
     for _, cells in alphabet.paint(tiling.codes, tiling.anchors, window.anchor, window.shape):

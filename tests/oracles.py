@@ -14,7 +14,8 @@ by record, bands filled once per block, block domains decoded from the
 stage's whole word, pools shuffled by one scalar ``below`` draw a swap,
 redistribution by forming every subdivided anchor row and lexsorting them,
 tilings verified by row-wise reductions over the ``(n, dim)`` anchor array,
-points located on a tower lattice by a Python ``divmod`` each.  The file oracles share only the header helpers with the
+points located on a tower lattice by a Python ``divmod`` each, files loaded
+by a text-mode read of the whole file.  The file oracles share only the header helpers with the
 package.
 """
 
@@ -28,11 +29,15 @@ import numpy as np
 from dominofill.cli.files import (
     LoadedFile,
     ParseError,
+    VersionMismatch,
     _fields_of,
     _fmt_shapes,
+    _from_json,
     _parse_tile,
     _read_header,
     _window_line,
+    parse_tiling,
+    parse_word,
 )
 from dominofill.brickfill import BrickWall, GapTooNarrow, InwardEmpty, fill_between
 from dominofill.geometry import Box, grid_rows, interior, within
@@ -724,6 +729,31 @@ def word_to_json_by_cells(word, seed=0):
         ],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def load_by_text_mode(path):
+    """``load_any`` as one text-mode read of the file: UTF-8 decoded whole,
+    universal newlines, the format told from the text with leading white
+    space stripped, then the package's readers of a JSON document or of
+    the text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path!r} is not UTF-8: {exc}") from exc
+    stripped = text.lstrip()
+    if stripped.startswith("{"):
+        return _from_json(stripped)
+    end = text.find("\n", len(text) - len(stripped))
+    head = text if end < 0 else text[:end]
+    first = next((ln for ln in head.splitlines() if ln.strip()), "")
+    for kind, parse in (("tiling", parse_tiling), ("word", parse_word)):
+        if first == f"dominofill {kind} v1":
+            built, seed = parse(text)
+            return LoadedFile(kind, seed=seed, **{kind: built})
+    if first.startswith("dominofill "):
+        raise VersionMismatch(f"unsupported format marker {first!r}")
+    raise ParseError(f"unrecognized file {path!r}")
 
 
 def locate_by_points(towers, points, lo, hi):

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -65,6 +66,13 @@ probs = 2/5 3/5
 [plan]
 sides = 64
 """
+
+# The benchmark's flagship plan and window.
+FLAGSHIP_PLAN_INI = (
+    FLAGSHIP_INI.replace("300,300", "1536,1536")
+    .replace("seed = 11", "seed = 1")
+    .replace("sides = 64", "sides = 64,512")
+)
 
 FILL_INI = """\
 [run]
@@ -572,6 +580,17 @@ def fill_cfg(tmp_path):
     return str(path)
 
 
+def traced(peaks: dict, name: str, call):
+    """``call()``, its peak of traced memory put in ``peaks[name]`` in MB."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peaks[name] = tracemalloc.get_traced_memory()[1] / 1e6
+        return result
+    finally:
+        tracemalloc.stop()
+
+
 class TestMain:
     def test_plan_prints_schedule(self, tmp_path, capsys):
         ini = tmp_path / "strict.ini"
@@ -776,6 +795,25 @@ class TestMain:
         assert main(["verify", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err and len(err.splitlines()) == 1
+
+    def test_commands_keep_their_scratch_memory(self, tmp_path, capsys):
+        """A flagship-plan build and verify of the benchmark's window each
+        stay within 15% of their traced peak, numpy's arrays included (build
+        8.15 MB, verify 6.71 MB at 1536^2, seed 1), and so does writing the
+        built tiling again (1.98 MB for a 1.41 MB file).  A whole-file string
+        in the writer or the reader, or a (dim, n) temporary in the
+        containment checks, takes one of them past its bound."""
+        ini = tmp_path / "run.ini"
+        ini.write_text(FLAGSHIP_PLAN_INI, encoding="utf-8")
+        path = str(tmp_path / "out" / "tiling.txt")
+        build, peaks = ["build", "--config", str(ini), "--out", str(tmp_path / "out")], {}
+        assert traced(peaks, "build", lambda: main(build)) == 0
+        assert traced(peaks, "verify", lambda: main(["verify", path])) == 0
+        tiling = load_any(path).tiling
+        traced(peaks, "write", lambda: cli_main._write(str(tmp_path / "again"), tiling, 1, "text"))
+        capsys.readouterr()
+        for name, bound in {"build": 8.15, "verify": 6.71, "write": 1.98}.items():
+            assert peaks[name] <= 1.15 * bound, f"{name} peaked at {peaks[name]:.2f} MB"
 
     def test_build_refuses_non_utf8_config(self, tmp_path, capsys):
         path = tmp_path / "latin.ini"

@@ -4,6 +4,7 @@ record oracles."""
 import json
 import os
 import stat
+import tempfile
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     iter_cells,
+    load_by_text_mode,
     load_json_doc_by_records,
     parse_by_lines,
     parse_word_by_lines,
@@ -35,6 +37,7 @@ from dominofill.cli.files import (
     word_to_json,
     write_atomic,
 )
+from dominofill.cli import main as cli_main
 from dominofill.cli.main import main
 from dominofill.sft import Alphabet, SymbolicWord, Tiling, tile_sort_key
 
@@ -105,20 +108,27 @@ def outcome(parse, text):
 def parse_bulk_only(text, kind=files.TILING):
     """(object, seed) read by the bulk parser alone; a file it leaves to the
     line walk fails the test."""
-    parsed = files._parse_bulk(text, kind)
+    parsed = files._parse_bulk(text.encode(), kind)
     assert parsed is not None
     (dim, shapes, window, seed), records = parsed
     return kind.build(shapes, dim, window, *records), seed
 
 
+# Rows a writer block: one to three rows a block split small tilings and
+# words over several blocks, as a file of more than ``_CHUNK_ROWS`` records is.
+CHUNK_ROWS = st.sampled_from([1, 2, 3, files._CHUNK_ROWS])
+
+
 @settings(max_examples=300)
-@given(tilings())
-def test_writer_and_bulk_parser_match_line_oracles(case):
+@given(tilings(), CHUNK_ROWS)
+def test_writer_and_bulk_parser_match_line_oracles(case, chunk_rows):
     tiling, seed = case
     canon = tiling.sorted_canonical()
     assert records(canon) == sorted(records(tiling))
     assert canon.sorted_canonical() is canon  # an ordered tiling is not sorted again
-    text = serialize_tiling(tiling, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(files, "_CHUNK_ROWS", chunk_rows)
+        text = serialize_tiling(tiling, seed)
     assert text == serialize_by_lines(tiling, seed)
     want = outcome(parse_by_lines, text)
     assert outcome(parse_tiling, text) == want
@@ -221,7 +231,7 @@ def test_bulk_parse_is_the_line_walk_or_none(case, chunk_bytes):
     text = f"{kind.magic}\ndim {dim}\nshapes {shapes}\nwindow {window}\nseed 3\n{body}"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(files, "_CHUNK_BYTES", chunk_bytes)
-        parsed = files._parse_bulk(text, kind)
+        parsed = files._parse_bulk(text.encode(), kind)
     if parsed is None:
         return
     head, (tiles, inverse, fields) = parsed
@@ -271,10 +281,12 @@ def test_label_int_refuses_reads_back(tmp_path, capsys, label):
 
 
 @settings(max_examples=300)
-@given(tilings())
-def test_json_writer_matches_row_oracle(case):
+@given(tilings(), CHUNK_ROWS)
+def test_json_writer_matches_row_oracle(case, chunk_rows):
     tiling, seed = case
-    text = tiling_to_json(tiling, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(files, "_CHUNK_ROWS", chunk_rows)
+        text = tiling_to_json(tiling, seed)
     assert text == tiling_to_json_by_rows(tiling, seed)
 
 
@@ -587,18 +599,20 @@ def json_word_outcome(load, doc):
 
 
 @settings(max_examples=300)
-@given(words())
-def test_word_writers_and_readers_match_cell_oracles(case):
+@given(words(), CHUNK_ROWS)
+def test_word_writers_and_readers_match_cell_oracles(case, chunk_rows):
     word, seed = case
-    text = serialize_word(word, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(files, "_CHUNK_ROWS", chunk_rows)
+        text, doc_text = serialize_word(word, seed), word_to_json(word, seed)
     assert text == serialize_word_by_lines(word, seed)
-    assert word_to_json(word, seed) == word_to_json_by_cells(word, seed)
+    assert doc_text == word_to_json_by_cells(word, seed)
     want = word_outcome(parse_word_by_lines, text)
     assert same_word(want, word, seed)
     assert word_outcome(parse_word, text) == want
     # Written files never need the line walk or the per-record walk.
     assert word_outcome(lambda t: parse_bulk_only(t, files.WORD), text) == want
-    doc = json.loads(word_to_json(word, seed))
+    doc = json.loads(doc_text)
     want = json_word_outcome(load_json_doc_by_records, doc)
     assert want[1] == "word" and same_word((want[0], want[2]), word, seed)
     assert json_word_outcome(files._from_json_doc, doc) == want
@@ -822,3 +836,149 @@ def test_json_window_of_other_dimension_is_refused(tmp_path, capsys, kind, ancho
         load_any(str(path))
     assert main(["verify", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def many_placements():
+    """90,000 one-cell placements, more than one writer block, of labels of
+    1 to 10 bytes at negative and positive anchors, with no window."""
+    shapes = {1: (1, 1), "P": (1, 1), "P123456789": (1, 1)}
+    cells = np.argwhere(np.ones((300, 300), dtype=bool)) - 150
+    return Tiling.from_parts(shapes, [(t, cells[k::3]) for k, t in enumerate(shapes)], None)
+
+
+# What the CLI writes, by name: a function of the flagship alphabet.
+WRITTEN = {
+    "empty_tiling": lambda alphabet: Tiling.from_parts({1: (3, 2)}, [], Box((0, 0), (6, 6))),
+    "empty_tiling_without_window": lambda alphabet: Tiling.from_parts({1: (3, 2)}, [], None),
+    "tiling_without_window": lambda alphabet: Tiling.from_parts(
+        {1: (3, 2), "P": (6, 6)}, [(1, [(3, 0), (0, 0)]), ("P", [(0, 2)])], None
+    ),
+    "negative_anchors": lambda alphabet: Tiling.from_parts(
+        {1: (3, 2), 2: (2, 3)},
+        [(1, [(-7, -2), (-4, -2)]), (2, [(-(2**40), 5)])],
+        Box((-(2**40), -2), (2**41, 10)),
+    ),
+    "tiling_past_one_block": lambda alphabet: many_placements(),
+    "word": lambda alphabet: BrickWall(alphabet, "P", (1, 2)).materialize(Box((-13, -7), (9, 11))),
+    "word_past_one_block": lambda alphabet: BrickWall(alphabet, "P", (1, 2)).materialize(
+        Box((-130, -7), (260, 260))
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", sorted(WRITTEN))
+def test_written_file_is_the_serialized_string(tmp_path, flagship_alphabet, name, fmt):
+    """The bytes the CLI writes, block by block, are the string the
+    serializer returns, encoded, and no temp file is left beside them."""
+    written = WRITTEN[name](flagship_alphabet)
+    path = cli_main._write(str(tmp_path / "out"), written, 9, fmt)
+    serialize = {
+        ("text", True): serialize_tiling,
+        ("json", True): tiling_to_json,
+        ("text", False): serialize_word,
+        ("json", False): word_to_json,
+    }[fmt, isinstance(written, Tiling)]
+    with open(path, "rb") as fh:
+        assert fh.read() == serialize(written, 9).encode("utf-8")
+    assert os.listdir(tmp_path) == [os.path.basename(path)]
+
+
+def test_writers_match_oracles_past_one_block(flagship_alphabet):
+    tiling, word = many_placements(), WRITTEN["word_past_one_block"](flagship_alphabet)
+    assert min(len(tiling), np.count_nonzero(word.grid >= 0)) > files._CHUNK_ROWS
+    assert serialize_tiling(tiling, 3) == serialize_by_lines(tiling, 3)
+    assert tiling_to_json(tiling, 3) == tiling_to_json_by_rows(tiling, 3)
+    assert serialize_word(word, 3) == serialize_word_by_lines(word, 3)
+    assert word_to_json(word, 3) == word_to_json_by_cells(word, 3)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_block_that_raises_leaves_no_file(tmp_path, monkeypatch, fmt):
+    """Blocks that fail partway, after the header and the first block of
+    rows went to the temp file, leave neither that file nor the target."""
+    blocks = files.file_blocks
+
+    def failing(tiling_or_word, seed, fmt):
+        for k, block in enumerate(blocks(tiling_or_word, seed, fmt)):
+            if k == 2:
+                raise RuntimeError("no more blocks")
+            yield block
+
+    monkeypatch.setattr(cli_main, "file_blocks", failing)
+    with pytest.raises(RuntimeError, match="no more blocks"):
+        cli_main._write(str(tmp_path / "out"), many_placements(), 1, fmt)
+    assert os.listdir(tmp_path) == []
+
+
+def lone_byte(byte):
+    """An edit that puts ``byte`` at a drawn place in the file."""
+
+    def edit(data, draw):
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + byte + data[at:]
+
+    return edit
+
+
+# Blank lines and white space: ASCII, what only ``str.isspace`` calls space,
+# and non-ASCII space.
+LEADING = st.sampled_from(["\n", " \n", "\t", "\x0c", "\x1c", "\x85", "\u3000"])
+
+# Byte edits of a written file.  Each of the first five sends ``load_any``
+# down its decoded fallback; a cut makes a JSON error name a line and column.
+EDITS = {
+    "crlf": lambda data, draw: data.replace(b"\n", b"\r\n"),
+    "lone_cr": lone_byte(b"\r"),
+    "bom": lambda data, draw: b"\xef\xbb\xbf" + data,
+    "non_ascii_label": lambda data, draw: data.replace(b"P", "Ä".encode()),
+    "ff_byte": lone_byte(b"\xff"),
+    "leading_space": lambda data, draw: "".join(draw(st.lists(LEADING, min_size=1))).encode()
+    + data,
+    "cut": lambda data, draw: data[: draw(st.integers(0, len(data)))],
+}
+
+
+@st.composite
+def edited_files(draw):
+    """The bytes of a written tiling or word, text or JSON, after some of ``EDITS``."""
+    written, seed = draw(st.one_of(tilings(), words()))
+    data = b"".join(files.file_blocks(written, seed, draw(st.sampled_from(["text", "json"]))))
+    for name in draw(st.lists(st.sampled_from(sorted(EDITS)), unique=True)):
+        data = EDITS[name](data, draw)
+    return data
+
+
+def loaded_outcome(load, path):
+    try:
+        loaded = load(path)
+    except ParseError as exc:
+        return type(exc).__name__, str(exc)
+    if loaded.kind == "tiling":
+        return "ok", loaded.kind, snapshot((loaded.tiling, loaded.seed))
+    return "ok", loaded.kind, word_snapshot((loaded.word, loaded.seed))
+
+
+SMALL_TILING = (HEADER + "1 0 0\nP 6 6\n").encode()
+SMALL_JSON = json.dumps(json_doc((1, [0, 0])), separators=(",", ":")).encode()
+
+
+@settings(max_examples=300)
+@given(edited_files())
+@example(SMALL_TILING.replace(b"\n", b"\r\n"))
+@example(SMALL_TILING.replace(b"P 6", b"P\r6"))
+@example(b"\xef\xbb\xbf" + SMALL_TILING)
+@example(SMALL_TILING.replace(b"P", "Ä".encode()))
+@example(SMALL_TILING + b"\xff\n")
+@example(b"\n \n" + SMALL_TILING)
+@example("\u3000".encode() + SMALL_JSON)
+@example(b"\x1c" + SMALL_JSON)  # white space to str.lstrip, not to bytes.lstrip
+@example(SMALL_JSON.replace(b",", b",\r", 1)[:-1])  # the error's line counts the \r
+def test_load_any_reads_as_text_mode_does(data):
+    """``load_any`` reads the bytes once, and gives what a text-mode read of
+    the file gives: the same object, or the same error."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "file")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        assert loaded_outcome(load_any, path) == loaded_outcome(load_by_text_mode, path)
