@@ -50,7 +50,7 @@ def main() -> None:
     os.makedirs(args.out, exist_ok=True)
     write_atomic(
         os.path.join(args.out, "tiling.txt"),
-        file_blocks(result.tiling, args.seed, "text"),
+        file_blocks(result.tiling, args.seed),
     )
     report = {
         "seed": args.seed,

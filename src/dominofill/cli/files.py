@@ -1,23 +1,20 @@
-"""Canonical on-disk formats for tilings and words.
+"""The on-disk format of tilings and words.
 
-Text files are UTF-8 and line-oriented: a version marker, then ``dim``,
+Files are UTF-8 text and line-oriented: a version marker, then ``dim``,
 ``shapes``, ``window`` and ``seed`` header lines, then one sorted record per
 placement (``tile x_1 .. x_d``) or per assigned cell (``x_1 .. x_d tile
-o_1 .. o_d``); JSON has the same fields, and one record layout (``TILING``,
-``WORD``) serves both kinds.  Writes are atomic (temp file + rename) and
-byte-deterministic for a given object, which is what makes seeded runs diffable.
+o_1 .. o_d``); one record layout (``TILING``, ``WORD``) serves both kinds.
+Writes are atomic (temp file + rename) and byte-deterministic for a given
+object, which is what makes seeded runs diffable.
 """
 
 from __future__ import annotations
 
-import gc
-import json
 import os
 import string
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -33,7 +30,7 @@ class ParseError(ValueError):
 
 @contextmanager
 def _fields_of(what: str) -> Iterator[None]:
-    """Report a malformed field (a bad int, a bad box, a missing key) as a ParseError."""
+    """Report a malformed field (a bad int, a bad box) as a ParseError."""
     try:
         yield
     except ParseError:
@@ -55,38 +52,25 @@ def _parse_tile(token: str):
         return token
 
 
-def _json_int(value) -> int:
-    """An integer field of a JSON file; a float or a bool is refused, as the
-    text reader refuses ``0.5``."""
-    if isinstance(value, (bool, float)):
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
 def _fmt_shapes(shapes: Mapping) -> str:
     items = sorted(shapes.items(), key=lambda kv: tile_sort_key(kv[0]))
     return " ".join(f"{t}:{'x'.join(str(e) for e in s)}" for t, s in items)
 
 
-def _shape_map(pairs) -> dict:
-    """Tile shapes from ``(tile token, extents)`` pairs; a tile is listed once."""
-    out = {}
-    for token, extents in pairs:
-        tile = _parse_tile(token)
-        if tile in out:
-            raise ParseError(f"tile {tile!r} listed twice in shapes")
-        out[tile] = tuple(extents)
-    return out
-
-
 def _parse_shapes(text: str) -> dict:
+    """Tile shapes from ``tile:e_1x..xe_d`` tokens; a tile is listed once."""
     pairs = []
     for token in text.split():
         tile, _, dims = token.partition(":")
         if not dims:
             raise ParseError(f"bad shapes token {token!r}")
-        pairs.append((tile, [int(x) for x in dims.split("x")]))
-    return _shape_map(pairs)
+        pairs.append((_parse_tile(tile), tuple(int(x) for x in dims.split("x"))))
+    out = {}
+    for tile, extents in pairs:
+        if tile in out:
+            raise ParseError(f"tile {tile!r} listed twice in shapes")
+        out[tile] = extents
+    return out
 
 
 def _window_line(window: Box | None) -> str:
@@ -122,6 +106,8 @@ def _read_header(lines: list[str], magic: str) -> tuple[int, dict, Box | None, i
             raise ParseError(f"expected header {key!r}, found {name!r}")
         header[key] = rest
     dim = int(header["dim"])
+    if dim < 1:
+        raise ParseError(f"dim: must be >= 1, got {dim}")
     shapes = _parse_shapes(header["shapes"])
     window = _parse_window(header["window"].split(), dim)
     seed = int(header["seed"])
@@ -130,14 +116,13 @@ def _read_header(lines: list[str], magic: str) -> tuple[int, dict, Box | None, i
 
 class _Kind(NamedTuple):
     """A file kind's record layout: ``fields`` of ``dim`` coordinates each, the
-    tile label after ``label_at`` of them, the records listed under ``key`` in
-    JSON; ``build(shapes, dim, window, *records)`` makes the object."""
+    tile label after ``label_at`` of them; ``build(shapes, dim, window,
+    *records)`` makes the object."""
 
     name: str
     magic: str
     fields: tuple[str, ...]
     label_at: int
-    key: str
     build: Callable
 
 
@@ -151,23 +136,22 @@ def _label_table(tiles) -> np.ndarray:
     return np.array(names, dtype=f"S{width}").view(np.uint8).reshape(len(names), width)
 
 
-def _text_blocks(fields: list[np.ndarray], sep: bytes = b" ", end: bytes = b"\n") -> Iterator[bytes]:
-    """Rows of ``sep``-separated fields, each row followed by ``end``, as
-    byte blocks of ``_CHUNK_ROWS`` rows each, so the scratch matrix stays small.
+def _text_blocks(fields: list[np.ndarray]) -> Iterator[bytes]:
+    """Lines of space-separated fields, as byte blocks of ``_CHUNK_ROWS``
+    lines each, so the scratch matrix stays small.
 
     A field is an integer column, written in decimal, or a uint8 matrix of
     label bytes padded with zero bytes.  Each field fills its own byte
     columns of one matrix (a decimal right-aligned behind its sign column),
     laid out one matrix row per byte column so that every store is
     contiguous; the matrix is transposed once into the pass that deletes its
-    zero bytes, so a ``sep`` of ``b"\\0"`` joins fields with nothing between
-    them.
+    zero bytes.
     """
     for lo in range(0, len(fields[0]), _CHUNK_ROWS):
-        yield _text_block([field[lo : lo + _CHUNK_ROWS] for field in fields], sep[0], end[0])
+        yield _text_block([field[lo : lo + _CHUNK_ROWS] for field in fields])
 
 
-def _text_block(fields: list[np.ndarray], sep: int, end: int) -> bytes:
+def _text_block(fields: list[np.ndarray]) -> bytes:
     # A decimal field's width: a sign column and the digits of its greatest magnitude.
     widths = [
         field.shape[1]
@@ -183,9 +167,9 @@ def _text_block(fields: list[np.ndarray], sep: int, end: int) -> bytes:
         else:
             _decimal_rows(field, mat[at : at + width])
         at += width
-        mat[at] = sep
+        mat[at] = ord(" ")
         at += 1
-    mat[-1] = end
+    mat[-1] = ord("\n")
     rows = mat.T.tobytes()
     del mat  # freed before the pass that deletes the zero bytes
     return rows.translate(None, b"\0")
@@ -212,11 +196,6 @@ def _decimal_rows(field: np.ndarray, out: np.ndarray) -> None:
         data = rest
 
 
-def _literal(text: bytes, rows: int) -> np.ndarray:
-    """A label field that holds ``text`` on every row."""
-    return np.broadcast_to(np.frombuffer(text, dtype=np.uint8), (rows, len(text)))
-
-
 def _text_file(kind: _Kind, seed: int, dim, shapes, window, tiles, codes, fields) -> Iterator[bytes]:
     """The text file of records, in blocks: tile ``tiles[codes[k]]`` and ``fields`` row k."""
     header = [kind.magic, f"dim {dim}", f"shapes {_fmt_shapes(shapes)}", _window_line(window)]
@@ -224,42 +203,6 @@ def _text_file(kind: _Kind, seed: int, dim, shapes, window, tiles, codes, fields
     columns = [field[:, a] for field in fields for a in range(dim)]
     columns.insert(kind.label_at * dim, _label_table(tiles).take(codes, axis=0))
     yield from _text_blocks(columns)
-
-
-def _json_file(kind: _Kind, seed: int, dim, shapes, window, tiles, codes, fields) -> Iterator[bytes]:
-    """One line of JSON with sorted keys and no spaces, in blocks: the column
-    writer's records, one object a row, each but the first behind a comma,
-    spliced into the dump of the other fields (a JSON string cannot hold
-    ``"<key>":0`` unescaped)."""
-    n, lead, row = len(codes), b",{", []
-    for key in sorted([*kind.fields, "tile"]):
-        if key == "tile":
-            labels = _label_table([json.dumps(t) for t in tiles]).take(codes, axis=0)
-            row += [_literal(lead + b'"tile":', n), labels]
-        else:
-            row.append(_literal(lead + f'"{key}":['.encode(), n))
-            for a in range(dim):
-                column = fields[kind.fields.index(key)][:, a]
-                row += [column, _literal(b"," if a + 1 < dim else b"]", n)]
-        lead = b","
-    doc = {
-        "format": kind.magic[: -len(" v1")],
-        "version": 1,
-        "dim": dim,
-        "shapes": {str(t): list(s) for t, s in shapes.items()},
-        "window": None
-        if window is None
-        else {"anchor": list(window.anchor), "shape": list(window.shape)},
-        "seed": seed,
-        kind.key: 0,
-    }
-    dump = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    head, key, tail = dump.partition(f'"{kind.key}":0')
-    yield f"{head}{key[:-1]}[".encode("utf-8")
-    blocks = _text_blocks(row, sep=b"\0", end=b"}")
-    yield memoryview(next(blocks, b","))[1:]  # the first row's comma
-    yield from blocks
-    yield f"]{tail}\n".encode("utf-8")
 
 
 def _tiling_records(tiling: Tiling) -> tuple:
@@ -275,30 +218,20 @@ def _word_records(word: SymbolicWord) -> tuple:
     return alphabet.dim, alphabet.tile_shapes, word.box, alphabet.tiles, codes, fields
 
 
-def file_blocks(tiling_or_word: Tiling | SymbolicWord, seed: int, fmt: str) -> Iterator[bytes]:
-    """The text (``fmt`` "text") or JSON file of a tiling or a word, as the
-    byte blocks that ``write_atomic`` writes one after another."""
+def file_blocks(tiling_or_word: Tiling | SymbolicWord, seed: int) -> Iterator[bytes]:
+    """The file of a tiling or a word, as the byte blocks that
+    ``write_atomic`` writes one after another."""
     if isinstance(tiling_or_word, Tiling):
         kind, records = TILING, _tiling_records(tiling_or_word)
     else:
         kind, records = WORD, _word_records(tiling_or_word)
-    return (_json_file if fmt == "json" else _text_file)(kind, seed, *records)
+    return _text_file(kind, seed, *records)
 
 
 def serialize_tiling(tiling: Tiling, seed: int = 0) -> str:
-    return b"".join(file_blocks(tiling, seed, "text")).decode("utf-8")
-
-
-def serialize_word(word: SymbolicWord, seed: int = 0) -> str:
-    return b"".join(file_blocks(word, seed, "text")).decode("utf-8")
-
-
-def tiling_to_json(tiling: Tiling, seed: int = 0) -> str:
-    return b"".join(file_blocks(tiling, seed, "json")).decode("utf-8")
-
-
-def word_to_json(word: SymbolicWord, seed: int = 0) -> str:
-    return b"".join(file_blocks(word, seed, "json")).decode("utf-8")
+    """The tiling's file as one string.  The CLI writes ``file_blocks``; this
+    stays because the benchmark's tracer hooks it on ``cli.main``."""
+    return b"".join(file_blocks(tiling, seed)).decode("utf-8")
 
 
 _LABEL_BYTES = (string.ascii_letters + string.digits + "-").encode()
@@ -340,7 +273,7 @@ def _parse_bulk(data: bytes, kind: _Kind) -> tuple | None:
                 return None
             lines.append(line)
     dim, shapes, window, seed, _ = _read_header(lines, kind.magic)
-    if not 1 <= dim < 2**62:  # (2 * dim, n) arrays need 2 * dim to fit in intp
+    if dim >= 2**62:  # (2 * dim, n) arrays need 2 * dim to fit in intp
         return None
     width = len(kind.fields) * dim + 1
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -487,7 +420,7 @@ def _walk_lines(text: str, kind: _Kind) -> tuple:
     for ln in lines[idx:]:
         parts = ln.split()
         if len(parts) != len(kind.fields) * dim + 1:
-            raise ParseError(f"bad {kind.key[:-1]} line {ln!r}")
+            raise ParseError(f"bad {'placement' if kind is TILING else 'cell'} line {ln!r}")
         tiles.append(_parse_tile(parts.pop(kind.label_at * dim)))
         rows.append([int(x) for x in parts])
     fields = [[row[k * dim : (k + 1) * dim] for row in rows] for k in range(len(kind.fields))]
@@ -506,55 +439,29 @@ def _read_text(text: str | bytes, kind: _Kind) -> tuple:
         return kind.build(shapes, dim, window, *records), seed
 
 
-def _json_records(records, kind: _Kind, dim: int) -> tuple:
-    """(tiles, inverse, fields) of JSON records: one ``np.array`` a field if each
-    record is an object with an int or string ``tile`` and each field makes an
-    int64 array of ``dim`` coordinates a row, with no bool (numpy reads a bool
-    beside ints as an int); else every tile, then each field, by ``_json_int``."""
-    try:
-        raw = [rec["tile"] for rec in records]
-        rows = [[rec[field] for rec in records] for field in kind.fields]
-        fields = [np.array(r) for r in rows]
-    except (IndexError, KeyError, TypeError, ValueError):
-        fields = None
-    if (
-        fields is None
-        or any(f.dtype != np.int64 or f.shape != (len(raw), dim) for f in fields)
-        or not set(map(type, raw)) <= {int, str}
-        or bool in set(map(type, chain.from_iterable(chain.from_iterable(rows))))
-    ):
-        raw = [str(rec["tile"]) for rec in records]
-        fields = [[list(map(_json_int, rec[field])) for rec in records] for field in kind.fields]
-    distinct, inverse = _distinct(raw)
-    return [_parse_tile(str(t)) for t in distinct], inverse, fields
-
-
-def _coords(rows, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate rows as an (n, dim) array, int64 or, if a value leaves
-    int64, Python ints; and the mask of rows not of ``dim`` coordinates,
-    which read as zeros."""
+def _coords(rows, dim: int) -> np.ndarray:
+    """Rows of ``dim`` coordinates as an (n, dim) array, int64 or, if a value
+    leaves int64, Python ints."""
     if isinstance(rows, np.ndarray):
-        return rows, np.zeros(len(rows), dtype=bool)
-    misfit = np.array([len(row) != dim for row in rows], dtype=bool)
-    rows = [[0] * dim if bad else row for row, bad in zip(rows, misfit)]
+        return rows
     try:
-        return np.array(rows, dtype=np.int64).reshape(len(rows), max(dim, 0)), misfit
+        return np.array(rows, dtype=np.int64).reshape(len(rows), dim)
     except OverflowError:
-        return np.array(rows, dtype=object).reshape(len(rows), max(dim, 0)), misfit
+        return np.array(rows, dtype=object).reshape(len(rows), dim)
 
 
 def _build_tiling(shapes: dict, dim: int, window, tiles: list, inverse, fields) -> Tiling:
     """Placement k is tile ``tiles[inverse[k]]`` at anchor k; canonical order.
     Refuses a bad tile shape, an unknown tile (the first in placement order)
-    or an anchor not of ``dim`` int64 coordinates, checked in that order."""
+    or an anchor that leaves int64, checked in that order."""
     if any(len(s) != dim or min(s) < 1 for s in shapes.values()):
         raise ParseError(f"every tile shape needs {dim} positive extents")
     unknown = np.array([t not in shapes for t in tiles], dtype=bool)
     if np.any(unknown):
         first = np.flatnonzero(unknown[inverse])[0]
         raise ParseError(f"unknown tile {tiles[inverse[first]]!r}")
-    rows, misfit = _coords(fields[0], dim)
-    if dim < 0 or misfit.any() or rows.dtype != np.int64:
+    rows = _coords(fields[0], dim)
+    if rows.dtype != np.int64:
         raise ParseError(f"every anchor needs {dim} int64 coordinates")
     code_of = {t: i for i, t in enumerate(sorted(shapes, key=tile_sort_key))}
     codes = np.array([code_of[t] for t in tiles], dtype=np.int32)[inverse]
@@ -566,10 +473,9 @@ def _build_word(shapes: dict, dim: int, window, tiles: list, inverse, fields) ->
 
     Refuses a missing window or one of more than ``MAX_PAINT_CELLS`` cells,
     the verifier's bound, else names the first offending record in file
-    order and its first defect of: an unknown tile, a cell outside the window
-    (or not of ``dim`` coordinates), a cell listed twice, an offset its tile
-    lacks (or not of ``dim`` coordinates).  A symbol's index is its tile's
-    first symbol plus the offset's C-order index in the tile."""
+    order and its first defect of: an unknown tile, a cell outside the
+    window, a cell listed twice, an offset its tile lacks.  A symbol's index
+    is its tile's first symbol plus the offset's C-order index in the tile."""
     if window is None:
         raise ParseError("word files need an explicit window")
     if window.volume > MAX_PAINT_CELLS:
@@ -578,12 +484,12 @@ def _build_word(shapes: dict, dim: int, window, tiles: list, inverse, fields) ->
     alphabet = word.alphabet
     codes = [alphabet.tiles.index(t) if t in shapes else -1 for t in tiles]
     codes = np.array(codes, dtype=np.intp)[inverse]
-    (cells, bad_cell), (offsets, bad_offset) = (_coords(field, dim) for field in fields)
-    lo, hi = _coords([window.anchor, window.end], dim)[0]
-    inside = ~bad_cell & np.all((cells >= lo) & (cells < hi), axis=1)
+    cells, offsets = (_coords(field, dim) for field in fields)
+    lo, hi = _coords([window.anchor, window.end], dim)
+    inside = np.all((cells >= lo) & (cells < hi), axis=1)
     # An unknown tile (code -1) gets the last row, a zero shape that no offset fits.
     sizes = np.array([*map(alphabet.shape, alphabet.tiles), (0,) * dim], dtype=np.int64)[codes]
-    fits = ~bad_offset & np.all((offsets >= 0) & (offsets < sizes), axis=1)
+    fits = np.all((offsets >= 0) & (offsets < sizes), axis=1)
     held = np.flatnonzero(inside)
     flat = _c_index((cells[held] - lo).astype(np.int64), np.array(window.shape))
     twice = inside.copy()
@@ -594,10 +500,8 @@ def _build_word(shapes: dict, dim: int, window, tiles: list, inverse, fields) ->
         tile, cell, offset = tiles[inverse[k]], *(tuple(map(int, f[k])) for f in fields)
         defects = [
             (codes[k] < 0, f"unknown tile {tile!r} at cell {cell}"),
-            (bad_cell[k], f"every cell needs {dim} int64 coordinates"),
             (not inside[k], f"cell {cell} outside window"),
             (twice[k], f"cell {cell} listed twice"),
-            (bad_offset[k], f"every offset needs {dim} int64 coordinates"),
             (True, f"offset {offset} invalid for tile {tile!r}"),
         ]
         raise ParseError(next(message for failed, message in defects if failed))
@@ -613,8 +517,8 @@ def _c_index(index: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return flat
 
 
-TILING = _Kind("tiling", "dominofill tiling v1", ("anchor",), 0, "placements", _build_tiling)
-WORD = _Kind("word", "dominofill word v1", ("cell", "offset"), 1, "cells", _build_word)
+TILING = _Kind("tiling", "dominofill tiling v1", ("anchor",), 0, _build_tiling)
+WORD = _Kind("word", "dominofill word v1", ("cell", "offset"), 1, _build_word)
 
 
 def parse_tiling(text: str) -> tuple[Tiling, int]:
@@ -640,13 +544,13 @@ _SPACE = bytes(c for c in range(128) if chr(c).isspace())
 
 
 def load_any(path: str) -> LoadedFile:
-    """The tiling or word in a text or JSON file, read as text mode reads it.
+    """The tiling or word in a file, read as text mode reads it.
 
     The file is read once, as bytes.  ASCII bytes with no ``\\r`` are what
     text mode reads, so only their head (the first non-blank line and the
-    blank lines before it) is decoded to tell the format, and a text file
-    goes to the bulk parser as bytes.  Any other file is decoded as UTF-8
-    with universal newlines, and a JSON file is decoded in any case.
+    blank lines before it) is decoded to tell the kind, and the file goes to
+    the bulk parser as bytes.  Any other file is decoded as UTF-8 with
+    universal newlines.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -662,8 +566,6 @@ def load_any(path: str) -> LoadedFile:
         start = len(text) - len(text.lstrip())
         end = text.find("\n", start)
         head = text if end < 0 else text[:end]
-    if head[start:].startswith("{"):
-        return _from_json(data[start:].decode("ascii") if text is None else text[start:])
     # The first non-blank line, unstripped, as parse_tiling and parse_word read it.
     first = next((ln for ln in head.splitlines() if ln.strip()), "")
     for kind in (TILING, WORD):
@@ -673,44 +575,6 @@ def load_any(path: str) -> LoadedFile:
     if first.startswith("dominofill "):
         raise VersionMismatch(f"unsupported format marker {first!r}")
     raise ParseError(f"unrecognized file {path!r}")
-
-
-def _from_json(text: str) -> LoadedFile:
-    # A decoded document holds no reference cycles, so the cyclic collector
-    # has nothing to find in it; pausing it spares its passes over millions
-    # of new records.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}") from exc
-    finally:
-        if collecting:
-            gc.enable()
-    if not isinstance(doc, dict):
-        raise ParseError("JSON file is not an object")
-    if doc.get("version") != 1:
-        raise VersionMismatch(f"unsupported version {doc.get('version')!r}")
-    return _from_json_doc(doc)
-
-
-@_fields_of("JSON")
-def _from_json_doc(doc: dict) -> LoadedFile:
-    fmt = doc.get("format", "")
-    dim = _json_int(doc["dim"])
-    shapes = _shape_map((t, map(_json_int, s)) for t, s in doc["shapes"].items())
-    win = doc.get("window")
-    box = None if win is None else [tuple(map(_json_int, win[k])) for k in ("anchor", "shape")]
-    if box is not None and list(map(len, box)) != [dim, dim]:
-        raise ParseError(f"window anchor and shape need {dim} coordinates each")
-    window = None if box is None else Box(*box)
-    seed = _json_int(doc.get("seed", 0))
-    for kind in (TILING, WORD):
-        if fmt == kind.magic[: -len(" v1")]:
-            built = kind.build(shapes, dim, window, *_json_records(doc[kind.key], kind, dim))
-            return LoadedFile(kind.name, seed=seed, **{kind.name: built})
-    raise ParseError(f"unknown JSON format {fmt!r}")
 
 
 def write_atomic(path: str, content: str | Iterable[bytes]) -> None:

@@ -92,10 +92,10 @@ def _window(cfg: RunConfig) -> Box:
     return Box(cfg.window_anchor, cfg.window_shape)
 
 
-def _write(path_stem: str, tiling_or_word, seed: int, fmt: str) -> str:
-    """Write a tiling or a word to ``path_stem`` plus ``.json`` or ``.txt``; return the path."""
-    path = path_stem + (".json" if fmt == "json" else ".txt")
-    write_atomic(path, file_blocks(tiling_or_word, seed, fmt))
+def _write(path_stem: str, tiling_or_word, seed: int) -> str:
+    """Write a tiling or a word to ``path_stem`` plus ``.txt``; return the path."""
+    path = path_stem + ".txt"
+    write_atomic(path, file_blocks(tiling_or_word, seed))
     return path
 
 
@@ -135,8 +135,8 @@ def cmd_build(args) -> int:
     result = run_pipeline(plan, window, cfg.seed)
     out = cfg.out_dir
     paths = [
-        _write(os.path.join(out, "tiling"), result.tiling, cfg.seed, cfg.out_format),
-        _write(os.path.join(out, "tiling_pre"), result.pre_tiling, cfg.seed, cfg.out_format),
+        _write(os.path.join(out, "tiling"), result.tiling, cfg.seed),
+        _write(os.path.join(out, "tiling_pre"), result.pre_tiling, cfg.seed),
     ]
     report_doc = {
         "schema": 1,
@@ -180,7 +180,7 @@ def cmd_fill(args) -> int:
     outer = BrickWall(alphabet, "P", cfg.fill_outer)
     filled = fill_between(inner, box, outer, family)
     word = filled.materialize(region)
-    path = _write(os.path.join(cfg.out_dir, "fill"), word, cfg.seed, cfg.out_format)
+    path = _write(os.path.join(cfg.out_dir, "fill"), word, cfg.seed)
     print(f"filled {region} between translates {cfg.fill_inner} and {cfg.fill_outer}")
     print(f"wrote {path}")
     return 0
@@ -197,7 +197,7 @@ def cmd_redistribute(args) -> int:
     for j, s in enumerate(cfg.shapes, start=1):
         shapes.setdefault(j, tuple(s))
     result = redistribute(tiling, targets, cfg.seed, shapes)
-    path = _write(os.path.join(cfg.out_dir, "redistributed"), result, cfg.seed, cfg.out_format)
+    path = _write(os.path.join(cfg.out_dir, "redistributed"), result, cfg.seed)
     print(f"wrote {path}")
     return 0
 
@@ -260,7 +260,7 @@ def cmd_render(args) -> int:
 # is where it writes.
 FLAG_HELP = {"seed": "the run's seed", "mode": "strict or relaxed",
              "window": "window extents, e.g. 4096,4096", "out": "output directory",
-             "format": "text or json"}
+             "format": "file format: text"}
 COMMANDS = (
     ("plan", "validate and print a stage schedule", False, True, tuple(FLAG_HELP)),
     ("build", "run the staged pipeline and write tilings", False, True, tuple(FLAG_HELP)),

@@ -9,17 +9,15 @@ every pair, word decoding by per-cell grouping, word encoding by pasting
 each placement's block, wall words by rolling and tiling one brick's block
 and fill words by pasting them, a fill's tiles listed part by part and its
 partition checked by counting each tile's clip, tiling and word files
-written and read line by line and cell by cell, JSON built and read record
-by record, bands filled once per block, block domains decoded from the
-stage's whole word, pools shuffled by one scalar ``below`` draw a swap,
-redistribution by forming every subdivided anchor row and lexsorting them,
-tilings verified by row-wise reductions over the ``(n, dim)`` anchor array,
-points located on a tower lattice by a Python ``divmod`` each, files loaded
-by a text-mode read of the whole file.  The file oracles share only the header helpers with the
-package.
+written and read line by line and cell by cell, bands filled once per block,
+block domains decoded from the stage's whole word, pools shuffled by one
+scalar ``below`` draw a swap, redistribution by forming every subdivided
+anchor row and lexsorting them, tilings verified by row-wise reductions over
+the ``(n, dim)`` anchor array, points located on a tower lattice by a Python
+``divmod`` each, files loaded by a text-mode read of the whole file.  The
+file oracles share only the header helpers with the package.
 """
 
-import json
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -32,7 +30,6 @@ from dominofill.cli.files import (
     VersionMismatch,
     _fields_of,
     _fmt_shapes,
-    _from_json,
     _parse_tile,
     _read_header,
     _window_line,
@@ -578,76 +575,6 @@ def tiling_from_records(shapes, dim, window, tiles, anchors):
     return Tiling.from_parts(shapes, parts, window).sorted_canonical()
 
 
-def tiling_to_json_by_rows(tiling, seed=0):
-    """JSON tiling file text from one dict per placement and one ``json.dumps``."""
-    canon = tiling.sorted_canonical()
-    doc = {
-        "format": "dominofill tiling",
-        "version": 1,
-        "dim": canon.dim,
-        "shapes": {str(t): list(s) for t, s in canon.tile_shapes.items()},
-        "window": None
-        if canon.window is None
-        else {"anchor": list(canon.window.anchor), "shape": list(canon.window.shape)},
-        "seed": seed,
-        "placements": [
-            {"tile": canon.tile_order[int(c)], "anchor": [int(x) for x in a]}
-            for c, a in zip(canon.codes, canon.anchors)
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def int_field(value):
-    """``int`` of a JSON integer field, refusing floats and bools."""
-    if type(value) in (bool, float):
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
-@_fields_of("JSON")
-def load_json_doc_by_records(doc):
-    """LoadedFile of a parsed JSON document, one ``_parse_tile`` or ``int_field`` per field.
-
-    A word's records are read and checked one at a time, so a record's
-    defect is found before a later record is read.
-    """
-    fmt = doc.get("format", "")
-    dim = int_field(doc["dim"])
-    shapes = {}
-    for t, s in doc["shapes"].items():
-        tile = _parse_tile(t)
-        if tile in shapes:
-            raise ParseError(f"tile {tile!r} listed twice in shapes")
-        shapes[tile] = tuple(int_field(x) for x in s)
-    win = doc.get("window")
-    window = None
-    if win is not None:
-        anchor = tuple(int_field(x) for x in win["anchor"])
-        shape = tuple(int_field(x) for x in win["shape"])
-        if len(anchor) != dim or len(shape) != dim:
-            raise ParseError(f"window anchor and shape need {dim} coordinates each")
-        window = Box(anchor, shape)
-    seed = int_field(doc.get("seed", 0))
-    if fmt == "dominofill tiling":
-        placements = doc["placements"]
-        tiles = [_parse_tile(str(rec["tile"])) for rec in placements]
-        anchors = [[int_field(x) for x in rec["anchor"]] for rec in placements]
-        tiling = tiling_from_records(shapes, dim, window, tiles, anchors)
-        return LoadedFile("tiling", tiling, None, seed)
-    if fmt == "dominofill word":
-        records = (
-            (
-                tuple(int_field(x) for x in rec["cell"]),
-                _parse_tile(str(rec["tile"])),
-                tuple(int_field(x) for x in rec["offset"]),
-            )
-            for rec in doc["cells"]
-        )
-        return LoadedFile("word", None, word_from_records(shapes, dim, window, records), seed)
-    raise ParseError(f"unknown JSON format {fmt!r}")
-
-
 def set_cell(word, cell, symbol):
     """Write one symbol at an absolute cell of the word's box."""
     word.grid[tuple(x - a for x, a in zip(cell, word.box.anchor))] = word.alphabet.index(symbol)
@@ -714,37 +641,16 @@ def parse_word_by_lines(text):
     return word_from_records(shapes, dim, window, records), seed
 
 
-def word_to_json_by_cells(word, seed=0):
-    """JSON word file text from one dict per assigned cell and one ``json.dumps``."""
-    doc = {
-        "format": "dominofill word",
-        "version": 1,
-        "dim": word.alphabet.dim,
-        "shapes": {str(t): list(s) for t, s in word.alphabet.tile_shapes.items()},
-        "window": {"anchor": list(word.box.anchor), "shape": list(word.box.shape)},
-        "seed": seed,
-        "cells": [
-            {"cell": list(cell), "tile": sym.tile, "offset": list(sym.offset)}
-            for cell, sym in iter_cells(word)
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def load_by_text_mode(path):
     """``load_any`` as one text-mode read of the file: UTF-8 decoded whole,
-    universal newlines, the format told from the text with leading white
-    space stripped, then the package's readers of a JSON document or of
-    the text."""
+    universal newlines, the kind told from the first non-blank line, then
+    the package's reader of that kind."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path!r} is not UTF-8: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _from_json(stripped)
-    end = text.find("\n", len(text) - len(stripped))
+    end = text.find("\n", len(text) - len(text.lstrip()))
     head = text if end < 0 else text[:end]
     first = next((ln for ln in head.splitlines() if ln.strip()), "")
     for kind, parse in (("tiling", parse_tiling), ("word", parse_word)):

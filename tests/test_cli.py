@@ -33,13 +33,11 @@ from dominofill.cli.config import (
 from dominofill.cli.files import (
     ParseError,
     VersionMismatch,
+    file_blocks,
     load_any,
     parse_tiling,
     parse_word,
     serialize_tiling,
-    serialize_word,
-    tiling_to_json,
-    word_to_json,
     write_atomic,
 )
 from dominofill.cli import main as cli_main
@@ -291,14 +289,6 @@ class TestTilingFiles:
         assert back.window == t.window
         assert serialize_tiling(back, seed=7) == text
 
-    def test_json_round_trip(self, tmp_path):
-        t = sample_tiling()
-        path = tmp_path / "t.json"
-        write_atomic(str(path), tiling_to_json(t, seed=3))
-        loaded = load_any(str(path))
-        assert loaded.kind == "tiling" and loaded.seed == 3
-        assert same_placements(loaded.tiling, t)
-
     def test_version_mismatch(self):
         text = serialize_tiling(sample_tiling())
         with pytest.raises(VersionMismatch):
@@ -322,24 +312,16 @@ def sample_word(flagship_alphabet):
 class TestWordFiles:
     def test_text_round_trip(self, flagship_alphabet):
         w = sample_word(flagship_alphabet)
-        text = serialize_word(w, seed=5)
+        text = b"".join(file_blocks(w, 5)).decode()
         back, seed = parse_word(text)
         assert seed == 5
         assert back.box == w.box
         assert np.array_equal(back.grid, w.grid)
-        assert serialize_word(back, seed=5) == text
-
-    def test_json_round_trip(self, tmp_path, flagship_alphabet):
-        w = sample_word(flagship_alphabet)
-        path = tmp_path / "w.json"
-        write_atomic(str(path), word_to_json(w, seed=2))
-        loaded = load_any(str(path))
-        assert loaded.kind == "word" and loaded.seed == 2
-        assert np.array_equal(loaded.word.grid, w.grid)
+        assert b"".join(file_blocks(back, 5)).decode() == text
 
     def test_bad_offset_rejected(self, flagship_alphabet):
         w = sample_word(flagship_alphabet)
-        text = serialize_word(w)
+        text = b"".join(file_blocks(w, 0)).decode()
         lines = text.splitlines()
         lines[5] = lines[5].rsplit(" ", 2)[0] + " 9 9"
         with pytest.raises(ParseError):
@@ -347,101 +329,35 @@ class TestWordFiles:
 
     def test_cell_outside_window_rejected(self, flagship_alphabet):
         w = sample_word(flagship_alphabet)
-        text = serialize_word(w) + "50 50 P 0 0\n"
+        text = b"".join(file_blocks(w, 0)).decode() + "50 50 P 0 0\n"
         with pytest.raises(ParseError):
             parse_word(text)
 
     def test_cell_listed_twice_rejected(self, flagship_alphabet):
         w = sample_word(flagship_alphabet)
-        text = serialize_word(w) + "0 0 1 0 0\n"
+        text = b"".join(file_blocks(w, 0)).decode() + "0 0 1 0 0\n"
         with pytest.raises(ParseError, match=r"cell \(0, 0\) listed twice"):
             parse_word(text)
 
 
-def write_json(tmp_path, text, edit):
-    doc = json.loads(text)
-    edit(doc)
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    return str(path)
+# A tiling in the JSON layout that earlier versions also wrote.
+JSON_TILING = {
+    "format": "dominofill tiling", "version": 1, "dim": 2, "shapes": {"1": [3, 2]},
+    "window": {"anchor": [0, 0], "shape": [6, 6]}, "seed": 0,
+    "placements": [{"tile": 1, "anchor": [0, 0]}],
+}
 
 
-def unknown_tile(doc):
-    doc["placements"].append({"tile": 9, "anchor": [0, 0]})
-
-
-def bad_offset(doc):
-    doc["cells"][0]["offset"] = [9, 9]
-
-
-def cell_outside(doc):
-    doc["cells"].append({"cell": [50, 50], "tile": "P", "offset": [0, 0]})
-
-
-def negative_cell(doc):
-    doc["cells"][0]["cell"] = [-1, -1]
-
-
-def duplicate_cell(doc):
-    doc["cells"].append({"cell": doc["cells"][0]["cell"], "tile": 1, "offset": [0, 0]})
-
-
-def half_anchor(doc):
-    next(rec for rec in doc["placements"] if rec["anchor"] == [0, 0])["anchor"] = [0.5, 0]
-
-
-def float_shape(doc):
-    doc["shapes"]["1"] = [2.9, 1]
-
-
-def float_window_anchor(doc):
-    doc["window"]["anchor"] = [-6.0, -6]
-
-
-def float_offset(doc):
-    doc["cells"][0]["offset"] = [x + 0.5 for x in doc["cells"][0]["offset"]]
-
-
-def bool_seed(doc):
-    doc["seed"] = True
-
-
-class TestJsonLoaderErrors:
-    """Bad JSON input is a ParseError, as it is for the text formats."""
-
-    CASES = [
-        ("tiling", unknown_tile),
-        ("word", bad_offset),
-        ("word", cell_outside),
-        ("word", negative_cell),
-        ("word", duplicate_cell),
-        ("tiling", half_anchor),
-        ("tiling", float_shape),
-        ("tiling", float_window_anchor),
-        ("tiling", bool_seed),
-        ("word", float_offset),
-    ]
-
-    def bad_file(self, tmp_path, flagship_alphabet, kind, edit):
-        if kind == "tiling":
-            return write_json(tmp_path, tiling_to_json(sample_tiling()), edit)
-        return write_json(tmp_path, word_to_json(sample_word(flagship_alphabet)), edit)
-
-    @pytest.mark.parametrize("kind, edit", CASES, ids=lambda v: getattr(v, "__name__", v))
-    def test_load_any_raises_parse_error(self, tmp_path, flagship_alphabet, kind, edit):
-        with pytest.raises(ParseError):
-            load_any(self.bad_file(tmp_path, flagship_alphabet, kind, edit))
-
-    @pytest.mark.parametrize("kind, edit", CASES, ids=lambda v: getattr(v, "__name__", v))
-    def test_verify_is_user_error(self, tmp_path, flagship_alphabet, capsys, kind, edit):
-        path = self.bad_file(tmp_path, flagship_alphabet, kind, edit)
-        assert main(["verify", path]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_stats_is_user_error(self, tmp_path, capsys):
-        path = write_json(tmp_path, tiling_to_json(sample_tiling()), unknown_tile)
-        assert main(["stats", path]) == 1
-        assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["verify", "stats", "render"])
+def test_json_file_is_a_user_error(tmp_path, capsys, command):
+    """Text is the one file format: a JSON tiling is one error line and
+    status 1, and nothing is written."""
+    path = tmp_path / "tiling.json"
+    path.write_text(json.dumps(JSON_TILING), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, str(path), *(["--out", str(out)] if command == "render" else [])]) == 1
+    assert capsys.readouterr() == ("", f"error: unrecognized file {str(path)!r}\n")
+    assert not out.exists()
 
 
 class TestVerifyWord:
@@ -658,16 +574,6 @@ class TestMain:
         capsys.readouterr()
         assert (a / "tiling.txt").read_bytes() != (b / "tiling.txt").read_bytes()
 
-    def test_json_format(self, flagship_cfg, tmp_path, capsys):
-        out = tmp_path / "json_out"
-        assert main(
-            ["build", "--config", flagship_cfg, "--out", str(out), "--format", "json"]
-        ) == 0
-        capsys.readouterr()
-        loaded = load_any(str(out / "tiling.json"))
-        assert loaded.kind == "tiling"
-        assert len(loaded.tiling) > 0
-
     def test_fill_and_verify(self, fill_cfg, tmp_path, capsys):
         out = tmp_path / "fill_out"
         assert main(["fill", "--config", fill_cfg, "--out", str(out)]) == 0
@@ -769,22 +675,13 @@ class TestMain:
         assert main(["verify", str(path)]) == 1
         assert "cell (0,) listed twice" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_verify_refuses_a_word_window_too_large_to_paint(self, tmp_path, capsys, fmt):
+    def test_verify_refuses_a_word_window_too_large_to_paint(self, tmp_path, capsys):
         """A word file's window is input: one beyond the verifier's paint
         bound is one error line, not an allocation of 10^16 cells."""
-        path = tmp_path / f"huge.{'txt' if fmt == 'text' else 'json'}"
-        if fmt == "text":
-            lines = ["dominofill word v1", "dim 2", "shapes 1:2x1"]
-            lines += ["window 0 0 100000000 100000000", "seed 0", "0 0 1 0 0"]
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        else:
-            doc = {
-                "format": "dominofill word", "version": 1, "dim": 2, "shapes": {"1": [2, 1]},
-                "window": {"anchor": [0, 0], "shape": [10**8, 10**8]}, "seed": 0,
-                "cells": [{"cell": [0, 0], "tile": 1, "offset": [0, 0]}],
-            }
-            path.write_text(json.dumps(doc), encoding="utf-8")
+        path = tmp_path / "huge.txt"
+        lines = ["dominofill word v1", "dim 2", "shapes 1:2x1"]
+        lines += ["window 0 0 100000000 100000000", "seed 0", "0 0 1 0 0"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["verify", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == "error: word window of 10000000000000000 cells is too large to paint\n"
@@ -810,7 +707,7 @@ class TestMain:
         assert traced(peaks, "build", lambda: main(build)) == 0
         assert traced(peaks, "verify", lambda: main(["verify", path])) == 0
         tiling = load_any(path).tiling
-        traced(peaks, "write", lambda: cli_main._write(str(tmp_path / "again"), tiling, 1, "text"))
+        traced(peaks, "write", lambda: cli_main._write(str(tmp_path / "again"), tiling, 1))
         capsys.readouterr()
         for name, bound in {"build": 8.15, "verify": 6.71, "write": 1.98}.items():
             assert peaks[name] <= 1.15 * bound, f"{name} peaked at {peaks[name]:.2f} MB"
@@ -856,7 +753,7 @@ class TestMain:
         w = sample_word(flagship_alphabet)
         set_cell(w, (3, 3), Symbol(1, (0, 0)))
         path = tmp_path / "bad_word.txt"
-        write_atomic(str(path), serialize_word(w))
+        write_atomic(str(path), file_blocks(w, 0))
         assert main(["verify", str(path)]) == 1
         assert "FAIL" in capsys.readouterr().err
 
@@ -916,6 +813,11 @@ BAD_CONFIGS = [
         "error_budgets_zero_denominator",
         FLAGSHIP_INI.replace("sides = 64", "sides = 64\nerror_budgets = 1/0"),
         "error_budgets",
+    ),
+    (
+        "format_json",
+        FLAGSHIP_INI.replace("mode = relaxed", "mode = relaxed\nformat = json"),
+        "format",
     ),
     (
         "format_misspelled",
@@ -1030,7 +932,7 @@ class TestUserErrors:
     @pytest.mark.parametrize(
         "key, value",
         [("seed", "abc"), ("seed", ""), ("mode", "bogus"), ("window", "10,x"),
-         ("window", "300"), ("format", "xml")],
+         ("window", "300"), ("format", "xml"), ("format", "json")],
     )
     @pytest.mark.parametrize("command", ["plan", "build"])
     def test_bad_flag_value_reads_as_in_the_config(
@@ -1326,15 +1228,8 @@ GOLDEN_BUILDS = {
     }),
 }
 GOLDEN_FILL = "90522b56788230bd82846b10810a0e49c1fc3a121736979376b577b983d38213"
-# The same flagship build and fill written with `--format json`.
-GOLDEN_JSON_BUILD = {
-    "tiling.json": "a58ca13682c1e2edb9ce4e5e22bfc1fd7f09c3cad7f7904106955353beab4b48",
-    "tiling_pre.json": "d686d7fbffbda8dbc3bb4d53898eece14c6ae0e278d5bc83445485c2c32b0c36",
-    "report.json": "14dde88cb73fc29981773d051fc80d378c4e2a0e01cbb615e916378c6e26fa94",
-}
-GOLDEN_FILL_JSON = "856cab217b668177aebaee8962da5c990d202b96fc351c455ff803e284389ae8"
-# `dominofill fill` on the flagship plane and on the 3-D dominoes, per format;
-# GOLDEN_FILL and GOLDEN_FILL_JSON pin the line.
+# `dominofill fill` on the flagship plane and on the 3-D dominoes; GOLDEN_FILL
+# pins the line.
 FILL_PLANE_INI = """\
 [run]
 dim = 2
@@ -1370,14 +1265,8 @@ box_anchor = 0,0,0
 box_shape = 4,6,4
 """
 GOLDEN_FILLS = {
-    "plane": (FILL_PLANE_INI, {
-        "text": "6f32013b50577f951289dff4f0051808bc9b6018ac46dbb585f0e39aaf54ea96",
-        "json": "1fa8649a6456ced348c6019e87f3e44e765d9cb39055a7c9566e6daad85bcccd",
-    }),
-    "dominoes_3d": (FILL_3D_INI, {
-        "text": "cd92094ad723816594f8c8254cddfdf8ac3b9666a48e778009f58c1e8de49712",
-        "json": "2e3287cc6179cabe3297a98184a1c1d2cd53209dca4255ec10723f604eb9bb92",
-    }),
+    "plane": (FILL_PLANE_INI, "6f32013b50577f951289dff4f0051808bc9b6018ac46dbb585f0e39aaf54ea96"),
+    "dominoes_3d": (FILL_3D_INI, "cd92094ad723816594f8c8254cddfdf8ac3b9666a48e778009f58c1e8de49712"),
 }
 
 
@@ -1416,31 +1305,14 @@ class TestGoldenBytes:
         capsys.readouterr()
         assert sha256_of(Path("out") / "fill.txt") == GOLDEN_FILL
 
-    def test_json_build_outputs(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        Path("run.ini").write_text(FLAGSHIP_INI, encoding="utf-8")
-        assert main(["build", "--config", "run.ini", "--out", "out", "--format", "json"]) == 0
-        capsys.readouterr()
-        digests = {f: sha256_of(Path("out") / f) for f in GOLDEN_JSON_BUILD}
-        assert digests == GOLDEN_JSON_BUILD
-
-    def test_json_fill_output(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        Path("fill.ini").write_text(FILL_INI, encoding="utf-8")
-        assert main(["fill", "--config", "fill.ini", "--out", "out", "--format", "json"]) == 0
-        capsys.readouterr()
-        assert sha256_of(Path("out") / "fill.json") == GOLDEN_FILL_JSON
-
-    @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("name", sorted(GOLDEN_FILLS))
-    def test_fill_outputs_in_each_dimension(self, name, fmt, tmp_path, monkeypatch, capsys):
-        ini, digests = GOLDEN_FILLS[name]
+    def test_fill_outputs_in_each_dimension(self, name, tmp_path, monkeypatch, capsys):
+        ini, digest = GOLDEN_FILLS[name]
         monkeypatch.chdir(tmp_path)
         Path("fill.ini").write_text(ini, encoding="utf-8")
-        assert main(["fill", "--config", "fill.ini", "--out", "out", "--format", fmt]) == 0
+        assert main(["fill", "--config", "fill.ini", "--out", "out"]) == 0
         capsys.readouterr()
-        path = Path("out") / ("fill.json" if fmt == "json" else "fill.txt")
-        assert sha256_of(path) == digests[fmt]
+        assert sha256_of(Path("out") / "fill.txt") == digest
 
 
 class TestConsoleScript:

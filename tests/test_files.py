@@ -1,7 +1,6 @@
 """Tiling and word files: the column writers and bulk readers against the line, cell and
 record oracles."""
 
-import json
 import os
 import stat
 import tempfile
@@ -13,14 +12,11 @@ from hypothesis import strategies as st
 from oracles import (
     iter_cells,
     load_by_text_mode,
-    load_json_doc_by_records,
     parse_by_lines,
     parse_word_by_lines,
     same_placements,
     serialize_by_lines,
     serialize_word_by_lines,
-    tiling_to_json_by_rows,
-    word_to_json_by_cells,
 )
 
 from dominofill import Box, BrickWall
@@ -32,9 +28,6 @@ from dominofill.cli.files import (
     parse_tiling,
     parse_word,
     serialize_tiling,
-    serialize_word,
-    tiling_to_json,
-    word_to_json,
     write_atomic,
 )
 from dominofill.cli import main as cli_main
@@ -280,23 +273,12 @@ def test_label_int_refuses_reads_back(tmp_path, capsys, label):
     assert capsys.readouterr().err == ""
 
 
-@settings(max_examples=300)
-@given(tilings(), CHUNK_ROWS)
-def test_json_writer_matches_row_oracle(case, chunk_rows):
-    tiling, seed = case
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(files, "_CHUNK_ROWS", chunk_rows)
-        text = tiling_to_json(tiling, seed)
-    assert text == tiling_to_json_by_rows(tiling, seed)
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_empty_tiling_without_window_round_trips(tmp_path, dim, fmt):
+def test_empty_tiling_without_window_round_trips(tmp_path, dim):
     shapes = {1: (2,) * dim, "P": (4,) * dim}
     empty = Tiling.from_parts(shapes, [], None)
-    text = serialize_tiling(empty, 5) if fmt == "text" else tiling_to_json(empty, 5)
-    assert (f"\ndim {dim}\n" if fmt == "text" else f'"dim":{dim},') in text
+    text = serialize_tiling(empty, 5)
+    assert f"\ndim {dim}\n" in text
     path = tmp_path / "empty"
     path.write_text(text, encoding="utf-8")
     loaded = load_any(str(path))
@@ -305,19 +287,14 @@ def test_empty_tiling_without_window_round_trips(tmp_path, dim, fmt):
     assert loaded.tiling.window is None and loaded.seed == 5
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_empty_tiling_without_shapes_keeps_its_dimension(tmp_path, fmt):
+def test_empty_tiling_without_shapes_keeps_its_dimension(tmp_path):
     """With no shapes and no window, the dimension is the header's alone."""
-    if fmt == "text":
-        text = "dominofill tiling v1\ndim 3\nshapes \nwindow none\nseed 0\n"
-    else:
-        text = ('{"dim":3,"format":"dominofill tiling","placements":[],"seed":0,'
-                '"shapes":{},"version":1,"window":null}\n')
+    text = "dominofill tiling v1\ndim 3\nshapes \nwindow none\nseed 0\n"
     path = tmp_path / "empty"
     path.write_text(text, encoding="utf-8")
     tiling = load_any(str(path)).tiling
     assert tiling.dim == 3 and tiling.anchors.shape == (0, 3) and len(tiling) == 0
-    assert (serialize_tiling if fmt == "text" else tiling_to_json)(tiling, 0) == text
+    assert serialize_tiling(tiling, 0) == text
 
 
 def test_word_writer_matches_cell_lines(flagship_alphabet):
@@ -327,7 +304,7 @@ def test_word_writer_matches_cell_lines(flagship_alphabet):
         f"{' '.join(map(str, cell))} {sym.tile} {' '.join(map(str, sym.offset))}\n"
         for cell, sym in iter_cells(word)
     )
-    assert serialize_word(word, seed=4).split("\n", 5)[5] == body
+    assert b"".join(files.file_blocks(word, 4)).decode().split("\n", 5)[5] == body
 
 
 HEADER = "dominofill tiling v1\ndim 2\nshapes 1:3x2 2:2x3 P:6x6\nwindow 0 0 12 12\nseed 3\n"
@@ -373,6 +350,8 @@ MALFORMED = {
     + "1 0\n",
     "empty_body": HEADER,
     "header_cut_short": "dominofill tiling v1\ndim 2\n",
+    "dim_zero": "dominofill tiling v1\ndim 0\nshapes \nwindow none\nseed 0\n",
+    "dim_negative": "dominofill tiling v1\ndim -1\nshapes \nwindow none\nseed 0\n",
 }
 
 
@@ -419,114 +398,6 @@ def test_load_any_reads_first_line(tmp_path, first, error):
         assert str(exc.value) == f"unsupported format marker {first!r}"
     else:
         assert str(exc.value) == f"unrecognized file {str(path)!r}"
-
-
-def test_load_any_reads_json_after_leading_whitespace(tmp_path):
-    tiling = Tiling.from_parts({1: (3, 2), 2: (2, 3)}, [(2, [(4, -1)])], Box((0, -1), (6, 6)))
-    path = tmp_path / "t.json"
-    path.write_text(" \n\t" + tiling_to_json(tiling, seed=7), encoding="utf-8")
-    loaded = load_any(str(path))
-    assert loaded.kind == "tiling" and loaded.seed == 7
-    assert same_placements(loaded.tiling, tiling) and loaded.tiling.window == tiling.window
-
-
-def json_outcome(load, doc):
-    try:
-        loaded = load(doc)
-    except ParseError as exc:
-        return type(exc).__name__, str(exc)
-    return "ok", loaded.kind, snapshot((loaded.tiling, loaded.seed))
-
-
-@settings(max_examples=300)
-@given(tilings())
-def test_json_bulk_loader_matches_record_oracle(case):
-    tiling, seed = case
-    doc = json.loads(tiling_to_json(tiling, seed))
-    assert json_outcome(files._from_json_doc, doc) == json_outcome(load_json_doc_by_records, doc)
-    if doc["placements"]:  # written files never need the per-record walk
-        _, _, fields = files._json_records(doc["placements"], files.TILING, doc["dim"])
-        assert all(isinstance(field, np.ndarray) for field in fields)
-
-
-def json_doc(*placements):
-    return {
-        "format": "dominofill tiling",
-        "version": 1,
-        "dim": 2,
-        "shapes": {"1": [3, 2], "2": [2, 3], "P": [6, 6]},
-        "window": {"anchor": [0, 0], "shape": [12, 12]},
-        "seed": 3,
-        "placements": [{"tile": t, "anchor": a} for t, a in placements],
-    }
-
-
-MALFORMED_JSON = {
-    "missing_anchor": {**json_doc((1, [0, 0])), "placements": [{"tile": 1}]},
-    "missing_tile": {**json_doc((1, [0, 0])), "placements": [{"anchor": [0, 0]}]},
-    "record_not_object": {**json_doc((1, [0, 0])), "placements": [[1, [0, 0]]]},
-    "wrong_arity": json_doc((1, [0, 0]), (2, [3, 0, 0])),
-    "uniform_wrong_arity": json_doc((1, [0]), (2, [3])),
-    "nested_anchor": json_doc((1, [[0], [0]])),
-    "float_coordinate": json_doc((1, [0, 0]), (2, [1.5, 0])),
-    "integral_float_coordinate": json_doc((1, [2.0, 0])),
-    "huge_float_coordinate": json_doc((1, [1e30, 0])),
-    "string_coordinate": json_doc((1, ["3", 0])),
-    "bad_string_coordinate": json_doc((1, ["x", 0])),
-    "string_anchor": json_doc((1, "00")),
-    "null_coordinate": json_doc((1, [None, 0])),
-    "int64_overflow": json_doc((1, [2**63, 0])),
-    "int64_negative_overflow": json_doc((1, [-(2**63) - 1, 0])),
-    "int64_extremes": json_doc((1, [2**63 - 1, -(2**63)])),
-    "unknown_tile": json_doc((1, [0, 0]), (9, [3, 0])),
-    "unknown_tile_label": json_doc(("Q", [0, 0]), ("P", [6, 6])),
-    "string_tile_ids": json_doc(("1", [0, 0]), (2, [3, 0]), ("P", [6, 6])),
-    "bool_tile": json_doc((1, [0, 0]), (True, [3, 0])),
-    "bool_coordinates": json_doc((1, [True, False]), (2, [3, 0])),
-    "all_bool_coordinates": json_doc((1, [True, False])),
-    "float_tile": json_doc((1.0, [0, 0])),
-    "null_tile": json_doc((None, [0, 0])),
-    "no_placements": json_doc(),
-    "placements_not_list": {**json_doc(), "placements": {"tile": 1, "anchor": [0, 0]}},
-    "float_dim": {**json_doc((1, [0, 0])), "dim": 2.0},
-    "float_shape": {**json_doc((1, [0, 0])), "shapes": {"1": [2.9, 1], "P": [6, 6]}},
-    "bool_shape": {**json_doc((1, [0, 0])), "shapes": {"1": [True, 1], "P": [6, 6]}},
-    "float_window_anchor": {
-        **json_doc((1, [0, 0])),
-        "window": {"anchor": [0.5, 0], "shape": [12, 12]},
-    },
-    "bool_window_shape": {
-        **json_doc((1, [0, 0])),
-        "window": {"anchor": [0, 0], "shape": [12, True]},
-    },
-    "float_seed": {**json_doc((1, [0, 0])), "seed": 3.0},
-}
-# Integer fields that are JSON floats or bools are refused, not truncated.
-NON_INTEGER_JSON = [
-    "float_coordinate",
-    "integral_float_coordinate",
-    "huge_float_coordinate",
-    "bool_coordinates",
-    "all_bool_coordinates",
-    "float_dim",
-    "float_shape",
-    "bool_shape",
-    "float_window_anchor",
-    "bool_window_shape",
-    "float_seed",
-]
-
-
-@pytest.mark.parametrize("name", sorted(MALFORMED_JSON))
-def test_malformed_json_matches_record_oracle(name):
-    doc = MALFORMED_JSON[name]
-    assert json_outcome(files._from_json_doc, doc) == json_outcome(load_json_doc_by_records, doc)
-
-
-@pytest.mark.parametrize("name", NON_INTEGER_JSON)
-def test_json_integer_fields_refuse_floats_and_bools(name):
-    outcome = json_outcome(files._from_json_doc, MALFORMED_JSON[name])
-    assert outcome[0] == "ParseError" and "is not an integer" in outcome[1]
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
@@ -590,34 +461,19 @@ def word_outcome(parse, text):
         return type(exc).__name__, str(exc)
 
 
-def json_word_outcome(load, doc):
-    try:
-        loaded = load(doc)
-    except ParseError as exc:
-        return type(exc).__name__, str(exc)
-    return "ok", loaded.kind, word_snapshot((loaded.word, loaded.seed))
-
-
 @settings(max_examples=300)
 @given(words(), CHUNK_ROWS)
 def test_word_writers_and_readers_match_cell_oracles(case, chunk_rows):
     word, seed = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(files, "_CHUNK_ROWS", chunk_rows)
-        text, doc_text = serialize_word(word, seed), word_to_json(word, seed)
+        text = b"".join(files.file_blocks(word, seed)).decode()
     assert text == serialize_word_by_lines(word, seed)
-    assert doc_text == word_to_json_by_cells(word, seed)
     want = word_outcome(parse_word_by_lines, text)
     assert same_word(want, word, seed)
     assert word_outcome(parse_word, text) == want
-    # Written files never need the line walk or the per-record walk.
+    # Written files never need the line walk.
     assert word_outcome(lambda t: parse_bulk_only(t, files.WORD), text) == want
-    doc = json.loads(doc_text)
-    want = json_word_outcome(load_json_doc_by_records, doc)
-    assert want[1] == "word" and same_word((want[0], want[2]), word, seed)
-    assert json_word_outcome(files._from_json_doc, doc) == want
-    _, _, fields = files._json_records(doc["cells"], files.WORD, doc["dim"])
-    assert all(isinstance(field, np.ndarray) for field in fields) or not doc["cells"]
 
 
 WORD_HEADER = "dominofill word v1\ndim 2\nshapes 1:3x2 2:2x3 P:6x6\nwindow 0 0 12 12\nseed 3\n"
@@ -662,6 +518,8 @@ MALFORMED_WORDS = {
     + "0 1 0\n",
     "empty_body": WORD_HEADER,
     "header_cut_short": "dominofill word v1\ndim 2\n",
+    "dim_zero": "dominofill word v1\ndim 0\nshapes \nwindow \nseed 0\n",
+    "dim_negative": "dominofill word v1\ndim -1\nshapes \nwindow none\nseed 0\n",
     "tile_listed_twice_in_shapes": WORD_HEADER.replace("2:2x3", "1:2x3") + "0 0 1 0 0\n",
     "no_window": WORD_HEADER.replace("0 0 12 12", "none") + "0 0 1 0 0\n",
     "no_window_and_bad_int": WORD_HEADER.replace("0 0 12 12", "none") + "0 x 1 0 0\n",
@@ -707,100 +565,26 @@ def test_word_refusals_name_the_first_record():
     )
 
 
-def json_word_doc(*cells):
-    return {
-        "format": "dominofill word",
-        "version": 1,
-        "dim": 2,
-        "shapes": {"1": [3, 2], "2": [2, 3], "P": [6, 6]},
-        "window": {"anchor": [0, 0], "shape": [12, 12]},
-        "seed": 3,
-        "cells": [{"cell": c, "tile": t, "offset": o} for c, t, o in cells],
-    }
+@pytest.mark.parametrize("command", ["verify", "stats"])
+@pytest.mark.parametrize("kind", ["tiling", "word"])
+@pytest.mark.parametrize("name, dim", [("dim_zero", 0), ("dim_negative", -1)])
+def test_dimension_below_one_is_refused(tmp_path, capsys, command, kind, name, dim):
+    """A header ``dim`` below 1 is one error that names it, as ``[run] dim``
+    is: ``dim 0`` verified ``OK``, and ``dim -1`` was refused as an anchor of
+    -1 coordinates."""
+    message = f"dim: must be >= 1, got {dim}"
+    path = tmp_path / f"{kind}.txt"
+    path.write_text((MALFORMED if kind == "tiling" else MALFORMED_WORDS)[name], encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        load_any(str(path))
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-GOOD_CELL = ([0, 0], 1, [0, 0])
-MALFORMED_JSON_WORDS = {
-    "well_formed": json_word_doc(GOOD_CELL, ([11, 11], "P", [5, 5])),
-    "missing_cell": {**json_word_doc(), "cells": [{"tile": 1, "offset": [0, 0]}]},
-    "missing_tile": {**json_word_doc(), "cells": [{"cell": [0, 0], "offset": [0, 0]}]},
-    "missing_offset": {**json_word_doc(), "cells": [{"cell": [0, 0], "tile": 1}]},
-    "record_not_object": {**json_word_doc(), "cells": [[[0, 0], 1, [0, 0]]]},
-    "cells_not_list": {**json_word_doc(), "cells": {"cell": [0, 0], "tile": 1, "offset": [0, 0]}},
-    "no_cells": json_word_doc(),
-    "nested_cell": json_word_doc(([[0], [0]], 1, [0, 0])),
-    "float_cell": json_word_doc(GOOD_CELL, ([1.5, 0], 1, [0, 0])),
-    "integral_float_offset": json_word_doc(([0, 0], 1, [0.0, 0])),
-    "bool_cell": json_word_doc(([True, False], 1, [0, 0])),
-    "bool_offset": json_word_doc(GOOD_CELL, ([4, 4], 1, [False, True])),
-    "string_cell": json_word_doc((["3", 0], 1, [0, 0])),
-    "string_cell_value": json_word_doc(("00", 1, [0, 0])),
-    "bad_string_cell": json_word_doc((["x", 0], 1, [0, 0])),
-    "null_offset": json_word_doc(([0, 0], 1, [None, 0])),
-    "cell_past_int64": json_word_doc(([2**63, 0], 1, [0, 0])),
-    "cell_past_negative_int64": json_word_doc(([0, -(2**63) - 1], 1, [0, 0])),
-    "offset_past_int64": json_word_doc(GOOD_CELL, ([1, 1], 1, [2**63, 0])),
-    "unknown_tile": json_word_doc(GOOD_CELL, ([3, 0], 9, [0, 0])),
-    "unknown_tile_label": json_word_doc(([0, 0], "Q", [0, 0])),
-    "string_tile_ids": json_word_doc(([0, 0], "1", [0, 0]), ([3, 0], 2, [0, 0])),
-    "bool_tile": json_word_doc(([0, 0], True, [0, 0])),
-    "float_tile": json_word_doc(([0, 0], 1.0, [0, 0])),
-    "null_tile": json_word_doc(([0, 0], None, [0, 0])),
-    "no_window": {**json_word_doc(GOOD_CELL), "window": None},
-    "tile_listed_twice_in_shapes": {
-        **json_word_doc(GOOD_CELL),
-        "shapes": {"1": [3, 2], "01": [2, 3], "P": [6, 6]},
-    },
-    "cell_outside": json_word_doc(GOOD_CELL, ([0, 12], 1, [0, 0])),
-    "cell_listed_twice": json_word_doc(GOOD_CELL, ([0, 0], 2, [0, 0])),
-    "offset_outside_tile": json_word_doc(([0, 0], 2, [2, 0])),
-    "twice_then_unknown_tile": json_word_doc(GOOD_CELL, GOOD_CELL, ([5, 5], "Q", [0, 0])),
-    "unknown_tile_and_outside_cell": json_word_doc(([99, 99], "Q", [0, 0])),
-    "bad_offset_then_outside": json_word_doc(([0, 0], 1, [7, 7]), ([99, 0], 1, [0, 0])),
-    "outside_then_cell_past_int64": json_word_doc(([12, 0], 1, [0, 0]), ([2**63, 0], 1, [0, 0])),
-    "unknown_tile_and_short_cell": json_word_doc(([0], "Q", [0, 0])),
-    # Declared changes, each listed in DECLARED_JSON_WORDS.
-    "short_cell": json_word_doc(([0], 1, [0, 0])),
-    "long_offset": json_word_doc(GOOD_CELL, ([1, 1], 1, [0, 0, 0])),
-    "unknown_tile_then_float_cell": json_word_doc(([0, 0], "Q", [0, 0]), ([1.5, 0], 1, [0, 0])),
-    "twice_then_missing_offset": {
-        **json_word_doc(),
-        "cells": json_word_doc(GOOD_CELL, GOOD_CELL)["cells"] + [{"cell": [1, 1], "tile": 1}],
-    },
-    "no_window_and_float_cell": {**json_word_doc(([1.5, 0], 1, [0, 0])), "window": None},
-}
-# Where the reader departs from the record oracle on purpose, and what it says:
-# a cell or offset of other than ``dim`` coordinates gets the message that
-# anchors get, and a JSON word's records are all read before any is checked,
-# as text files and JSON tilings always were, so a malformed field is named
-# before an earlier record's defect or a missing window.
-DECLARED_JSON_WORDS = {
-    "short_cell": "every cell needs 2 int64 coordinates",
-    "long_offset": "every offset needs 2 int64 coordinates",
-    "unknown_tile_then_float_cell": "bad JSON field: 1.5 is not an integer",
-    "twice_then_missing_offset": "bad JSON field: 'offset'",
-    "no_window_and_float_cell": "bad JSON field: 1.5 is not an integer",
-}
-
-
-@pytest.mark.parametrize("name", sorted(MALFORMED_JSON_WORDS))
-def test_malformed_json_words_match_record_oracle(name):
-    doc = MALFORMED_JSON_WORDS[name]
-    got = json_word_outcome(files._from_json_doc, doc)
-    want = json_word_outcome(load_json_doc_by_records, doc)
-    if name in DECLARED_JSON_WORDS:
-        assert got == ("ParseError", DECLARED_JSON_WORDS[name]) != want
-    else:
-        assert got == want
-
-
-DUPLICATED_SHAPES = {"1": [3, 2], "01": [2, 3], "P": [6, 6]}
 TILE_LISTED_TWICE = {
     "text_tiling": HEADER.replace("2:2x3", "1:2x3") + "1 0 0\n1 2 0\n",
     "text_tiling_leading_zero": HEADER.replace("2:2x3", "01:2x3") + "1 0 0\n1 2 0\n",
     "text_word": WORD_HEADER.replace("2:2x3", "1:2x3") + "0 0 1 0 0\n",
-    "json_tiling": {**json_doc((1, [0, 0]), (1, [2, 0])), "shapes": DUPLICATED_SHAPES},
-    "json_word": {**json_word_doc(GOOD_CELL), "shapes": DUPLICATED_SHAPES},
 }
 
 
@@ -808,34 +592,12 @@ TILE_LISTED_TWICE = {
 def test_tile_listed_twice_in_shapes_is_refused(tmp_path, capsys, name):
     """Two header entries that read as one tile are a one-line user error,
     not a file in which the last shape wins."""
-    content = TILE_LISTED_TWICE[name]
-    if isinstance(content, dict):
-        assert json_outcome(load_json_doc_by_records, content)[1] == "tile 1 listed twice in shapes"
-        content = json.dumps(content)
     path = tmp_path / "dup.txt"
-    path.write_text(content, encoding="utf-8")
+    path.write_text(TILE_LISTED_TWICE[name], encoding="utf-8")
     with pytest.raises(ParseError, match=r"^tile 1 listed twice in shapes$"):
         load_any(str(path))
     assert main(["verify", str(path)]) == 1
     assert capsys.readouterr().err == "error: tile 1 listed twice in shapes\n"
-
-
-@pytest.mark.parametrize("kind", ["tiling", "word"])
-@pytest.mark.parametrize("anchor, shape", [([0, 0, 0], [6, 6, 6]), ([0, 0, 0], [6]), ([0], [6, 6])])
-def test_json_window_of_other_dimension_is_refused(tmp_path, capsys, kind, anchor, shape):
-    """A JSON window needs ``dim`` anchor and shape coordinates, as the text
-    header needs ``2 * dim`` integers; a 3-D window on a 2-D tiling verified
-    ``OK`` and counted 216 window cells."""
-    doc = json_doc((1, [0, 0])) if kind == "tiling" else json_word_doc(GOOD_CELL)
-    doc["window"] = {"anchor": anchor, "shape": shape}
-    message = "window anchor and shape need 2 coordinates each"
-    assert json_outcome(load_json_doc_by_records, doc) == ("ParseError", message)
-    path = tmp_path / f"{kind}.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(ParseError, match=f"^{message}$"):
-        load_any(str(path))
-    assert main(["verify", str(path)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def many_placements():
@@ -866,21 +628,18 @@ WRITTEN = {
 }
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("name", sorted(WRITTEN))
-def test_written_file_is_the_serialized_string(tmp_path, flagship_alphabet, name, fmt):
+def test_written_file_is_the_serialized_string(tmp_path, flagship_alphabet, name):
     """The bytes the CLI writes, block by block, are the string the
     serializer returns, encoded, and no temp file is left beside them."""
     written = WRITTEN[name](flagship_alphabet)
-    path = cli_main._write(str(tmp_path / "out"), written, 9, fmt)
-    serialize = {
-        ("text", True): serialize_tiling,
-        ("json", True): tiling_to_json,
-        ("text", False): serialize_word,
-        ("json", False): word_to_json,
-    }[fmt, isinstance(written, Tiling)]
+    path = cli_main._write(str(tmp_path / "out"), written, 9)
+    if isinstance(written, Tiling):
+        serialized = serialize_tiling(written, 9)
+    else:
+        serialized = b"".join(files.file_blocks(written, 9)).decode()
     with open(path, "rb") as fh:
-        assert fh.read() == serialize(written, 9).encode("utf-8")
+        assert fh.read() == serialized.encode("utf-8")
     assert os.listdir(tmp_path) == [os.path.basename(path)]
 
 
@@ -888,26 +647,23 @@ def test_writers_match_oracles_past_one_block(flagship_alphabet):
     tiling, word = many_placements(), WRITTEN["word_past_one_block"](flagship_alphabet)
     assert min(len(tiling), np.count_nonzero(word.grid >= 0)) > files._CHUNK_ROWS
     assert serialize_tiling(tiling, 3) == serialize_by_lines(tiling, 3)
-    assert tiling_to_json(tiling, 3) == tiling_to_json_by_rows(tiling, 3)
-    assert serialize_word(word, 3) == serialize_word_by_lines(word, 3)
-    assert word_to_json(word, 3) == word_to_json_by_cells(word, 3)
+    assert b"".join(files.file_blocks(word, 3)).decode() == serialize_word_by_lines(word, 3)
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_a_block_that_raises_leaves_no_file(tmp_path, monkeypatch, fmt):
+def test_a_block_that_raises_leaves_no_file(tmp_path, monkeypatch):
     """Blocks that fail partway, after the header and the first block of
     rows went to the temp file, leave neither that file nor the target."""
     blocks = files.file_blocks
 
-    def failing(tiling_or_word, seed, fmt):
-        for k, block in enumerate(blocks(tiling_or_word, seed, fmt)):
+    def failing(tiling_or_word, seed):
+        for k, block in enumerate(blocks(tiling_or_word, seed)):
             if k == 2:
                 raise RuntimeError("no more blocks")
             yield block
 
     monkeypatch.setattr(cli_main, "file_blocks", failing)
     with pytest.raises(RuntimeError, match="no more blocks"):
-        cli_main._write(str(tmp_path / "out"), many_placements(), 1, fmt)
+        cli_main._write(str(tmp_path / "out"), many_placements(), 1)
     assert os.listdir(tmp_path) == []
 
 
@@ -926,7 +682,7 @@ def lone_byte(byte):
 LEADING = st.sampled_from(["\n", " \n", "\t", "\x0c", "\x1c", "\x85", "\u3000"])
 
 # Byte edits of a written file.  Each of the first five sends ``load_any``
-# down its decoded fallback; a cut makes a JSON error name a line and column.
+# down its decoded fallback.
 EDITS = {
     "crlf": lambda data, draw: data.replace(b"\n", b"\r\n"),
     "lone_cr": lone_byte(b"\r"),
@@ -941,9 +697,9 @@ EDITS = {
 
 @st.composite
 def edited_files(draw):
-    """The bytes of a written tiling or word, text or JSON, after some of ``EDITS``."""
+    """The bytes of a written tiling or word after some of ``EDITS``."""
     written, seed = draw(st.one_of(tilings(), words()))
-    data = b"".join(files.file_blocks(written, seed, draw(st.sampled_from(["text", "json"]))))
+    data = b"".join(files.file_blocks(written, seed))
     for name in draw(st.lists(st.sampled_from(sorted(EDITS)), unique=True)):
         data = EDITS[name](data, draw)
     return data
@@ -960,7 +716,6 @@ def loaded_outcome(load, path):
 
 
 SMALL_TILING = (HEADER + "1 0 0\nP 6 6\n").encode()
-SMALL_JSON = json.dumps(json_doc((1, [0, 0])), separators=(",", ":")).encode()
 
 
 @settings(max_examples=300)
@@ -971,9 +726,8 @@ SMALL_JSON = json.dumps(json_doc((1, [0, 0])), separators=(",", ":")).encode()
 @example(SMALL_TILING.replace(b"P", "Ä".encode()))
 @example(SMALL_TILING + b"\xff\n")
 @example(b"\n \n" + SMALL_TILING)
-@example("\u3000".encode() + SMALL_JSON)
-@example(b"\x1c" + SMALL_JSON)  # white space to str.lstrip, not to bytes.lstrip
-@example(SMALL_JSON.replace(b",", b",\r", 1)[:-1])  # the error's line counts the \r
+@example("\u3000".encode() + SMALL_TILING)
+@example(b"\x1c" + SMALL_TILING)  # white space to str.lstrip, not to bytes.lstrip
 def test_load_any_reads_as_text_mode_does(data):
     """``load_any`` reads the bytes once, and gives what a text-mode read of
     the file gives: the same object, or the same error."""
