@@ -360,6 +360,101 @@ def test_json_file_is_a_user_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+# A word in the same JSON layout.
+JSON_WORD = {
+    "format": "dominofill word", "version": 1, "dim": 2, "shapes": {"1": [3, 2], "P": [6, 6]},
+    "window": {"anchor": [0, 0], "shape": [6, 6]}, "seed": 0,
+    "cells": [{"cell": [0, 0], "tile": 1, "offset": [0, 0]}],
+}
+
+
+def write_json(tmp_path, doc, edit):
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def unknown_tile(doc):
+    doc["placements"].append({"tile": 9, "anchor": [0, 0]})
+
+
+def bad_offset(doc):
+    doc["cells"][0]["offset"] = [9, 9]
+
+
+def cell_outside(doc):
+    doc["cells"].append({"cell": [50, 50], "tile": "P", "offset": [0, 0]})
+
+
+def negative_cell(doc):
+    doc["cells"][0]["cell"] = [-1, -1]
+
+
+def duplicate_cell(doc):
+    doc["cells"].append({"cell": doc["cells"][0]["cell"], "tile": 1, "offset": [0, 0]})
+
+
+def half_anchor(doc):
+    next(rec for rec in doc["placements"] if rec["anchor"] == [0, 0])["anchor"] = [0.5, 0]
+
+
+def float_shape(doc):
+    doc["shapes"]["1"] = [2.9, 1]
+
+
+def float_window_anchor(doc):
+    doc["window"]["anchor"] = [-6.0, -6]
+
+
+def float_offset(doc):
+    doc["cells"][0]["offset"] = [x + 0.5 for x in doc["cells"][0]["offset"]]
+
+
+def bool_seed(doc):
+    doc["seed"] = True
+
+
+class TestJsonLoaderErrors:
+    """A JSON file, whatever its fields hold, is refused whole at its first
+    line: one ParseError naming the file, as for any file that is not a
+    tiling or word in the text format."""
+
+    CASES = [
+        ("tiling", unknown_tile),
+        ("word", bad_offset),
+        ("word", cell_outside),
+        ("word", negative_cell),
+        ("word", duplicate_cell),
+        ("tiling", half_anchor),
+        ("tiling", float_shape),
+        ("tiling", float_window_anchor),
+        ("tiling", bool_seed),
+        ("word", float_offset),
+    ]
+
+    def bad_file(self, tmp_path, kind, edit):
+        return write_json(tmp_path, JSON_TILING if kind == "tiling" else JSON_WORD, edit)
+
+    @pytest.mark.parametrize("kind, edit", CASES, ids=lambda v: getattr(v, "__name__", v))
+    def test_load_any_raises_parse_error(self, tmp_path, kind, edit):
+        path = self.bad_file(tmp_path, kind, edit)
+        with pytest.raises(ParseError, match=f"^unrecognized file {re.escape(repr(path))}$"):
+            load_any(path)
+
+    @pytest.mark.parametrize("kind, edit", CASES, ids=lambda v: getattr(v, "__name__", v))
+    def test_verify_is_user_error(self, tmp_path, capsys, kind, edit):
+        path = self.bad_file(tmp_path, kind, edit)
+        assert main(["verify", path]) == 1
+        assert capsys.readouterr() == ("", f"error: unrecognized file {path!r}\n")
+
+    def test_stats_is_user_error(self, tmp_path, capsys):
+        path = write_json(tmp_path, JSON_TILING, unknown_tile)
+        assert main(["stats", path]) == 1
+        assert capsys.readouterr() == ("", f"error: unrecognized file {path!r}\n")
+
+
 class TestVerifyWord:
     def test_wall_restriction_passes(self, flagship_alphabet):
         assert verify_word(sample_word(flagship_alphabet)) == []
@@ -574,6 +669,18 @@ class TestMain:
         capsys.readouterr()
         assert (a / "tiling.txt").read_bytes() != (b / "tiling.txt").read_bytes()
 
+    def test_json_format(self, flagship_cfg, tmp_path, capsys):
+        """JSON is no longer written: ``--format json`` is the key's one
+        error line and status 1, before anything is built."""
+        out = tmp_path / "json_out"
+        assert main(
+            ["build", "--config", flagship_cfg, "--out", str(out), "--format", "json"]
+        ) == 1
+        assert capsys.readouterr() == (
+            "", f"error: [run] format: must be one of {FORMATS!r}, got 'json'\n"
+        )
+        assert not out.exists()
+
     def test_fill_and_verify(self, fill_cfg, tmp_path, capsys):
         out = tmp_path / "fill_out"
         assert main(["fill", "--config", fill_cfg, "--out", str(out)]) == 0
@@ -675,12 +782,14 @@ class TestMain:
         assert main(["verify", str(path)]) == 1
         assert "cell (0,) listed twice" in capsys.readouterr().err
 
-    def test_verify_refuses_a_word_window_too_large_to_paint(self, tmp_path, capsys):
+    @pytest.mark.parametrize("lines", [[
+        "dominofill word v1", "dim 2", "shapes 1:2x1",
+        "window 0 0 100000000 100000000", "seed 0", "0 0 1 0 0",
+    ]], ids=["text"])
+    def test_verify_refuses_a_word_window_too_large_to_paint(self, tmp_path, capsys, lines):
         """A word file's window is input: one beyond the verifier's paint
         bound is one error line, not an allocation of 10^16 cells."""
         path = tmp_path / "huge.txt"
-        lines = ["dominofill word v1", "dim 2", "shapes 1:2x1"]
-        lines += ["window 0 0 100000000 100000000", "seed 0", "0 0 1 0 0"]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["verify", str(path)]) == 1
         err = capsys.readouterr().err
@@ -1305,12 +1414,13 @@ class TestGoldenBytes:
         capsys.readouterr()
         assert sha256_of(Path("out") / "fill.txt") == GOLDEN_FILL
 
+    @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("name", sorted(GOLDEN_FILLS))
-    def test_fill_outputs_in_each_dimension(self, name, tmp_path, monkeypatch, capsys):
+    def test_fill_outputs_in_each_dimension(self, name, fmt, tmp_path, monkeypatch, capsys):
         ini, digest = GOLDEN_FILLS[name]
         monkeypatch.chdir(tmp_path)
         Path("fill.ini").write_text(ini, encoding="utf-8")
-        assert main(["fill", "--config", "fill.ini", "--out", "out"]) == 0
+        assert main(["fill", "--config", "fill.ini", "--out", "out", "--format", fmt]) == 0
         capsys.readouterr()
         assert sha256_of(Path("out") / "fill.txt") == digest
 

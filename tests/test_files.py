@@ -1,7 +1,9 @@
 """Tiling and word files: the column writers and bulk readers against the line, cell and
 record oracles."""
 
+import json
 import os
+import re
 import stat
 import tempfile
 
@@ -274,10 +276,11 @@ def test_label_int_refuses_reads_back(tmp_path, capsys, label):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_empty_tiling_without_window_round_trips(tmp_path, dim):
+@pytest.mark.parametrize("serialize", [serialize_tiling], ids=["text"])
+def test_empty_tiling_without_window_round_trips(tmp_path, dim, serialize):
     shapes = {1: (2,) * dim, "P": (4,) * dim}
     empty = Tiling.from_parts(shapes, [], None)
-    text = serialize_tiling(empty, 5)
+    text = serialize(empty, 5)
     assert f"\ndim {dim}\n" in text
     path = tmp_path / "empty"
     path.write_text(text, encoding="utf-8")
@@ -287,9 +290,11 @@ def test_empty_tiling_without_window_round_trips(tmp_path, dim):
     assert loaded.tiling.window is None and loaded.seed == 5
 
 
-def test_empty_tiling_without_shapes_keeps_its_dimension(tmp_path):
+@pytest.mark.parametrize(
+    "text", ["dominofill tiling v1\ndim 3\nshapes \nwindow none\nseed 0\n"], ids=["text"]
+)
+def test_empty_tiling_without_shapes_keeps_its_dimension(tmp_path, text):
     """With no shapes and no window, the dimension is the header's alone."""
-    text = "dominofill tiling v1\ndim 3\nshapes \nwindow none\nseed 0\n"
     path = tmp_path / "empty"
     path.write_text(text, encoding="utf-8")
     tiling = load_any(str(path)).tiling
@@ -398,6 +403,121 @@ def test_load_any_reads_first_line(tmp_path, first, error):
         assert str(exc.value) == f"unsupported format marker {first!r}"
     else:
         assert str(exc.value) == f"unrecognized file {str(path)!r}"
+
+
+def json_doc(*placements):
+    return {
+        "format": "dominofill tiling",
+        "version": 1,
+        "dim": 2,
+        "shapes": {"1": [3, 2], "2": [2, 3], "P": [6, 6]},
+        "window": {"anchor": [0, 0], "shape": [12, 12]},
+        "seed": 3,
+        "placements": [{"tile": t, "anchor": a} for t, a in placements],
+    }
+
+
+def json_word_doc(*cells):
+    return {
+        "format": "dominofill word",
+        "version": 1,
+        "dim": 2,
+        "shapes": {"1": [3, 2], "2": [2, 3], "P": [6, 6]},
+        "window": {"anchor": [0, 0], "shape": [12, 12]},
+        "seed": 3,
+        "cells": [{"cell": c, "tile": t, "offset": o} for c, t, o in cells],
+    }
+
+
+GOOD_CELL = ([0, 0], 1, [0, 0])
+# Tilings in the JSON layout that earlier versions read, malformed in each field.
+MALFORMED_JSON = {
+    "missing_anchor": {**json_doc((1, [0, 0])), "placements": [{"tile": 1}]},
+    "missing_tile": {**json_doc((1, [0, 0])), "placements": [{"anchor": [0, 0]}]},
+    "record_not_object": {**json_doc((1, [0, 0])), "placements": [[1, [0, 0]]]},
+    "wrong_arity": json_doc((1, [0, 0]), (2, [3, 0, 0])),
+    "uniform_wrong_arity": json_doc((1, [0]), (2, [3])),
+    "nested_anchor": json_doc((1, [[0], [0]])),
+    "float_coordinate": json_doc((1, [0, 0]), (2, [1.5, 0])),
+    "integral_float_coordinate": json_doc((1, [2.0, 0])),
+    "huge_float_coordinate": json_doc((1, [1e30, 0])),
+    "string_coordinate": json_doc((1, ["3", 0])),
+    "bad_string_coordinate": json_doc((1, ["x", 0])),
+    "string_anchor": json_doc((1, "00")),
+    "null_coordinate": json_doc((1, [None, 0])),
+    "int64_overflow": json_doc((1, [2**63, 0])),
+    "int64_negative_overflow": json_doc((1, [-(2**63) - 1, 0])),
+    "int64_extremes": json_doc((1, [2**63 - 1, -(2**63)])),
+    "unknown_tile": json_doc((1, [0, 0]), (9, [3, 0])),
+    "unknown_tile_label": json_doc(("Q", [0, 0]), ("P", [6, 6])),
+    "string_tile_ids": json_doc(("1", [0, 0]), (2, [3, 0]), ("P", [6, 6])),
+    "bool_tile": json_doc((1, [0, 0]), (True, [3, 0])),
+    "bool_coordinates": json_doc((1, [True, False]), (2, [3, 0])),
+    "all_bool_coordinates": json_doc((1, [True, False])),
+    "float_tile": json_doc((1.0, [0, 0])),
+    "null_tile": json_doc((None, [0, 0])),
+    "no_placements": json_doc(),
+    "placements_not_list": {**json_doc(), "placements": {"tile": 1, "anchor": [0, 0]}},
+    "float_dim": {**json_doc((1, [0, 0])), "dim": 2.0},
+    "float_shape": {**json_doc((1, [0, 0])), "shapes": {"1": [2.9, 1], "P": [6, 6]}},
+    "bool_shape": {**json_doc((1, [0, 0])), "shapes": {"1": [True, 1], "P": [6, 6]}},
+    "float_window_anchor": {
+        **json_doc((1, [0, 0])),
+        "window": {"anchor": [0.5, 0], "shape": [12, 12]},
+    },
+    "bool_window_shape": {
+        **json_doc((1, [0, 0])),
+        "window": {"anchor": [0, 0], "shape": [12, True]},
+    },
+    "float_seed": {**json_doc((1, [0, 0])), "seed": 3.0},
+}
+# Integer fields that are JSON floats or bools.
+NON_INTEGER_JSON = [
+    "float_coordinate",
+    "integral_float_coordinate",
+    "huge_float_coordinate",
+    "bool_coordinates",
+    "all_bool_coordinates",
+    "float_dim",
+    "float_shape",
+    "bool_shape",
+    "float_window_anchor",
+    "bool_window_shape",
+    "float_seed",
+]
+
+
+def json_file(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def load_outcome(load, path):
+    try:
+        loaded = load(path)
+    except ParseError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", loaded.kind
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_JSON))
+def test_malformed_json_matches_record_oracle(tmp_path, name):
+    """Text is the one file format: ``load_any`` and the text-mode oracle
+    both refuse a JSON tiling whole, whatever its records hold, as a file
+    that is not a tiling or a word."""
+    path = json_file(tmp_path, MALFORMED_JSON[name])
+    refused = ("ParseError", f"unrecognized file {path!r}")
+    assert load_outcome(load_any, path) == load_outcome(load_by_text_mode, path) == refused
+
+
+@pytest.mark.parametrize("name", NON_INTEGER_JSON)
+def test_json_integer_fields_refuse_floats_and_bools(tmp_path, capsys, name):
+    """A float or bool in an integer field is never truncated into a tiling:
+    ``verify`` refuses the JSON file before reading any field."""
+    path = json_file(tmp_path, MALFORMED_JSON[name])
+    assert main(["verify", path]) == 1
+    assert capsys.readouterr() == ("", f"error: unrecognized file {path!r}\n")
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
@@ -600,6 +720,23 @@ def test_tile_listed_twice_in_shapes_is_refused(tmp_path, capsys, name):
     assert capsys.readouterr().err == "error: tile 1 listed twice in shapes\n"
 
 
+@pytest.mark.parametrize("kind", ["tiling", "word"])
+@pytest.mark.parametrize("anchor, shape", [([0, 0, 0], [6, 6, 6]), ([0, 0, 0], [6]), ([0], [6, 6])])
+def test_json_window_of_other_dimension_is_refused(tmp_path, capsys, kind, anchor, shape):
+    """A JSON window of other than ``dim`` coordinates never reaches the
+    verifier (a 3-D window on a 2-D tiling once verified ``OK`` and counted
+    216 window cells): the JSON file is refused whole."""
+    doc = json_doc((1, [0, 0])) if kind == "tiling" else json_word_doc(GOOD_CELL)
+    doc["window"] = {"anchor": anchor, "shape": shape}
+    path = json_file(tmp_path, doc)
+    message = f"unrecognized file {path!r}"
+    assert load_outcome(load_by_text_mode, path) == ("ParseError", message)
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_any(path)
+    assert main(["verify", path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def many_placements():
     """90,000 one-cell placements, more than one writer block, of labels of
     1 to 10 bytes at negative and positive anchors, with no window."""
@@ -628,18 +765,22 @@ WRITTEN = {
 }
 
 
+def text_of(tiling_or_word, seed):
+    """A tiling's ``serialize_tiling`` string, or a word's joined file blocks."""
+    if isinstance(tiling_or_word, Tiling):
+        return serialize_tiling(tiling_or_word, seed)
+    return b"".join(files.file_blocks(tiling_or_word, seed)).decode()
+
+
+@pytest.mark.parametrize("serialize", [text_of], ids=["text"])
 @pytest.mark.parametrize("name", sorted(WRITTEN))
-def test_written_file_is_the_serialized_string(tmp_path, flagship_alphabet, name):
+def test_written_file_is_the_serialized_string(tmp_path, flagship_alphabet, name, serialize):
     """The bytes the CLI writes, block by block, are the string the
     serializer returns, encoded, and no temp file is left beside them."""
     written = WRITTEN[name](flagship_alphabet)
     path = cli_main._write(str(tmp_path / "out"), written, 9)
-    if isinstance(written, Tiling):
-        serialized = serialize_tiling(written, 9)
-    else:
-        serialized = b"".join(files.file_blocks(written, 9)).decode()
     with open(path, "rb") as fh:
-        assert fh.read() == serialized.encode("utf-8")
+        assert fh.read() == serialize(written, 9).encode("utf-8")
     assert os.listdir(tmp_path) == [os.path.basename(path)]
 
 
@@ -650,10 +791,10 @@ def test_writers_match_oracles_past_one_block(flagship_alphabet):
     assert b"".join(files.file_blocks(word, 3)).decode() == serialize_word_by_lines(word, 3)
 
 
-def test_a_block_that_raises_leaves_no_file(tmp_path, monkeypatch):
+@pytest.mark.parametrize("blocks", [files.file_blocks], ids=["text"])
+def test_a_block_that_raises_leaves_no_file(tmp_path, monkeypatch, blocks):
     """Blocks that fail partway, after the header and the first block of
     rows went to the temp file, leave neither that file nor the target."""
-    blocks = files.file_blocks
 
     def failing(tiling_or_word, seed):
         for k, block in enumerate(blocks(tiling_or_word, seed)):
