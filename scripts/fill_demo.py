@@ -10,6 +10,7 @@ import argparse
 import random
 
 from dominofill import Box, BrickWall, build_alphabet, expand, fill_between, validate_family
+from dominofill.brickfill import placements_of
 from dominofill.cli.files import write_atomic
 from dominofill.cli.render import render_svg
 from dominofill.cli.verify import verify_word
@@ -40,12 +41,11 @@ def main() -> None:
     print(f"inner translate {inner.translate}, outer translate {outer.translate}")
     print(f"box {box.shape} bridged inside a collar of width {family.fill_length}")
     print(f"verifier errors: {len(errors)}")
-    placed = fill.placements(region)
-    collar = Tiling.from_parts(
-        {t: s for t, s in placed.tile_shapes.items() if isinstance(t, int)},
-        [(p.tile, [p.anchor]) for p in placed.placements() if isinstance(p.tile, int)],
-        fill.footprint,
-    )
+    # The small tiles sort first, so their codes are the same in both tile tables.
+    codes, anchors, _ = placements_of([fill], region)
+    small = {t: s for t, s in alphabet.tile_shapes.items() if isinstance(t, int)}
+    keep = codes < len(small)
+    collar = Tiling(small, codes[keep], anchors[keep], fill.footprint)
     print(f"collar uses {len(collar)} small tiles")
     write_atomic(args.out, render_svg(collar))
     print(f"wrote {args.out}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .geometry import Box, expand, grid_rows, interior, within
 from .numerics import RectFamily, represent
-from .sft import Alphabet, InvalidWord, Symbol, SymbolicWord, Tiling
+from .sft import Alphabet, InvalidWord, Symbol, SymbolicWord
 
 
 class NonMultipleExtent(ValueError):
@@ -94,9 +94,6 @@ class BrickWall:
         if any(h - l < p for l, h, p in zip(lo, hi, self.period)):
             raise InwardEmpty(f"{box} contains no whole tile of period {self.period}")
         return Box(tuple(lo), tuple(h - l for l, h in zip(lo, hi)))
-
-    def materialize(self, box: Box) -> SymbolicWord:
-        return SymbolicWord(self.alphabet, box, self.pattern_over(box))
 
     def bricks(self, box: Box) -> np.ndarray:
         """Anchors of the wall's whole bricks inside ``box``, one row each, in C order."""
@@ -215,16 +212,6 @@ class FilledWord:
         for symbol, cells in alphabet.paint(codes, anchors, near.anchor, near.shape):
             grid[cells] = symbol
         return SymbolicWord(alphabet, box, grid.reshape(near.shape)[cut].copy())
-
-    def placements(self, box: Box) -> Tiling:
-        """The fill's whole tiles inside ``box``, in closed form.
-
-        Raises InvalidWord (``PartitionBroken``) unless the tiles that meet
-        ``box``, clipped to it, cover each of its cells exactly once: this
-        is ``placements_of`` with one fill.
-        """
-        codes, anchors, _ = placements_of([self], box)
-        return Tiling(self.alphabet.tile_shapes, codes, anchors, box)
 
     def _rows(self, box: Box) -> list[tuple[int, ...]]:
         """Lattice rows (see ``_tiles_meeting``) of the fill's tiles near

@@ -60,9 +60,11 @@ def _fractions(text: str) -> tuple[Fraction, ...]:
 
 
 def _one_of(*choices: str) -> Callable[[str], str]:
+    allowed = repr(choices[0]) if len(choices) == 1 else f"one of {choices}"
+
     def read(text: str) -> str:
         if text not in choices:
-            raise ValueError(f"must be one of {choices}, got {text!r}")
+            raise ValueError(f"must be {allowed}, got {text!r}")
         return text
 
     return read

@@ -252,11 +252,12 @@ def _parse_bulk(data: bytes, kind: _Kind) -> tuple | None:
     Returns None, leaving the file to the line walk, unless the bytes are
     ASCII, each header line ends in a bare ``\\n``, every body line is a
     label and one token per coordinate, each of at most ``_MAX_TOKEN`` bytes,
-    joined by single spaces and ended by ``\\n``, every label is letters,
-    digits and ``-``, and every coordinate is an optional ``-`` and digits
-    that fit in int64; the line walk reads such files the same.  The body
-    goes in chunks of whole lines, so the scratch arrays stay small; each
-    chunk writes its lines into columns sized by the body's line count.
+    joined by single spaces and ended by ``\\n``, every label is one the
+    header lists, spelled as it is written, of 1 to 8 letters, digits and
+    ``-``, and every coordinate is an optional ``-`` and digits that fit in
+    int64; the line walk reads such files the same.  The body goes in chunks
+    of whole lines, so the scratch arrays stay small; each chunk writes its
+    lines into columns sized by the body's line count.
     """
     if not data.isascii():
         return None
@@ -286,39 +287,24 @@ def _parse_bulk(data: bytes, kind: _Kind) -> tuple | None:
     if 2 * width * sum(counts) > len(data) - pos:  # a line holds a byte and a separator a token
         return None
     # The header's labels of 1 to 8 label bytes, packed as the body's are and
-    # sorted: label k of the table has id k, and a label it lacks the next free id.
+    # sorted: label k of the table has id k.
     named = [s for s in map(str, shapes) if s and not s.encode().translate(None, _LABEL_BYTES)]
     table = np.unique(_packed_keys(_label_table([s for s in named if len(s) <= 8])))
-    tokens = {bytes(tok): k for k, tok in enumerate(table.view("S8"))}
     inverse = np.empty(sum(counts), dtype=np.intp)
     values = np.empty((width - 1, len(inverse)), dtype=np.int64)
     row = 0
     for start, end, count in zip(cuts, cuts[1:], counts):
         rows = slice(row, row + count)
         keys = _parse_lines(buf[start:end], width, kind.label_at * dim, values[:, rows])
-        if keys is None:
+        if keys is None or not len(table):  # an empty table holds no label
             return None
-        inverse[rows] = _label_ids(keys, table, tokens)
+        inverse[rows] = np.searchsorted(table, keys)
+        if not np.array_equal(table.take(inverse[rows], mode="clip"), keys):
+            return None  # a label the table lacks
         row = rows.stop
-    if any(tok.translate(None, _LABEL_BYTES) for tok in tokens):
-        return None
-    tiles = [_parse_tile(tok.decode("ascii")) for tok in tokens]
+    tiles = [_parse_tile(tok.decode("ascii")) for tok in table.view("S8")]
     fields = [values[k * dim : (k + 1) * dim].T for k in range(len(kind.fields))]
     return (dim, shapes, window, seed), (tiles, inverse, fields)
-
-
-def _label_ids(keys: np.ndarray, table: np.ndarray, tokens: dict[bytes, int]) -> np.ndarray:
-    """Each label key's id: its place in the sorted ``table`` when the table
-    holds every key, else from one sort of the keys, a label new to
-    ``tokens`` taking the next free id."""
-    if keys.dtype == table.dtype and len(table):
-        ids = np.searchsorted(table, keys)
-        if np.array_equal(table.take(ids, mode="clip"), keys):
-            return ids
-    distinct, local = np.unique(keys, return_inverse=True)
-    names = distinct.view(f"S{distinct.itemsize}")
-    ids = np.array([tokens.setdefault(bytes(tok), len(tokens)) for tok in names], dtype=np.intp)
-    return ids[local.ravel()]
 
 
 def _packed_keys(labels: np.ndarray) -> np.ndarray:
@@ -331,8 +317,8 @@ def _packed_keys(labels: np.ndarray) -> np.ndarray:
 def _parse_lines(chunk: np.ndarray, width: int, at: int, values: np.ndarray) -> np.ndarray | None:
     """The label keys of whole body lines of ``width`` tokens, the label at
     token ``at``, one line per column of ``values``, which takes the other
-    tokens' values; or None where the line walk decides.  A key is the label
-    packed into a uint64 when every label has at most 8 bytes, else its bytes."""
+    tokens' values; or None where the line walk decides, as for a label of
+    more than 8 bytes.  A key is the label packed into a uint64."""
     # Token k ends at the k-th separator and starts after the one before.
     stops = np.flatnonzero((chunk == ord("\n")) | (chunk == ord(" ")))
     n = values.shape[1]  # the chunk's line ends
@@ -347,7 +333,7 @@ def _parse_lines(chunk: np.ndarray, width: int, at: int, values: np.ndarray) -> 
     if not np.all(chunk[stops[:, -1]] == ord("\n")):
         return None
     lengths = stops - starts
-    if int(lengths.min()) < 1 or int(lengths.max()) > _MAX_TOKEN:
+    if int(lengths.min()) < 1 or int(lengths.max()) > _MAX_TOKEN or int(lengths[:, at].max()) > 8:
         return None
     labels = _token_matrix(chunk, starts[:, at], lengths[:, at])
     label_bytes = int(lengths[:, at].sum())
@@ -368,9 +354,7 @@ def _parse_lines(chunk: np.ndarray, width: int, at: int, values: np.ndarray) -> 
         allowed += np.count_nonzero(neg)
     if len(chunk) - np.count_nonzero(is_digit) != allowed:
         return None
-    if labels.shape[1] <= 8:
-        return _packed_keys(labels)
-    return labels.view(f"S{labels.shape[1]}").ravel()
+    return _packed_keys(labels)
 
 
 def _token_matrix(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

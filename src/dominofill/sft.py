@@ -67,7 +67,6 @@ class Alphabet:
         for tile in self.tiles:
             for offset in Box((0,) * dim, self.tile_shapes[tile]).cells():
                 self.symbols.append(Symbol(tile, offset))
-        self._index = {s: i for i, s in enumerate(self.symbols)}
         n = len(self.symbols)
         self.tile_codes = np.array(
             [self.tiles.index(s.tile) for s in self.symbols], dtype=np.int32
@@ -83,9 +82,6 @@ class Alphabet:
         ]
         self._transitions: dict[int, np.ndarray] = {}
         self.size = n
-
-    def index(self, symbol: Symbol) -> int:
-        return self._index[symbol]
 
     def symbol(self, idx: int) -> Symbol:
         return self.symbols[idx]
@@ -224,7 +220,9 @@ def validate_word(word: SymbolicWord) -> list[Violation]:
 
 
 class Tiling:
-    """Whole-tile placements, stored columnar for bulk work."""
+    """Whole-tile placements, stored columnar for bulk work: placement k is
+    tile ``tile_order[codes[k]]`` at anchor row ``anchors[k]``.  An empty
+    tiling takes ``(0, dim)`` anchors, which give its dimension."""
 
     def __init__(
         self,
@@ -242,31 +240,6 @@ class Tiling:
         self.window = window
         self._canonical = False  # set on the tilings sorted_canonical returns
         self._cell_counts: dict[TileId, int] | None = None
-
-    @classmethod
-    def from_parts(
-        cls,
-        tile_shapes: Mapping[TileId, tuple[int, ...]],
-        parts: Sequence[tuple[TileId, np.ndarray]],
-        window: Box | None = None,
-    ) -> "Tiling":
-        """Placements from ``(tile, anchor rows)`` parts, kept in part order.
-
-        Codes index ``tile_order``.  With no parts the tiling is empty; its
-        dimension comes from the tile shapes, else the window, else 1.
-        """
-        code_of = {t: i for i, t in enumerate(sorted(tile_shapes, key=tile_sort_key))}
-        if tile_shapes:
-            dim = len(next(iter(tile_shapes.values())))
-        else:
-            dim = window.dim if window is not None else 1
-        codes = np.repeat(
-            np.array([code_of[t] for t, _ in parts], dtype=np.int32),
-            [len(a) for _, a in parts],
-        )
-        blocks = [np.asarray(a, dtype=np.int64).reshape(-1, dim) for _, a in parts]
-        anchors = np.concatenate(blocks) if blocks else np.zeros((0, dim), dtype=np.int64)
-        return cls(tile_shapes, codes, anchors, window)
 
     def __len__(self) -> int:
         return len(self.codes)

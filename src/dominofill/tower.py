@@ -210,8 +210,8 @@ def plan_stages(
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError(f"unknown mode {mode!r}")
-    base, cuts = _resolve_base(f, targets, cutoffs, count, sides)
-    n_stages = len(cuts) if cuts else _resolve_count(count, sides)
+    base, cuts = _resolve_base(f, targets, cutoffs)
+    n_stages = _stage_count(count, sides, cuts)
     budgets = _resolve_budgets(error_budgets, n_stages, mode)
     gap_list = list(gaps) if gaps is not None else [0] * n_stages
     if len(gap_list) != n_stages or any(g < 0 for g in gap_list):
@@ -248,15 +248,24 @@ def plan_stages(
     return plan
 
 
-def _resolve_count(count: int | None, sides: Sequence[int] | None) -> int:
-    if sides is not None:
-        return len(sides)
-    if count is None or count < 1:
+def _stage_count(count: int | None, sides: Sequence[int] | None, cuts: list[int] | None) -> int:
+    """The stage count: one per cut point, else one per side, else ``count``.
+    A count that disagrees with the sides is refused (``stage_side``), as is
+    a count or side list that disagrees with the cut points (``cutoffs``)."""
+    n = count if sides is None else len(sides)
+    if count is not None and count != n:
+        listed = ",".join(str(s) for s in sides)
+        raise Infeasible("stage_side", f"count {count} disagrees with sides {listed}")
+    if cuts is not None and n is None:
+        return len(cuts)
+    if n is None or n < 1:
         raise Infeasible("stage_side", "need a stage count or explicit sides")
-    return count
+    if cuts is not None and n != len(cuts):
+        raise Infeasible("cutoffs", f"{len(cuts)} cut points for {n} stages")
+    return n
 
 
-def _resolve_base(f, targets, cutoffs, count, sides):
+def _resolve_base(f, targets, cutoffs):
     if len(targets.probs) != f.count:
         raise InvalidTargets(f"{f.count} tiles but {len(targets.probs)} targets")
     if cutoffs is None:
@@ -266,10 +275,6 @@ def _resolve_base(f, targets, cutoffs, count, sides):
     cut = [int(c) for c in cutoffs]
     if any(c2 <= c1 for c1, c2 in zip(cut, cut[1:])) or cut[0] < 2 or cut[-1] > f.count:
         raise Infeasible("cutoffs", f"cut points {cut} must increase within 2..{f.count}")
-    if count is not None or sides is not None:
-        n = _resolve_count(count, sides)
-        if n != len(cut):
-            raise Infeasible("cutoffs", f"{len(cut)} cut points for {n} stages")
     try:
         base = validate_family(f.shapes[: cut[0]], f.dim)
     except SharedAxisDivisor as exc:

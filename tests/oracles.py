@@ -49,6 +49,7 @@ from dominofill.sft import (
     Tiling,
     Violation,
     decode,
+    tile_sort_key,
     validate_word,
 )
 from dominofill.tower import (
@@ -395,11 +396,11 @@ def decode_by_cells(word):
 
 
 def symbol_block(alphabet, tile):
-    """One tile's grid of symbol indices, one ``alphabet.index`` per offset."""
+    """One tile's grid of symbol indices, one ``alphabet.symbols.index`` per offset."""
     shape = alphabet.shape(tile)
     block = np.empty(shape, dtype=np.int32)
     for offset in np.ndindex(shape):
-        block[offset] = alphabet.index(Symbol(tile, offset))
+        block[offset] = alphabet.symbols.index(Symbol(tile, offset))
     return block
 
 
@@ -465,7 +466,7 @@ def tiles_meeting_by_parts(fill, box):
             anchors, shape = strip_run_anchors(run), alphabet.shape(run.tile)
             near = reach(box, shape)
             parts.append((run.tile, anchors[within(anchors, shape, near.anchor, near.end)]))
-    return Tiling.from_parts(alphabet.tile_shapes, parts, box)
+    return tiling_from_parts(alphabet.tile_shapes, parts, box)
 
 
 def check_partition_by_slices(tiles, box):
@@ -572,12 +573,25 @@ def tiling_from_records(shapes, dim, window, tiles, anchors):
     except (OverflowError, ValueError) as exc:
         raise ParseError(f"every anchor needs {dim} int64 coordinates") from exc
     parts = [(tile, rows[rows_tile == i]) for tile, i in index.items()]
-    return Tiling.from_parts(shapes, parts, window).sorted_canonical()
+    return tiling_from_parts(shapes, parts, window).sorted_canonical()
+
+
+def tiling_from_parts(shapes, parts, window=None):
+    """The tiling of ``(tile, anchor rows)`` parts, in part order: tile
+    codes index the tiles in ``tile_sort_key`` order.  Its dimension is the
+    shapes', else the window's, else 1."""
+    order = sorted(shapes, key=tile_sort_key)
+    dim = len(next(iter(shapes.values()))) if shapes else window.dim if window else 1
+    blocks = [np.asarray(rows, dtype=np.int64).reshape(-1, dim) for _, rows in parts]
+    codes = np.repeat([order.index(t) for t, _ in parts], [len(b) for b in blocks])
+    anchors = np.concatenate([np.zeros((0, dim), dtype=np.int64), *blocks])
+    return Tiling(shapes, codes, anchors, window)
 
 
 def set_cell(word, cell, symbol):
     """Write one symbol at an absolute cell of the word's box."""
-    word.grid[tuple(x - a for x, a in zip(cell, word.box.anchor))] = word.alphabet.index(symbol)
+    rel = tuple(x - a for x, a in zip(cell, word.box.anchor))
+    word.grid[rel] = word.alphabet.symbols.index(symbol)
 
 
 def iter_cells(word):
@@ -606,7 +620,7 @@ def word_from_records(shapes, dim, window, records):
             raise ParseError(f"cell {cell} listed twice")
         try:
             set_cell(word, cell, Symbol(tile, offset))
-        except KeyError as exc:
+        except ValueError as exc:
             raise ParseError(f"offset {offset} invalid for tile {tile!r}") from exc
     return word
 
@@ -847,7 +861,7 @@ def redistribute_by_rows(tiling, targets, report, seed, tile_shapes=None):
             else:
                 parts.append((label, _subdivide(chosen, period, shapes[label])))
                 deficits[label] = max(deficits[label] - Fraction(cnt * area), Fraction(0))
-    merged = Tiling.from_parts(shapes, parts, tiling.window)
+    merged = tiling_from_parts(shapes, parts, tiling.window)
     order = np.lexsort([merged.codes] + [merged.anchors[:, a] for a in range(merged.dim)][::-1])
     return Tiling(shapes, merged.codes[order], merged.anchors[order], tiling.window)
 

@@ -40,7 +40,7 @@ from dominofill.brickfill import (
 )
 from dominofill.cli.verify import verify_word
 from dominofill.numerics import NotRepresentable
-from dominofill.sft import InvalidWord, Symbol, decode, validate_word
+from dominofill.sft import InvalidWord, Symbol, Tiling, decode, validate_word
 
 translates_2d = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
 
@@ -60,7 +60,7 @@ class TestBrickWall:
     @settings(max_examples=30)
     def test_restrictions_are_valid(self, flagship_alphabet, translate, corner):
         wall = BrickWall(flagship_alphabet, "P", translate)
-        assert validate_word(wall.materialize(Box(corner, (13, 9)))) == []
+        assert validate_word(FilledWord.pure_wall(wall).materialize(Box(corner, (13, 9)))) == []
 
     @pytest.mark.parametrize("dim", sorted(DECODE_CASES))
     @given(data=st.data())
@@ -163,24 +163,26 @@ def assert_fill_contract(fill, inner_wall, box, outer_wall, width, probe_margin=
     word = fill.materialize(window)
     assert np.array_equal(word.grid, fill_word_by_pastes(fill, window))
     assert validate_word(word) == []
-    inner_view = inner_wall.materialize(box)
+    inner_view = FilledWord.pure_wall(inner_wall).materialize(box)
     assert equals_on(word, inner_view, box)
     footprint = expand(box, width)
-    outer_view = outer_wall.materialize(window)
+    outer_view = FilledWord.pure_wall(outer_wall).materialize(window)
     for cell, sym in iter_cells(outer_view):
         if not footprint.contains_cell(cell):
             assert word.cell(cell) == sym
     # decode partitions the window: complete tiles + boundary cuts, no overlap
     result = decode(word)
     assert result.tiling.covered_cells() + result.partial_cells == window.volume
-    assert same_placements(fill.placements(window), result.tiling)
+    codes, anchors, _ = placements_of([fill], window)
+    assert same_placements(Tiling(fill.alphabet.tile_shapes, codes, anchors), result.tiling)
 
 
 def collar_tiles(fill):
     """The fill's placements in its collar: wholly inside the outer core and
     not wholly inside the inner core.  A sound fill puts only family tiles
     there."""
-    placed = fill.placements(fill.footprint)
+    codes, anchors, _ = placements_of([fill], fill.footprint)
+    placed = Tiling(fill.alphabet.tile_shapes, codes, anchors)
     boxes = [(p, Box(p.anchor, placed.tile_shapes[p.tile])) for p in placed.placements()]
     return [
         p for p, box in boxes
@@ -194,7 +196,8 @@ class TestUniformFill:
         same = BrickWall(flagship_alphabet, "P", (10, 7))  # same translate mod period
         fill = fill_between(wall, Box((3, 3), (10, 10)), same, flagship)
         probe = Box((-20, -20), (50, 50))
-        assert equals_on(fill.materialize(probe), wall.materialize(probe), probe)
+        wall_view = FilledWord.pure_wall(wall).materialize(probe)
+        assert equals_on(fill.materialize(probe), wall_view, probe)
 
     def test_line_worked_example(self, line_alphabet, line_family):
         inner = BrickWall(line_alphabet, "P", (0,))
@@ -225,11 +228,11 @@ class TestUniformFill:
             broken = copy.copy(fill)
             broken.runs = runs
             with pytest.raises(InvalidWord, match=rf"cell \({cell},\) {times} times"):
-                broken.placements(fill.footprint)
+                placements_of([broken], fill.footprint)
         bare = copy.copy(fill)
         bare.runs = fill.runs[1:]
         with pytest.raises(InvalidWord, match=r"cell \(-9,\) 0 times"):
-            bare.placements(run.box)  # no tile of the fill meets this box at all
+            placements_of([bare], run.box)  # no tile of the fill meets this box at all
 
     @given(
         st.integers(-30, 30), st.integers(-30, 30),
@@ -307,7 +310,7 @@ def test_collar_contract_over_every_residue(name):
         box = Box((0,) * base.dim, shape)
         fill = fill_between(inner, box, outer, base)
         window = expand(box, base.fill_length + max(period))
-        fill.placements(window)
+        placements_of([fill], window)
         if check_word:
             word = fill.materialize(window)
             assert verify_word(word) == [], (t_in, t_out, shape)
@@ -393,7 +396,7 @@ class TestRestrictedFill:
         window = expand(box, width + 4)
         word = fill.materialize(window)
         assert validate_word(word) == []
-        assert equals_on(word, inner.materialize(box), box)
+        assert equals_on(word, FilledWord.pure_wall(inner).materialize(box), box)
         tiles = set(p.tile for p in collar_tiles(fill))
         assert tiles and tiles <= {1, 2}
 
@@ -421,16 +424,17 @@ class TestGlue:
     def test_wall_restriction_is_fixed_point(self, flagship_alphabet, flagship):
         wall = BrickWall(flagship_alphabet, "P", (2, 3))
         box = Box((1, 1), (12, 10))
-        glued = glue(wall.materialize(box), wall, flagship)
+        glued = glue(FilledWord.pure_wall(wall).materialize(box), wall, flagship)
         probe = expand(box, flagship.fill_length + 4)
-        assert equals_on(glued.materialize(probe), wall.materialize(probe), probe)
+        wall_view = FilledWord.pure_wall(wall).materialize(probe)
+        assert equals_on(glued.materialize(probe), wall_view, probe)
 
     @given(translates_2d, translates_2d)
     @settings(max_examples=20)
     def test_block_glues_into_any_wall(self, flagship_alphabet, flagship, t_in, t_out):
         inner = BrickWall(flagship_alphabet, "P", t_in)
         block_box = Box((0, 0), (17, 11))
-        block = inner.materialize(block_box)
+        block = FilledWord.pure_wall(inner).materialize(block_box)
         ambient = BrickWall(flagship_alphabet, "P", t_out)
         glued = glue(block, ambient, flagship)
         window = expand(block_box, flagship.fill_length + 3)
@@ -438,7 +442,7 @@ class TestGlue:
         assert validate_word(word) == []
         assert equals_on(word, block, block_box)
         footprint = expand(block_box, flagship.fill_length)
-        ambient_view = ambient.materialize(window)
+        ambient_view = FilledWord.pure_wall(ambient).materialize(window)
         for cell, sym in iter_cells(ambient_view):
             if not footprint.contains_cell(cell):
                 assert word.cell(cell) == sym
@@ -446,7 +450,7 @@ class TestGlue:
     def test_corrupted_rim_rejected(self, flagship_alphabet, flagship):
         wall = BrickWall(flagship_alphabet, "P", (0, 0))
         box = Box((0, 0), (12, 12))
-        block = wall.materialize(box)
+        block = FilledWord.pure_wall(wall).materialize(box)
         set_cell(block, (0, 5), Symbol(1, (0, 0)))
         with pytest.raises(NoMatchingTranslate):
             glue(block, wall, flagship)

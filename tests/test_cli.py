@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import same_placements, set_cell, verify_tiling_by_rows
+from oracles import same_placements, set_cell, tiling_from_parts, verify_tiling_by_rows
 
 import dominofill
 from dominofill import Box, BrickWall
+from dominofill.brickfill import FilledWord
 from dominofill.cli.config import (
     FORMATS,
     MODES,
@@ -140,6 +141,19 @@ class TestConfig:
     def test_round_trip(self):
         cfg = parse_config(FLAGSHIP_INI)
         assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("mode = bogus", "[run] mode: must be one of ('strict', 'relaxed'), got 'bogus'"),
+            ("format = json", "[run] format: must be 'text', got 'json'"),
+        ],
+    )
+    def test_a_choice_key_names_its_choices(self, line, message):
+        """A key of several choices lists them; a key of one names it."""
+        with pytest.raises(ConfigError) as info:
+            parse_config(FLAGSHIP_INI.replace("mode = relaxed", line))
+        assert str(info.value) == message
         filled = parse_config(FILL_INI)
         assert (filled.fill_anchor, filled.fill_shape) == ((4,), (6,))
         assert parse_config(serialize_config(filled)) == filled
@@ -202,7 +216,7 @@ def checked_tilings(draw):
             Box, st.tuples(*[st.integers(-3, 6)] * dim), st.tuples(*[st.integers(1, 14)] * dim)
         )
     )
-    return Tiling.from_parts(shapes, [(t, [a]) for t, a in rows], window), window
+    return tiling_from_parts(shapes, [(t, [a]) for t, a in rows], window), window
 
 
 @st.composite
@@ -235,7 +249,7 @@ def pushed_tilings(draw):
     if draw(st.booleans()):
         rows.append(("P", list(draw(st.sampled_from([a for t, a in rows if t == 1])))))
     rows = draw(st.permutations(rows))
-    return Tiling.from_parts(shapes, [(t, [a]) for t, a in rows], window), window
+    return tiling_from_parts(shapes, [(t, [a]) for t, a in rows], window), window
 
 
 # A one-cell tile painted offset by offset under a P, and at each end of int64
@@ -258,16 +272,16 @@ PUSHED = {
         Box((-(2**63),), (6,)),
     ),
 }
-PUSHED = {name: (Tiling.from_parts(*args), args[2]) for name, args in PUSHED.items()}
+PUSHED = {name: (tiling_from_parts(*args), args[2]) for name, args in PUSHED.items()}
 
 # More than MAX_REPORTED placements outside the window, and overlapping cells.
 MORE_THAN_REPORTED = {
     "outside": (
-        Tiling.from_parts({1: (3, 2)}, [(1, [(x, 20) for x in range(0, 180, 3)])]),
+        tiling_from_parts({1: (3, 2)}, [(1, [(x, 20) for x in range(0, 180, 3)])]),
         Box((0, 0), (180, 10)),
     ),
     "overlapping": (
-        Tiling.from_parts({1: (3, 2)}, [(1, [(x, 0) for x in range(0, 60, 3)] * 2)]),
+        tiling_from_parts({1: (3, 2)}, [(1, [(x, 0) for x in range(0, 60, 3)] * 2)]),
         None,
     ),
 }
@@ -276,7 +290,7 @@ MORE_THAN_REPORTED = {
 def sample_tiling():
     shapes = {1: (3, 2), 2: (2, 3), "P": (6, 6)}
     parts = [("P", [(-6, -6)]), (1, [(0, 0), (3, 0)]), (2, [(0, 2)])]
-    return Tiling.from_parts(shapes, parts, Box((-6, -6), (12, 12)))
+    return tiling_from_parts(shapes, parts, Box((-6, -6), (12, 12)))
 
 
 class TestTilingFiles:
@@ -306,7 +320,7 @@ class TestTilingFiles:
 
 def sample_word(flagship_alphabet):
     wall = BrickWall(flagship_alphabet, "P", (1, 2))
-    return wall.materialize(Box((0, 0), (8, 8)))
+    return FilledWord.pure_wall(wall).materialize(Box((0, 0), (8, 8)))
 
 
 class TestWordFiles:
@@ -478,25 +492,25 @@ class TestVerifyTiling:
 
     def test_overlap_reported(self):
         shapes = {1: (3, 2)}
-        t = Tiling.from_parts(shapes, [(1, [(0, 0), (1, 0)])])
+        t = tiling_from_parts(shapes, [(1, [(0, 0), (1, 0)])])
         problems = verify_tiling(t)
         assert problems and "covered 2 times" in problems[0]
 
     @pytest.mark.parametrize("copies", [2, 255, 256, 257])
     def test_overlap_of_any_multiplicity(self, copies):
-        t = Tiling.from_parts({1: (3, 2)}, [(1, [(0, 0)] * copies)])
+        t = tiling_from_parts({1: (3, 2)}, [(1, [(0, 0)] * copies)])
         problems = verify_tiling(t)
         assert len(problems) == 6  # every cell of the tile
         assert problems[0].startswith(f"cell (0, 0) covered {copies} times")
 
     def test_window_containment(self):
         shapes = {1: (3, 2)}
-        t = Tiling.from_parts(shapes, [(1, [(2, 3)])], Box((0, 0), (4, 4)))
+        t = tiling_from_parts(shapes, [(1, [(2, 3)])], Box((0, 0), (4, 4)))
         problems = verify_tiling(t)
         assert problems and "leaves the window" in problems[0]
 
     def test_tiles_sharing_a_shape(self):
-        t = Tiling.from_parts(
+        t = tiling_from_parts(
             {1: (2, 1), 2: (2, 1), "P": (2, 2)},
             [(1, [(0, 0), (0, 1)]), (2, [(1, 0), (0, 2)]), ("P", [(1, 1)])],
             Box((0, 0), (3, 3)),
@@ -508,7 +522,7 @@ class TestVerifyTiling:
         ]
 
     def test_overlap_and_escape_in_3d(self):
-        t = Tiling.from_parts(
+        t = tiling_from_parts(
             {1: (2, 1, 1), 2: (1, 2, 3)},
             [(1, [(0, 0, 0), (3, 3, 3)]), (2, [(1, 0, 0), (4, 4, 4)])],
             Box((0, 0, 0), (5, 5, 5)),
@@ -535,7 +549,7 @@ class TestVerifyTiling:
         assert verify_tiling(Tiling(tiling.tile_shapes, tiling.codes, tiling.anchors, window)) == want
 
     def test_large_tile_is_painted_in_one_piece(self, monkeypatch):
-        t = Tiling.from_parts(
+        t = tiling_from_parts(
             {1: (3, 2), "P": (1000, 1000)}, [(1, [(0, 0), (999, 999)]), ("P", [(0, 0)])]
         )
         pieces = []
@@ -558,7 +572,7 @@ class TestVerifyTiling:
         inside = [
             p for p in t.placements() if window.contains_box(Box(p.anchor, t.tile_shapes[p.tile]))
         ]
-        sub = Tiling.from_parts(t.tile_shapes, [(p.tile, [p.anchor]) for p in inside], window)
+        sub = tiling_from_parts(t.tile_shapes, [(p.tile, [p.anchor]) for p in inside], window)
         assert verify_tiling(sub) == []  # inside the window, no cell covered twice
         assert sum(sub.tile_cell_counts().values()) == 6 + 6 + 6  # the three small tiles
         assert sub.covered_cells() == 18
@@ -572,7 +586,7 @@ class TestRender:
 
     def test_ascii_for_line(self):
         shapes = {1: (2,), 2: (3,)}
-        t = Tiling.from_parts(shapes, [(1, [(0,), (2,)]), (2, [(4,)])], Box((0,), (7,)))
+        t = tiling_from_parts(shapes, [(1, [(0,), (2,)]), (2, [(4,)])], Box((0,), (7,)))
         art = render_ascii(t)
         assert art.strip()
 
@@ -677,7 +691,7 @@ class TestMain:
             ["build", "--config", flagship_cfg, "--out", str(out), "--format", "json"]
         ) == 1
         assert capsys.readouterr() == (
-            "", f"error: [run] format: must be one of {FORMATS!r}, got 'json'\n"
+            "", "error: [run] format: must be 'text', got 'json'\n"
         )
         assert not out.exists()
 
@@ -707,7 +721,7 @@ class TestMain:
 
     def test_verify_rejects_overlap(self, tmp_path, capsys):
         shapes = {1: (3, 2)}
-        bad = Tiling.from_parts(shapes, [(1, [(0, 0), (1, 0)])])
+        bad = tiling_from_parts(shapes, [(1, [(0, 0), (1, 0)])])
         path = tmp_path / "bad.txt"
         write_atomic(str(path), serialize_tiling(bad))
         assert main(["verify", str(path)]) == 1
@@ -715,7 +729,7 @@ class TestMain:
 
     def test_verify_rejects_256_copies(self, tmp_path, capsys):
         path = tmp_path / "copies.txt"
-        text = serialize_tiling(Tiling.from_parts({1: (1, 1)}, [(1, [(0, 0)] * 256)]))
+        text = serialize_tiling(tiling_from_parts({1: (1, 1)}, [(1, [(0, 0)] * 256)]))
         assert text.splitlines()[5:] == ["1 0 0"] * 256
         path.write_text(text, encoding="utf-8")
         assert main(["verify", str(path)]) == 1
@@ -725,7 +739,7 @@ class TestMain:
         """The parser is built once, but each call looks its command up on
         the module, so a ``cmd_*`` patched in later is the one that runs."""
         path = tmp_path / "one.txt"
-        write_atomic(str(path), serialize_tiling(Tiling.from_parts({1: (1, 1)}, [(1, [(0, 0)])])))
+        write_atomic(str(path), serialize_tiling(tiling_from_parts({1: (1, 1)}, [(1, [(0, 0)])])))
         assert main(["verify", str(path)]) == 0
         seen = []
         monkeypatch.setattr(cli_main, "cmd_verify", lambda args: seen.append(args.file) or 7)
@@ -879,7 +893,7 @@ class TestMain:
 
     def test_render_ascii_for_line_file(self, tmp_path, capsys):
         shapes = {1: (2,), 2: (3,)}
-        t = Tiling.from_parts(shapes, [(1, [(0,)]), (2, [(2,)])], Box((0,), (5,)))
+        t = tiling_from_parts(shapes, [(1, [(0,)]), (2, [(2,)])], Box((0,), (5,)))
         path = tmp_path / "line.txt"
         write_atomic(str(path), serialize_tiling(t))
         assert main(["render", str(path), "--out", str(tmp_path)]) == 0
@@ -963,6 +977,14 @@ BAD_CONFIGS = [
     ),
 ]
 BAD_IDS = [name for name, _, _ in BAD_CONFIGS]
+# Configs that read, but whose plan the planner refuses.
+BAD_PLANS = [
+    (
+        "count_disagrees_with_sides",
+        FLAGSHIP_INI.replace("sides = 64", "sides = 64\ncount = 2"),
+        "plan constraint 'stage_side'",
+    ),
+]
 
 RUN_FLAGS = {"--seed", "--mode", "--window", "--out", "--format"}
 # Each subcommand's option strings (``-h`` aside), whether ``--config`` is
@@ -991,7 +1013,9 @@ class TestUserErrors:
         with pytest.raises(ConfigError, match=named):
             parse_config(text)
 
-    @pytest.mark.parametrize("name, text, named", BAD_CONFIGS, ids=BAD_IDS)
+    @pytest.mark.parametrize(
+        "name, text, named", BAD_CONFIGS + BAD_PLANS, ids=BAD_IDS + [n for n, _, _ in BAD_PLANS]
+    )
     def test_bad_config_exits_1(self, name, text, named, tmp_path, capsys):
         ini = tmp_path / "bad.ini"
         ini.write_text(text, encoding="utf-8")
@@ -1153,7 +1177,7 @@ class TestUserErrors:
         capsys.readouterr()
 
     def test_render_3d_exits_1(self, tmp_path, capsys):
-        t = Tiling.from_parts({1: (2, 1, 1)}, [(1, [(0, 0, 0)])], Box((0, 0, 0), (2, 1, 1)))
+        t = tiling_from_parts({1: (2, 1, 1)}, [(1, [(0, 0, 0)])], Box((0, 0, 0), (2, 1, 1)))
         path = tmp_path / "cube.txt"
         write_atomic(str(path), serialize_tiling(t))
         assert main(["render", str(path), "--out", str(tmp_path)]) == 1

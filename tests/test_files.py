@@ -19,9 +19,11 @@ from oracles import (
     same_placements,
     serialize_by_lines,
     serialize_word_by_lines,
+    tiling_from_parts,
 )
 
 from dominofill import Box, BrickWall
+from dominofill.brickfill import FilledWord
 from dominofill.cli import files
 from dominofill.cli.files import (
     ParseError,
@@ -40,9 +42,11 @@ from dominofill.sft import Alphabet, SymbolicWord, Tiling, tile_sort_key
 # of the writer's switch from uint32 to uint64 digit columns.
 INT64_EDGES = [0, 9, 10, 2**32 - 1, 2**32, -(2**32 - 1), -(2**32), 10**18]
 INT64_EDGES += [2**63 - 1, -(2**63 - 1), -(2**63)]
-# Labels of 1 to 13 bytes: the bulk parser groups labels of up to 8 bytes as
-# packed integers and longer ones as byte strings.
+# Labels of 1 to 13 bytes: the bulk parser reads labels of up to 8 bytes,
+# the builder's, as packed integers, and leaves a file with a longer one in
+# its body to the line walk.
 TILE_IDS = [1, 2, "P", "P2", "P10", "P1234567", "P123456789", 10**12]
+SHORT_IDS = [t for t in TILE_IDS if len(str(t)) <= 8]
 
 
 @st.composite
@@ -69,7 +73,7 @@ def tilings(draw):
             st.tuples(*[st.integers(1, 50)] * dim),
         )
     )
-    tiling = Tiling.from_parts(shapes, [(t, [a]) for t, a in placements], window)
+    tiling = tiling_from_parts(shapes, [(t, [a]) for t, a in placements], window)
     return tiling, draw(st.integers(0, 2**64))
 
 
@@ -127,19 +131,42 @@ def test_writer_and_bulk_parser_match_line_oracles(case, chunk_rows):
     assert text == serialize_by_lines(tiling, seed)
     want = outcome(parse_by_lines, text)
     assert outcome(parse_tiling, text) == want
-    assert outcome(parse_bulk_only, text) == want  # written files never need the walk
+    if all(len(str(p.tile)) <= 8 for p in tiling.placements()):
+        assert outcome(parse_bulk_only, text) == want  # such written files never need the walk
+    else:
+        assert files._parse_bulk(text.encode(), files.TILING) is None
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 40, 1 << 17])
 def test_labels_group_across_chunks(monkeypatch, chunk_bytes):
-    shapes = {t: (1, 1) for t in TILE_IDS}
-    # Short labels first and wide ones last, so small chunks see one kind each.
-    parts = [(t, [(i, k) for k in range(3)]) for i, t in enumerate(TILE_IDS)]
-    text = serialize_tiling(Tiling.from_parts(shapes, parts, None), 1)
+    """Each label's placements read as one tile, whichever chunk they fall
+    in: in bulk for labels of up to 8 bytes, else by the line walk."""
     monkeypatch.setattr(files, "_CHUNK_BYTES", chunk_bytes)
-    want = outcome(parse_by_lines, text)
-    assert outcome(parse_bulk_only, text) == want
-    assert want[0] == "ok" and len(want[1][3]) == 3 * len(TILE_IDS)
+    for ids in (SHORT_IDS, TILE_IDS):
+        shapes = {t: (1, 1) for t in ids}
+        parts = [(t, [(i, k) for k in range(3)]) for i, t in enumerate(ids)]
+        text = serialize_tiling(tiling_from_parts(shapes, parts, None), 1)
+        want = outcome(parse_by_lines, text)
+        assert want[0] == "ok" and len(want[1][3]) == 3 * len(ids)
+        assert outcome(parse_tiling, text) == want
+        if ids is SHORT_IDS:
+            assert outcome(parse_bulk_only, text) == want
+        else:
+            assert files._parse_bulk(text.encode(), files.TILING) is None
+
+
+@pytest.mark.parametrize("label", ["01", "Q", "P_1", "P123456789", "1000000000000"])
+def test_labels_off_the_table_go_to_the_line_walk(label):
+    """A body label that is not one of the header's labels of up to 8
+    bytes, spelled as written, leaves the file to the line walk, which
+    reads it as the oracles do."""
+    header = "dim 2\nshapes 1:1x1 2:1x1 P:1x1 P123456789:1x1\nwindow 0 0 4 4\nseed 5\n"
+    tiling = f"dominofill tiling v1\n{header}1 0 0\n{label} 1 0\n"
+    word = f"dominofill word v1\n{header}0 0 1 0 0\n1 0 {label} 0 0\n"
+    assert files._parse_bulk(tiling.encode(), files.TILING) is None
+    assert files._parse_bulk(word.encode(), files.WORD) is None
+    assert outcome(parse_tiling, tiling) == outcome(parse_by_lines, tiling)
+    assert word_outcome(parse_word, word) == word_outcome(parse_word_by_lines, word)
 
 
 # Body labels against a header that lists HEADER_TILES: its own spellings
@@ -264,7 +291,7 @@ def test_label_int_refuses_reads_back(tmp_path, capsys, label):
     """A label that ``str.isdigit`` accepts and ``int()`` refuses is written,
     read back and verified as that label."""
     shapes = {1: (1, 2), label: (2, 2)}
-    tiling = Tiling.from_parts(shapes, [(1, [(0, 0)]), (label, [(1, 0)])], Box((0, 0), (3, 2)))
+    tiling = tiling_from_parts(shapes, [(1, [(0, 0)]), (label, [(1, 0)])], Box((0, 0), (3, 2)))
     text = serialize_tiling(tiling, 7)
     parsed, seed = parse_tiling(text)
     assert parsed.tile_shapes == shapes and seed == 7
@@ -279,7 +306,7 @@ def test_label_int_refuses_reads_back(tmp_path, capsys, label):
 @pytest.mark.parametrize("serialize", [serialize_tiling], ids=["text"])
 def test_empty_tiling_without_window_round_trips(tmp_path, dim, serialize):
     shapes = {1: (2,) * dim, "P": (4,) * dim}
-    empty = Tiling.from_parts(shapes, [], None)
+    empty = Tiling(shapes, [], np.zeros((0, dim)))
     text = serialize(empty, 5)
     assert f"\ndim {dim}\n" in text
     path = tmp_path / "empty"
@@ -302,8 +329,13 @@ def test_empty_tiling_without_shapes_keeps_its_dimension(tmp_path, text):
     assert serialize_tiling(tiling, 0) == text
 
 
+def wall_word(alphabet, box):
+    """The word over ``box`` of the wall of brick ``P`` at translate (1, 2)."""
+    return FilledWord.pure_wall(BrickWall(alphabet, "P", (1, 2))).materialize(box)
+
+
 def test_word_writer_matches_cell_lines(flagship_alphabet):
-    word = BrickWall(flagship_alphabet, "P", (1, 2)).materialize(Box((-13, -7), (9, 11)))
+    word = wall_word(flagship_alphabet, Box((-13, -7), (9, 11)))
     word.grid[2:4, 5:9] = -1  # unassigned cells are skipped
     body = "".join(
         f"{' '.join(map(str, cell))} {sym.tile} {' '.join(map(str, sym.offset))}\n"
@@ -592,8 +624,11 @@ def test_word_writers_and_readers_match_cell_oracles(case, chunk_rows):
     want = word_outcome(parse_word_by_lines, text)
     assert same_word(want, word, seed)
     assert word_outcome(parse_word, text) == want
-    # Written files never need the line walk.
-    assert word_outcome(lambda t: parse_bulk_only(t, files.WORD), text) == want
+    if all(len(str(sym.tile)) <= 8 for _, sym in iter_cells(word)):
+        # Such written files never need the line walk.
+        assert word_outcome(lambda t: parse_bulk_only(t, files.WORD), text) == want
+    else:
+        assert files._parse_bulk(text.encode(), files.WORD) is None
 
 
 WORD_HEADER = "dominofill word v1\ndim 2\nshapes 1:3x2 2:2x3 P:6x6\nwindow 0 0 12 12\nseed 3\n"
@@ -742,26 +777,24 @@ def many_placements():
     1 to 10 bytes at negative and positive anchors, with no window."""
     shapes = {1: (1, 1), "P": (1, 1), "P123456789": (1, 1)}
     cells = np.argwhere(np.ones((300, 300), dtype=bool)) - 150
-    return Tiling.from_parts(shapes, [(t, cells[k::3]) for k, t in enumerate(shapes)], None)
+    return tiling_from_parts(shapes, [(t, cells[k::3]) for k, t in enumerate(shapes)], None)
 
 
 # What the CLI writes, by name: a function of the flagship alphabet.
 WRITTEN = {
-    "empty_tiling": lambda alphabet: Tiling.from_parts({1: (3, 2)}, [], Box((0, 0), (6, 6))),
-    "empty_tiling_without_window": lambda alphabet: Tiling.from_parts({1: (3, 2)}, [], None),
-    "tiling_without_window": lambda alphabet: Tiling.from_parts(
+    "empty_tiling": lambda alphabet: Tiling({1: (3, 2)}, [], np.zeros((0, 2)), Box((0, 0), (6, 6))),
+    "empty_tiling_without_window": lambda alphabet: Tiling({1: (3, 2)}, [], np.zeros((0, 2))),
+    "tiling_without_window": lambda alphabet: tiling_from_parts(
         {1: (3, 2), "P": (6, 6)}, [(1, [(3, 0), (0, 0)]), ("P", [(0, 2)])], None
     ),
-    "negative_anchors": lambda alphabet: Tiling.from_parts(
+    "negative_anchors": lambda alphabet: tiling_from_parts(
         {1: (3, 2), 2: (2, 3)},
         [(1, [(-7, -2), (-4, -2)]), (2, [(-(2**40), 5)])],
         Box((-(2**40), -2), (2**41, 10)),
     ),
     "tiling_past_one_block": lambda alphabet: many_placements(),
-    "word": lambda alphabet: BrickWall(alphabet, "P", (1, 2)).materialize(Box((-13, -7), (9, 11))),
-    "word_past_one_block": lambda alphabet: BrickWall(alphabet, "P", (1, 2)).materialize(
-        Box((-130, -7), (260, 260))
-    ),
+    "word": lambda alphabet: wall_word(alphabet, Box((-13, -7), (9, 11))),
+    "word_past_one_block": lambda alphabet: wall_word(alphabet, Box((-130, -7), (260, 260))),
 }
 
 

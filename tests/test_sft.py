@@ -15,10 +15,12 @@ from oracles import (
     equals_on,
     same_placements,
     set_cell,
+    tiling_from_parts,
     validate_word_by_mask,
 )
 
 from dominofill import Box, BrickWall, build_alphabet, validate_family
+from dominofill.brickfill import FilledWord
 from dominofill.geometry import grid_rows
 from dominofill.sft import (
     Alphabet,
@@ -41,7 +43,7 @@ class TestAlphabet:
 
     def test_symbol_index_round_trip(self, flagship_alphabet):
         for i, s in enumerate(flagship_alphabet.symbols):
-            assert flagship_alphabet.index(s) == i
+            assert flagship_alphabet.symbols.index(s) == i
             assert flagship_alphabet.symbol(i) == s
 
     def test_offsets_inside_tile(self, flagship_alphabet):
@@ -66,7 +68,7 @@ class TestAlphabet:
             shape = tile_shapes[tile]
             want = np.empty(shape, dtype=np.int64)
             for offset in np.ndindex(shape):
-                want[offset] = alphabet.index(Symbol(tile, offset))
+                want[offset] = alphabet.symbols.index(Symbol(tile, offset))
             grid = np.full(shape, -1, dtype=np.int64)
             codes, anchors = np.array([code]), np.array([origin], dtype=np.int64)
             for symbol, cells in alphabet.paint(codes, anchors, origin, shape):
@@ -106,7 +108,7 @@ class TestAllowedNeighbor:
 class TestValidateWord:
     def test_wall_restriction_passes(self, flagship_alphabet):
         wall = BrickWall(flagship_alphabet, "P", (2, 5))
-        word = wall.materialize(Box((-7, 3), (20, 17)))
+        word = FilledWord.pure_wall(wall).materialize(Box((-7, 3), (20, 17)))
         assert validate_word(word) == []
 
     def test_single_cell_passes(self, flagship_alphabet):
@@ -149,7 +151,8 @@ class TestValidateWord:
     )
     def test_wall_invariance(self, flagship_alphabet, translate, corner):
         wall = BrickWall(flagship_alphabet, "P", translate)
-        assert validate_word(wall.materialize(Box(corner, (9, 8)))) == []
+        word = FilledWord.pure_wall(wall).materialize(Box(corner, (9, 8)))
+        assert validate_word(word) == []
 
 
 def random_disjoint_tiling(alphabet, rng, box_side=20, attempts=60):
@@ -165,7 +168,7 @@ def random_disjoint_tiling(alphabet, rng, box_side=20, attempts=60):
             continue
         taken[spot] = True
         parts.append((tile, [anchor]))
-    return Tiling.from_parts(
+    return tiling_from_parts(
         {t: alphabet.shape(t) for t in alphabet.tiles},
         parts,
         Box((0,) * alphabet.dim, (box_side,) * alphabet.dim),
@@ -193,7 +196,7 @@ def full_wall_word(alphabet, rng, box_side):
         offsets = grid_rows([np.arange(0, p, e) for p, e in zip(period, shape)])
         parts.append((tile, row + offsets))
     shapes = {t: alphabet.shape(t) for t in alphabet.tiles}
-    return encode(Tiling.from_parts(shapes, parts), alphabet, Box((0,) * dim, (box_side,) * dim))
+    return encode(tiling_from_parts(shapes, parts), alphabet, Box((0,) * dim, (box_side,) * dim))
 
 
 # (alphabet, cube side) per dimension; the line carries bricks P2 and P10 so
@@ -301,7 +304,7 @@ class TestAgainstOracles:
 
 class TestCodec:
     def test_encode_single_placement(self, flagship_alphabet):
-        t = Tiling.from_parts({1: (3, 2)}, [(1, [(0, 0)])], Box((0, 0), (3, 2)))
+        t = tiling_from_parts({1: (3, 2)}, [(1, [(0, 0)])], Box((0, 0), (3, 2)))
         word = encode(t, flagship_alphabet)
         assert np.count_nonzero(word.grid >= 0) == 6
         assert word.cell((2, 1)) == Symbol(1, (2, 1))
@@ -319,7 +322,7 @@ class TestCodec:
     def test_word_round_trip_on_aligned_wall(self, flagship_alphabet):
         wall = BrickWall(flagship_alphabet, "P", (0, 0))
         box = Box((-6, 6), (18, 12))
-        word = wall.materialize(box)
+        word = FilledWord.pure_wall(wall).materialize(box)
         result = decode(word)
         assert list(result.partials.placements()) == []
         back = encode(result.tiling, flagship_alphabet, box)
@@ -327,7 +330,7 @@ class TestCodec:
 
     def test_wall_decode_reports_cut_tiles(self, flagship_alphabet):
         wall = BrickWall(flagship_alphabet, "P", (2, 2))
-        result = decode(wall.materialize(Box((0, 0), (9, 9))))
+        result = decode(FilledWord.pure_wall(wall).materialize(Box((0, 0), (9, 9))))
         complete = list(result.tiling.placements())
         assert complete == [Placement("P", (2, 2))]
         assert len(result.partials) == 8
@@ -419,7 +422,8 @@ class TestCodec:
         "corner", [(-1, 0), (0, 7), (7, 0)], ids=["below", "past_y", "past_x"]
     )
     def test_restrict_must_keep_domains_inside(self, flagship_alphabet, corner):
-        word = BrickWall(flagship_alphabet, "P", (0, 0)).materialize(Box((0, 0), (12, 12)))
+        wall = BrickWall(flagship_alphabet, "P", (0, 0))
+        word = FilledWord.pure_wall(wall).materialize(Box((0, 0), (12, 12)))
         with pytest.raises(ValueError, match="leaves the word's box"):
             word.restrict(Box(corner, (6, 6)))
 
@@ -437,7 +441,7 @@ class TestTranslateWord:
     @given(st.tuples(st.integers(-40, 40), st.integers(-40, 40)))
     def test_round_trip(self, flagship_alphabet, v):
         wall = BrickWall(flagship_alphabet, "P", (1, 3))
-        word = wall.materialize(Box((0, 0), (8, 8)))
+        word = FilledWord.pure_wall(wall).materialize(Box((0, 0), (8, 8)))
         moved = SymbolicWord(word.alphabet, word.box.translate(v), word.grid)
         assert moved.box == word.box.translate(v)
         assert validate_word(moved) == []
@@ -446,7 +450,7 @@ class TestTranslateWord:
 
     def test_zero_is_identity(self, flagship_alphabet):
         wall = BrickWall(flagship_alphabet, "P", (0, 0))
-        word = wall.materialize(Box((2, 2), (5, 5)))
+        word = FilledWord.pure_wall(wall).materialize(Box((2, 2), (5, 5)))
         moved = SymbolicWord(word.alphabet, word.box.translate((0, 0)), word.grid)
         assert equals_on(moved, word, word.box)
 

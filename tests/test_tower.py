@@ -18,6 +18,7 @@ from oracles import (
     redistribute_by_rows,
     same_placements,
     tiles_meeting_by_parts,
+    tiling_from_parts,
 )
 from test_cli import (
     GOLDEN_BUILDS,
@@ -39,7 +40,7 @@ from dominofill import (
     validate_family,
 )
 from dominofill import sft, tower
-from dominofill.brickfill import FilledWord
+from dominofill.brickfill import FilledWord, placements_of
 from dominofill.cli.config import parse_config
 from dominofill.cli.main import _family_and_plan, main
 from dominofill.cli.verify import verify_tiling
@@ -153,6 +154,29 @@ class TestPlanStages:
             plan_stages(flagship, FLAGSHIP_TARGETS, mode="relaxed", sides=(56,))
         assert info.value.constraint == "stage_side"
         assert plan_stages(flagship, FLAGSHIP_TARGETS, mode="relaxed", sides=(64, 512))
+
+    def test_stage_count_must_agree(self, flagship):
+        """The cut points, else the sides, set the stage count; a count or a
+        side list that disagrees with them is refused, not ignored."""
+        relaxed = dict(mode="relaxed", sides=(64, 512))
+        assert plan_stages(flagship, FLAGSHIP_TARGETS, count=2, **relaxed).stage_count == 2
+        for count in (0, 1, 3):
+            with pytest.raises(Infeasible, match=f"count {count} disagrees with sides 64,512") as e:
+                plan_stages(flagship, FLAGSHIP_TARGETS, count=count, **relaxed)
+            assert e.value.constraint == "stage_side"
+        f3 = validate_family([(2,), (3,), (5,)])
+        t3 = TargetDistribution.of(["1/2", "2/5", "1/10"])
+        countable = dict(mode="relaxed", cutoffs=(2, 3))
+        assert plan_stages(f3, t3, count=2, **countable).stage_count == 2
+        refusals = [
+            (dict(count=3), "cutoffs", "2 cut points for 3 stages"),
+            (dict(sides=(33,)), "cutoffs", "2 cut points for 1 stages"),
+            (dict(count=2, sides=(33,)), "stage_side", "count 2 disagrees with sides 33"),
+        ]
+        for kwargs, constraint, message in refusals:
+            with pytest.raises(Infeasible, match=message) as e:
+                plan_stages(f3, t3, **countable, **kwargs)
+            assert e.value.constraint == constraint
 
     def test_target_count_must_match_family(self, flagship):
         with pytest.raises(InvalidTargets):
@@ -560,7 +584,9 @@ def test_band_placements_match_word_path(name):
         for fill in kept.fills:
             word = fill.materialize(kept.band)
             assert validate_word(word) == []
-            assert same_placements(fill.placements(kept.band), sft.decode(word).tiling)
+            codes, anchors, _ = placements_of([fill], kept.band)
+            placed = Tiling(fill.alphabet.tile_shapes, codes, anchors)
+            assert same_placements(placed, sft.decode(word).tiling)
         stages.append(state.blocks.towers.stage)
         state = kept.state
     assert stages == ([3, 2] if name == "three_stage" else [2])
@@ -587,7 +613,8 @@ def assert_wall_lattice_is_its_decode(alphabet, tile, translate, box):
     codes, anchors = tower._wall_placements(alphabet, tile, translate, box)
     lattice = Tiling(alphabet.tile_shapes, codes, anchors, box)
     canon = lattice.sorted_canonical()
-    decoded = sft.decode(BrickWall(alphabet, tile, translate).materialize(box))
+    wall = FilledWord.pure_wall(BrickWall(alphabet, tile, translate))
+    decoded = sft.decode(wall.materialize(box))
     want = decoded.tiling.sorted_canonical()
     assert np.array_equal(canon.codes, want.codes)
     assert np.array_equal(canon.anchors, want.anchors)
@@ -839,7 +866,7 @@ def block_grid_tiling(assignments, alphabet):
             for dx in range(0, 6, w):
                 for dy in range(0, 6, h):
                     parts.append((tile, [(base[0] + dx, base[1] + dy)]))
-    return Tiling.from_parts(
+    return tiling_from_parts(
         dict(alphabet.tile_shapes), parts, Box((0, 0), (60, 60))
     )
 
@@ -884,7 +911,7 @@ class TestRedistribute:
             for dx in range(0, 6, w):
                 for dy in range(0, 6, h):
                     parts.append((tile, [(6 * gx + dx, 6 * gy + dy)]))
-        t = Tiling.from_parts(dict(flagship_alphabet.tile_shapes), parts, Box((0, 0), (60, 60)))
+        t = tiling_from_parts(dict(flagship_alphabet.tile_shapes), parts, Box((0, 0), (60, 60)))
         out = redistribute(t, FLAGSHIP_TARGETS, seed=3)
         assert same_placements(out, t)
 
@@ -923,7 +950,7 @@ def random_pools(dim, rng, wide):
     counts += [int(rng.integers(10, 40)), int(rng.integers(0, 30))]
     span = 2**61 if wide else 40
     parts = [(t, rng.integers(-span, span, (n, dim))) for t, n in zip(present, counts)]
-    tiling = Tiling.from_parts({t: (small | large)[t] for t in present}, parts, None)
+    tiling = tiling_from_parts({t: (small | large)[t] for t in present}, parts, None)
     order = rng.permutation(len(tiling))
     tiling = Tiling(tiling.tile_shapes, tiling.codes[order], tiling.anchors[order])
     targets = TargetDistribution.of(["3/8", "1/4", "1/4"], tail_mass=Fraction(1, 8))
