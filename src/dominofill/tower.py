@@ -165,6 +165,18 @@ class StagePlan:
         total = math.prod(int(e) for e in window_shape)
         return 1 - Fraction(min(covered, total), total)
 
+    def tail_content(self, stage: int) -> int:
+        """Cells of whole stage-``stage`` bricks, aligned to the tower anchor,
+        in one tower's block domain: what a tail tower of that stage holds."""
+        spec = self.stages[stage - 1]
+        domain = block_domain(spec.side, spec.collar, self.family.dim)
+        if domain is None:
+            return 0
+        period = self.brick_shape(stage)
+        return math.prod(
+            max((e - (-a) % p) // p, 0) * p for a, e, p in zip(domain.anchor, domain.shape, period)
+        )
+
     def predicted_error_budget(self) -> Fraction:
         """Sum of the per-stage sublattice error budgets."""
         return sum((s.error_budget for s in self.stages), start=Fraction(0))
@@ -240,6 +252,9 @@ def plan_stages(
         stages=tuple(specs),
         cutoffs=tuple(cuts) if cuts else None,
     )
+    for stage, spec in enumerate(plan.stages, start=1):
+        if spec.tail_mass and plan.tail_content(stage) == 0:
+            raise Infeasible("stage_side", f"stage {stage} tail towers hold no whole brick")
     bound = plan.collar_mass_bound()
     if mode == "strict" and bound >= plan.min_small_target():
         raise Infeasible(
@@ -1088,23 +1103,15 @@ def _select_tails(plan: StagePlan, towers: StageTowers, rng: SplitMix64) -> np.n
     """Pick how many towers carry this stage's coarser brick, and which.
 
     The count matches the stage's reserved tail mass against the whole-brick
-    content cells one tower's interior actually holds, rounded to nearest.
+    content cells one tower's interior actually holds (``StagePlan.tail_content``,
+    which ``plan_stages`` refuses to leave at 0), rounded to nearest.
     Returns a boolean mask over ``towers.anchors``.
     """
     spec = plan.stages[towers.stage - 1]
     tails = np.zeros(towers.count, dtype=bool)
     if spec.tail_mass == 0 or towers.count == 0:
         return tails
-    period = plan.brick_shape(towers.stage)
-    domain = block_domain(spec.side, spec.collar, towers.window.dim)
-    content = 0
-    if domain is not None:
-        content = math.prod(
-            max((e - (-a) % p) // p, 0) * p for a, e, p in zip(domain.anchor, domain.shape, period)
-        )
-    if content <= 0:
-        raise Infeasible("stage_side", f"stage {towers.stage} tail towers hold no whole brick")
-    want = spec.tail_mass * towers.window.volume / content
+    want = spec.tail_mass * towers.window.volume / plan.tail_content(towers.stage)
     count = min(int(want + Fraction(1, 2)), towers.count)
     idx = np.arange(towers.count)
     rng.shuffle(idx)

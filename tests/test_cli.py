@@ -47,7 +47,7 @@ from dominofill.cli.render import render_ascii, render_svg
 from dominofill.cli import verify
 from dominofill.cli.verify import MAX_REPORTED, verify_tiling, verify_word
 from dominofill.numerics import validate_family
-from dominofill.sft import Symbol, SymbolicWord, Tiling
+from dominofill.sft import Symbol, SymbolicWord, Tiling, build_alphabet
 
 FLAGSHIP_INI = """\
 [run]
@@ -316,6 +316,14 @@ class TestTilingFiles:
             parse_tiling(good + "9 0 0\n")  # unknown tile id
         with pytest.raises(ParseError):
             parse_tiling(good + "1 0\n")  # wrong coordinate count
+        head = "dominofill tiling v1\ndim {}\nshapes {}\nwindow {}\nseed 0\n"
+        for text, message in [
+            ("", "empty file"),
+            (head.format(1, "1", "none"), "bad shapes token '1'"),
+            (head.format(2, "1:3x2", "0 0 8"), "window line needs 4 integers"),
+        ]:
+            with pytest.raises(ParseError, match=message):
+                parse_tiling(text)
 
 
 def sample_word(flagship_alphabet):
@@ -480,6 +488,17 @@ class TestVerifyWord:
         assert problems
         assert any("axis" in p for p in problems)
 
+    def test_breaches_past_the_reported_are_counted(self):
+        """60 cells that each start a 2-tile on the line: each of the 59 pairs
+        breaks the rule, MAX_REPORTED are named and the rest counted."""
+        alphabet = build_alphabet(validate_family([(2,), (3,)]))
+        start = alphabet.symbols.index(Symbol(1, (0,)))
+        w = SymbolicWord(alphabet, Box((0,), (60,)), np.full(60, start, dtype=np.int32))
+        problems = verify_word(w)
+        assert len(problems) == MAX_REPORTED + 1
+        assert problems[0] == "cell (0,) axis 0: 1@(0,) cannot precede 1@(0,)"
+        assert problems[-1] == f"... and {59 - MAX_REPORTED} more along axis 0"
+
     def test_gaps_are_ignored(self, flagship_alphabet):
         w = SymbolicWord(flagship_alphabet, Box((0, 0), (4, 4)))
         set_cell(w, (1, 1), Symbol(2, (1, 1)))
@@ -589,6 +608,35 @@ class TestRender:
         t = tiling_from_parts(shapes, [(1, [(0,), (2,)]), (2, [(4,)])], Box((0,), (7,)))
         art = render_ascii(t)
         assert art.strip()
+
+    def test_ascii_marks_each_brick_stage(self):
+        """Small tiles draw as their digit, each brick stage as its own mark."""
+        shapes = {1: (2,), 2: (2,), "P1": (6,), "P2": (30,)}
+        parts = [(1, [(0,)]), ("P1", [(2,)]), ("P2", [(8,)]), (2, [(38,)])]
+        art = render_ascii(tiling_from_parts(shapes, parts, Box((0,), (40,))))
+        assert art == "11" + "#" * 6 + "%" * 30 + "22\n"
+
+    def test_svg_without_window_draws_the_bounding_box(self):
+        t = tiling_from_parts({1: (3, 2), 2: (2, 3)}, [(1, [(5, 7)]), (2, [(8, 7)])])
+        svg = render_svg(t)
+        assert 'viewBox="0 0 40 24"' in svg
+        assert '<rect x="0" y="0" width="24" height="16"' in svg
+        assert '<rect x="24" y="0" width="16" height="24"' in svg
+        empty = tiling_from_parts({1: (3, 2)}, [(1, [])])
+        assert 'viewBox="0 0 8 8"' in render_svg(empty)  # one cell at the origin
+
+    def test_density_map_past_the_cell_cap(self, tmp_path, capsys):
+        """The benchmark's flagship window, 1536^2, has more cells than are
+        drawn one by one: render writes a density map, and says so."""
+        ini = tmp_path / "run.ini"
+        ini.write_text(FLAGSHIP_PLAN_INI, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["build", "--config", str(ini), "--out", str(out)]) == 0
+        assert main(["render", str(out / "tiling.txt"), "--out", str(out)]) == 0
+        capsys.readouterr()
+        svg = (out / "render.svg").read_text(encoding="utf-8")
+        assert "<!-- density map: 135000 placements over 2359296 cells -->\n" in svg
+        assert 'viewBox="0 0 1024 1024"' in svg
 
 
 @pytest.fixture()
@@ -778,16 +826,32 @@ class TestMain:
                     for x in range(2**63 - 2, 2**63 + 1)
                 ],
             ),
+            # Window bounds outside int64, compared as Python ints: a tile at
+            # -2^63 lies above a window that ends there, and one at 2^63 - 2
+            # inside a window that runs past 2^63.
+            (
+                "dim 1\nshapes 1:1\nwindow -9223372036854775818 10",
+                "1 -9223372036854775808\n",
+                ["placement 1 at (-9223372036854775808,) leaves the window"],
+            ),
+            ("dim 1\nshapes 1:1\nwindow 9223372036854775800 100", "1 9223372036854775806\n", []),
         ],
-        ids=["end_past_int64_2d", "end_past_int64_1d", "spread_past_int64", "overlap_past_int64"],
+        ids=[
+            "end_past_int64_2d", "end_past_int64_1d", "spread_past_int64", "overlap_past_int64",
+            "window_below_int64", "window_past_int64",
+        ],
     )
     @pytest.mark.filterwarnings("error")  # an int64 wrap warns before it misreports
     def test_verify_anchors_at_the_int64_edge(self, tmp_path, capsys, header, body, want):
         path = tmp_path / "edge.txt"
         path.write_text(f"dominofill tiling v1\n{header}\nseed 0\n{body}", encoding="utf-8")
-        assert main(["verify", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.splitlines() == want + [f"FAIL: {len(want)} violations in {path}"]
+        status = main(["verify", str(path)])
+        out, err = capsys.readouterr()
+        if not want:
+            assert (status, out, err) == (0, f"OK: {path}\n", "")
+        else:
+            assert status == 1
+            assert err.splitlines() == want + [f"FAIL: {len(want)} violations in {path}"]
 
     def test_verify_rejects_cell_listed_twice(self, tmp_path, capsys):
         path = tmp_path / "twice.txt"
@@ -891,6 +955,44 @@ class TestMain:
         assert main(["verify", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["stats", "render", "redistribute"])
+    def test_word_file_is_not_a_tiling(self, command, fill_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["fill", "--config", fill_cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        path = out / "fill.txt"
+        extra = {"stats": [], "render": ["--out", str(tmp_path / "x")],
+                 "redistribute": ["--config", fill_cfg, "--out", str(tmp_path / "x")]}
+        assert main([command, str(path), *extra[command]]) == 1
+        assert capsys.readouterr() == ("", f"error: {path} is not a tiling file\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_fill_needs_its_fill_keys(self, flagship_cfg, tmp_path, capsys):
+        assert main(["fill", "--config", flagship_cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == (
+            "", "error: fill needs [fill] inner_translate, outer_translate, box_anchor, box_shape\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "shapes, window, message",
+        [
+            ({1: (3, 2), 2: (2, 3)}, None, "redistribution needs a tiling with a window"),
+            ({1: (3, 2), 2: (2, 3), 3: (1, 1)}, Box((0, 0), (8, 8)), "3 small tiles, 2 targets"),
+        ],
+        ids=["window_none", "more_small_tiles_than_targets"],
+    )
+    def test_redistribute_refusals(self, shapes, window, message, flagship_cfg, tmp_path, capsys):
+        parts = [(1, [(0, 0)]), (2, [(3, 0)])] + ([(3, [(7, 7)])] if 3 in shapes else [])
+        path = tmp_path / "in.txt"
+        write_atomic(str(path), serialize_tiling(tiling_from_parts(shapes, parts, window)))
+        assert main(["verify", str(path)]) == 0
+        capsys.readouterr()
+        argv = ["redistribute", str(path), "--config", flagship_cfg, "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "o").exists()
+
     def test_render_ascii_for_line_file(self, tmp_path, capsys):
         shapes = {1: (2,), 2: (3,)}
         t = tiling_from_parts(shapes, [(1, [(0,)]), (2, [(2,)])], Box((0,), (5,)))
@@ -977,12 +1079,35 @@ BAD_CONFIGS = [
     ),
 ]
 BAD_IDS = [name for name, _, _ in BAD_CONFIGS]
+# The countable line with the relaxed minimal stage-2 side: its tail towers'
+# block domain, [39, 75), holds no whole 30-brick.
+TAIL_TOWER_INI = """\
+[run]
+dim = 1
+window = 2000
+mode = relaxed
+
+[family]
+shapes = 2 3 5
+
+[targets]
+probs = 1/2 2/5 1/10
+
+[plan]
+sides = 33,114
+cutoffs = 2,3
+"""
 # Configs that read, but whose plan the planner refuses.
 BAD_PLANS = [
     (
         "count_disagrees_with_sides",
         FLAGSHIP_INI.replace("sides = 64", "sides = 64\ncount = 2"),
         "plan constraint 'stage_side'",
+    ),
+    (
+        "tail_towers_hold_no_brick",
+        TAIL_TOWER_INI,
+        "plan constraint 'stage_side' cannot be met: stage 2 tail towers hold no whole brick",
     ),
 ]
 

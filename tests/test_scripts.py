@@ -49,12 +49,6 @@ def test_window_sweep_runs():
     assert len(lines) == 2 and lines[1].split()[:2] == ["1024", "1"]
 
 
-def test_run_flagship_runs(tmp_path):
-    stdout = run_script("run_flagship.py", "--window", "1024", "--out", str(tmp_path))
-    assert "verifier errors: 0" in stdout
-    assert (tmp_path / "tiling.txt").exists() and (tmp_path / "report.json").exists()
-
-
 def test_compare_digests_reports_each_op(tmp_path):
     ops = [{"seed": s, "digests": {"tiling.txt": f"t{s}", "report.json": f"r{s}"}}
            for s in (1, 2)]

@@ -86,6 +86,10 @@ class TestTargetDistribution:
         with pytest.raises(NonpositiveTarget):
             TargetDistribution.of(["1/2", "1/2", 0])
 
+    def test_negative_tail_mass(self):
+        with pytest.raises(NonpositiveTarget, match="tail mass must be >= 0"):
+            TargetDistribution.of(["1/2", "1/2"], tail_mass=Fraction(-1, 10))
+
     def test_tail_mass_counts_toward_sum(self):
         t = TargetDistribution.of(["1/2", "2/5"], tail_mass=Fraction(1, 10))
         assert t.tail_mass == Fraction(1, 10)
@@ -167,7 +171,7 @@ class TestPlanStages:
         f3 = validate_family([(2,), (3,), (5,)])
         t3 = TargetDistribution.of(["1/2", "2/5", "1/10"])
         countable = dict(mode="relaxed", cutoffs=(2, 3))
-        assert plan_stages(f3, t3, count=2, **countable).stage_count == 2
+        assert plan_stages(f3, t3, count=2, sides=(33, 200), **countable).stage_count == 2
         refusals = [
             (dict(count=3), "cutoffs", "2 cut points for 3 stages"),
             (dict(sides=(33,)), "cutoffs", "2 cut points for 1 stages"),
@@ -177,6 +181,61 @@ class TestPlanStages:
             with pytest.raises(Infeasible, match=message) as e:
                 plan_stages(f3, t3, **countable, **kwargs)
             assert e.value.constraint == constraint
+
+    def test_tail_towers_must_hold_a_brick(self):
+        """A countable stage with a tail mass is refused when its tail towers'
+        block domain holds no whole brick of the stage: with collar 38 the
+        stage-2 domain is [39, side - 39), and the first 30-brick in it starts
+        at 60, so a side below 129 holds none.  The relaxed minimum, 114, is
+        such a side."""
+        f3 = validate_family([(2,), (3,), (5,)])
+        t3 = TargetDistribution.of(["1/2", "2/5", "1/10"])
+        countable = dict(mode="relaxed", cutoffs=(2, 3))
+        for kwargs in (dict(count=2), dict(sides=(33, 114)), dict(sides=(33, 128))):
+            with pytest.raises(Infeasible, match="stage 2 tail towers hold no whole brick") as e:
+                plan_stages(f3, t3, **countable, **kwargs)
+            assert e.value.constraint == "stage_side"
+        for side, content in ((129, 30), (200, 90)):
+            plan = plan_stages(f3, t3, **countable, sides=(33, side))
+            assert plan.tail_content(2) == content
+
+    @pytest.mark.parametrize(
+        "family, probs, tail_mass, kwargs, error, message",
+        [
+            ("flagship", ["2/5", "3/5"], 0, dict(mode="strict"),
+             "stage_side", "need a stage count or explicit sides"),
+            ("flagship", ["2/5", "1/2"], "1/10", dict(count=1),
+             InvalidTargets, "a tail mass needs cut points"),
+            ("line3", ["1/2", "2/5", "1/10"], 0, dict(mode="relaxed", cutoffs=(3, 2)),
+             "cutoffs", r"cut points \[3, 2\] must increase within 2..3"),
+            ("flagship", ["2/5", "3/5"], 0, dict(count=1, mode="lax"),
+             ValueError, "unknown mode 'lax'"),
+            ("flagship", ["2/5", "3/5"], 0, dict(sides=(449,), gaps=(1, 2)),
+             "stage_side", "need 1 nonnegative gaps"),
+            ("flagship", ["2/5", "3/5"], 0, dict(count=2, error_budgets=["1/8"]),
+             "error_budget", "need 2 budgets"),
+            # Every tail decays fast enough, but stage 2's block, tiles 3 and
+            # 4, holds 1/2048: no more than the 1/1024 tail mass past the last cut.
+            ("line4", ["2045/4096", "2045/4096", "1/4096", "1/4096"], "1/1024",
+             dict(cutoffs=(2, 3, 4)), "tail_order", "stage 2 block mass too small"),
+        ],
+        ids=["no_count_or_sides", "tail_without_cutoffs", "cutoffs_not_increasing",
+             "unknown_mode", "gaps_of_wrong_length", "budgets_of_wrong_length", "tail_order"],
+    )
+    def test_planner_refusals(self, flagship, family, probs, tail_mass, kwargs, error, message):
+        """Each refusal raises its exception; an ``Infeasible`` names its
+        constraint (``error`` is then the constraint's name)."""
+        families = {
+            "flagship": flagship,
+            "line3": validate_family([(2,), (3,), (5,)]),
+            "line4": validate_family([(2,), (3,), (5,), (7,)]),
+        }
+        targets = TargetDistribution.of(probs, tail_mass)
+        expected = Infeasible if isinstance(error, str) else error
+        with pytest.raises(expected, match=message) as e:
+            plan_stages(families[family], targets, **kwargs)
+        if expected is Infeasible:
+            assert e.value.constraint == error
 
     def test_target_count_must_match_family(self, flagship):
         with pytest.raises(InvalidTargets):
