@@ -5,11 +5,13 @@ Files are UTF-8 text and line-oriented: a version marker, then ``dim``,
 placement (``tile x_1 .. x_d``) or per assigned cell (``x_1 .. x_d tile
 o_1 .. o_d``); one record layout (``TILING``, ``WORD``) serves both kinds.
 Writes are atomic (temp file + rename) and byte-deterministic for a given
-object, which is what makes seeded runs diffable.
+object, which is what makes seeded runs diffable.  ``load_any(path)`` is the
+one reader: the file's bytes go in, line ends rewritten on the bytes.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import string
 import tempfile
@@ -90,13 +92,9 @@ def _parse_window(rest: list[str], dim: int) -> Box | None:
     return Box(tuple(values[:dim]), tuple(values[dim:]))
 
 
-def _read_header(lines: list[str], magic: str) -> tuple[int, dict, Box | None, int, int]:
-    if not lines:
-        raise ParseError("empty file")
-    if lines[0] != magic:
-        if lines[0].startswith("dominofill "):
-            raise VersionMismatch(f"expected {magic!r}, found {lines[0]!r}")
-        raise ParseError(f"missing {magic!r} marker")
+def _read_header(lines: list[str]) -> tuple[int, dict, Box | None, int, int]:
+    """The header lines after the format marker ``lines[0]``, which the
+    caller has matched: (dim, shapes, window, seed, index of the first record)."""
     header = {}
     for idx, key in enumerate(("dim", "shapes", "window", "seed"), 1):
         if idx >= len(lines):
@@ -273,7 +271,7 @@ def _parse_bulk(data: bytes, kind: _Kind) -> tuple | None:
             if line.splitlines() != [line]:
                 return None
             lines.append(line)
-    dim, shapes, window, seed, _ = _read_header(lines, kind.magic)
+    dim, shapes, window, seed, _ = _read_header(lines)
     if dim >= 2**62:  # (2 * dim, n) arrays need 2 * dim to fit in intp
         return None
     width = len(kind.fields) * dim + 1
@@ -399,7 +397,7 @@ def _int64_tokens(
 def _walk_lines(text: str, kind: _Kind) -> tuple:
     """What ``_parse_bulk`` returns, one ``str.split`` and ``int`` per line."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    dim, shapes, window, seed, idx = _read_header(lines, kind.magic)
+    dim, shapes, window, seed, idx = _read_header(lines)
     tiles, rows = [], []
     for ln in lines[idx:]:
         parts = ln.split()
@@ -409,18 +407,6 @@ def _walk_lines(text: str, kind: _Kind) -> tuple:
         rows.append([int(x) for x in parts])
     fields = [[row[k * dim : (k + 1) * dim] for row in rows] for k in range(len(kind.fields))]
     return (dim, shapes, window, seed), (*_distinct(tiles), fields)
-
-
-def _read_text(text: str | bytes, kind: _Kind) -> tuple:
-    """(object, seed) of a text file, given as text or as ASCII bytes with
-    ``\\n`` line ends; read from its bytes in bulk where it can be, else by
-    the line walk over its text."""
-    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
-    with _fields_of(kind.name):
-        (dim, shapes, window, seed), records = _parse_bulk(data, kind) or _walk_lines(
-            text if isinstance(text, str) else text.decode("ascii"), kind
-        )
-        return kind.build(shapes, dim, window, *records), seed
 
 
 def _coords(rows, dim: int) -> np.ndarray:
@@ -505,14 +491,6 @@ TILING = _Kind("tiling", "dominofill tiling v1", ("anchor",), 0, _build_tiling)
 WORD = _Kind("word", "dominofill word v1", ("cell", "offset"), 1, _build_word)
 
 
-def parse_tiling(text: str) -> tuple[Tiling, int]:
-    return _read_text(text, TILING)
-
-
-def parse_word(text: str) -> tuple[SymbolicWord, int]:
-    return _read_text(text, WORD)
-
-
 @dataclass(frozen=True)
 class LoadedFile:
     """Either a tiling or a word, as found on disk."""
@@ -523,38 +501,34 @@ class LoadedFile:
     seed: int = 0
 
 
-# The ASCII bytes ``str.isspace`` accepts, as ``str.lstrip`` strips them.
-_SPACE = bytes(c for c in range(128) if chr(c).isspace())
-
-
 def load_any(path: str) -> LoadedFile:
-    """The tiling or word in a file, read as text mode reads it.
+    """The tiling or word in a file, read as a text-mode read reads it.
 
-    The file is read once, as bytes.  ASCII bytes with no ``\\r`` are what
-    text mode reads, so only their head (the first non-blank line and the
-    blank lines before it) is decoded to tell the kind, and the file goes to
-    the bulk parser as bytes.  Any other file is decoded as UTF-8 with
-    universal newlines.
+    The file is read once, as bytes, which must be UTF-8.  Where they hold a
+    ``\\r``, ``\\r\\n`` and a lone ``\\r`` become ``\\n`` on the bytes, as universal
+    newlines read them: no UTF-8 character holds a ``\\r`` byte.  The first
+    non-blank line tells the kind; the bytes then go to the bulk parser, and
+    to the line walk over their text where it declines them.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if data.isascii() and b"\r" not in data:
-        text, start = None, len(data) - len(data.lstrip(_SPACE))
-        end = data.find(b"\n", start)
-        head = data[: len(data) if end < 0 else end].decode("ascii")
-    else:
-        try:
-            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path!r} is not UTF-8: {exc}") from exc
-        start = len(text) - len(text.lstrip())
-        end = text.find("\n", start)
-        head = text if end < 0 else text[:end]
-    # The first non-blank line, unstripped, as parse_tiling and parse_word read it.
-    first = next((ln for ln in head.splitlines() if ln.strip()), "")
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path!r} is not UTF-8: {exc}") from exc
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    # The text's lines, one "\n" line of bytes decoded at a time: a "\n" ends
+    # a line of both, and str.splitlines splits at the others.
+    lines = (ln for raw in io.BytesIO(data) for ln in raw.decode("utf-8").splitlines())
+    first = next((ln for ln in lines if ln.strip()), "")  # unstripped
     for kind in (TILING, WORD):
         if first == kind.magic:
-            built, seed = _read_text(data if text is None else text, kind)
+            with _fields_of(kind.name):
+                (dim, shapes, window, seed), records = _parse_bulk(data, kind) or _walk_lines(
+                    data.decode("utf-8"), kind
+                )
+                built = kind.build(shapes, dim, window, *records)
             return LoadedFile(kind.name, seed=seed, **{kind.name: built})
     if first.startswith("dominofill "):
         raise VersionMismatch(f"unsupported format marker {first!r}")

@@ -28,6 +28,7 @@ from ..tower import (
     TargetDistribution,
     TargetsInfeasible,
     WindowTooSmall,
+    check_window_holds,
     plan_stages,
     redistribute,
     run_pipeline,
@@ -112,6 +113,8 @@ def _load_tiling(path: str, verified: bool = True) -> Tiling:
 def cmd_plan(args) -> int:
     cfg = _load_with_overrides(args)
     family, targets, plan = _family_and_plan(cfg)
+    for spec in plan.stages:  # as the build samples them, stage 1 first
+        check_window_holds(cfg.window_shape, spec.side)
     print(f"family: {len(family.shapes)} tiles, d={family.dim}")
     print(f"large brick: {family.large_shape}  threshold: {family.threshold}  "
           f"fill length: {family.fill_length}")

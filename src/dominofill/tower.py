@@ -218,7 +218,7 @@ def plan_stages(
     closed form is 2d * (collar + 2 + previous side) * 4^i + 1, and refuses a
     side above ``SIDE_CAP``.  Relaxed mode only requires every stage to fit
     its blocks (side >= 2 * (collar + 2) + previous side + 1) and records the
-    supplied budgets for reporting rather than enforcing decay.
+    supplied budgets, each in (0, 1), for reporting rather than enforcing decay.
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -305,10 +305,11 @@ def _resolve_budgets(error_budgets, n_stages, mode):
     budgets = [_as_fraction(b) for b in error_budgets]
     if len(budgets) != n_stages:
         raise Infeasible("error_budget", f"need {n_stages} budgets")
-    if mode == "strict":
-        for i, b in enumerate(budgets, start=1):
-            if not 0 < b < Fraction(1, 4**i):
-                raise Infeasible("error_budget", f"stage {i} budget {b} not below 1/4^{i}")
+    for i, b in enumerate(budgets, start=1):
+        if mode == "strict" and not 0 < b < Fraction(1, 4**i):
+            raise Infeasible("error_budget", f"stage {i} budget {b} not below 1/4^{i}")
+        if not 0 < b < 1:
+            raise Infeasible("error_budget", f"stage {i} budget {b} not in (0, 1)")
     return budgets
 
 
@@ -419,6 +420,13 @@ class StageTowers:
         return cell, inside
 
 
+def check_window_holds(shape: Sequence[int], side: int) -> None:
+    """Refuse a window ``shape`` with an extent below ``side``, which holds no
+    tower of that side at any offset (``WindowTooSmall``)."""
+    if any(e < side for e in shape):
+        raise WindowTooSmall(f"window {tuple(shape)} cannot hold side {side}")
+
+
 def sample_towers(
     plan: StagePlan,
     window: Box,
@@ -432,8 +440,7 @@ def sample_towers(
     seeded stream; pass ``offset`` to pin it instead.
     """
     spec = plan.stages[stage - 1]
-    if any(e < spec.side for e in window.shape):
-        raise WindowTooSmall(f"window {window.shape} cannot hold side {spec.side}")
+    check_window_holds(window.shape, spec.side)
     step = spec.step
     if offset is None:
         rng = SplitMix64(seed)

@@ -19,6 +19,8 @@ file oracles share only the header helpers with the package.
 """
 
 import math
+import os
+import tempfile
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -33,8 +35,7 @@ from dominofill.cli.files import (
     _parse_tile,
     _read_header,
     _window_line,
-    parse_tiling,
-    parse_word,
+    load_any,
 )
 from dominofill.brickfill import BrickWall, GapTooNarrow, InwardEmpty, fill_between
 from dominofill.geometry import Box, grid_rows, interior, within
@@ -545,7 +546,7 @@ def parse_by_lines(text):
     tile and sorted into canonical order at the end.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    dim, shapes, window, seed, idx = _read_header(lines, TILING_MAGIC)
+    dim, shapes, window, seed, idx = _read_header(lines)
     tiles = []
     anchors = []
     for ln in lines[idx:]:
@@ -644,7 +645,7 @@ def serialize_word_by_lines(word, seed=0):
 def parse_word_by_lines(text):
     """(word, seed) of a word file, one ``str.split`` and ``int`` per line."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    dim, shapes, window, seed, idx = _read_header(lines, WORD_MAGIC)
+    dim, shapes, window, seed, idx = _read_header(lines)
     records = []
     for ln in lines[idx:]:
         parts = ln.split()
@@ -658,7 +659,7 @@ def parse_word_by_lines(text):
 def load_by_text_mode(path):
     """``load_any`` as one text-mode read of the file: UTF-8 decoded whole,
     universal newlines, the kind told from the first non-blank line, then
-    the package's reader of that kind."""
+    the line reader of that kind."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -667,13 +668,25 @@ def load_by_text_mode(path):
     end = text.find("\n", len(text) - len(text.lstrip()))
     head = text if end < 0 else text[:end]
     first = next((ln for ln in head.splitlines() if ln.strip()), "")
-    for kind, parse in (("tiling", parse_tiling), ("word", parse_word)):
+    for kind, parse in (("tiling", parse_by_lines), ("word", parse_word_by_lines)):
         if first == f"dominofill {kind} v1":
             built, seed = parse(text)
             return LoadedFile(kind, seed=seed, **{kind: built})
     if first.startswith("dominofill "):
         raise VersionMismatch(f"unsupported format marker {first!r}")
     raise ParseError(f"unrecognized file {path!r}")
+
+
+def load_text(text):
+    """(tiling or word, seed) that ``load_any`` reads from a file of ``text``.
+
+    Not an oracle: it lets a test hand the package's one reader a string."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "file.txt")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        loaded = load_any(path)
+    return getattr(loaded, loaded.kind), loaded.seed
 
 
 def locate_by_points(towers, points, lo, hi):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import same_placements, set_cell, tiling_from_parts, verify_tiling_by_rows
+from oracles import load_text, same_placements, set_cell, tiling_from_parts, verify_tiling_by_rows
 
 import dominofill
 from dominofill import Box, BrickWall
@@ -36,8 +36,6 @@ from dominofill.cli.files import (
     VersionMismatch,
     file_blocks,
     load_any,
-    parse_tiling,
-    parse_word,
     serialize_tiling,
     write_atomic,
 )
@@ -297,7 +295,7 @@ class TestTilingFiles:
     def test_text_round_trip(self):
         t = sample_tiling()
         text = serialize_tiling(t, seed=7)
-        back, seed = parse_tiling(text)
+        back, seed = load_text(text)
         assert seed == 7
         assert same_placements(back, t)
         assert back.window == t.window
@@ -306,24 +304,23 @@ class TestTilingFiles:
     def test_version_mismatch(self):
         text = serialize_tiling(sample_tiling())
         with pytest.raises(VersionMismatch):
-            parse_tiling(text.replace("tiling v1", "tiling v9", 1))
+            load_text(text.replace("tiling v1", "tiling v9", 1))
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):
-            parse_tiling("not a tiling\n")
+            load_text("not a tiling\n")
         good = serialize_tiling(sample_tiling())
         with pytest.raises(ParseError):
-            parse_tiling(good + "9 0 0\n")  # unknown tile id
+            load_text(good + "9 0 0\n")  # unknown tile id
         with pytest.raises(ParseError):
-            parse_tiling(good + "1 0\n")  # wrong coordinate count
+            load_text(good + "1 0\n")  # wrong coordinate count
         head = "dominofill tiling v1\ndim {}\nshapes {}\nwindow {}\nseed 0\n"
         for text, message in [
-            ("", "empty file"),
             (head.format(1, "1", "none"), "bad shapes token '1'"),
             (head.format(2, "1:3x2", "0 0 8"), "window line needs 4 integers"),
         ]:
             with pytest.raises(ParseError, match=message):
-                parse_tiling(text)
+                load_text(text)
 
 
 def sample_word(flagship_alphabet):
@@ -335,7 +332,7 @@ class TestWordFiles:
     def test_text_round_trip(self, flagship_alphabet):
         w = sample_word(flagship_alphabet)
         text = b"".join(file_blocks(w, 5)).decode()
-        back, seed = parse_word(text)
+        back, seed = load_text(text)
         assert seed == 5
         assert back.box == w.box
         assert np.array_equal(back.grid, w.grid)
@@ -347,19 +344,19 @@ class TestWordFiles:
         lines = text.splitlines()
         lines[5] = lines[5].rsplit(" ", 2)[0] + " 9 9"
         with pytest.raises(ParseError):
-            parse_word("\n".join(lines) + "\n")
+            load_text("\n".join(lines) + "\n")
 
     def test_cell_outside_window_rejected(self, flagship_alphabet):
         w = sample_word(flagship_alphabet)
         text = b"".join(file_blocks(w, 0)).decode() + "50 50 P 0 0\n"
         with pytest.raises(ParseError):
-            parse_word(text)
+            load_text(text)
 
     def test_cell_listed_twice_rejected(self, flagship_alphabet):
         w = sample_word(flagship_alphabet)
         text = b"".join(file_blocks(w, 0)).decode() + "0 0 1 0 0\n"
         with pytest.raises(ParseError, match=r"cell \(0, 0\) listed twice"):
-            parse_word(text)
+            load_text(text)
 
 
 # A tiling in the JSON layout that earlier versions also wrote.
@@ -637,6 +634,8 @@ class TestRender:
         svg = (out / "render.svg").read_text(encoding="utf-8")
         assert "<!-- density map: 135000 placements over 2359296 cells -->\n" in svg
         assert 'viewBox="0 0 1024 1024"' in svg
+        digest = hashlib.sha256(svg.encode("utf-8")).hexdigest()
+        assert digest == "3f5679a7fd195add19e56d383fe4f67505b3e899c24493f04c2536628c41d92b"
 
 
 @pytest.fixture()
@@ -668,9 +667,9 @@ class TestMain:
     def test_plan_prints_schedule(self, tmp_path, capsys):
         ini = tmp_path / "strict.ini"
         ini.write_text(
-            FLAGSHIP_INI.replace("mode = relaxed", "mode = strict").replace(
-                "sides = 64", "count = 1"
-            ),
+            FLAGSHIP_INI.replace("mode = relaxed", "mode = strict")
+            .replace("sides = 64", "count = 1")
+            .replace("window = 300,300", "window = 500,500"),  # holds side 449
             encoding="utf-8",
         )
         assert main(["plan", "--config", str(ini)]) == 0
@@ -1109,6 +1108,11 @@ BAD_PLANS = [
         TAIL_TOWER_INI,
         "plan constraint 'stage_side' cannot be met: stage 2 tail towers hold no whole brick",
     ),
+    (
+        "relaxed_budget_below_zero",
+        FLAGSHIP_INI.replace("sides = 64", "sides = 64\nerror_budgets = -1/2"),
+        "plan constraint 'error_budget' cannot be met: stage 1 budget -1/2 not in (0, 1)",
+    ),
 ]
 
 RUN_FLAGS = {"--seed", "--mode", "--window", "--out", "--format"}
@@ -1165,6 +1169,25 @@ class TestUserErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert "(600, 600)" in err[0] and "stage 2" in err[0] and "offset (180, 248)" in err[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "mode, plan, side",
+        [("strict", "count = 1", 449), ("relaxed", "sides = 64,512", 512)],
+        ids=["strict_count_1", "relaxed_second_stage"],
+    )
+    def test_plan_refuses_a_window_that_holds_no_side(self, mode, plan, side, tmp_path, capsys):
+        """A 300x300 window below a stage's side is refused by ``plan`` with
+        the line ``build`` gives, before anything is printed or built."""
+        text = FLAGSHIP_INI.replace("mode = relaxed", f"mode = {mode}")
+        ini = tmp_path / "run.ini"
+        ini.write_text(text.replace("sides = 64", plan), encoding="utf-8")
+        outputs = []
+        for argv in (["plan"], ["build", "--out", str(tmp_path / "out")]):
+            assert main(argv + ["--config", str(ini)]) == 1
+            outputs.append(capsys.readouterr())
+        line = f"error: window (300, 300) cannot hold side {side}\n"
+        assert outputs == [("", line), ("", line)]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("window", ["10,x", "10", "10,0"])

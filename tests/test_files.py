@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import (
     iter_cells,
     load_by_text_mode,
+    load_text,
     parse_by_lines,
     parse_word_by_lines,
     same_placements,
@@ -29,8 +30,6 @@ from dominofill.cli.files import (
     ParseError,
     VersionMismatch,
     load_any,
-    parse_tiling,
-    parse_word,
     serialize_tiling,
     write_atomic,
 )
@@ -130,7 +129,7 @@ def test_writer_and_bulk_parser_match_line_oracles(case, chunk_rows):
         text = serialize_tiling(tiling, seed)
     assert text == serialize_by_lines(tiling, seed)
     want = outcome(parse_by_lines, text)
-    assert outcome(parse_tiling, text) == want
+    assert outcome(load_text, text) == want
     if all(len(str(p.tile)) <= 8 for p in tiling.placements()):
         assert outcome(parse_bulk_only, text) == want  # such written files never need the walk
     else:
@@ -148,7 +147,7 @@ def test_labels_group_across_chunks(monkeypatch, chunk_bytes):
         text = serialize_tiling(tiling_from_parts(shapes, parts, None), 1)
         want = outcome(parse_by_lines, text)
         assert want[0] == "ok" and len(want[1][3]) == 3 * len(ids)
-        assert outcome(parse_tiling, text) == want
+        assert outcome(load_text, text) == want
         if ids is SHORT_IDS:
             assert outcome(parse_bulk_only, text) == want
         else:
@@ -165,8 +164,8 @@ def test_labels_off_the_table_go_to_the_line_walk(label):
     word = f"dominofill word v1\n{header}0 0 1 0 0\n1 0 {label} 0 0\n"
     assert files._parse_bulk(tiling.encode(), files.TILING) is None
     assert files._parse_bulk(word.encode(), files.WORD) is None
-    assert outcome(parse_tiling, tiling) == outcome(parse_by_lines, tiling)
-    assert word_outcome(parse_word, word) == word_outcome(parse_word_by_lines, word)
+    assert outcome(load_text, tiling) == outcome(parse_by_lines, tiling)
+    assert word_outcome(load_text, word) == word_outcome(parse_word_by_lines, word)
 
 
 # Body labels against a header that lists HEADER_TILES: its own spellings
@@ -202,8 +201,8 @@ def test_label_lookup_matches_line_walk(case, chunk_bytes, data):
     word += "".join(f"{x} {y} {t} 0 0\n" for t, (x, y) in zip(labels, anchors))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(files, "_CHUNK_BYTES", chunk_bytes)
-        assert outcome(parse_tiling, tiling) == outcome(parse_by_lines, tiling)
-        assert word_outcome(parse_word, word) == word_outcome(parse_word_by_lines, word)
+        assert outcome(load_text, tiling) == outcome(parse_by_lines, tiling)
+        assert word_outcome(load_text, word) == word_outcome(parse_word_by_lines, word)
 
 
 # Odd body tokens: signs out of place, a lone sign, labels that read as ints
@@ -272,7 +271,7 @@ def test_tile_order_is_total(labels):
         header = " ".join(f"{t}:{labels.index(t) + 1}x1" for t in order)
         body = "".join(f"{t} {10 * labels.index(t)} 0\n" for t in order)
         text = f"dominofill tiling v1\ndim 2\nshapes {header}\nwindow none\nseed 4\n{body}"
-        texts.append(serialize_tiling(*parse_tiling(text)))
+        texts.append(serialize_tiling(*load_text(text)))
     assert texts[0] == texts[1]
     written = [1, 2, 10**12, "P", "P2", "P10", "P1234567", "P123456789"]
     assert sorted(TILE_IDS, key=tile_sort_key) == written  # the program's labels keep their order
@@ -293,7 +292,7 @@ def test_label_int_refuses_reads_back(tmp_path, capsys, label):
     shapes = {1: (1, 2), label: (2, 2)}
     tiling = tiling_from_parts(shapes, [(1, [(0, 0)]), (label, [(1, 0)])], Box((0, 0), (3, 2)))
     text = serialize_tiling(tiling, 7)
-    parsed, seed = parse_tiling(text)
+    parsed, seed = load_text(text)
     assert parsed.tile_shapes == shapes and seed == 7
     assert same_placements(parsed, tiling)
     path = tmp_path / "tiling.txt"
@@ -395,12 +394,12 @@ MALFORMED = {
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_bodies_match_line_walk(name):
     text = MALFORMED[name]
-    assert outcome(parse_tiling, text) == outcome(parse_by_lines, text)
+    assert outcome(load_text, text) == outcome(parse_by_lines, text)
 
 
 def test_uneven_lines_are_not_counted_as_tokens():
     text = MALFORMED["uneven_lines_even_token_count"]
-    assert outcome(parse_tiling, text) == ("ParseError", "bad placement line '1 0'")
+    assert outcome(load_text, text) == ("ParseError", "bad placement line '1 0'")
 
 
 @pytest.mark.parametrize(
@@ -435,6 +434,16 @@ def test_load_any_reads_first_line(tmp_path, first, error):
         assert str(exc.value) == f"unsupported format marker {first!r}"
     else:
         assert str(exc.value) == f"unrecognized file {str(path)!r}"
+
+
+@pytest.mark.parametrize("data", [b"", b"\n \r\n\t\n"], ids=["empty", "blank_lines"])
+def test_load_any_refuses_a_file_without_a_first_line(tmp_path, data):
+    path = tmp_path / "t.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        load_any(str(path))
+    assert type(exc.value) is ParseError
+    assert str(exc.value) == f"unrecognized file {str(path)!r}"
 
 
 def json_doc(*placements):
@@ -623,7 +632,7 @@ def test_word_writers_and_readers_match_cell_oracles(case, chunk_rows):
     assert text == serialize_word_by_lines(word, seed)
     want = word_outcome(parse_word_by_lines, text)
     assert same_word(want, word, seed)
-    assert word_outcome(parse_word, text) == want
+    assert word_outcome(load_text, text) == want
     if all(len(str(sym.tile)) <= 8 for _, sym in iter_cells(word)):
         # Such written files never need the line walk.
         assert word_outcome(lambda t: parse_bulk_only(t, files.WORD), text) == want
@@ -702,19 +711,19 @@ MALFORMED_WORDS = {
 @pytest.mark.parametrize("name", sorted(MALFORMED_WORDS))
 def test_malformed_words_match_line_walk(name):
     text = MALFORMED_WORDS[name]
-    assert word_outcome(parse_word, text) == word_outcome(parse_word_by_lines, text)
+    assert word_outcome(load_text, text) == word_outcome(parse_word_by_lines, text)
 
 
 def test_word_refusals_name_the_first_record():
-    assert word_outcome(parse_word, MALFORMED_WORDS["twice_then_unknown_tile"]) == (
+    assert word_outcome(load_text, MALFORMED_WORDS["twice_then_unknown_tile"]) == (
         "ParseError",
         "cell (0, 0) listed twice",
     )
-    assert word_outcome(parse_word, MALFORMED_WORDS["cell_past_int64_then_twice"]) == (
+    assert word_outcome(load_text, MALFORMED_WORDS["cell_past_int64_then_twice"]) == (
         "ParseError",
         f"cell ({PAST_INT64}, 0) outside window",
     )
-    assert word_outcome(parse_word, MALFORMED_WORDS["first_of_three_twice"]) == (
+    assert word_outcome(load_text, MALFORMED_WORDS["first_of_three_twice"]) == (
         "ParseError",
         "cell (3, 3) listed twice",
     )
@@ -910,3 +919,23 @@ def test_load_any_reads_as_text_mode_does(data):
         with open(path, "wb") as fh:
             fh.write(data)
         assert loaded_outcome(load_any, path) == loaded_outcome(load_by_text_mode, path)
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "lone_cr"])
+@pytest.mark.parametrize(
+    "text", [SMALL_TILING.decode(), MALFORMED_WORDS["well_formed"]], ids=["tiling", "word"]
+)
+def test_cr_line_ends_are_read_in_bulk(tmp_path, monkeypatch, text, ending):
+    """An ASCII file whose lines end in ``\\r\\n`` or a lone ``\\r`` is read by
+    the bulk parser, as the same file with ``\\n`` line ends is."""
+    paths = [tmp_path / "lf.txt", tmp_path / "cr.txt"]
+    paths[0].write_bytes(text.encode())
+    paths[1].write_bytes(text.replace("\n", ending).encode())
+    want = loaded_outcome(load_any, str(paths[0]))
+    assert want[0] == "ok"
+
+    def walk(text, kind):
+        raise AssertionError("read by the line walk")
+
+    monkeypatch.setattr(files, "_walk_lines", walk)
+    assert loaded_outcome(load_any, str(paths[1])) == want

@@ -214,13 +214,19 @@ class TestPlanStages:
              "stage_side", "need 1 nonnegative gaps"),
             ("flagship", ["2/5", "3/5"], 0, dict(count=2, error_budgets=["1/8"]),
              "error_budget", "need 2 budgets"),
+            ("flagship", ["2/5", "3/5"], 0, dict(mode="relaxed", sides=(64,), error_budgets=["-1/2"]),
+             "error_budget", r"stage 1 budget -1/2 not in \(0, 1\)"),
+            ("flagship", ["2/5", "3/5"], 0,
+             dict(mode="relaxed", sides=(64, 512), error_budgets=["1/4", "1"]),
+             "error_budget", r"stage 2 budget 1 not in \(0, 1\)"),
             # Every tail decays fast enough, but stage 2's block, tiles 3 and
             # 4, holds 1/2048: no more than the 1/1024 tail mass past the last cut.
             ("line4", ["2045/4096", "2045/4096", "1/4096", "1/4096"], "1/1024",
              dict(cutoffs=(2, 3, 4)), "tail_order", "stage 2 block mass too small"),
         ],
         ids=["no_count_or_sides", "tail_without_cutoffs", "cutoffs_not_increasing",
-             "unknown_mode", "gaps_of_wrong_length", "budgets_of_wrong_length", "tail_order"],
+             "unknown_mode", "gaps_of_wrong_length", "budgets_of_wrong_length",
+             "relaxed_budget_below_zero", "relaxed_budget_of_one", "tail_order"],
     )
     def test_planner_refusals(self, flagship, family, probs, tail_mass, kwargs, error, message):
         """Each refusal raises its exception; an ``Infeasible`` names its
