@@ -58,13 +58,6 @@ class BrickWall:
         self.period = alphabet.shape(tile)
         self.translate = tuple(int(t) % p for t, p in zip(translate, self.period))
 
-    def aligned_with(self, other: "BrickWall") -> bool:
-        return (
-            self.tile == other.tile
-            and self.period == other.period
-            and self.translate == other.translate
-        )
-
     def symbol_at(self, v: Sequence[int]) -> Symbol:
         offset = tuple((x - t) % p for x, t, p in zip(v, self.translate, self.period))
         return Symbol(self.tile, offset)
@@ -218,7 +211,7 @@ class FilledWord:
         ``box``: the outer wall's bricks that meet it, skipping those that
         meet ``outer_core``, the inner wall's bricks on ``inner_core`` and
         each strip run's tiles."""
-        code, none = self.alphabet.tiles.index, (0,) * (2 * box.dim)
+        code, none = self.alphabet.code_of, (0,) * (2 * box.dim)
         wall, period = self.outer_wall, self.outer_wall.period
         start = [wall.ceil_align(a - p + 1, x) for x, (a, p) in enumerate(zip(box.anchor, period))]
         count = [(e - 1 - s) // p + 1 for s, e, p in zip(start, box.end, period)]
@@ -226,14 +219,14 @@ class FilledWord:
         if self.outer_core is not None:  # a brick meets the core iff its anchor is in [lo, end)
             core = self.outer_core
             skip = (*(a - p + 1 for a, p in zip(core.anchor, period)), *core.end)
-        rows = [(code(wall.tile), *start, *count, *period, *skip)]
+        rows = [(code[wall.tile], *start, *count, *period, *skip)]
         if self.inner_core is not None:
             core, wall = self.inner_core, self.inner_wall
             count = (e // p for e, p in zip(core.shape, wall.period))
-            rows.append((code(wall.tile), *core.anchor, *count, *wall.period, *none))
+            rows.append((code[wall.tile], *core.anchor, *count, *wall.period, *none))
         for run in self.runs:
             shape = self.alphabet.shape(run.tile)
-            rows.append((code(run.tile), *run.box.anchor, *run.counts, *shape, *none))
+            rows.append((code[run.tile], *run.box.anchor, *run.counts, *shape, *none))
         return rows
 
 
@@ -336,9 +329,10 @@ def fill_between(
     for two walls of the family brick); a narrower one may raise
     GapTooNarrow, for a negative gap too, or InwardEmpty.
     """
-    if inner_wall.aligned_with(outer_wall):
+    walls = (inner_wall, outer_wall)
+    if len({(w.tile, w.period, w.translate) for w in walls}) == 1:  # aligned walls
         return FilledWord.pure_wall(outer_wall)
-    for wall in (inner_wall, outer_wall):
+    for wall in walls:
         for axis in range(base.dim):
             for side in base.axis_sides(axis):
                 if wall.period[axis] % side != 0:

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from ..geometry import Box
-from ..sft import Alphabet, SymbolicWord, Tiling, tile_sort_key
+from ..sft import Alphabet, SymbolicWord, Tiling, tile_table
 from .verify import MAX_PAINT_CELLS
 
 
@@ -55,8 +55,7 @@ def _parse_tile(token: str):
 
 
 def _fmt_shapes(shapes: Mapping) -> str:
-    items = sorted(shapes.items(), key=lambda kv: tile_sort_key(kv[0]))
-    return " ".join(f"{t}:{'x'.join(str(e) for e in s)}" for t, s in items)
+    return " ".join(f"{t}:{'x'.join(str(e) for e in shapes[t])}" for t in tile_table(shapes))
 
 
 def _parse_shapes(text: str) -> dict:
@@ -433,7 +432,7 @@ def _build_tiling(shapes: dict, dim: int, window, tiles: list, inverse, fields) 
     rows = _coords(fields[0], dim)
     if rows.dtype != np.int64:
         raise ParseError(f"every anchor needs {dim} int64 coordinates")
-    code_of = {t: i for i, t in enumerate(sorted(shapes, key=tile_sort_key))}
+    code_of = tile_table(shapes)
     codes = np.array([code_of[t] for t in tiles], dtype=np.int32)[inverse]
     return Tiling(shapes, codes, rows, window).sorted_canonical()
 
@@ -452,7 +451,7 @@ def _build_word(shapes: dict, dim: int, window, tiles: list, inverse, fields) ->
         raise ParseError(f"word window of {window.volume} cells is too large to paint")
     word = SymbolicWord(Alphabet(dim, shapes), window)
     alphabet = word.alphabet
-    codes = [alphabet.tiles.index(t) if t in shapes else -1 for t in tiles]
+    codes = [alphabet.code_of.get(t, -1) for t in tiles]
     codes = np.array(codes, dtype=np.intp)[inverse]
     cells, offsets = (_coords(field, dim) for field in fields)
     lo, hi = _coords([window.anchor, window.end], dim)
@@ -508,12 +507,15 @@ def load_any(path: str) -> LoadedFile:
     ``\\r``, ``\\r\\n`` and a lone ``\\r`` become ``\\n`` on the bytes, as universal
     newlines read them: no UTF-8 character holds a ``\\r`` byte.  The first
     non-blank line tells the kind; the bytes then go to the bulk parser, and
-    to the line walk over their text where it declines them.
+    to the line walk over their text where it declines them.  The file is
+    decoded once at most: ASCII bytes, the only ones the bulk parser takes,
+    are UTF-8 as they are, so only other bytes are decoded up front, and the
+    walk's ``str.splitlines`` splits that text as it does the rewritten bytes.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        data.decode("utf-8")
+        text = None if data.isascii() else data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path!r} is not UTF-8: {exc}") from exc
     if b"\r" in data:
@@ -526,7 +528,7 @@ def load_any(path: str) -> LoadedFile:
         if first == kind.magic:
             with _fields_of(kind.name):
                 (dim, shapes, window, seed), records = _parse_bulk(data, kind) or _walk_lines(
-                    data.decode("utf-8"), kind
+                    data.decode("ascii") if text is None else text, kind
                 )
                 built = kind.build(shapes, dim, window, *records)
             return LoadedFile(kind.name, seed=seed, **{kind.name: built})

@@ -89,10 +89,6 @@ def _family_and_plan(cfg: RunConfig):
     return family, targets, plan
 
 
-def _window(cfg: RunConfig) -> Box:
-    return Box(cfg.window_anchor, cfg.window_shape)
-
-
 def _write(path_stem: str, tiling_or_word, seed: int) -> str:
     """Write a tiling or a word to ``path_stem`` plus ``.txt``; return the path."""
     path = path_stem + ".txt"
@@ -133,7 +129,7 @@ def cmd_plan(args) -> int:
 def cmd_build(args) -> int:
     cfg = _load_with_overrides(args)
     _, _, plan = _family_and_plan(cfg)
-    window = _window(cfg)
+    window = Box(cfg.window_anchor, cfg.window_shape)
     log.info("building window %s with seed %d", window, cfg.seed)
     result = run_pipeline(plan, window, cfg.seed)
     out = cfg.out_dir
@@ -262,13 +258,12 @@ def cmd_render(args) -> int:
 # each read as the INI file reads its key.  render reads no config: its --out
 # is where it writes.
 FLAG_HELP = {"seed": "the run's seed", "mode": "strict or relaxed",
-             "window": "window extents, e.g. 4096,4096", "out": "output directory",
-             "format": "file format: text"}
+             "window": "window extents, e.g. 4096,4096", "out": "output directory"}
 COMMANDS = (
     ("plan", "validate and print a stage schedule", False, True, tuple(FLAG_HELP)),
     ("build", "run the staged pipeline and write tilings", False, True, tuple(FLAG_HELP)),
-    ("fill", "fill between two wall translates", False, True, ("seed", "out", "format")),
-    ("redistribute", "relabel bricks to hit targets", True, True, ("seed", "out", "format")),
+    ("fill", "fill between two wall translates", False, True, ("seed", "out")),
+    ("redistribute", "relabel bricks to hit targets", True, True, ("seed", "out")),
     ("verify", "independently check a tiling or word file", True, None, ()),
     ("stats", "frequency report for a tiling file", True, False, ()),
     ("render", "SVG (d=2) or ASCII (d=1) picture", True, None, ("out",)),

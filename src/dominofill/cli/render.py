@@ -14,6 +14,8 @@ from ..sft import Tiling
 
 MAX_DRAWN_CELLS = 2_000_000
 DENSITY_BINS = 256
+CELL_PX = 8.0  # the side of one cell in the SVG, in px
+ASCII_WIDTH = 100  # cells per line of the ASCII strip
 
 PALETTE = [
     "#f3c300", "#875692", "#f38400", "#a1caf1", "#be0032", "#c2b280",
@@ -35,7 +37,7 @@ def _svg_header(width: float, height: float) -> str:
     )
 
 
-def render_svg(tiling: Tiling, cell_px: float = 8.0) -> str:
+def render_svg(tiling: Tiling) -> str:
     """Placements as colored rectangles; axis 0 is x, axis 1 grows downward."""
     if tiling.dim != 2:
         raise RenderError(f"SVG rendering needs d=2, got d={tiling.dim}")
@@ -43,17 +45,18 @@ def render_svg(tiling: Tiling, cell_px: float = 8.0) -> str:
     if window.volume > MAX_DRAWN_CELLS:
         return _render_density(tiling, window)
     ax, ay = window.anchor
-    w = window.shape[0] * cell_px
-    h = window.shape[1] * cell_px
+    w = window.shape[0] * CELL_PX
+    h = window.shape[1] * CELL_PX
     parts = [_svg_header(w, h)]
     parts.append(f'<rect width="{w:g}" height="{h:g}" fill="#1a1a1a"/>\n')
-    for code, anchor, (sx, sy) in zip(tiling.codes, tiling.anchors, tiling.placement_shapes()):
-        x = (int(anchor[0]) - ax) * cell_px
-        y = (int(anchor[1]) - ay) * cell_px
+    shapes = tiling.shape_table[tiling.codes]
+    for code, anchor, (sx, sy) in zip(tiling.codes, tiling.anchors, shapes):
+        x = (int(anchor[0]) - ax) * CELL_PX
+        y = (int(anchor[1]) - ay) * CELL_PX
         color = PALETTE[int(code) % len(PALETTE)]
         parts.append(
-            f'<rect x="{x:g}" y="{y:g}" width="{sx * cell_px:g}" height="{sy * cell_px:g}" '
-            f'fill="{color}" stroke="#1a1a1a" stroke-width="{cell_px / 10:g}"/>\n'
+            f'<rect x="{x:g}" y="{y:g}" width="{sx * CELL_PX:g}" height="{sy * CELL_PX:g}" '
+            f'fill="{color}" stroke="#1a1a1a" stroke-width="{CELL_PX / 10:g}"/>\n'
         )
     parts.append("</svg>\n")
     return "".join(parts)
@@ -63,7 +66,7 @@ def _bounding_window(tiling: Tiling) -> Box:
     if len(tiling) == 0:
         return Box((0,) * max(tiling.dim, 1), (1,) * max(tiling.dim, 1))
     lo = np.min(tiling.anchors, axis=0)
-    hi = np.max(tiling.anchors + tiling.placement_shapes(), axis=0)
+    hi = np.max(tiling.anchors + tiling.shape_table[tiling.codes], axis=0)
     return Box(tuple(int(x) for x in lo), tuple(int(x) for x in hi - lo))
 
 
@@ -75,7 +78,7 @@ def _render_density(tiling: Tiling, window: Box) -> str:
     cell_w = window.shape[0] / bins[0]
     cell_h = window.shape[1] / bins[1]
     mass = np.zeros(bins, dtype=np.float64)
-    areas = np.prod(tiling.placement_shapes(), axis=1).astype(np.float64)
+    areas = np.prod(tiling.shape_table, axis=1).astype(np.float64)[tiling.codes]
     bx = ((tiling.anchors[:, 0] - window.anchor[0]) / cell_w).astype(np.int64)
     by = ((tiling.anchors[:, 1] - window.anchor[1]) / cell_h).astype(np.int64)
     keep = (bx >= 0) & (bx < bins[0]) & (by >= 0) & (by < bins[1])
@@ -100,7 +103,7 @@ def _render_density(tiling: Tiling, window: Box) -> str:
     return "".join(parts)
 
 
-def render_ascii(tiling: Tiling, width: int = 100) -> str:
+def render_ascii(tiling: Tiling) -> str:
     """One character per cell for d=1: digits for small tiles, marks for bricks."""
     if tiling.dim != 1:
         raise RenderError(f"ASCII rendering needs d=1, got d={tiling.dim}")
@@ -112,7 +115,8 @@ def render_ascii(tiling: Tiling, width: int = 100) -> str:
     cells = np.full(window.shape[0], ".", dtype="<U1")
     order = tiling.tile_order
     marks = "#%@&*+"
-    for code, anchor, (extent,) in zip(tiling.codes, tiling.anchors, tiling.placement_shapes()):
+    extents = tiling.shape_table[tiling.codes, 0]
+    for code, anchor, extent in zip(tiling.codes, tiling.anchors, extents):
         tile = order[int(code)]
         start = int(anchor[0]) - window.anchor[0]
         if isinstance(tile, int):
@@ -124,5 +128,5 @@ def render_ascii(tiling: Tiling, width: int = 100) -> str:
         hi = min(start + extent, window.shape[0])
         cells[lo:hi] = ch
     text = "".join(cells)
-    lines = [text[i : i + width] for i in range(0, len(text), width)]
+    lines = [text[i : i + ASCII_WIDTH] for i in range(0, len(text), ASCII_WIDTH)]
     return "\n".join(lines) + "\n"

@@ -15,7 +15,6 @@ from typing import Iterator
 
 import numpy as np
 
-from ..geometry import Box
 from ..sft import SymbolicWord, Tiling
 
 MAX_REPORTED = 50
@@ -33,7 +32,7 @@ def verify_word(word: SymbolicWord) -> list[str]:
     """
     alphabet = word.alphabet
     syms = alphabet.symbols
-    tile_of = np.array([alphabet.tiles.index(s.tile) for s in syms], dtype=np.int64)
+    tile_of = np.array([alphabet.code_of[s.tile] for s in syms], dtype=np.int64)
     offsets = np.array([s.offset for s in syms], dtype=np.int64)
     extents = np.array([alphabet.tile_shapes[s.tile] for s in syms], dtype=np.int64)
     problems: list[str] = []
@@ -78,7 +77,7 @@ def verify_word(word: SymbolicWord) -> list[str]:
     return problems
 
 
-def verify_tiling(tiling: Tiling, window: Box | None = None) -> list[str]:
+def verify_tiling(tiling: Tiling) -> list[str]:
     """Containment and overlap checks by painting each placement's cells.
 
     Every pass runs over one anchor column at a time, in Python-int bounds,
@@ -94,8 +93,7 @@ def verify_tiling(tiling: Tiling, window: Box | None = None) -> list[str]:
     problems: list[str] = []
     if len(tiling) == 0:
         return problems
-    window = window if window is not None else tiling.window
-    table = tiling.shape_table()
+    window, table = tiling.window, tiling.shape_table
     codes = tiling.codes
     columns = [np.ascontiguousarray(tiling.anchors[:, a]) for a in range(tiling.dim)]
     base = [int(column.min()) for column in columns]

@@ -11,7 +11,7 @@ decoding are array passes.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,18 +37,19 @@ class Violation(NamedTuple):
     neighbor: Symbol
 
 
-class Placement(NamedTuple):
-    tile: TileId
-    anchor: tuple[int, ...]
+def tile_table(tiles: Iterable[TileId]) -> dict[TileId, int]:
+    """Each tile's code, its index in the one tile order every layer uses:
+    small tiles by index, then large tiles by the stage number their
+    ASCII-digit suffix names (0 without one), ties by label.  The dict lists
+    the tiles in that order."""
 
+    def key(tile: TileId) -> tuple[int, int, str]:
+        if isinstance(tile, int):
+            return (0, tile, "")
+        suffix = tile[1:]
+        return (1, int(suffix) if suffix.isascii() and suffix.isdigit() else 0, tile)
 
-def tile_sort_key(tile: TileId) -> tuple[int, int, str]:
-    """Small tiles by index, then large tiles by the stage number their
-    ASCII-digit suffix names (0 without one), ties by label."""
-    if isinstance(tile, int):
-        return (0, tile, "")
-    suffix = tile[1:]
-    return (1, int(suffix) if suffix.isascii() and suffix.isdigit() else 0, tile)
+    return {tile: code for code, tile in enumerate(sorted(tiles, key=key))}
 
 
 class Alphabet:
@@ -62,15 +63,14 @@ class Alphabet:
             if len(vec) != dim or any(x < 1 for x in vec):
                 raise ValueError(f"bad shape {vec} for tile {tile!r}")
             self.tile_shapes[tile] = vec
-        self.tiles = sorted(self.tile_shapes, key=tile_sort_key)
+        self.code_of = tile_table(self.tile_shapes)
+        self.tiles = list(self.code_of)
         self.symbols: list[Symbol] = []
         for tile in self.tiles:
             for offset in Box((0,) * dim, self.tile_shapes[tile]).cells():
                 self.symbols.append(Symbol(tile, offset))
         n = len(self.symbols)
-        self.tile_codes = np.array(
-            [self.tiles.index(s.tile) for s in self.symbols], dtype=np.int32
-        )
+        self.tile_codes = np.array([self.code_of[s.tile] for s in self.symbols], dtype=np.int32)
         self.offsets = np.array([s.offset for s in self.symbols], dtype=np.int32)
         self.sym_shapes = np.array(
             [self.tile_shapes[s.tile] for s in self.symbols], dtype=np.int32
@@ -82,9 +82,6 @@ class Alphabet:
         ]
         self._transitions: dict[int, np.ndarray] = {}
         self.size = n
-
-    def symbol(self, idx: int) -> Symbol:
-        return self.symbols[idx]
 
     def shape(self, tile: TileId) -> tuple[int, ...]:
         return self.tile_shapes[tile]
@@ -162,7 +159,7 @@ class SymbolicWord:
         if not self.box.contains_cell(v):
             return None
         idx = int(self.grid[tuple(x - a for x, a in zip(v, self.box.anchor))])
-        return None if idx < 0 else self.alphabet.symbol(idx)
+        return None if idx < 0 else self.alphabet.symbols[idx]
 
     def slices_for(self, sub: Box) -> tuple[slice, ...]:
         if not self.box.contains_box(sub):
@@ -213,16 +210,17 @@ def validate_word(word: SymbolicWord) -> list[Violation]:
         bad[both] = ~ok
         for rel in np.argwhere(bad):
             cell = tuple(int(x + y) for x, y in zip(word.box.anchor, rel))
-            sym = alphabet.symbol(int(a[tuple(rel)]))
-            nb = alphabet.symbol(int(b[tuple(rel)]))
+            sym = alphabet.symbols[int(a[tuple(rel)])]
+            nb = alphabet.symbols[int(b[tuple(rel)])]
             out.append(Violation(cell, axis, sym, nb))
     return out
 
 
 class Tiling:
     """Whole-tile placements, stored columnar for bulk work: placement k is
-    tile ``tile_order[codes[k]]`` at anchor row ``anchors[k]``.  An empty
-    tiling takes ``(0, dim)`` anchors, which give its dimension."""
+    tile ``tile_order[codes[k]]`` at anchor row ``anchors[k]``, and of shape
+    ``shape_table[codes[k]]``.  An empty tiling takes ``(0, dim)`` anchors,
+    which give its dimension."""
 
     def __init__(
         self,
@@ -232,11 +230,14 @@ class Tiling:
         window: Box | None = None,
     ) -> None:
         self.tile_shapes = dict(tile_shapes)
-        self.tile_order = sorted(self.tile_shapes, key=tile_sort_key)
+        self.tile_order = list(tile_table(self.tile_shapes))
         self.codes = np.asarray(codes, dtype=np.int32)
         self.anchors = np.asarray(anchors, dtype=np.int64)
         if self.anchors.ndim != 2 or len(self.anchors) != len(self.codes):
             raise ValueError(f"anchors of shape {self.anchors.shape} for {len(self.codes)} codes")
+        self.shape_table = np.array(
+            [self.tile_shapes[t] for t in self.tile_order], dtype=np.int64
+        ).reshape(len(self.tile_order), self.dim)
         self.window = window
         self._canonical = False  # set on the tilings sorted_canonical returns
         self._cell_counts: dict[TileId, int] | None = None
@@ -247,19 +248,6 @@ class Tiling:
     @property
     def dim(self) -> int:
         return self.anchors.shape[1]
-
-    def placements(self) -> Iterator[Placement]:
-        for code, anchor in zip(self.codes, self.anchors):
-            yield Placement(self.tile_order[int(code)], tuple(int(x) for x in anchor))
-
-    def shape_table(self) -> np.ndarray:
-        """Tile shapes in ``tile_order``, one int64 row per tile (indexed by code)."""
-        table = np.array([self.tile_shapes[t] for t in self.tile_order], dtype=np.int64)
-        return table.reshape(len(self.tile_order), self.dim)
-
-    def placement_shapes(self) -> np.ndarray:
-        """Tile shape of each placement, one int64 row per placement."""
-        return self.shape_table()[self.codes]
 
     def covered_cells(self) -> int:
         return sum(self.tile_cell_counts().values())

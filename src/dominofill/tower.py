@@ -31,7 +31,7 @@ from .sft import (
     Tiling,
     build_alphabet,
     canonical_tiling,
-    tile_sort_key,
+    tile_table,
     validate_word,  # not called by the build; perfbench/layers.py traces this name
 )
 
@@ -134,13 +134,9 @@ class StagePlan:
             return self.family.large_shape
         return _brick_period(self.family, self.stages[stage - 1].cutoff)
 
-    def large_shapes(self) -> dict[int | str, tuple[int, ...]]:
-        if not self.countable:
-            return {LARGE_FINITE: self.family.large_shape}
-        return {self.brick_id(i): self.brick_shape(i) for i in range(1, self.stage_count + 1)}
-
     def alphabet(self) -> Alphabet:
-        return build_alphabet(self.family, self.large_shapes())
+        bricks = {self.brick_id(i): self.brick_shape(i) for i in range(1, self.stage_count + 1)}
+        return build_alphabet(self.family, bricks)
 
     def predicted_uncovered_bound(self, window_shape: Sequence[int]) -> Fraction:
         """Worst-case uncovered fraction over sublattice offsets.
@@ -797,7 +793,7 @@ def _wall_placements(alphabet: Alphabet, tile, translate, box: Box):
     """(codes, anchors) of the whole bricks of ``tile``'s wall at ``translate``
     inside ``box``, in C order: the aligned anchors whose brick fits."""
     anchors = BrickWall(alphabet, tile, translate).bricks(box)
-    return np.full(len(anchors), alphabet.tiles.index(tile), dtype=np.int32), anchors
+    return np.full(len(anchors), alphabet.code_of[tile], dtype=np.int32), anchors
 
 
 def _assemble(
@@ -967,7 +963,8 @@ def redistribute(
     order by ``canonical_tiling`` in key space, without forming the rows.
     """
     shapes = dict(tile_shapes) if tile_shapes is not None else dict(tiling.tile_shapes)
-    small_tiles = sorted(t for t in shapes if isinstance(t, int))
+    code_of, out_code = tile_table(tiling.tile_shapes), tile_table(shapes)
+    small_tiles = [t for t in out_code if isinstance(t, int)]
     large_tiles = sorted(
         (t for t in shapes if not isinstance(t, int)),
         key=lambda t: math.prod(shapes[t]),
@@ -987,8 +984,6 @@ def redistribute(
             raise TargetsInfeasible(f"tile {j} already carries {measured}, above target {p}")
         deficits[j] = (p - measured) * covered
     rng = SplitMix64(seed)
-    code_of = {t: i for i, t in enumerate(tiling.tile_order)}
-    out_code = {t: i for i, t in enumerate(sorted(shapes, key=tile_sort_key))}
     groups = [
         (np.flatnonzero(tiling.codes == code_of[j]), None, out_code[j])
         for j in small_tiles

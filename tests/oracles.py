@@ -44,13 +44,12 @@ from dominofill.rng import SplitMix64
 from dominofill.sft import (
     Alphabet,
     InvalidWord,
-    Placement,
     Symbol,
     SymbolicWord,
     Tiling,
     Violation,
     decode,
-    tile_sort_key,
+    tile_table,
     validate_word,
 )
 from dominofill.tower import (
@@ -65,6 +64,22 @@ from dominofill.tower import (
 
 TILING_MAGIC = "dominofill tiling v1"
 WORD_MAGIC = "dominofill word v1"
+
+
+class Placement(NamedTuple):
+    tile: object
+    anchor: tuple
+
+
+def placements(tiling):
+    """The tiling's placements in its order, one (tile, anchor) of Python values each."""
+    for code, anchor in zip(tiling.codes, tiling.anchors):
+        yield Placement(tiling.tile_order[int(code)], tuple(int(x) for x in anchor))
+
+
+def in_window(tiling, window):
+    """The tiling's placements, in its order, with ``window`` as its window."""
+    return Tiling(tiling.tile_shapes, tiling.codes, tiling.anchors, window)
 
 
 def representable_bits(heights, limit):
@@ -365,8 +380,8 @@ def validate_word_by_mask(word):
         bad[both] = ~table[a[both], b[both]]
         for rel in np.argwhere(bad):
             cell = tuple(int(x + y) for x, y in zip(word.box.anchor, rel))
-            sym = alphabet.symbol(int(a[tuple(rel)]))
-            nb = alphabet.symbol(int(b[tuple(rel)]))
+            sym = alphabet.symbols[int(a[tuple(rel)])]
+            nb = alphabet.symbols[int(b[tuple(rel)])]
             out.append(Violation(cell, axis, sym, nb))
     return out
 
@@ -392,7 +407,7 @@ def decode_by_cells(word):
         else:
             partials.append(key)
             partial_cells += count
-    partials.sort(key=lambda p: (alphabet.tiles.index(p.tile), p.anchor))
+    partials.sort(key=lambda p: (alphabet.code_of[p.tile], p.anchor))
     return whole, partials, partial_cells
 
 
@@ -475,7 +490,7 @@ def check_partition_by_slices(tiles, box):
     cells exactly once: each tile adds 1 to the cells of its clip, and the
     first cell in C order whose count is not 1 is named in an InvalidWord."""
     counts = np.zeros(box.shape, dtype=np.int64)
-    for tile, anchor in tiles.placements():
+    for tile, anchor in placements(tiles):
         clip = box.intersect(Box(anchor, tiles.tile_shapes[tile]))
         if clip is not None:
             rel = zip(clip.anchor, box.anchor, clip.shape)
@@ -492,7 +507,7 @@ def placements_by_parts(fill, box):
     order, once ``check_partition_by_slices`` accepts its tiles that meet it."""
     tiles = tiles_meeting_by_parts(fill, box)
     check_partition_by_slices(tiles, box)
-    inside = [box.contains_box(Box(a, tiles.tile_shapes[t])) for t, a in tiles.placements()]
+    inside = [box.contains_box(Box(a, tiles.tile_shapes[t])) for t, a in placements(tiles)]
     return Tiling(tiles.tile_shapes, tiles.codes[inside], tiles.anchors[inside], box)
 
 
@@ -504,10 +519,10 @@ def encode(tiling, alphabet, window=None):
         if len(tiling) == 0:
             raise ValueError("cannot infer a window from an empty tiling")
         lo = tuple(int(x) for x in tiling.anchors.min(axis=0))
-        hi = tuple(int(x) for x in (tiling.anchors + tiling.placement_shapes()).max(axis=0))
+        hi = tuple(int(x) for x in (tiling.anchors + tiling.shape_table[tiling.codes]).max(axis=0))
         window = Box(lo, tuple(h - l for l, h in zip(lo, hi)))
     word = SymbolicWord(alphabet, window)
-    for tile, anchor in tiling.placements():
+    for tile, anchor in placements(tiling):
         block = symbol_block(alphabet, tile)
         target = Box(anchor, alphabet.shape(tile))
         clip = window.intersect(target)
@@ -579,12 +594,12 @@ def tiling_from_records(shapes, dim, window, tiles, anchors):
 
 def tiling_from_parts(shapes, parts, window=None):
     """The tiling of ``(tile, anchor rows)`` parts, in part order: tile
-    codes index the tiles in ``tile_sort_key`` order.  Its dimension is the
+    codes index the tiles in ``tile_table`` order.  Its dimension is the
     shapes', else the window's, else 1."""
-    order = sorted(shapes, key=tile_sort_key)
+    code_of = tile_table(shapes)
     dim = len(next(iter(shapes.values()))) if shapes else window.dim if window else 1
     blocks = [np.asarray(rows, dtype=np.int64).reshape(-1, dim) for _, rows in parts]
-    codes = np.repeat([order.index(t) for t, _ in parts], [len(b) for b in blocks])
+    codes = np.repeat([code_of[t] for t, _ in parts], [len(b) for b in blocks])
     anchors = np.concatenate([np.zeros((0, dim), dtype=np.int64), *blocks])
     return Tiling(shapes, codes, anchors, window)
 
@@ -599,7 +614,7 @@ def iter_cells(word):
     """The word's assigned cells and their symbols, in lexicographic order."""
     for rel in np.argwhere(word.grid >= 0):
         cell = tuple(int(a + r) for a, r in zip(word.box.anchor, rel))
-        yield cell, word.alphabet.symbol(int(word.grid[tuple(rel)]))
+        yield cell, word.alphabet.symbols[int(word.grid[tuple(rel)])]
 
 
 def word_from_records(shapes, dim, window, records):
@@ -900,7 +915,7 @@ def verify_tiling_by_rows(tiling, window=None, max_reported=50):
     if len(tiling) == 0:
         return problems
     window = window if window is not None else tiling.window
-    table = tiling.shape_table()
+    table = tiling.shape_table
     anchors = tiling.anchors.astype(object)
     ends = anchors + table[tiling.codes]
     if window is not None:

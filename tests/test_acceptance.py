@@ -34,6 +34,8 @@ from dominofill.tower import Infeasible, InvalidTargets, NonpositiveTarget
 from oracles import (
     count_exact_tilings,
     enumerate_boundary_complete_words,
+    in_window,
+    placements,
     threshold_by_scan,
 )
 
@@ -214,10 +216,10 @@ def test_staged_pipeline_hits_targets(staged_runs):
         small = result.pre_report.small_tile_fraction()
         if not small < Fraction(2, 5):
             failures.append(f"seed {seed}: pre-redistribution small fraction {small}")
-        tiles = {p.tile for p in result.tiling.placements()}
+        tiles = {p.tile for p in placements(result.tiling)}
         if not tiles <= {1, 2}:
             failures.append(f"seed {seed}: leftover tiles {tiles - {1, 2}}")
-        errs = verify_tiling(result.tiling, staged_runs.window)
+        errs = verify_tiling(in_window(result.tiling, staged_runs.window))
         if errs:
             failures.append(f"seed {seed}: verifier {errs[0]}")
         for tile, delta in result.report.deltas().items():
@@ -315,7 +317,7 @@ def test_line_family_with_rare_long_tile():
     pre = result.pre_report
     if pre.tile_cells.get(3, 0) != 0:
         failures.append(f"tile 5 appears in collars: {pre.tile_cells[3]} cells")
-    tiles = {p.tile for p in result.tiling.placements()}
+    tiles = {p.tile for p in placements(result.tiling)}
     if not tiles <= {1, 2, 3}:
         failures.append(f"leftover tiles {tiles - {1, 2, 3}}")
     for brick in ("P1", "P2"):
@@ -324,7 +326,7 @@ def test_line_family_with_rare_long_tile():
     for tile, delta in result.report.deltas().items():
         if abs(delta) > Fraction(1, 50):
             failures.append(f"tile {tile} delta {float(delta):+.4f}")
-    errs = verify_tiling(result.tiling, window)
+    errs = verify_tiling(in_window(result.tiling, window))
     if errs:
         failures.append(f"verifier {errs[0]}")
     elapsed = time.perf_counter() - start

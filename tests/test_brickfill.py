@@ -16,6 +16,7 @@ from oracles import (
     equals_on,
     fill_word_by_pastes,
     iter_cells,
+    placements,
     placements_by_parts,
     same_placements,
     set_cell,
@@ -183,7 +184,7 @@ def collar_tiles(fill):
     there."""
     codes, anchors, _ = placements_of([fill], fill.footprint)
     placed = Tiling(fill.alphabet.tile_shapes, codes, anchors)
-    boxes = [(p, Box(p.anchor, placed.tile_shapes[p.tile])) for p in placed.placements()]
+    boxes = [(p, Box(p.anchor, placed.tile_shapes[p.tile])) for p in placements(placed)]
     return [
         p for p, box in boxes
         if fill.outer_core.contains_box(box) and not fill.inner_core.contains_box(box)

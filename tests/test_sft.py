@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    Placement,
     WordSample,
     allowed_neighbor,
     count_exact_tilings,
@@ -13,6 +14,7 @@ from oracles import (
     encode,
     enumerate_boundary_complete_words,
     equals_on,
+    placements,
     same_placements,
     set_cell,
     tiling_from_parts,
@@ -24,7 +26,6 @@ from dominofill.brickfill import FilledWord
 from dominofill.geometry import grid_rows
 from dominofill.sft import (
     Alphabet,
-    Placement,
     Symbol,
     SymbolicWord,
     Tiling,
@@ -44,7 +45,7 @@ class TestAlphabet:
     def test_symbol_index_round_trip(self, flagship_alphabet):
         for i, s in enumerate(flagship_alphabet.symbols):
             assert flagship_alphabet.symbols.index(s) == i
-            assert flagship_alphabet.symbol(i) == s
+            assert flagship_alphabet.tile_codes[i] == flagship_alphabet.code_of[s.tile]
 
     def test_offsets_inside_tile(self, flagship_alphabet):
         for s in flagship_alphabet.symbols:
@@ -316,7 +317,7 @@ class TestCodec:
         rng = np.random.default_rng(seed)
         t = random_disjoint_tiling(flagship_alphabet, rng)
         out = decode(encode(t, flagship_alphabet))
-        assert list(out.partials.placements()) == []
+        assert list(placements(out.partials)) == []
         assert same_placements(out.tiling, t)
 
     def test_word_round_trip_on_aligned_wall(self, flagship_alphabet):
@@ -324,14 +325,14 @@ class TestCodec:
         box = Box((-6, 6), (18, 12))
         word = FilledWord.pure_wall(wall).materialize(box)
         result = decode(word)
-        assert list(result.partials.placements()) == []
+        assert list(placements(result.partials)) == []
         back = encode(result.tiling, flagship_alphabet, box)
         assert equals_on(back, word, box)
 
     def test_wall_decode_reports_cut_tiles(self, flagship_alphabet):
         wall = BrickWall(flagship_alphabet, "P", (2, 2))
         result = decode(FilledWord.pure_wall(wall).materialize(Box((0, 0), (9, 9))))
-        complete = list(result.tiling.placements())
+        complete = list(placements(result.tiling))
         assert complete == [Placement("P", (2, 2))]
         assert len(result.partials) == 8
         assert result.partial_cells == 81 - 36
@@ -344,7 +345,7 @@ class TestCodec:
         result = decode(word)
         assert len(result.tiling) == 0
         assert result.partial_cells == 2
-        assert list(result.partials.placements()) == [Placement(1, (-1,)), Placement("P", (3,))]
+        assert list(placements(result.partials)) == [Placement(1, (-1,)), Placement("P", (3,))]
 
     @pytest.mark.parametrize("dim", sorted(DECODE_CASES))
     @given(seed=st.integers(0, 2**32 - 1))
@@ -360,9 +361,9 @@ class TestCodec:
         word = word.restrict(Box(lo, tuple(h - l for l, h in zip(lo, hi))))
         whole, partials, partial_cells = decode_by_cells(word)
         result = decode(word)
-        assert set(result.tiling.placements()) == whole
+        assert set(placements(result.tiling)) == whole
         assert len(result.tiling) == len(whole)
-        assert list(result.partials.placements()) == partials
+        assert list(placements(result.partials)) == partials
         assert result.partial_cells == partial_cells
 
     @pytest.mark.parametrize("dim", sorted(DECODE_CASES))
@@ -377,7 +378,7 @@ class TestCodec:
         word = encode(random_disjoint_tiling(alphabet, rng, side), alphabet)
         word.grid[rng.random(word.grid.shape) < rng.random() / 4] = -1
         whole = decode(word).tiling
-        ends = whole.anchors + whole.placement_shapes()
+        ends = whole.anchors + whole.shape_table[whole.codes]
         for _ in range(int(rng.integers(1, 6))):
             shape = tuple(int(x) for x in rng.integers(1, side + 1, dim))
             box = Box(tuple(int(rng.integers(0, side - e + 1)) for e in shape), shape)
@@ -406,9 +407,9 @@ class TestCodec:
         per_box = [decode(word.restrict(box)) for box in boxes]
         for box, result in zip(boxes, per_box):
             whole, partials, partial_cells = decode_by_cells(word.restrict(box))
-            assert set(result.tiling.placements()) == whole
+            assert set(placements(result.tiling)) == whole
             assert len(result.tiling) == len(whole)
-            assert list(result.partials.placements()) == partials
+            assert list(placements(result.partials)) == partials
             assert result.partial_cells == partial_cells
 
     def test_unassigned_word_decodes_nothing(self, flagship_alphabet):
@@ -475,4 +476,4 @@ class TestLocalGlobalEquivalence:
                 set_cell(word, cell, sym)
             assert validate_word(word) == []
             result = decode(word)
-            assert list(result.partials.placements()) == []
+            assert list(placements(result.partials)) == []

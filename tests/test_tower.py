@@ -2,6 +2,8 @@
 
 import copy
 import dataclasses
+import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +16,9 @@ from oracles import (
     build_stage_per_block,
     check_partition_by_slices,
     finalize_by_decode,
+    in_window,
     locate_by_points,
+    placements,
     redistribute_by_rows,
     same_placements,
     tiles_meeting_by_parts,
@@ -42,6 +46,7 @@ from dominofill import (
 from dominofill import sft, tower
 from dominofill.brickfill import FilledWord, placements_of
 from dominofill.cli.config import parse_config
+from dominofill.cli.files import load_any
 from dominofill.cli.main import _family_and_plan, main
 from dominofill.cli.verify import verify_tiling
 from dominofill.geometry import grid_rows, interior
@@ -794,7 +799,7 @@ class TestFinalize:
         tiling, report = finalize(state, plan)
         # each 10x10 block domain holds exactly one whole 6x6 brick
         assert towers.count == 16
-        assert set(p.tile for p in tiling.placements()) == {"P"}
+        assert set(p.tile for p in placements(tiling)) == {"P"}
         assert report.covered_cells == 16 * 36 == tiling.covered_cells()
         assert report.frequency("P") == 1
         assert report.partial_cells == 16 * (100 - 36)
@@ -955,7 +960,7 @@ class TestRedistribute:
         tiling = block_grid_tiling(assignments, flagship_alphabet)
         out = redistribute(tiling, FLAGSHIP_TARGETS, seed=5)
         cover = np.zeros((60, 60), dtype=np.int32)
-        for p in out.placements():
+        for p in placements(out):
             w, h = out.tile_shapes[p.tile]
             cover[p.anchor[0] : p.anchor[0] + w, p.anchor[1] : p.anchor[1] + h] += 1
         assert cover.min() == 1 and cover.max() == 1
@@ -1003,6 +1008,49 @@ def test_redistribute_matches_row_oracle(name):
     assert np.array_equal(got.anchors, want.anchors)
 
 
+def painted(tiling, values):
+    """An int32 grid over the tiling's window, flat in C order, holding
+    ``values[k]`` on every cell of placement k and 0 elsewhere."""
+    window = tiling.window
+    strides = np.array([math.prod(window.shape[a + 1 :]) for a in range(window.dim)])
+    flat = (tiling.anchors - np.array(window.anchor)) @ strides
+    grid = np.zeros(window.volume, dtype=np.int32)
+    for code, shape in enumerate(tiling.shape_table.tolist()):
+        mine = tiling.codes == code
+        for step in np.indices(shape).reshape(len(shape), -1).T @ strides:
+            grid[flat[mine] + step] = values[mine]
+    return grid
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BUILDS))
+def test_redistribution_refines_the_pre_tiling(name, tmp_path, monkeypatch, capsys):
+    """Every placement of ``tiling.txt`` lies inside exactly one placement of
+    ``tiling_pre.txt``, the two files cover the same cells, and each side of
+    ``report.json`` counts the cells its file holds."""
+    ini, _ = GOLDEN_BUILDS[name]
+    monkeypatch.chdir(tmp_path)
+    Path("run.ini").write_text(ini, encoding="utf-8")
+    assert main(["build", "--config", "run.ini", "--out", "out"]) == 0
+    capsys.readouterr()
+    report = json.loads(Path("out/report.json").read_text(encoding="utf-8"))
+    pre, post = (load_any(f"out/{f}.txt").tiling for f in ("tiling_pre", "tiling"))
+    window = pre.window
+    assert post.window == window
+    assert verify_tiling(pre) == [] and verify_tiling(post) == []  # no overlap in either
+    # Placement ids from 1 on; 0 is a cell that no placement covers.
+    pre_id, post_id = (painted(t, np.arange(1, len(t) + 1)) for t in (pre, post))
+    assert np.array_equal(pre_id > 0, post_id > 0)
+    # Each post placement takes the id of the pre placement at its anchor,
+    # and so must every one of its cells.
+    owner = pre_id.reshape(window.shape)[tuple((post.anchors - np.array(window.anchor)).T)]
+    assert np.array_equal(painted(post, owner), pre_id)
+    for side, tiling, ids in (("pre", pre, pre_id), ("post", post, post_id)):
+        painted_cells = np.bincount(ids, minlength=len(tiling) + 1)[1:]  # of each placement
+        cells = np.bincount(tiling.codes, painted_cells, len(tiling.tile_order)).astype(int)
+        assert report[side]["tile_cells"] == dict(zip(map(str, tiling.tile_order), cells.tolist()))
+        assert report[side]["covered_cells"] == np.count_nonzero(ids)
+
+
 def random_pools(dim, rng, wide):
     """(tiling, tile_shapes, targets) for ``redistribute``: tiles 1 and 2 and
     bricks P1 and P2 placed in a shuffled order, overlaps allowed, while the
@@ -1038,7 +1086,7 @@ def test_redistribute_matches_row_oracle_on_random_pools(dim, wide, seed):
         patch.setattr(np, "lexsort", lambda keys: calls.append(1) or real_lexsort(keys))
         got = redistribute(tiling, targets, seed, shapes)
     assert bool(calls) is wide
-    assert got.tile_order == want.tile_order == sorted(shapes, key=sft.tile_sort_key)
+    assert got.tile_order == want.tile_order == list(sft.tile_table(shapes))
     assert np.array_equal(got.codes, want.codes)
     assert np.array_equal(got.anchors, want.anchors)
     assert got.sorted_canonical() is got
@@ -1055,7 +1103,7 @@ class TestRunPipeline:
     def test_final_tiling_is_small_tiles_only(self, small_run):
         _, result = small_run
         assert result.report.tile_cells.get("P", 0) == 0
-        assert set(p.tile for p in result.tiling.placements()) <= {1, 2}
+        assert set(p.tile for p in placements(result.tiling)) <= {1, 2}
 
     def test_frequencies_near_targets(self, small_run):
         _, result = small_run
@@ -1120,7 +1168,7 @@ def test_strict_plan_builds_what_the_word_path_decodes(strict_runs, name, seed):
     """A strict plan's build verifies clean, equals the word-path oracle, and
     keeps its small tiles below the plan's collar mass bound."""
     plan, window, result = strict_runs(name, seed)
-    assert verify_tiling(result.tiling, window) == []
+    assert verify_tiling(in_window(result.tiling, window)) == []
     want, want_report = finalize_by_decode(result.state, plan)
     assert same_placements(result.pre_tiling, want)
     assert result.pre_report == want_report
@@ -1149,7 +1197,7 @@ def line_run():
 class TestCountableBuild:
     def test_final_tiles_from_truncated_list(self, line_run):
         _, _, tiling, report = line_run
-        assert set(p.tile for p in tiling.placements()) <= {1, 2, 3}
+        assert set(p.tile for p in placements(tiling)) <= {1, 2, 3}
         for brick in ("P1", "P2"):
             assert report.tile_cells.get(brick, 0) == 0
 
