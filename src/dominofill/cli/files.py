@@ -246,8 +246,8 @@ def _parse_bulk(data: bytes, kind: _Kind) -> tuple | None:
     """``((dim, shapes, window, seed), (tiles, inverse, fields))`` of a text
     file's bytes, in numpy passes over its body.
 
-    Returns None, leaving the file to the line walk, unless the bytes are
-    ASCII, each header line ends in a bare ``\\n``, every body line is a
+    Takes ASCII bytes.  Returns None, leaving the file to the line walk,
+    unless each header line ends in a bare ``\\n``, every body line is a
     label and one token per coordinate, each of at most ``_MAX_TOKEN`` bytes,
     joined by single spaces and ended by ``\\n``, every label is one the
     header lists, spelled as it is written, of 1 to 8 letters, digits and
@@ -256,8 +256,6 @@ def _parse_bulk(data: bytes, kind: _Kind) -> tuple | None:
     of whole lines, so the scratch arrays stay small; each chunk writes its
     lines into columns sized by the body's line count.
     """
-    if not data.isascii():
-        return None
     lines: list[str] = []
     pos = 0
     while len(lines) < 5:
@@ -506,10 +504,10 @@ def load_any(path: str) -> LoadedFile:
     The file is read once, as bytes, which must be UTF-8.  Where they hold a
     ``\\r``, ``\\r\\n`` and a lone ``\\r`` become ``\\n`` on the bytes, as universal
     newlines read them: no UTF-8 character holds a ``\\r`` byte.  The first
-    non-blank line tells the kind; the bytes then go to the bulk parser, and
-    to the line walk over their text where it declines them.  The file is
-    decoded once at most: ASCII bytes, the only ones the bulk parser takes,
-    are UTF-8 as they are, so only other bytes are decoded up front, and the
+    non-blank line tells the kind; ASCII bytes then go to the bulk parser,
+    and to the line walk over their text where it declines them, other bytes
+    to the walk alone.  The file is decoded once at most: ASCII bytes are
+    UTF-8 as they are, so only other bytes are decoded up front, and the
     walk's ``str.splitlines`` splits that text as it does the rewritten bytes.
     """
     with open(path, "rb") as fh:
@@ -527,7 +525,8 @@ def load_any(path: str) -> LoadedFile:
     for kind in (TILING, WORD):
         if first == kind.magic:
             with _fields_of(kind.name):
-                (dim, shapes, window, seed), records = _parse_bulk(data, kind) or _walk_lines(
+                bulk = _parse_bulk(data, kind) if text is None else None
+                (dim, shapes, window, seed), records = bulk or _walk_lines(
                     data.decode("ascii") if text is None else text, kind
                 )
                 built = kind.build(shapes, dim, window, *records)

@@ -53,7 +53,7 @@ def tile_table(tiles: Iterable[TileId]) -> dict[TileId, int]:
 
 
 class Alphabet:
-    """Symbol table for a tile-shape map, with cached numpy lookup tables."""
+    """Symbol table for a tile-shape map, with its numpy lookup tables."""
 
     def __init__(self, dim: int, tile_shapes: Mapping[TileId, Sequence[int]]) -> None:
         self.dim = dim
@@ -72,15 +72,11 @@ class Alphabet:
         n = len(self.symbols)
         self.tile_codes = np.array([self.code_of[s.tile] for s in self.symbols], dtype=np.int32)
         self.offsets = np.array([s.offset for s in self.symbols], dtype=np.int32)
-        self.sym_shapes = np.array(
-            [self.tile_shapes[s.tile] for s in self.symbols], dtype=np.int32
-        )
         # Each tile's shape and its cell offsets, int64 rows, indexed by tile code.
         self.shape_table = np.array([self.tile_shapes[t] for t in self.tiles], dtype=np.int64)
         self.tile_cells = [
             self.offsets[self.tile_codes == c].astype(np.int64) for c in range(len(self.tiles))
         ]
-        self._transitions: dict[int, np.ndarray] = {}
         self.size = n
 
     def shape(self, tile: TileId) -> tuple[int, ...]:
@@ -109,20 +105,14 @@ class Alphabet:
 
     def transition(self, axis: int) -> np.ndarray:
         """Boolean table T[a, b]: symbol b may sit one step up ``axis`` from a."""
-        if axis not in self._transitions:
-            off_a = self.offsets[:, None, :]
-            off_b = self.offsets[None, :, :]
-            same_tile = self.tile_codes[:, None] == self.tile_codes[None, :]
-            at_face = self.offsets[:, axis] == self.sym_shapes[:, axis] - 1
-            step = off_b - off_a
-            unit = np.zeros(self.dim, dtype=np.int32)
-            unit[axis] = 1
-            increments = np.all(step == unit, axis=2)
-            interior_ok = same_tile & increments
-            face_ok = self.offsets[None, :, axis] == 0
-            table = np.where(at_face[:, None], face_ok, interior_ok)
-            self._transitions[axis] = table
-        return self._transitions[axis]
+        same_tile = self.tile_codes[:, None] == self.tile_codes[None, :]
+        at_face = self.offsets[:, axis] == self.shape_table[self.tile_codes, axis] - 1
+        unit = np.zeros(self.dim, dtype=np.int32)
+        unit[axis] = 1
+        step = self.offsets[None, :, :] - self.offsets[:, None, :]
+        interior_ok = same_tile & np.all(step == unit, axis=2)
+        face_ok = self.offsets[None, :, axis] == 0
+        return np.where(at_face[:, None], face_ok, interior_ok)
 
 
 def build_alphabet(
@@ -240,7 +230,6 @@ class Tiling:
         ).reshape(len(self.tile_order), self.dim)
         self.window = window
         self._canonical = False  # set on the tilings sorted_canonical returns
-        self._cell_counts: dict[TileId, int] | None = None
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -249,17 +238,11 @@ class Tiling:
     def dim(self) -> int:
         return self.anchors.shape[1]
 
-    def covered_cells(self) -> int:
-        return sum(self.tile_cell_counts().values())
-
     def tile_cell_counts(self) -> dict[TileId, int]:
-        """Cells covered per tile, in a new dict.  A canonical tiling, whose
-        arrays are read-only, counts them once."""
-        if self._cell_counts is None or not self._canonical:
-            placed = np.bincount(self.codes, minlength=len(self.tile_order)).tolist()
-            volumes = [math.prod(self.tile_shapes[t]) for t in self.tile_order]
-            self._cell_counts = {t: n * v for t, n, v in zip(self.tile_order, placed, volumes)}
-        return dict(self._cell_counts)
+        """Cells covered per tile, counted from the codes on each call."""
+        placed = np.bincount(self.codes, minlength=len(self.tile_order)).tolist()
+        volumes = [math.prod(self.tile_shapes[t]) for t in self.tile_order]
+        return {t: n * v for t, n, v in zip(self.tile_order, placed, volumes)}
 
     def sorted_canonical(self) -> "Tiling":
         """Placements ordered by anchor lexicographically, then tile (see

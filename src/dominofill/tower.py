@@ -709,13 +709,11 @@ class FrequencyReport:
             return Fraction(0)
         return Fraction(self.tile_cells.get(tile, 0), self.covered_cells)
 
-    def small_tile_cells(self) -> int:
-        return sum(c for t, c in self.tile_cells.items() if isinstance(t, int))
-
     def small_tile_fraction(self) -> Fraction:
         if self.covered_cells == 0:
             return Fraction(0)
-        return Fraction(self.small_tile_cells(), self.covered_cells)
+        small = sum(c for t, c in self.tile_cells.items() if isinstance(t, int))
+        return Fraction(small, self.covered_cells)
 
     def large_fraction(self) -> Fraction:
         return 1 - self.small_tile_fraction() if self.covered_cells else Fraction(0)
@@ -758,8 +756,8 @@ def finalize(state: ConstructionState, plan: StagePlan) -> tuple[Tiling, Frequen
     (``placements_of``), which refuses a fill that does not cover the band
     exactly once; that refusal is raised as ``InvalidWord`` naming the stage
     and the key.  Each part's placements are translated to every block that
-    uses it (see ``_assemble``).  The result must pass ``_check_placements``,
-    which reads the cell count of the canonical tiling, counted once.
+    uses it (see ``_assemble``).  The report counts the canonical tiling's
+    cells, and the result must pass ``_check_placements`` on that count.
     Uncovered cells are the sublattice error set, the towers' own unfilled
     boundary collars, and tiles cut by domain edges (``partial_cells``);
     those are excluded from the covered count, never errors.  The state
@@ -770,13 +768,12 @@ def finalize(state: ConstructionState, plan: StagePlan) -> tuple[Tiling, Frequen
     codes, anchors, owner = _assemble(state, np.arange(len(blocks)))
     tiling = Tiling(blocks.wall.alphabet.tile_shapes, codes, anchors, blocks.towers.window)
     canonical = tiling.sorted_canonical()
-    covered = canonical.covered_cells()  # counted once: canonical tilings keep their counts
-    _check_placements(blocks, tiling, owner, covered)
-    domain_cells = sum(
+    report = FrequencyReport.of_tiling(canonical, plan.targets)  # the check reads its count
+    _check_placements(blocks, tiling, owner, report.covered_cells)
+    report.partial_cells = sum(
         blocks.domain(k).volume * int(np.count_nonzero(blocks.kind == k))
         for k in np.unique(blocks.kind).tolist()
-    )
-    report = FrequencyReport.of_tiling(canonical, plan.targets, domain_cells - covered)
+    ) - report.covered_cells
     collar_bound = plan.collar_mass_bound()
     report.notes["small_fraction_below_min_target"] = bool(
         report.small_tile_fraction() < plan.min_small_target()

@@ -173,7 +173,7 @@ def assert_fill_contract(fill, inner_wall, box, outer_wall, width, probe_margin=
             assert word.cell(cell) == sym
     # decode partitions the window: complete tiles + boundary cuts, no overlap
     result = decode(word)
-    assert result.tiling.covered_cells() + result.partial_cells == window.volume
+    assert sum(result.tiling.tile_cell_counts().values()) + result.partial_cells == window.volume
     codes, anchors, _ = placements_of([fill], window)
     assert same_placements(Tiling(fill.alphabet.tile_shapes, codes, anchors), result.tiling)
 

@@ -54,6 +54,7 @@ from dominofill.cli import verify
 from dominofill.cli.verify import MAX_REPORTED, verify_tiling, verify_word
 from dominofill.numerics import validate_family
 from dominofill.sft import Symbol, SymbolicWord, Tiling, build_alphabet
+from dominofill.tower import FrequencyReport
 
 FLAGSHIP_INI = """\
 [run]
@@ -598,7 +599,7 @@ class TestVerifyTiling:
         sub = tiling_from_parts(t.tile_shapes, [(p.tile, [p.anchor]) for p in inside], window)
         assert verify_tiling(sub) == []  # inside the window, no cell covered twice
         assert sum(sub.tile_cell_counts().values()) == 6 + 6 + 6  # the three small tiles
-        assert sub.covered_cells() == 18
+        assert FrequencyReport.of_tiling(sub).covered_cells == 18  # as ``stats`` reports it
 
 
 class TestRender:

@@ -293,6 +293,16 @@ class TestAgainstOracles:
         with pytest.raises(ValueError, match="read-only"):
             canon.anchors[0, 0] = 3
 
+    def test_cell_counts_follow_codes_edited_before_the_mark(self):
+        """A tiling counted, edited in place, then marked canonical as it is
+        counts the cells its codes hold now."""
+        t = Tiling({1: (1, 1), 2: (1, 2)}, [0, 0], [[0, 0], [1, 0]])
+        assert t.tile_cell_counts() == {1: 2, 2: 0}
+        t.codes[1] = 1
+        assert t.sorted_canonical() is t
+        placed = np.bincount(t.codes, minlength=2) * np.array([1, 2])
+        assert t.tile_cell_counts() == dict(zip(t.tile_order, placed.tolist())) == {1: 1, 2: 2}
+
     def test_tiling_needs_one_anchor_row_per_code(self):
         with pytest.raises(ValueError, match="anchors of shape"):
             Tiling({1: (2,)}, [0, 0], np.array([3, 5]))

@@ -800,7 +800,7 @@ class TestFinalize:
         # each 10x10 block domain holds exactly one whole 6x6 brick
         assert towers.count == 16
         assert set(p.tile for p in placements(tiling)) == {"P"}
-        assert report.covered_cells == 16 * 36 == tiling.covered_cells()
+        assert report.covered_cells == 16 * 36 == sum(tiling.tile_cell_counts().values())
         assert report.frequency("P") == 1
         assert report.partial_cells == 16 * (100 - 36)
         assert report.uncovered_fraction == Fraction(90_000 - 576, 90_000)
@@ -1117,7 +1117,7 @@ class TestRunPipeline:
     def test_pre_report_keeps_brick_mass(self, small_run):
         _, result = small_run
         pre = result.pre_report
-        assert pre.tile_cells["P"] > pre.small_tile_cells()
+        assert pre.tile_cells["P"] > pre.small_tile_fraction() * pre.covered_cells
         assert pre.covered_cells == result.report.covered_cells
 
     def test_determinism(self, small_run):
