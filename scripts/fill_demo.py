@@ -40,7 +40,7 @@ def main() -> None:
 
     print(f"inner translate {inner.translate}, outer translate {outer.translate}")
     print(f"box {box.shape} bridged inside a collar of width {family.fill_length}")
-    print(f"verifier errors: {len(errors)}")
+    print(f"verifier errors: {errors.total}")
     # The small tiles sort first, so their codes are the same in both tile tables.
     codes, anchors, _ = placements_of([fill], region)
     small = {t: s for t, s in alphabet.tile_shapes.items() if isinstance(t, int)}

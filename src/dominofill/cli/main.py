@@ -102,7 +102,7 @@ def _load_tiling(path: str, verified: bool = True) -> Tiling:
     if loaded.kind != "tiling":
         raise ParseError(f"{path} is not a tiling file")
     if verified and (problems := verify_tiling(loaded.tiling)):
-        raise ParseError(f"{path} fails verify, {len(problems)} violations: {problems[0]}")
+        raise ParseError(f"{path} fails verify, {problems.total} violations: {problems[0]}")
     return loaded.tiling
 
 
@@ -138,15 +138,17 @@ def cmd_build(args) -> int:
         _write(os.path.join(out, "tiling_pre"), result.pre_tiling, cfg.seed),
     ]
     report_doc = {
-        "schema": 1,
+        "schema": 2,
         "seed": cfg.seed,
         "config": serialize_config(cfg),
         "pre": result.pre_report.to_dict(),
         "post": result.report.to_dict(),
-        "predicted_uncovered_bound": float(
-            plan.predicted_uncovered_bound(cfg.window_shape)
-        ),
+        "partial_cells": result.partial_cells,
+        "predicted_uncovered_bound": float(plan.predicted_uncovered_bound(cfg.window_shape)),
     }
+    if plan.mode == "strict":  # a relaxed plan promises neither bound
+        report_doc["collar_mass_bound"] = float(plan.collar_mass_bound())
+        report_doc["predicted_error_budget"] = float(plan.predicted_error_budget())
     report_path = os.path.join(out, "report.json")
     write_atomic(report_path, json.dumps(report_doc, sort_keys=True, indent=2) + "\n")
     paths.append(report_path)
@@ -222,7 +224,7 @@ def cmd_verify(args) -> int:
     if problems:
         for p in problems:
             print(p, file=sys.stderr)
-        print(f"FAIL: {len(problems)} violations in {args.file}", file=sys.stderr)
+        print(f"FAIL: {problems.total} violations in {args.file}", file=sys.stderr)
         return 1
     print(f"OK: {args.file}")
     return 0

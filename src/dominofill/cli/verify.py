@@ -23,7 +23,21 @@ PAINT_CHUNK = 1 << 16
 _INT64 = np.iinfo(np.int64)
 
 
-def verify_word(word: SymbolicWord) -> list[str]:
+class Problems(list):
+    """A check's report lines: at most ``MAX_REPORTED`` violations of a kind
+    named, one a line, then ``... and N more`` for the rest of that kind.
+    ``total`` counts the violations themselves."""
+
+    total = 0
+
+    def more(self, count: int, kind: str) -> None:
+        """Count ``count`` violations of a kind, the first of which were just named."""
+        if count > MAX_REPORTED:
+            self.append(f"... and {count - MAX_REPORTED} more {kind}")
+        self.total += count
+
+
+def verify_word(word: SymbolicWord) -> Problems:
     """All one-step rule breaches between assigned neighbour cells.
 
     The rule, from first principles: inside a tile the offset must advance by
@@ -35,7 +49,7 @@ def verify_word(word: SymbolicWord) -> list[str]:
     tile_of = np.array([alphabet.code_of[s.tile] for s in syms], dtype=np.int64)
     offsets = np.array([s.offset for s in syms], dtype=np.int64)
     extents = np.array([alphabet.tile_shapes[s.tile] for s in syms], dtype=np.int64)
-    problems: list[str] = []
+    problems = Problems()
     grid = word.grid
     dim = alphabet.dim
     for axis in range(dim):
@@ -71,13 +85,11 @@ def verify_word(word: SymbolicWord) -> list[str]:
             problems.append(
                 f"cell {cell} axis {axis}: {s.tile}@{s.offset} cannot precede {t.tile}@{t.offset}"
             )
-        extra = len(flat_positions) - min(len(flat_positions), MAX_REPORTED)
-        if extra > 0:
-            problems.append(f"... and {extra} more along axis {axis}")
+        problems.more(len(flat_positions), f"along axis {axis}")
     return problems
 
 
-def verify_tiling(tiling: Tiling) -> list[str]:
+def verify_tiling(tiling: Tiling) -> Problems:
     """Containment and overlap checks by painting each placement's cells.
 
     Every pass runs over one anchor column at a time, in Python-int bounds,
@@ -90,7 +102,7 @@ def verify_tiling(tiling: Tiling) -> list[str]:
     fewer distinct cells get painted than their volumes add up to; only then
     are the per-cell multiplicities counted.
     """
-    problems: list[str] = []
+    problems = Problems()
     if len(tiling) == 0:
         return problems
     window, table = tiling.window, tiling.shape_table
@@ -117,12 +129,12 @@ def verify_tiling(tiling: Tiling) -> list[str]:
             tile = tiling.tile_order[int(codes[idx])]
             anchor = tuple(int(c[idx]) for c in columns)
             problems.append(f"placement {tile} at {anchor} leaves the window")
-        if int(outside.sum()) > MAX_REPORTED:
-            problems.append(f"... and {int(outside.sum()) - MAX_REPORTED} more outside")
+        problems.more(int(outside.sum()), "outside")
     extent = tuple(max(ends) - lo for ends, lo in zip(zip(*reach), base))
     volume = math.prod(extent)
     if volume > MAX_PAINT_CELLS:
         problems.append(f"bounding box of {volume} cells is too large to paint; not checked")
+        problems.total += 1
         return problems
     # Each anchor's flat index in the bounding box.  A step may wrap in int64
     # when the anchors lie near its edge, but the sum it ends in lies in [0, volume).
@@ -152,8 +164,7 @@ def verify_tiling(tiling: Tiling) -> list[str]:
         ]
         at = tuple(int(x) + int(y) for x, y in zip(base, cell))
         problems.append(f"cell {at} covered {int(count)} times by {owners}")
-    if int(over.sum()) > MAX_REPORTED:
-        problems.append(f"... and {int(over.sum()) - MAX_REPORTED} more overlapping cells")
+    problems.more(int(over.sum()), "overlapping cells")
     return problems
 
 

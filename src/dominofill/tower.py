@@ -386,8 +386,9 @@ def _tail_mass(targets, cuts, stage_index) -> Fraction:
 class StageTowers:
     """Anchors of one stage's disjoint towers inside the window.
 
-    The towers sit on the lattice ``window.anchor + offset + step * i``,
-    ``0 <= i < counts`` per axis; ``anchors`` lists them in C order of ``i``.
+    The towers sit on the lattice ``offset + step * Z^d``, counted from the
+    origin: per axis ``start + step * i``, ``0 <= i < counts``, from its first
+    point at or above ``window.anchor``; ``anchors`` lists them in C order of ``i``.
     """
 
     stage: int
@@ -404,16 +405,22 @@ class StageTowers:
 
     def locate(self, points: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         """(cell, inside): each point's C-order index on the tower lattice (by floor
-        division per axis, so index -1 just below it), and whether it lies in a
-        tower at an offset in ``[lo[a], hi[a])`` (numbers or columns) on every axis."""
+        division per axis, so index -1 just below its start), and whether it lies in
+        a tower at an offset in ``[lo[a], hi[a])`` (numbers or columns) on every axis."""
         cell, inside = np.zeros(len(points), dtype=np.int64), np.ones(len(points), dtype=bool)
+        start = _lattice_start(self.window, self.offset, self.step)
         for a, count in enumerate(self.counts):
-            rel = points[:, a] - (self.window.anchor[a] + self.offset[a])
+            rel = points[:, a] - start[a]
             index = rel // self.step
             rel -= index * self.step
             inside &= (index >= 0) & (index < count) & (rel >= lo[a]) & (rel < hi[a])
             cell = cell * count + index
         return cell, inside
+
+
+def _lattice_start(window: Box, offset: Sequence[int], step: int) -> tuple[int, ...]:
+    """The first point of ``offset + step * Z^d`` at or above ``window.anchor``, per axis."""
+    return tuple(w + (o - w) % step for w, o in zip(window.anchor, offset))
 
 
 def check_window_holds(shape: Sequence[int], side: int) -> None:
@@ -432,8 +439,9 @@ def sample_towers(
 ) -> StageTowers:
     """Towers on the offset sublattice (side + gap) Z^d, wholly inside window.
 
-    The offset is drawn uniformly per axis (axis order 0..d-1) from the
-    seeded stream; pass ``offset`` to pin it instead.
+    The lattice is counted from the origin, not from the window's anchor.  The
+    offset is drawn uniformly per axis (axis order 0..d-1) from the seeded
+    stream; pass ``offset`` to pin it instead.
     """
     spec = plan.stages[stage - 1]
     check_window_holds(window.shape, spec.side)
@@ -443,11 +451,10 @@ def sample_towers(
         offset = tuple(rng.below(step) for _ in range(window.dim))
     else:
         offset = tuple(int(o) % step for o in offset)
-    axes = []
-    for a in range(window.dim):
-        start = window.anchor[a] + offset[a]
-        stop = window.end[a] - spec.side
-        axes.append(np.arange(start, stop + 1, step, dtype=np.int64))
+    axes = [
+        np.arange(start, end - spec.side + 1, step, dtype=np.int64)
+        for start, end in zip(_lattice_start(window, offset, step), window.end)
+    ]
     counts = tuple(len(ax) for ax in axes)
     return StageTowers(stage, spec.side, step, offset, grid_rows(axes), window, counts)
 
@@ -669,7 +676,7 @@ def _kept_blocks(prev: StageBlocks, towers: StageTowers) -> tuple[np.ndarray, np
     return np.flatnonzero(deep), owners[deep]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrequencyReport:
     """Cell accounting of a tiling against a window and optional targets."""
 
@@ -677,17 +684,9 @@ class FrequencyReport:
     covered_cells: int
     tile_cells: dict
     targets: TargetDistribution | None = None
-    partial_cells: int = 0
-    notes: dict = field(default_factory=dict)
 
     @classmethod
-    def of_tiling(
-        cls,
-        tiling: Tiling,
-        targets: TargetDistribution | None = None,
-        partial_cells: int = 0,
-        notes: Mapping | None = None,
-    ) -> "FrequencyReport":
+    def of_tiling(cls, tiling: Tiling, targets: TargetDistribution | None = None):
         """Cell accounting of ``tiling`` against its own window.
 
         A tiling without a window is measured against the cells it covers.
@@ -695,7 +694,7 @@ class FrequencyReport:
         counts = tiling.tile_cell_counts()
         covered = sum(counts.values())
         window_cells = tiling.window.volume if tiling.window is not None else covered
-        return cls(window_cells, covered, counts, targets, partial_cells, dict(notes or {}))
+        return cls(window_cells, covered, counts, targets)
 
     @property
     def uncovered_fraction(self) -> Fraction:
@@ -715,9 +714,6 @@ class FrequencyReport:
         small = sum(c for t, c in self.tile_cells.items() if isinstance(t, int))
         return Fraction(small, self.covered_cells)
 
-    def large_fraction(self) -> Fraction:
-        return 1 - self.small_tile_fraction() if self.covered_cells else Fraction(0)
-
     def deltas(self) -> dict:
         """Per-small-tile gap between covered frequency and target."""
         if self.targets is None:
@@ -727,14 +723,10 @@ class FrequencyReport:
         }
 
     def to_dict(self) -> dict:
-        def plain(v):
-            return float(v) if isinstance(v, Fraction) else v
-
         return {
             "window_cells": self.window_cells,
             "covered_cells": self.covered_cells,
             "uncovered_fraction": float(self.uncovered_fraction),
-            "partial_cells": self.partial_cells,
             "tile_cells": {
                 str(t): c for t, c in sorted(self.tile_cells.items(), key=lambda kv: str(kv[0]))
             },
@@ -742,12 +734,12 @@ class FrequencyReport:
                 str(t): float(self.frequency(t)) for t in sorted(self.tile_cells, key=str)
             },
             "deltas": {str(t): float(d) for t, d in self.deltas().items()},
-            "notes": {k: plain(v) for k, v in self.notes.items()},
         }
 
 
-def finalize(state: ConstructionState, plan: StagePlan) -> tuple[Tiling, FrequencyReport]:
-    """Assemble the whole placements of the top-stage block domains and account cells.
+def finalize(state: ConstructionState, plan: StagePlan) -> tuple[Tiling, FrequencyReport, int]:
+    """(tiling, report, partial cells): the whole placements of the top-stage
+    block domains, their cell accounting, and the domain cells they leave.
 
     The window is the top stage's.  No word is written, validated or
     decoded.  Each kind's wall bricks are a lattice by construction
@@ -759,7 +751,7 @@ def finalize(state: ConstructionState, plan: StagePlan) -> tuple[Tiling, Frequen
     uses it (see ``_assemble``).  The report counts the canonical tiling's
     cells, and the result must pass ``_check_placements`` on that count.
     Uncovered cells are the sublattice error set, the towers' own unfilled
-    boundary collars, and tiles cut by domain edges (``partial_cells``);
+    boundary collars, and tiles cut by domain edges (the partial cells);
     those are excluded from the covered count, never errors.  The state
     holds at least one block: ``run_pipeline`` refuses a top stage with
     none (``WindowTooSmall``).
@@ -770,20 +762,11 @@ def finalize(state: ConstructionState, plan: StagePlan) -> tuple[Tiling, Frequen
     canonical = tiling.sorted_canonical()
     report = FrequencyReport.of_tiling(canonical, plan.targets)  # the check reads its count
     _check_placements(blocks, tiling, owner, report.covered_cells)
-    report.partial_cells = sum(
+    domains = sum(
         blocks.domain(k).volume * int(np.count_nonzero(blocks.kind == k))
         for k in np.unique(blocks.kind).tolist()
-    ) - report.covered_cells
-    collar_bound = plan.collar_mass_bound()
-    report.notes["small_fraction_below_min_target"] = bool(
-        report.small_tile_fraction() < plan.min_small_target()
     )
-    report.notes["large_fraction_above_collar_bound"] = bool(
-        report.large_fraction() > 1 - collar_bound
-    )
-    report.notes["collar_mass_bound"] = collar_bound
-    report.notes["predicted_error_budget"] = plan.predicted_error_budget()
-    return canonical, report
+    return canonical, report, domains - report.covered_cells
 
 
 def _wall_placements(alphabet: Alphabet, tile, translate, box: Box):
@@ -1060,7 +1043,7 @@ def _pool_allocation(
 
 @dataclass
 class PipelineResult:
-    """Everything one seeded run produces."""
+    """Everything one seeded run produces; ``partial_cells`` as ``finalize`` counts them."""
 
     plan: StagePlan
     state: ConstructionState
@@ -1068,6 +1051,7 @@ class PipelineResult:
     pre_report: FrequencyReport
     tiling: Tiling
     report: FrequencyReport
+    partial_cells: int
     seed: int
 
 
@@ -1090,12 +1074,10 @@ def run_pipeline(plan: StagePlan, window: Box, seed: int) -> PipelineResult:
         if plan.countable and stage >= 2:
             tails = _select_tails(plan, towers, root.fork(1000 + stage))
         state = build_stage(state, towers, wall, plan, tails)
-    pre_tiling, pre_report = finalize(state, plan)
+    pre_tiling, pre_report, partial_cells = finalize(state, plan)
     final = redistribute(pre_tiling, plan.targets, root.fork(2000).seed, alphabet.tile_shapes)
-    report = FrequencyReport.of_tiling(
-        final, plan.targets, pre_report.partial_cells, pre_report.notes
-    )
-    return PipelineResult(plan, state, pre_tiling, pre_report, final, report, seed)
+    report = FrequencyReport.of_tiling(final, plan.targets)
+    return PipelineResult(plan, state, pre_tiling, pre_report, final, report, partial_cells, seed)
 
 
 def _select_tails(plan: StagePlan, towers: StageTowers, rng: SplitMix64) -> np.ndarray:

@@ -710,7 +710,9 @@ def locate_by_points(towers, points, lo, hi):
     below the start is in lattice index -1), the C-order index of the
     indices, and whether every index is in range and every offset in
     ``[lo[a], hi[a])`` (numbers, or one value per point)."""
-    start = [w + o for w, o in zip(towers.window.anchor, towers.offset)]
+    start = []
+    for w, o in zip(towers.window.anchor, towers.offset):  # the first lattice point >= w
+        start.append(next(x for x in range(w, w + towers.step) if (x - o) % towers.step == 0))
     cells, inside = [], []
     for k, point in enumerate(points.tolist()):
         cell, ok = 0, True
@@ -773,7 +775,7 @@ def build_stage_per_block(state, towers, wall, plan, tails=None):
 
 
 def finalize_by_decode(state, plan):
-    """(tiling, report) of a stage, read back from its whole word.
+    """(tiling, report, partial cells) of a stage, read back from its whole word.
 
     The word over the window is validated once, then each block domain is
     decoded from the word restricted to it, and the whole placements of all
@@ -796,17 +798,7 @@ def finalize_by_decode(state, plan):
         np.concatenate([r.tiling.anchors for r in results]),
         blocks.towers.window,
     ).sorted_canonical()
-    report = FrequencyReport.of_tiling(tiling, plan.targets, partial_cells)
-    collar_bound = plan.collar_mass_bound()
-    report.notes["small_fraction_below_min_target"] = bool(
-        report.small_tile_fraction() < plan.min_small_target()
-    )
-    report.notes["large_fraction_above_collar_bound"] = bool(
-        report.large_fraction() > 1 - collar_bound
-    )
-    report.notes["collar_mass_bound"] = collar_bound
-    report.notes["predicted_error_budget"] = plan.predicted_error_budget()
-    return tiling, report
+    return tiling, FrequencyReport.of_tiling(tiling, plan.targets), partial_cells
 
 
 def shuffle_by_below(rng, items):

@@ -504,6 +504,7 @@ class TestVerifyWord:
         assert len(problems) == MAX_REPORTED + 1
         assert problems[0] == "cell (0,) axis 0: 1@(0,) cannot precede 1@(0,)"
         assert problems[-1] == f"... and {59 - MAX_REPORTED} more along axis 0"
+        assert problems.total == 59
 
     def test_gaps_are_ignored(self, flagship_alphabet):
         w = SymbolicWord(flagship_alphabet, Box((0, 0), (4, 4)))
@@ -527,6 +528,15 @@ class TestVerifyTiling:
         problems = verify_tiling(t)
         assert len(problems) == 6  # every cell of the tile
         assert problems[0].startswith(f"cell (0, 0) covered {copies} times")
+
+    def test_overlaps_past_the_reported_are_counted(self):
+        """60 cells each covered twice: MAX_REPORTED named, the rest on one
+        line, and 60 violations counted."""
+        t = tiling_from_parts({1: (1, 1)}, [(1, [(i, 0) for i in range(60)] * 2)])
+        problems = verify_tiling(t)
+        assert len(problems) == MAX_REPORTED + 1
+        assert problems[-1] == f"... and {60 - MAX_REPORTED} more overlapping cells"
+        assert problems.total == 60
 
     def test_window_containment(self):
         shapes = {1: (3, 2)}
@@ -713,6 +723,9 @@ class TestMain:
         stats = json.loads(capsys.readouterr().out)
         assert stats["covered_cells"] > 0
         assert "frequencies" in stats
+        assert stats == report["post"]  # the report's counts are a count of the file
+        assert main(["stats", str(pre_path), "--config", flagship_cfg]) == 0
+        assert json.loads(capsys.readouterr().out) == report["pre"]
 
         assert main(["render", str(tiling_path), "--out", str(out)]) == 0
         svg = (out / "render.svg").read_text()
@@ -781,6 +794,68 @@ class TestMain:
         write_atomic(str(path), serialize_tiling(bad))
         assert main(["verify", str(path)]) == 1
         assert "FAIL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "stats", "redistribute"])
+    def test_violations_past_the_reported_are_counted(self, command, flagship_cfg, tmp_path,
+                                                       capsys):
+        """60 placements that leave a 10x10 window: verify names MAX_REPORTED,
+        counts the rest on one line, and both it and the commands that refuse
+        the file count 60 violations, not 51 lines."""
+        path = tmp_path / "sixty.txt"
+        head = "dominofill tiling v1\ndim 2\nshapes 1:3x2\nwindow 0 0 10 10\nseed 0\n"
+        path.write_text(head + "".join(f"1 {100 + 3 * i} 0\n" for i in range(60)), "utf-8")
+        flags = ["--config", flagship_cfg, "--out", str(tmp_path)]
+        assert main([command, str(path), *(flags if command == "redistribute" else [])]) == 1
+        err = capsys.readouterr().err.splitlines()
+        if command == "verify":
+            assert err[:MAX_REPORTED] == [
+                f"placement 1 at ({100 + 3 * i}, 0) leaves the window" for i in range(MAX_REPORTED)
+            ]
+            assert err[MAX_REPORTED:] == [
+                f"... and {60 - MAX_REPORTED} more outside", f"FAIL: 60 violations in {path}"
+            ]
+        else:
+            assert err == [f"error: {path} fails verify, 60 violations: placement 1 at (100, 0)"
+                           " leaves the window"]
+
+    def test_verify_names_leaving_placements_in_canonical_order(self, tmp_path, capsys):
+        """A file that lists (9, 0) before (8, 5) is read in canonical order,
+        so verify names (8, 5) first."""
+        path = tmp_path / "order.txt"
+        head = "dominofill tiling v1\ndim 2\nshapes 1:3x2\nwindow 0 0 10 10\nseed 0\n"
+        path.write_text(head + "1 9 0\n1 8 5\n", encoding="utf-8")
+        assert main(["verify", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "placement 1 at (8, 5) leaves the window",
+            "placement 1 at (9, 0) leaves the window",
+            f"FAIL: 2 violations in {path}",
+        ]
+
+    def test_report_states_bounds_only_for_a_strict_plan(self, flagship_cfg, tmp_path, capsys):
+        """A strict one-stage flagship plan (side 449) states its collar mass
+        bound, 4 * 26 / 449, which holds the pre small-tile share, and its
+        error budget 1/8; the relaxed flagship plan promises neither."""
+        strict = tmp_path / "strict.ini"
+        strict.write_text(
+            FLAGSHIP_INI.replace("mode = relaxed", "mode = strict")
+            .replace("window = 300,300", "window = 898,898")
+            .replace("sides = 64", "sides = 449"),
+            encoding="utf-8",
+        )
+        reports = []
+        for name, config in (("strict", str(strict)), ("relaxed", flagship_cfg)):
+            assert main(["build", "--config", config, "--out", str(tmp_path / name)]) == 0
+            reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+        capsys.readouterr()
+        strict_report, relaxed_report = reports
+        assert strict_report["collar_mass_bound"] == float(Fraction(104, 449))
+        pre = strict_report["pre"]["frequencies"]
+        assert pre.get("1", 0) + pre.get("2", 0) <= strict_report["collar_mass_bound"]
+        assert strict_report["predicted_error_budget"] == 0.125
+        assert not {"collar_mass_bound", "predicted_error_budget"} & set(relaxed_report)
+        for report in reports:
+            assert report["partial_cells"] > 0
+            assert not {"notes", "partial_cells"} & (set(report["pre"]) | set(report["post"]))
 
     def test_verify_rejects_256_copies(self, tmp_path, capsys):
         path = tmp_path / "copies.txt"
@@ -1490,32 +1565,32 @@ GOLDEN_BUILDS = {
     "flagship_300": (FLAGSHIP_INI, {
         "tiling.txt": "03c1e6c172a9210c4ca08d5a69ede18088c7d69543a7d0648490739cf3e6cf55",
         "tiling_pre.txt": "1bea073244a963ddd7ab7bde9ca42b2666540c918a3c43ec53c9cd0e4b2c1db3",
-        "report.json": "e7f38e248ef6c6e6e6d962c302b2259208357aaf892d69c470f9aefd484a3fee",
+        "report.json": "d0e1b2a44960d957564fb9bb280a961bd5de3910e7eff7af9e3eaf9e4864e56f",
     }),
     "two_stage_1024": (TWO_STAGE_INI, {
         "tiling.txt": "d98bffb5cd4469bd2fd817faf8ec803eaceacfb16ca86e17a006187bb1f05ee9",
         "tiling_pre.txt": "977bf9199a88f1a3cdd651d67af5e83b3cf53936061eaf2ec635b5a43fe60a84",
-        "report.json": "14433a1182a33595e980ab13e4a129b28c122d16689d2d7cd7b0c55c802dd895",
+        "report.json": "1ec38966c9bb88705f190b89b8faeed6dbf5439d5c23e2161519e8e23ca7dd87",
     }),
     "countable_line": (LINE_INI, {
         "tiling.txt": "3790190a28ab360f44699baab7b45c22e8e57433f6e291d45097c6b6b2406ac3",
         "tiling_pre.txt": "e019bc1f22daa1d4808da99d89e6065da70f62bcced097f0ef88eab6817656c7",
-        "report.json": "f511ae438672a030b25536a019ea8ac1e0c22c3097517daed3509b86c84f4b8b",
+        "report.json": "a030c63575f2b7ebeb281229c0fc61461009d8d4a8d7a9aadce4ec1b1901d9d8",
     }),
     "countable_line_3_stage": (LINE_3_STAGE_INI, {
         "tiling.txt": "e4ecdfcc4e746ebfc0b13157f1d1ed15d21cfb1f4e1c502f59de033abd65d80a",
         "tiling_pre.txt": "5637a41f585948fa3a95e15076ee128fce1a38f536a61bddba00c4d4560a99f3",
-        "report.json": "dc6a15988fe872208ab70cbb9a507ec358a670e7769472d7f8c9293fcdda717c",
+        "report.json": "71a069e264aec6a933b51bcc75114bb8fdf7c0d3a3a1dc4a9f183532bf391c93",
     }),
     "three_stage_1500": (THREE_STAGE_INI, {
         "tiling.txt": "cd46e35a46a252d00ad8efb88fcf296be274601d4026bbdc7e2e80d4ccca1226",
         "tiling_pre.txt": "3531cfc285c216bae36cf89c8872b71866ffa8c594c2eade3aefabb5632464f2",
-        "report.json": "5973d85e339ea3de66904a0c72d98b1b6d2944fb3a7bb8ac7321bf4f603043bb",
+        "report.json": "b9b8d4f20270741e748b29eb99a4b66b5f76fbfb1bd90586bda414ffb3e24a4c",
     }),
     "three_d_two_stage": (THREE_D_INI, {
         "tiling.txt": "2fe086e9e81ddc15d7eb1f6587c96a5ef57eb2ea0fe00559980765394c0767cd",
         "tiling_pre.txt": "2d2f56ab39407f393f551997989b978d39ad7bf515f15b88672afbb355784e42",
-        "report.json": "67d5c5609eeaa1ad9f0dd71426e4b8f5c1bb3f0cee9e763f5bd7059235ae0595",
+        "report.json": "50252df3ca21384a6603bbb74af0fdfefe0b3f3a829271ed668c266fd8baf832",
     }),
 }
 GOLDEN_FILL = "90522b56788230bd82846b10810a0e49c1fc3a121736979376b577b983d38213"
@@ -1585,7 +1660,7 @@ class TestGoldenBytes:
         capsys.readouterr()
         assert reports[0] == reports[1]
         report = json.loads(reports[0])
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         echoed = parse_config(report["config"])
         assert echoed == replace(parse_config(FLAGSHIP_INI), out_dir=echoed.out_dir)
 

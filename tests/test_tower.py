@@ -340,6 +340,30 @@ class TestSampleTowers:
             sample_towers(toy_plan(flagship, 6), Box((0, 0), (5, 12)), 1, seed=0)
 
 
+def test_towers_do_not_move_with_the_window(flagship):
+    """The relaxed flagship plan at seed 1 on [0, 1536)^2 and on [-100, 1436)^2:
+    the tower lattice is counted from the origin, so each top tower wholly
+    inside both windows holds the same pre-redistribution placements in the
+    two builds."""
+    plan = plan_stages(flagship, FLAGSHIP_TARGETS, mode="relaxed", sides=(64, 512))
+    windows = (Box((0, 0), (1536, 1536)), Box((-100, -100), (1536, 1536)))
+    results = [run_pipeline(plan, window, 1) for window in windows]
+    both = Box((0, 0), (1436, 1436))
+    tops = [{tuple(a) for a in r.state.blocks.towers.anchors.tolist()} for r in results]
+    shared = [a for a in tops[0] & tops[1] if both.contains_box(Box(a, (512, 512)))]
+    assert len(shared) == 4
+
+    def held(tiling, tower):
+        ends = tiling.anchors + tiling.shape_table[tiling.codes]
+        inside = np.all((tiling.anchors >= tower) & (ends <= np.add(tower, 512)), axis=1)
+        codes, anchors = tiling.codes[inside].tolist(), tiling.anchors[inside].tolist()
+        return {(c, *a) for c, a in zip(codes, anchors)}
+
+    for tower_anchor in shared:
+        placed = [held(r.pre_tiling, tower_anchor) for r in results]
+        assert placed[0] and placed[0] == placed[1], tower_anchor
+
+
 @pytest.fixture(scope="module")
 def two_stage_state(flagship, flagship_alphabet):
     """A pinned-offset 600x600 run where every stage-2 tower keeps one block."""
@@ -540,13 +564,13 @@ def test_stage_blocks_behave_as_the_oracle_list(countable_stages):
 
 def test_finalize_reads_block_arrays(countable_stages, monkeypatch):
     plan, window, state, _, _ = countable_stages
-    want, _ = finalize(state, plan)
+    want = finalize(state, plan)[0]
 
     def refuse(*args):
         raise AssertionError("finalize built a TowerBlock")
 
     monkeypatch.setattr(tower, "TowerBlock", refuse)
-    got, report = finalize(state, plan)
+    got = finalize(state, plan)[0]
     assert len(got) and same_placements(got, want)
     with pytest.raises(AssertionError):
         state.blocks[0]
@@ -591,12 +615,12 @@ def test_finalize_matches_word_path_oracle(name):
     cfg = parse_config(WORD_PATH_RUNS[name])
     _, _, plan = _family_and_plan(cfg)
     result = run_pipeline(plan, Box(cfg.window_anchor, cfg.window_shape), cfg.seed)
-    want, want_report = finalize_by_decode(result.state, plan)
+    want, want_report, want_partial_cells = finalize_by_decode(result.state, plan)
     got, report = result.pre_tiling, result.pre_report
     assert got.tile_order == want.tile_order and got.window == want.window
     assert np.array_equal(got.codes, want.codes)
     assert np.array_equal(got.anchors, want.anchors)
-    assert report.partial_cells == want_report.partial_cells
+    assert result.partial_cells == want_partial_cells
     assert report == want_report
     assert report.to_dict() == want_report.to_dict()
 
@@ -674,7 +698,7 @@ def test_bands_leaving_the_domain_match_word_path():
     lo = state.blocks.towers.anchors[kept.owner] + domain.anchor
     leaving = np.any(band_lo + kept.band.shape > lo + domain.shape, axis=1)
     assert leaving.any() and not np.any(band_lo < lo)
-    want, want_report = finalize_by_decode(state, plan)
+    want, want_report, _ = finalize_by_decode(state, plan)
     assert same_placements(result.pre_tiling, want)
     assert result.pre_report == want_report
 
@@ -710,20 +734,21 @@ def test_wall_lattice_equals_its_decode(dim, data):
 @st.composite
 def lattice_queries(draw):
     """A tower lattice shaped like ``sample_towers``' (offset below the step,
-    side up to the step, any count per axis), points on its towers, between
-    them, below its start and beyond its end, and offset bounds per axis, as
-    numbers or as one value per point."""
+    counted from the origin; side up to the step, any count per axis), points
+    on its towers, between them, below its start and beyond its end, and
+    offset bounds per axis, as numbers or as one value per point."""
     dim = draw(st.integers(1, 3))
     step = draw(st.integers(1, 12))
     side = draw(st.integers(1, step))
     offset = tuple(draw(st.integers(0, step - 1)) for _ in range(dim))
     counts = tuple(draw(st.integers(0, 4)) for _ in range(dim))
     anchor = tuple(draw(st.integers(-30, 30)) for _ in range(dim))
-    shape = tuple(o + max(c * step, 1) + draw(st.integers(0, 3)) for o, c in zip(offset, counts))
+    start = [a + (o - a) % step for a, o in zip(anchor, offset)]
+    shape = tuple(x - a + max(c * step, 1) + draw(st.integers(0, 3))
+                  for x, a, c in zip(start, anchor, counts))
     window = Box(anchor, shape)
-    axes = [np.arange(a + o, a + o + c * step, step) for a, o, c in zip(anchor, offset, counts)]
+    axes = [np.arange(x, x + c * step, step) for x, c in zip(start, counts)]
     towers = StageTowers(1, side, step, offset, grid_rows(axes), window, counts)
-    start = [a + o for a, o in zip(anchor, offset)]
     rows = st.tuples(*[st.integers(x - 2 * step, x + (c + 2) * step) for x, c in zip(start, counts)])
     points = np.array(draw(st.lists(rows, min_size=1, max_size=40)), dtype=np.int64)
     value = st.integers(-1, step + 1)
@@ -745,9 +770,10 @@ def test_locate_matches_a_divmod_per_point(case):
 
 
 def test_locate_floors_below_the_start():
-    """A point one cell below the lattice start is in lattice index -1, not 0."""
+    """A point one cell below the lattice start, 8 + 10 Z's first point at or
+    above the window anchor 5, is in lattice index -1, not 0."""
     window = Box((5,), (40,))
-    towers = StageTowers(1, 6, 10, (3,), np.array([[8], [18], [28]]), window, (3,))
+    towers = StageTowers(1, 6, 10, (8,), np.array([[8], [18], [28]]), window, (3,))
     cell, inside = towers.locate(np.array([[7], [8], [37]]), [0], [6])
     assert cell.tolist() == [-1, 0, 2] and inside.tolist() == [False, True, False]
 
@@ -796,13 +822,13 @@ class TestFinalize:
         window = Box((0, 0), (300, 300))
         towers = sample_towers(plan, window, 1, seed=0, offset=(0, 0))
         state = build_stage(None, towers, BrickWall(flagship_alphabet, "P", (0, 0)), plan)
-        tiling, report = finalize(state, plan)
+        tiling, report, partial_cells = finalize(state, plan)
         # each 10x10 block domain holds exactly one whole 6x6 brick
         assert towers.count == 16
         assert set(p.tile for p in placements(tiling)) == {"P"}
         assert report.covered_cells == 16 * 36 == sum(tiling.tile_cell_counts().values())
         assert report.frequency("P") == 1
-        assert report.partial_cells == 16 * (100 - 36)
+        assert partial_cells == 16 * (100 - 36)
         assert report.uncovered_fraction == Fraction(90_000 - 576, 90_000)
 
     def test_invalid_word_is_refused(self, two_stage_state):
@@ -858,7 +884,7 @@ class TestFinalize:
                 walls_moved.append(tile)
             return codes, anchors
 
-        want, _ = finalize(state2, plan)
+        want = finalize(state2, plan)[0]
         monkeypatch.setattr(tower, "_wall_placements", moved)
         with pytest.raises(InvalidWord, match="stage 2 placements"):
             finalize(state2, plan)
@@ -883,7 +909,7 @@ class TestFinalize:
                 anchors[0, 0] += side if step == "onto" else side // 2
             return codes, anchors, owner
 
-        want, _ = finalize(state2, plan)
+        want = finalize(state2, plan)[0]
         monkeypatch.setattr(tower, "_assemble", moved)
         with pytest.raises(InvalidWord, match="stage 2 placements"):
             finalize(state2, plan)
@@ -910,11 +936,11 @@ class TestFinalize:
 
     def test_two_stage_report(self, two_stage_state):
         plan, window, _, state2 = two_stage_state
-        tiling, report = finalize(state2, plan)
+        tiling, report, _ = finalize(state2, plan)
         assert set(report.tile_cells) == {1, 2, "P"}
         assert report.small_tile_fraction() < Fraction(2, 5)
-        assert report.notes["small_fraction_below_min_target"] is True
-        assert report.notes["predicted_error_budget"] == Fraction(1, 2)
+        assert report.small_tile_fraction() < plan.min_small_target()
+        assert plan.predicted_error_budget() == Fraction(1, 2)
         assert sum(report.tile_cells.values()) == report.covered_cells
 
 
@@ -1169,7 +1195,7 @@ def test_strict_plan_builds_what_the_word_path_decodes(strict_runs, name, seed):
     keeps its small tiles below the plan's collar mass bound."""
     plan, window, result = strict_runs(name, seed)
     assert verify_tiling(in_window(result.tiling, window)) == []
-    want, want_report = finalize_by_decode(result.state, plan)
+    want, want_report, _ = finalize_by_decode(result.state, plan)
     assert same_placements(result.pre_tiling, want)
     assert result.pre_report == want_report
     assert result.pre_report.small_tile_fraction() <= plan.collar_mass_bound()
