@@ -31,6 +31,7 @@ from ..tower import (
     check_window_holds,
     plan_stages,
     redistribute,
+    redistribution_seed,
     run_pipeline,
 )
 from .config import (
@@ -112,14 +113,13 @@ def cmd_plan(args) -> int:
     for spec in plan.stages:  # as the build samples them, stage 1 first
         check_window_holds(cfg.window_shape, spec.side)
     print(f"family: {len(family.shapes)} tiles, d={family.dim}")
-    print(f"large brick: {family.large_shape}  threshold: {family.threshold}  "
-          f"fill length: {family.fill_length}")
+    print(f"family brick: {family.large_shape}  threshold: {family.threshold}")
     print(f"mode: {plan.mode}  stages: {plan.stage_count}"
           + (f"  cutoffs: {plan.cutoffs}" if plan.countable else ""))
     for i, s in enumerate(plan.stages, start=1):
         extra = f"  cutoff: {s.cutoff}  tail mass: {s.tail_mass}" if plan.countable else ""
         print(f"stage {i}: side {s.side}  collar {s.collar}  gap {s.gap}  "
-              f"budget {s.error_budget}{extra}")
+              f"budget {s.error_budget}  brick {s.brick_id} {s.brick_shape}{extra}")
     bound = plan.predicted_uncovered_bound(cfg.window_shape)
     print(f"window {cfg.window_shape}: predicted uncovered bound {bound} "
           f"(~{float(bound):.4f})")
@@ -197,7 +197,7 @@ def cmd_redistribute(args) -> int:
     shapes = dict(tiling.tile_shapes)
     for j, s in enumerate(cfg.shapes, start=1):
         shapes.setdefault(j, tuple(s))
-    result = redistribute(tiling, targets, cfg.seed, shapes)
+    result = redistribute(tiling, targets, redistribution_seed(cfg.seed), shapes)
     path = _write(os.path.join(cfg.out_dir, "redistributed"), result, cfg.seed)
     print(f"wrote {path}")
     return 0

@@ -16,6 +16,7 @@ MAX_DRAWN_CELLS = 2_000_000
 DENSITY_BINS = 256
 CELL_PX = 8.0  # the side of one cell in the SVG, in px
 ASCII_WIDTH = 100  # cells per line of the ASCII strip
+BRICK_MARKS = "#%@&*+"
 
 PALETTE = [
     "#f3c300", "#875692", "#f38400", "#a1caf1", "#be0032", "#c2b280",
@@ -77,12 +78,13 @@ def _render_density(tiling: Tiling, window: Box) -> str:
     )
     cell_w = window.shape[0] / bins[0]
     cell_h = window.shape[1] / bins[1]
-    mass = np.zeros(bins, dtype=np.float64)
     areas = np.prod(tiling.shape_table, axis=1).astype(np.float64)[tiling.codes]
-    bx = ((tiling.anchors[:, 0] - window.anchor[0]) / cell_w).astype(np.int64)
-    by = ((tiling.anchors[:, 1] - window.anchor[1]) / cell_h).astype(np.int64)
+    # Floored, so an anchor just left of or above the window falls in no bin.
+    bx = np.floor((tiling.anchors[:, 0] - window.anchor[0]) / cell_w).astype(np.int64)
+    by = np.floor((tiling.anchors[:, 1] - window.anchor[1]) / cell_h).astype(np.int64)
     keep = (bx >= 0) & (bx < bins[0]) & (by >= 0) & (by < bins[1])
-    np.add.at(mass, (bx[keep], by[keep]), areas[keep])
+    flat = bx[keep] * bins[1] + by[keep]
+    mass = np.bincount(flat, weights=areas[keep], minlength=bins[0] * bins[1]).reshape(bins)
     density = mass / (cell_w * cell_h)
     px = 4.0
     w, h = bins[0] * px, bins[1] * px
@@ -113,20 +115,20 @@ def render_ascii(tiling: Tiling) -> str:
             f"ASCII rendering draws at most {MAX_DRAWN_CELLS} cells, window has {window.shape[0]}"
         )
     cells = np.full(window.shape[0], ".", dtype="<U1")
-    order = tiling.tile_order
-    marks = "#%@&*+"
-    extents = tiling.shape_table[tiling.codes, 0]
-    for code, anchor, extent in zip(tiling.codes, tiling.anchors, extents):
-        tile = order[int(code)]
-        start = int(anchor[0]) - window.anchor[0]
+    marks, bricks = [], 0  # a small tile's digit; each brick its own mark, in tile order
+    for tile in tiling.tile_order:
         if isinstance(tile, int):
-            ch = str(tile % 10)
+            marks.append(str(tile % 10))
         else:
-            large_rank = sum(1 for t in order[: int(code)] if not isinstance(t, int))
-            ch = marks[large_rank % len(marks)]
-        lo = max(start, 0)
-        hi = min(start + extent, window.shape[0])
-        cells[lo:hi] = ch
+            marks.append(BRICK_MARKS[bricks % len(BRICK_MARKS)])
+            bricks += 1
+    extents = tiling.shape_table[tiling.codes, 0]
+    for code, anchor, extent in zip(tiling.codes.tolist(), tiling.anchors[:, 0].tolist(),
+                                    extents.tolist()):
+        start = anchor - window.anchor[0]
+        lo, hi = max(start, 0), min(start + extent, window.shape[0])
+        if lo < hi:  # else the placement lies wholly outside the window
+            cells[lo:hi] = marks[code]
     text = "".join(cells)
     lines = [text[i : i + ASCII_WIDTH] for i in range(0, len(text), ASCII_WIDTH)]
     return "\n".join(lines) + "\n"

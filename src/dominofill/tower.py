@@ -93,14 +93,21 @@ class TargetDistribution:
 
 @dataclass(frozen=True)
 class StageSpec:
-    """One stage's tower side, collar width, and reporting budget."""
+    """One stage as ``plan_stages`` decided it: its tower side, collar width,
+    reporting budget, and brick (label ``brick_id``, shape ``brick_shape``);
+    for a countable plan also its cut point and tail mass.  ``tail_content``
+    is the cells of whole bricks, aligned to the tower anchor, in one tower's
+    block domain: what a tail tower of the stage holds."""
 
     side: int
     collar: int
     error_budget: Fraction
+    brick_id: int | str
+    brick_shape: tuple[int, ...]
     gap: int = 0
     cutoff: int | None = None
     tail_mass: Fraction = Fraction(0)
+    tail_content: int = 0
 
     @property
     def step(self) -> int:
@@ -126,17 +133,8 @@ class StagePlan:
     def countable(self) -> bool:
         return self.cutoffs is not None
 
-    def brick_id(self, stage: int) -> int | str:
-        return f"P{stage}" if self.countable else LARGE_FINITE
-
-    def brick_shape(self, stage: int) -> tuple[int, ...]:
-        if not self.countable:
-            return self.family.large_shape
-        return _brick_period(self.family, self.stages[stage - 1].cutoff)
-
     def alphabet(self) -> Alphabet:
-        bricks = {self.brick_id(i): self.brick_shape(i) for i in range(1, self.stage_count + 1)}
-        return build_alphabet(self.family, bricks)
+        return build_alphabet(self.family, {s.brick_id: s.brick_shape for s in self.stages})
 
     def predicted_uncovered_bound(self, window_shape: Sequence[int]) -> Fraction:
         """Worst-case uncovered fraction over sublattice offsets.
@@ -146,11 +144,10 @@ class StagePlan:
         coarsest period can occupy inside its deepest interior.
         """
         top = self.stages[-1]
-        period = self.brick_shape(self.stage_count)
         domain = block_domain(top.side, top.collar, len(window_shape))
         if domain is None:
             return Fraction(1)
-        content = [max(e - 2 * (p - 1), 0) for e, p in zip(domain.shape, period)]
+        content = [max(e - 2 * (p - 1), 0) for e, p in zip(domain.shape, top.brick_shape)]
         if 0 in content:
             return Fraction(1)
         towers = 1
@@ -160,18 +157,6 @@ class StagePlan:
         covered = towers * math.prod(content)
         total = math.prod(int(e) for e in window_shape)
         return 1 - Fraction(min(covered, total), total)
-
-    def tail_content(self, stage: int) -> int:
-        """Cells of whole stage-``stage`` bricks, aligned to the tower anchor,
-        in one tower's block domain: what a tail tower of that stage holds."""
-        spec = self.stages[stage - 1]
-        domain = block_domain(spec.side, spec.collar, self.family.dim)
-        if domain is None:
-            return 0
-        period = self.brick_shape(stage)
-        return math.prod(
-            max((e - (-a) % p) // p, 0) * p for a, e, p in zip(domain.anchor, domain.shape, period)
-        )
 
     def predicted_error_budget(self) -> Fraction:
         """Sum of the per-stage sublattice error budgets."""
@@ -215,6 +200,8 @@ def plan_stages(
     side above ``SIDE_CAP``.  Relaxed mode only requires every stage to fit
     its blocks (side >= 2 * (collar + 2) + previous side + 1) and records the
     supplied budgets, each in (0, 1), for reporting rather than enforcing decay.
+    One loop decides each stage once, in stage order, and records its brick,
+    collar, side and tail on its ``StageSpec``; later layers read them there.
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -224,22 +211,34 @@ def plan_stages(
     gap_list = list(gaps) if gaps is not None else [0] * n_stages
     if len(gap_list) != n_stages or any(g < 0 for g in gap_list):
         raise Infeasible("stage_side", f"need {n_stages} nonnegative gaps")
-    collars = _stage_collars(f, base, cuts, n_stages)
     if cuts is not None and mode == "strict":
         _check_tail_schedule(targets, cuts)
-    chosen = _choose_sides(f.dim, mode, sides, collars, n_stages)
-    specs = []
-    for i in range(n_stages):
-        specs.append(
-            StageSpec(
-                side=chosen[i],
-                collar=collars[i],
-                error_budget=budgets[i],
-                gap=gap_list[i],
-                cutoff=cuts[i] if cuts else None,
-                tail_mass=_tail_mass(targets, cuts, i),
-            )
+    specs, prev = [], 0
+    for i in range(1, n_stages + 1):
+        if cuts is None:
+            brick_id, shape, cut, tail_mass = LARGE_FINITE, f.large_shape, None, Fraction(0)
+            collar = f.fill_length
+        else:
+            # The brick is the per-axis product of the sides of the tiles up
+            # to the cut point, which all divide it.  The stage's tail towers
+            # carry the tiles past the previous cut point: reserving exactly
+            # their mass keeps every brick pool consumable in index order
+            # during redistribution.
+            brick_id, cut = f"P{i}", cuts[i - 1]
+            shape = tuple(math.prod(s[a] for s in f.shapes[:cut]) for a in range(f.dim))
+            lo = cuts[i - 2] if i > 1 else cut
+            tail_mass = sum(targets.probs[lo:cut], start=Fraction(0))
+            collar = base.collar(shape, base.large_shape)
+        side = _stage_side(i, f.dim, mode, None if sides is None else sides[i - 1], collar, prev)
+        domain = block_domain(side, collar, f.dim)
+        content = 0 if domain is None else math.prod(
+            max((e - (-a) % p) // p, 0) * p for a, e, p in zip(domain.anchor, domain.shape, shape)
         )
+        specs.append(StageSpec(
+            side, collar, budgets[i - 1], brick_id, shape,
+            gap=gap_list[i - 1], cutoff=cut, tail_mass=tail_mass, tail_content=content,
+        ))
+        prev = side
     plan = StagePlan(
         family=f,
         base=base,
@@ -249,7 +248,7 @@ def plan_stages(
         cutoffs=tuple(cuts) if cuts else None,
     )
     for stage, spec in enumerate(plan.stages, start=1):
-        if spec.tail_mass and plan.tail_content(stage) == 0:
+        if spec.tail_mass and spec.tail_content == 0:
             raise Infeasible("stage_side", f"stage {stage} tail towers hold no whole brick")
     bound = plan.collar_mass_bound()
     if mode == "strict" and bound >= plan.min_small_target():
@@ -309,17 +308,6 @@ def _resolve_budgets(error_budgets, n_stages, mode):
     return budgets
 
 
-def _brick_period(f: RectFamily, cut: int) -> tuple[int, ...]:
-    """Per-axis product of the first ``cut`` tiles' sides: the brick they all divide."""
-    return tuple(math.prod(s[a] for s in f.shapes[:cut]) for a in range(f.dim))
-
-
-def _stage_collars(f, base, cuts, n_stages):
-    if cuts is None:
-        return [f.fill_length] * n_stages
-    return [base.collar(_brick_period(f, cut), base.large_shape) for cut in cuts]
-
-
 def _check_tail_schedule(targets, cuts):
     """Decay and ordering of the per-stage tail masses."""
     probs = targets.probs
@@ -336,50 +324,33 @@ def _check_tail_schedule(targets, cuts):
             raise Infeasible("tail_order", f"stage {k + 1} block mass too small")
 
 
-def _choose_sides(dim, mode, sides, collars, n_stages):
-    chosen = []
-    prev = 0
-    for i in range(1, n_stages + 1):
-        collar = collars[i - 1]
-        if mode == "strict":
-            need = 2 * dim * (collar + 2 + prev)
-            if sides is not None:
-                n = int(sides[i - 1])
-                if n < 1:
-                    raise Infeasible("stage_side", f"stage {i} side {n} below 1")
-                if Fraction(need, n) >= Fraction(1, 4**i):
-                    raise Infeasible(
-                        "collar_fraction",
-                        f"stage {i}: 2d(collar+2+prev)/{n} not below 1/4^{i}",
-                    )
-            else:
-                n = need * 4**i + 1  # the least n with need / n < 1 / 4^i
-                if n > SIDE_CAP:
-                    raise Infeasible("collar_fraction", f"stage {i} side exceeds cap {SIDE_CAP}")
+def _stage_side(i: int, dim: int, mode: str, given, collar: int, prev: int) -> int:
+    """Stage i's side: ``given`` if a side is listed, else the least the mode
+    admits; refused unless it meets the mode's bound and exceeds the previous
+    side ``prev``."""
+    if mode == "strict":
+        need = 2 * dim * (collar + 2 + prev)
+        if given is not None:
+            n = int(given)
+            if n < 1:
+                raise Infeasible("stage_side", f"stage {i} side {n} below 1")
+            if Fraction(need, n) >= Fraction(1, 4**i):
+                raise Infeasible(
+                    "collar_fraction",
+                    f"stage {i}: 2d(collar+2+prev)/{n} not below 1/4^{i}",
+                )
         else:
-            minimum = 2 * (collar + 2) + prev + 1
-            n = int(sides[i - 1]) if sides is not None else minimum
-            if n < minimum:
-                raise Infeasible("stage_side", f"stage {i} side {n} below minimum {minimum}")
-        if n <= prev:
-            raise Infeasible("stage_side", f"stage {i} side {n} not above previous {prev}")
-        chosen.append(n)
-        prev = n
-    return chosen
-
-
-def _tail_mass(targets, cuts, stage_index) -> Fraction:
-    """Cell-mass share reserved for stage i's coarser-brick towers.
-
-    Stage i's brick is the first that can be carved into tiles past the
-    previous cut point; reserving exactly their mass keeps every brick pool
-    consumable in index order during redistribution.
-    """
-    if cuts is None or stage_index == 0:
-        return Fraction(0)
-    lo = cuts[stage_index - 1]
-    hi = cuts[stage_index]
-    return sum(targets.probs[lo:hi], start=Fraction(0))
+            n = need * 4**i + 1  # the least n with need / n < 1 / 4^i
+            if n > SIDE_CAP:
+                raise Infeasible("collar_fraction", f"stage {i} side exceeds cap {SIDE_CAP}")
+    else:
+        minimum = 2 * (collar + 2) + prev + 1
+        n = int(given) if given is not None else minimum
+        if n < minimum:
+            raise Infeasible("stage_side", f"stage {i} side {n} below minimum {minimum}")
+    if n <= prev:
+        raise Infeasible("stage_side", f"stage {i} side {n} not above previous {prev}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -618,7 +589,7 @@ def build_stage(
     if tails is not None:
         pure |= tails
     composite = (wall.tile, plan.base.fill_length)
-    brick = (plan.brick_id(towers.stage), spec.collar)
+    brick = (spec.brick_id, spec.collar)
     kinds = list(dict.fromkeys([composite, brick]))
     kind = np.where(pure, kinds.index(brick), kinds.index(composite))
     blocks = StageBlocks(towers, wall, kinds, kind)
@@ -1055,13 +1026,20 @@ class PipelineResult:
     seed: int
 
 
+def redistribution_seed(seed: int) -> int:
+    """The seed of the redistribution stream of a build seeded ``seed``: one
+    fork of its tree, which ``redistribute`` on the build's pre tiling takes
+    to write the build's final tiling."""
+    return SplitMix64(seed).fork(2000).seed
+
+
 def run_pipeline(plan: StagePlan, window: Box, seed: int) -> PipelineResult:
     """Sample towers, build every stage, finalize, and redistribute.
 
     A top stage that samples no tower in the window raises WindowTooSmall."""
     alphabet = plan.alphabet()
     root = SplitMix64(seed)
-    wall = BrickWall(alphabet, plan.brick_id(1), (0,) * window.dim)
+    wall = BrickWall(alphabet, plan.stages[0].brick_id, (0,) * window.dim)
     state: ConstructionState | None = None
     for stage in range(1, plan.stage_count + 1):
         towers = sample_towers(plan, window, stage, root.fork(stage).seed)
@@ -1075,7 +1053,7 @@ def run_pipeline(plan: StagePlan, window: Box, seed: int) -> PipelineResult:
             tails = _select_tails(plan, towers, root.fork(1000 + stage))
         state = build_stage(state, towers, wall, plan, tails)
     pre_tiling, pre_report, partial_cells = finalize(state, plan)
-    final = redistribute(pre_tiling, plan.targets, root.fork(2000).seed, alphabet.tile_shapes)
+    final = redistribute(pre_tiling, plan.targets, redistribution_seed(seed), alphabet.tile_shapes)
     report = FrequencyReport.of_tiling(final, plan.targets)
     return PipelineResult(plan, state, pre_tiling, pre_report, final, report, partial_cells, seed)
 
@@ -1084,7 +1062,7 @@ def _select_tails(plan: StagePlan, towers: StageTowers, rng: SplitMix64) -> np.n
     """Pick how many towers carry this stage's coarser brick, and which.
 
     The count matches the stage's reserved tail mass against the whole-brick
-    content cells one tower's interior actually holds (``StagePlan.tail_content``,
+    content cells one tower's interior actually holds (``StageSpec.tail_content``,
     which ``plan_stages`` refuses to leave at 0), rounded to nearest.
     Returns a boolean mask over ``towers.anchors``.
     """
@@ -1092,7 +1070,7 @@ def _select_tails(plan: StagePlan, towers: StageTowers, rng: SplitMix64) -> np.n
     tails = np.zeros(towers.count, dtype=bool)
     if spec.tail_mass == 0 or towers.count == 0:
         return tails
-    want = spec.tail_mass * towers.window.volume / plan.tail_content(towers.stage)
+    want = spec.tail_mass * towers.window.volume / spec.tail_content
     count = min(int(want + Fraction(1, 2)), towers.count)
     idx = np.arange(towers.count)
     rng.shuffle(idx)

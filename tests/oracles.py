@@ -754,7 +754,7 @@ def build_stage_per_block(state, towers, wall, plan, tails=None):
         anchor = tuple(int(x) for x in row)
         tower_box = Box(anchor, (spec.side,) * towers.window.dim)
         pure = towers.stage == 1 or (tails is not None and bool(tails[k]))
-        tile = plan.brick_id(towers.stage) if pure else wall.tile
+        tile = spec.brick_id if pure else wall.tile
         collar = spec.collar if pure else base.fill_length
         translate = [t + a for t, a in zip(wall.translate, anchor)]
         tower_wall = BrickWall(wall.alphabet, tile, translate)

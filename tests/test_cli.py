@@ -631,6 +631,24 @@ class TestRender:
         art = render_ascii(tiling_from_parts(shapes, parts, Box((0,), (40,))))
         assert art == "11" + "#" * 6 + "%" * 30 + "22\n"
 
+    def test_ascii_clips_placements_to_the_window(self):
+        """A placement wholly left of the window is not drawn, and one that
+        straddles an edge is drawn only inside it."""
+        shapes = {1: (2,), 2: (3,)}
+        parts = [(1, [(-50,), (-1,)]), (2, [(10,), (98,)])]
+        art = render_ascii(tiling_from_parts(shapes, parts, Box((0,), (100,))))
+        assert art == "1" + "." * 9 + "222" + "." * 85 + "22\n"
+
+    def test_density_map_bins_only_anchors_in_the_window(self):
+        """An anchor left of the window falls in no bin: bins are floored, so
+        (-4, 0) is not counted in bin (0, 0) of a 1536^2 window's 6-cell bins."""
+        shapes = {1: (3, 2)}
+        window = Box((0, 0), (1536, 1536))
+        svg = render_svg(tiling_from_parts(shapes, [(1, [(-4, 0), (6, 0)])], window))
+        rects = [line for line in svg.splitlines() if "fill-opacity" in line]
+        assert rects == ['<rect x="4" y="0" width="4" height="4" fill="#0067a5" '
+                         'fill-opacity="0.167"/>']
+
     def test_svg_without_window_draws_the_bounding_box(self):
         t = tiling_from_parts({1: (3, 2), 2: (2, 3)}, [(1, [(5, 7)]), (2, [(8, 7)])])
         svg = render_svg(t)
@@ -694,6 +712,17 @@ class TestMain:
         out = capsys.readouterr().out
         assert "stage 1: side 449" in out
         assert "predicted uncovered bound" in out
+
+    def test_plan_names_each_stage_brick(self, tmp_path, capsys):
+        """The countable line's stage lines name the bricks the planner chose,
+        and no family-wide fill length, which no stage uses, is printed."""
+        config = tmp_path / "run.ini"
+        config.write_text(LINE_INI, encoding="utf-8")
+        assert main(["plan", "--config", str(config)]) == 0
+        out = capsys.readouterr().out
+        assert "stage 1: side 33  collar 14  gap 0  budget 1/4  brick P1 (6,)  cutoff: 2" in out
+        assert "stage 2: side 200  collar 38  gap 0  budget 1/4  brick P2 (30,)  cutoff: 3" in out
+        assert "fill length" not in out
 
     def test_plan_rejects_bad_family(self, tmp_path, capsys):
         ini = tmp_path / "bad.ini"
@@ -1641,6 +1670,19 @@ def sha256_of(path) -> str:
 
 
 class TestGoldenBytes:
+    @pytest.mark.parametrize("ini", [FLAGSHIP_PLAN_INI, LINE_INI], ids=["flagship", "line"])
+    def test_redistribute_reproduces_the_build(self, ini, tmp_path, capsys):
+        """redistribute of a build's tiling_pre.txt, with the build's config,
+        writes the bytes of its tiling.txt: both draw one stream of the seed."""
+        config = tmp_path / "run.ini"
+        config.write_text(ini, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["build", "--config", str(config), "--out", str(out)]) == 0
+        pre = str(out / "tiling_pre.txt")
+        assert main(["redistribute", pre, "--config", str(config), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert (out / "redistributed.txt").read_bytes() == (out / "tiling.txt").read_bytes()
+
     @pytest.mark.parametrize("name", sorted(GOLDEN_BUILDS))
     def test_build_outputs(self, name, tmp_path, monkeypatch, capsys):
         ini, digests = GOLDEN_BUILDS[name]

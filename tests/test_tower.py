@@ -66,6 +66,7 @@ from dominofill.tower import (
     build_stage,
     finalize,
     redistribute,
+    redistribution_seed,
     sample_towers,
 )
 
@@ -202,7 +203,7 @@ class TestPlanStages:
             assert e.value.constraint == "stage_side"
         for side, content in ((129, 30), (200, 90)):
             plan = plan_stages(f3, t3, **countable, sides=(33, side))
-            assert plan.tail_content(2) == content
+            assert plan.stages[1].tail_content == content
 
     @pytest.mark.parametrize(
         "family, probs, tail_mass, kwargs, error, message",
@@ -258,11 +259,11 @@ class TestPlanStages:
         plan = plan_stages(f3, t3, mode="strict", cutoffs=(2, 3))
         assert [s.side for s in plan.stages] == [129, 5409]
         assert [s.collar for s in plan.stages] == [14, 38]
-        for i, spec in enumerate(plan.stages, start=1):
-            assert spec.collar == plan.base.collar(plan.brick_shape(i), plan.base.large_shape)
+        for spec in plan.stages:
+            assert spec.collar == plan.base.collar(spec.brick_shape, plan.base.large_shape)
         assert [s.tail_mass for s in plan.stages] == [0, Fraction(1, 10)]
-        assert plan.brick_id(1) == "P1" and plan.brick_id(2) == "P2"
-        assert plan.brick_shape(1) == (6,) and plan.brick_shape(2) == (30,)
+        assert [s.brick_id for s in plan.stages] == ["P1", "P2"]
+        assert [s.brick_shape for s in plan.stages] == [(6,), (30,)]
         assert len(plan.alphabet().symbols) == 46  # 2+3+5 small, 6+30 brick
 
     def test_countable_tail_decay(self):
@@ -286,6 +287,8 @@ def toy_plan(family, side, gap=0):
         side=side,
         collar=family.fill_length,
         error_budget=Fraction(1, 4),
+        brick_id="P",
+        brick_shape=family.large_shape,
         gap=gap,
         cutoff=None,
         tail_mass=Fraction(0),
@@ -533,7 +536,7 @@ def countable_stages():
     """Stage 2 of the countable line plan, with tail and composite towers."""
     plan = _family_and_plan(parse_config(LINE_INI))[2]
     window = Box((0,), (20_000,))
-    wall = BrickWall(plan.alphabet(), plan.brick_id(1), (0,))
+    wall = BrickWall(plan.alphabet(), plan.stages[0].brick_id, (0,))
     towers1 = sample_towers(plan, window, 1, seed=3)
     state1 = build_stage(None, towers1, wall, plan)
     towers2 = sample_towers(plan, window, 2, seed=5)
@@ -662,7 +665,9 @@ def collar_13_run():
     """A hand-made flagship plan whose stage-1 collar is 13, below the
     26-collar of the stage-2 domains."""
     flagship = validate_family([(3, 2), (2, 3)])
-    stages = (StageSpec(64, 13, Fraction(1, 4)), StageSpec(512, 26, Fraction(1, 4)))
+    stages = tuple(
+        StageSpec(side, collar, Fraction(1, 4), "P", (6, 6)) for side, collar in ((64, 13), (512, 26))
+    )
     plan = StagePlan(flagship, flagship, FLAGSHIP_TARGETS, "relaxed", stages)
     return plan, run_pipeline(plan, Box((0, 0), (1100, 1100)), seed=1)
 
@@ -1025,7 +1030,7 @@ def test_redistribute_matches_row_oracle(name):
     cfg = parse_config(WORD_PATH_RUNS[name])
     _, _, plan = _family_and_plan(cfg)
     result = run_pipeline(plan, Box(cfg.window_anchor, cfg.window_shape), cfg.seed)
-    seed = SplitMix64(cfg.seed).fork(2000).seed
+    seed = redistribution_seed(cfg.seed)
     shapes = plan.alphabet().tile_shapes
     want = redistribute_by_rows(result.pre_tiling, plan.targets, result.pre_report, seed, shapes)
     got = result.tiling
