@@ -1,12 +1,15 @@
 """The on-disk format of tilings and words.
 
 Files are UTF-8 text and line-oriented: a version marker, then ``dim``,
-``shapes``, ``window`` and ``seed`` header lines, then one sorted record per
+``shapes``, ``window`` and ``seed`` header lines, then one record per
 placement (``tile x_1 .. x_d``) or per assigned cell (``x_1 .. x_d tile
 o_1 .. o_d``); one record layout (``TILING``, ``WORD``) serves both kinds.
 Writes are atomic (temp file + rename) and byte-deterministic for a given
-object, which is what makes seeded runs diffable.  ``load_any(path)`` is the
-one reader: the file's bytes go in, line ends rewritten on the bytes.
+object, which is what makes seeded runs diffable; the writer lists a
+tiling's placements in canonical order.  ``load_any(path)`` is the one
+reader: the file's bytes go in, line ends rewritten on the bytes.  It keeps
+the file's order of placements: a caller that needs canonical order calls
+``Tiling.sorted_canonical``, which only checks a file the writer wrote.
 """
 
 from __future__ import annotations
@@ -418,9 +421,10 @@ def _coords(rows, dim: int) -> np.ndarray:
 
 
 def _build_tiling(shapes: dict, dim: int, window, tiles: list, inverse, fields) -> Tiling:
-    """Placement k is tile ``tiles[inverse[k]]`` at anchor k; canonical order.
-    Refuses a bad tile shape, an unknown tile (the first in placement order)
-    or an anchor that leaves int64, checked in that order."""
+    """Placement k is tile ``tiles[inverse[k]]`` at anchor k, in file order:
+    a caller that needs canonical order sorts the tiling itself.  Refuses a
+    bad tile shape, an unknown tile (the first in placement order) or an
+    anchor that leaves int64, checked in that order."""
     if any(len(s) != dim or min(s) < 1 for s in shapes.values()):
         raise ParseError(f"every tile shape needs {dim} positive extents")
     unknown = np.array([t not in shapes for t in tiles], dtype=bool)
@@ -432,7 +436,7 @@ def _build_tiling(shapes: dict, dim: int, window, tiles: list, inverse, fields) 
         raise ParseError(f"every anchor needs {dim} int64 coordinates")
     code_of = tile_table(shapes)
     codes = np.array([code_of[t] for t in tiles], dtype=np.int32)[inverse]
-    return Tiling(shapes, codes, rows, window).sorted_canonical()
+    return Tiling(shapes, codes, rows, window)
 
 
 def _build_word(shapes: dict, dim: int, window, tiles: list, inverse, fields) -> SymbolicWord:
@@ -499,7 +503,8 @@ class LoadedFile:
 
 
 def load_any(path: str) -> LoadedFile:
-    """The tiling or word in a file, read as a text-mode read reads it.
+    """The tiling or word in a file, read as a text-mode read reads it; a
+    tiling's placements in the file's order.
 
     The file is read once, as bytes, which must be UTF-8.  Where they hold a
     ``\\r``, ``\\r\\n`` and a lone ``\\r`` become ``\\n`` on the bytes, as universal

@@ -98,13 +98,15 @@ def _write(path_stem: str, tiling_or_word, seed: int) -> str:
 
 
 def _load_tiling(path: str, verified: bool = True) -> Tiling:
-    """The tiling in ``path``; if ``verified``, one ``verify_tiling`` refuses is a user error."""
+    """The tiling in ``path``, in canonical order whatever the file's order;
+    if ``verified``, one ``verify_tiling`` refuses is a user error."""
     loaded = load_any(path)
     if loaded.kind != "tiling":
         raise ParseError(f"{path} is not a tiling file")
-    if verified and (problems := verify_tiling(loaded.tiling)):
+    tiling = loaded.tiling.sorted_canonical()
+    if verified and (problems := verify_tiling(tiling)):
         raise ParseError(f"{path} fails verify, {problems.total} violations: {problems[0]}")
-    return loaded.tiling
+    return tiling
 
 
 def cmd_plan(args) -> int:
@@ -218,7 +220,11 @@ def _check_family(cfg, tiling) -> None:
 def cmd_verify(args) -> int:
     loaded = load_any(args.file)
     if loaded.kind == "tiling":
-        problems = verify_tiling(loaded.tiling)
+        # Checked as read; violations are named in canonical order, so a file
+        # out of that order is checked again, sorted, only when it fails.
+        problems = verify_tiling(tiling := loaded.tiling)
+        if problems and (canon := tiling.sorted_canonical()) is not tiling:
+            problems = verify_tiling(canon)
     else:
         problems = verify_word(loaded.word)
     if problems:

@@ -90,17 +90,23 @@ def verify_word(word: SymbolicWord) -> Problems:
 
 
 def verify_tiling(tiling: Tiling) -> Problems:
-    """Containment and overlap checks by painting each placement's cells.
+    """Containment and overlap checks by painting each placement's cells,
+    in any placement order: the placements it names come in the input's order.
 
     Every pass runs over one anchor column at a time, in Python-int bounds,
     so no tile end is formed in int64 and an anchor near the edge of int64
     cannot wrap back into the window.  A placement ``[x, x + s)`` lies in
-    ``[lo, hi)`` iff ``lo <= x <= hi - s``; so all do iff each axis's least
-    anchor is at least ``lo`` and each tile code's greatest anchor at most
-    ``hi - s`` for its size ``s``.  Only when that fails are the placements
-    tested one by one, to name those that leave.  The placements overlap iff
-    fewer distinct cells get painted than their volumes add up to; only then
-    are the per-cell multiplicities counted.
+    ``[lo, hi)`` iff ``lo <= x <= hi - s``.  Per axis, the placements span
+    at least the least anchor and at most the greatest anchor plus the
+    largest tile extent; where that bound lies in the window, all placements
+    do, and it is the box painted.  Otherwise, or where that box is too
+    large to paint, each tile code's greatest anchor gives the exact
+    bounding box: all placements lie in the window iff each axis's least
+    anchor is at least ``lo`` and each code's greatest at most ``hi - s``
+    for its size ``s``.  Only when that fails are the placements tested one
+    by one, to name those that leave.  The placements overlap iff fewer
+    distinct cells get painted than their volumes add up to; only then are
+    the per-cell multiplicities counted.
     """
     problems = Problems()
     if len(tiling) == 0:
@@ -111,16 +117,17 @@ def verify_tiling(tiling: Tiling) -> Problems:
     base = [int(column.min()) for column in columns]
     members = [(code, codes == code) for code in range(len(table))]
     members = [(code, mask) for code, mask in members if mask.any()]
-    # Per tile code and axis, its farthest anchor plus its size, in Python ints.
-    reach = [
-        [int(c.max(where=mask, initial=lo)) + int(s) for c, lo, s in zip(columns, base, table[code])]
-        for code, mask in members
-    ]
-    inside = window is None or (
-        all(least >= low for least, low in zip(base, window.anchor))
-        and all(end <= high for ends in reach for end, high in zip(ends, window.end))
-    )
-    if not inside:
+    # Per axis, the greatest anchor plus the largest extent placed, in Python ints.
+    present = table[[code for code, _ in members]]
+    ends = [int(column.max()) + int(s) for column, s in zip(columns, present.max(axis=0))]
+    if not _holds(base, ends, window) or math.prod(_extent(base, ends)) > MAX_PAINT_CELLS:
+        # Per tile code and axis, its farthest anchor plus its size.
+        reach = [
+            [int(c.max(where=mask, initial=lo)) + int(s) for c, lo, s in zip(columns, base, shape)]
+            for shape, (_, mask) in zip(present, members)
+        ]
+        ends = [max(axis_ends) for axis_ends in zip(*reach)]
+    if not _holds(base, ends, window):
         outside = np.zeros(len(codes), dtype=bool)
         for column, sizes, lo, hi in zip(columns, table.T, window.anchor, window.end):
             outside |= column < _exact([lo])
@@ -130,7 +137,7 @@ def verify_tiling(tiling: Tiling) -> Problems:
             anchor = tuple(int(c[idx]) for c in columns)
             problems.append(f"placement {tile} at {anchor} leaves the window")
         problems.more(int(outside.sum()), "outside")
-    extent = tuple(max(ends) - lo for ends, lo in zip(zip(*reach), base))
+    extent = _extent(base, ends)
     volume = math.prod(extent)
     if volume > MAX_PAINT_CELLS:
         problems.append(f"bounding box of {volume} cells is too large to paint; not checked")
@@ -166,6 +173,17 @@ def verify_tiling(tiling: Tiling) -> Problems:
         problems.append(f"cell {at} covered {int(count)} times by {owners}")
     problems.more(int(over.sum()), "overlapping cells")
     return problems
+
+
+def _holds(base: list[int], ends: list[int], window) -> bool:
+    """Whether the box from ``base`` up to ``ends`` lies in ``window`` (None holds all)."""
+    return window is None or all(
+        low <= lo and end <= high for lo, end, low, high in zip(base, ends, window.anchor, window.end)
+    )
+
+
+def _extent(base: list[int], ends: list[int]) -> tuple[int, ...]:
+    return tuple(end - lo for lo, end in zip(base, ends))
 
 
 def _exact(values: list[int]) -> np.ndarray:

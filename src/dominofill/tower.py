@@ -283,7 +283,7 @@ def _resolve_base(f, targets, cutoffs):
             raise InvalidTargets("a tail mass needs cut points")
         return f, None
     cut = [int(c) for c in cutoffs]
-    if any(c2 <= c1 for c1, c2 in zip(cut, cut[1:])) or cut[0] < 2 or cut[-1] > f.count:
+    if not cut or any(c2 <= c1 for c1, c2 in zip(cut, cut[1:])) or cut[0] < 2 or cut[-1] > f.count:
         raise Infeasible("cutoffs", f"cut points {cut} must increase within 2..{f.count}")
     try:
         base = validate_family(f.shapes[: cut[0]], f.dim)

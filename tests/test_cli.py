@@ -544,6 +544,27 @@ class TestVerifyTiling:
         problems = verify_tiling(t)
         assert problems and "leaves the window" in problems[0]
 
+    def test_column_bound_past_the_window_with_every_tile_inside(self):
+        """The greatest anchor on axis 0 plus the largest extent there, 8 + 3,
+        passes the window's end 10, yet each tile ends at 10: no problem."""
+        t = tiling_from_parts(
+            {1: (3, 2), 2: (2, 3)}, [(1, [(7, 0)]), (2, [(8, 4)])], Box((0, 0), (10, 10))
+        )
+        assert verify_tiling(t) == []
+
+    def test_exact_box_is_painted_where_the_column_bound_is_too_large(self, monkeypatch):
+        """The placements span 3 x 8 = 24 cells, the column bound (8 + 3 on
+        axis 0, 5 + 3 on axis 1) 4 x 8 = 32.  Under a cap between the two,
+        the overlap is still painted and named; under one below 24, the box
+        refused is the exact one."""
+        t = tiling_from_parts({1: (3, 2), 2: (2, 3)}, [(1, [(7, 0)]), (2, [(8, 4), (8, 5)])])
+        monkeypatch.setattr(verify, "MAX_PAINT_CELLS", 28)
+        problems = verify_tiling(t)
+        assert problems == verify_tiling_by_rows(t, None, MAX_REPORTED)
+        assert len(problems) == 4 and all("covered 2 times" in p for p in problems)
+        monkeypatch.setattr(verify, "MAX_PAINT_CELLS", 23)
+        assert verify_tiling(t) == ["bounding box of 24 cells is too large to paint; not checked"]
+
     def test_tiles_sharing_a_shape(self):
         t = tiling_from_parts(
             {1: (2, 1), 2: (2, 1), "P": (2, 2)},
@@ -686,6 +707,14 @@ def fill_cfg(tmp_path):
     path = tmp_path / "fill.ini"
     path.write_text(FILL_INI, encoding="utf-8")
     return str(path)
+
+
+def reversed_body(path: Path, out: Path) -> Path:
+    """A copy at ``out`` of the tiling file ``path`` with its placement
+    lines, those after the five header lines, in reverse order."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    out.write_text("".join(lines[:5] + lines[5:][::-1]), encoding="utf-8")
+    return out
 
 
 def traced(peaks: dict, name: str, call):
@@ -859,6 +888,90 @@ class TestMain:
             "placement 1 at (9, 0) leaves the window",
             f"FAIL: 2 violations in {path}",
         ]
+
+    @pytest.mark.parametrize(
+        "body, checks, sorts",
+        [("1 0 0\n1 3 4\n", 1, 0), ("1 3 4\n1 0 0\n", 1, 0),
+         ("1 8 5\n1 9 0\n", 1, 1), ("1 9 0\n1 8 5\n", 2, 1)],
+        ids=["passes_in_order", "passes_out_of_order", "fails_in_order", "fails_out_of_order"],
+    )
+    def test_verify_checks_a_file_again_only_when_it_fails_out_of_order(
+        self, tmp_path, monkeypatch, capsys, body, checks, sorts
+    ):
+        """verify checks a tiling as read, sorts it only when that finds
+        violations, and checks it again only when sorting moved a placement."""
+        path = tmp_path / "order.txt"
+        head = "dominofill tiling v1\ndim 2\nshapes 1:3x2\nwindow 0 0 10 10\nseed 0\n"
+        path.write_text(head + body, encoding="utf-8")
+        calls = {"check": 0, "sort": 0}
+
+        def counted(name, call):
+            def wrapper(*args):
+                calls[name] += 1
+                return call(*args)
+            return wrapper
+
+        monkeypatch.setattr(cli_main, "verify_tiling", counted("check", verify_tiling))
+        monkeypatch.setattr(Tiling, "sorted_canonical", counted("sort", Tiling.sorted_canonical))
+        assert main(["verify", str(path)]) == (1 if sorts else 0)
+        capsys.readouterr()
+        assert calls == {"check": checks, "sort": sorts}
+
+    def test_reversed_body_verifies(self, flagship_cfg, tmp_path, capsys):
+        """The reader keeps the file's order, and a built tiling whose
+        placements are listed in reverse still verifies."""
+        out = tmp_path / "out"
+        assert main(["build", "--config", flagship_cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        for name in ("tiling.txt", "tiling_pre.txt"):
+            path = reversed_body(out / name, tmp_path / name)
+            assert main(["verify", str(path)]) == 0
+            assert capsys.readouterr() == (f"OK: {path}\n", "")
+
+    def test_reversed_body_fails_as_the_sorted_file_does(self, flagship_cfg, tmp_path, capsys):
+        """A built tiling with its last placement moved past the window's
+        high edge and its first placement written twice: its body reversed,
+        verify writes the same lines in the same order and exits 1."""
+        out = tmp_path / "out"
+        assert main(["build", "--config", flagship_cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = (out / "tiling.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+        tile, _, y = lines[-1].split()
+        lines[-1] = f"{tile} 299 {y}\n"
+        lines.insert(5, lines[5])
+        in_order = tmp_path / "in_order.txt"
+        in_order.write_text("".join(lines), encoding="utf-8")
+        errors = []
+        for path in (in_order, reversed_body(in_order, tmp_path / "reversed.txt")):
+            assert main(["verify", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err.replace(str(path), "<file>").splitlines())
+        assert errors[0] == errors[1]
+        assert errors[0][0] == f"placement {tile} at (299, {y}) leaves the window"
+        # The doubled placement covers each of its 6 cells twice.
+        assert len(errors[0]) == 8 and all("covered 2 times" in e for e in errors[0][1:7])
+        assert errors[0][-1] == "FAIL: 7 violations in <file>"
+
+    def test_reversed_body_reads_as_the_sorted_file(self, flagship_cfg, tmp_path, capsys):
+        """stats, render and redistribute give the same bytes for a built
+        tiling_pre.txt and for its copy with the placements in reverse."""
+        out = tmp_path / "out"
+        assert main(["build", "--config", flagship_cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        pre = out / "tiling_pre.txt"
+        outputs = []
+        for k, path in enumerate((pre, reversed_body(pre, tmp_path / "tiling_pre.txt"))):
+            dest = tmp_path / f"again{k}"
+            assert main(["stats", str(path), "--config", flagship_cfg]) == 0
+            stats = capsys.readouterr()
+            assert main(["redistribute", str(path), "--config", flagship_cfg, "--out", str(dest)]) == 0
+            assert main(["render", str(path), "--out", str(dest)]) == 0
+            capsys.readouterr()
+            written = [(dest / name).read_bytes() for name in ("redistributed.txt", "render.svg")]
+            outputs.append((stats, written))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1][0] == (out / "tiling.txt").read_bytes()
 
     def test_report_states_bounds_only_for_a_strict_plan(self, flagship_cfg, tmp_path, capsys):
         """A strict one-stage flagship plan (side 449) states its collar mass

@@ -192,7 +192,9 @@ def labelled_bodies(draw):
 @given(labelled_bodies(), st.sampled_from([1, 40]), st.data())
 def test_label_lookup_matches_line_walk(case, chunk_bytes, data):
     """Tiling and word bodies read as the line walk reads them, whichever
-    chunk a label the header lacks first appears in."""
+    chunk a label the header lacks first appears in.  The reader keeps the
+    file's order and the tiling oracle sorts, so the tiling is compared
+    sorted."""
     header, labels = case
     coord = st.integers(-1, 4)
     anchors = [data.draw(st.tuples(coord, coord)) for _ in labels]
@@ -202,8 +204,15 @@ def test_label_lookup_matches_line_walk(case, chunk_bytes, data):
     word += "".join(f"{x} {y} {t} 0 0\n" for t, (x, y) in zip(labels, anchors))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(files, "_CHUNK_BYTES", chunk_bytes)
-        assert outcome(load_text, tiling) == outcome(parse_by_lines, tiling)
+        assert outcome(load_sorted, tiling) == outcome(parse_by_lines, tiling)
         assert word_outcome(load_text, word) == word_outcome(parse_word_by_lines, word)
+
+
+def load_sorted(text):
+    """(tiling, seed) that ``load_any`` reads from a file of ``text``, sorted
+    into canonical order."""
+    tiling, seed = load_text(text)
+    return tiling.sorted_canonical(), seed
 
 
 # Odd body tokens: signs out of place, a lone sign, labels that read as ints

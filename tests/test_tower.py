@@ -249,6 +249,14 @@ class TestPlanStages:
         if expected is Infeasible:
             assert e.value.constraint == error
 
+    def test_no_cut_point_is_refused(self):
+        """An empty cut-point list is refused as infeasible, not read past its end."""
+        line = validate_family([(2,), (3,)])
+        targets = TargetDistribution.of(["2/5", "3/5"])
+        with pytest.raises(Infeasible, match=r"cut points \[\] must increase within 2..2") as e:
+            plan_stages(line, targets, mode="relaxed", cutoffs=())
+        assert e.value.constraint == "cutoffs"
+
     def test_target_count_must_match_family(self, flagship):
         with pytest.raises(InvalidTargets):
             plan_stages(flagship, TargetDistribution.of(["1/2", "1/4", "1/4"]), count=1)
